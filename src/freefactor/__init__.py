@@ -24,8 +24,6 @@ from .words import (
     cyclic_reduce,
     format_word,
     free_reduce,
-    letter_index,
-    letter_sign,
     parse_word,
     random_word,
 )

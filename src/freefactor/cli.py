@@ -13,20 +13,12 @@ import json
 import sys
 
 from .errors import DomainError, InternalContradictionError
-from .experiments import EXPERIMENT_NAMES, run_experiment
+from .experiments import EXPERIMENT_NAMES, SCHEMA_VERSION, run_experiment
 from .factors import FreeFactorVertex, factor_invariant
 from .farey import Slope, farey_distance
 from .trees import geometric_index
-from .whitehead import (
-    Classification,
-    classify,
-    find_cut_vertex,
-    minimize_cyclic_length,
-    whitehead_graph,
-)
+from .whitehead import Classification, classify, minimize_cyclic_length
 from .words import Word, b_reduced_decomposition, format_word, parse_word
-
-SCHEMA_VERSION = 1
 
 
 def _emit(args, text: str, payload: dict) -> None:
@@ -52,12 +44,10 @@ def _certificate_payload(cert) -> dict:
 def _cmd_classify(args) -> int:
     w = parse_word(args.word, args.n)
     cert = minimize_cyclic_length(w)
-    verdict = classify(w)
+    verdict = classify(w, cert)
     cut = None
-    if len(cert.minimized) >= 1:
-        cut_vertex = find_cut_vertex(whitehead_graph(cert.minimized))
-        if cut_vertex is not None:
-            cut = format_word(Word((cut_vertex,), args.n))
+    if cert.cut_vertex is not None:
+        cut = format_word(Word((cert.cut_vertex,), args.n))
     label = {
         Classification.PRIMITIVE: "Primitive",
         Classification.SIMPLE_NON_PRIMITIVE: "SimpleNonPrimitive",
@@ -158,10 +148,11 @@ def _cmd_experiment(args) -> int:
         "k_hi": args.k_hi,
         "sample_budget": args.budget,
     }
+    rank = 2 if args.n is None else args.n
     if args.b:
-        kwargs["b"] = parse_word(args.b, args.n or 2)
+        kwargs["b"] = parse_word(args.b, rank)
     if args.word:
-        kwargs["a"] = parse_word(args.word, args.n or 2)
+        kwargs["a"] = parse_word(args.word, rank)
     report = run_experiment(args.name, **kwargs)
     print(
         f"{report.name}: {len(report.trials)} records, "

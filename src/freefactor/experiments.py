@@ -27,6 +27,7 @@ from .errors import (
 from .factors import (
     FactorWitness,
     FreeFactorVertex,
+    _check_filling_minimal,
     factor_invariant,
     is_basis_pair,
     random_free_factor,
@@ -156,15 +157,6 @@ def _random_edge_chain(
     return ()
 
 
-def _require_filling_minimal(b: Word) -> None:
-    if not b.is_cyclically_reduced() or b.is_identity():
-        raise PreconditionError(f"b = {b} must be cyclically reduced and nontrivial")
-    if len(minimize_cyclic_length(b).minimized) != len(b):
-        raise PreconditionError(f"b = {b} is not of minimal length in its orbit")
-    if classify(b) != Classification.FILLING:
-        raise PreconditionError(f"b = {b} is not filling")
-
-
 # ---------------------------------------------------------------------------
 # edge-difference bound
 
@@ -183,7 +175,7 @@ def exp_lipschitz(
     and 2 for rank 2; slack estimates widen the band by exactly 1.
     """
     b = boundary_word(rank) if b is None else b
-    _require_filling_minimal(b)
+    _check_filling_minimal(b)
     bound = 1 if rank >= 3 else 2
     report = ExperimentReport(
         "lipschitz",
@@ -271,7 +263,7 @@ def exp_cancellation(
     reduced word has balanced exponent >= 1.
     """
     b = boundary_word(rank) if b is None else b
-    _require_filling_minimal(b)
+    _check_filling_minimal(b)
     report = ExperimentReport(
         "cancellation",
         {"rank": rank, "b": format_word(b), "trials": trials, "seed": seed},
@@ -329,7 +321,7 @@ def exp_fzero_fiber(
 ) -> ExperimentReport:
     """The map k -> exponent of b^k a b^-k: small zero fiber, injective off it."""
     b = boundary_word(rank) if b is None else b
-    _require_filling_minimal(b)
+    _check_filling_minimal(b)
     a = Word((1,), rank) if a is None else a
     if not is_primitive(a):
         raise PreconditionError(f"a = {a} must be primitive")
@@ -381,7 +373,7 @@ def exp_basis_change(
     whether it stabilizes between trials/10 and all trials.
     """
     b = boundary_word(rank) if b is None else b
-    _require_filling_minimal(b)
+    _check_filling_minimal(b)
     if basis_chain is None:
         basis_chain = _find_second_minimizing_basis(rank, b, seed)
     chain_inv = tuple(phi.inverse() for phi in reversed(basis_chain))
@@ -807,7 +799,7 @@ def exp_boundary_length(ranks=(2, 3, 4)) -> ExperimentReport:
     for n in ranks:
         w = boundary_word(n)
         cert = minimize_cyclic_length(w)
-        verdict = classify(w)
+        verdict = classify(w, cert)
         ok = len(cert.minimized) == 2 * n and verdict == Classification.FILLING
         report.violations += not ok
         report.trials.append(
@@ -828,9 +820,30 @@ def exp_boundary_length(ranks=(2, 3, 4)) -> ExperimentReport:
 # dispatch
 
 
+_RANK_TWO_ONLY = ("quasiflat", "twist-stability")
+
+
+def _validate(name: str, rank: int | None, kwargs: dict) -> None:
+    """Reject parameters that would crash an experiment or pass vacuously."""
+    if rank is not None and rank < 2:
+        raise DomainError(f"rank must be at least 2, got {rank}")
+    if rank is not None and rank != 2 and name in _RANK_TWO_ONLY:
+        raise DomainError(f"{name} runs in rank 2 only, got rank {rank}")
+    for key in ("trials", "radius", "sample_budget"):
+        value = kwargs.get(key)
+        if value is not None and value < 1:
+            raise DomainError(f"{key} must be at least 1, got {value}")
+    if kwargs.get("k_lo", -10) > kwargs.get("k_hi", 10):
+        raise DomainError(
+            f"empty exponent range: k_lo = {kwargs['k_lo']} > k_hi = {kwargs['k_hi']}"
+        )
+
+
 def run_experiment(name: str, **kwargs) -> ExperimentReport:
-    """Run a named experiment; unknown names raise DomainError."""
-    rank = kwargs.pop("rank", None) or 2
+    """Run a named experiment; unknown names and bad parameters raise DomainError."""
+    rank = kwargs.pop("rank", None)
+    _validate(name, rank, kwargs)
+    rank = 2 if rank is None else rank
     if name == "lipschitz":
         return exp_lipschitz(
             rank,

@@ -356,7 +356,8 @@ def random_free_factor(
 
 @lru_cache(maxsize=64)
 def _check_filling_minimal(b: Word) -> None:
-    """The invariant's guarantees need b filling and of minimal length."""
+    """The invariant's guarantees, and every experiment's, need b filling
+    and of minimal length in its orbit; one descent decides both."""
     if not b.is_cyclically_reduced() or b.is_identity():
         raise PreconditionError(f"b = {b} is not cyclically reduced and nontrivial")
     cert = minimize_cyclic_length(b)
@@ -365,7 +366,7 @@ def _check_filling_minimal(b: Word) -> None:
             f"b = {b} is not of minimal length in its orbit "
             f"(minimizes to {len(cert.minimized)})"
         )
-    if classify(b) != Classification.FILLING:
+    if classify(b, cert) != Classification.FILLING:
         raise PreconditionError(f"b = {b} is not filling")
 
 

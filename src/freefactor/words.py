@@ -37,16 +37,6 @@ _CHAR_TO_INDEX = {c: i + 1 for i, c in enumerate(GENERATOR_CHARS)}
 _TOKEN_RE = re.compile(r"^([xX])([0-9]+)$")
 
 
-def letter_index(letter: int) -> int:
-    """Generator index of a signed letter (1-based)."""
-    return abs(letter)
-
-
-def letter_sign(letter: int) -> int:
-    """+1 for a generator, -1 for an inverse."""
-    return 1 if letter > 0 else -1
-
-
 def free_reduce(letters) -> tuple[int, ...]:
     """Freely reduce a letter sequence by stack cancellation.
 

@@ -79,6 +79,33 @@ class TestJsonOutput:
         assert data["length_trace"][-1] == len(parse_word(data["minimized"], 2))
 
 
+class TestClassifyWork:
+    def test_one_descent_and_one_graph(self, capsys, monkeypatch):
+        import freefactor.cli
+        import freefactor.whitehead as wh
+
+        counts = {"minimize": 0, "graph": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        minimize = counting("minimize", wh.minimize_cyclic_length)
+        monkeypatch.setattr(wh, "minimize_cyclic_length", minimize)
+        monkeypatch.setattr(freefactor.cli, "minimize_cyclic_length", minimize)
+        graph = counting("graph", wh.whitehead_graph)
+        monkeypatch.setattr(wh, "whitehead_graph", graph)
+        for word, verdict in (("xyXY", "Filling"), ("xxy", "Primitive"),
+                              ("xxx", "SimpleNonPrimitive")):
+            counts.update(minimize=0, graph=0)
+            code, out, _ = run(capsys, "classify", "--n", "2", word)
+            assert code == 0 and out == verdict
+            assert counts == {"minimize": 1, "graph": 1}, word
+
+
 class TestErrors:
     def test_domain_error_exit_1(self, capsys):
         code, _, err = run(capsys, "classify", "--n", "2", "xX")
@@ -125,6 +152,20 @@ class TestExperimentCommand:
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["quasiflat", "--radius", "0"],
+            ["lipschitz", "--n", "0"],
+            ["lipschitz", "--trials", "-5"],
+        ],
+    )
+    def test_bad_parameters_exit_1(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "report.json"
+        code, _, err = run(capsys, "experiment", *argv, "--out", str(out_path))
+        assert code == 1 and err.startswith("error:")
+        assert not out_path.exists()
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -227,6 +227,25 @@ class TestReports:
         assert lines[0] == "trial,k,index"
         assert len(lines) == 6
 
+    @pytest.mark.parametrize(
+        "name,kwargs",
+        [
+            ("quasiflat", {"radius": 0}),
+            ("twist-stability", {"radius": -1}),
+            ("quasiflat", {"rank": 3}),
+            ("lipschitz", {"rank": 0}),
+            ("lipschitz", {"trials": -5}),
+            ("basis-change", {"trials": 0}),
+            ("lipschitz", {"sample_budget": 0}),
+            ("zero-fiber", {"k_lo": 5, "k_hi": 4}),
+        ],
+    )
+    def test_bad_parameters_rejected(self, name, kwargs):
+        from freefactor import DomainError
+
+        with pytest.raises(DomainError):
+            run_experiment(name, **kwargs)
+
     def test_unknown_experiment(self):
         from freefactor import DomainError
 

@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 from freefactor import (
     Classification,
+    DomainError,
     IdentityWordError,
     Word,
     WhiteheadGraph,
@@ -20,7 +22,8 @@ from freefactor import (
     random_word,
     whitehead_graph,
 )
-from freefactor.experiments import build_boundary_pA
+from freefactor.experiments import boundary_word, build_boundary_pA
+from freefactor.whitehead import MinimizationCertificate, _move_scores
 
 from conftest import W
 
@@ -297,3 +300,94 @@ class TestClassifyAgainstOrbitOracle:
             if simple:
                 assert (power == 1) == (verdict == Classification.PRIMITIVE)
             assert len(minimize_cyclic_length(w).minimized) == orbit_min, w
+
+
+def oracle_minimize_cyclic_length(w: Word) -> MinimizationCertificate:
+    """The descent that applies every multiplier move at every step.
+
+    This was the library's implementation before moves were scored by cut
+    capacities; it stays here as the reference for the differential tests.
+    """
+    table = enumerate_whitehead_automorphisms(w.rank)
+    current = cyclic_reduce(w).core
+    trace = [len(current)]
+    chain = []
+    while True:
+        best = None
+        best_len = len(current)
+        for phi in table:
+            image_len = len(cyclic_reduce(phi(current)).core)
+            if image_len < best_len:
+                best, best_len = phi, image_len
+        if best is None:
+            break
+        chain.append(best)
+        current = cyclic_reduce(best(current)).core
+        trace.append(len(current))
+    minimized = cyclic_reduce(apply_automorphism(chain, w)).core
+    return MinimizationCertificate(w, minimized, tuple(chain), tuple(trace))
+
+
+def _random_cores(rank, count, seed, lengths=(1, 24)):
+    rng = random.Random(seed)
+    cores = []
+    while len(cores) < count:
+        core = cyclic_reduce(random_word(rng.randint(*lengths), rank, rng)).core
+        if not core.is_identity():
+            cores.append(core)
+    return cores
+
+
+class TestCutScores:
+    @pytest.mark.parametrize("rank,count", [(2, 60), (3, 25), (4, 6)])
+    def test_score_equals_applied_length(self, rank, count):
+        table = enumerate_whitehead_automorphisms(rank)
+        for core in _random_cores(rank, count, seed=100 + rank):
+            scores = _move_scores(core)
+            assert len(scores) == len(table)
+            applied = [len(cyclic_reduce(phi(core)).core) for phi in table]
+            assert scores.tolist() == applied, core
+
+    @pytest.mark.parametrize("rank,count", [(2, 80), (3, 40), (4, 12), (5, 5)])
+    def test_certificates_match_oracle(self, rank, count):
+        ties = 0
+        for w in _random_cores(rank, count, seed=200 + rank, lengths=(2, 20)):
+            expected = oracle_minimize_cyclic_length(w).to_json_dict()
+            assert minimize_cyclic_length(w).to_json_dict() == expected
+            scores = _move_scores(w)
+            best = scores.min()
+            ties += best < len(w) and int(np.sum(scores == best)) > 1
+        # the first-in-enumeration-order tie-break was exercised
+        assert ties > 0
+
+    def test_conjugated_inputs_match_oracle(self):
+        # inputs that are not cyclically reduced keep their certificate
+        rng = random.Random(7)
+        for _ in range(10):
+            w = random_word(rng.randint(2, 12), 3, rng)
+            g = random_word(rng.randint(1, 4), 3, rng)
+            w = w.conjugated_by(g)
+            if cyclic_reduce(w).core.is_identity():
+                continue
+            assert (
+                minimize_cyclic_length(w).to_json_dict()
+                == oracle_minimize_cyclic_length(w).to_json_dict()
+            )
+
+    @pytest.mark.parametrize("rank", [5, 6])
+    def test_high_rank_boundary_words(self, rank):
+        b = boundary_word(rank)
+        cert = minimize_cyclic_length(b)
+        assert len(cert.minimized) == 2 * rank
+        assert classify(b, cert) == Classification.FILLING
+
+
+class TestClassifyWithCertificate:
+    def test_reuses_certificate(self, b3):
+        for w in [b3] + _random_cores(3, 15, seed=6):
+            cert = minimize_cyclic_length(w)
+            assert classify(w, cert) == classify(w)
+
+    def test_foreign_certificate_rejected(self, b2):
+        with pytest.raises(DomainError):
+            classify(W("xx"), minimize_cyclic_length(b2))
