@@ -54,9 +54,8 @@ from .factors import (
     CoreGraph,
     FactorWitness,
     FreeFactorVertex,
-    InvariantEstimate,
+    FactorInvariant,
     af_adjacent,
-    contains,
     factor_invariant,
     fold,
     is_basis_pair,

@@ -3,17 +3,23 @@
 Every subcommand prints a human-readable summary to stdout and, with
 ``--out PATH``, writes a full JSON document.  Exit codes: 0 on success
 (and zero violations for experiments), 1 on domain errors, 2 on usage
-errors.
+errors, 3 when a computed result contradicts a theorem (a bug).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .errors import DomainError, InternalContradictionError
-from .experiments import EXPERIMENT_NAMES, SCHEMA_VERSION, run_experiment
+from .experiments import (
+    EXPERIMENT_NAMES,
+    EXPERIMENT_PARAMETERS,
+    SCHEMA_VERSION,
+    run_experiment,
+)
 from .factors import FreeFactorVertex, factor_invariant
 from .farey import Slope, farey_distance
 from .trees import geometric_index
@@ -106,21 +112,20 @@ def _cmd_factor_invariant(args) -> int:
     b = parse_word(args.b, args.n)
     gens = tuple(parse_word(g, args.n) for g in args.gen)
     vertex = FreeFactorVertex(gens, args.n)
-    est = factor_invariant(vertex, b, args.budget)
+    inv = factor_invariant(vertex, b)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(vertex.graph.to_dot() + "\n")
+    witness = format_word(inv.witness)
     _emit(
         args,
-        f"value = {est.value} ({'tight' if est.tight else 'slack'}, "
-        f"{est.samples} samples)",
+        f"value = {inv.value} (witness {witness})",
         {
             "command": "factor-invariant",
             "b": format_word(b),
             "generators": [format_word(g) for g in gens],
-            "value": est.value,
-            "tight": est.tight,
-            "samples": est.samples,
+            "value": inv.value,
+            "witness": witness,
         },
     )
     return 0
@@ -146,14 +151,16 @@ def _cmd_experiment(args) -> int:
         "radius": args.radius,
         "k_lo": args.k_lo,
         "k_hi": args.k_hi,
-        "sample_budget": args.budget,
     }
     rank = 2 if args.n is None else args.n
     if args.b:
         kwargs["b"] = parse_word(args.b, rank)
     if args.word:
         kwargs["a"] = parse_word(args.word, rank)
-    report = run_experiment(args.name, **kwargs)
+    taken = EXPERIMENT_PARAMETERS[args.name]
+    report = run_experiment(
+        args.name, **{k: v for k, v in kwargs.items() if k in taken}
+    )
     print(
         f"{report.name}: {len(report.trials)} records, "
         f"{report.violations} violations"
@@ -168,7 +175,9 @@ def _cmd_experiment(args) -> int:
     return 0 if report.violations == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="freefactor",
         description=(
@@ -214,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--gen", action="append", required=True, help="factor generator (repeatable)"
     )
-    p.add_argument("--budget", type=int, default=None, help="sampling budget")
     p.add_argument("--dot", help="write the folded core graph as DOT text")
     p.set_defaults(func=_cmd_factor_invariant)
 
@@ -226,7 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a named experiment")
     p.add_argument("name", choices=EXPERIMENT_NAMES)
-    p.add_argument("--n", type=int, default=None, help="ambient rank")
+    p.add_argument(
+        "--n", type=int, default=None, help="ambient rank (boundary-length: ranks 2..N)"
+    )
     p.add_argument("--b", default=None, help="base word (default per rank)")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
@@ -234,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", default=None, help="probe word (zero-fiber)")
     p.add_argument("--k-lo", type=int, default=-10)
     p.add_argument("--k-hi", type=int, default=10)
-    p.add_argument("--budget", type=int, default=None, help="sampling budget")
     p.add_argument("--out", help="write the JSON report to this path")
     p.add_argument("--csv", help="write the per-trial trace to this path")
     p.set_defaults(func=_cmd_experiment)
@@ -243,10 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except InternalContradictionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -34,4 +34,7 @@ class PreconditionError(DomainError):
 
 
 class InternalContradictionError(DomainError):
-    """Observed data contradicts an invariant that is a theorem; signals a bug."""
+    """Observed data contradicts an invariant that is a theorem; signals a bug.
+
+    The CLI exits with code 3 for it, not 1 as for other domain errors.
+    """

@@ -4,11 +4,8 @@ Every experiment is deterministic for a fixed seed: per-trial random
 streams are derived from (seed, experiment name, trial index), so reports
 serialize byte-for-byte identically across runs.  Violation counts tally
 per-trial breaches of the stated bound; for bounds that are theorems, any
-violation signals an implementation bug.
-
-Sampling estimates of factor invariants carry a tightness flag; a slack
-(non-tight) value widens the tolerated band by exactly 1 and is counted
-separately, never silently absorbed.
+violation signals an implementation bug.  Factor invariants are exact,
+so every such bound is checked at full strength.
 """
 
 from __future__ import annotations
@@ -44,17 +41,20 @@ from .whitehead import (
 )
 from .words import Word, apply_automorphism, b_index, format_word, random_word
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-EXPERIMENT_NAMES = (
-    "lipschitz",
-    "cancellation",
-    "zero-fiber",
-    "basis-change",
-    "quasiflat",
-    "boundary-length",
-    "twist-stability",
-)
+# The parameters run_experiment accepts, per experiment (rank first).
+EXPERIMENT_PARAMETERS = {
+    "lipschitz": ("rank", "b", "trials", "seed"),
+    "cancellation": ("rank", "b", "trials", "seed"),
+    "zero-fiber": ("rank", "b", "a", "k_lo", "k_hi"),
+    "basis-change": ("rank", "b", "trials", "seed"),
+    "quasiflat": ("rank", "radius", "seed"),
+    "boundary-length": ("rank",),
+    "twist-stability": ("rank", "radius", "seed"),
+}
+
+EXPERIMENT_NAMES = tuple(EXPERIMENT_PARAMETERS)
 
 
 @dataclass
@@ -64,7 +64,6 @@ class ExperimentReport:
     trials: list[dict] = field(default_factory=list)
     violations: int = 0
     summary: dict = field(default_factory=dict)
-    caveats: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
     def to_json_dict(self) -> dict:
@@ -74,7 +73,6 @@ class ExperimentReport:
             "parameters": self.parameters,
             "violations": self.violations,
             "summary": self.summary,
-            "caveats": self.caveats,
             "trials": self.trials,
         }
 
@@ -166,13 +164,12 @@ def exp_lipschitz(
     b: Word | None = None,
     trials: int = 1000,
     seed: int = 0,
-    sample_budget: int = 150,
 ) -> ExperimentReport:
     """Differences of the factor invariant across factor-graph edges.
 
     Rank >= 3 samples nested pairs theta(<x_i>) < theta(<x_i, x_j>); rank 2
     samples basis pairs theta(x), theta(y).  The bound is 1 for rank >= 3
-    and 2 for rank 2; slack estimates widen the band by exactly 1.
+    and 2 for rank 2.
     """
     b = boundary_word(rank) if b is None else b
     _check_filling_minimal(b)
@@ -184,11 +181,9 @@ def exp_lipschitz(
             "b": format_word(b),
             "trials": trials,
             "seed": seed,
-            "sample_budget": sample_budget,
         },
     )
     max_delta = 0
-    tight_pairs = 0
     for i in range(trials):
         rng = _rng(seed, "lipschitz", i)
         chain = _random_edge_chain(rng, rank, b)
@@ -213,35 +208,23 @@ def exp_lipschitz(
                 rank,
                 FactorWitness(chain, big),
             )
-        ea = factor_invariant(fa, b, sample_budget)
-        eb = factor_invariant(fb, b, sample_budget)
-        delta = abs(ea.value - eb.value)
-        widen = 0 if (ea.tight and eb.tight) else 1
-        violation = delta > bound + widen
-        if widen == 0:
-            tight_pairs += 1
+        value_a = factor_invariant(fa, b).value
+        value_b = factor_invariant(fb, b).value
+        delta = abs(value_a - value_b)
+        violation = delta > bound
         max_delta = max(max_delta, delta)
         report.violations += violation
         report.trials.append(
             {
                 "a": "|".join(fa.describe()),
                 "b_factor": "|".join(fb.describe()),
-                "value_a": ea.value,
-                "value_b": eb.value,
-                "tight_a": ea.tight,
-                "tight_b": eb.tight,
+                "value_a": value_a,
+                "value_b": value_b,
                 "delta": delta,
-                "band": bound + widen,
                 "violation": violation,
             }
         )
-    report.summary = {
-        "bound": bound,
-        "max_delta": max_delta,
-        "tight_pairs": tight_pairs,
-        "slack_pairs": trials - tight_pairs,
-    }
-    report.caveats = {"slack_pairs": trials - tight_pairs}
+    report.summary = {"bound": bound, "max_delta": max_delta}
     return report
 
 
@@ -362,7 +345,6 @@ def exp_basis_change(
     b: Word | None = None,
     trials: int = 1000,
     seed: int = 0,
-    sample_budget: int = 150,
     basis_chain: tuple[WhAutomorphism, ...] | None = None,
 ) -> ExperimentReport:
     """Spread of the factor invariant between two minimizing bases.
@@ -388,36 +370,31 @@ def exp_basis_change(
             "b_in_second_basis": format_word(b_t),
             "trials": trials,
             "seed": seed,
-            "sample_budget": sample_budget,
             "second_basis": [phi.generator_images() for phi in basis_chain],
         },
     )
     checkpoint = max(1, min(100, trials))
     running_max = 0
     max_at_checkpoint = 0
-    slack = 0
     for i in range(trials):
         rng = _rng(seed, "basis-change", i)
         factor = _random_deep_factor(rng, rank, b)
-        vs = factor_invariant(factor, b, sample_budget)
+        vs = factor_invariant(factor, b).value
         factor_t = FreeFactorVertex(
             tuple(apply_automorphism(chain_inv, g) for g in factor.generators),
             rank,
             FactorWitness(factor.witness.chain + chain_inv, factor.witness.standard_subset),
         )
-        vt = factor_invariant(factor_t, b_t, sample_budget)
-        diff = abs(vs.value - vt.value)
-        slack += not (vs.tight and vt.tight)
+        vt = factor_invariant(factor_t, b_t).value
+        diff = abs(vs - vt)
         running_max = max(running_max, diff)
         if i + 1 == checkpoint:
             max_at_checkpoint = running_max
         report.trials.append(
             {
                 "factor": "|".join(factor.describe()),
-                "value_standard": vs.value,
-                "value_second": vt.value,
-                "tight_standard": vs.tight,
-                "tight_second": vt.tight,
+                "value_standard": vs,
+                "value_second": vt,
                 "diff": diff,
             }
         )
@@ -429,7 +406,6 @@ def exp_basis_change(
         "checkpoint": checkpoint,
         "stabilized": stabilized,
     }
-    report.caveats = {"slack_trials": slack}
     return report
 
 
@@ -570,11 +546,9 @@ def _ad_chain(b: Word, k: int) -> tuple[WhAutomorphism, ...]:
 
 
 def _grid_values(
-    radius_r: tuple[int, int],
-    radius_k: int,
-    sample_budget: int,
+    radius_r: tuple[int, int], radius_k: int
 ) -> tuple[dict, dict, Word, BoundaryAutomorphism]:
-    """Factor-invariant estimates over the orbit grid psi^r ad_b^k(<x>)."""
+    """Factor invariants over the orbit grid psi^r ad_b^k(<x>)."""
     psi = build_boundary_pA()
     b = boundary_word(2)
     x = Word((1,), 2)
@@ -584,7 +558,7 @@ def _grid_values(
         psi_x[r] = psi.apply(psi_x[r - 1], 1)
     for r in range(-1, lo_r - 1, -1):
         psi_x[r] = psi.apply(psi_x[r + 1], -1)
-    values: dict[tuple[int, int], tuple[int, bool]] = {}
+    values: dict[tuple[int, int], int] = {}
     for r in range(lo_r, hi_r + 1):
         for k in range(-radius_k, radius_k + 1):
             gen = (b**k) * psi_x[r] * (b**-k)
@@ -593,8 +567,7 @@ def _grid_values(
                 (1,),
             )
             vertex = FreeFactorVertex((gen,), 2, witness)
-            est = factor_invariant(vertex, b, sample_budget)
-            values[(r, k)] = (est.value, est.tight)
+            values[(r, k)] = factor_invariant(vertex, b).value
     return values, psi_x, b, psi
 
 
@@ -644,21 +617,19 @@ def _adjacency_path(b: Word) -> tuple[list[Word] | None, list[Word] | None]:
 def exp_quasiflat(
     grid_radius: int = 8,
     seed: int = 0,
-    sample_budget: int = 80,
 ) -> ExperimentReport:
     """Distance bounds over the orbit grid psi^r ad_b^k(<x>), with a linear fit.
 
     The lower bound on the graph distance between two grid vertices is
     max(ceil(|delta invariant| / 2), Farey distance of the projected
     slopes); both maps are distance-decreasing, so the bound is certified.
-    Slack invariant values shrink |delta| by 1 before use.  The upper bound
-    is (|dr| + |dk|) * c0 with c0 a verified per-generator displacement
-    bound from explicit adjacency-witnessed paths.  A least-squares fit
-    lower >= c * (|dr| + |dk|) - C is reported, with C enlarged to cover
-    every grid pair.
+    The upper bound is (|dr| + |dk|) * c0 with c0 a verified per-generator
+    displacement bound from explicit adjacency-witnessed paths.  A
+    least-squares fit lower >= c * (|dr| + |dk|) - C is reported, with C
+    enlarged to cover every grid pair.
     """
     R = grid_radius
-    values, psi_x, b, psi = _grid_values((-R, R), R, sample_budget)
+    values, psi_x, b, psi = _grid_values((-R, R), R)
     slopes = {r: slope_of(psi_x[r], assume_primitive=True) for r in range(-R, R + 1)}
     report = ExperimentReport(
         "quasiflat",
@@ -667,13 +638,10 @@ def exp_quasiflat(
             "b": format_word(b),
             "grid_radius": R,
             "seed": seed,
-            "sample_budget": sample_budget,
         },
     )
-    for (r, k), (value, tight) in sorted(values.items()):
-        report.trials.append(
-            {"r": r, "k": k, "value": value, "tight": tight, "slope": str(slopes[r])}
-        )
+    for (r, k), value in sorted(values.items()):
+        report.trials.append({"r": r, "k": k, "value": value, "slope": str(slopes[r])})
     dfar: dict[tuple[int, int], int] = {}
     for r1 in range(-R, R + 1):
         for r2 in range(r1, R + 1):
@@ -681,16 +649,11 @@ def exp_quasiflat(
     points = sorted(values)
     ms: list[int] = []
     lowers: list[int] = []
-    slack_pairs = 0
     for idx, p1 in enumerate(points):
-        v1, t1 = values[p1]
+        v1 = values[p1]
         for p2 in points[idx + 1 :]:
-            v2, t2 = values[p2]
-            widen = 0 if (t1 and t2) else 1
-            slack_pairs += widen
-            eff = max(0, abs(v1 - v2) - widen)
             lo = min(p1[0], p2[0]), max(p1[0], p2[0])
-            lower = max((eff + 1) // 2, dfar[lo])
+            lower = max((abs(v1 - values[p2]) + 1) // 2, dfar[lo])
             ms.append(abs(p1[0] - p2[0]) + abs(p1[1] - p2[1]))
             lowers.append(lower)
     fit = np.polyfit(np.array(ms, dtype=float), np.array(lowers, dtype=float), 1)
@@ -723,17 +686,12 @@ def exp_quasiflat(
         "ad_path": [format_word(w) for w in ad_path] if ad_path else None,
         "boundary_automorphism": build_boundary_pA().to_json_dict(),
     }
-    report.caveats = {
-        "slack_points": sum(1 for v, t in values.values() if not t),
-        "slack_pairs": slack_pairs,
-    }
     return report
 
 
 def exp_twist_stability(
     radius: int = 8,
     seed: int = 0,
-    sample_budget: int = 80,
 ) -> ExperimentReport:
     """Displacement of the invariant under psi powers at fixed conjugation depth.
 
@@ -742,7 +700,7 @@ def exp_twist_stability(
     r = radius // 2 for every k.
     """
     R = radius
-    values, _, b, _ = _grid_values((0, R), R, sample_budget)
+    values, _, b, _ = _grid_values((0, R), R)
     report = ExperimentReport(
         "twist-stability",
         {
@@ -750,7 +708,6 @@ def exp_twist_stability(
             "b": format_word(b),
             "radius": R,
             "seed": seed,
-            "sample_budget": sample_budget,
         },
     )
     threshold = max(1, R // 2)
@@ -760,7 +717,7 @@ def exp_twist_stability(
         running = 0
         settle = 0
         for r in range(0, R + 1):
-            disp = abs(values[(r, k)][0] - values[(0, k)][0])
+            disp = abs(values[(r, k)] - values[(0, k)])
             if disp > running:
                 running = disp
                 settle = r
@@ -768,8 +725,7 @@ def exp_twist_stability(
                 {
                     "r": r,
                     "k": k,
-                    "value": values[(r, k)][0],
-                    "tight": values[(r, k)][1],
+                    "value": values[(r, k)],
                     "displacement": disp,
                 }
             )
@@ -783,9 +739,6 @@ def exp_twist_stability(
         "settle_by_k": settle_by_k,
         "settle_at_k0": settle_by_k["0"],
     }
-    report.caveats = {
-        "slack_points": sum(1 for v, t in values.values() if not t)
-    }
     return report
 
 
@@ -795,7 +748,8 @@ def exp_twist_stability(
 
 def exp_boundary_length(ranks=(2, 3, 4)) -> ExperimentReport:
     """Surface boundary words minimize to cyclic length 2*rank and fill."""
-    report = ExperimentReport("boundary-length", {"ranks": list(ranks)})
+    ranks = list(ranks)
+    report = ExperimentReport("boundary-length", {"ranks": ranks})
     for n in ranks:
         w = boundary_word(n)
         cert = minimize_cyclic_length(w)
@@ -812,7 +766,7 @@ def exp_boundary_length(ranks=(2, 3, 4)) -> ExperimentReport:
                 "ok": ok,
             }
         )
-    report.summary = {"ranks": list(ranks)}
+    report.summary = {"ranks": ranks}
     return report
 
 
@@ -824,12 +778,19 @@ _RANK_TWO_ONLY = ("quasiflat", "twist-stability")
 
 
 def _validate(name: str, rank: int | None, kwargs: dict) -> None:
-    """Reject parameters that would crash an experiment or pass vacuously."""
+    """Reject parameters that would crash an experiment, pass vacuously or
+    be ignored."""
+    unknown = sorted(set(kwargs) - set(EXPERIMENT_PARAMETERS[name]))
+    if unknown:
+        raise DomainError(
+            f"{name} does not take {', '.join(unknown)}; "
+            f"it takes {', '.join(EXPERIMENT_PARAMETERS[name])}"
+        )
     if rank is not None and rank < 2:
         raise DomainError(f"rank must be at least 2, got {rank}")
     if rank is not None and rank != 2 and name in _RANK_TWO_ONLY:
         raise DomainError(f"{name} runs in rank 2 only, got rank {rank}")
-    for key in ("trials", "radius", "sample_budget"):
+    for key in ("trials", "radius"):
         value = kwargs.get(key)
         if value is not None and value < 1:
             raise DomainError(f"{key} must be at least 1, got {value}")
@@ -840,17 +801,23 @@ def _validate(name: str, rank: int | None, kwargs: dict) -> None:
 
 
 def run_experiment(name: str, **kwargs) -> ExperimentReport:
-    """Run a named experiment; unknown names and bad parameters raise DomainError."""
+    """Run a named experiment.
+
+    Unknown names, parameters the experiment does not take and bad values
+    raise DomainError.
+    """
+    if name not in EXPERIMENT_PARAMETERS:
+        raise DomainError(
+            f"unknown experiment {name!r}; known: {', '.join(EXPERIMENT_NAMES)}"
+        )
     rank = kwargs.pop("rank", None)
     _validate(name, rank, kwargs)
+    if name == "boundary-length":
+        return exp_boundary_length((2, 3, 4) if rank is None else range(2, rank + 1))
     rank = 2 if rank is None else rank
     if name == "lipschitz":
         return exp_lipschitz(
-            rank,
-            kwargs.get("b"),
-            kwargs.get("trials", 1000),
-            kwargs.get("seed", 0),
-            kwargs.get("sample_budget") or 150,
+            rank, kwargs.get("b"), kwargs.get("trials", 1000), kwargs.get("seed", 0)
         )
     if name == "cancellation":
         return exp_cancellation(
@@ -866,26 +833,8 @@ def run_experiment(name: str, **kwargs) -> ExperimentReport:
         )
     if name == "basis-change":
         return exp_basis_change(
-            rank,
-            kwargs.get("b"),
-            kwargs.get("trials", 1000),
-            kwargs.get("seed", 0),
-            kwargs.get("sample_budget") or 150,
+            rank, kwargs.get("b"), kwargs.get("trials", 1000), kwargs.get("seed", 0)
         )
     if name == "quasiflat":
-        return exp_quasiflat(
-            kwargs.get("radius", 8),
-            kwargs.get("seed", 0),
-            kwargs.get("sample_budget") or 80,
-        )
-    if name == "twist-stability":
-        return exp_twist_stability(
-            kwargs.get("radius", 8),
-            kwargs.get("seed", 0),
-            kwargs.get("sample_budget") or 80,
-        )
-    if name == "boundary-length":
-        return exp_boundary_length(kwargs.get("ranks", (2, 3, 4)))
-    raise DomainError(
-        f"unknown experiment {name!r}; known: {', '.join(EXPERIMENT_NAMES)}"
-    )
+        return exp_quasiflat(kwargs.get("radius", 8), kwargs.get("seed", 0))
+    return exp_twist_stability(kwargs.get("radius", 8), kwargs.get("seed", 0))

@@ -18,6 +18,7 @@ construction.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,14 +35,15 @@ from .whitehead import (
     enumerate_whitehead_automorphisms,
     minimize_cyclic_length,
 )
-from .words import Word, apply_automorphism, b_reduced_decomposition, format_word
+from .words import Word, apply_automorphism, format_word
 
 
 class CoreGraph:
     """Folded core graph of a finitely generated subgroup, basepoint 0.
 
     Vertices are renumbered breadth-first from the basepoint in letter
-    order, so equal subgroups produce identical graphs.
+    order, and each vertex lists its edges in letter order (x, X, y, Y,
+    ...), so equal subgroups produce identical graphs and searches.
     """
 
     __slots__ = ("rank", "basepoint", "_adj")
@@ -231,26 +233,21 @@ def fold(generators, rank: int | None = None) -> CoreGraph:
             del adj[nbr][-letter]
         del adj[spur]
 
-    # Canonical renumbering: breadth-first from the basepoint, letter order.
+    # Canonical renumbering: breadth-first from the basepoint, letter order;
+    # each vertex's edges are stored in that letter order too.
     order = {0: 0}
     queue = [0]
+    new_adj: dict[int, dict[int, int]] = {}
     while queue:
         cur = queue.pop(0)
+        nbrs = new_adj[order[cur]] = {}
         for letter in sorted(adj[cur], key=lambda l: (abs(l), l < 0)):
             nxt = adj[cur][letter]
             if nxt not in order:
                 order[nxt] = len(order)
                 queue.append(nxt)
-    new_adj: dict[int, dict[int, int]] = {order[v]: {} for v in adj}
-    for u, nbrs in adj.items():
-        for letter, v in nbrs.items():
-            new_adj[order[u]][letter] = order[v]
+            nbrs[letter] = order[nxt]
     return CoreGraph(rank, new_adj)
-
-
-def contains(graph: CoreGraph, w: Word) -> bool:
-    """True iff w reads a basepoint loop in the folded graph."""
-    return graph.contains(w)
 
 
 def is_basis_pair(u: Word, v: Word) -> bool:
@@ -371,90 +368,157 @@ def _check_filling_minimal(b: Word) -> None:
 
 
 @dataclass(frozen=True)
-class InvariantEstimate:
-    """Sampling estimate of the factor invariant sup over the subgroup.
+class FactorInvariant:
+    """The factor invariant, read exactly off the folded core graph.
 
-    ``tight`` means two distinct exponents were observed; since all
-    exponents over one factor span at most {m, m+1}, the larger one is then
-    provably the supremum.  Otherwise the true value is in
-    {value, value + 1}.
+    ``witness`` is an element of the factor whose balanced b-exponent is
+    ``value``.  ``samples`` counts the directed-edge states the graph
+    searches visited.  ``tight`` is always True: the value is exact, not a
+    sampled lower bound.
     """
 
     value: int
-    tight: bool
+    witness: Word
     samples: int
 
-    def __iter__(self):
-        return iter((self.value, self.tight))
+    @property
+    def tight(self) -> bool:
+        return True
 
 
-def factor_invariant(
-    a: FreeFactorVertex, b: Word, sample_budget: int | None = None
-) -> InvariantEstimate:
-    """Supremum of the balanced-b exponent over elements of the factor.
+def _b_blocks(graph: CoreGraph, b: Word) -> list[int]:
+    """Vertices v_1, v_2, ... reached by reading b, b^2, ... from the
+    basepoint, up to the first read that fails.
 
-    Enumerates products of the generators of generator-length <= 3, then
-    extends until a second distinct exponent appears or the budget (default
-    10^4 elements) runs out.  Exponent spread > 1 within one factor is a
-    theorem violation and raises InternalContradictionError.
+    A repeated vertex means some power of b reads a loop, i.e. lies in the
+    subgroup, and then the invariant is infinite.
     """
-    budget = 10_000 if sample_budget is None else sample_budget
+    adj = graph._adj
+    cur = graph.basepoint
+    seen = {cur: 0}
+    blocks: list[int] = []
+    while True:
+        for letter in b.letters:
+            cur = adj[cur].get(letter)
+            if cur is None:
+                return blocks
+        if cur in seen:
+            power = len(blocks) + 1 - seen[cur]
+            name = "b" if power == 1 else f"b^{power}"
+            raise PreconditionError(
+                f"{name} lies in the subgroup; the invariant is infinite"
+            )
+        blocks.append(cur)
+        seen[cur] = len(blocks)
+
+
+def _forced_stem(graph: CoreGraph) -> tuple[tuple[int, ...], int]:
+    """The letters every nontrivial reduced basepoint loop starts with, and
+    the vertex they end at: the path of out-degree-1 steps from the
+    basepoint (empty when the basepoint has degree >= 2)."""
+    adj = graph._adj
+    cur = graph.basepoint
+    stem: list[int] = []
+    while len(adj[cur]) == (1 if not stem else 2):
+        letter = next(l for l in adj[cur] if not stem or l != -stem[-1])
+        stem.append(letter)
+        cur = adj[cur][letter]
+    return tuple(stem), cur
+
+
+def _closed_path(
+    graph: CoreGraph, v: int, bad_first: set[int], bad_last: int | None
+) -> tuple[tuple[int, ...] | None, int]:
+    """Shortest nonempty reduced closed path at v whose first letter is not
+    in ``bad_first`` and whose last letter is not ``bad_last``.
+
+    Breadth-first search over directed edges: in a folded graph an edge is
+    fixed by its target and label, so a state is (vertex, last letter), and
+    a step may follow any letter but the inverse of the last one.  Returns
+    the path's letters (None if there is none) and the number of states
+    visited.
+    """
+    adj = graph._adj
+    parent: dict[tuple[int, int], tuple[int, int] | None] = {}
+    queue: deque[tuple[int, int]] = deque()
+    for letter, target in adj[v].items():
+        if letter not in bad_first:
+            parent[(target, letter)] = None
+            queue.append((target, letter))
+    while queue:
+        state = queue.popleft()
+        u, last = state
+        if u == v and last != bad_last:
+            path = []
+            while state is not None:
+                path.append(state[1])
+                state = parent[state]
+            return tuple(reversed(path)), len(parent)
+        for letter, target in adj[u].items():
+            nxt = (target, letter)
+            if letter != -last and nxt not in parent:
+                parent[nxt] = state
+                queue.append(nxt)
+    return None, len(parent)
+
+
+def factor_invariant(a: FreeFactorVertex, b: Word) -> FactorInvariant:
+    """Supremum of the balanced b-exponent over the nontrivial elements of
+    the factor, read off its folded core graph.
+
+    The graph is deterministic, so an element b^k c b^-k (k >= 1, letter
+    for letter) reads b^k from the basepoint to the k-th block vertex v_k,
+    then a nonempty reduced loop c at v_k that neither starts nor ends on
+    the last edge of that b-path.  Conversely any such loop gives an
+    element of exponent >= k.  The value is the largest k with such a loop.
+
+    If no k >= 1 qualifies, every element starts with the forced stem at
+    the basepoint and ends with its inverse, so the value is -J, where J is
+    the number of whole b^-1 blocks the stem spells; a loop that leaves the
+    stem off the next b^-1 letter attains it.
+
+    The search costs O(edges) per block vertex tried, from v_K downwards.
+    """
     _check_filling_minimal(b)
     if b.rank != a.rank_ambient:
         raise RankError("b and the factor must have the same ambient rank")
     graph = a.graph
     if graph.is_whole_group():
         raise PreconditionError("the factor is the whole group, not proper")
-    if graph.contains(b):
-        raise PreconditionError(
-            "b lies in the subgroup; the invariant is infinite"
-        )
-
-    gens = [g for g in a.generators if not g.is_identity()]
-    if not gens:
+    if graph.num_edges == 0:
         raise DomainError("the factor has no nontrivial generators")
-    lo: int | None = None
-    hi: int | None = None
+    b_letters = b.letters
+    binv = b.inverse().letters
     samples = 0
-    seen: set[tuple[int, ...]] = set()
-    # Elements of a cyclic subgroup all share one axis, so their exponents
-    # agree; scanning beyond a few powers cannot produce a second value.
-    max_len = 3 if len(gens) == 1 else None
+    blocks = _b_blocks(graph, b)
+    for k in range(len(blocks), 0, -1):
+        loop, visited = _closed_path(
+            graph, blocks[k - 1], {-b_letters[-1]}, b_letters[-1]
+        )
+        samples += visited
+        if loop is not None:
+            return FactorInvariant(
+                k, Word(b_letters * k + loop + binv * k, b.rank), samples
+            )
 
-    signed = [i + 1 for i in range(len(gens))]
-    signed += [-s for s in signed]
-    frontier: list[tuple[tuple[int, ...], Word]] = [((), Word.identity(b.rank))]
-    length = 0
-    while frontier and samples < budget:
-        length += 1
-        if max_len is not None and length > max_len:
-            break
-        new_frontier = []
-        for idx, prod in frontier:
-            for s in signed:
-                if idx and s == -idx[-1]:
-                    continue
-                g = gens[abs(s) - 1]
-                w = prod * (g if s > 0 else g.inverse())
-                new_frontier.append((idx + (s,), w))
-                if w.is_identity() or w.letters in seen:
-                    continue
-                seen.add(w.letters)
-                k = b_reduced_decomposition(w, b).k
-                samples += 1
-                lo = k if lo is None else min(lo, k)
-                hi = k if hi is None else max(hi, k)
-                if hi - lo > 1:
-                    raise InternalContradictionError(
-                        f"exponents {lo} and {hi} observed in one factor"
-                    )
-                if hi - lo == 1:
-                    return InvariantEstimate(hi, True, samples)
-                if samples >= budget:
-                    break
-            if samples >= budget:
-                break
-        frontier = new_frontier
-    if hi is None:
-        raise DomainError("no nontrivial elements sampled")
-    return InvariantEstimate(hi, hi - lo == 1, samples)
+    stem, end = _forced_stem(graph)
+    m = len(binv)
+    blocks_in_stem = 0
+    while stem[blocks_in_stem * m : (blocks_in_stem + 1) * m] == binv:
+        blocks_in_stem += 1
+    rest = stem[blocks_in_stem * m :]
+    bad_first = set()
+    if stem:
+        bad_first.add(-stem[-1])
+    if len(rest) < m and rest == binv[: len(rest)]:
+        bad_first.add(binv[len(rest)])  # the letter continuing the next block
+    loop, visited = _closed_path(graph, end, bad_first, stem[-1] if stem else None)
+    samples += visited
+    if loop is None:
+        raise InternalContradictionError(
+            "no loop leaves the forced stem of a core graph"
+        )
+    inverse_stem = tuple(-l for l in reversed(stem))
+    return FactorInvariant(
+        -blocks_in_stem, Word(stem + loop + inverse_stem, b.rank), samples
+    )

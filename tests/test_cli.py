@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from freefactor import parse_word
+from freefactor import b_reduced_decomposition, fold, parse_word
 from freefactor.cli import main
 
 
@@ -55,6 +55,25 @@ class TestBasicCommands:
         )
         assert code == 0 and out.startswith("value = 0")
 
+    def test_factor_invariant_witness(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        code, out, _ = run(
+            capsys, "factor-invariant", "--n", "3", "--b", "xxyyzz",
+            "--gen", "xxyyzzyZZYYXX", "--gen", "xxyyzzxZZYYXX", "--out", str(path),
+        )
+        assert code == 0 and out.startswith("value = 1 (witness ")
+        data = json.loads(path.read_text())
+        b = parse_word("xxyyzz", 3)
+        witness = parse_word(data["witness"], 3)
+        assert b_reduced_decomposition(witness, b).k == data["value"] == 1
+        assert fold([parse_word(g, 3) for g in data["generators"]]).contains(witness)
+        assert "tight" not in data and "samples" not in data
+
+    def test_budget_flag_removed(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["factor-invariant", "--b", "xyXY", "--gen", "x", "--budget", "5"])
+        assert exc.value.code == 2
+
     def test_farey_dist(self, capsys):
         code, out, _ = run(capsys, "farey-dist", "1/0", "0/1")
         assert code == 0 and out == "1"
@@ -66,7 +85,7 @@ class TestJsonOutput:
         code, _, _ = run(capsys, "classify", "--n", "2", "xyXY", "--out", str(path))
         assert code == 0
         data = json.loads(path.read_text())
-        assert data["schema_version"] == 1
+        assert data["schema_version"] == 2
         assert data["verdict"] == "Filling"
         assert data["minimized"] == "xyXY"
         assert data["length_trace"] == [4]
@@ -106,6 +125,42 @@ class TestClassifyWork:
             assert counts == {"minimize": 1, "graph": 1}, word
 
 
+class TestParserReuse:
+    def test_repeated_calls_are_independent(self, capsys):
+        # the parser is built once; no parsed value may leak between calls
+        calls = [
+            (["factor-invariant", "--n", "2", "--b", "xyXY", "--gen", "x"],
+             "value = 0 (witness x)"),
+            (["reduce", "--n", "3", "xyYz"], "xz"),
+            (["factor-invariant", "--n", "2", "--b", "xyXY", "--gen", "y"],
+             "value = 0 (witness Y)"),
+            (["classify", "--n", "2", "xyXY"], "Filling"),
+            (["farey-dist", "1/0", "0/1"], "1"),
+            (["reduce", "xX"], "1"),
+        ]
+        for _ in range(2):
+            for argv, expected in calls:
+                code, out, _ = run(capsys, *argv)
+                assert (code, out) == (0, expected), argv
+
+    def test_append_list_does_not_leak(self, capsys, tmp_path):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        gens = (["--gen", "x"], ["--gen", "xyxY"])
+        for path, gen in zip(paths, gens):
+            code, _, _ = run(
+                capsys, "factor-invariant", "--b", "xyXY", *gen, "--out", str(path)
+            )
+            assert code == 0
+        assert [json.loads(p.read_text())["generators"] for p in paths] == [
+            ["x"], ["xyxY"]
+        ]
+
+    def test_parser_built_once(self):
+        from freefactor.cli import build_parser
+
+        assert build_parser() is build_parser()
+
+
 class TestErrors:
     def test_domain_error_exit_1(self, capsys):
         code, _, err = run(capsys, "classify", "--n", "2", "xX")
@@ -114,6 +169,18 @@ class TestErrors:
     def test_bad_word_exit_1(self, capsys):
         code, _, err = run(capsys, "reduce", "--n", "2", "z")
         assert code == 1 and "error:" in err
+
+    def test_internal_contradiction_exit_3(self, capsys, monkeypatch):
+        import freefactor.cli
+        from freefactor import InternalContradictionError
+
+        def contradicted(s, t):
+            raise InternalContradictionError("distance is negative")
+
+        monkeypatch.setattr(freefactor.cli, "farey_distance", contradicted)
+        code, out, err = run(capsys, "farey-dist", "1/0", "0/1")
+        assert code == 3 and out == ""
+        assert err == "internal error: distance is negative"
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -166,6 +233,22 @@ class TestExperimentCommand:
         code, _, err = run(capsys, "experiment", *argv, "--out", str(out_path))
         assert code == 1 and err.startswith("error:")
         assert not out_path.exists()
+
+    def test_boundary_length_honours_rank(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        code, out, _ = run(
+            capsys, "experiment", "boundary-length", "--n", "5", "--out", str(path)
+        )
+        assert code == 0 and out.startswith("boundary-length: 4 records, 0 violations")
+        data = json.loads(path.read_text())
+        assert [t["rank"] for t in data["trials"]] == [2, 3, 4, 5]
+        assert data["trials"][-1]["minimal_length"] == 10
+
+    def test_boundary_length_default_ranks(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        code, _, _ = run(capsys, "experiment", "boundary-length", "--out", str(path))
+        assert code == 0
+        assert [t["rank"] for t in json.loads(path.read_text())["trials"]] == [2, 3, 4]
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -215,7 +215,6 @@ class TestReports:
             "parameters",
             "violations",
             "summary",
-            "caveats",
             "trials",
         }
 
@@ -238,6 +237,8 @@ class TestReports:
             ("basis-change", {"trials": 0}),
             ("lipschitz", {"sample_budget": 0}),
             ("zero-fiber", {"k_lo": 5, "k_hi": 4}),
+            ("quasiflat", {"trials": 5}),
+            ("boundary-length", {"ranks": (2, 3)}),
         ],
     )
     def test_bad_parameters_rejected(self, name, kwargs):

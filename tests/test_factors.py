@@ -11,8 +11,8 @@ from freefactor import (
     af_adjacent,
     apply_automorphism,
     b_index,
+    b_reduced_decomposition,
     classify,
-    contains,
     enumerate_whitehead_automorphisms,
     factor_invariant,
     fold,
@@ -64,12 +64,12 @@ class TestFold:
 class TestContains:
     def test_powers(self):
         g = fold([W("x")])
-        assert contains(g, W("x") ** 5)
-        assert not contains(g, W("y"))
+        assert g.contains(W("x") ** 5)
+        assert not g.contains(W("y"))
 
     def test_traced_word(self):
         g = fold([W("xx"), W("y")])
-        assert contains(g, W("xxy"))
+        assert g.contains(W("xxy"))
 
     def test_brute_force_agreement(self):
         gens = [W("xx"), W("xyX")]
@@ -96,10 +96,10 @@ class TestContains:
         for _ in range(200):
             w = random_word(rng.randint(0, 8), 2, rng)
             if w.letters in in_subgroup:
-                assert contains(g, w)
+                assert g.contains(w)
         # and everything enumerated is accepted
         for idx in elements:
-            assert contains(g, words[idx])
+            assert g.contains(words[idx])
 
     def test_fuzzed_membership(self):
         # random short 2-generator subgroups: every product of the
@@ -119,11 +119,11 @@ class TestContains:
                 for s in idx:
                     base = gens[abs(s) - 1]
                     w = w * (base if s > 0 else base.inverse())
-                assert contains(g, w)
-                assert contains(regen, w)
+                assert g.contains(w)
+                assert regen.contains(w)
             for _ in range(40):
                 w = random_word(rng.randint(0, 10), 2, rng)
-                assert contains(g, w) == contains(regen, w)
+                assert g.contains(w) == regen.contains(w)
 
 
 class TestBasisPair:
@@ -211,20 +211,101 @@ class TestRandomFreeFactor:
             random_free_factor(3, 0, 1, seed=0)
 
 
+def oracle_factor_invariant(a, b, sample_budget=150):
+    """The product sampler that factor_invariant replaced: (value, tight).
+
+    Enumerates products of the generators breadth-first until two distinct
+    exponents appear (then the larger is provably the supremum, tight) or
+    the budget runs out (then the supremum is value or value + 1).
+    """
+    gens = [g for g in a.generators if not g.is_identity()]
+    lo = hi = None
+    samples = 0
+    seen = set()
+    # elements of a cyclic subgroup share one axis and one exponent
+    max_len = 3 if len(gens) == 1 else None
+    signed = [i + 1 for i in range(len(gens))]
+    signed += [-s for s in signed]
+    frontier = [((), Word.identity(b.rank))]
+    length = 0
+    while frontier and samples < sample_budget:
+        length += 1
+        if max_len is not None and length > max_len:
+            break
+        new_frontier = []
+        for idx, prod in frontier:
+            for s in signed:
+                if idx and s == -idx[-1]:
+                    continue
+                g = gens[abs(s) - 1]
+                w = prod * (g if s > 0 else g.inverse())
+                new_frontier.append((idx + (s,), w))
+                if w.is_identity() or w.letters in seen:
+                    continue
+                seen.add(w.letters)
+                k = b_reduced_decomposition(w, b).k
+                samples += 1
+                lo = k if lo is None else min(lo, k)
+                hi = k if hi is None else max(hi, k)
+                assert hi - lo <= 1, "exponent spread > 1 within one factor"
+                if hi - lo == 1 or samples >= sample_budget:
+                    return hi, hi - lo == 1
+        frontier = new_frontier
+    return hi, hi - lo == 1
+
+
+def reduced_loops(graph, max_len):
+    """Every nonempty reduced basepoint loop of at most max_len letters."""
+    letters = [l for i in range(1, graph.rank + 1) for l in (i, -i)]
+    stack = [((), graph.basepoint)]
+    while stack:
+        path, v = stack.pop()
+        if path and v == graph.basepoint:
+            yield path
+        if len(path) < max_len:
+            for letter in letters:
+                target = graph.step(v, letter)
+                if target is not None and (not path or letter != -path[-1]):
+                    stack.append((path + (letter,), target))
+
+
+def deep_factors(rank, count, seed):
+    b = boundary_word(rank)
+    rng = random.Random(seed)
+    return b, [_random_deep_factor(rng, rank, b) for _ in range(count)]
+
+
 class TestFactorInvariant:
     def test_standard_generator(self, b2):
         est = factor_invariant(FreeFactorVertex((W("x"),), 2), b2)
         assert est.value == 0
-        assert not est.tight  # a single observed value cannot be certified
+        assert est.tight  # exact, not a sampled lower bound
+        assert est.witness == W("x")
 
     def test_shifted_factor(self, b2):
         gen = (b2**2) * W("x") * (b2**-2)
         est = factor_invariant(FreeFactorVertex((gen,), 2), b2)
         assert est.value == 2
+        assert est.witness == gen
+
+    def test_negative_value(self, b2):
+        gen = (b2**-2) * W("y") * (b2**2)
+        est = factor_invariant(FreeFactorVertex((gen,), 2), b2)
+        assert est.value == -2
+        assert b_index(est.witness, b2) == -2
 
     def test_b_inside_rejected(self, b2):
         with pytest.raises(PreconditionError):
             factor_invariant(FreeFactorVertex((b2,), 2), b2)
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_power_of_b_rejected(self, rank):
+        # <b^2> does not contain b, but b^2 reads a loop: infinite invariant
+        b = boundary_word(rank)
+        factor = FreeFactorVertex((b**2,), rank)
+        assert not factor.graph.contains(b)
+        with pytest.raises(PreconditionError, match=r"b\^2 lies in the subgroup"):
+            factor_invariant(factor, b)
 
     def test_whole_group_rejected(self, b2):
         with pytest.raises(PreconditionError):
@@ -235,9 +316,56 @@ class TestFactorInvariant:
             factor_invariant(FreeFactorVertex((W("y"),), 2), W("xx"))
 
     def test_budget_respected(self, b3):
+        # one search from the basepoint, visiting each directed edge once
         factor = FreeFactorVertex((W("x", 3), W("y", 3)), 3)
-        est = factor_invariant(factor, b3, sample_budget=30)
-        assert est.samples <= 30
+        est = factor_invariant(factor, b3)
+        assert (est.value, est.witness) == (0, W("x", 3))
+        assert 0 < est.samples <= 2 * factor.graph.num_edges
+
+
+class TestExactInvariant:
+    @pytest.mark.parametrize("rank,count", [(2, 120), (3, 120), (4, 60)])
+    def test_matches_sampler_oracle(self, rank, count):
+        b, factors = deep_factors(rank, count, seed=300 + rank)
+        tight = 0
+        for factor in factors:
+            exact = factor_invariant(factor, b).value
+            value, is_tight = oracle_factor_invariant(factor, b, 400)
+            if is_tight:
+                tight += 1
+                assert exact == value, factor.describe()
+            else:
+                assert exact in (value, value + 1), factor.describe()
+        if rank > 2:  # a cyclic factor's sampled exponents never differ
+            assert tight > 0
+
+    @pytest.mark.parametrize("rank,count", [(2, 150), (3, 150), (4, 60)])
+    def test_witness_attains_value(self, rank, count):
+        b, factors = deep_factors(rank, count, seed=400 + rank)
+        values = set()
+        for factor in factors:
+            est = factor_invariant(factor, b)
+            graph = factor.graph
+            assert graph.contains(est.witness)
+            assert b_reduced_decomposition(est.witness, b).k == est.value
+            # at most one O(edges) search per block vertex, plus one
+            blocks = len(est.witness) // len(b) + 1
+            assert est.samples <= 2 * graph.num_edges * blocks
+            values.add(est.value)
+        assert min(values) < 0 < max(values)
+
+    @pytest.mark.parametrize("rank,max_len", [(2, 12), (3, 9)])
+    def test_brute_force_never_exceeds(self, rank, max_len):
+        b, factors = deep_factors(rank, 150, seed=500 + rank)
+        small = [f for f in factors if f.graph.num_edges <= 10]
+        assert len(small) >= 40
+        for factor in small:
+            est = factor_invariant(factor, b)
+            loops = reduced_loops(factor.graph, max_len)
+            best = max((b_index(Word(loop, rank), b) for loop in loops), default=None)
+            assert best is None or best <= est.value, factor.describe()
+            if len(est.witness) <= max_len:
+                assert best == est.value, factor.describe()
 
 
 class TestExponentSpread:
