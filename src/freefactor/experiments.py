@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -587,30 +588,32 @@ def _basis_star_pool() -> list[Word]:
     return pool
 
 
-def _adjacency_path(b: Word) -> tuple[list[Word] | None, list[Word] | None]:
+@lru_cache(maxsize=16)
+def _adjacency_path(b: Word) -> tuple[tuple[Word, ...] | None, tuple[Word, ...] | None]:
     """Short verified paths <x> -> <psi(x)> and <x> -> <b x b^-1> (if found).
 
     Candidate midpoints are drawn from the basis star of x and its
     conjugate by b; every edge of a returned path passes is_basis_pair.
     The search is complete for paths of length <= 3 through those stars.
+    The paths depend only on b, so they are cached.
     """
     x = Word((1,), 2)
     psi_x = Word((1, 2), 2)
     target = x.conjugated_by(b)
-    psi_path = [x, psi_x] if is_basis_pair(x, psi_x) else None
+    psi_path = (x, psi_x) if is_basis_pair(x, psi_x) else None
     if is_basis_pair(x, target):
-        return psi_path, [x, target]
+        return psi_path, (x, target)
     star_x = _basis_star_pool()
     star_t = [u.conjugated_by(b) for u in star_x]
     for u in star_x:
         if not u.is_identity() and is_basis_pair(u, target) and is_basis_pair(x, u):
-            return psi_path, [x, u, target]
+            return psi_path, (x, u, target)
     for u in star_x:
         if u.is_identity() or not is_basis_pair(x, u):
             continue
         for v in star_t:
             if not v.is_identity() and is_basis_pair(u, v) and is_basis_pair(v, target):
-                return psi_path, [x, u, v, target]
+                return psi_path, (x, u, v, target)
     return psi_path, None
 
 

@@ -35,7 +35,13 @@ from .whitehead import (
     enumerate_whitehead_automorphisms,
     minimize_cyclic_length,
 )
-from .words import Word, apply_automorphism, format_word
+from .words import GENERATOR_CHARS, Word, apply_automorphism, format_word
+
+
+@lru_cache(maxsize=None)
+def _letter_order(rank: int) -> tuple[int, ...]:
+    """Signed letters in canonical order: x, X, y, Y, ..."""
+    return tuple(l for i in range(1, rank + 1) for l in (i, -i))
 
 
 class CoreGraph:
@@ -87,14 +93,16 @@ class CoreGraph:
 
     def subgroup_basis(self) -> list[Word]:
         """A free basis read off a spanning tree (one word per extra edge)."""
+        letter_order = _letter_order(self.rank)
         path = {self.basepoint: ()}
         tree_edges = set()  # directed-positive identity (source, letter, target)
-        queue = [self.basepoint]
+        queue = deque([self.basepoint])
         while queue:
-            cur = queue.pop(0)
-            for letter in sorted(self._adj[cur], key=lambda l: (abs(l), l < 0)):
-                nxt = self._adj[cur][letter]
-                if nxt not in path:
+            cur = queue.popleft()
+            nbrs = self._adj[cur]
+            for letter in letter_order:
+                nxt = nbrs.get(letter)
+                if nxt is not None and nxt not in path:
                     path[nxt] = path[cur] + (letter,)
                     if letter > 0:
                         tree_edges.add((cur, letter, nxt))
@@ -103,11 +111,10 @@ class CoreGraph:
                     queue.append(nxt)
         basis = []
         for u in sorted(self._adj):
-            for letter in sorted(self._adj[u], key=lambda l: (abs(l), l < 0)):
-                if letter < 0:
-                    continue
-                v = self._adj[u][letter]
-                if (u, letter, v) in tree_edges:
+            nbrs = self._adj[u]
+            for letter in range(1, self.rank + 1):
+                v = nbrs.get(letter)
+                if v is None or (u, letter, v) in tree_edges:
                     continue
                 loop = path[u] + (letter,) + tuple(-l for l in reversed(path[v]))
                 word = Word.from_letters(loop, self.rank)
@@ -118,12 +125,11 @@ class CoreGraph:
     def to_dot(self) -> str:
         lines = ["digraph core {", '  0 [shape=doublecircle];']
         for u in sorted(self._adj):
-            for letter in sorted(self._adj[u], key=lambda l: (abs(l), l < 0)):
-                if letter > 0:
-                    from .words import GENERATOR_CHARS
-
+            nbrs = self._adj[u]
+            for letter in range(1, self.rank + 1):
+                if letter in nbrs:
                     label = GENERATOR_CHARS[letter - 1]
-                    lines.append(f'  {u} -> {self._adj[u][letter]} [label="{label}"];')
+                    lines.append(f'  {u} -> {nbrs[letter]} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines)
 
@@ -146,9 +152,19 @@ class CoreGraph:
 def fold(generators, rank: int | None = None) -> CoreGraph:
     """Stallings folding of the wedge of generator loops.
 
-    Repeatedly merges endpoints of equal-label edges sharing a source or a
-    target, then trims non-basepoint degree-1 vertices and renumbers
-    canonically.
+    Every vertex keeps a signed letter -> vertex dict.  Laying down the
+    generator loops, an edge whose slot is already taken by another vertex
+    pushes that pair onto a merge stack.  A merge unions the two vertices
+    (the basepoint always stays the root), moves the smaller dict into the
+    larger and pushes each slot that now clashes.  With reduced generators
+    no non-basepoint vertex ever has fewer than two distinct signed labels,
+    so the folded graph is already a core graph.  Vertices are then
+    renumbered canonically.
+
+    Cost: for total generator length L, each merge removes a vertex and
+    moves at most 2 * rank slots, so folding takes O(rank * L) dict
+    operations plus one find per stack entry, amortized O(log L) with path
+    halving.  The renumbering is O(rank * V).
     """
     gens = [g for g in generators if not g.is_identity()]
     if rank is None:
@@ -159,6 +175,8 @@ def fold(generators, rank: int | None = None) -> CoreGraph:
         raise RankError("generators have mismatched ranks")
 
     parent: list[int] = [0]
+    adj: list[dict[int, int]] = [{}]
+    merges: list[tuple[int, int]] = []
 
     def find(v: int) -> int:
         while parent[v] != v:
@@ -166,83 +184,54 @@ def fold(generators, rank: int | None = None) -> CoreGraph:
             v = parent[v]
         return v
 
-    def union(u: int, v: int) -> None:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            if rv == 0:
-                ru, rv = rv, ru
-            parent[rv] = ru
-
-    edges: list[tuple[int, int, int]] = []  # (source, positive letter, target)
     for g in gens:
         cur = 0
+        last = len(g.letters) - 1
         for i, letter in enumerate(g.letters):
-            if i == len(g.letters) - 1:
+            if i == last:
                 nxt = 0
             else:
-                nxt = len(parent)
+                nxt = len(adj)
                 parent.append(nxt)
-            if letter > 0:
-                edges.append((cur, letter, nxt))
-            else:
-                edges.append((nxt, -letter, cur))
+                adj.append({})
+            other = adj[cur].setdefault(letter, nxt)
+            if other != nxt:
+                merges.append((other, nxt))
+            other = adj[nxt].setdefault(-letter, cur)
+            if other != cur:
+                merges.append((other, cur))
             cur = nxt
 
-    # Fold to a fixpoint: any two equal-label edges sharing a source (or a
-    # target) force their other endpoints together.
-    while True:
-        by_source: dict[tuple[int, int], int] = {}
-        by_target: dict[tuple[int, int], int] = {}
-        canonical = set()
-        merged = False
-        for u, letter, v in edges:
-            ru, rv = find(u), find(v)
-            canonical.add((ru, letter, rv))
-            other = by_source.get((ru, letter))
-            if other is None:
-                by_source[(ru, letter)] = rv
-            elif other != rv:
-                union(other, rv)
-                merged = True
-                break
-            other = by_target.get((rv, letter))
-            if other is None:
-                by_target[(rv, letter)] = ru
-            elif other != ru:
-                union(other, ru)
-                merged = True
-                break
-        if not merged:
-            edges = list(canonical)
-            break
-
-    adj: dict[int, dict[int, int]] = {}
-    for u, letter, v in edges:
-        adj.setdefault(u, {})[letter] = v
-        adj.setdefault(v, {})[-letter] = u
-    adj.setdefault(0, {})
-
-    # Trim spurs: non-basepoint vertices of degree 1 cannot lie on any loop.
-    while True:
-        spur = next(
-            (v for v, nbrs in adj.items() if v != 0 and len(nbrs) <= 1), None
-        )
-        if spur is None:
-            break
-        for letter, nbr in list(adj[spur].items()):
-            del adj[nbr][-letter]
-        del adj[spur]
+    while merges:
+        u, v = merges.pop()
+        u, v = find(u), find(v)
+        if u == v:
+            continue
+        if v == 0 or (u != 0 and len(adj[u]) < len(adj[v])):
+            u, v = v, u
+        parent[v] = u
+        keep = adj[u]
+        for letter, w in adj[v].items():
+            other = keep.setdefault(letter, w)
+            if other != w:
+                merges.append((other, w))
+        adj[v] = {}
 
     # Canonical renumbering: breadth-first from the basepoint, letter order;
     # each vertex's edges are stored in that letter order too.
+    letter_order = _letter_order(rank)
     order = {0: 0}
-    queue = [0]
+    queue = deque([0])
     new_adj: dict[int, dict[int, int]] = {}
     while queue:
-        cur = queue.pop(0)
+        cur = queue.popleft()
         nbrs = new_adj[order[cur]] = {}
-        for letter in sorted(adj[cur], key=lambda l: (abs(l), l < 0)):
-            nxt = adj[cur][letter]
+        slots = adj[cur]
+        for letter in letter_order:
+            nxt = slots.get(letter)
+            if nxt is None:
+                continue
+            nxt = find(nxt)
             if nxt not in order:
                 order[nxt] = len(order)
                 queue.append(nxt)

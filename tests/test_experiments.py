@@ -19,7 +19,7 @@ from freefactor import (
     exp_twist_stability,
     run_experiment,
 )
-from freefactor.experiments import _ad_chain
+from freefactor.experiments import _ad_chain, _adjacency_path
 
 from conftest import W
 
@@ -176,6 +176,17 @@ class TestQuasiflat:
             for u, v in zip(words, words[1:]):
                 assert is_basis_pair(u, v)
             assert report.summary["upper_bound_unit"] == max(1, len(path) - 1)
+
+    def test_adjacency_paths_cached_across_radii(self):
+        _adjacency_path.cache_clear()
+        reports = [exp_quasiflat(radius, seed=0) for radius in (1, 2)]
+        info = _adjacency_path.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        for report in reports:
+            assert report.summary["psi_path"] == ["x", "xy"]
+            assert report.summary["ad_path"] == ["x", "YX", "xyXYXYX", "xyXYxyxYX"]
+        psi_path, ad_path = _adjacency_path(boundary_word(2))
+        assert isinstance(psi_path, tuple) and isinstance(ad_path, tuple)
 
 
 class TestTwistStability:

@@ -4,6 +4,8 @@ import pytest
 
 from freefactor import (
     Classification,
+    CoreGraph,
+    DomainError,
     FreeFactorVertex,
     PreconditionError,
     RankError,
@@ -12,6 +14,7 @@ from freefactor import (
     apply_automorphism,
     b_index,
     b_reduced_decomposition,
+    build_boundary_pA,
     classify,
     enumerate_whitehead_automorphisms,
     factor_invariant,
@@ -59,6 +62,187 @@ class TestFold:
     def test_dot_export(self):
         text = fold([W("x")]).to_dot()
         assert "digraph" in text and "label=\"x\"" in text
+
+
+def oracle_fold(generators, rank=None):
+    """The fixpoint fold that fold replaced, kept as the reference.
+
+    Repeatedly merges endpoints of equal-label edges sharing a source or a
+    target, then trims non-basepoint degree-1 vertices and renumbers
+    canonically.  Each merge restarts the scan of every edge.
+    """
+    gens = [g for g in generators if not g.is_identity()]
+    if rank is None:
+        if not generators:
+            raise DomainError("cannot infer rank from an empty generator list")
+        rank = generators[0].rank
+    if any(g.rank != rank for g in gens):
+        raise RankError("generators have mismatched ranks")
+
+    parent: list[int] = [0]
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def union(u: int, v: int) -> None:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            if rv == 0:
+                ru, rv = rv, ru
+            parent[rv] = ru
+
+    edges: list[tuple[int, int, int]] = []  # (source, positive letter, target)
+    for g in gens:
+        cur = 0
+        for i, letter in enumerate(g.letters):
+            if i == len(g.letters) - 1:
+                nxt = 0
+            else:
+                nxt = len(parent)
+                parent.append(nxt)
+            if letter > 0:
+                edges.append((cur, letter, nxt))
+            else:
+                edges.append((nxt, -letter, cur))
+            cur = nxt
+
+    # Fold to a fixpoint: any two equal-label edges sharing a source (or a
+    # target) force their other endpoints together.
+    while True:
+        by_source: dict[tuple[int, int], int] = {}
+        by_target: dict[tuple[int, int], int] = {}
+        canonical = set()
+        merged = False
+        for u, letter, v in edges:
+            ru, rv = find(u), find(v)
+            canonical.add((ru, letter, rv))
+            other = by_source.get((ru, letter))
+            if other is None:
+                by_source[(ru, letter)] = rv
+            elif other != rv:
+                union(other, rv)
+                merged = True
+                break
+            other = by_target.get((rv, letter))
+            if other is None:
+                by_target[(rv, letter)] = ru
+            elif other != ru:
+                union(other, ru)
+                merged = True
+                break
+        if not merged:
+            edges = list(canonical)
+            break
+
+    adj: dict[int, dict[int, int]] = {}
+    for u, letter, v in edges:
+        adj.setdefault(u, {})[letter] = v
+        adj.setdefault(v, {})[-letter] = u
+    adj.setdefault(0, {})
+
+    # Trim spurs: non-basepoint vertices of degree 1 cannot lie on any loop.
+    while True:
+        spur = next(
+            (v for v, nbrs in adj.items() if v != 0 and len(nbrs) <= 1), None
+        )
+        if spur is None:
+            break
+        for letter, nbr in list(adj[spur].items()):
+            del adj[nbr][-letter]
+        del adj[spur]
+
+    # Canonical renumbering: breadth-first from the basepoint, letter order;
+    # each vertex's edges are stored in that letter order too.
+    order = {0: 0}
+    queue = [0]
+    new_adj: dict[int, dict[int, int]] = {}
+    while queue:
+        cur = queue.pop(0)
+        nbrs = new_adj[order[cur]] = {}
+        for letter in sorted(adj[cur], key=lambda l: (abs(l), l < 0)):
+            nxt = adj[cur][letter]
+            if nxt not in order:
+                order[nxt] = len(order)
+                queue.append(nxt)
+            nbrs[letter] = order[nxt]
+    return CoreGraph(rank, new_adj)
+
+
+def adjacency_lists(graph):
+    """The graph's adjacency with vertex and per-vertex letter order kept."""
+    return [(u, list(nbrs.items())) for u, nbrs in graph._adj.items()]
+
+
+def assert_core(graph):
+    """Every edge is stored at both ends, and every non-basepoint vertex has
+    degree >= 2 (the graph is a core graph without any spur trimming)."""
+    for u, nbrs in graph._adj.items():
+        for letter, v in nbrs.items():
+            assert graph._adj[v][-letter] == u
+        if u != graph.basepoint:
+            assert len(nbrs) >= 2
+
+
+def random_generators(rng, rank):
+    """A few short generators: reduced words (often not cyclically reduced),
+    conjugates u c u^-1, powers and the identity."""
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.random()
+        if kind < 0.45:
+            gens.append(random_word(rng.randint(1, 10), rank, rng))
+        elif kind < 0.8:
+            u = random_word(rng.randint(1, 6), rank, rng)
+            c = random_word(rng.randint(1, 4), rank, rng)
+            gens.append(u * c * u.inverse())
+        elif kind < 0.95:
+            gens.append(random_word(rng.randint(1, 4), rank, rng) ** rng.randint(2, 3))
+        else:
+            gens.append(Word.identity(rank))
+    return gens
+
+
+class TestFoldOracle:
+    @pytest.mark.parametrize("rank,count", [(2, 2000), (3, 1500), (4, 1000), (5, 800)])
+    def test_random_subgroups(self, rank, count):
+        rng = random.Random(700 + rank)
+        for _ in range(count):
+            gens = random_generators(rng, rank)
+            graph = fold(gens, rank)
+            assert adjacency_lists(graph) == adjacency_lists(oracle_fold(gens, rank)), gens
+            assert_core(graph)
+
+    def test_orbit_grid_generators(self):
+        psi = build_boundary_pA()
+        b = boundary_word(2)
+        for sign in (1, -1):
+            w = W("x")
+            for r in range(7):
+                for k in range(-6, 7):
+                    gen = (b**k) * w * (b**-k)
+                    graph = fold([gen], 2)
+                    assert adjacency_lists(graph) == adjacency_lists(oracle_fold([gen], 2))
+                    assert_core(graph)
+                w = psi.apply(w, sign)
+
+    def test_empty_and_identity(self):
+        for gens in ([], [Word.identity(3)]):
+            graph = fold(gens, 3)
+            assert graph._adj == oracle_fold(gens, 3)._adj == {0: {}}
+
+    def test_long_conjugate_cascade(self):
+        # |u| folds cascade from the basepoint; rescanning every edge after
+        # each merge would take minutes here
+        v = random_word(19_999, 2, random.Random(9))
+        u = Word(v.letters + ((-2,) if v.letters[-1] == -2 else (2,)), 2)
+        assert len(u) == 20_000  # ends in y or Y, so u x u^-1 is reduced
+        graph = fold([u * W("x") * u.inverse()])
+        assert (graph.num_vertices, graph.num_edges) == (len(u) + 1, len(u) + 1)
+        assert graph.contains(u * W("xxx") * u.inverse())
+        assert not graph.contains(u * W("y") * u.inverse())
 
 
 class TestContains:
