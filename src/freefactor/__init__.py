@@ -43,12 +43,9 @@ from .whitehead import (
 )
 from .trees import (
     AxisInterval,
-    OverlapResult,
     distance_to_axis,
     geometric_index,
     project_axis_to_axis,
-    stable_subtree_overlap,
-    subtree_axis_overlap,
 )
 from .factors import (
     CoreGraph,
@@ -60,6 +57,7 @@ from .factors import (
     fold,
     is_basis_pair,
     random_free_factor,
+    subtree_axis_overlap,
 )
 from .farey import (
     FareyGraph,

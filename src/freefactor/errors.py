@@ -26,7 +26,7 @@ class AxesEqualError(DomainError):
 
 
 class UnboundedOverlapError(DomainError):
-    """An axis/subtree overlap grew without stabilizing; the invariant is infinite."""
+    """A power of b lies in the subgroup, so its subtree/axis overlap is infinite."""
 
 
 class PreconditionError(DomainError):

@@ -537,11 +537,6 @@ def build_boundary_pA() -> BoundaryAutomorphism:
     )
 
 
-def _ad_chain(b: Word, k: int) -> tuple[WhAutomorphism, ...]:
-    """Conjugation by b^k as a chain of single-letter conjugation moves."""
-    return _conjugation_chain(b**k)
-
-
 # ---------------------------------------------------------------------------
 # the two-parameter orbit grid
 
@@ -564,7 +559,7 @@ def _grid_values(
         for k in range(-radius_k, radius_k + 1):
             gen = (b**k) * psi_x[r] * (b**-k)
             witness = FactorWitness(
-                _ad_chain(b, k) + (psi.chain if r >= 0 else psi.inverse_chain) * abs(r),
+                _conjugation_chain(b**k) + (psi.chain if r >= 0 else psi.inverse_chain) * abs(r),
                 (1,),
             )
             vertex = FreeFactorVertex((gen,), 2, witness)

@@ -27,7 +27,9 @@ from .errors import (
     InternalContradictionError,
     PreconditionError,
     RankError,
+    UnboundedOverlapError,
 )
+from .trees import AxisInterval, _require_axis_word
 from .whitehead import (
     Classification,
     WhAutomorphism,
@@ -52,20 +54,17 @@ class CoreGraph:
     ...), so equal subgroups produce identical graphs and searches.
     """
 
-    __slots__ = ("rank", "basepoint", "_adj")
+    __slots__ = ("rank", "basepoint", "_adj", "num_edges")
 
     def __init__(self, rank: int, adj: dict[int, dict[int, int]]):
         self.rank = rank
         self.basepoint = 0
         self._adj = adj
+        self.num_edges = sum(len(nbrs) for nbrs in adj.values()) // 2
 
     @property
     def num_vertices(self) -> int:
         return len(self._adj)
-
-    @property
-    def num_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
 
     def subgroup_rank(self) -> int:
         return self.num_edges - self.num_vertices + 1
@@ -275,25 +274,6 @@ class FreeFactorVertex:
     @property
     def graph(self) -> CoreGraph:
         return _fold_cached(self.generators, self.rank_ambient)
-
-    def random_element(self, rng: random.Random, max_syllables: int = 4) -> Word:
-        """A nontrivial product of the generators (freely reduced indices)."""
-        gens = self.generators
-        for _ in range(64):
-            length = rng.randint(1, max_syllables)
-            idx: list[int] = []
-            choices = [i + 1 for i in range(len(gens))]
-            choices += [-c for c in choices]
-            for _ in range(length):
-                allowed = [c for c in choices if not idx or c != -idx[-1]]
-                idx.append(rng.choice(allowed))
-            w = Word.identity(self.rank_ambient)
-            for s in idx:
-                g = gens[abs(s) - 1]
-                w = w * (g if s > 0 else g.inverse())
-            if not w.is_identity():
-                return w
-        raise DomainError("could not sample a nontrivial element")
 
     def describe(self) -> list[str]:
         return [format_word(g) for g in self.generators]
@@ -511,3 +491,59 @@ def factor_invariant(a: FreeFactorVertex, b: Word) -> FactorInvariant:
     return FactorInvariant(
         -blocks_in_stem, Word(stem + loop + inverse_stem, b.rank), samples
     )
+
+
+def subtree_axis_overlap(generators, b: Word) -> AxisInterval:
+    """Overlap of the minimal subtree of H = <generators> with the axis of
+    b, read exactly off the folded core graph.
+
+    The Cayley tree covers the core graph with trees hung on its free
+    slots, and the minimal subtree is the preimage of the graph minus its
+    hair: the vertices of the forced stem before its end vertex.  Reading
+    b^inf, then b^-inf, from the basepoint walks the axis until a read
+    fails; the axis has then entered a hung tree, which it never leaves.
+    The overlap is the hull of the positions read onto vertices off the
+    hair.  If none is, the subtree misses the axis and projects to the
+    point where the stem leaves it, the farthest position either read
+    reached.  A block vertex (position divisible by |b|) reached twice
+    means some power of b lies in H, whose axis is the axis of b:
+    UnboundedOverlapError.
+
+    Each read visits at most V block vertices, so the cost is O(V * |b|).
+    """
+    _require_axis_word(b)
+    gens = [g for g in generators if not g.is_identity()]
+    if not gens:
+        raise DomainError("need at least one nontrivial generator")
+    graph = fold(gens, b.rank)
+    adj = graph._adj
+    hair = set()
+    cur = graph.basepoint
+    for letter in _forced_stem(graph)[0]:
+        hair.add(cur)
+        cur = adj[cur][letter]
+    inside: list[int] = []
+    reach: list[int] = []
+    for sign, block in ((1, b.letters), (-1, b.inverse().letters)):
+        m = len(block)
+        cur = graph.basepoint
+        blocks: dict[int, int] = {}
+        t = 0
+        while cur is not None:
+            if t % m == 0:
+                if cur in blocks:
+                    power = t // m - blocks[cur]
+                    name = "b" if power == 1 else f"b^{power}"
+                    raise UnboundedOverlapError(
+                        f"{name} lies in the subgroup; the overlap is the "
+                        "whole axis of b"
+                    )
+                blocks[cur] = t // m
+            if cur not in hair:
+                inside.append(sign * t)
+            cur = adj[cur].get(block[t % m])
+            t += 1
+        reach.append(sign * (t - 1))
+    if not inside:
+        inside.append(reach[0] or reach[1])
+    return AxisInterval.from_positions(b, min(inside), max(inside))

@@ -11,6 +11,9 @@ The geometric index of a under b reads off the minimal interval
 [b^i, b^j] containing the projection of the axis of a onto the axis of b:
 the index is i if i > 0, j if j < 0, and 0 otherwise.  It always agrees
 with the combinatorial exponent of words.b_reduced_decomposition.
+
+The overlap of a subgroup's minimal subtree with an axis is read off the
+subgroup's core graph, in factors.subtree_axis_overlap.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .errors import (
     IdentityWordError,
     NotCyclicallyReducedError,
     RankError,
-    UnboundedOverlapError,
 )
 from .words import Word, cyclic_reduce
 
@@ -166,119 +168,3 @@ def geometric_index(a: Word, b: Word) -> int:
     if j < 0:
         return j
     return 0
-
-
-@dataclass(frozen=True)
-class OverlapResult:
-    """Approximation of the overlap of a subgroup's minimal subtree with X_b."""
-
-    interval: AxisInterval
-    stabilized: bool
-    depth: int
-    elements_sampled: int
-
-
-def subtree_axis_overlap(
-    generators,
-    b: Word,
-    depth: int,
-    element_budget: int | None = None,
-    unbounded_multiple: int = 6,
-) -> OverlapResult:
-    """Hull of axis projections over all products of generator-length <= depth.
-
-    The minimal subtree of the subgroup is the union of its elements'
-    axes, so the hull of the sampled projections approximates (from below)
-    the projection of the subtree, which equals the overlap with X_b
-    whenever they meet.  ``stabilized`` reports whether the hull stopped
-    growing between depths depth-1 and depth.
-
-    An element sharing the axis of b, or a hull longer than
-    ``unbounded_multiple * |b|``, means the subgroup meets the cyclic group
-    of b and the overlap is infinite: UnboundedOverlapError.  (Proper free
-    factors never exceed |b|, so the threshold has ample slack.)  An
-    exhausted element budget stops the scan with whatever hull was
-    accumulated, flagged unstabilized.
-    """
-    _require_axis_word(b)
-    gen_words = [g for g in generators if not g.is_identity()]
-    if not gen_words:
-        raise DomainError("need at least one nontrivial generator")
-    if any(g.rank != b.rank for g in gen_words):
-        raise RankError("generators and b must have the same rank")
-    if depth < 1:
-        raise DomainError("depth must be at least 1")
-
-    lo = hi = None
-    sampled = 0
-    exhausted = False
-    hulls: list[tuple[int, int] | None] = []
-    signed = [i + 1 for i in range(len(gen_words))]
-    signed += [-i for i in signed]
-    frontier: list[tuple[tuple[int, ...], Word]] = [((), Word.identity(b.rank))]
-    for _ in range(depth):
-        new_frontier = []
-        for idx_word, prod in frontier:
-            for s in signed:
-                if idx_word and s == -idx_word[-1]:
-                    continue
-                g = gen_words[abs(s) - 1]
-                w = prod * (g if s > 0 else g.inverse())
-                new_frontier.append((idx_word + (s,), w))
-                if w.is_identity():
-                    continue
-                try:
-                    iv = project_axis_to_axis(w, b)
-                except AxesEqualError as exc:
-                    raise UnboundedOverlapError(
-                        f"element {w} shares the axis of b; the overlap is unbounded"
-                    ) from exc
-                sampled += 1
-                t0, t1 = iv.lo_position, iv.hi_position
-                lo = t0 if lo is None else min(lo, t0)
-                hi = t1 if hi is None else max(hi, t1)
-                if hi - lo > unbounded_multiple * len(b):
-                    raise UnboundedOverlapError(
-                        f"overlap hull reached {hi - lo} letters; the subgroup "
-                        "meets the cyclic group of b"
-                    )
-                if element_budget is not None and sampled >= element_budget:
-                    exhausted = True
-                    break
-            if exhausted:
-                break
-        if exhausted:
-            break
-        frontier = new_frontier
-        hulls.append((lo, hi))
-    if lo is None:
-        raise DomainError("all sampled products were trivial")
-    stabilized = (
-        not exhausted and len(hulls) >= 2 and hulls[-1] == hulls[-2]
-    )
-    return OverlapResult(
-        AxisInterval.from_positions(b, lo, hi), stabilized, depth, sampled
-    )
-
-
-def stable_subtree_overlap(
-    generators,
-    b: Word,
-    start_depth: int = 4,
-    max_depth: int = 16,
-    element_budget: int = 20000,
-) -> OverlapResult:
-    """Double the product depth until the overlap hull stabilizes.
-
-    Genuinely unbounded overlaps raise UnboundedOverlapError (shared axis,
-    or a hull several times longer than b).  When the depth or element
-    budget runs out first, the best hull so far is returned with
-    ``stabilized`` False: a lower approximation whose completeness was
-    assumed, not proven.
-    """
-    depth = start_depth
-    while True:
-        result = subtree_axis_overlap(generators, b, depth, element_budget)
-        if result.stabilized or depth >= max_depth:
-            return result
-        depth = min(2 * depth, max_depth)

@@ -18,6 +18,7 @@ from freefactor import (
     exp_lipschitz,
     exp_quasiflat,
     exp_twist_stability,
+    factor_invariant,
     farey_distance,
     geometric_index,
     minimize_cyclic_length,
@@ -25,6 +26,8 @@ from freefactor import (
     run_experiment,
 )
 from freefactor.experiments import _random_deep_factor
+
+from conftest import random_element
 
 
 def _verdict(num: int, description: str, ok: bool, elapsed: float) -> None:
@@ -88,16 +91,19 @@ def test_criterion_04_exponent_spread_within_factor():
         rng = random.Random(1000 + rank)
         for _ in range(500):
             factor = _random_deep_factor(rng, rank, b)
-            a1 = factor.random_element(rng)
-            a2 = factor.random_element(rng)
-            if abs(b_index(a1, b) - b_index(a2, b)) > 1:
+            # exact exponent range over all of the factor; the minimum is
+            # minus the invariant along b^-1
+            hi = factor_invariant(factor, b).value
+            lo = -factor_invariant(factor, b.inverse()).value
+            samples = (random_element(factor, rng), random_element(factor, rng))
+            if hi - lo > 1 or not all(lo <= b_index(a, b) <= hi for a in samples):
                 violations += 1
     ok = violations == 0
     elapsed = time.perf_counter() - t0
     _verdict(
         4,
-        "exponents of two elements of one proper factor differ by <= 1 "
-        "(1000 trials)",
+        "exponents over every element of one proper factor span <= 1, "
+        "sampled elements inside (1000 factors)",
         ok,
         elapsed,
     )

@@ -19,7 +19,7 @@ from freefactor import (
     exp_twist_stability,
     run_experiment,
 )
-from freefactor.experiments import _ad_chain, _adjacency_path
+from freefactor.experiments import _adjacency_path, _conjugation_chain
 
 from conftest import W
 
@@ -68,7 +68,7 @@ class TestBoundaryAutomorphism:
 
     def test_ad_chain_matches_conjugation(self, b2):
         for k in (-2, 1, 3):
-            chain = _ad_chain(b2, k)
+            chain = _conjugation_chain(b2**k)
             got = apply_automorphism(chain, W("x"))
             assert got == (b2**k) * W("x") * (b2**-k)
 

@@ -25,7 +25,7 @@ from freefactor import (
 )
 from freefactor.experiments import _random_deep_factor, boundary_word
 
-from conftest import W
+from conftest import W, random_cyclically_reduced, random_element, reduced_loops
 
 
 class TestFold:
@@ -438,21 +438,6 @@ def oracle_factor_invariant(a, b, sample_budget=150):
     return hi, hi - lo == 1
 
 
-def reduced_loops(graph, max_len):
-    """Every nonempty reduced basepoint loop of at most max_len letters."""
-    letters = [l for i in range(1, graph.rank + 1) for l in (i, -i)]
-    stack = [((), graph.basepoint)]
-    while stack:
-        path, v = stack.pop()
-        if path and v == graph.basepoint:
-            yield path
-        if len(path) < max_len:
-            for letter in letters:
-                target = graph.step(v, letter)
-                if target is not None and (not path or letter != -path[-1]):
-                    stack.append((path + (letter,), target))
-
-
 def deep_factors(rank, count, seed):
     b = boundary_word(rank)
     rng = random.Random(seed)
@@ -552,17 +537,56 @@ class TestExactInvariant:
                 assert best == est.value, factor.describe()
 
 
+def exponent_range(factor, b):
+    """Exact (min, max) of b_index over the factor's nontrivial elements:
+    b_index(w, b^-1) == -b_index(w, b), so the minimum is minus the
+    invariant along b^-1."""
+    return -factor_invariant(factor, b.inverse()).value, factor_invariant(factor, b).value
+
+
 class TestExponentSpread:
     @pytest.mark.parametrize("rank", [2, 3])
     def test_two_elements_within_one(self, rank):
-        # exponents of any two elements of one proper factor differ by <= 1
+        # the exponents over every element of one proper factor span <= 1,
+        # and sampled elements fall inside the exact range
         b = boundary_word(rank)
         rng = random.Random(rank * 13)
         for _ in range(150):
             factor = _random_deep_factor(rng, rank, b)
-            a1 = factor.random_element(rng)
-            a2 = factor.random_element(rng)
-            assert abs(b_index(a1, b) - b_index(a2, b)) <= 1
+            lo, hi = exponent_range(factor, b)
+            assert hi - lo <= 1, factor.describe()
+            for a in (random_element(factor, rng), random_element(factor, rng)):
+                assert lo <= b_index(a, b) <= hi, (factor.describe(), a)
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_inverse_axis_negates_exponent(self, rank):
+        rng = random.Random(70 + rank)
+        bs = [boundary_word(rank), boundary_word(rank).inverse()]
+        bs += [random_cyclically_reduced(rng, rank, 6) for _ in range(4)]
+        for i in range(3000):
+            b = bs[i % len(bs)]
+            k = rng.randint(-3, 3)
+            tail = -k if i % 2 else rng.randint(-3, 3)
+            w = (b**k) * random_word(rng.randint(0, 12), rank, rng) * (b**tail)
+            assert b_index(w, b.inverse()) == -b_index(w, b), (w, b)
+
+    @pytest.mark.parametrize("rank,max_len", [(2, 12), (3, 9)])
+    def test_minimum_from_inverse_axis(self, rank, max_len):
+        # the witness along b^-1 attains the minimum, and no short loop
+        # goes below it
+        b, factors = deep_factors(rank, 150, seed=600 + rank)
+        negative = 0
+        for factor in factors:
+            lo, hi = exponent_range(factor, b)
+            witness = factor_invariant(factor, b.inverse()).witness
+            assert factor.graph.contains(witness)
+            assert b_index(witness, b) == lo, factor.describe()
+            negative += lo < 0
+            if factor.graph.num_edges <= 10:
+                loops = reduced_loops(factor.graph, max_len)
+                low = min((b_index(Word(loop, rank), b) for loop in loops), default=lo)
+                assert low >= lo, factor.describe()
+        assert negative >= 20
 
     def test_equivariance_when_positive(self, b2):
         # conjugating the factor by b^k shifts a positive invariant by k
