@@ -16,7 +16,7 @@ import sys
 from .errors import DomainError, InternalContradictionError
 from .experiments import (
     EXPERIMENT_NAMES,
-    EXPERIMENT_PARAMETERS,
+    EXPERIMENTS,
     SCHEMA_VERSION,
     run_experiment,
 )
@@ -43,10 +43,6 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _certificate_payload(cert) -> dict:
-    return cert.to_json_dict()
-
-
 def _cmd_classify(args) -> int:
     w = parse_word(args.word, args.n)
     cert = minimize_cyclic_length(w)
@@ -66,7 +62,7 @@ def _cmd_classify(args) -> int:
             "command": "classify",
             "verdict": label,
             "cut_vertex": cut,
-            **_certificate_payload(cert),
+            **cert.to_json_dict(),
         },
     )
     return 0
@@ -79,7 +75,7 @@ def _cmd_minimize(args) -> int:
         args,
         f"{format_word(cert.minimized)} (length {len(cert.minimized)}, "
         f"{len(cert.chain)} moves)",
-        {"command": "minimize", **_certificate_payload(cert)},
+        {"command": "minimize", **cert.to_json_dict()},
     )
     return 0
 
@@ -143,24 +139,34 @@ def _cmd_farey_dist(args) -> int:
     return 0
 
 
+# experiment parameter -> (flag, argparse options).  One flat flag set
+# serves every experiment; an experiment ignores the flags it does not take.
+# Every flag defaults to None, which leaves the experiment's own default.
+_EXPERIMENT_FLAGS = {
+    "rank": ("--n", {"type": int, "metavar": "N",
+                     "help": "ambient rank (boundary-length: ranks 2..N)"}),
+    "b": ("--b", {"help": "base word (default per rank)"}),
+    "trials": ("--trials", {"type": int}),
+    "seed": ("--seed", {"type": int}),
+    "radius": ("--radius", {"type": int, "help": "grid radius"}),
+    "a": ("--word", {"metavar": "WORD", "help": "probe word (zero-fiber)"}),
+    "k_lo": ("--k-lo", {"type": int}),
+    "k_hi": ("--k-hi", {"type": int}),
+}
+
+
 def _cmd_experiment(args) -> int:
+    _, parameters = EXPERIMENTS[args.name]
     kwargs = {
-        "rank": args.n,
-        "trials": args.trials,
-        "seed": args.seed,
-        "radius": args.radius,
-        "k_lo": args.k_lo,
-        "k_hi": args.k_hi,
+        key: getattr(args, key)
+        for key in ("rank", *parameters)
+        if getattr(args, key) is not None
     }
-    rank = 2 if args.n is None else args.n
-    if args.b:
-        kwargs["b"] = parse_word(args.b, rank)
-    if args.word:
-        kwargs["a"] = parse_word(args.word, rank)
-    taken = EXPERIMENT_PARAMETERS[args.name]
-    report = run_experiment(
-        args.name, **{k: v for k, v in kwargs.items() if k in taken}
-    )
+    rank = kwargs.get("rank", parameters.get("rank"))
+    for key in ("b", "a"):
+        if key in kwargs:
+            kwargs[key] = parse_word(kwargs[key], rank)
+    report = run_experiment(args.name, **kwargs)
     print(
         f"{report.name}: {len(report.trials)} records, "
         f"{report.violations} violations"
@@ -234,16 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a named experiment")
     p.add_argument("name", choices=EXPERIMENT_NAMES)
-    p.add_argument(
-        "--n", type=int, default=None, help="ambient rank (boundary-length: ranks 2..N)"
-    )
-    p.add_argument("--b", default=None, help="base word (default per rank)")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--radius", type=int, default=8, help="grid radius")
-    p.add_argument("--word", default=None, help="probe word (zero-fiber)")
-    p.add_argument("--k-lo", type=int, default=-10)
-    p.add_argument("--k-hi", type=int, default=10)
+    for key, (flag, options) in _EXPERIMENT_FLAGS.items():
+        p.add_argument(flag, dest=key, **options)
     p.add_argument("--out", help="write the JSON report to this path")
     p.add_argument("--csv", help="write the per-trial trace to this path")
     p.set_defaults(func=_cmd_experiment)

@@ -10,6 +10,7 @@ so every such bound is checked at full strength.
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from .factors import (
     is_basis_pair,
     random_free_factor,
 )
-from .farey import farey_distance, slope_of
+from .farey import exponent_sums, farey_distance, slope_of
 from .whitehead import (
     WhAutomorphism,
     enumerate_permutation_automorphisms,
@@ -42,20 +43,7 @@ from .whitehead import (
 )
 from .words import Word, apply_automorphism, b_index, format_word, random_word
 
-SCHEMA_VERSION = 2
-
-# The parameters run_experiment accepts, per experiment (rank first).
-EXPERIMENT_PARAMETERS = {
-    "lipschitz": ("rank", "b", "trials", "seed"),
-    "cancellation": ("rank", "b", "trials", "seed"),
-    "zero-fiber": ("rank", "b", "a", "k_lo", "k_hi"),
-    "basis-change": ("rank", "b", "trials", "seed"),
-    "quasiflat": ("rank", "radius", "seed"),
-    "boundary-length": ("rank",),
-    "twist-stability": ("rank", "radius", "seed"),
-}
-
-EXPERIMENT_NAMES = tuple(EXPERIMENT_PARAMETERS)
+SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -161,7 +149,7 @@ def _random_edge_chain(
 
 
 def exp_lipschitz(
-    rank: int,
+    rank: int = 2,
     b: Word | None = None,
     trials: int = 1000,
     seed: int = 0,
@@ -234,7 +222,7 @@ def exp_lipschitz(
 
 
 def exp_cancellation(
-    rank: int,
+    rank: int = 2,
     b: Word | None = None,
     trials: int = 1000,
     seed: int = 0,
@@ -297,7 +285,7 @@ def exp_cancellation(
 
 
 def exp_fzero_fiber(
-    rank: int,
+    rank: int = 2,
     b: Word | None = None,
     a: Word | None = None,
     k_lo: int = -10,
@@ -342,10 +330,11 @@ def exp_fzero_fiber(
 
 
 def exp_basis_change(
-    rank: int,
+    rank: int = 2,
     b: Word | None = None,
     trials: int = 1000,
     seed: int = 0,
+    *,
     basis_chain: tuple[WhAutomorphism, ...] | None = None,
 ) -> ExperimentReport:
     """Spread of the factor invariant between two minimizing bases.
@@ -353,7 +342,8 @@ def exp_basis_change(
     The second basis is the image of the standard one under a chain that
     keeps b at minimal length (permutations/inversions plus chains checked
     length-neutral on b).  Reports the running maximum of the spread and
-    whether it stabilizes between trials/10 and all trials.
+    whether it stabilizes: the maximum over all trials must equal the
+    maximum over the first min(100, trials).
     """
     b = boundary_word(rank) if b is None else b
     _check_filling_minimal(b)
@@ -491,12 +481,6 @@ class BoundaryAutomorphism:
         }
 
 
-def _exponent_sums(w: Word) -> tuple[int, int]:
-    p = sum(1 if l == 1 else -1 for l in w.letters if abs(l) == 1)
-    q = sum(1 if l == 2 else -1 for l in w.letters if abs(l) == 2)
-    return p, q
-
-
 def build_boundary_pA() -> BoundaryAutomorphism:
     """The automorphism x -> xy, y -> yxy of the rank-2 group.
 
@@ -516,7 +500,7 @@ def build_boundary_pA() -> BoundaryAutomorphism:
     y_img = apply_automorphism(chain, Word((2,), rank))
     if apply_automorphism(chain, b) != b:
         raise InternalContradictionError("composite does not fix the boundary")
-    hom = (_exponent_sums(x_img), _exponent_sums(y_img))
+    hom = (exponent_sums(x_img), exponent_sums(y_img))
     # columns of the homology matrix are the image exponent vectors
     matrix = ((hom[0][0], hom[1][0]), (hom[0][1], hom[1][1]))
     det = matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
@@ -612,10 +596,7 @@ def _adjacency_path(b: Word) -> tuple[tuple[Word, ...] | None, tuple[Word, ...] 
     return psi_path, None
 
 
-def exp_quasiflat(
-    grid_radius: int = 8,
-    seed: int = 0,
-) -> ExperimentReport:
+def exp_quasiflat(radius: int = 8) -> ExperimentReport:
     """Distance bounds over the orbit grid psi^r ad_b^k(<x>), with a linear fit.
 
     The lower bound on the graph distance between two grid vertices is
@@ -626,17 +607,12 @@ def exp_quasiflat(
     least-squares fit lower >= c * (|dr| + |dk|) - C is reported, with C
     enlarged to cover every grid pair.
     """
-    R = grid_radius
+    R = radius
     values, psi_x, b, psi = _grid_values((-R, R), R)
     slopes = {r: slope_of(psi_x[r], assume_primitive=True) for r in range(-R, R + 1)}
     report = ExperimentReport(
         "quasiflat",
-        {
-            "rank": 2,
-            "b": format_word(b),
-            "grid_radius": R,
-            "seed": seed,
-        },
+        {"rank": 2, "b": format_word(b), "grid_radius": R},
     )
     for (r, k), value in sorted(values.items()):
         report.trials.append({"r": r, "k": k, "value": value, "slope": str(slopes[r])})
@@ -687,10 +663,7 @@ def exp_quasiflat(
     return report
 
 
-def exp_twist_stability(
-    radius: int = 8,
-    seed: int = 0,
-) -> ExperimentReport:
+def exp_twist_stability(radius: int = 8) -> ExperimentReport:
     """Displacement of the invariant under psi powers at fixed conjugation depth.
 
     Measures |value(r, k) - value(0, k)| over r in [0, radius], k in
@@ -701,12 +674,7 @@ def exp_twist_stability(
     values, _, b, _ = _grid_values((0, R), R)
     report = ExperimentReport(
         "twist-stability",
-        {
-            "rank": 2,
-            "b": format_word(b),
-            "radius": R,
-            "seed": seed,
-        },
+        {"rank": 2, "b": format_word(b), "radius": R},
     )
     threshold = max(1, R // 2)
     overall = 0
@@ -744,9 +712,10 @@ def exp_twist_stability(
 # boundary words minimize to twice the rank
 
 
-def exp_boundary_length(ranks=(2, 3, 4)) -> ExperimentReport:
-    """Surface boundary words minimize to cyclic length 2*rank and fill."""
-    ranks = list(ranks)
+def exp_boundary_length(rank: int = 4) -> ExperimentReport:
+    """The surface boundary word of each rank n = 2..rank minimizes to
+    cyclic length 2n and fills."""
+    ranks = list(range(2, rank + 1))
     report = ExperimentReport("boundary-length", {"ranks": ranks})
     for n in ranks:
         w = boundary_word(n)
@@ -772,67 +741,71 @@ def exp_boundary_length(ranks=(2, 3, 4)) -> ExperimentReport:
 # dispatch
 
 
-_RANK_TWO_ONLY = ("quasiflat", "twist-stability")
+def _parameters(fn) -> dict:
+    """The parameters run_experiment may pass fn, in order, with defaults.
+
+    Keyword-only parameters (basis_chain) are for library callers only.
+    """
+    return {
+        p.name: p.default
+        for p in inspect.signature(fn).parameters.values()
+        if p.kind is p.POSITIONAL_OR_KEYWORD
+    }
 
 
-def _validate(name: str, rank: int | None, kwargs: dict) -> None:
-    """Reject parameters that would crash an experiment, pass vacuously or
-    be ignored."""
-    unknown = sorted(set(kwargs) - set(EXPERIMENT_PARAMETERS[name]))
-    if unknown:
-        raise DomainError(
-            f"{name} does not take {', '.join(unknown)}; "
-            f"it takes {', '.join(EXPERIMENT_PARAMETERS[name])}"
-        )
-    if rank is not None and rank < 2:
-        raise DomainError(f"rank must be at least 2, got {rank}")
-    if rank is not None and rank != 2 and name in _RANK_TWO_ONLY:
-        raise DomainError(f"{name} runs in rank 2 only, got rank {rank}")
-    for key in ("trials", "radius"):
-        value = kwargs.get(key)
-        if value is not None and value < 1:
-            raise DomainError(f"{key} must be at least 1, got {value}")
-    if kwargs.get("k_lo", -10) > kwargs.get("k_hi", 10):
-        raise DomainError(
-            f"empty exponent range: k_lo = {kwargs['k_lo']} > k_hi = {kwargs['k_hi']}"
-        )
+# name -> (function, the parameters run_experiment passes it).  Defaults
+# live only in the signatures.  Every experiment accepts rank; one whose
+# function takes no rank runs in rank 2 only.
+EXPERIMENTS = {
+    name: (fn, _parameters(fn))
+    for name, fn in (
+        ("lipschitz", exp_lipschitz),
+        ("cancellation", exp_cancellation),
+        ("zero-fiber", exp_fzero_fiber),
+        ("basis-change", exp_basis_change),
+        ("quasiflat", exp_quasiflat),
+        ("boundary-length", exp_boundary_length),
+        ("twist-stability", exp_twist_stability),
+    )
+}
+
+EXPERIMENT_NAMES = tuple(EXPERIMENTS)
+
+# The smallest value each integer parameter may take.
+_MINIMUM = {"rank": 2, "trials": 1, "radius": 1}
 
 
 def run_experiment(name: str, **kwargs) -> ExperimentReport:
     """Run a named experiment.
 
-    Unknown names, parameters the experiment does not take and bad values
-    raise DomainError.
+    Unknown names, parameters the experiment does not take and values that
+    would crash it, pass vacuously or be ignored raise DomainError.  The
+    function is looked up as a module attribute at call time, so that a
+    wrapper written over that attribute (a call tracer, a test's fake) is
+    what runs, and it is given its arguments positionally, in signature
+    order.
     """
-    if name not in EXPERIMENT_PARAMETERS:
+    if name not in EXPERIMENTS:
         raise DomainError(
             f"unknown experiment {name!r}; known: {', '.join(EXPERIMENT_NAMES)}"
         )
-    rank = kwargs.pop("rank", None)
-    _validate(name, rank, kwargs)
-    if name == "boundary-length":
-        return exp_boundary_length((2, 3, 4) if rank is None else range(2, rank + 1))
-    rank = 2 if rank is None else rank
-    if name == "lipschitz":
-        return exp_lipschitz(
-            rank, kwargs.get("b"), kwargs.get("trials", 1000), kwargs.get("seed", 0)
+    fn, parameters = EXPERIMENTS[name]
+    accepted = tuple(dict.fromkeys(("rank", *parameters)))
+    unknown = sorted(set(kwargs) - set(accepted))
+    if unknown:
+        raise DomainError(
+            f"{name} does not take {', '.join(unknown)}; it takes {', '.join(accepted)}"
         )
-    if name == "cancellation":
-        return exp_cancellation(
-            rank, kwargs.get("b"), kwargs.get("trials", 1000), kwargs.get("seed", 0)
+    for key, value in kwargs.items():
+        if key in _MINIMUM and value < _MINIMUM[key]:
+            raise DomainError(f"{key} must be at least {_MINIMUM[key]}, got {value}")
+    if "rank" not in parameters:
+        rank = kwargs.pop("rank", 2)
+        if rank != 2:
+            raise DomainError(f"{name} runs in rank 2 only, got rank {rank}")
+    values = {**parameters, **kwargs}
+    if "k_lo" in values and values["k_lo"] > values["k_hi"]:
+        raise DomainError(
+            f"empty exponent range: k_lo = {values['k_lo']} > k_hi = {values['k_hi']}"
         )
-    if name == "zero-fiber":
-        return exp_fzero_fiber(
-            rank,
-            kwargs.get("b"),
-            kwargs.get("a"),
-            kwargs.get("k_lo", -10),
-            kwargs.get("k_hi", 10),
-        )
-    if name == "basis-change":
-        return exp_basis_change(
-            rank, kwargs.get("b"), kwargs.get("trials", 1000), kwargs.get("seed", 0)
-        )
-    if name == "quasiflat":
-        return exp_quasiflat(kwargs.get("radius", 8), kwargs.get("seed", 0))
-    return exp_twist_stability(kwargs.get("radius", 8), kwargs.get("seed", 0))
+    return globals()[fn.__name__](*values.values())

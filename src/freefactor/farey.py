@@ -71,9 +71,14 @@ def slope_of(w: Word, assume_primitive: bool = False) -> Slope:
         raise RankError("slopes are defined for rank 2 only")
     if not assume_primitive and not is_primitive(w):
         raise PreconditionError(f"{w} is not primitive")
+    return Slope(*exponent_sums(w))
+
+
+def exponent_sums(w: Word) -> tuple[int, int]:
+    """The exponent sums of x and of y in a rank-2 word (its homology class)."""
     p = sum(1 if l == 1 else -1 for l in w.letters if abs(l) == 1)
     q = sum(1 if l == 2 else -1 for l in w.letters if abs(l) == 2)
-    return Slope(p, q)
+    return p, q
 
 
 def farey_adjacent(s: Slope, t: Slope) -> bool:

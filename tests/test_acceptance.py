@@ -183,8 +183,8 @@ def test_criterion_07_farey_distance_exhaustive():
 
 def test_criterion_08_quasiflat_grid():
     t0 = time.perf_counter()
-    quasi = exp_quasiflat(8, seed=0)
-    stab = exp_twist_stability(8, seed=0)
+    quasi = exp_quasiflat(8)
+    stab = exp_twist_stability(8)
     ok_fit = (
         quasi.summary["fit_slope"] > 0 and quasi.summary["pairs_below_line"] == 0
     )
@@ -226,9 +226,9 @@ def test_criterion_10_determinism():
         ("cancellation", {"trials": 50, "seed": 9}),
         ("zero-fiber", {"k_lo": -6, "k_hi": 6}),
         ("basis-change", {"trials": 50, "seed": 9}),
-        ("quasiflat", {"radius": 3, "seed": 9}),
+        ("quasiflat", {"radius": 3}),
         ("boundary-length", {}),
-        ("twist-stability", {"radius": 3, "seed": 9}),
+        ("twist-stability", {"radius": 3}),
     ]
     ok = True
     for name, kwargs in runs:

@@ -2,8 +2,31 @@ import json
 
 import pytest
 
-from freefactor import b_reduced_decomposition, fold, parse_word
+from freefactor import (
+    EXPERIMENT_NAMES,
+    b_reduced_decomposition,
+    fold,
+    parse_word,
+    run_experiment,
+)
 from freefactor.cli import main
+
+# Small CLI flags per experiment, and the run_experiment keywords they mean.
+SMALL_RUNS = {
+    "lipschitz": (
+        ["--n", "3", "--trials", "5", "--seed", "2"],
+        {"rank": 3, "trials": 5, "seed": 2},
+    ),
+    "cancellation": (["--trials", "5", "--seed", "2"], {"trials": 5, "seed": 2}),
+    "zero-fiber": (
+        ["--b", "xyXY", "--word", "Yxy", "--k-lo", "-2", "--k-hi", "3"],
+        {"b": parse_word("xyXY", 2), "a": parse_word("Yxy", 2), "k_lo": -2, "k_hi": 3},
+    ),
+    "basis-change": (["--trials", "5", "--seed", "2"], {"trials": 5, "seed": 2}),
+    "quasiflat": (["--radius", "2"], {"radius": 2}),
+    "boundary-length": (["--n", "3"], {"rank": 3}),
+    "twist-stability": (["--radius", "2"], {"radius": 2}),
+}
 
 
 def run(capsys, *argv):
@@ -85,7 +108,7 @@ class TestJsonOutput:
         code, _, _ = run(capsys, "classify", "--n", "2", "xyXY", "--out", str(path))
         assert code == 0
         data = json.loads(path.read_text())
-        assert data["schema_version"] == 2
+        assert data["schema_version"] == 3
         assert data["verdict"] == "Filling"
         assert data["minimized"] == "xyXY"
         assert data["length_trace"] == [4]
@@ -226,6 +249,7 @@ class TestExperimentCommand:
             ["quasiflat", "--radius", "0"],
             ["lipschitz", "--n", "0"],
             ["lipschitz", "--trials", "-5"],
+            ["quasiflat", "--n", "3"],
         ],
     )
     def test_bad_parameters_exit_1(self, capsys, tmp_path, argv):
@@ -254,3 +278,20 @@ class TestExperimentCommand:
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+    def test_same_bytes_as_run_experiment(self, capsys, tmp_path, name):
+        argv, kwargs = SMALL_RUNS[name]
+        path = tmp_path / "report.json"
+        code, _, _ = run(capsys, "experiment", name, *argv, "--out", str(path))
+        assert code == 0
+        assert path.read_text() == run_experiment(name, **kwargs).to_json()
+
+    @pytest.mark.parametrize("name", ["quasiflat", "twist-stability"])
+    def test_grid_ignores_seed_flag(self, capsys, tmp_path, name):
+        path = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys, "experiment", name, "--radius", "2", "--seed", "4", "--out", str(path)
+        )
+        assert code == 0
+        assert "seed" not in json.loads(path.read_text())["parameters"]

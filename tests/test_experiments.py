@@ -33,7 +33,7 @@ class TestBoundaryWords:
         assert boundary_word(4).letters == (1, 2, -1, -2, 3, 4, -3, -4)
 
     def test_lengths_and_filling(self):
-        report = exp_boundary_length((2, 3, 4))
+        report = exp_boundary_length(4)
         assert report.violations == 0
         assert [t["minimal_length"] for t in report.trials] == [4, 6, 8]
         assert all(t["verdict"] == "filling" for t in report.trials)
@@ -151,7 +151,7 @@ class TestBasisChange:
 
 class TestQuasiflat:
     def test_small_grid(self):
-        report = exp_quasiflat(3, seed=0)
+        report = exp_quasiflat(3)
         assert report.violations == 0
         assert report.summary["fit_slope"] > 0
         assert report.summary["pairs_below_line"] == 0
@@ -167,7 +167,7 @@ class TestQuasiflat:
         )
 
     def test_upper_bound_paths_verified(self):
-        report = exp_quasiflat(2, seed=0)
+        report = exp_quasiflat(2)
         path = report.summary["ad_path"]
         if path is not None:
             from freefactor import is_basis_pair, parse_word
@@ -179,7 +179,7 @@ class TestQuasiflat:
 
     def test_adjacency_paths_cached_across_radii(self):
         _adjacency_path.cache_clear()
-        reports = [exp_quasiflat(radius, seed=0) for radius in (1, 2)]
+        reports = [exp_quasiflat(radius) for radius in (1, 2)]
         info = _adjacency_path.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         for report in reports:
@@ -191,7 +191,7 @@ class TestQuasiflat:
 
 class TestTwistStability:
     def test_zero_displacement_growth(self):
-        report = exp_twist_stability(4, seed=0)
+        report = exp_twist_stability(4)
         assert report.violations == 0
         assert report.summary["settle_at_k0"] <= 2
         assert report.summary["empirical_bound"] >= 0
@@ -210,9 +210,9 @@ class TestReports:
             ("cancellation", {"trials": 8, "seed": 4}),
             ("zero-fiber", {"k_lo": -3, "k_hi": 3}),
             ("basis-change", {"trials": 8, "seed": 4}),
-            ("quasiflat", {"radius": 2, "seed": 4}),
+            ("quasiflat", {"radius": 2}),
             ("boundary-length", {}),
-            ("twist-stability", {"radius": 2, "seed": 4}),
+            ("twist-stability", {"radius": 2}),
         ],
     )
     def test_deterministic_bytes(self, name, kwargs):
@@ -250,6 +250,8 @@ class TestReports:
             ("zero-fiber", {"k_lo": 5, "k_hi": 4}),
             ("quasiflat", {"trials": 5}),
             ("boundary-length", {"ranks": (2, 3)}),
+            ("quasiflat", {"seed": 4}),
+            ("twist-stability", {"seed": 4}),
         ],
     )
     def test_bad_parameters_rejected(self, name, kwargs):
@@ -263,3 +265,19 @@ class TestReports:
 
         with pytest.raises(DomainError):
             run_experiment("nope")
+
+    def test_calls_module_attribute_positionally(self, monkeypatch):
+        from freefactor import experiments
+
+        calls = []
+
+        def fake(*args, **kwargs):
+            calls.append((args, kwargs))
+            return "report"
+
+        monkeypatch.setattr(experiments, "exp_quasiflat", fake)
+        monkeypatch.setattr(experiments, "exp_boundary_length", fake)
+        assert run_experiment("quasiflat", radius=3) == "report"
+        assert run_experiment("quasiflat", rank=2, radius=3) == "report"
+        assert run_experiment("boundary-length") == "report"
+        assert calls == [((3,), {}), ((3,), {}), ((4,), {})]
