@@ -87,9 +87,6 @@ class CoreGraph:
             cur = nxt
         return cur == self.basepoint
 
-    def contains_all(self, words) -> bool:
-        return all(self.contains(w) for w in words)
-
     def subgroup_basis(self) -> list[Word]:
         """A free basis read off a spanning tree (one word per extra edge)."""
         letter_order = _letter_order(self.rank)
@@ -297,8 +294,8 @@ def af_adjacent(a: FreeFactorVertex, b: FreeFactorVertex) -> bool:
         if len(a.generators) != 1 or len(b.generators) != 1:
             raise DomainError("rank-2 factors must be cyclic")
         return is_basis_pair(a.generators[0], b.generators[0])
-    a_in_b = b.graph.contains_all(a.generators)
-    b_in_a = a.graph.contains_all(b.generators)
+    a_in_b = all(b.graph.contains(w) for w in a.generators)
+    b_in_a = all(a.graph.contains(w) for w in b.generators)
     return a_in_b != b_in_a
 
 

@@ -8,11 +8,14 @@ map to edges, so this graph models the rank-2 factor graph up to inner
 automorphisms.
 
 The primary distance algorithm moves the target to 1/0 by a unimodular
-matrix and walks a continued-fraction style recursion; an explicit
-breadth-first-search oracle over a truncated graph is provided for
-cross-checking.  The recursion is exact: every neighbor of 1/0 is an
-integer, and any geodesic from 1/0 to x must enter the interval of x
-through floor(x) or ceil(x) (arcs of the Farey tessellation do not cross).
+matrix and folds a min-plus recurrence over the regular continued
+fraction of the image (Beardon-Hockman-Short, "Geodesic continued
+fractions", 2012).  It keeps no state between calls and takes one step
+per partial quotient, O(log q).  The recurrence is exact: every neighbor
+of 1/0 is an integer, and any geodesic from 1/0 to x must enter the
+interval of x through floor(x) or ceil(x) (arcs of the Farey tessellation
+do not cross).  An explicit breadth-first-search oracle over a truncated
+graph is provided for cross-checking.
 """
 
 from __future__ import annotations
@@ -85,50 +88,37 @@ def farey_adjacent(s: Slope, t: Slope) -> bool:
     return abs(s.p * t.q - s.q * t.p) == 1
 
 
-_DIST_CACHE: dict[tuple[int, int], int] = {}
-
-
 def _dist_to_infinity(p: int, q: int) -> int:
     """Graph distance from p/q to 1/0.  Requires gcd(p, q) == 1, q >= 0.
 
-    d(1/0, x) = 1 + min over the two flanking integers n of d(n, x), and
-    moving n to 1/0 turns d(n, x) into a subproblem with a strictly smaller
-    denominator.  Iterative with memoization (chains can be long).
+    Translate x = p/q into [0, 1) and write x = [0; a_1, ..., a_n].  A
+    geodesic leaves 1/0 through floor(x) or ceil(x); moving that integer
+    to 1/0 drops a_1 (floor exit) or decrements the head (ceil exit), and
+    a head of 1 drops two quotients.  So with D_{n+1} = 1 and D_{n+2} = 0,
+
+        D_i = min(1 + D_{i+1}, a_i + D_{i+2}),
+
+    and the distance is D_1.  This is the min-plus product
+    (0, 1) . M(a_1) ... M(a_n) . (1, 0) with M(a) = [[1, a], [0, inf]],
+    which Euclid's loop evaluates left to right on the row vector (u, v):
+    two integers of state and one step per partial quotient, O(log q).
     """
     if q == 0:
         return 0
-    if q == 1:
-        return 1
     p %= q
-    stack = [(p, q)]
-    while stack:
-        r, den = stack[-1]
-        if (r, den) in _DIST_CACHE:
-            stack.pop()
-            continue
-        children = []
-        for d2 in (r, den - r):
-            if d2 == 1:
-                children.append(1)
-            else:
-                key = (den % d2, d2)
-                val = _DIST_CACHE.get(key)
-                if val is None:
-                    stack.append(key)
-                    children = None
-                    break
-                children.append(val)
-        if children is not None:
-            _DIST_CACHE[(r, den)] = 1 + min(children)
-            stack.pop()
-    return _DIST_CACHE[(p, q)]
+    u, v = 0, 1
+    while p:
+        # min(u + 1, v), spelled out: calling min() makes the loop ~3x slower
+        u, v = (u + 1 if u < v else v), u + q // p
+        q, p = p, q % p
+    return u + 1 if u < v else v
 
 
 def farey_distance(s: Slope, t: Slope) -> int:
     """Exact graph distance between two slopes.
 
     Completes t to a determinant-one matrix sending it to 1/0, applies the
-    matrix to s, and walks the continued-fraction recursion from there.
+    matrix to s, and folds the continued fraction of the image.
     """
     if s == t:
         return 0
@@ -269,7 +259,10 @@ class FareyGraph:
         return dist
 
     def distance(self, s: Slope, t: Slope) -> int:
-        d = int(self.bfs(s)[self.index[t]])
+        dst = self.index.get(t)
+        if dst is None:
+            raise DomainError(f"slope {t} outside box of size {self.limit}")
+        d = int(self.bfs(s)[dst])
         if d < 0:
             raise DomainError("target unreachable within the box")
         return d

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,8 +22,52 @@ from freefactor import (
     slope_of,
 )
 from freefactor.experiments import build_boundary_pA
+from freefactor.farey import _dist_to_infinity
 
 from conftest import W
+
+
+def oracle_dist_to_infinity(p: int, q: int, cache: dict | None = None) -> int:
+    """Reference for ``_dist_to_infinity``: the memoized floor/ceil walk.
+
+    d(1/0, x) = 1 + min over the two flanking integers n of d(n, x), and
+    moving n to 1/0 turns d(n, x) into a subproblem with a strictly smaller
+    denominator.  Iterative over ``cache``; one state per step of each
+    partial quotient, so O(sum of partial quotients) time and memory.
+    """
+    if cache is None:
+        cache = {}
+    if q == 0:
+        return 0
+    if q == 1:
+        return 1
+    p %= q
+    stack = [(p, q)]
+    while stack:
+        r, den = stack[-1]
+        if (r, den) in cache:
+            stack.pop()
+            continue
+        children = []
+        for d2 in (r, den - r):
+            if d2 == 1:
+                children.append(1)
+            else:
+                key = (den % d2, d2)
+                val = cache.get(key)
+                if val is None:
+                    stack.append(key)
+                    children = None
+                    break
+                children.append(val)
+        if children is not None:
+            cache[(r, den)] = 1 + min(children)
+            stack.pop()
+    return cache[(p, q)]
+
+
+def random_slope(rng, bound: int) -> Slope:
+    return Slope(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
 class TestSlope:
@@ -111,6 +157,62 @@ class TestDistance:
             assert (farey_distance(s, t) == 0) == (s == t)
         for s, t, u in itertools.combinations(slopes[:12], 3):
             assert farey_distance(s, u) <= farey_distance(s, t) + farey_distance(t, u)
+
+
+class TestContinuedFractionFold:
+    def test_matches_oracle_on_box(self):
+        cache = {}
+        for q in range(401):
+            for p in range(-400, 401):
+                if math.gcd(p, q) == 1:
+                    assert _dist_to_infinity(p, q) == oracle_dist_to_infinity(
+                        p, q, cache
+                    ), (p, q)
+
+    def test_matches_oracle_on_random_slopes(self):
+        rng = random.Random(7)
+        for _ in range(10**5):
+            s = random_slope(rng, 10**6)
+            assert _dist_to_infinity(s.p, s.q) == oracle_dist_to_infinity(
+                s.p, s.q
+            ), s
+
+    def test_huge_partial_quotient(self):
+        assert farey_distance(Slope(1, 0), Slope(1, 10**12)) == 2
+        assert farey_distance(Slope(1, 10**12), Slope(1, 0)) == 2
+
+    def test_automorphism_invariance_and_symmetry_large(self):
+        rng = random.Random(11)
+        for _ in range(2000):
+            s, t = random_slope(rng, 10**18), random_slope(rng, 10**18)
+            d = farey_distance(s, t)
+            assert d == farey_distance(t, s)
+            shifted = farey_distance(Slope(s.p + s.q, s.q), Slope(t.p + t.q, t.q))
+            inverted = farey_distance(Slope(-s.q, s.p), Slope(-t.q, t.p))
+            assert d == shifted == inverted, (s, t)
+
+    def test_memory_stays_bounded(self):
+        rng = random.Random(5)
+        pairs = [(random_slope(rng, 10**6), random_slope(rng, 10**6)) for _ in range(500)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for s, t in pairs:
+                farey_distance(s, t)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 20, retained
+
+
+class TestFareyGraph:
+    def test_target_outside_box_is_a_domain_error(self):
+        graph = FareyGraph(4)
+        assert graph.distance(Slope(1, 0), Slope(4, 1)) == 1
+        with pytest.raises(DomainError):
+            graph.distance(Slope(1, 0), Slope(9, 1))
+        with pytest.raises(DomainError):
+            graph.distance(Slope(9, 1), Slope(1, 0))
 
 
 class TestProjection:
