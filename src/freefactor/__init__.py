@@ -31,14 +31,11 @@ from .whitehead import (
     Classification,
     MinimizationCertificate,
     WhAutomorphism,
-    WhiteheadGraph,
     classify,
-    enumerate_permutation_automorphisms,
     enumerate_whitehead_automorphisms,
     find_cut_vertex,
     is_primitive,
     minimize_cyclic_length,
-    minimizing_basis,
     whitehead_graph,
 )
 from .trees import (

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -27,6 +28,7 @@ from .factors import (
     FactorWitness,
     FreeFactorVertex,
     _check_filling_minimal,
+    af_adjacent,
     factor_invariant,
     is_basis_pair,
     random_free_factor,
@@ -34,12 +36,13 @@ from .factors import (
 from .farey import exponent_sums, farey_distance, slope_of
 from .whitehead import (
     WhAutomorphism,
-    enumerate_permutation_automorphisms,
-    enumerate_whitehead_automorphisms,
+    _random_multiplier_move,
+    _signed_permutation_at,
     is_primitive,
     minimize_cyclic_length,
     classify,
     Classification,
+    vertex_order,
 )
 from .words import Word, apply_automorphism, b_index, format_word, random_word
 
@@ -110,7 +113,7 @@ def boundary_word(rank: int) -> Word:
 def _conjugation_chain(w: Word) -> tuple[WhAutomorphism, ...]:
     """Conjugation by w as a chain of single-letter conjugation moves."""
     rank = w.rank
-    letters = frozenset(v for i in range(1, rank + 1) for v in (i, -i))
+    letters = frozenset(vertex_order(rank))
     return tuple(
         WhAutomorphism.multiplier_move(l, letters - {-l}, rank)
         for l in reversed(w.letters)
@@ -125,7 +128,6 @@ def _random_edge_chain(
     Conjugating by powers of b moves factors to varying depths, so the
     sampled edges exercise the invariant away from zero.
     """
-    table = enumerate_whitehead_automorphisms(rank)
     gens = [Word((i,), rank) for i in range(1, rank + 1)]
     for _ in range(40):
         chain: list[WhAutomorphism] = []
@@ -138,7 +140,9 @@ def _random_edge_chain(
                     _conjugation_chain(random_word(rng.randint(1, 3), rank, rng))
                 )
             else:
-                chain.extend(rng.choice(table) for _ in range(rng.randint(1, 2)))
+                chain.extend(
+                    _random_multiplier_move(rng, rank) for _ in range(rng.randint(1, 2))
+                )
         if sum(len(apply_automorphism(chain, g)) for g in gens) <= image_cap:
             return tuple(chain)
     return ()
@@ -158,7 +162,8 @@ def exp_lipschitz(
 
     Rank >= 3 samples nested pairs theta(<x_i>) < theta(<x_i, x_j>); rank 2
     samples basis pairs theta(x), theta(y).  The bound is 1 for rank >= 3
-    and 2 for rank 2.
+    and 2 for rank 2.  Every sampled pair must pass ``af_adjacent``; one
+    that does not raises ``InternalContradictionError``.
     """
     b = boundary_word(rank) if b is None else b
     _check_filling_minimal(b)
@@ -177,25 +182,22 @@ def exp_lipschitz(
         rng = _rng(seed, "lipschitz", i)
         chain = _random_edge_chain(rng, rank, b)
         if rank == 2:
-            u = apply_automorphism(chain, Word((1,), 2))
-            v = apply_automorphism(chain, Word((2,), 2))
-            if not is_basis_pair(u, v):
-                raise InternalContradictionError("chain image is not a basis")
-            fa = FreeFactorVertex((u,), 2, FactorWitness(chain, (1,)))
-            fb = FreeFactorVertex((v,), 2, FactorWitness(chain, (2,)))
+            small, big = (1,), (2,)
         else:
             i1, i2 = rng.sample(range(1, rank + 1), 2)
             small = (min(i1, i2),)
             big = tuple(sorted((i1, i2)))
-            fa = FreeFactorVertex(
-                tuple(apply_automorphism(chain, Word((s,), rank)) for s in small),
+        fa, fb = (
+            FreeFactorVertex(
+                tuple(apply_automorphism(chain, Word((s,), rank)) for s in subset),
                 rank,
-                FactorWitness(chain, small),
+                FactorWitness(chain, subset),
             )
-            fb = FreeFactorVertex(
-                tuple(apply_automorphism(chain, Word((s,), rank)) for s in big),
-                rank,
-                FactorWitness(chain, big),
+            for subset in (small, big)
+        )
+        if not af_adjacent(fa, fb):
+            raise InternalContradictionError(
+                "the sampled factors are not adjacent in the free factor graph"
             )
         value_a = factor_invariant(fa, b).value
         value_b = factor_invariant(fb, b).value
@@ -421,18 +423,21 @@ def _find_second_minimizing_basis(
 ) -> tuple[WhAutomorphism, ...]:
     """A nontrivial chain whose inverse keeps b cyclically reduced at length |b|."""
     rng = _rng(seed, "second-basis")
-    perms = enumerate_permutation_automorphisms(rank)
-    table = enumerate_whitehead_automorphisms(rank)
-    candidates: list[tuple[WhAutomorphism, ...]] = []
-    for _ in range(200):
-        chain: list[WhAutomorphism] = [rng.choice(perms)]
-        chain.extend(rng.choice(table) for _ in range(rng.randint(0, 3)))
-        candidates.append(tuple(chain))
-    # the pure generator swap always preserves boundary-word length
-    swap = list(range(1, rank + 1))
-    swap[0], swap[1] = swap[1], swap[0]
-    candidates.append((WhAutomorphism.permutation_move(swap, rank),))
-    for chain in candidates:
+    perm_count = math.factorial(rank) << rank
+
+    def candidates():
+        for _ in range(200):
+            chain = [_signed_permutation_at(rank, rng.randrange(perm_count))]
+            chain.extend(
+                _random_multiplier_move(rng, rank) for _ in range(rng.randint(0, 3))
+            )
+            yield tuple(chain)
+        # the pure generator swap always preserves boundary-word length
+        swap = list(range(1, rank + 1))
+        swap[0], swap[1] = swap[1], swap[0]
+        yield (WhAutomorphism.permutation_move(swap, rank),)
+
+    for chain in candidates():
         chain_inv = tuple(phi.inverse() for phi in reversed(chain))
         image = apply_automorphism(chain_inv, b)
         if len(image) != len(b) or not image.is_cyclically_reduced():

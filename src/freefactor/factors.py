@@ -33,17 +33,12 @@ from .trees import AxisInterval, _require_axis_word
 from .whitehead import (
     Classification,
     WhAutomorphism,
+    _random_multiplier_move,
     classify,
-    enumerate_whitehead_automorphisms,
     minimize_cyclic_length,
+    vertex_order,
 )
 from .words import GENERATOR_CHARS, Word, apply_automorphism, format_word
-
-
-@lru_cache(maxsize=None)
-def _letter_order(rank: int) -> tuple[int, ...]:
-    """Signed letters in canonical order: x, X, y, Y, ..."""
-    return tuple(l for i in range(1, rank + 1) for l in (i, -i))
 
 
 class CoreGraph:
@@ -89,7 +84,7 @@ class CoreGraph:
 
     def subgroup_basis(self) -> list[Word]:
         """A free basis read off a spanning tree (one word per extra edge)."""
-        letter_order = _letter_order(self.rank)
+        letter_order = vertex_order(self.rank)
         path = {self.basepoint: ()}
         tree_edges = set()  # directed-positive identity (source, letter, target)
         queue = deque([self.basepoint])
@@ -215,7 +210,7 @@ def fold(generators, rank: int | None = None) -> CoreGraph:
 
     # Canonical renumbering: breadth-first from the basepoint, letter order;
     # each vertex's edges are stored in that letter order too.
-    letter_order = _letter_order(rank)
+    letter_order = vertex_order(rank)
     order = {0: 0}
     queue = deque([0])
     new_adj: dict[int, dict[int, int]] = {}
@@ -309,8 +304,9 @@ def random_free_factor(
         )
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     subset = tuple(sorted(rng.sample(range(1, rank_ambient + 1), factor_rank)))
-    table = enumerate_whitehead_automorphisms(rank_ambient)
-    chain = tuple(rng.choice(table) for _ in range(chain_length))
+    chain = tuple(
+        _random_multiplier_move(rng, rank_ambient) for _ in range(chain_length)
+    )
     gens = tuple(
         apply_automorphism(chain, Word((s,), rank_ambient)) for s in subset
     )

@@ -17,13 +17,20 @@ A = (Z - {a}) | {a^-1}.  One descent step therefore costs O(|w|) to build
 the edge-multiplicity matrix plus one numpy pass over the
 2N(2^(2N-2) - 1) cut sets, and only the chosen move is applied.
 
-Everything here is pure over immutable inputs; the per-rank enumeration
-tables are built once behind a cache and only ever read afterwards.
+The Whitehead graph has one representation: the symmetric
+edge-multiplicity matrix over ``vertex_order`` that descent scores
+(``whitehead_graph``), and ``find_cut_vertex`` reads the same matrix.
+Moves are addressed by their index in a fixed order, so a random move is
+drawn by unranking one random index (``_multiplier_move_at``,
+``_signed_permutation_at``) and no table of all moves is ever built.
+
+Everything here is pure over immutable inputs.  The unrankers sit behind
+bounded caches; the per-rank cut table behind an unbounded one.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -39,82 +46,45 @@ from .errors import (
 from .words import Word, apply_automorphism, cyclic_reduce
 
 
+@lru_cache(maxsize=None)
 def vertex_order(rank: int) -> tuple[int, ...]:
     """Fixed letter order x < x^-1 < y < y^-1 < ... used for tie-breaks."""
-    out = []
-    for i in range(1, rank + 1):
-        out.append(i)
-        out.append(-i)
-    return tuple(out)
+    return tuple(l for i in range(1, rank + 1) for l in (i, -i))
 
 
-def _vkey(v: int) -> tuple[int, int]:
-    return (abs(v), 0 if v > 0 else 1)
+def whitehead_graph(w: Word) -> np.ndarray:
+    """Edge-multiplicity matrix of the cyclic Whitehead graph of ``w``.
 
-
-def _canon_edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if _vkey(u) <= _vkey(v) else (v, u)
-
-
-@dataclass(frozen=True)
-class WhiteheadGraph:
-    """Multigraph on the 2*rank letter-vertices; edges carry multiplicity."""
-
-    rank: int
-    edges: tuple[tuple[int, int], ...]
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return vertex_order(self.rank)
-
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        return sum((e[0] == v) + (e[1] == v) for e in self.edges)
-
-    def simple_adjacency(self) -> dict[int, set[int]]:
-        """Adjacency with multiplicity ignored (used for connectivity)."""
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            if u != v:
-                adj[u].add(v)
-                adj[v].add(u)
-        return adj
-
-
-def whitehead_graph(w: Word) -> WhiteheadGraph:
-    """One edge {u, v^-1} per cyclic length-2 subword uv of the cyclic core."""
+    One edge {u, v^-1} per cyclic length-2 subword uv of the cyclic core;
+    rows and columns follow ``vertex_order``.  The matrix is symmetric, so
+    the edge count (the cyclic length) is ``sum // 2`` and the degree of a
+    vertex is its row sum.
+    """
     core = cyclic_reduce(w).core
     if core.is_identity():
         raise IdentityWordError("the word reduces to the identity")
-    ls = core.letters
-    pairs = [
-        _canon_edge(ls[i], -ls[(i + 1) % len(ls)]) for i in range(len(ls))
-    ]
-    pairs.sort(key=lambda e: (_vkey(e[0]), _vkey(e[1])))
-    return WhiteheadGraph(w.rank, tuple(pairs))
+    return _edge_matrix(core)
 
 
-def find_cut_vertex(g: WhiteheadGraph) -> int | None:
+def find_cut_vertex(edges: np.ndarray) -> int | None:
     """Lowest vertex (in the fixed letter order) whose removal disconnects.
 
+    ``edges`` is a Whitehead graph as ``whitehead_graph`` returns it.
     Returns None when no vertex removal disconnects the induced subgraph.
     """
-    adj = g.simple_adjacency()
-    verts = g.vertices
-    for v in verts:
-        rest = [u for u in verts if u != v]
-        seen = {rest[0]}
-        stack = [rest[0]]
+    n = len(edges)
+    adj = [np.flatnonzero(row).tolist() for row in edges]
+    for v in range(n):
+        start = 1 if v == 0 else 0
+        seen = {v, start}
+        stack = [start]
         while stack:
-            cur = stack.pop()
-            for nb in adj[cur]:
-                if nb != v and nb not in seen:
+            for nb in adj[stack.pop()]:
+                if nb not in seen:
                     seen.add(nb)
                     stack.append(nb)
-        if len(seen) < len(rest):
-            return v
+        if len(seen) < n:
+            return vertex_order(n // 2)[v]
     return None
 
 
@@ -215,6 +185,14 @@ def _moves_per_multiplier(rank: int) -> int:
     return (1 << (2 * rank - 2)) - 1
 
 
+# Entries kept by each unranker's cache: every move at ranks 2-5 fits (at
+# rank 5, 2,550 multiplier moves and 3,840 signed permutations), so repeated
+# draws cost a lookup instead of building and validating an automorphism,
+# and memory stays bounded at any rank.
+_UNRANK_CACHE = 4096
+
+
+@lru_cache(maxsize=_UNRANK_CACHE)
 def _multiplier_move_at(rank: int, index: int) -> WhAutomorphism:
     """The ``index``-th move of ``enumerate_whitehead_automorphisms(rank)``.
 
@@ -230,18 +208,47 @@ def _multiplier_move_at(rank: int, index: int) -> WhAutomorphism:
     return WhAutomorphism.multiplier_move(a, z, rank)
 
 
-@lru_cache(maxsize=None)
+def _random_multiplier_move(rng, rank: int) -> WhAutomorphism:
+    """A uniform multiplier move: the move at one random index.
+
+    Consumes ``rng`` exactly as ``rng.choice`` over the full enumeration
+    would, without building it.
+    """
+    count = 2 * rank * _moves_per_multiplier(rank)
+    return _multiplier_move_at(rank, rng.randrange(count))
+
+
 def enumerate_whitehead_automorphisms(rank: int) -> tuple[WhAutomorphism, ...]:
     """All multiplier moves in a fixed order, identity excluded.
 
     For each of the 2*rank multipliers there are 2^(2*rank-2) admissible
     sets Z, one of which ({a} alone) is the identity, so the count is
-    2*rank * (2^(2*rank-2) - 1).
+    2*rank * (2^(2*rank-2) - 1).  This order defines the move indices that
+    descent scores and draws unrank; the library never builds the tuple.
     """
     if rank < 2:
         raise RankError(f"rank must be at least 2, got {rank}")
     count = 2 * rank * _moves_per_multiplier(rank)
     return tuple(_multiplier_move_at(rank, k) for k in range(count))
+
+
+@lru_cache(maxsize=_UNRANK_CACHE)
+def _signed_permutation_at(rank: int, index: int) -> WhAutomorphism:
+    """The ``index``-th of the rank! * 2^rank signed generator permutations.
+
+    The order is ``itertools.permutations`` of the generators (lexicographic)
+    times ``itertools.product((1, -1), repeat=rank)`` of signs: the high part
+    of the index is the permutation's Lehmer rank, the low ``rank`` bits are
+    the signs, most significant bit first, a set bit meaning -1.
+    """
+    perm_index, signs = divmod(index, 1 << rank)
+    remaining = list(range(1, rank + 1))
+    images = []
+    for i in range(rank - 1, -1, -1):
+        pick, perm_index = divmod(perm_index, math.factorial(i))
+        image = remaining.pop(pick)
+        images.append(-image if signs >> i & 1 else image)
+    return WhAutomorphism.permutation_move(images, rank)
 
 
 @lru_cache(maxsize=None)
@@ -289,20 +296,6 @@ def _edge_matrix(core: Word) -> np.ndarray:
     half = np.bincount(cols * n + (np.roll(cols, -1) ^ 1), minlength=n * n)
     half = half.reshape(n, n)
     return half + half.T
-
-
-@lru_cache(maxsize=None)
-def enumerate_permutation_automorphisms(rank: int) -> tuple[WhAutomorphism, ...]:
-    """All signed permutations of the generators (identity included)."""
-    out = []
-    for perm in itertools.permutations(range(1, rank + 1)):
-        for signs in itertools.product((1, -1), repeat=rank):
-            out.append(
-                WhAutomorphism.permutation_move(
-                    tuple(s * p for s, p in zip(signs, perm)), rank
-                )
-            )
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -409,13 +402,3 @@ def is_primitive(w: Word) -> bool:
     if w.is_identity():
         raise IdentityWordError("the identity is not primitive")
     return len(minimize_cyclic_length(w).minimized) == 1
-
-
-def minimizing_basis(w: Word) -> tuple[tuple[WhAutomorphism, ...], Word]:
-    """The descent chain together with the minimal cyclically reduced word.
-
-    Read as a change of basis, the chain rewrites ``w`` in a basis that
-    minimizes its length.
-    """
-    cert = minimize_cyclic_length(w)
-    return cert.chain, cert.minimized

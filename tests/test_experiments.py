@@ -1,9 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from freefactor import (
+    InternalContradictionError,
     PreconditionError,
     Word,
     apply_automorphism,
@@ -24,6 +26,21 @@ from freefactor.experiments import _adjacency_path, _conjugation_chain
 from conftest import W
 
 DATA = Path(__file__).parent / "data"
+
+# sha256 of run_experiment(name, rank=n, trials=25, seed=1).to_json(), recorded
+# when random moves were still drawn with rng.choice from full move tables;
+# drawing by index must consume the random stream identically.
+TABLE_DRAW_DIGESTS = [
+    ("lipschitz", 2, "c93edd5c8e58b2ee9fdcd0503cc17e2de84e7f015150d40cea8eb9e8242eda6d"),
+    ("lipschitz", 3, "9bde2f8eccafe74baf00f5b15d45fb8993c2a6527bb417ec0ae54d142bc5ddc3"),
+    ("lipschitz", 4, "db1a177001da1af415673b96a64d1a267287198b6aa225837dcd8c10a6945214"),
+    ("cancellation", 2, "752941774c83a90e9d68a670c890aed1636b650854b3a7a605f56056eb17882c"),
+    ("cancellation", 3, "409c5e46dd933d1bb3bea7b78ddc4a54e5c55a80f9dbff1a868145fc55ca684b"),
+    ("cancellation", 4, "652c2104d8f6b7f4ae8375a398f7a8fccb7c4c4e51cf3e4968b0430a19df38d4"),
+    ("basis-change", 2, "bf8aef15c0be250b69ae6c41e6e8e5a826441f71e6361083cad8e125938a3475"),
+    ("basis-change", 3, "3d2011947d824cf0adf718bbb844b09e4410067e19b0bceffbb645a2e00d49af"),
+    ("basis-change", 4, "d4da6cdd54e058c99267a292fcbc3a8a58961d896eb879a1c5248bb4ec915dfe"),
+]
 
 
 class TestBoundaryWords:
@@ -88,6 +105,21 @@ class TestLipschitz:
     def test_rejects_non_filling_base(self):
         with pytest.raises(PreconditionError):
             exp_lipschitz(2, b=W("xx"), trials=1, seed=0)
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_every_pair_passes_the_edge_check(self, monkeypatch, rank):
+        import freefactor.experiments as experiments
+
+        checked = []
+
+        def not_adjacent(fa, fb):
+            checked.append((fa, fb))
+            return False
+
+        monkeypatch.setattr(experiments, "af_adjacent", not_adjacent)
+        with pytest.raises(InternalContradictionError):
+            exp_lipschitz(rank, trials=3, seed=5)
+        assert len(checked) == 1
 
 
 class TestCancellation:
@@ -259,6 +291,11 @@ class TestReports:
 
         with pytest.raises(DomainError):
             run_experiment(name, **kwargs)
+
+    @pytest.mark.parametrize("name,rank,digest", TABLE_DRAW_DIGESTS)
+    def test_same_bytes_as_table_draws(self, name, rank, digest):
+        report = run_experiment(name, rank=rank, trials=25, seed=1)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
     def test_unknown_experiment(self):
         from freefactor import DomainError

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import numpy as np
@@ -8,42 +10,62 @@ from freefactor import (
     DomainError,
     IdentityWordError,
     Word,
-    WhiteheadGraph,
+    WhAutomorphism,
     apply_automorphism,
     classify,
     cyclic_reduce,
-    enumerate_permutation_automorphisms,
     enumerate_whitehead_automorphisms,
     find_cut_vertex,
     fold,
     is_primitive,
     minimize_cyclic_length,
-    minimizing_basis,
     random_word,
     whitehead_graph,
 )
 from freefactor.experiments import boundary_word, build_boundary_pA
-from freefactor.whitehead import MinimizationCertificate, _move_scores
+from freefactor.whitehead import (
+    MinimizationCertificate,
+    _move_scores,
+    _multiplier_move_at,
+    _random_multiplier_move,
+    _signed_permutation_at,
+    vertex_order,
+)
 
 from conftest import W
+
+
+def graph_from_edges(rank, edges):
+    """Whitehead graph matrix built by hand from a list of letter pairs."""
+    col = {v: i for i, v in enumerate(vertex_order(rank))}
+    g = np.zeros((2 * rank, 2 * rank), dtype=np.int64)
+    for u, v in edges:
+        g[col[u], col[v]] += 1
+        g[col[v], col[u]] += 1
+    return g
+
+
+def degree(g, v):
+    return int(g.sum(axis=1)[vertex_order(len(g) // 2).index(v)])
 
 
 class TestWhiteheadGraph:
     def test_commutator_is_four_cycle(self, b2):
         g = whitehead_graph(b2)
         # cycle x - y^-1 - x^-1 - y - x
-        assert sorted(g.edges) == sorted(((1, -2), (-1, -2), (-1, 2), (1, 2)))
-        assert g.edge_count() == 4
-        assert all(g.degree(v) == 2 for v in g.vertices)
+        expected = graph_from_edges(2, ((1, -2), (-1, -2), (-1, 2), (1, 2)))
+        assert np.array_equal(g, expected)
+        assert g.sum() // 2 == 4
+        assert all(degree(g, v) == 2 for v in vertex_order(2))
 
     def test_square_doubles_edge(self):
         g = whitehead_graph(W("xx"))
-        assert g.edges == ((1, -1), (1, -1))
-        assert g.degree(2) == 0 and g.degree(-2) == 0
+        assert np.array_equal(g, graph_from_edges(2, ((1, -1), (1, -1))))
+        assert degree(g, 2) == 0 and degree(g, -2) == 0
 
     def test_xy_disconnected(self):
         g = whitehead_graph(W("xy"))
-        assert sorted(g.edges) == sorted(((1, -2), (-1, 2)))
+        assert np.array_equal(g, graph_from_edges(2, ((1, -2), (-1, 2))))
 
     def test_identity_rejected(self):
         with pytest.raises(IdentityWordError):
@@ -56,7 +78,7 @@ class TestWhiteheadGraph:
             if cyclic_reduce(w).core.is_identity():
                 continue
             g = whitehead_graph(w)
-            assert g.edge_count() == len(cyclic_reduce(w).core)
+            assert g.sum() // 2 == len(cyclic_reduce(w).core)
 
     def test_degree_counts_letter_occurrences(self):
         rng = random.Random(4)
@@ -66,9 +88,9 @@ class TestWhiteheadGraph:
             if core.is_identity():
                 continue
             g = whitehead_graph(w)
-            for v in g.vertices:
+            for v in vertex_order(2):
                 occurrences = sum(1 for l in core.letters if l in (v, -v))
-                assert g.degree(v) == occurrences
+                assert degree(g, v) == occurrences
 
 
 class TestCutVertex:
@@ -83,9 +105,87 @@ class TestCutVertex:
         assert find_cut_vertex(whitehead_graph(W("xx"))) == 1
 
     def test_path_graph_interior(self):
-        g = WhiteheadGraph(2, ((1, 2), (2, -1), (-1, -2)))  # path x-y-X-Y
+        g = graph_from_edges(2, ((1, 2), (2, -1), (-1, -2)))  # path x-y-X-Y
         v = find_cut_vertex(g)
         assert v in (2, -1)  # an interior vertex
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_matches_edge_list_oracle(self, rank):
+        # minimized words, where the cut vertex decides the classification,
+        # and the random words they came from, whose graphs can be connected
+        # and still have a cut vertex
+        verdicts = set()
+        for core in _random_cores(rank, 500, seed=50 + rank, lengths=(2, 20)):
+            for word in (core, minimize_cyclic_length(core).minimized):
+                expected = oracle_find_cut_vertex(word)
+                assert find_cut_vertex(whitehead_graph(word)) == expected, word
+                verdicts.add(expected)
+        # no cut vertex, and a cut at the first vertex and at a later one
+        assert {None, 1} < verdicts
+
+
+def oracle_find_cut_vertex(w: Word) -> int | None:
+    """The cut-vertex search over a sorted edge list of letter pairs.
+
+    This was the library's Whitehead graph before the edge-multiplicity
+    matrix became its only form; it stays here as the reference for the
+    differential test.
+    """
+
+    def vkey(v):
+        return (abs(v), 0 if v > 0 else 1)
+
+    ls = cyclic_reduce(w).core.letters
+    edges = sorted(
+        (tuple(sorted((ls[i], -ls[(i + 1) % len(ls)]), key=vkey)) for i in range(len(ls))),
+        key=lambda e: (vkey(e[0]), vkey(e[1])),
+    )
+    verts = sorted((v for i in range(1, w.rank + 1) for v in (i, -i)), key=vkey)
+    adj = {v: set() for v in verts}
+    for u, v in edges:
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    for v in verts:
+        rest = [u for u in verts if u != v]
+        seen = {rest[0]}
+        stack = [rest[0]]
+        while stack:
+            cur = stack.pop()
+            for nb in adj[cur]:
+                if nb != v and nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        if len(seen) < len(rest):
+            return v
+    return None
+
+
+def oracle_permutation_automorphisms(rank):
+    """All signed permutations of the generators (identity included), in the
+    order ``itertools.permutations`` x ``itertools.product((1, -1))``."""
+    return tuple(
+        WhAutomorphism.permutation_move(tuple(s * p for s, p in zip(signs, perm)), rank)
+        for perm in itertools.permutations(range(1, rank + 1))
+        for signs in itertools.product((1, -1), repeat=rank)
+    )
+
+
+def oracle_multiplier_moves(rank):
+    """Multiplier moves by multiplier a in vertex order, then by the set Z.
+
+    The sets run in the order of the bit mask over the other letters (bit i
+    for the i-th other letter): ``itertools.product`` over those letters in
+    reverse, the empty choice (the identity) skipped.
+    """
+    out = []
+    for a in vertex_order(rank):
+        others = [v for v in vertex_order(rank) if abs(v) != abs(a)]
+        for picks in itertools.product((False, True), repeat=len(others)):
+            chosen = {v for v, pick in zip(reversed(others), picks) if pick}
+            if chosen:
+                out.append(WhAutomorphism.multiplier_move(a, chosen | {a}, rank))
+    return tuple(out)
 
 
 class TestEnumeration:
@@ -118,10 +218,37 @@ class TestEnumeration:
                 assert apply_automorphism((inv, phi), w) == w
 
     def test_permutation_enumeration(self):
-        perms = enumerate_permutation_automorphisms(2)
+        perms = oracle_permutation_automorphisms(2)
         assert len(perms) == 8  # 2! * 2^2
         for phi in perms:
             assert phi.inverse().inverse() == phi
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_multiplier_unranker(self, rank):
+        table = oracle_multiplier_moves(rank)
+        assert enumerate_whitehead_automorphisms(rank) == table
+        assert tuple(_multiplier_move_at(rank, k) for k in range(len(table))) == table
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_signed_permutation_unranker(self, rank):
+        perms = oracle_permutation_automorphisms(rank)
+        assert len(perms) == math.factorial(rank) << rank
+        assert tuple(_signed_permutation_at(rank, k) for k in range(len(perms))) == perms
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_draws_consume_stream_like_choice(self, rank):
+        # rng.choice(table) and the index draw pick the same move and leave
+        # the random stream in the same state
+        table = enumerate_whitehead_automorphisms(rank)
+        perms = oracle_permutation_automorphisms(rank)
+        for seed in range(3):
+            by_table, by_index = random.Random(seed), random.Random(seed)
+            for _ in range(1000):
+                assert by_table.choice(table) == _random_multiplier_move(by_index, rank)
+                assert by_table.choice(perms) == _signed_permutation_at(
+                    rank, by_index.randrange(len(perms))
+                )
+            assert by_table.random() == by_index.random()
 
 
 class TestMinimize:
@@ -205,13 +332,16 @@ class TestClassify:
                 assert find_cut_vertex(whitehead_graph(image)) is not None
 
     def test_minimizing_basis(self, b2):
-        chain, word = minimizing_basis(b2)
-        assert chain == () and word == b2
+        # the certificate's chain rewrites w in a basis minimizing its length
+        cert = minimize_cyclic_length(b2)
+        assert cert.chain == () and cert.minimized == b2
         g = W("yx")
-        chain, word = minimizing_basis(g * b2 * g.inverse())
-        assert len(word) == 4
-        chain, word = minimizing_basis(W("xy"))
-        assert len(word) == 1
+        w = g * b2 * g.inverse()
+        cert = minimize_cyclic_length(w)
+        assert len(cert.minimized) == 4
+        assert cyclic_reduce(apply_automorphism(cert.chain, w)).core == cert.minimized
+        cert = minimize_cyclic_length(W("xy"))
+        assert len(cert.chain) == 1 and len(cert.minimized) == 1
 
 
 def oracle_is_simple(w: Word, max_growth: int = 0):
@@ -236,7 +366,7 @@ def oracle_is_simple(w: Word, max_growth: int = 0):
         raise IdentityWordError("oracle needs a nontrivial word")
     bound = len(start) + max_growth
     moves = list(enumerate_whitehead_automorphisms(2)) + list(
-        enumerate_permutation_automorphisms(2)
+        oracle_permutation_automorphisms(2)
     )
     seen = {start}
     frontier = [start]
