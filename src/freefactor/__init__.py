@@ -59,7 +59,6 @@ from .factors import (
 from .farey import (
     FareyGraph,
     Slope,
-    closest_orbit_point,
     farey_adjacent,
     farey_distance,
     of2_project,

@@ -1,4 +1,4 @@
-"""The Farey graph: slopes, exact distances, and closest-orbit-point maps.
+"""The Farey graph: slopes, exact distances, and a breadth-first-search oracle.
 
 Vertices are primitive integer pairs up to overall sign (slopes p/q,
 including 1/0); an edge joins two slopes iff the determinant of the pair
@@ -14,8 +14,12 @@ fractions", 2012).  It keeps no state between calls and takes one step
 per partial quotient, O(log q).  The recurrence is exact: every neighbor
 of 1/0 is an integer, and any geodesic from 1/0 to x must enter the
 interval of x through floor(x) or ceil(x) (arcs of the Farey tessellation
-do not cross).  An explicit breadth-first-search oracle over a truncated
-graph is provided for cross-checking.
+do not cross).  The matrix comes from one modular inverse, a C call.
+
+An explicit breadth-first-search oracle over a truncated box is provided
+for cross-checking.  Its V vertices and their edges are built in O(V)
+from Farey parents (two per slope, from p^-1 mod q), and each BFS level
+is gathered through a mask over a per-edge source array.
 """
 
 from __future__ import annotations
@@ -55,9 +59,10 @@ class Slope:
         if len(parts) != 2:
             raise DomainError(f"cannot parse slope {text!r}; expected p/q")
         try:
-            return cls(int(parts[0]), int(parts[1]))
+            p, q = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise DomainError(f"cannot parse slope {text!r}") from exc
+        return cls(p, q)
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
@@ -120,28 +125,21 @@ def farey_distance(s: Slope, t: Slope) -> int:
     Completes t to a determinant-one matrix sending it to 1/0, applies the
     matrix to s, and folds the continued fraction of the image.
     """
-    if s == t:
+    tp, tq = t.p, t.q
+    if s.p == tp and s.q == tq:
         return 0
-    g, u, v = _extended_gcd(t.p, t.q)
-    p2 = u * s.p + v * s.q
-    q2 = t.p * s.q - t.q * s.p
+    q2 = tp * s.q - tq * s.p
+    if tq == 0:  # t = 1/0 already
+        p2 = s.p
+    elif tq == 1:  # x -> 1/(tp - x) sends tp to 1/0
+        p2 = s.q
+    else:
+        # Bezout pair u*tp + v*tq = 1, with u = tp^-1 mod tq from C
+        u = pow(tp, -1, tq)
+        p2 = u * s.p + (1 - u * tp) // tq * s.q
     # distance from 1/0 is invariant under x -> -x, so the sign of p2/q2
     # does not matter
     return _dist_to_infinity(p2 if q2 >= 0 else -p2, abs(q2))
-
-
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_s, s = s, old_s - quot * s
-        old_t, t = t, old_t - quot * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def of2_project(a: FreeFactorVertex) -> Slope:
@@ -153,22 +151,6 @@ def of2_project(a: FreeFactorVertex) -> Slope:
     return slope_of(a.generators[0], assume_primitive=a.witness is not None)
 
 
-def closest_orbit_point(target: Slope, phi_images) -> int:
-    """Index of the closest slope in a window of orbit slopes.
-
-    Ties break to the smallest index, making the assignment deterministic.
-    """
-    images = list(phi_images)
-    if not images:
-        raise DomainError("orbit window is empty")
-    best, best_d = 0, farey_distance(target, images[0])
-    for j in range(1, len(images)):
-        d = farey_distance(target, images[j])
-        if d < best_d:
-            best, best_d = j, d
-    return best
-
-
 class FareyGraph:
     """Explicit Farey graph on slopes with |p|, |q| <= limit (BFS oracle).
 
@@ -178,59 +160,59 @@ class FareyGraph:
     which satisfy |p| <= |p_target| + q_target and q <= q_target, so a box
     of about twice the target size is always geodesic-complete for
     distances from 1/0.
+
+    The edges come from Farey parents (the Stern-Brocot fact): a slope p/q
+    with q >= 2 has exactly two neighbors of smaller denominator, a/b and
+    (p-a)/(q-b) with b = p^-1 mod q and a = (p*b - 1)/q, whose numerators
+    lie between 0 and p; an integer p/1 has (p-1)/1 and 1/0.  No two slopes
+    of one denominator q >= 2 are adjacent, so every edge is found exactly
+    once, from its endpoint of larger denominator (or larger integer).  The
+    build costs one modular inverse per vertex, O(V) of them, and one sort
+    for the CSR rows.  Breadth-first search keeps the source of every
+    CSR entry and gathers each level through a mask over the edges.
     """
 
     def __init__(self, limit: int):
         if limit < 1:
             raise DomainError("limit must be positive")
         self.limit = limit
-        slopes: list[Slope] = [Slope(1, 0)]
-        for q in range(1, limit + 1):
-            for p in range(-limit, limit + 1):
-                if math.gcd(p, q) == 1:
-                    slopes.append(Slope(p, q))
-        self.slopes = slopes
-        self.index = {s: i for i, s in enumerate(slopes)}
-        self._build_csr()
+        width = 2 * limit + 1
+        q, p = np.divmod(np.arange(limit * width), width)
+        q += 1
+        p -= limit
+        primitive = np.gcd(p, q) == 1
+        p, q = p[primitive], q[primitive]
+        self.slopes = [Slope(1, 0)] + [
+            Slope(a, b) for a, b in zip(p.tolist(), q.tolist())
+        ]
+        self.index = {s: i for i, s in enumerate(self.slopes)}
+        self._build_csr(p, q)
 
-    def _t_interval(self, c0: int, step: int) -> tuple[int, int] | None:
-        """Integer t with |c0 + t*step| <= limit; None means every t works."""
-        if step == 0:
-            return None if abs(c0) <= self.limit else (1, 0)
-        if step < 0:
-            c0, step = -c0, -step
-        lo = -((self.limit + c0) // step)
-        hi = (self.limit - c0) // step
-        return (lo, hi)
-
-    def _build_csr(self) -> None:
-        index = self.index
-        adjacency: list[set[int]] = [set() for _ in self.slopes]
-        for i, s in enumerate(self.slopes):
-            g, u, v = _extended_gcd(s.p, s.q)
-            # p*s' - q*r' = 1 has base solution (r0, s0) = (-v, u); all
-            # solutions differ by multiples of (p, q), and the second family
-            # covers determinant -1.
-            for r0, s0 in ((-v, u), (v, -u)):
-                iv_r = self._t_interval(r0, s.p)
-                iv_s = self._t_interval(s0, s.q)
-                if iv_r is None:
-                    iv = iv_s
-                elif iv_s is None:
-                    iv = iv_r
-                else:
-                    iv = (max(iv_r[0], iv_s[0]), min(iv_r[1], iv_s[1]))
-                for t in range(iv[0], iv[1] + 1):
-                    nbr = Slope(r0 + t * s.p, s0 + t * s.q)
-                    j = index.get(nbr)
-                    if j is not None and j != i:
-                        adjacency[i].add(j)
-                        adjacency[j].add(i)
-        counts = np.array([len(a) for a in adjacency], dtype=np.int64)
-        self.indptr = np.concatenate(([0], np.cumsum(counts)))
-        self.indices = np.empty(int(self.indptr[-1]), dtype=np.int64)
-        for i, nbrs in enumerate(adjacency):
-            self.indices[self.indptr[i] : self.indptr[i + 1]] = sorted(nbrs)
+    def _build_csr(self, p: np.ndarray, q: np.ndarray) -> None:
+        """CSR adjacency of the box; ``p/q`` are the finite slopes in order."""
+        limit, n = self.limit, len(p) + 1
+        # position[q, p + limit] is the vertex index of p/q, -1 off the box
+        position = np.full((limit + 1, 2 * limit + 1), -1, dtype=np.int64)
+        position[0, 1 + limit] = 0
+        child = np.arange(1, n, dtype=np.int64)
+        position[q, p + limit] = child
+        # pow(p, -1, 1) is 0; b = 1 turns the parent formula below into
+        # (p-1)/1 and 1/0 for integers
+        b = np.array(
+            [pow(x, -1, y) or 1 for x, y in zip(p.tolist(), q.tolist())],
+            dtype=np.int64,
+        )
+        a = (p * b - 1) // q
+        inside = np.abs(a) <= limit  # only (-limit-1)/1 falls off the box
+        u = np.concatenate((child[inside], child))
+        v = np.concatenate((position[b[inside], a[inside] + limit],
+                            position[q - b, p - a + limit]))
+        src = np.concatenate((u, v))
+        dst = np.concatenate((v, u))
+        order = np.lexsort((dst, src))
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+        self.indices = dst[order]
+        self._edge_source = src[order]
 
     def bfs(self, source: Slope) -> np.ndarray:
         """Distances from ``source`` to every vertex of the box (-1 if unreached)."""
@@ -239,24 +221,16 @@ class FareyGraph:
             raise DomainError(f"slope {source} outside box of size {self.limit}")
         dist = np.full(len(self.slopes), -1, dtype=np.int64)
         dist[src] = 0
-        frontier = np.array([src], dtype=np.int64)
+        frontier = dist == 0
         level = 0
-        while frontier.size:
-            level += 1
-            starts = self.indptr[frontier]
-            counts = self.indptr[frontier + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                break
-            base = np.repeat(starts, counts)
-            within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-            nbrs = self.indices[base + within]
+        while True:
+            nbrs = self.indices[frontier[self._edge_source]]
             nbrs = nbrs[dist[nbrs] < 0]
             if nbrs.size == 0:
-                break
+                return dist
+            level += 1
             dist[nbrs] = level
-            frontier = np.unique(nbrs)
-        return dist
+            frontier = dist == level
 
     def distance(self, s: Slope, t: Slope) -> int:
         dst = self.index.get(t)

@@ -193,6 +193,11 @@ class TestErrors:
         code, _, err = run(capsys, "reduce", "--n", "2", "z")
         assert code == 1 and "error:" in err
 
+    def test_zero_slope_names_the_domain_error(self, capsys):
+        code, out, err = run(capsys, "farey-dist", "1/0", "0/0")
+        assert code == 1 and out == ""
+        assert "slope (0, 0) is not allowed" in err
+
     def test_internal_contradiction_exit_3(self, capsys, monkeypatch):
         import freefactor.cli
         from freefactor import InternalContradictionError

@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from freefactor import (
@@ -13,7 +14,6 @@ from freefactor import (
     RankError,
     Slope,
     apply_automorphism,
-    closest_orbit_point,
     enumerate_whitehead_automorphisms,
     farey_adjacent,
     farey_distance,
@@ -70,6 +70,121 @@ def random_slope(rng, bound: int) -> Slope:
     return Slope(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
+def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        quot = old_r // r
+        old_r, r = r, old_r - quot * r
+        old_s, s = s, old_s - quot * s
+        old_t, t = t, old_t - quot * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def oracle_farey_distance(s: Slope, t: Slope) -> int:
+    """Reference for ``farey_distance``: the Bezout pair from Euclid's loop."""
+    if s == t:
+        return 0
+    g, u, v = _extended_gcd(t.p, t.q)
+    p2 = u * s.p + v * s.q
+    q2 = t.p * s.q - t.q * s.p
+    return _dist_to_infinity(p2 if q2 >= 0 else -p2, abs(q2))
+
+
+def oracle_farey_csr(limit: int) -> tuple[list[Slope], np.ndarray, np.ndarray]:
+    """Reference for the ``FareyGraph`` vertices and CSR arrays: the determinant scan.
+
+    For every slope p/q, walks the two families of solutions of
+    p*s' - q*r' = +-1 whose coordinates stay in the box, and collects the
+    neighbors in sets.
+    """
+
+    def t_interval(c0: int, step: int) -> tuple[int, int] | None:
+        """Integer t with |c0 + t*step| <= limit; None means every t works."""
+        if step == 0:
+            return None if abs(c0) <= limit else (1, 0)
+        if step < 0:
+            c0, step = -c0, -step
+        return (-((limit + c0) // step), (limit - c0) // step)
+
+    slopes = [Slope(1, 0)]
+    for q in range(1, limit + 1):
+        for p in range(-limit, limit + 1):
+            if math.gcd(p, q) == 1:
+                slopes.append(Slope(p, q))
+    index = {s: i for i, s in enumerate(slopes)}
+    adjacency: list[set[int]] = [set() for _ in slopes]
+    for i, s in enumerate(slopes):
+        g, u, v = _extended_gcd(s.p, s.q)
+        # p*s' - q*r' = 1 has base solution (r0, s0) = (-v, u); all
+        # solutions differ by multiples of (p, q), and the second family
+        # covers determinant -1.
+        for r0, s0 in ((-v, u), (v, -u)):
+            iv_r = t_interval(r0, s.p)
+            iv_s = t_interval(s0, s.q)
+            if iv_r is None:
+                iv = iv_s
+            elif iv_s is None:
+                iv = iv_r
+            else:
+                iv = (max(iv_r[0], iv_s[0]), min(iv_r[1], iv_s[1]))
+            for t in range(iv[0], iv[1] + 1):
+                j = index.get(Slope(r0 + t * s.p, s0 + t * s.q))
+                if j is not None and j != i:
+                    adjacency[i].add(j)
+                    adjacency[j].add(i)
+    counts = np.array([len(a) for a in adjacency], dtype=np.int64)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    for i, nbrs in enumerate(adjacency):
+        indices[indptr[i] : indptr[i + 1]] = sorted(nbrs)
+    return slopes, indptr, indices
+
+
+def oracle_bfs(graph: FareyGraph, source: Slope) -> np.ndarray:
+    """Reference for ``FareyGraph.bfs``: CSR row gathers and sorted frontiers."""
+    indptr, indices = graph.indptr, graph.indices
+    dist = np.full(len(graph.slopes), -1, dtype=np.int64)
+    dist[graph.index[source]] = 0
+    frontier = np.array([graph.index[source]], dtype=np.int64)
+    level = 0
+    while frontier.size:
+        level += 1
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        total = int(counts.sum())
+        if total == 0:
+            break
+        base = np.repeat(starts, counts)
+        within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+        nbrs = indices[base + within]
+        nbrs = nbrs[dist[nbrs] < 0]
+        if nbrs.size == 0:
+            break
+        dist[nbrs] = level
+        frontier = np.unique(nbrs)
+    return dist
+
+
+def closest_orbit_point(target: Slope, phi_images) -> int:
+    """Index of the closest slope in a window of orbit slopes.
+
+    Ties break to the smallest index, making the assignment deterministic.
+    """
+    images = list(phi_images)
+    if not images:
+        raise DomainError("orbit window is empty")
+    best, best_d = 0, farey_distance(target, images[0])
+    for j in range(1, len(images)):
+        d = farey_distance(target, images[j])
+        if d < best_d:
+            best, best_d = j, d
+    return best
+
+
 class TestSlope:
     def test_normalization(self):
         assert Slope(2, 4) == Slope(1, 2)
@@ -86,6 +201,8 @@ class TestSlope:
         assert Slope.from_string("-3/5") == Slope(-3, 5)
         with pytest.raises(DomainError):
             Slope.from_string("3")
+        with pytest.raises(DomainError, match=r"slope \(0, 0\) is not allowed"):
+            Slope.from_string("0/0")
 
 
 class TestSlopeOf:
@@ -191,6 +308,22 @@ class TestContinuedFractionFold:
             inverted = farey_distance(Slope(-s.q, s.p), Slope(-t.q, t.p))
             assert d == shifted == inverted, (s, t)
 
+    def test_matches_extended_gcd_reference(self):
+        rng = random.Random(17)
+        bound = 10**18
+
+        def draw() -> Slope:
+            kind = rng.randrange(4)
+            if kind == 0:
+                return Slope(1, 0)
+            if kind == 1:
+                return Slope(rng.randint(-bound, bound), 1)
+            return random_slope(rng, bound)
+
+        for _ in range(10**4):
+            s, t = draw(), draw()
+            assert farey_distance(s, t) == oracle_farey_distance(s, t), (s, t)
+
     def test_memory_stays_bounded(self):
         rng = random.Random(5)
         pairs = [(random_slope(rng, 10**6), random_slope(rng, 10**6)) for _ in range(500)]
@@ -206,6 +339,28 @@ class TestContinuedFractionFold:
 
 
 class TestFareyGraph:
+    @pytest.mark.parametrize("limit", [*range(1, 41), 128])
+    def test_csr_matches_determinant_scan(self, limit):
+        graph = FareyGraph(limit)
+        slopes, indptr, indices = oracle_farey_csr(limit)
+        assert graph.slopes == slopes
+        assert graph.indptr.dtype == indptr.dtype
+        assert graph.indices.dtype == indices.dtype
+        assert np.array_equal(graph.indptr, indptr)
+        assert np.array_equal(graph.indices, indices)
+
+    def test_bfs_matches_oracle_from_every_vertex(self):
+        graph = FareyGraph(24)
+        for s in graph.slopes:
+            assert np.array_equal(graph.bfs(s), oracle_bfs(graph, s)), s
+
+    def test_bfs_matches_oracle_on_seeded_sources(self):
+        graph = FareyGraph(128)
+        for s in random.Random(9).sample(graph.slopes, 200):
+            dist = graph.bfs(s)
+            assert dist.dtype == np.int64
+            assert np.array_equal(dist, oracle_bfs(graph, s)), s
+
     def test_target_outside_box_is_a_domain_error(self):
         graph = FareyGraph(4)
         assert graph.distance(Slope(1, 0), Slope(4, 1)) == 1
