@@ -20,7 +20,6 @@ from .words import (
     apply_automorphism,
     b_index,
     b_reduced_decomposition,
-    cyclic_length,
     cyclic_reduce,
     format_word,
     free_reduce,

@@ -15,7 +15,6 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,7 +43,15 @@ from .whitehead import (
     Classification,
     vertex_order,
 )
-from .words import Word, apply_automorphism, b_index, format_word, random_word
+from .words import (
+    Word,
+    ad,
+    apply_automorphism,
+    b_index,
+    format_word,
+    parse_word,
+    random_word,
+)
 
 SCHEMA_VERSION = 3
 
@@ -312,7 +319,7 @@ def exp_fzero_fiber(
     zero_fiber = []
     nonzero = []
     for k in range(k_lo, k_hi + 1):
-        w = (b**k) * a * (b**-k)
+        w = ad(b, a, k)
         f = b_index(w, b)
         (zero_fiber if f == 0 else nonzero).append((k, f))
         report.trials.append({"k": k, "index": f})
@@ -546,7 +553,7 @@ def _grid_values(
     values: dict[tuple[int, int], int] = {}
     for r in range(lo_r, hi_r + 1):
         for k in range(-radius_k, radius_k + 1):
-            gen = (b**k) * psi_x[r] * (b**-k)
+            gen = ad(b, psi_x[r], k)
             witness = FactorWitness(
                 _conjugation_chain(b**k) + (psi.chain if r >= 0 else psi.inverse_chain) * abs(r),
                 (1,),
@@ -556,49 +563,25 @@ def _grid_values(
     return values, psi_x, b, psi
 
 
-_STAR_EXPONENT_RANGE = 2
+# Factor-graph paths <x> -> <psi(x)> and <x> -> <b x b^-1> in rank 2, b the
+# boundary word; _check_path verifies both on every quasiflat run.
+_PSI_PATH = ("x", "xy")
+_AD_PATH = ("x", "YX", "xyXYXYX", "xyXYxyxYX")
 
 
-def _basis_star_pool() -> list[Word]:
-    """Words x^p y^e x^q: exactly the elements completing x to a basis."""
-    pool = []
-    for p in range(-_STAR_EXPONENT_RANGE, _STAR_EXPONENT_RANGE + 1):
-        for q in range(-_STAR_EXPONENT_RANGE, _STAR_EXPONENT_RANGE + 1):
-            for e in (1, -1):
-                pool.append(
-                    Word.from_letters([1] * max(p, 0) + [-1] * max(-p, 0) + [2 * e]
-                                      + [1] * max(q, 0) + [-1] * max(-q, 0), 2)
-                )
-    return pool
-
-
-@lru_cache(maxsize=16)
-def _adjacency_path(b: Word) -> tuple[tuple[Word, ...] | None, tuple[Word, ...] | None]:
-    """Short verified paths <x> -> <psi(x)> and <x> -> <b x b^-1> (if found).
-
-    Candidate midpoints are drawn from the basis star of x and its
-    conjugate by b; every edge of a returned path passes is_basis_pair.
-    The search is complete for paths of length <= 3 through those stars.
-    The paths depend only on b, so they are cached.
-    """
-    x = Word((1,), 2)
-    psi_x = Word((1, 2), 2)
-    target = x.conjugated_by(b)
-    psi_path = (x, psi_x) if is_basis_pair(x, psi_x) else None
-    if is_basis_pair(x, target):
-        return psi_path, (x, target)
-    star_x = _basis_star_pool()
-    star_t = [u.conjugated_by(b) for u in star_x]
-    for u in star_x:
-        if not u.is_identity() and is_basis_pair(u, target) and is_basis_pair(x, u):
-            return psi_path, (x, u, target)
-    for u in star_x:
-        if u.is_identity() or not is_basis_pair(x, u):
-            continue
-        for v in star_t:
-            if not v.is_identity() and is_basis_pair(u, v) and is_basis_pair(v, target):
-                return psi_path, (x, u, v, target)
-    return psi_path, None
+def _check_path(path: tuple[str, ...], start: Word, end: Word) -> None:
+    """Raise InternalContradictionError unless path runs from start to end
+    through basis pairs, that is along edges of the free factor graph."""
+    words = [parse_word(text, 2) for text in path]
+    if words[0] != start or words[-1] != end:
+        raise InternalContradictionError(
+            f"path {' '.join(path)} does not join {start} to {end}"
+        )
+    for u, v in zip(words, words[1:]):
+        if not is_basis_pair(u, v):
+            raise InternalContradictionError(
+                f"{u} and {v} on path {' '.join(path)} are not a basis pair"
+            )
 
 
 def exp_quasiflat(radius: int = 8) -> ExperimentReport:
@@ -607,63 +590,65 @@ def exp_quasiflat(radius: int = 8) -> ExperimentReport:
     The lower bound on the graph distance between two grid vertices is
     max(ceil(|delta invariant| / 2), Farey distance of the projected
     slopes); both maps are distance-decreasing, so the bound is certified.
-    The upper bound is (|dr| + |dk|) * c0 with c0 a verified per-generator
-    displacement bound from explicit adjacency-witnessed paths.  A
+    The upper bound is (|dr| + |dk|) * c0, where c0 is the length of the
+    longer of two fixed factor-graph paths, <x> -> <psi(x)> and
+    <x> -> <b x b^-1>, each verified edge by edge on every run.  A
     least-squares fit lower >= c * (|dr| + |dk|) - C is reported, with C
     enlarged to cover every grid pair.
     """
     R = radius
     values, psi_x, b, psi = _grid_values((-R, R), R)
-    slopes = {r: slope_of(psi_x[r], assume_primitive=True) for r in range(-R, R + 1)}
+    x = psi_x[0]
+    _check_path(_PSI_PATH, x, psi.x_image)
+    _check_path(_AD_PATH, x, ad(b, x))
+    c0 = max(1, len(_PSI_PATH) - 1, len(_AD_PATH) - 1)
+    slopes = [slope_of(psi_x[r], assume_primitive=True) for r in range(-R, R + 1)]
     report = ExperimentReport(
         "quasiflat",
         {"rank": 2, "b": format_word(b), "grid_radius": R},
     )
-    for (r, k), value in sorted(values.items()):
-        report.trials.append({"r": r, "k": k, "value": value, "slope": str(slopes[r])})
-    dfar: dict[tuple[int, int], int] = {}
-    for r1 in range(-R, R + 1):
-        for r2 in range(r1, R + 1):
-            dfar[(r1, r2)] = farey_distance(slopes[r1], slopes[r2])
     points = sorted(values)
-    ms: list[int] = []
-    lowers: list[int] = []
-    for idx, p1 in enumerate(points):
-        v1 = values[p1]
-        for p2 in points[idx + 1 :]:
-            lo = min(p1[0], p2[0]), max(p1[0], p2[0])
-            lower = max((abs(v1 - values[p2]) + 1) // 2, dfar[lo])
-            ms.append(abs(p1[0] - p2[0]) + abs(p1[1] - p2[1]))
-            lowers.append(lower)
-    fit = np.polyfit(np.array(ms, dtype=float), np.array(lowers, dtype=float), 1)
+    for r, k in points:
+        report.trials.append(
+            {"r": r, "k": k, "value": values[(r, k)], "slope": str(slopes[r + R])}
+        )
+    # dfar[r1 + R, r2 + R]: Farey distance between the slopes of psi^r1(x)
+    # and psi^r2(x)
+    dfar = np.zeros((2 * R + 1, 2 * R + 1), dtype=np.int64)
+    for i in range(2 * R + 1):
+        for j in range(i, 2 * R + 1):
+            dfar[i, j] = dfar[j, i] = farey_distance(slopes[i], slopes[j])
+    row, k, value = np.array([(r + R, k, values[(r, k)]) for r, k in points]).T
+    # every pair p1 < p2 of points, in the order of a nested loop over points
+    first, second = np.triu_indices(len(points), 1)
+    steps = np.abs(row[first] - row[second]) + np.abs(k[first] - k[second])
+    lower = np.maximum(
+        (np.abs(value[first] - value[second]) + 1) // 2, dfar[row[first], row[second]]
+    )
+    fit = np.polyfit(steps.astype(float), lower.astype(float), 1)
     c, intercept = float(fit[0]), float(fit[1])
-    cover = max(0.0, max(c * m - l for m, l in zip(ms, lowers)))
-    below = sum(1 for m, l in zip(ms, lowers) if l < c * m - cover - 1e-9)
-    pure_psi = [dfar[(0, m)] for m in range(1, R + 1)]
+    cover = max(0.0, float(np.max(c * steps - lower)))
+    below = int(np.count_nonzero(lower < c * steps - cover - 1e-9))
+    # certified lower bounds can never exceed the path-witnessed upper bound
+    above_upper = int(np.count_nonzero(lower > c0 * steps))
+    pure_psi = dfar[R, R + 1 :].tolist()
     strictly_increasing = all(
         pure_psi[i] < pure_psi[i + 1] for i in range(len(pure_psi) - 1)
     )
-    psi_path, ad_path = _adjacency_path(b)
-    c0 = None
-    above_upper = 0
-    if psi_path is not None and ad_path is not None:
-        c0 = max(1, len(psi_path) - 1, len(ad_path) - 1)
-        # certified lower bounds can never exceed the path-witnessed upper
-        above_upper = sum(1 for m, l in zip(ms, lowers) if l > c0 * m)
     report.violations = (c <= 0) + below + (not strictly_increasing) + above_upper
     report.summary = {
         "fit_slope": c,
         "fit_intercept": intercept,
         "cover_constant": cover,
-        "pairs": len(ms),
+        "pairs": len(steps),
         "pairs_below_line": below,
         "pairs_above_upper_bound": above_upper,
         "pure_psi_distances": pure_psi,
         "pure_psi_strictly_increasing": strictly_increasing,
         "upper_bound_unit": c0,
-        "psi_path": [format_word(w) for w in psi_path] if psi_path else None,
-        "ad_path": [format_word(w) for w in ad_path] if ad_path else None,
-        "boundary_automorphism": build_boundary_pA().to_json_dict(),
+        "psi_path": list(_PSI_PATH),
+        "ad_path": list(_AD_PATH),
+        "boundary_automorphism": psi.to_json_dict(),
     }
     return report
 

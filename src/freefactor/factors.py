@@ -29,7 +29,7 @@ from .errors import (
     RankError,
     UnboundedOverlapError,
 )
-from .trees import AxisInterval, _require_axis_word
+from .trees import AxisInterval
 from .whitehead import (
     Classification,
     WhAutomorphism,
@@ -38,7 +38,14 @@ from .whitehead import (
     minimize_cyclic_length,
     vertex_order,
 )
-from .words import GENERATOR_CHARS, Word, apply_automorphism, format_word
+from .words import (
+    GENERATOR_CHARS,
+    Word,
+    _leading_power,
+    _require_axis_word,
+    apply_automorphism,
+    format_word,
+)
 
 
 class CoreGraph:
@@ -465,9 +472,7 @@ def factor_invariant(a: FreeFactorVertex, b: Word) -> FactorInvariant:
 
     stem, end = _forced_stem(graph)
     m = len(binv)
-    blocks_in_stem = 0
-    while stem[blocks_in_stem * m : (blocks_in_stem + 1) * m] == binv:
-        blocks_in_stem += 1
+    blocks_in_stem = _leading_power(stem, binv, len(stem) // m)
     rest = stem[blocks_in_stem * m :]
     bad_first = set()
     if stem:

@@ -24,17 +24,9 @@ from .errors import (
     AxesEqualError,
     DomainError,
     IdentityWordError,
-    NotCyclicallyReducedError,
     RankError,
 )
-from .words import Word, cyclic_reduce
-
-
-def _require_axis_word(b: Word) -> None:
-    if b.is_identity():
-        raise NotCyclicallyReducedError("b must be nonempty")
-    if not b.is_cyclically_reduced():
-        raise NotCyclicallyReducedError(f"b = {b} is not cyclically reduced")
+from .words import Word, _require_axis_word, cyclic_reduce
 
 
 @dataclass(frozen=True)

@@ -190,10 +190,6 @@ def cyclic_reduce(w: Word) -> CyclicDecomposition:
     return CyclicDecomposition(Word(ls[:i], w.rank), Word(ls[i:j], w.rank))
 
 
-def cyclic_length(w: Word) -> int:
-    return len(cyclic_reduce(w).core)
-
-
 @dataclass(frozen=True, slots=True)
 class BReducedDecomposition:
     """w == b^k * core * b^-k as reduced words, with |k| maximal."""
@@ -203,8 +199,16 @@ class BReducedDecomposition:
     b: Word
 
 
+def _require_axis_word(b: Word) -> None:
+    """An axis of b, and a b-decomposition, need b nonempty and cyclically reduced."""
+    if b.is_identity():
+        raise NotCyclicallyReducedError("b must be nonempty")
+    if not b.is_cyclically_reduced():
+        raise NotCyclicallyReducedError(f"b = {b} is not cyclically reduced")
+
+
 def _leading_power(seq: tuple[int, ...], block: tuple[int, ...], cap: int) -> int:
-    n, m = len(seq), len(block)
+    m = len(block)
     count = 0
     while count < cap and seq[count * m : (count + 1) * m] == block:
         count += 1
@@ -230,10 +234,7 @@ def b_reduced_decomposition(w: Word, b: Word) -> BReducedDecomposition:
     """
     if w.rank != b.rank:
         raise RankError("w and b must have the same rank")
-    if b.is_identity():
-        raise NotCyclicallyReducedError("b must be nonempty")
-    if not b.is_cyclically_reduced():
-        raise NotCyclicallyReducedError(f"b = {b} is not cyclically reduced")
+    _require_axis_word(b)
     n, m = len(w), len(b)
     if n == 0:
         return BReducedDecomposition(0, w, b)

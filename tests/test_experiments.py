@@ -2,6 +2,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from freefactor import (
@@ -21,7 +22,7 @@ from freefactor import (
     exp_twist_stability,
     run_experiment,
 )
-from freefactor.experiments import _adjacency_path, _conjugation_chain
+from freefactor.experiments import _conjugation_chain
 
 from conftest import W
 
@@ -41,6 +42,64 @@ TABLE_DRAW_DIGESTS = [
     ("basis-change", 3, "3d2011947d824cf0adf718bbb844b09e4410067e19b0bceffbb645a2e00d49af"),
     ("basis-change", 4, "d4da6cdd54e058c99267a292fcbc3a8a58961d896eb879a1c5248bb4ec915dfe"),
 ]
+
+# sha256 of run_experiment("twist-stability", radius=r).to_json() for r = 1..8,
+# recorded when quasiflat's pairs were still a per-pair Python loop.
+TWIST_STABILITY_DIGESTS = [
+    (1, "3c39cc9e2e882888b941d3ac5830fe2d78cbca48fed4b2b083a3982520518f59"),
+    (2, "48b21e2812b9e59a3994dfa93c228dca56c7ea6c74757862b62e494a6de4bada"),
+    (3, "9f636c2b00bef4c51ff8eb448346ee9eb8b7392d25c3f172a2be04f7b6921237"),
+    (4, "9685ac58ff104c3689aafa48685618ea390b99bf02942f0d31c2e9ab8b5934eb"),
+    (5, "f8b75ad681b1f1397809aefedd403384661bbc2b0e572b13884ce4828f69b8f3"),
+    (6, "3de8ed3edbed97e8f99f1baceaffe992f7bb1a0f4043a9d70ec96162ce2b3881"),
+    (7, "c3dc3524988aaa9c208fff0026fc3abac6f8b86cc279c5dc17d00c9a5d80805e"),
+    (8, "a8cfaef477836755ee267e3ad3217851914636cddc91edb5666ff546f0a02ac5"),
+]
+
+# The same for quasiflat, from the same commit, hashed with the three
+# least-squares fields removed (see quasiflat_digest): LAPACK builds may
+# differ in their last bits.
+QUASIFLAT_DIGESTS = [
+    (1, "7ca94c41231388564cd1bc3acaecb3fecfba42311ca0070fe4f547dadc18eb26"),
+    (2, "d66432aa0b4a096fccd89a4c77ad7e18d80d10efa485ca51b1d34db2b157f41d"),
+    (3, "3992603ba2fcafa4b5e4c95f3f49b5634a49c0a71638a001c0f1912777504fb4"),
+    (4, "16e4ebccd4cb67945f7dd6f9dc4961048ab68c0081c1b2df5d9e3ac836c2e331"),
+    (5, "7287ebdcc577a8e3cb2097a6c86afdd98a2efea606872bbb312872a3649d072a"),
+    (6, "08cc987e297f99e306281064894aaa9400639e3a8a41cb5f117ca63bf4aad675"),
+    (7, "f39d415690b73d8bb688e359753699c4ae9320dcb50a0138ce7a39730c733355"),
+    (8, "ac4a4d29ad8b4458bfd38e156e658bb138ea394acb374a64bd6984d50ed57364"),
+]
+
+
+def quasiflat_digest(report) -> str:
+    data = report.to_json_dict()
+    for key in ("fit_slope", "fit_intercept", "cover_constant"):
+        del data["summary"][key]
+    return hashlib.sha256(json.dumps(data, sort_keys=True, indent=2).encode()).hexdigest()
+
+
+def oracle_quasiflat_pairs(report, c0: int) -> dict:
+    """The per-pair loop that exp_quasiflat's pair arrays replaced, run on
+    the grid values and slopes of its report."""
+    from freefactor import Slope, farey_distance
+
+    points = [(t["r"], t["k"], t["value"], Slope.from_string(t["slope"])) for t in report.trials]
+    ms, lowers = [], []
+    for idx, (r1, k1, v1, s1) in enumerate(points):
+        for r2, k2, v2, s2 in points[idx + 1 :]:
+            lowers.append(max((abs(v1 - v2) + 1) // 2, farey_distance(s1, s2)))
+            ms.append(abs(r1 - r2) + abs(k1 - k2))
+    fit = np.polyfit(np.array(ms, dtype=float), np.array(lowers, dtype=float), 1)
+    c, intercept = float(fit[0]), float(fit[1])
+    cover = max(0.0, max(c * m - l for m, l in zip(ms, lowers)))
+    return {
+        "fit_slope": c,
+        "fit_intercept": intercept,
+        "cover_constant": cover,
+        "pairs": len(ms),
+        "pairs_below_line": sum(1 for m, l in zip(ms, lowers) if l < c * m - cover - 1e-9),
+        "pairs_above_upper_bound": sum(1 for m, l in zip(ms, lowers) if l > c0 * m),
+    }
 
 
 class TestBoundaryWords:
@@ -199,26 +258,44 @@ class TestQuasiflat:
         )
 
     def test_upper_bound_paths_verified(self):
+        from freefactor import is_basis_pair, parse_word
+
         report = exp_quasiflat(2)
         path = report.summary["ad_path"]
-        if path is not None:
-            from freefactor import is_basis_pair, parse_word
+        words = [parse_word(t, 2) for t in path]
+        for u, v in zip(words, words[1:]):
+            assert is_basis_pair(u, v)
+        assert report.summary["upper_bound_unit"] == max(1, len(path) - 1)
 
-            words = [parse_word(t, 2) for t in path]
-            for u, v in zip(words, words[1:]):
-                assert is_basis_pair(u, v)
-            assert report.summary["upper_bound_unit"] == max(1, len(path) - 1)
+    @pytest.mark.parametrize("radius", [2, 5])
+    def test_pair_arrays_match_the_loop(self, radius):
+        report = exp_quasiflat(radius)
+        expected = oracle_quasiflat_pairs(report, report.summary["upper_bound_unit"])
+        assert {key: report.summary[key] for key in expected} == expected
 
-    def test_adjacency_paths_cached_across_radii(self):
-        _adjacency_path.cache_clear()
-        reports = [exp_quasiflat(radius) for radius in (1, 2)]
-        info = _adjacency_path.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        for report in reports:
+    def test_adjacency_paths_fixed_across_radii(self):
+        for radius in (1, 2):
+            report = exp_quasiflat(radius)
             assert report.summary["psi_path"] == ["x", "xy"]
             assert report.summary["ad_path"] == ["x", "YX", "xyXYXYX", "xyXYxyxYX"]
-        psi_path, ad_path = _adjacency_path(boundary_word(2))
-        assert isinstance(psi_path, tuple) and isinstance(ad_path, tuple)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("x", "xx", "xyXYxyxYX"),  # x, xx is no basis pair
+            ("x", "YX", "xyXYXYX"),  # stops short of b x b^-1
+            ("y", "YX", "xyXYXYX", "xyXYxyxYX"),  # starts off x
+        ],
+    )
+    def test_unverified_path_is_a_contradiction(self, monkeypatch, capsys, path):
+        import freefactor.experiments as experiments
+        from freefactor.cli import main
+
+        monkeypatch.setattr(experiments, "_AD_PATH", path)
+        with pytest.raises(InternalContradictionError):
+            exp_quasiflat(1)
+        assert main(["experiment", "quasiflat", "--radius", "1"]) == 3
+        assert capsys.readouterr().err.startswith("internal error: ")
 
 
 class TestTwistStability:
@@ -296,6 +373,15 @@ class TestReports:
     def test_same_bytes_as_table_draws(self, name, rank, digest):
         report = run_experiment(name, rank=rank, trials=25, seed=1)
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("radius,digest", TWIST_STABILITY_DIGESTS)
+    def test_same_bytes_as_loop_twist_stability(self, radius, digest):
+        report = run_experiment("twist-stability", radius=radius)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("radius,digest", QUASIFLAT_DIGESTS)
+    def test_same_bytes_as_loop_quasiflat(self, radius, digest):
+        assert quasiflat_digest(run_experiment("quasiflat", radius=radius)) == digest
 
     def test_unknown_experiment(self):
         from freefactor import DomainError

@@ -6,6 +6,7 @@ from freefactor import (
     AxesEqualError,
     DomainError,
     IdentityWordError,
+    NotCyclicallyReducedError,
     RankError,
     UnboundedOverlapError,
     Word,
@@ -105,6 +106,20 @@ class TestProjection:
         a = W("yy") * W("x") * W("YY")
         iv = project_axis_to_axis(a, b2)
         assert iv.lo_position == iv.hi_position
+
+
+@pytest.mark.parametrize("b", ["1", "xyX"])
+@pytest.mark.parametrize(
+    "axis_of",
+    [
+        lambda b: project_axis_to_axis(W("x"), b),
+        lambda b: subtree_axis_overlap([W("x")], b),
+    ],
+    ids=["project_axis_to_axis", "subtree_axis_overlap"],
+)
+def test_axis_word_must_be_cyclically_reduced(axis_of, b):
+    with pytest.raises(NotCyclicallyReducedError):
+        axis_of(W(b))
 
 
 class TestGeometricIndex:
