@@ -9,7 +9,6 @@ from .errors import (
     NotCyclicallyReducedError,
     PreconditionError,
     RankError,
-    UnboundedOverlapError,
     WordSyntaxError,
 )
 from .words import (
@@ -39,13 +38,11 @@ from .whitehead import (
 )
 from .trees import (
     AxisInterval,
-    distance_to_axis,
     geometric_index,
     project_axis_to_axis,
 )
 from .factors import (
     CoreGraph,
-    FactorWitness,
     FreeFactorVertex,
     FactorInvariant,
     af_adjacent,
@@ -53,14 +50,11 @@ from .factors import (
     fold,
     is_basis_pair,
     random_free_factor,
-    subtree_axis_overlap,
 )
 from .farey import (
     FareyGraph,
     Slope,
-    farey_adjacent,
     farey_distance,
-    of2_project,
     slope_of,
 )
 from .experiments import (

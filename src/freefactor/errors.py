@@ -25,10 +25,6 @@ class AxesEqualError(DomainError):
     """Two elements share an axis (they have a common power)."""
 
 
-class UnboundedOverlapError(DomainError):
-    """A power of b lies in the subgroup, so its subtree/axis overlap is infinite."""
-
-
 class PreconditionError(DomainError):
     """A documented operation precondition was violated by the caller."""
 

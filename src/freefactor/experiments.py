@@ -24,7 +24,6 @@ from .errors import (
     PreconditionError,
 )
 from .factors import (
-    FactorWitness,
     FreeFactorVertex,
     _check_filling_minimal,
     af_adjacent,
@@ -198,7 +197,6 @@ def exp_lipschitz(
             FreeFactorVertex(
                 tuple(apply_automorphism(chain, Word((s,), rank)) for s in subset),
                 rank,
-                FactorWitness(chain, subset),
             )
             for subset in (small, big)
         )
@@ -381,9 +379,7 @@ def exp_basis_change(
         factor = _random_deep_factor(rng, rank, b)
         vs = factor_invariant(factor, b).value
         factor_t = FreeFactorVertex(
-            tuple(apply_automorphism(chain_inv, g) for g in factor.generators),
-            rank,
-            FactorWitness(factor.witness.chain + chain_inv, factor.witness.standard_subset),
+            tuple(apply_automorphism(chain_inv, g) for g in factor.generators), rank
         )
         vt = factor_invariant(factor_t, b_t).value
         diff = abs(vs - vt)
@@ -410,18 +406,11 @@ def exp_basis_change(
 
 
 def _random_deep_factor(rng: random.Random, rank: int, b: Word) -> FreeFactorVertex:
-    """Random witnessed factor, conjugated to a random depth along b."""
+    """Random free factor, conjugated to a random depth along b."""
     factor = random_free_factor(rank, rng.randint(1, rank - 1), rng.randint(0, 3), rng)
     conj = (b ** rng.randint(-2, 2)) * random_word(rng.randint(0, 3), rank, rng)
-    if conj.is_identity():
-        return factor
     return FreeFactorVertex(
-        tuple(g.conjugated_by(conj) for g in factor.generators),
-        rank,
-        FactorWitness(
-            factor.witness.chain + _conjugation_chain(conj),
-            factor.witness.standard_subset,
-        ),
+        tuple(g.conjugated_by(conj) for g in factor.generators), rank
     )
 
 
@@ -466,13 +455,13 @@ class BoundaryAutomorphism:
     Built as the composite of two verified boundary-fixing twist moves; the
     homology action having |trace| > 2 certifies the mapping-class
     representative is pseudo-Anosov (one-holed torus criterion).
+    build_boundary_pA raises InternalContradictionError unless both hold, so
+    the report states them as constants.
     """
 
     x_image: Word
     y_image: Word
-    fixes_boundary: bool
     homology: tuple[tuple[int, int], tuple[int, int]]
-    is_pseudo_anosov: bool
     chain: tuple[WhAutomorphism, ...]
     inverse_chain: tuple[WhAutomorphism, ...]
 
@@ -486,10 +475,10 @@ class BoundaryAutomorphism:
         return {
             "x_image": format_word(self.x_image),
             "y_image": format_word(self.y_image),
-            "fixes_boundary": self.fixes_boundary,
+            "fixes_boundary": True,
             "homology": [list(row) for row in self.homology],
             "trace": self.homology[0][0] + self.homology[1][1],
-            "is_pseudo_anosov": self.is_pseudo_anosov,
+            "is_pseudo_anosov": True,
         }
 
 
@@ -519,15 +508,17 @@ def build_boundary_pA() -> BoundaryAutomorphism:
     trace = matrix[0][0] + matrix[1][1]
     if abs(det) != 1:
         raise InternalContradictionError("homology action is not invertible")
+    if abs(trace) <= 2:
+        raise InternalContradictionError(
+            f"homology trace {trace} does not certify a pseudo-Anosov"
+        )
     inverse_chain = (sigma.inverse(), tau.inverse())
     if apply_automorphism(inverse_chain, x_img) != Word((1,), rank):
         raise InternalContradictionError("inverse chain does not invert")
     return BoundaryAutomorphism(
         x_image=x_img,
         y_image=y_img,
-        fixes_boundary=True,
         homology=matrix,
-        is_pseudo_anosov=abs(trace) > 2,
         chain=chain,
         inverse_chain=inverse_chain,
     )
@@ -553,12 +544,7 @@ def _grid_values(
     values: dict[tuple[int, int], int] = {}
     for r in range(lo_r, hi_r + 1):
         for k in range(-radius_k, radius_k + 1):
-            gen = ad(b, psi_x[r], k)
-            witness = FactorWitness(
-                _conjugation_chain(b**k) + (psi.chain if r >= 0 else psi.inverse_chain) * abs(r),
-                (1,),
-            )
-            vertex = FreeFactorVertex((gen,), 2, witness)
+            vertex = FreeFactorVertex((ad(b, psi_x[r], k),), 2)
             values[(r, k)] = factor_invariant(vertex, b).value
     return values, psi_x, b, psi
 

@@ -6,9 +6,10 @@ means no two equal-label edges share a source or a target; core means
 every non-basepoint vertex has degree >= 2.  The subgroup rank is
 edges - vertices + 1.
 
-Free factors are only ever *constructed* (as automorphic images of
-standard subsets of the basis, with the witnessing chain stored); deciding
-whether an arbitrary subgroup is a free factor is out of scope.
+Free factors are only ever *constructed*, as automorphic images of
+standard subsets of the basis, and a free factor is its generators: every
+quantity computed from one is read off them and their folded core graph.
+Deciding whether an arbitrary subgroup is a free factor is out of scope.
 
 Folding mutates a private working graph and freezes it before returning;
 all public values are immutable, so concurrent use is safe after
@@ -27,12 +28,9 @@ from .errors import (
     InternalContradictionError,
     PreconditionError,
     RankError,
-    UnboundedOverlapError,
 )
-from .trees import AxisInterval
 from .whitehead import (
     Classification,
-    WhAutomorphism,
     _random_multiplier_move,
     classify,
     minimize_cyclic_length,
@@ -42,7 +40,6 @@ from .words import (
     GENERATOR_CHARS,
     Word,
     _leading_power,
-    _require_axis_word,
     apply_automorphism,
     format_word,
 )
@@ -68,9 +65,6 @@ class CoreGraph:
     def num_vertices(self) -> int:
         return len(self._adj)
 
-    def subgroup_rank(self) -> int:
-        return self.num_edges - self.num_vertices + 1
-
     def is_whole_group(self) -> bool:
         return self.num_vertices == 1 and self.num_edges == self.rank
 
@@ -88,37 +82,6 @@ class CoreGraph:
                 return False
             cur = nxt
         return cur == self.basepoint
-
-    def subgroup_basis(self) -> list[Word]:
-        """A free basis read off a spanning tree (one word per extra edge)."""
-        letter_order = vertex_order(self.rank)
-        path = {self.basepoint: ()}
-        tree_edges = set()  # directed-positive identity (source, letter, target)
-        queue = deque([self.basepoint])
-        while queue:
-            cur = queue.popleft()
-            nbrs = self._adj[cur]
-            for letter in letter_order:
-                nxt = nbrs.get(letter)
-                if nxt is not None and nxt not in path:
-                    path[nxt] = path[cur] + (letter,)
-                    if letter > 0:
-                        tree_edges.add((cur, letter, nxt))
-                    else:
-                        tree_edges.add((nxt, -letter, cur))
-                    queue.append(nxt)
-        basis = []
-        for u in sorted(self._adj):
-            nbrs = self._adj[u]
-            for letter in range(1, self.rank + 1):
-                v = nbrs.get(letter)
-                if v is None or (u, letter, v) in tree_edges:
-                    continue
-                loop = path[u] + (letter,) + tuple(-l for l in reversed(path[v]))
-                word = Word.from_letters(loop, self.rank)
-                if not word.is_identity():
-                    basis.append(word)
-        return basis
 
     def to_dot(self) -> str:
         lines = ["digraph core {", '  0 [shape=doublecircle];']
@@ -245,30 +208,17 @@ def is_basis_pair(u: Word, v: Word) -> bool:
 
 
 @dataclass(frozen=True)
-class FactorWitness:
-    """Chain theta and standard subset with factor = theta(<subset>)."""
-
-    chain: tuple[WhAutomorphism, ...]
-    standard_subset: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class FreeFactorVertex:
     """A vertex of the free factor graph: a proper, nontrivial free factor."""
 
     generators: tuple[Word, ...]
     rank_ambient: int
-    witness: FactorWitness | None = None
 
     def __post_init__(self):
         if not self.generators:
             raise DomainError("a free factor needs at least one generator")
         if any(g.rank != self.rank_ambient for g in self.generators):
             raise RankError("generator rank does not match ambient rank")
-        if self.witness is not None:
-            r = len(self.witness.standard_subset)
-            if not 1 <= r < self.rank_ambient:
-                raise DomainError("witnessed factor must be proper and nontrivial")
 
     @property
     def graph(self) -> CoreGraph:
@@ -317,7 +267,7 @@ def random_free_factor(
     gens = tuple(
         apply_automorphism(chain, Word((s,), rank_ambient)) for s in subset
     )
-    return FreeFactorVertex(gens, rank_ambient, FactorWitness(chain, subset))
+    return FreeFactorVertex(gens, rank_ambient)
 
 
 @lru_cache(maxsize=64)
@@ -489,59 +439,3 @@ def factor_invariant(a: FreeFactorVertex, b: Word) -> FactorInvariant:
     return FactorInvariant(
         -blocks_in_stem, Word(stem + loop + inverse_stem, b.rank), samples
     )
-
-
-def subtree_axis_overlap(generators, b: Word) -> AxisInterval:
-    """Overlap of the minimal subtree of H = <generators> with the axis of
-    b, read exactly off the folded core graph.
-
-    The Cayley tree covers the core graph with trees hung on its free
-    slots, and the minimal subtree is the preimage of the graph minus its
-    hair: the vertices of the forced stem before its end vertex.  Reading
-    b^inf, then b^-inf, from the basepoint walks the axis until a read
-    fails; the axis has then entered a hung tree, which it never leaves.
-    The overlap is the hull of the positions read onto vertices off the
-    hair.  If none is, the subtree misses the axis and projects to the
-    point where the stem leaves it, the farthest position either read
-    reached.  A block vertex (position divisible by |b|) reached twice
-    means some power of b lies in H, whose axis is the axis of b:
-    UnboundedOverlapError.
-
-    Each read visits at most V block vertices, so the cost is O(V * |b|).
-    """
-    _require_axis_word(b)
-    gens = [g for g in generators if not g.is_identity()]
-    if not gens:
-        raise DomainError("need at least one nontrivial generator")
-    graph = fold(gens, b.rank)
-    adj = graph._adj
-    hair = set()
-    cur = graph.basepoint
-    for letter in _forced_stem(graph)[0]:
-        hair.add(cur)
-        cur = adj[cur][letter]
-    inside: list[int] = []
-    reach: list[int] = []
-    for sign, block in ((1, b.letters), (-1, b.inverse().letters)):
-        m = len(block)
-        cur = graph.basepoint
-        blocks: dict[int, int] = {}
-        t = 0
-        while cur is not None:
-            if t % m == 0:
-                if cur in blocks:
-                    power = t // m - blocks[cur]
-                    name = "b" if power == 1 else f"b^{power}"
-                    raise UnboundedOverlapError(
-                        f"{name} lies in the subgroup; the overlap is the "
-                        "whole axis of b"
-                    )
-                blocks[cur] = t // m
-            if cur not in hair:
-                inside.append(sign * t)
-            cur = adj[cur].get(block[t % m])
-            t += 1
-        reach.append(sign * (t - 1))
-    if not inside:
-        inside.append(reach[0] or reach[1])
-    return AxisInterval.from_positions(b, min(inside), max(inside))

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError, RankError
-from .factors import FreeFactorVertex
 from .whitehead import is_primitive
 from .words import Word
 
@@ -89,10 +88,6 @@ def exponent_sums(w: Word) -> tuple[int, int]:
     return p, q
 
 
-def farey_adjacent(s: Slope, t: Slope) -> bool:
-    return abs(s.p * t.q - s.q * t.p) == 1
-
-
 def _dist_to_infinity(p: int, q: int) -> int:
     """Graph distance from p/q to 1/0.  Requires gcd(p, q) == 1, q >= 0.
 
@@ -140,15 +135,6 @@ def farey_distance(s: Slope, t: Slope) -> int:
     # distance from 1/0 is invariant under x -> -x, so the sign of p2/q2
     # does not matter
     return _dist_to_infinity(p2 if q2 >= 0 else -p2, abs(q2))
-
-
-def of2_project(a: FreeFactorVertex) -> Slope:
-    """Slope of a cyclic rank-2 factor; invariant under conjugating the factor."""
-    if a.rank_ambient != 2:
-        raise RankError("projection to slopes is rank-2 only")
-    if len(a.generators) != 1:
-        raise DomainError("rank-2 factors must be cyclic")
-    return slope_of(a.generators[0], assume_primitive=a.witness is not None)
 
 
 class FareyGraph:

@@ -12,8 +12,9 @@ The geometric index of a under b reads off the minimal interval
 the index is i if i > 0, j if j < 0, and 0 otherwise.  It always agrees
 with the combinatorial exponent of words.b_reduced_decomposition.
 
-The overlap of a subgroup's minimal subtree with an axis is read off the
-subgroup's core graph, in factors.subtree_axis_overlap.
+Subgroups, and their minimal subtrees, are not modelled here: what the
+experiments report about a free factor is read off its folded core graph
+(factors.factor_invariant).
 """
 
 from __future__ import annotations
@@ -59,11 +60,6 @@ class AxisInterval:
     def hi_position(self) -> int:
         return self.hi * len(self.on_axis_of) + self.offset_hi
 
-    @property
-    def length(self) -> int:
-        """Length of the interval in edges (letters)."""
-        return self.hi_position - self.lo_position
-
     def power_hull(self) -> tuple[int, int]:
         """Minimal (i, j) with b^i <= interval <= b^j."""
         j = self.hi if self.offset_hi == 0 else self.hi + 1
@@ -108,23 +104,6 @@ def _end_projection_position(
     if backward >= n:
         raise AxesEqualError("the axes share an end")
     return -backward
-
-
-def distance_to_axis(p: Word, a: Word) -> tuple[int, Word]:
-    """Distance from vertex p to the axis of a, with the closest point.
-
-    Uses d(p, X_a) = (d(p, a.p) - translation_length(a)) / 2; the foot is
-    read off the common-prefix structure of the geodesic from p to a.p.
-    """
-    if a.is_identity():
-        raise IdentityWordError("a must be nontrivial")
-    if p.rank != a.rank:
-        raise RankError("p and a must have the same rank")
-    u = p.inverse() * a * p
-    spread = len(u) - len(cyclic_reduce(a).core)
-    distance = spread // 2
-    foot = p * Word(u.letters[:distance], p.rank)
-    return distance, foot
 
 
 def project_axis_to_axis(a: Word, b: Word) -> AxisInterval:

@@ -1,0 +1,56 @@
+"""The benchmark's call tracer still finds everything it wraps.
+
+``perfbench/tracer.py`` looks up each traced boundary by name on the
+package; a renamed or deleted function makes ``--trace 1`` fail.  The
+tracer is loaded from its file, unchanged, and installed around one CLI
+run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import freefactor
+from freefactor import cli
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def traced_object(layer, attr):
+    """What the tracer wrapped for one TARGETS entry, as installed now."""
+    owner = getattr(freefactor, layer)
+    if "." in attr:
+        cls_name, meth = attr.split(".")
+        obj = getattr(owner, cls_name).__dict__[meth]
+        return obj.fget if isinstance(obj, property) else obj
+    return getattr(owner, attr)
+
+
+def test_tracer_wraps_every_target_around_quasiflat(capsys):
+    module = load_tracer_module()
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        wrapped = {
+            f"{layer}.{attr}": hasattr(traced_object(layer, attr), "__wrapped__")
+            for layer, attr, _ in module.TARGETS
+        }
+        code = cli.main(["experiment", "quasiflat", "--radius", "1"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    assert [name for name, ok in wrapped.items() if not ok] == []
+    assert tracer.calls["factors.factor_invariant"] > 0
+    assert tracer.calls["experiments.exp_quasiflat"] == 1
+    # uninstall restores every original
+    assert not any(
+        hasattr(traced_object(layer, attr), "__wrapped__")
+        for layer, attr, _ in module.TARGETS
+    )

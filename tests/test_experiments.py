@@ -22,6 +22,7 @@ from freefactor import (
     exp_twist_stability,
     run_experiment,
 )
+from freefactor import cli, experiments
 from freefactor.experiments import _conjugation_chain
 
 from conftest import W
@@ -130,7 +131,20 @@ class TestBoundaryAutomorphism:
     def test_homology(self):
         psi = build_boundary_pA()
         assert psi.homology == ((1, 1), (1, 2))
-        assert psi.is_pseudo_anosov
+        summary = psi.to_json_dict()
+        assert summary["trace"] == 3
+        assert summary["is_pseudo_anosov"] and summary["fixes_boundary"]
+
+    def test_trace_two_is_a_contradiction(self, monkeypatch, capsys):
+        # homology [[1, 1], [0, 1]] is invertible but has trace 2, which
+        # certifies no pseudo-Anosov
+        monkeypatch.setattr(
+            experiments, "exponent_sums", lambda w: (1, 0) if w == W("xy") else (1, 1)
+        )
+        with pytest.raises(InternalContradictionError, match="trace 2"):
+            build_boundary_pA()
+        assert cli.main(["experiment", "quasiflat", "--radius", "1"]) == 3
+        assert "trace 2" in capsys.readouterr().err
 
     def test_twin_twists_fix_boundary(self, b2):
         psi = build_boundary_pA()

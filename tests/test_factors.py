@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -24,15 +25,50 @@ from freefactor import (
     random_word,
 )
 from freefactor.experiments import _random_deep_factor, boundary_word
+from freefactor.whitehead import vertex_order
 
 from conftest import W, random_cyclically_reduced, random_element, reduced_loops
+
+
+def subgroup_rank(graph: CoreGraph) -> int:
+    return graph.num_edges - graph.num_vertices + 1
+
+
+def subgroup_basis(graph: CoreGraph) -> list[Word]:
+    """A free basis read off a spanning tree (one word per extra edge)."""
+    adj = graph._adj
+    path = {graph.basepoint: ()}
+    tree_edges = set()  # directed-positive identity (source, letter, target)
+    queue = deque([graph.basepoint])
+    while queue:
+        cur = queue.popleft()
+        for letter in vertex_order(graph.rank):
+            nxt = adj[cur].get(letter)
+            if nxt is not None and nxt not in path:
+                path[nxt] = path[cur] + (letter,)
+                if letter > 0:
+                    tree_edges.add((cur, letter, nxt))
+                else:
+                    tree_edges.add((nxt, -letter, cur))
+                queue.append(nxt)
+    basis = []
+    for u in sorted(adj):
+        for letter in range(1, graph.rank + 1):
+            v = adj[u].get(letter)
+            if v is None or (u, letter, v) in tree_edges:
+                continue
+            loop = path[u] + (letter,) + tuple(-l for l in reversed(path[v]))
+            word = Word.from_letters(loop, graph.rank)
+            if not word.is_identity():
+                basis.append(word)
+    return basis
 
 
 class TestFold:
     def test_single_generator_loop(self):
         g = fold([W("x")])
         assert (g.num_vertices, g.num_edges) == (1, 1)
-        assert g.subgroup_rank() == 1
+        assert subgroup_rank(g) == 1
 
     def test_whole_group_rose(self):
         g = fold([W("x"), W("y")])
@@ -41,7 +77,7 @@ class TestFold:
     def test_index_two_subgroup(self):
         g = fold([W("xx"), W("y"), W("xyX")])
         # index-2 subgroup: rank 1 + 2*(2-1) = 3 by the index formula
-        assert g.subgroup_rank() == 3
+        assert subgroup_rank(g) == 3
         assert (g.num_vertices, g.num_edges) == (2, 4)
         assert g.contains(W("xx"))
         assert not g.contains(W("x"))
@@ -56,7 +92,7 @@ class TestFold:
     def test_idempotent_on_own_basis(self):
         for gens in ([W("xx"), W("y"), W("xyX")], [W("xyXY")], [W("x"), W("yxY")]):
             g = fold(gens)
-            again = fold(g.subgroup_basis(), rank=2)
+            again = fold(subgroup_basis(g), rank=2)
             assert g == again  # canonical renumbering makes equality meaningful
 
     def test_dot_export(self):
@@ -296,7 +332,7 @@ class TestContains:
             if not gens:
                 continue
             g = fold(gens, rank=2)
-            regen = fold(g.subgroup_basis(), rank=2)
+            regen = fold(subgroup_basis(g), rank=2)
             for _ in range(40):
                 idx = [rng.choice([1, -1, 2, -2][: 2 * len(gens)]) for _ in range(rng.randint(1, 5))]
                 w = Word.identity(2)
@@ -373,14 +409,6 @@ class TestRandomFreeFactor:
         a = random_free_factor(3, 2, 4, seed=9)
         b = random_free_factor(3, 2, 4, seed=9)
         assert a.generators == b.generators
-
-    def test_witness_replays(self):
-        factor = random_free_factor(3, 2, 3, seed=11)
-        rebuilt = tuple(
-            apply_automorphism(factor.witness.chain, Word((s,), 3))
-            for s in factor.witness.standard_subset
-        )
-        assert rebuilt == factor.generators
 
     def test_generators_are_simple(self):
         for seed in range(5):

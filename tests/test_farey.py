@@ -9,16 +9,13 @@ import pytest
 from freefactor import (
     DomainError,
     FareyGraph,
-    FreeFactorVertex,
     PreconditionError,
     RankError,
     Slope,
     apply_automorphism,
     enumerate_whitehead_automorphisms,
-    farey_adjacent,
     farey_distance,
     is_basis_pair,
-    of2_project,
     slope_of,
 )
 from freefactor.experiments import build_boundary_pA
@@ -68,6 +65,11 @@ def oracle_dist_to_infinity(p: int, q: int, cache: dict | None = None) -> int:
 
 def random_slope(rng, bound: int) -> Slope:
     return Slope(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def farey_adjacent(s: Slope, t: Slope) -> bool:
+    """Reference edge test: the determinant of the two slopes is +-1."""
+    return abs(s.p * t.q - s.q * t.p) == 1
 
 
 def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -372,16 +374,16 @@ class TestFareyGraph:
 
 class TestProjection:
     def test_standard_factor(self):
-        assert of2_project(FreeFactorVertex((W("x"),), 2)) == Slope(1, 0)
+        assert slope_of(W("x")) == Slope(1, 0)
 
     def test_inner_automorphisms_act_trivially(self, b2):
         for k in (-2, 1, 3):
             gen = (b2**k) * W("x") * (b2**-k)
-            assert of2_project(FreeFactorVertex((gen,), 2)) == Slope(1, 0)
+            assert slope_of(gen) == Slope(1, 0)
 
     def test_twisted_factor(self):
         psi = build_boundary_pA()
-        assert of2_project(FreeFactorVertex((psi.apply(W("x")),), 2)) == Slope(1, 1)
+        assert slope_of(psi.apply(W("x"))) == Slope(1, 1)
 
 
 class TestClosestOrbitPoint:

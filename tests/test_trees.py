@@ -4,73 +4,25 @@ import pytest
 
 from freefactor import (
     AxesEqualError,
+    AxisInterval,
     DomainError,
     IdentityWordError,
     NotCyclicallyReducedError,
     RankError,
-    UnboundedOverlapError,
     Word,
     b_index,
-    cyclic_reduce,
-    distance_to_axis,
     fold,
     geometric_index,
     parse_word,
     project_axis_to_axis,
     random_free_factor,
     random_word,
-    subtree_axis_overlap,
 )
 from freefactor.experiments import _random_deep_factor, boundary_word
+from freefactor.factors import _forced_stem
+from freefactor.words import _require_axis_word
 
 from conftest import W, random_cyclically_reduced, reduced_loops
-
-
-def axis_vertices(a: Word, span: int) -> list[Word]:
-    """Oracle: explicit axis vertices g * (prefixes of core^+-inf)."""
-    dec = cyclic_reduce(a)
-    g, core = dec.conjugator, dec.core
-    points = []
-    fwd = core.letters * (span // len(core) + 1)
-    bwd = core.inverse().letters * (span // len(core) + 1)
-    for t in range(span + 1):
-        points.append(g * Word.from_letters(fwd[:t], a.rank))
-        if t:
-            points.append(g * Word.from_letters(bwd[:t], a.rank))
-    return points
-
-
-class TestDistanceToAxis:
-    def test_basepoint_on_axis(self, b2):
-        assert distance_to_axis(Word.identity(2), b2) == (0, Word.identity(2))
-
-    def test_conjugate_axis(self):
-        a = W("xy", 3) * Word((3,), 3) * W("xy", 3).inverse()  # xy z (xy)^-1
-        d, foot = distance_to_axis(Word.identity(3), a)
-        assert (d, foot) == (2, W("xy", 3))
-
-    def test_offset_point(self):
-        d, foot = distance_to_axis(W("x"), W("y"))
-        assert (d, foot) == (1, Word.identity(2))
-
-    def test_identity_axis_rejected(self):
-        with pytest.raises(IdentityWordError):
-            distance_to_axis(W("x"), Word.identity(2))
-
-    def test_matches_explicit_enumeration(self):
-        rng = random.Random(17)
-        for _ in range(50):
-            a = random_word(rng.randint(1, 10), 2, rng)
-            if cyclic_reduce(a).core.is_identity():
-                continue
-            p = random_word(rng.randint(0, 8), 2, rng)
-            d, foot = distance_to_axis(p, a)
-            span = len(p) + len(a) + d + 2
-            candidates = axis_vertices(a, span)
-            best = min(len((v.inverse() * p)) for v in candidates)
-            assert d == best
-            assert len(foot.inverse() * p) == d
-            assert foot in candidates
 
 
 class TestProjection:
@@ -106,6 +58,71 @@ class TestProjection:
         a = W("yy") * W("x") * W("YY")
         iv = project_axis_to_axis(a, b2)
         assert iv.lo_position == iv.hi_position
+
+
+# The exact overlap of a subgroup's minimal subtree with the axis of b, a
+# reference for the tests below: with it, test_proper_factor_overlap_bounded
+# checks that a proper free factor's overlap is at most |b| long.
+
+
+class UnboundedOverlapError(DomainError):
+    """A power of b lies in the subgroup, so its subtree/axis overlap is infinite."""
+
+
+def subtree_axis_overlap(generators, b: Word) -> AxisInterval:
+    """Overlap of the minimal subtree of H = <generators> with the axis of
+    b, read exactly off the folded core graph.
+
+    The Cayley tree covers the core graph with trees hung on its free
+    slots, and the minimal subtree is the preimage of the graph minus its
+    hair: the vertices of the forced stem before its end vertex.  Reading
+    b^inf, then b^-inf, from the basepoint walks the axis until a read
+    fails; the axis has then entered a hung tree, which it never leaves.
+    The overlap is the hull of the positions read onto vertices off the
+    hair.  If none is, the subtree misses the axis and projects to the
+    point where the stem leaves it, the farthest position either read
+    reached.  A block vertex (position divisible by |b|) reached twice
+    means some power of b lies in H, whose axis is the axis of b:
+    UnboundedOverlapError.
+
+    Each read visits at most V block vertices, so the cost is O(V * |b|).
+    """
+    _require_axis_word(b)
+    gens = [g for g in generators if not g.is_identity()]
+    if not gens:
+        raise DomainError("need at least one nontrivial generator")
+    graph = fold(gens, b.rank)
+    adj = graph._adj
+    hair = set()
+    cur = graph.basepoint
+    for letter in _forced_stem(graph)[0]:
+        hair.add(cur)
+        cur = adj[cur][letter]
+    inside: list[int] = []
+    reach: list[int] = []
+    for sign, block in ((1, b.letters), (-1, b.inverse().letters)):
+        m = len(block)
+        cur = graph.basepoint
+        blocks: dict[int, int] = {}
+        t = 0
+        while cur is not None:
+            if t % m == 0:
+                if cur in blocks:
+                    power = t // m - blocks[cur]
+                    name = "b" if power == 1 else f"b^{power}"
+                    raise UnboundedOverlapError(
+                        f"{name} lies in the subgroup; the overlap is the "
+                        "whole axis of b"
+                    )
+                blocks[cur] = t // m
+            if cur not in hair:
+                inside.append(sign * t)
+            cur = adj[cur].get(block[t % m])
+            t += 1
+        reach.append(sign * (t - 1))
+    if not inside:
+        inside.append(reach[0] or reach[1])
+    return AxisInterval.from_positions(b, min(inside), max(inside))
 
 
 @pytest.mark.parametrize("b", ["1", "xyX"])
