@@ -40,7 +40,6 @@ from .whitehead import (
     minimize_cyclic_length,
     classify,
     Classification,
-    vertex_order,
 )
 from .words import (
     Word,
@@ -116,42 +115,38 @@ def boundary_word(rank: int) -> Word:
     return Word(tuple(letters), rank)
 
 
-def _conjugation_chain(w: Word) -> tuple[WhAutomorphism, ...]:
-    """Conjugation by w as a chain of single-letter conjugation moves."""
-    rank = w.rank
-    letters = frozenset(vertex_order(rank))
-    return tuple(
-        WhAutomorphism.multiplier_move(l, letters - {-l}, rank)
-        for l in reversed(w.letters)
-    )
+def _random_edge_images(rng: random.Random, rank: int, b: Word) -> tuple[Word, ...]:
+    """Images of the basis x_1..x_N under a random automorphism theta.
 
-
-def _random_edge_chain(
-    rng: random.Random, rank: int, b: Word, image_cap: int = 110
-) -> tuple[WhAutomorphism, ...]:
-    """Random chain mixing multiplier bursts with conjugation segments.
-
-    Conjugating by powers of b moves factors to varying depths, so the
-    sampled edges exercise the invariant away from zero.
+    theta mixes multiplier bursts with conjugations; conjugating by powers
+    of b moves factors to varying depths, so the sampled edges exercise
+    the invariant away from zero.  Each step phi is composed on the left,
+    theta' = phi o theta, so theta'(x_i) = phi(theta(x_i)): a burst applies
+    its moves to each image and a conjugation by w maps each image u to
+    w u w^-1.  Reduced words are unique, so the images equal those of the
+    equivalent chain of single-letter Whitehead moves letter for letter.
+    Draws are retried while the images exceed 110 letters in total; after
+    40 tries theta is the identity.
     """
-    gens = [Word((i,), rank) for i in range(1, rank + 1)]
+    basis = tuple(Word((i,), rank) for i in range(1, rank + 1))
     for _ in range(40):
-        chain: list[WhAutomorphism] = []
+        images = basis
         for _ in range(rng.randint(1, 3)):
             roll = rng.random()
-            if roll < 0.45:
-                chain.extend(_conjugation_chain(b ** rng.choice((-2, -1, 1, 2))))
-            elif roll < 0.65:
-                chain.extend(
-                    _conjugation_chain(random_word(rng.randint(1, 3), rank, rng))
-                )
+            if roll < 0.65:
+                if roll < 0.45:
+                    w = b ** rng.choice((-2, -1, 1, 2))
+                else:
+                    w = random_word(rng.randint(1, 3), rank, rng)
+                images = tuple(u.conjugated_by(w) for u in images)
             else:
-                chain.extend(
+                burst = [
                     _random_multiplier_move(rng, rank) for _ in range(rng.randint(1, 2))
-                )
-        if sum(len(apply_automorphism(chain, g)) for g in gens) <= image_cap:
-            return tuple(chain)
-    return ()
+                ]
+                images = tuple(apply_automorphism(burst, u) for u in images)
+        if sum(map(len, images)) <= 110:
+            return images
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +181,7 @@ def exp_lipschitz(
     max_delta = 0
     for i in range(trials):
         rng = _rng(seed, "lipschitz", i)
-        chain = _random_edge_chain(rng, rank, b)
+        images = _random_edge_images(rng, rank, b)
         if rank == 2:
             small, big = (1,), (2,)
         else:
@@ -194,10 +189,7 @@ def exp_lipschitz(
             small = (min(i1, i2),)
             big = tuple(sorted((i1, i2)))
         fa, fb = (
-            FreeFactorVertex(
-                tuple(apply_automorphism(chain, Word((s,), rank)) for s in subset),
-                rank,
-            )
+            FreeFactorVertex(tuple(images[s - 1] for s in subset), rank)
             for subset in (small, big)
         )
         if not af_adjacent(fa, fb):
@@ -497,8 +489,9 @@ def build_boundary_pA() -> BoundaryAutomorphism:
         if phi(b) != b:
             raise InternalContradictionError("twist move does not fix the boundary")
     chain = (tau, sigma)  # tau applied first
-    x_img = apply_automorphism(chain, Word((1,), rank))
-    y_img = apply_automorphism(chain, Word((2,), rank))
+    x, y = Word((1,), rank), Word((2,), rank)
+    x_img = apply_automorphism(chain, x)
+    y_img = apply_automorphism(chain, y)
     if apply_automorphism(chain, b) != b:
         raise InternalContradictionError("composite does not fix the boundary")
     hom = (exponent_sums(x_img), exponent_sums(y_img))
@@ -513,8 +506,11 @@ def build_boundary_pA() -> BoundaryAutomorphism:
             f"homology trace {trace} does not certify a pseudo-Anosov"
         )
     inverse_chain = (sigma.inverse(), tau.inverse())
-    if apply_automorphism(inverse_chain, x_img) != Word((1,), rank):
-        raise InternalContradictionError("inverse chain does not invert")
+    for gen, image in ((x, x_img), (y, y_img)):
+        if apply_automorphism(inverse_chain, image) != gen:
+            raise InternalContradictionError(
+                f"inverse chain does not send {image} back to {gen}"
+            )
     return BoundaryAutomorphism(
         x_image=x_img,
         y_image=y_img,

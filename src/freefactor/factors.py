@@ -94,18 +94,6 @@ class CoreGraph:
         lines.append("}")
         return "\n".join(lines)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CoreGraph)
-            and self.rank == other.rank
-            and self._adj == other._adj
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.rank, tuple(sorted((u, tuple(sorted(d.items()))) for u, d in self._adj.items())))
-        )
-
     def __repr__(self):
         return f"<CoreGraph rank={self.rank} V={self.num_vertices} E={self.num_edges}>"
 

@@ -32,38 +32,21 @@ from .words import Word, _require_axis_word, cyclic_reduce
 
 @dataclass(frozen=True)
 class AxisInterval:
-    """An interval of the axis of ``on_axis_of`` with sub-edge resolution.
-
-    The endpoints sit at letter positions ``lo*|b| + offset_lo`` and
-    ``hi*|b| + offset_hi`` with offsets in [0, |b|), so the point case is
-    lo == hi with equal offsets.
-    """
+    """The interval [lo_position, hi_position] of the axis of ``on_axis_of``,
+    with endpoints given as letter positions."""
 
     on_axis_of: Word
-    lo: int
-    offset_lo: int
-    hi: int
-    offset_hi: int
+    lo_position: int
+    hi_position: int
 
-    @classmethod
-    def from_positions(cls, b: Word, t_lo: int, t_hi: int) -> "AxisInterval":
-        if t_lo > t_hi:
+    def __post_init__(self):
+        if self.lo_position > self.hi_position:
             raise DomainError("interval endpoints out of order")
-        m = len(b)
-        return cls(b, t_lo // m, t_lo % m, t_hi // m, t_hi % m)
-
-    @property
-    def lo_position(self) -> int:
-        return self.lo * len(self.on_axis_of) + self.offset_lo
-
-    @property
-    def hi_position(self) -> int:
-        return self.hi * len(self.on_axis_of) + self.offset_hi
 
     def power_hull(self) -> tuple[int, int]:
         """Minimal (i, j) with b^i <= interval <= b^j."""
-        j = self.hi if self.offset_hi == 0 else self.hi + 1
-        return self.lo, j
+        m = len(self.on_axis_of)
+        return self.lo_position // m, -(-self.hi_position // m)
 
 
 def _ray(block: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -125,7 +108,7 @@ def project_axis_to_axis(a: Word, b: Word) -> AxisInterval:
     t_bwd = _end_projection_position(
         g, tuple(-l for l in reversed(core)), b
     )
-    return AxisInterval.from_positions(b, min(t_fwd, t_bwd), max(t_fwd, t_bwd))
+    return AxisInterval(b, min(t_fwd, t_bwd), max(t_fwd, t_bwd))
 
 
 def geometric_index(a: Word, b: Word) -> int:

@@ -43,7 +43,7 @@ from .errors import (
     InternalContradictionError,
     RankError,
 )
-from .words import Word, apply_automorphism, cyclic_reduce
+from .words import Word, apply_automorphism, cyclic_reduce, format_word
 
 
 @lru_cache(maxsize=None)
@@ -169,8 +169,6 @@ class WhAutomorphism:
 
     def generator_images(self) -> dict[str, str]:
         """Images of the generators, in compact text (for certificates)."""
-        from .words import format_word
-
         out = {}
         for i in range(1, self.rank + 1):
             gen = Word((i,), self.rank)
@@ -313,8 +311,6 @@ class MinimizationCertificate:
     length_trace: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
-        from .words import format_word
-
         return {
             "input": format_word(self.input),
             "minimized": format_word(self.minimized),

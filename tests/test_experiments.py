@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from freefactor import (
     InternalContradictionError,
     PreconditionError,
+    WhAutomorphism,
     Word,
     apply_automorphism,
     b_index,
@@ -20,10 +22,12 @@ from freefactor import (
     exp_lipschitz,
     exp_quasiflat,
     exp_twist_stability,
+    random_word,
     run_experiment,
 )
 from freefactor import cli, experiments
-from freefactor.experiments import _conjugation_chain
+from freefactor.experiments import _random_edge_images, _rng
+from freefactor.whitehead import _random_multiplier_move, vertex_order
 
 from conftest import W
 
@@ -103,6 +107,42 @@ def oracle_quasiflat_pairs(report, c0: int) -> dict:
     }
 
 
+def _conjugation_chain(w: Word) -> tuple[WhAutomorphism, ...]:
+    """Conjugation by w as a chain of single-letter conjugation moves."""
+    rank = w.rank
+    letters = frozenset(vertex_order(rank))
+    return tuple(
+        WhAutomorphism.multiplier_move(l, letters - {-l}, rank)
+        for l in reversed(w.letters)
+    )
+
+
+def oracle_random_edge_chain(
+    rng, rank: int, b: Word, image_cap: int = 110
+) -> tuple[WhAutomorphism, ...]:
+    """The chain sampler that _random_edge_images replaced: the same draws,
+    kept as a chain of Whitehead moves and applied to the basis to test
+    the size cap."""
+    gens = [Word((i,), rank) for i in range(1, rank + 1)]
+    for _ in range(40):
+        chain: list[WhAutomorphism] = []
+        for _ in range(rng.randint(1, 3)):
+            roll = rng.random()
+            if roll < 0.45:
+                chain.extend(_conjugation_chain(b ** rng.choice((-2, -1, 1, 2))))
+            elif roll < 0.65:
+                chain.extend(
+                    _conjugation_chain(random_word(rng.randint(1, 3), rank, rng))
+                )
+            else:
+                chain.extend(
+                    _random_multiplier_move(rng, rank) for _ in range(rng.randint(1, 2))
+                )
+        if sum(len(apply_automorphism(chain, g)) for g in gens) <= image_cap:
+            return tuple(chain)
+    return ()
+
+
 class TestBoundaryWords:
     def test_values(self):
         assert boundary_word(2) == W("xyXY")
@@ -156,11 +196,20 @@ class TestBoundaryAutomorphism:
         w = W("xYxxy")
         assert psi.apply(psi.apply(w, 3), -3) == w
 
-    def test_ad_chain_matches_conjugation(self, b2):
-        for k in (-2, 1, 3):
-            chain = _conjugation_chain(b2**k)
-            got = apply_automorphism(chain, W("x"))
-            assert got == (b2**k) * W("x") * (b2**-k)
+    def test_inverse_checked_on_both_generators(self, monkeypatch, capsys):
+        # without tau's inverse the chain still sends xy back to x, but it
+        # sends yxy to yx
+        tau = WhAutomorphism.multiplier_move(-1, {-1, 2}, 2)
+        inverse = WhAutomorphism.inverse
+        monkeypatch.setattr(
+            WhAutomorphism,
+            "inverse",
+            lambda phi: WhAutomorphism.identity(2) if phi == tau else inverse(phi),
+        )
+        with pytest.raises(InternalContradictionError, match="yxy back to y$"):
+            build_boundary_pA()
+        assert cli.main(["experiment", "quasiflat", "--radius", "1"]) == 3
+        assert "yxy back to y" in capsys.readouterr().err
 
 
 class TestLipschitz:
@@ -193,6 +242,34 @@ class TestLipschitz:
         with pytest.raises(InternalContradictionError):
             exp_lipschitz(rank, trials=3, seed=5)
         assert len(checked) == 1
+
+
+class TestRandomEdgeImages:
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_matches_chain_oracle(self, rank):
+        # equal images, and the stream left where the chain sampler left it,
+        # so exp_lipschitz's subset draw that follows is unchanged
+        b = boundary_word(rank)
+        basis = [Word((i,), rank) for i in range(1, rank + 1)]
+        for i in range(500):
+            rng, oracle_rng = _rng(0, "lipschitz", i), _rng(0, "lipschitz", i)
+            images = _random_edge_images(rng, rank, b)
+            chain = oracle_random_edge_chain(oracle_rng, rank, b)
+            assert images == tuple(apply_automorphism(chain, g) for g in basis), i
+            assert rng.getstate() == oracle_rng.getstate(), i
+
+    def test_fallback_is_the_basis(self):
+        # every draw conjugates by a power of a 60-letter word, so all 40
+        # tries exceed the 110-letter cap
+        class Conjugating(random.Random):
+            def random(self):
+                return 0.0
+
+        b = boundary_word(2) ** 15
+        rng, oracle_rng = Conjugating(1), Conjugating(1)
+        assert _random_edge_images(rng, 2, b) == (W("x"), W("y"))
+        assert oracle_random_edge_chain(oracle_rng, 2, b) == ()
+        assert rng.getstate() == oracle_rng.getstate()
 
 
 class TestCancellation:

@@ -93,7 +93,8 @@ class TestFold:
         for gens in ([W("xx"), W("y"), W("xyX")], [W("xyXY")], [W("x"), W("yxY")]):
             g = fold(gens)
             again = fold(subgroup_basis(g), rank=2)
-            assert g == again  # canonical renumbering makes equality meaningful
+            # canonical renumbering makes equal subgroups give equal graphs
+            assert (g.rank, g._adj) == (again.rank, again._adj)
 
     def test_dot_export(self):
         text = fold([W("x")]).to_dot()

@@ -59,6 +59,12 @@ class TestProjection:
         iv = project_axis_to_axis(a, b2)
         assert iv.lo_position == iv.hi_position
 
+    def test_interval_endpoints(self, b2):
+        with pytest.raises(DomainError):
+            AxisInterval(b2, 1, 0)
+        assert AxisInterval(b2, -5, -1).power_hull() == (-2, 0)
+        assert AxisInterval(b2, 4, 4).power_hull() == (1, 1)
+
 
 # The exact overlap of a subgroup's minimal subtree with the axis of b, a
 # reference for the tests below: with it, test_proper_factor_overlap_bounded
@@ -122,7 +128,7 @@ def subtree_axis_overlap(generators, b: Word) -> AxisInterval:
         reach.append(sign * (t - 1))
     if not inside:
         inside.append(reach[0] or reach[1])
-    return AxisInterval.from_positions(b, min(inside), max(inside))
+    return AxisInterval(b, min(inside), max(inside))
 
 
 @pytest.mark.parametrize("b", ["1", "xyX"])
