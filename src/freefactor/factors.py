@@ -18,6 +18,7 @@ construction.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -41,6 +42,7 @@ from .words import (
     Word,
     _leading_power,
     apply_automorphism,
+    cyclic_reduce,
     format_word,
 )
 
@@ -276,12 +278,14 @@ def _check_filling_minimal(b: Word) -> None:
 
 @dataclass(frozen=True)
 class FactorInvariant:
-    """The factor invariant, read exactly off the folded core graph.
+    """The factor invariant, exact: read off the generator of a cyclic
+    factor, or off the folded core graph of any other.
 
     ``witness`` is an element of the factor whose balanced b-exponent is
     ``value``.  ``samples`` counts the directed-edge states the graph
-    searches visited.  ``tight`` is always True: the value is exact, not a
-    sampled lower bound.
+    searches visited; it is 0 for a cyclic factor, which needs no search.
+    ``tight`` is always True: the value is exact, not a sampled lower
+    bound.
     """
 
     value: int
@@ -310,13 +314,15 @@ def _b_blocks(graph: CoreGraph, b: Word) -> list[int]:
             if cur is None:
                 return blocks
         if cur in seen:
-            power = len(blocks) + 1 - seen[cur]
-            name = "b" if power == 1 else f"b^{power}"
-            raise PreconditionError(
-                f"{name} lies in the subgroup; the invariant is infinite"
-            )
+            raise _infinite_invariant(len(blocks) + 1 - seen[cur])
         blocks.append(cur)
         seen[cur] = len(blocks)
+
+
+def _infinite_invariant(power: int) -> PreconditionError:
+    """The error for a subgroup containing b^power, the least such power."""
+    name = "b" if power == 1 else f"b^{power}"
+    return PreconditionError(f"{name} lies in the subgroup; the invariant is infinite")
 
 
 def _forced_stem(graph: CoreGraph) -> tuple[tuple[int, ...], int]:
@@ -371,7 +377,74 @@ def _closed_path(
 
 def factor_invariant(a: FreeFactorVertex, b: Word) -> FactorInvariant:
     """Supremum of the balanced b-exponent over the nontrivial elements of
-    the factor, read off its folded core graph.
+    the factor.
+
+    A factor with one nontrivial generator gets the closed form of
+    ``_cyclic_invariant``, with no core graph and ``samples`` 0; any other
+    factor is searched on its folded core graph (``_graph_invariant``).
+    """
+    _check_filling_minimal(b)
+    if b.rank != a.rank_ambient:
+        raise RankError("b and the factor must have the same ambient rank")
+    gens = [g for g in a.generators if not g.is_identity()]
+    if len(gens) == 1:
+        return _cyclic_invariant(gens[0], b)
+    return _graph_invariant(a.graph, b)
+
+
+def _cyclic_invariant(g: Word, b: Word) -> FactorInvariant:
+    """The invariant of <g>, read off g = u c u^-1 (``cyclic_reduce``).
+
+    Every element g^n = u c^n u^-1 (n != 0) is reduced as written: c is
+    cyclically reduced and u is the longest conjugator.  Being
+    b^k m b^-k (k >= 1) needs 2k|b| < 2|u| + |n||c|, so b^k is a prefix of
+    u c^n, and b^-k a suffix of c^n u^-1, that is b^k a prefix of u c^-n.
+    These two words part right after u, at c[0] against c[-1]^-1, so both
+    start with b^k iff u does.  The value is therefore the number K of
+    whole b blocks that u starts with, attained by every element, whenever
+    K >= 1.
+
+    Otherwise every element starts with u and ends with u^-1, so each has
+    exponent <= -J, where J counts the whole b^-1 blocks u starts with
+    (the cap 2J|b| <= 2|u| < |g^n| never binds).  Of g and g^-1, whose
+    first letters after u are c[0] and c[-1]^-1, at most one continues
+    the next b^-1 block, and the other has exponent exactly -J.
+
+    With u empty, g^n = c^n is cyclically reduced and has exponent 0,
+    unless <g> contains a power of b: then c^L/|c| = (b^+-1)^L/|b| with
+    L = lcm(|c|, |b|), and L/|b| is the least power of b in <g>.  With u
+    nonempty no element is cyclically reduced, so none is a power of b.
+
+    The witness is g or g^-1: whichever of c[0] and c[-1]^-1 comes first
+    in ``vertex_order``, after dropping, when the value is -J, the letter
+    that would continue the next b^-1 block.  That is the element the
+    graph search finds on the core graph, a stem u ending in a cycle c.
+    """
+    split = cyclic_reduce(g)
+    u, c = split.conjugator.letters, split.core.letters
+    bl = b.letters
+    binv = b.inverse().letters
+    m = len(bl)
+    if not u:
+        span = math.lcm(len(c), m)
+        if c * (span // len(c)) in (bl * (span // m), binv * (span // m)):
+            raise _infinite_invariant(span // m)
+    value = _leading_power(u, bl, len(u) // m)
+    bad_first = None
+    if value == 0:
+        blocks = _leading_power(u, binv, len(u) // m)
+        value = -blocks
+        rest = u[blocks * m :]
+        if len(rest) < m and rest == binv[: len(rest)]:
+            bad_first = binv[len(rest)]  # the letter continuing the next block
+    first = next(
+        l for l in vertex_order(g.rank) if l in (c[0], -c[-1]) and l != bad_first
+    )
+    return FactorInvariant(value, g if first == c[0] else g.inverse(), 0)
+
+
+def _graph_invariant(graph: CoreGraph, b: Word) -> FactorInvariant:
+    """The invariant of the subgroup with folded core graph ``graph``.
 
     The graph is deterministic, so an element b^k c b^-k (k >= 1, letter
     for letter) reads b^k from the basepoint to the k-th block vertex v_k,
@@ -386,10 +459,6 @@ def factor_invariant(a: FreeFactorVertex, b: Word) -> FactorInvariant:
 
     The search costs O(edges) per block vertex tried, from v_K downwards.
     """
-    _check_filling_minimal(b)
-    if b.rank != a.rank_ambient:
-        raise RankError("b and the factor must have the same ambient rank")
-    graph = a.graph
     if graph.is_whole_group():
         raise PreconditionError("the factor is the whole group, not proper")
     if graph.num_edges == 0:

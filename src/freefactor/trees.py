@@ -13,8 +13,8 @@ the index is i if i > 0, j if j < 0, and 0 otherwise.  It always agrees
 with the combinatorial exponent of words.b_reduced_decomposition.
 
 Subgroups, and their minimal subtrees, are not modelled here: what the
-experiments report about a free factor is read off its folded core graph
-(factors.factor_invariant).
+experiments report about a free factor is read off its generators or its
+folded core graph (factors.factor_invariant).
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ bounded caches; the per-rank cut table behind an unbounded one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 
@@ -302,13 +302,16 @@ class MinimizationCertificate:
 
     Applying ``chain`` to ``input`` and cyclically reducing yields
     ``minimized``; ``length_trace`` is strictly decreasing and ends at the
-    minimal value.
+    minimal value.  ``edges`` is the Whitehead graph of ``minimized``
+    (``whitehead_graph``), kept from the descent step that found no
+    shorter move.
     """
 
     input: Word
     minimized: Word
     chain: tuple[WhAutomorphism, ...]
     length_trace: tuple[int, ...]
+    edges: np.ndarray = field(compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -321,16 +324,16 @@ class MinimizationCertificate:
     @cached_property
     def cut_vertex(self) -> int | None:
         """Lowest cut vertex of the minimal word's Whitehead graph, if any."""
-        return find_cut_vertex(whitehead_graph(self.minimized))
+        return find_cut_vertex(self.edges)
 
 
-def _move_scores(core: Word) -> np.ndarray:
-    """Cyclic length of phi(core) for every multiplier move phi, in
-    enumeration order, by the cut lemma; ``core`` is cyclically reduced."""
-    crossing, pairs, inverse_col = _cut_table(core.rank)
-    edges = _edge_matrix(core)
+def _move_scores(edges: np.ndarray) -> np.ndarray:
+    """Cyclic length of phi(w) for every multiplier move phi, in
+    enumeration order, by the cut lemma; ``edges`` is the Whitehead graph
+    of w."""
+    crossing, pairs, inverse_col = _cut_table(len(edges) // 2)
     cut = crossing @ edges[pairs]
-    return len(core) + cut - edges.sum(axis=1)[inverse_col]
+    return edges.sum() // 2 + cut - edges.sum(axis=1)[inverse_col]
 
 
 def minimize_cyclic_length(w: Word) -> MinimizationCertificate:
@@ -351,7 +354,8 @@ def minimize_cyclic_length(w: Word) -> MinimizationCertificate:
     trace = [len(current)]
     chain: list[WhAutomorphism] = []
     while True:
-        scores = _move_scores(current)
+        edges = _edge_matrix(current)
+        scores = _move_scores(edges)
         k = int(np.argmin(scores))
         if scores[k] >= len(current):
             break
@@ -363,8 +367,11 @@ def minimize_cyclic_length(w: Word) -> MinimizationCertificate:
             )
         chain.append(best)
         trace.append(len(current))
+    # minimized is a cyclic permutation of current, so it has the same
+    # Whitehead graph
     minimized = cyclic_reduce(apply_automorphism(chain, w)).core
-    return MinimizationCertificate(w, minimized, tuple(chain), tuple(trace))
+    edges.flags.writeable = False
+    return MinimizationCertificate(w, minimized, tuple(chain), tuple(trace), edges)
 
 
 class Classification(str, Enum):

@@ -78,6 +78,21 @@ class TestBasicCommands:
         )
         assert code == 0 and out.startswith("value = 0")
 
+    @pytest.mark.parametrize(
+        "gen,expected",
+        [
+            # b^2 X b^-2: the witness is its inverse, x first in letter order
+            ("xyXYxyXYXyxYXyxYX", "value = 2 (witness xyXYxyXYxyxYXyxYX)"),
+            # b^-1 y b: y would continue the next b^-1 block, so Y leads
+            ("yxYXyxyXY", "value = -1 (witness yxYXYxyXY)"),
+        ],
+    )
+    def test_factor_invariant_cyclic(self, capsys, gen, expected):
+        code, out, _ = run(
+            capsys, "factor-invariant", "--n", "2", "--b", "xyXY", "--gen", gen
+        )
+        assert code == 0 and out == expected
+
     def test_factor_invariant_witness(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, out, _ = run(
@@ -122,11 +137,13 @@ class TestJsonOutput:
 
 
 class TestClassifyWork:
-    def test_one_descent_and_one_graph(self, capsys, monkeypatch):
+    def test_one_descent_and_no_second_graph(self, capsys, monkeypatch):
+        # the cut-vertex test reads the Whitehead graph that the last descent
+        # step built, so classify builds one graph per descent step and no more
         import freefactor.cli
         import freefactor.whitehead as wh
 
-        counts = {"minimize": 0, "graph": 0}
+        counts = {"minimize": 0, "graph": 0, "edges": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -135,17 +152,22 @@ class TestClassifyWork:
 
             return wrapper
 
+        steps = {
+            word: len(wh.minimize_cyclic_length(parse_word(word, 2)).length_trace)
+            for word in ("xyXY", "xxy", "xxx")
+        }
         minimize = counting("minimize", wh.minimize_cyclic_length)
         monkeypatch.setattr(wh, "minimize_cyclic_length", minimize)
         monkeypatch.setattr(freefactor.cli, "minimize_cyclic_length", minimize)
-        graph = counting("graph", wh.whitehead_graph)
-        monkeypatch.setattr(wh, "whitehead_graph", graph)
+        monkeypatch.setattr(wh, "whitehead_graph", counting("graph", wh.whitehead_graph))
+        monkeypatch.setattr(wh, "_edge_matrix", counting("edges", wh._edge_matrix))
         for word, verdict in (("xyXY", "Filling"), ("xxy", "Primitive"),
                               ("xxx", "SimpleNonPrimitive")):
-            counts.update(minimize=0, graph=0)
+            counts.update(minimize=0, graph=0, edges=0)
             code, out, _ = run(capsys, "classify", "--n", "2", word)
             assert code == 0 and out == verdict
-            assert counts == {"minimize": 1, "graph": 1}, word
+            assert counts == {"minimize": 1, "graph": 0, "edges": steps[word]}, word
+        assert steps["xxy"] > 1
 
 
 class TestParserReuse:

@@ -25,7 +25,7 @@ from freefactor import (
     random_word,
     run_experiment,
 )
-from freefactor import cli, experiments
+from freefactor import cli, experiments, factors
 from freefactor.experiments import _random_edge_images, _rng
 from freefactor.whitehead import _random_multiplier_move, vertex_order
 
@@ -395,6 +395,23 @@ class TestTwistStability:
         assert report.violations == 0
         assert report.summary["settle_at_k0"] <= 2
         assert report.summary["empirical_bound"] >= 0
+
+
+@pytest.mark.parametrize("experiment,folds", [(exp_quasiflat, 4), (exp_twist_stability, 0)])
+def test_orbit_grid_folds_only_path_pairs(monkeypatch, experiment, folds):
+    # grid invariants are cyclic, read off their generators; the only core
+    # graphs are the four basis pairs of the two quasiflat paths
+    calls = []
+    fold = factors.fold
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fold(*args, **kwargs)
+
+    monkeypatch.setattr(factors, "fold", counted)
+    factors._fold_cached.cache_clear()
+    experiment(4)
+    assert len(calls) == folds
 
 
 class TestReports:

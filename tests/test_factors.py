@@ -25,6 +25,7 @@ from freefactor import (
     random_word,
 )
 from freefactor.experiments import _random_deep_factor, boundary_word
+from freefactor.factors import _graph_invariant
 from freefactor.whitehead import vertex_order
 
 from conftest import W, random_cyclically_reduced, random_element, reduced_loops
@@ -625,3 +626,57 @@ class TestExponentSpread:
             shifted_gen = (b2**k) * gen * (b2**-k)
             shifted = factor_invariant(FreeFactorVertex((shifted_gen,), 2), b2)
             assert shifted.value - base.value == k
+
+
+def invariant_outcome(compute):
+    """(value, witness), or (exception class, message) if compute raises."""
+    try:
+        inv = compute()
+    except PreconditionError as exc:
+        return type(exc), str(exc)
+    return inv.value, inv.witness
+
+
+class TestCyclicClosedForm:
+    """factor_invariant reads a cyclic factor's invariant off its generator;
+    the core-graph search stays the oracle."""
+
+    def test_matches_graph_search(self):
+        rng = random.Random(1301)
+        values, inverse_witness = set(), 0
+        for rank in (2, 3, 4, 5):
+            b = boundary_word(rank)
+            for _ in range(2600):  # 10,400 factors in all
+                # conjugators b^j w reach the b-blocks on both sides of 0
+                conj = (b ** rng.randint(-3, 3)) * random_word(rng.randint(0, 4), rank, rng)
+                g = conj * random_word(rng.randint(1, 8), rank, rng) * conj.inverse()
+                closed = invariant_outcome(
+                    lambda: factor_invariant(FreeFactorVertex((g,), rank), b)
+                )
+                search = invariant_outcome(lambda: _graph_invariant(fold([g], rank), b))
+                assert closed == search, (rank, g)
+                values.add(closed[0])
+                inverse_witness += closed[1] == g.inverse()
+        assert {-3, -1, 0, 1, 3} <= values
+        assert 0 < inverse_witness < 4 * 2600
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_power_of_b_errors_match(self, rank):
+        b = boundary_word(rank)
+        for j in (1, 2, 3):
+            for g in (b**j, b**-j):
+                closed = invariant_outcome(
+                    lambda: factor_invariant(FreeFactorVertex((g,), rank), b)
+                )
+                search = invariant_outcome(lambda: _graph_invariant(fold([g], rank), b))
+                name = "b" if j == 1 else f"b^{j}"
+                assert closed == search == (
+                    PreconditionError,
+                    f"{name} lies in the subgroup; the invariant is infinite",
+                )
+
+    def test_searches_nothing(self, b2):
+        # an identity generator leaves the factor cyclic
+        gen = (b2**-2) * W("y") * (b2**2)
+        inv = factor_invariant(FreeFactorVertex((gen, Word.identity(2)), 2), b2)
+        assert (inv.value, inv.witness, inv.samples) == (-2, gen.inverse(), 0)

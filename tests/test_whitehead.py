@@ -455,7 +455,9 @@ def oracle_minimize_cyclic_length(w: Word) -> MinimizationCertificate:
         current = cyclic_reduce(best(current)).core
         trace.append(len(current))
     minimized = cyclic_reduce(apply_automorphism(chain, w)).core
-    return MinimizationCertificate(w, minimized, tuple(chain), tuple(trace))
+    return MinimizationCertificate(
+        w, minimized, tuple(chain), tuple(trace), whitehead_graph(minimized)
+    )
 
 
 def _random_cores(rank, count, seed, lengths=(1, 24)):
@@ -473,7 +475,7 @@ class TestCutScores:
     def test_score_equals_applied_length(self, rank, count):
         table = enumerate_whitehead_automorphisms(rank)
         for core in _random_cores(rank, count, seed=100 + rank):
-            scores = _move_scores(core)
+            scores = _move_scores(whitehead_graph(core))
             assert len(scores) == len(table)
             applied = [len(cyclic_reduce(phi(core)).core) for phi in table]
             assert scores.tolist() == applied, core
@@ -482,9 +484,13 @@ class TestCutScores:
     def test_certificates_match_oracle(self, rank, count):
         ties = 0
         for w in _random_cores(rank, count, seed=200 + rank, lengths=(2, 20)):
-            expected = oracle_minimize_cyclic_length(w).to_json_dict()
-            assert minimize_cyclic_length(w).to_json_dict() == expected
-            scores = _move_scores(w)
+            expected = oracle_minimize_cyclic_length(w)
+            cert = minimize_cyclic_length(w)
+            assert cert.to_json_dict() == expected.to_json_dict()
+            # the graph kept from the last descent step is the minimal word's
+            assert np.array_equal(cert.edges, expected.edges)
+            assert cert.cut_vertex == expected.cut_vertex
+            scores = _move_scores(whitehead_graph(w))
             best = scores.min()
             ties += best < len(w) and int(np.sum(scores == best)) > 1
         # the first-in-enumeration-order tie-break was exercised
