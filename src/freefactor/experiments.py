@@ -257,7 +257,7 @@ def exp_cancellation(
         if a is None:
             raise DomainError("could not sample a simple element with exponent 0")
         unreduced = b.letters * 3 + a.letters + binv.letters * 3
-        w = Word.from_letters(unreduced, rank)
+        w = ad(b, a, 3)
         retained = (
             w.letters[:head] == unreduced[:head]
             and w.letters[-head:] == unreduced[-head:]

@@ -41,6 +41,7 @@ from .words import (
     GENERATOR_CHARS,
     Word,
     _leading_power,
+    _trusted_word,
     apply_automorphism,
     cyclic_reduce,
     format_word,
@@ -474,7 +475,7 @@ def _graph_invariant(graph: CoreGraph, b: Word) -> FactorInvariant:
         samples += visited
         if loop is not None:
             return FactorInvariant(
-                k, Word(b_letters * k + loop + binv * k, b.rank), samples
+                k, _trusted_word(b_letters * k + loop + binv * k, b.rank), samples
             )
 
     stem, end = _forced_stem(graph)
@@ -494,5 +495,5 @@ def _graph_invariant(graph: CoreGraph, b: Word) -> FactorInvariant:
         )
     inverse_stem = tuple(-l for l in reversed(stem))
     return FactorInvariant(
-        -blocks_in_stem, Word(stem + loop + inverse_stem, b.rank), samples
+        -blocks_in_stem, _trusted_word(stem + loop + inverse_stem, b.rank), samples
     )

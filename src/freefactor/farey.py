@@ -83,9 +83,8 @@ def slope_of(w: Word, assume_primitive: bool = False) -> Slope:
 
 def exponent_sums(w: Word) -> tuple[int, int]:
     """The exponent sums of x and of y in a rank-2 word (its homology class)."""
-    p = sum(1 if l == 1 else -1 for l in w.letters if abs(l) == 1)
-    q = sum(1 if l == 2 else -1 for l in w.letters if abs(l) == 2)
-    return p, q
+    ls = w.letters
+    return ls.count(1) - ls.count(-1), ls.count(2) - ls.count(-2)
 
 
 def _dist_to_infinity(p: int, q: int) -> int:

@@ -15,15 +15,30 @@ Two interchangeable text forms are accepted:
 ``"1"`` (or the empty string) denotes the identity.  Canonical output is
 the compact form whenever the rank allows it.
 
+Letters are checked where they come in from outside: ``Word(...)``,
+``Word.from_letters``, ``parse_word`` and ``random_word`` check every
+letter against the alphabet and reject an unreduced word, and
+``apply_automorphism`` checks each automorphism's letter images once, when
+it first builds that automorphism's image table.  A word derived from
+checked words of one rank is built by the private ``_trusted_word`` with
+no re-check: it is a product, power, slice or inverse of reduced words
+over that alphabet, so its letters are in the alphabet already, and each
+operation cancels wherever two reduced words meet (``*`` scans only the
+junction; ``**`` writes w = u c u^-1 with c cyclically reduced and
+returns u c^n u^-1, which is reduced as written).
+
 All values are immutable after construction and every operation is pure,
 so concurrent callers need no coordination.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import neg
 
 from .errors import (
     DomainError,
@@ -44,11 +59,15 @@ def free_reduce(letters) -> tuple[int, ...]:
     element; its length is minimal among words equal to the input.
     """
     out: list[int] = []
+    push, pop = out.append, out.pop
+    cancel = None  # the letter that would cancel the top of ``out``
     for letter in letters:
-        if out and out[-1] == -letter:
-            out.pop()
+        if letter == cancel:
+            pop()
+            cancel = -out[-1] if out else None
         else:
-            out.append(letter)
+            push(letter)
+            cancel = -letter
     return tuple(out)
 
 
@@ -92,16 +111,31 @@ class Word:
         return len(ls) < 2 or ls[0] != -ls[-1]
 
     def inverse(self) -> "Word":
-        return Word(tuple(-l for l in reversed(self.letters)), self.rank)
+        return _trusted_word(tuple(map(neg, reversed(self.letters))), self.rank)
 
     def __mul__(self, other: "Word") -> "Word":
+        """The reduced product: only the junction of two reduced words can
+        cancel, so the scan stops at the first letter pair that does not."""
         if self.rank != other.rank:
             raise RankError("cannot multiply words of different ranks")
-        return Word.from_letters(self.letters + other.letters, self.rank)
+        a, b = self.letters, other.letters
+        n, k = len(a), 0
+        stop = min(n, len(b))
+        while k < stop and a[n - 1 - k] == -b[k]:
+            k += 1
+        return _trusted_word(a[: n - k] + b[k:] if k else a + b, self.rank)
 
     def __pow__(self, n: int) -> "Word":
-        base = self if n >= 0 else self.inverse()
-        return Word.from_letters(base.letters * abs(n), self.rank)
+        """w^n as u c^n u^-1, where w = u c u^-1 with c cyclically reduced:
+        every junction of that product is reduced, so nothing cancels."""
+        ls = self.letters
+        i = _peel(ls)
+        core = ls[i : len(ls) - i]
+        if n < 0:
+            core = tuple(map(neg, reversed(core)))
+        return _trusted_word(
+            ls[:i] + core * abs(n) + ls[len(ls) - i :] if n else (), self.rank
+        )
 
     def conjugated_by(self, g: "Word") -> "Word":
         """Return g * self * g^-1."""
@@ -112,6 +146,19 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r}, rank={self.rank})"
+
+
+def _trusted_word(letters: tuple[int, ...], rank: int) -> Word:
+    """A Word built without ``__post_init__``'s check.
+
+    Only for letters derived from checked words of the same rank (see the
+    module docstring): the caller guarantees a freely reduced tuple over
+    the rank-``rank`` alphabet.
+    """
+    w = object.__new__(Word)
+    object.__setattr__(w, "letters", letters)
+    object.__setattr__(w, "rank", rank)
+    return w
 
 
 def parse_word(text: str, rank: int) -> Word:
@@ -183,11 +230,19 @@ def cyclic_reduce(w: Word) -> CyclicDecomposition:
     The conjugator is the longest possible, so the decomposition is unique.
     """
     ls = w.letters
+    i = _peel(ls)
+    return CyclicDecomposition(
+        _trusted_word(ls[:i], w.rank), _trusted_word(ls[i : len(ls) - i], w.rank)
+    )
+
+
+def _peel(ls: tuple[int, ...]) -> int:
+    """Length of the longest conjugator u with ls == u c u^-1."""
     i, j = 0, len(ls)
     while j - i >= 2 and ls[i] == -ls[j - 1]:
         i += 1
         j -= 1
-    return CyclicDecomposition(Word(ls[:i], w.rank), Word(ls[i:j], w.rank))
+    return i
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,7 +305,7 @@ def b_reduced_decomposition(w: Word, b: Word) -> BReducedDecomposition:
             _trailing_power(w.letters, bl, cap),
         )
     cut = abs(k) * m
-    core = Word(w.letters[cut : n - cut], w.rank)
+    core = _trusted_word(w.letters[cut : n - cut], w.rank)
     return BReducedDecomposition(k, core, b)
 
 
@@ -264,21 +319,48 @@ def ad(b: Word, w: Word, k: int = 1) -> Word:
     return (b**k) * w * (b**-k)
 
 
+# Image tables kept: one per Whitehead move at ranks 2-5 fits, as in the
+# whitehead unrankers' caches.
+_IMAGE_TABLES = 4096
+
+
+@lru_cache(maxsize=_IMAGE_TABLES)
+def _image_table(phi) -> tuple[tuple[int, ...], ...]:
+    """phi's image of every letter, indexed by the letter itself.
+
+    The tuple has 2*rank + 1 entries, so Python's negative indexing puts
+    the image of -i at index -i.  Every image letter is checked here, once
+    per automorphism, against the rank-``phi.rank`` alphabet.
+    """
+    rank = phi.rank
+    table = [()] * (2 * rank + 1)
+    for letter in (*range(1, rank + 1), *range(-rank, 0)):
+        image = tuple(phi.letter_image(letter))
+        for l in image:
+            if not isinstance(l, int) or l == 0 or abs(l) > rank:
+                raise WordSyntaxError(
+                    f"image letter {l!r} outside alphabet of rank {rank}"
+                )
+        table[letter] = image
+    return tuple(table)
+
+
 def apply_automorphism(chain, w: Word) -> Word:
     """Apply a sequence of automorphisms left to right.
 
     A chain ``[g1, g2]`` acts as the composite ``g2 o g1`` (g1 first).  Each
-    element must expose ``rank`` and ``letter_image(letter) -> tuple``.
+    element must be hashable and expose ``rank`` and
+    ``letter_image(letter) -> tuple``; its letter images are read once into
+    a bounded cache.  Each step concatenates the images of w's letters and
+    freely reduces the result once.
     """
     for phi in chain:
         if phi.rank != w.rank:
             raise RankError(
                 f"automorphism of rank {phi.rank} applied to word of rank {w.rank}"
             )
-        image: list[int] = []
-        for letter in w.letters:
-            image.extend(phi.letter_image(letter))
-        w = Word.from_letters(image, w.rank)
+        images = map(_image_table(phi).__getitem__, w.letters)
+        w = _trusted_word(free_reduce(itertools.chain.from_iterable(images)), w.rank)
     return w
 
 

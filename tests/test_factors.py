@@ -547,6 +547,8 @@ class TestExactInvariant:
             graph = factor.graph
             assert graph.contains(est.witness)
             assert b_reduced_decomposition(est.witness, b).k == est.value
+            # the full letter check accepts the witness built without it
+            assert Word(est.witness.letters, rank) == est.witness
             # at most one O(edges) search per block vertex, plus one
             blocks = len(est.witness) // len(b) + 1
             assert est.samples <= 2 * graph.num_edges * blocks

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freefactor import (
     DomainError,
@@ -12,6 +14,7 @@ from freefactor import (
     PreconditionError,
     RankError,
     Slope,
+    Word,
     apply_automorphism,
     enumerate_whitehead_automorphisms,
     farey_distance,
@@ -19,7 +22,7 @@ from freefactor import (
     slope_of,
 )
 from freefactor.experiments import build_boundary_pA
-from freefactor.farey import _dist_to_infinity
+from freefactor.farey import _dist_to_infinity, exponent_sums
 
 from conftest import W
 
@@ -224,6 +227,28 @@ class TestSlopeOf:
     def test_rank_guard(self):
         with pytest.raises(RankError):
             slope_of(W("x", 3))
+
+
+def oracle_exponent_sums(w: Word) -> tuple[int, int]:
+    """The generator-pass form that ``exponent_sums`` replaced."""
+    p = sum(1 if l == 1 else -1 for l in w.letters if abs(l) == 1)
+    q = sum(1 if l == 2 else -1 for l in w.letters if abs(l) == 2)
+    return p, q
+
+
+class TestExponentSums:
+    @given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=60))
+    @settings(max_examples=150)
+    def test_matches_generator_form(self, letters):
+        w = Word.from_letters(letters, 2)
+        assert exponent_sums(w) == oracle_exponent_sums(w)
+
+    def test_boundary_automorphism_images(self):
+        psi = build_boundary_pA()
+        w = W("x")
+        for _ in range(8):
+            w = psi.apply(w)
+            assert exponent_sums(w) == oracle_exponent_sums(w)
 
 
 class TestAdjacency:

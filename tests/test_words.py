@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -20,7 +21,13 @@ from freefactor import (
     parse_word,
     random_word,
 )
-from freefactor.whitehead import WhAutomorphism
+from freefactor import words
+from freefactor.whitehead import (
+    WhAutomorphism,
+    _moves_per_multiplier,
+    _multiplier_move_at,
+    _signed_permutation_at,
+)
 
 from conftest import W
 
@@ -283,3 +290,165 @@ class TestRandomWord:
     def test_negative_length(self):
         with pytest.raises(DomainError):
             random_word(-1, 2, 0)
+
+
+# ---------------------------------------------------------------------------
+# The reduce-everything forms of product, power and automorphism application
+# that the library replaced with junction-only cancellation and image tables;
+# each rebuilds its result from all of its letters through the full check.
+
+
+def oracle_inverse(w: Word) -> Word:
+    return Word(tuple(-l for l in reversed(w.letters)), w.rank)
+
+
+def oracle_mul(a: Word, b: Word) -> Word:
+    return Word.from_letters(a.letters + b.letters, a.rank)
+
+
+def oracle_pow(w: Word, n: int) -> Word:
+    base = w if n >= 0 else oracle_inverse(w)
+    return Word.from_letters(base.letters * abs(n), w.rank)
+
+
+def oracle_ad(b: Word, w: Word, k: int) -> Word:
+    return oracle_mul(oracle_mul(oracle_pow(b, k), w), oracle_pow(b, -k))
+
+
+def oracle_apply(chain, w: Word) -> Word:
+    for phi in chain:
+        image = []
+        for letter in w.letters:
+            image.extend(phi.letter_image(letter))
+        w = Word(free_reduce(image), w.rank)
+    return w
+
+
+def assert_same(result: Word, expected: Word):
+    assert result.letters == expected.letters
+    assert result.rank == expected.rank
+    # the full check accepts every derived word
+    assert Word(result.letters, result.rank) == result
+
+
+ranks = st.integers(2, 5)
+
+
+def word_of(rank, max_size=16):
+    return letters_strategy(rank, max_size).map(lambda ls: Word.from_letters(ls, rank))
+
+
+@st.composite
+def word_pairs(draw):
+    """Two words of one rank, a = p q and b = q^-1 r, so that up to |q|
+    letters cancel at the junction of a * b."""
+    rank = draw(ranks)
+    p, q, r = (draw(word_of(rank)) for _ in range(3))
+    return oracle_mul(p, q), oracle_mul(oracle_inverse(q), r)
+
+
+@st.composite
+def conjugates(draw, rank=None):
+    """u c u^-1 for random u and c: usually not cyclically reduced."""
+    rank = draw(ranks) if rank is None else rank
+    u, c = draw(word_of(rank)), draw(word_of(rank))
+    return oracle_mul(oracle_mul(u, c), oracle_inverse(u))
+
+
+@st.composite
+def automorphism_chains(draw):
+    rank = draw(ranks)
+    chain = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            count = 2 * rank * _moves_per_multiplier(rank)
+            chain.append(_multiplier_move_at(rank, draw(st.integers(0, count - 1))))
+        else:
+            count = math.factorial(rank) << rank
+            chain.append(_signed_permutation_at(rank, draw(st.integers(0, count - 1))))
+    return rank, tuple(chain)
+
+
+class TestDerivedWordsMatchOracles:
+    @given(word_pairs())
+    @settings(max_examples=200)
+    def test_product(self, pair):
+        a, b = pair
+        assert_same(a * b, oracle_mul(a, b))
+        assert_same(b * a, oracle_mul(b, a))
+
+    @given(ranks.flatmap(word_of))
+    @settings(max_examples=100)
+    def test_total_cancellation(self, w):
+        assert_same(w * w.inverse(), Word.identity(w.rank))
+        assert_same(w.inverse() * w, Word.identity(w.rank))
+        assert_same(w.inverse(), oracle_inverse(w))
+
+    @given(ranks.flatmap(word_of))
+    @settings(max_examples=100)
+    def test_identity_operands(self, w):
+        e = Word.identity(w.rank)
+        assert_same(w * e, w)
+        assert_same(e * w, w)
+        assert_same(e * e, e)
+
+    @given(conjugates(), st.integers(-3, 3))
+    @settings(max_examples=200)
+    def test_power(self, w, n):
+        assert_same(w**n, oracle_pow(w, n))
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_ad(self, data):
+        rank = data.draw(ranks)
+        b = data.draw(word_of(rank, 8).filter(lambda b: not b.is_identity()))
+        w = data.draw(conjugates(rank) | word_of(rank))
+        k = data.draw(st.integers(-3, 3))
+        assert_same(ad(b, w, k), oracle_ad(b, w, k))
+        assert_same(w.conjugated_by(b), oracle_ad(b, w, 1))
+
+    @given(automorphism_chains(), st.data())
+    @settings(max_examples=200)
+    def test_apply_automorphism(self, rank_chain, data):
+        rank, chain = rank_chain
+        w = data.draw(word_of(rank, 24))
+        assert_same(apply_automorphism(chain, w), oracle_apply(chain, w))
+
+    @given(conjugates())
+    @settings(max_examples=100)
+    def test_cyclic_reduce_parts(self, w):
+        d = cyclic_reduce(w)
+        for part in (d.conjugator, d.core):
+            assert Word(part.letters, part.rank) == part
+
+
+class TestBoundaryStillChecks:
+    @pytest.mark.parametrize(
+        "letters,error",
+        [((1, -1), DomainError), ((3,), WordSyntaxError), ((0,), WordSyntaxError)],
+    )
+    def test_constructor(self, letters, error):
+        with pytest.raises(error):
+            Word(letters, 2)
+
+    def test_from_letters(self):
+        with pytest.raises(WordSyntaxError):
+            Word.from_letters([5], 2)
+
+    def test_automorphism_image_outside_rank(self):
+        class Escapes:
+            """Duck-typed automorphism whose image of x leaves the rank."""
+
+            rank = 2
+
+            def letter_image(self, letter):
+                return (3,) if letter == 1 else (letter,)
+
+        with pytest.raises(WordSyntaxError):
+            apply_automorphism([Escapes()], W("yx"))
+
+    def test_trusted_constructor_is_private(self):
+        import freefactor
+
+        assert not hasattr(freefactor, "_trusted_word")
+        assert all(v is not words._trusted_word for v in vars(freefactor).values())
