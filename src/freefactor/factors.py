@@ -8,8 +8,12 @@ edges - vertices + 1.
 
 Free factors are only ever *constructed*, as automorphic images of
 standard subsets of the basis, and a free factor is its generators: every
-quantity computed from one is read off them and their folded core graph.
-Deciding whether an arbitrary subgroup is a free factor is out of scope.
+quantity computed from one is read off them.  A cyclic factor, one with a
+single nontrivial generator, is never folded: its invariant and its
+membership test are closed forms in that generator, and a rank-2 basis
+pair is decided by its commutator.  Only a factor with two or more
+nontrivial generators is read off its folded core graph.  Deciding
+whether an arbitrary subgroup is a free factor is out of scope.
 
 Folding mutates a private working graph and freezes it before returning;
 all public values are immutable, so concurrent use is safe after
@@ -41,9 +45,9 @@ from .words import (
     GENERATOR_CHARS,
     Word,
     _leading_power,
+    _peel,
     _trusted_word,
     apply_automorphism,
-    cyclic_reduce,
     format_word,
 )
 
@@ -191,11 +195,28 @@ def fold(generators, rank: int | None = None) -> CoreGraph:
     return CoreGraph(rank, new_adj)
 
 
+# The cyclic rotations of [x, y] = xyXY and of [x, y]^-1 = yxYX: the
+# cyclically reduced words conjugate to the commutator of a basis.
+_BASIS_COMMUTATORS = frozenset(
+    word[i:] + word[:i] for word in ((1, 2, -1, -2), (2, 1, -2, -1)) for i in range(4)
+)
+
+
 def is_basis_pair(u: Word, v: Word) -> bool:
-    """True iff {u, v} generates the whole rank-2 group (then it is a basis)."""
+    """True iff {u, v} is a basis of the rank-2 group.
+
+    Nielsen's criterion (Magnus, Karrass and Solitar, *Combinatorial Group
+    Theory*, Thm 3.9): {u, v} is a basis of F(x, y) iff the commutator
+    [u, v] = u v u^-1 v^-1 is conjugate to [x, y] or to [x, y]^-1, that
+    is, iff its cyclically reduced core is one of the eight cyclic
+    rotations of xyXY and yxYX.  Nothing is folded: three junction-only
+    products and one peel, O(|u| + |v|).
+    """
     if u.rank != 2 or v.rank != 2:
         raise RankError("basis-pair test is rank-2 only")
-    return fold([u, v], rank=2).is_whole_group()
+    ls = (u * v * u.inverse() * v.inverse()).letters
+    i = _peel(ls)
+    return ls[i : len(ls) - i] in _BASIS_COMMUTATORS
 
 
 @dataclass(frozen=True)
@@ -224,12 +245,51 @@ def _fold_cached(generators: tuple[Word, ...], rank: int) -> CoreGraph:
     return fold(list(generators), rank)
 
 
+def _cyclic_generator(a: FreeFactorVertex) -> Word | None:
+    """The one nontrivial generator of a cyclic factor; None for a factor
+    with none or with several."""
+    gens = [g for g in a.generators if not g.is_identity()]
+    return gens[0] if len(gens) == 1 else None
+
+
+def _in_cyclic(g: Word, w: Word) -> bool:
+    """True iff w lies in <g>, for g nontrivial; nothing is folded.
+
+    Write g = u c u^-1 and w = u' c' u'^-1 with the longest conjugators
+    (``_peel``).  Each g^n = u c^n u^-1 (n != 0) is reduced as written and
+    c^n is cyclically reduced, so it peels to u and c^n.  The peel is
+    unique, so a nontrivial w is a power of g iff u' = u and c' is c^m or
+    (c^-1)^m for some m >= 1.
+    """
+    wl = w.letters
+    if not wl:
+        return True
+    gl = g.letters
+    i = _peel(gl)
+    if _peel(wl) != i or wl[:i] != gl[:i]:
+        return False
+    c = gl[i : len(gl) - i]
+    core = wl[i : len(wl) - i]
+    m, rest = divmod(len(core), len(c))
+    return not rest and core in (c * m, tuple(-l for l in reversed(c)) * m)
+
+
+def _contains(a: FreeFactorVertex, w: Word) -> bool:
+    """True iff w lies in a: the closed form for a cyclic factor, a walk
+    on the folded core graph for any other."""
+    g = _cyclic_generator(a)
+    return _in_cyclic(g, w) if g is not None else a.graph.contains(w)
+
+
 def af_adjacent(a: FreeFactorVertex, b: FreeFactorVertex) -> bool:
     """Edge test in the free factor graph.
 
     Rank >= 3: strict containment one way or the other (every generator
-    loop of one traces in the other's graph, and not conversely).  Rank 2:
-    the cyclic generators form a basis.
+    of one lies in the other, and not conversely).  Membership in a cyclic
+    factor is read off its generator (``_in_cyclic``); only a factor with
+    two or more nontrivial generators is folded, and its cached core graph
+    is the one ``factor_invariant`` reads.  Rank 2: the cyclic generators
+    form a basis (``is_basis_pair``, no fold).
     """
     if a.rank_ambient != b.rank_ambient:
         raise RankError("factors live in different ambient ranks")
@@ -237,8 +297,8 @@ def af_adjacent(a: FreeFactorVertex, b: FreeFactorVertex) -> bool:
         if len(a.generators) != 1 or len(b.generators) != 1:
             raise DomainError("rank-2 factors must be cyclic")
         return is_basis_pair(a.generators[0], b.generators[0])
-    a_in_b = all(b.graph.contains(w) for w in a.generators)
-    b_in_a = all(a.graph.contains(w) for w in b.generators)
+    a_in_b = all(_contains(b, w) for w in a.generators)
+    b_in_a = all(_contains(a, w) for w in b.generators)
     return a_in_b != b_in_a
 
 
@@ -387,14 +447,14 @@ def factor_invariant(a: FreeFactorVertex, b: Word) -> FactorInvariant:
     _check_filling_minimal(b)
     if b.rank != a.rank_ambient:
         raise RankError("b and the factor must have the same ambient rank")
-    gens = [g for g in a.generators if not g.is_identity()]
-    if len(gens) == 1:
-        return _cyclic_invariant(gens[0], b)
+    g = _cyclic_generator(a)
+    if g is not None:
+        return _cyclic_invariant(g, b)
     return _graph_invariant(a.graph, b)
 
 
 def _cyclic_invariant(g: Word, b: Word) -> FactorInvariant:
-    """The invariant of <g>, read off g = u c u^-1 (``cyclic_reduce``).
+    """The invariant of <g>, read off g = u c u^-1 (``_peel``).
 
     Every element g^n = u c^n u^-1 (n != 0) is reduced as written: c is
     cyclically reduced and u is the longest conjugator.  Being
@@ -421,8 +481,9 @@ def _cyclic_invariant(g: Word, b: Word) -> FactorInvariant:
     that would continue the next b^-1 block.  That is the element the
     graph search finds on the core graph, a stem u ending in a cycle c.
     """
-    split = cyclic_reduce(g)
-    u, c = split.conjugator.letters, split.core.letters
+    gl = g.letters
+    i = _peel(gl)
+    u, c = gl[:i], gl[i : len(gl) - i]
     bl = b.letters
     binv = b.inverse().letters
     m = len(bl)

@@ -148,6 +148,12 @@ class Word:
         return f"Word({format_word(self)!r}, rank={self.rank})"
 
 
+# The slot descriptors' setters write a frozen Word's two fields directly,
+# without the lookup ``object.__setattr__`` makes per call.
+_set_letters = Word.letters.__set__
+_set_rank = Word.rank.__set__
+
+
 def _trusted_word(letters: tuple[int, ...], rank: int) -> Word:
     """A Word built without ``__post_init__``'s check.
 
@@ -156,8 +162,8 @@ def _trusted_word(letters: tuple[int, ...], rank: int) -> Word:
     the rank-``rank`` alphabet.
     """
     w = object.__new__(Word)
-    object.__setattr__(w, "letters", letters)
-    object.__setattr__(w, "rank", rank)
+    _set_letters(w, letters)
+    _set_rank(w, rank)
     return w
 
 

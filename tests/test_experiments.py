@@ -397,10 +397,8 @@ class TestTwistStability:
         assert report.summary["empirical_bound"] >= 0
 
 
-@pytest.mark.parametrize("experiment,folds", [(exp_quasiflat, 4), (exp_twist_stability, 0)])
-def test_orbit_grid_folds_only_path_pairs(monkeypatch, experiment, folds):
-    # grid invariants are cyclic, read off their generators; the only core
-    # graphs are the four basis pairs of the two quasiflat paths
+def count_folds(monkeypatch, run) -> int:
+    """How many times ``run()`` calls ``factors.fold``, from a cold cache."""
     calls = []
     fold = factors.fold
 
@@ -410,8 +408,24 @@ def test_orbit_grid_folds_only_path_pairs(monkeypatch, experiment, folds):
 
     monkeypatch.setattr(factors, "fold", counted)
     factors._fold_cached.cache_clear()
-    experiment(4)
-    assert len(calls) == folds
+    run()
+    return len(calls)
+
+
+@pytest.mark.parametrize("experiment", [exp_quasiflat, exp_twist_stability])
+def test_orbit_grid_never_folds(monkeypatch, experiment):
+    # grid invariants are cyclic, read off their generators, and the
+    # quasiflat path edges are basis pairs, decided by their commutators
+    assert count_folds(monkeypatch, lambda: experiment(4)) == 0
+
+
+def test_factor_edges_fold_only_two_generator_factors(monkeypatch):
+    # rank 2: basis pairs and cyclic invariants need no core graph
+    assert count_folds(monkeypatch, lambda: exp_lipschitz(2, trials=50)) == 0
+    assert count_folds(monkeypatch, lambda: exp_basis_change(2, trials=50)) == 0
+    # rank 3: the edge test and the invariant share the one fold of the
+    # two-generator side of each nested pair
+    assert 0 < count_folds(monkeypatch, lambda: exp_lipschitz(3, trials=50)) <= 50
 
 
 class TestReports:

@@ -17,6 +17,7 @@ from freefactor import (
     b_reduced_decomposition,
     build_boundary_pA,
     classify,
+    cyclic_reduce,
     enumerate_whitehead_automorphisms,
     factor_invariant,
     fold,
@@ -24,8 +25,8 @@ from freefactor import (
     random_free_factor,
     random_word,
 )
-from freefactor.experiments import _random_deep_factor, boundary_word
-from freefactor.factors import _graph_invariant
+from freefactor.experiments import _random_deep_factor, _random_edge_images, boundary_word
+from freefactor.factors import _graph_invariant, _in_cyclic
 from freefactor.whitehead import vertex_order
 
 from conftest import W, random_cyclically_reduced, random_element, reduced_loops
@@ -348,6 +349,37 @@ class TestContains:
                 assert g.contains(w) == regen.contains(w)
 
 
+def oracle_is_basis_pair(u, v):
+    """The fold that is_basis_pair replaced, kept as the reference: {u, v}
+    is a basis iff it generates the whole rank-2 group."""
+    return fold([u, v], 2).is_whole_group()
+
+
+def basis_pair_cases(rng, count):
+    """``count`` batches of eight rank-2 pairs: a basis, its conjugate,
+    a Nielsen move of it and four non-bases made from it, and a random
+    pair; operands are swapped at random."""
+    table = enumerate_whitehead_automorphisms(2)
+    for _ in range(count):
+        chain = [rng.choice(table) for _ in range(rng.randint(0, 6))]
+        u = apply_automorphism(chain, W("x"))
+        v = apply_automorphism(chain, W("y"))
+        w = random_word(rng.randint(1, 4), 2, rng)
+        identity = Word.identity(2)
+        pairs = [
+            (u, v),
+            (u.conjugated_by(w), v.conjugated_by(w)),
+            (u * v ** rng.choice((-2, -1, 1, 2)), v),
+            (u * u, v),
+            (u, u),
+            (identity, v) if rng.random() < 0.5 else (u, identity),
+            (u, v ** rng.randint(2, 3)),
+            (random_word(rng.randint(0, 5), 2, rng), random_word(rng.randint(0, 5), 2, rng)),
+        ]
+        for a, b in pairs:
+            yield (b, a) if rng.random() < 0.5 else (a, b)
+
+
 class TestBasisPair:
     def test_standard(self):
         assert is_basis_pair(W("x"), W("y"))
@@ -371,22 +403,49 @@ class TestBasisPair:
             v = apply_automorphism(chain, W("y"))
             assert is_basis_pair(u, v)
 
+    def test_matches_fold_oracle(self):
+        rng = random.Random(1501)
+        pairs = list(basis_pair_cases(rng, 2600))  # 20,800 pairs
+        bases = 0
+        for u, v in pairs:
+            expected = oracle_is_basis_pair(u, v)
+            assert is_basis_pair(u, v) == expected, (u, v)
+            bases += expected
+        assert 3 * 2600 <= bases < len(pairs) - 3 * 2600
+
+
+def oracle_af_adjacent(a, b):
+    """The fold-only edge rule af_adjacent replaced: containment read off
+    both core graphs at rank >= 3, the folded basis-pair test at rank 2."""
+    if a.rank_ambient == 2:
+        return oracle_is_basis_pair(a.generators[0], b.generators[0])
+    a_in_b = all(b.graph.contains(w) for w in a.generators)
+    b_in_a = all(a.graph.contains(w) for w in b.generators)
+    return a_in_b != b_in_a
+
+
+def assert_adjacency(a, b, expected):
+    assert af_adjacent(a, b) == oracle_af_adjacent(a, b) == expected, (
+        a.describe(),
+        b.describe(),
+    )
+
 
 class TestAdjacency:
     def test_nested_standard(self):
         a = FreeFactorVertex((W("x", 3),), 3)
         b = FreeFactorVertex((W("x", 3), W("y", 3)), 3)
-        assert af_adjacent(a, b)
-        assert af_adjacent(b, a)
+        assert_adjacency(a, b, True)
+        assert_adjacency(b, a, True)
 
     def test_disjoint_not_adjacent(self):
         a = FreeFactorVertex((W("x", 3),), 3)
         b = FreeFactorVertex((W("y", 3),), 3)
-        assert not af_adjacent(a, b)
+        assert_adjacency(a, b, False)
 
     def test_equal_not_adjacent(self):
         a = FreeFactorVertex((W("x", 3),), 3)
-        assert not af_adjacent(a, a)
+        assert_adjacency(a, a, False)
 
     def test_equivariance(self):
         rng = random.Random(7)
@@ -396,14 +455,70 @@ class TestAdjacency:
             gens = [apply_automorphism(chain, W(t, 3)) for t in ("x", "y")]
             a = FreeFactorVertex((gens[0],), 3)
             b = FreeFactorVertex(tuple(gens), 3)
-            assert af_adjacent(a, b)
+            assert_adjacency(a, b, True)
 
     def test_rank2_uses_basis_pairs(self):
         a = FreeFactorVertex((W("x"),), 2)
         b = FreeFactorVertex((W("yx"),), 2)
         c = FreeFactorVertex((W("yxxY"),), 2)
-        assert af_adjacent(a, b)
-        assert not af_adjacent(a, c)
+        assert_adjacency(a, b, True)
+        assert_adjacency(a, c, False)
+
+    @pytest.mark.parametrize("rank", [3, 4])
+    def test_sampled_pairs_match_fold_oracle(self, rank):
+        # 1,000 draws per rank: a nested pair <t_i> < <t_i, t_j> of
+        # generator images both ways round, then two cyclic pairs that the
+        # closed form alone decides, <t_i> against <t_j> and <t_i^2>
+        rng = random.Random(1600 + rank)
+        b = boundary_word(rank)
+        adjacent = 0
+        for _ in range(1000):
+            images = _random_edge_images(rng, rank, b)
+            ti, tj = rng.sample(images, 2)
+            small = FreeFactorVertex((ti,), rank)
+            big = FreeFactorVertex((ti, tj), rank)
+            other = FreeFactorVertex((tj,), rank)
+            square = FreeFactorVertex((ti * ti,), rank)
+            for a, c in ((small, big), (big, small), (small, other), (square, small)):
+                expected = oracle_af_adjacent(a, c)
+                assert af_adjacent(a, c) == expected, (a.describe(), c.describe())
+                adjacent += expected
+        assert adjacent == 3 * 1000
+
+
+class TestCyclicMembership:
+    """af_adjacent reads membership in a cyclic factor off its generator;
+    the walk on the folded core graph stays the oracle."""
+
+    def test_matches_fold_oracle(self):
+        rng = random.Random(1701)
+        members = non_members = 0
+        for rank in (2, 3, 4, 5):
+            for _ in range(600):
+                root = random_cyclically_reduced(rng, rank, 5)
+                m = rng.choice((1, 1, 2, 3))
+                conj = random_word(rng.randint(0, 4), rank, rng)
+                g = conj * root**m * conj.inverse()
+                split = cyclic_reduce(g)
+                u, c = split.conjugator, split.core.letters
+                # a prefix of c^2 whose length is no multiple of |c| (c itself
+                # when |c| = 1)
+                cut = rng.choice([k for k in range(1, 2 * len(c)) if k % len(c)] or [1])
+                near = Word.from_letters((c * 2)[:cut], rank)
+                wrong = u * random_word(rng.randint(1, 2), rank, rng)
+                candidates = [g**n for n in range(-3, 4)] + [
+                    conj * root * conj.inverse(),  # a root of g, when m > 1
+                    u * near * u.inverse(),
+                    wrong * Word(c, rank) * wrong.inverse(),
+                    random_word(rng.randint(1, 10), rank, rng),
+                ]
+                graph = fold([g], rank)
+                for w in candidates:
+                    expected = graph.contains(w)
+                    assert _in_cyclic(g, w) == expected, (g, w)
+                    members += expected
+                    non_members += not expected
+        assert members >= 7 * 4 * 600 and non_members >= 2 * 4 * 600
 
 
 class TestRandomFreeFactor:
