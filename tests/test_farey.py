@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -22,13 +24,13 @@ from freefactor import (
     slope_of,
 )
 from freefactor.experiments import build_boundary_pA
-from freefactor.farey import _dist_to_infinity, exponent_sums
+from freefactor.farey import _inverse_mod, exponent_sums
 
 from conftest import W
 
 
 def oracle_dist_to_infinity(p: int, q: int, cache: dict | None = None) -> int:
-    """Reference for ``_dist_to_infinity``: the memoized floor/ceil walk.
+    """Reference for the distance from p/q to 1/0: the memoized floor/ceil walk.
 
     d(1/0, x) = 1 + min over the two flanking integers n of d(n, x), and
     moving n to 1/0 turns d(n, x) into a subproblem with a strictly smaller
@@ -96,7 +98,8 @@ def oracle_farey_distance(s: Slope, t: Slope) -> int:
     g, u, v = _extended_gcd(t.p, t.q)
     p2 = u * s.p + v * s.q
     q2 = t.p * s.q - t.q * s.p
-    return _dist_to_infinity(p2 if q2 >= 0 else -p2, abs(q2))
+    # the matrix [[u, v], [-t.q, t.p]] has determinant 1, so p2/q2 is primitive
+    return farey_distance(Slope(p2, q2), Slope(1, 0))
 
 
 def oracle_farey_csr(limit: int) -> tuple[list[Slope], np.ndarray, np.ndarray]:
@@ -147,6 +150,35 @@ def oracle_farey_csr(limit: int) -> tuple[list[Slope], np.ndarray, np.ndarray]:
     for i, nbrs in enumerate(adjacency):
         indices[indptr[i] : indptr[i + 1]] = sorted(nbrs)
     return slopes, indptr, indices
+
+
+def oracle_inverse_mod(p: np.ndarray, q: np.ndarray) -> list[int]:
+    """Reference for the Farey-parent denominators: one C modular inverse per slope.
+
+    ``pow(p, -1, 1)`` is 0, and the build turns it into 1 for integers.
+    """
+    return [pow(x, -1, y) or 1 for x, y in zip(p.tolist(), q.tolist())]
+
+
+def oracle_bfs_mask(graph: FareyGraph, source: Slope) -> np.ndarray:
+    """Reference for ``FareyGraph.bfs``: a mask over a per-edge source array.
+
+    Every level reads all CSR entries through the frontier mask
+    ``dist == level``.
+    """
+    edge_source = np.repeat(np.arange(len(graph.slopes)), np.diff(graph.indptr))
+    dist = np.full(len(graph.slopes), -1, dtype=np.int64)
+    dist[graph.index[source]] = 0
+    frontier = dist == 0
+    level = 0
+    while True:
+        nbrs = graph.indices[frontier[edge_source]]
+        nbrs = nbrs[dist[nbrs] < 0]
+        if nbrs.size == 0:
+            return dist
+        level += 1
+        dist[nbrs] = level
+        frontier = dist == level
 
 
 def oracle_bfs(graph: FareyGraph, source: Slope) -> np.ndarray:
@@ -208,6 +240,63 @@ class TestSlope:
             Slope.from_string("3")
         with pytest.raises(DomainError, match=r"slope \(0, 0\) is not allowed"):
             Slope.from_string("0/0")
+
+    @pytest.mark.parametrize("p, q", [(1.5, 2), ("1", 2), (1, 2.0), (None, 1)])
+    def test_non_integer_coordinates_rejected(self, p, q):
+        with pytest.raises(DomainError, match="must be integers"):
+            Slope(p, q)
+
+    def test_numpy_coordinates_become_ints(self):
+        s = Slope(np.int64(6), np.int64(-10))
+        assert s == Slope(-3, 5)
+        assert type(s.p) is int and type(s.q) is int
+        assert str(s) == "-3/5"
+
+    def test_hashes_and_compares_as_tuple(self):
+        rng = random.Random(2)
+        for _ in range(200):
+            s = random_slope(rng, 10**6)
+            assert hash(s) == hash((s.p, s.q))
+            assert s == (s.p, s.q)
+            assert tuple(s) == (s.p, s.q)
+        graph = FareyGraph(6)
+        for i, s in enumerate(graph.slopes):
+            assert graph.index[(s.p, s.q)] == i
+
+    def test_immutable(self):
+        s = Slope(2, 3)
+        with pytest.raises(AttributeError):
+            s.p = 5
+        with pytest.raises(AttributeError):
+            s.r = 5
+        assert s == Slope(2, 3)
+
+    @pytest.mark.parametrize("roundtrip", [
+        lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy,
+    ])
+    def test_pickle_and_copy_keep_slope(self, roundtrip):
+        for s in (Slope(-4, 6), Slope(-7, 0), Slope(0, -3), Slope(10**20, 3)):
+            r = roundtrip(s)
+            assert type(r) is Slope
+            assert r == s and (r.p, r.q) == (s.p, s.q)
+
+    def test_make_and_replace_normalize(self):
+        assert Slope._make((2, -4)) == Slope(-1, 2)
+        assert Slope._make([-3, 0]) == Slope(1, 0)
+        assert type(Slope._make((2, 4))) is Slope
+        assert Slope(1, 2)._replace(p=4) == Slope(2, 1)
+        assert Slope(1, 2)._replace(q=-3) == Slope(-1, 3)
+        assert Slope(1, 2)._replace(p=6, q=-4) == Slope(-3, 2)
+        with pytest.raises(DomainError):
+            Slope._make((0, 0))
+        with pytest.raises(DomainError):
+            Slope(0, 1)._replace(q=0)
+
+    def test_str_and_repr(self):
+        assert str(Slope(-6, 10)) == "-3/5"
+        assert str(Slope(5, 0)) == "1/0"
+        assert repr(Slope(-6, 10)) == "Slope(p=-3, q=5)"
+        assert repr(Slope(1, 0)) == "Slope(p=1, q=0)"
 
 
 class TestSlopeOf:
@@ -306,18 +395,20 @@ class TestDistance:
 class TestContinuedFractionFold:
     def test_matches_oracle_on_box(self):
         cache = {}
+        infinity = Slope(1, 0)
         for q in range(401):
             for p in range(-400, 401):
                 if math.gcd(p, q) == 1:
-                    assert _dist_to_infinity(p, q) == oracle_dist_to_infinity(
+                    assert farey_distance(Slope(p, q), infinity) == oracle_dist_to_infinity(
                         p, q, cache
                     ), (p, q)
 
     def test_matches_oracle_on_random_slopes(self):
         rng = random.Random(7)
+        infinity = Slope(1, 0)
         for _ in range(10**5):
             s = random_slope(rng, 10**6)
-            assert _dist_to_infinity(s.p, s.q) == oracle_dist_to_infinity(
+            assert farey_distance(s, infinity) == oracle_dist_to_infinity(
                 s.p, s.q
             ), s
 
@@ -376,17 +467,48 @@ class TestFareyGraph:
         assert np.array_equal(graph.indptr, indptr)
         assert np.array_equal(graph.indices, indices)
 
+    @pytest.mark.parametrize("limit", [1, 2, 24, 128])
+    def test_inverse_mod_matches_pow(self, limit):
+        graph = FareyGraph(limit)
+        p = np.array([s.p for s in graph.slopes[1:]], dtype=np.int64)
+        q = np.array([s.q for s in graph.slopes[1:]], dtype=np.int64)
+        assert (q == 1).sum() == 2 * limit + 1  # every integer slope is here
+        b = _inverse_mod(p, q)
+        assert b.tolist() == [pow(x, -1, y) for x, y in zip(p.tolist(), q.tolist())]
+        b[b == 0] = 1
+        assert b.tolist() == oracle_inverse_mod(p, q)
+
     def test_bfs_matches_oracle_from_every_vertex(self):
         graph = FareyGraph(24)
         for s in graph.slopes:
-            assert np.array_equal(graph.bfs(s), oracle_bfs(graph, s)), s
+            dist = graph.bfs(s)
+            assert dist.dtype == np.int64
+            assert np.array_equal(dist, oracle_bfs_mask(graph, s)), s
+            assert np.array_equal(dist, oracle_bfs(graph, s)), s
 
     def test_bfs_matches_oracle_on_seeded_sources(self):
         graph = FareyGraph(128)
         for s in random.Random(9).sample(graph.slopes, 200):
             dist = graph.bfs(s)
             assert dist.dtype == np.int64
+            assert np.array_equal(dist, oracle_bfs_mask(graph, s)), s
             assert np.array_equal(dist, oracle_bfs(graph, s)), s
+
+    def test_bfs_accepts_plain_tuple_source(self):
+        graph = FareyGraph(8)
+        assert np.array_equal(graph.bfs((0, 1)), graph.bfs(Slope(0, 1)))
+        with pytest.raises(DomainError):
+            graph.bfs((2, 4))  # not normalized, so not a vertex
+
+    @pytest.mark.parametrize("limit", [2.5, "3", None])
+    def test_non_integer_limit_rejected(self, limit):
+        with pytest.raises(DomainError, match="limit must be an integer"):
+            FareyGraph(limit)
+
+    def test_numpy_limit_accepted(self):
+        graph = FareyGraph(np.int64(5))
+        assert type(graph.limit) is int
+        assert graph.slopes == FareyGraph(5).slopes
 
     def test_target_outside_box_is_a_domain_error(self):
         graph = FareyGraph(4)
