@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from .errors import DomainError, InternalContradictionError
@@ -233,6 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_factor_invariant)
 
     p = sub.add_parser("farey-dist", help="exact Farey graph distance")
+    # read -3/5 as a slope, not as an option: argparse's default pattern for
+    # a negative number may not take a fraction
+    p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
     p.add_argument("s", help="slope p/q")
     p.add_argument("t", help="slope p/q")
     p.add_argument("--out", help="write a JSON report to this path")

@@ -26,12 +26,13 @@ from .errors import (
 from .factors import (
     FreeFactorVertex,
     _check_filling_minimal,
+    _cyclic_value_from_ends,
     af_adjacent,
     factor_invariant,
     is_basis_pair,
     random_free_factor,
 )
-from .farey import exponent_sums, farey_distance, slope_of
+from .farey import Slope, exponent_sums, farey_distance
 from .whitehead import (
     WhAutomorphism,
     _random_multiplier_move,
@@ -43,6 +44,8 @@ from .whitehead import (
 )
 from .words import (
     Word,
+    _orbit_ends,
+    _positive_substitution,
     ad,
     apply_automorphism,
     b_index,
@@ -457,12 +460,6 @@ class BoundaryAutomorphism:
     chain: tuple[WhAutomorphism, ...]
     inverse_chain: tuple[WhAutomorphism, ...]
 
-    def apply(self, w: Word, power: int = 1) -> Word:
-        chain = self.chain if power >= 0 else self.inverse_chain
-        for _ in range(abs(power)):
-            w = apply_automorphism(chain, w)
-        return w
-
     def to_json_dict(self) -> dict:
         return {
             "x_image": format_word(self.x_image),
@@ -527,22 +524,42 @@ def build_boundary_pA() -> BoundaryAutomorphism:
 def _grid_values(
     radius_r: tuple[int, int], radius_k: int
 ) -> tuple[dict, dict, Word, BoundaryAutomorphism]:
-    """Factor invariants over the orbit grid psi^r ad_b^k(<x>)."""
+    """Factor invariants over the orbit grid psi^r ad_b^k(<x>), and the
+    exponent sums of psi^r(x) by r, read off certified ends of psi^r(x).
+
+    Certificate, checked on every call: psi and psi^-1 are positive
+    substitutions on {x, y} and {x, Y} (``_positive_substitution``), so
+    w = psi^r(x) is reduced and cyclically reduced, and its ends iterate
+    on windows (``_orbit_ends``) without building w.
+
+    Windows of L = (2K + 1)|b| letters decide every |k| <= K.  Each junction
+    of b^k w b^-k cancels t <= |k||b| letters of w.  The reduced product g
+    is conjugate to the cyclically reduced w by b^k, so g = u c u^-1 with
+    c a rotation of w and 2|u| + |w| = |g| <= 2|k||b| + |w|: |u| <= |k||b|.
+    The peel compares letters up to index |u| of g, within the first
+    t + |u| + 1 <= 2|k||b| + 1 letters of w (and the last, at the tail);
+    with u empty the power test reads |b| letters, within (|k| + 1)|b|.
+    ``_cyclic_value_from_ends`` raises rather than guess if a window is
+    ever too short.
+    """
     psi = build_boundary_pA()
     b = boundary_word(2)
-    x = Word((1,), 2)
+    bl, binv = b.letters, b.inverse().letters
+    window = (2 * radius_k + 1) * len(bl)
     lo_r, hi_r = radius_r
-    psi_x = {0: x}
-    for r in range(1, hi_r + 1):
-        psi_x[r] = psi.apply(psi_x[r - 1], 1)
-    for r in range(-1, lo_r - 1, -1):
-        psi_x[r] = psi.apply(psi_x[r + 1], -1)
-    values: dict[tuple[int, int], int] = {}
-    for r in range(lo_r, hi_r + 1):
-        for k in range(-radius_k, radius_k + 1):
-            vertex = FreeFactorVertex((ad(b, psi_x[r], k),), 2)
-            values[(r, k)] = factor_invariant(vertex, b).value
-    return values, psi_x, b, psi
+    ends = {}
+    for chain, sign, steps in ((psi.inverse_chain, -1, -lo_r), (psi.chain, 1, hi_r)):
+        images = _positive_substitution(chain)
+        for r, end in enumerate(_orbit_ends(images, steps, window)):
+            ends[sign * r] = end
+    power = {k: bl * k if k >= 0 else binv * -k for k in range(-radius_k, radius_k + 1)}
+    values = {
+        (r, k): _cyclic_value_from_ends(*ends[r][:3], power[k], power[-k], bl, binv)
+        for r in range(lo_r, hi_r + 1)
+        for k in power
+    }
+    sums = {r: (c.get(1, 0), c.get(2, 0) - c.get(-2, 0)) for r, (*_, c) in ends.items()}
+    return values, sums, b, psi
 
 
 # Factor-graph paths <x> -> <psi(x)> and <x> -> <b x b^-1> in rank 2, b the
@@ -576,15 +593,17 @@ def exp_quasiflat(radius: int = 8) -> ExperimentReport:
     longer of two fixed factor-graph paths, <x> -> <psi(x)> and
     <x> -> <b x b^-1>, each verified edge by edge on every run.  A
     least-squares fit lower >= c * (|dr| + |dk|) - C is reported, with C
-    enlarged to cover every grid pair.
+    enlarged to cover every grid pair.  Values and slopes come from
+    ``_grid_values``: end windows of (2R + 1)|b| letters and the letter
+    counts of psi^r(x), which is never built.
     """
     R = radius
-    values, psi_x, b, psi = _grid_values((-R, R), R)
-    x = psi_x[0]
+    values, sums, b, psi = _grid_values((-R, R), R)
+    x = Word((1,), 2)
     _check_path(_PSI_PATH, x, psi.x_image)
     _check_path(_AD_PATH, x, ad(b, x))
     c0 = max(1, len(_PSI_PATH) - 1, len(_AD_PATH) - 1)
-    slopes = [slope_of(psi_x[r], assume_primitive=True) for r in range(-R, R + 1)]
+    slopes = [Slope(*sums[r]) for r in range(-R, R + 1)]
     report = ExperimentReport(
         "quasiflat",
         {"rank": 2, "b": format_word(b), "grid_radius": R},
@@ -640,7 +659,8 @@ def exp_twist_stability(radius: int = 8) -> ExperimentReport:
 
     Measures |value(r, k) - value(0, k)| over r in [0, radius], k in
     [-radius, radius]; the running maximum over r must stop growing by
-    r = radius // 2 for every k.
+    r = radius // 2 for every k.  Values come from ``_grid_values``, read
+    off end windows of (2R + 1)|b| letters of psi^r(x).
     """
     R = radius
     values, _, b, _ = _grid_values((0, R), R)

@@ -27,6 +27,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import neg
 
 from .errors import (
     DomainError,
@@ -46,6 +47,7 @@ from .words import (
     Word,
     _leading_power,
     _peel,
+    _times,
     _trusted_word,
     apply_automorphism,
     format_word,
@@ -209,12 +211,14 @@ def is_basis_pair(u: Word, v: Word) -> bool:
     Theory*, Thm 3.9): {u, v} is a basis of F(x, y) iff the commutator
     [u, v] = u v u^-1 v^-1 is conjugate to [x, y] or to [x, y]^-1, that
     is, iff its cyclically reduced core is one of the eight cyclic
-    rotations of xyXY and yxYX.  Nothing is folded: three junction-only
-    products and one peel, O(|u| + |v|).
+    rotations of xyXY and yxYX.  Nothing is folded and no Word is built:
+    [u, v] = (u v)(v u)^-1 as junction-only products of letter tuples, and
+    one peel, O(|u| + |v|).
     """
     if u.rank != 2 or v.rank != 2:
         raise RankError("basis-pair test is rank-2 only")
-    ls = (u * v * u.inverse() * v.inverse()).letters
+    ul, vl = u.letters, v.letters
+    ls = _times(_times(ul, vl), tuple(map(neg, reversed(_times(vl, ul)))))
     i = _peel(ls)
     return ls[i : len(ls) - i] in _BASIS_COMMUTATORS
 
@@ -503,6 +507,30 @@ def _cyclic_invariant(g: Word, b: Word) -> FactorInvariant:
         l for l in vertex_order(g.rank) if l in (c[0], -c[-1]) and l != bad_first
     )
     return FactorInvariant(value, g if first == c[0] else g.inverse(), 0)
+
+
+def _cyclic_value_from_ends(head, hidden, tail, bk, bk_inv, bl, binv) -> int:
+    """The invariant of <b^k w b^-k> read off the ends of a reduced w (see
+    ``words._orbit_ends``): the value of ``_cyclic_invariant``, from
+    junction cancellation, the peel and the b or b^-1 blocks the
+    conjugator starts with, with no Word built.  Raise
+    InternalContradictionError rather than guess if the peel reaches a
+    window edge (as it does when a junction eats a whole window: the b^k
+    and b^-k left on the two sides peel off each other), or if the
+    conjugator is empty and the core may be a b-power (its first |b|
+    letters, repeated if it is shorter, unknown or b^+-1).
+    """
+    left, right = _times(bk, head), _times(tail, bk_inv)
+    g = left + right if hidden else _times(left, right)
+    i, m = _peel(g), len(bl)
+    if hidden and i >= min(len(left), len(right)) or not i and (
+        hidden and len(left) < m or (g * m)[:m] in (bl, binv)
+    ):
+        raise InternalContradictionError(
+            f"the {len(head)}-letter ends of a {len(head) + hidden + len(tail)}"
+            "-letter word cannot decide a grid value"
+        )
+    return _leading_power(g, bl, i // m) or -_leading_power(g, binv, i // m)
 
 
 def _graph_invariant(graph: CoreGraph, b: Word) -> FactorInvariant:

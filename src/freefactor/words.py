@@ -42,6 +42,7 @@ from operator import neg
 
 from .errors import (
     DomainError,
+    InternalContradictionError,
     NotCyclicallyReducedError,
     RankError,
     WordSyntaxError,
@@ -242,6 +243,15 @@ def cyclic_reduce(w: Word) -> CyclicDecomposition:
     )
 
 
+def _times(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """``Word.__mul__`` on reduced letter tuples: only the junction cancels."""
+    n, k = len(a), 0
+    stop = min(n, len(b))
+    while k < stop and a[n - 1 - k] == -b[k]:
+        k += 1
+    return a[: n - k] + b[k:]
+
+
 def _peel(ls: tuple[int, ...]) -> int:
     """Length of the longest conjugator u with ls == u c u^-1."""
     i, j = 0, len(ls)
@@ -368,6 +378,47 @@ def apply_automorphism(chain, w: Word) -> Word:
         images = map(_image_table(phi).__getitem__, w.letters)
         w = _trusted_word(free_reduce(itertools.chain.from_iterable(images)), w.rank)
     return w
+
+
+def _positive_substitution(chain) -> dict[int, tuple[int, ...]]:
+    """A rank-2 chain's images of the letters of {x, y} or of {x, Y},
+    whichever alphabet A has every image a word over A, so that no power
+    of the chain cancels on a word over A.  Raise
+    InternalContradictionError if neither does."""
+    images = {l: apply_automorphism(chain, Word((l,), 2)).letters for l in (1, 2, -2)}
+    for alphabet in ((1, 2), (1, -2)):
+        if all(set(images[a]) <= set(alphabet) for a in alphabet):
+            return {a: images[a] for a in alphabet}
+    raise InternalContradictionError(
+        "the automorphism is a positive substitution on neither {x, y} nor {x, Y}"
+    )
+
+
+def _orbit_ends(images: dict, steps: int, window: int) -> list[tuple]:
+    """(head, hidden, tail, letter counts) of sigma^r(x), r = 0..steps, for
+    the positive substitution sigma = ``images``.  A word longer than
+    2 * window keeps window letters at each end and counts the rest as
+    ``hidden``; a shorter one is all ``head``.  No image is empty and
+    nothing cancels, so the ends of sigma(w) are those of sigma applied to
+    the ends of w, and the counts go through sigma's count matrix.
+    """
+    head, tail, counts = (1,), (), {1: 1}
+    ends = []
+    for r in range(steps + 1):
+        if r:
+            head, tail = (
+                tuple(itertools.chain.from_iterable(map(images.__getitem__, seq)))
+                for seq in (head, tail)
+            )
+            counts = {
+                a: sum(n * images[c].count(a) for c, n in counts.items())
+                for a in images
+            }
+        hidden = max(0, sum(counts.values()) - 2 * window)
+        if hidden:
+            head, tail = head[:window], (tail or head)[-window:]
+        ends.append((head, hidden, tail, counts))
+    return ends
 
 
 def random_word(length: int, rank: int, seed) -> Word:

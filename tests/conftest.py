@@ -1,7 +1,14 @@
 import pytest
 from hypothesis import settings
 
-from freefactor import DomainError, Word, boundary_word, parse_word, random_word
+from freefactor import (
+    DomainError,
+    Word,
+    apply_automorphism,
+    boundary_word,
+    parse_word,
+    random_word,
+)
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
@@ -9,6 +16,15 @@ settings.load_profile("deterministic")
 
 def W(text: str, rank: int = 2) -> Word:
     return parse_word(text, rank)
+
+
+def psi_power(psi, w: Word, power: int = 1) -> Word:
+    """psi^power(w) for a BoundaryAutomorphism psi, built letter by letter:
+    one application of psi's chain, or of its inverse chain, per step."""
+    chain = psi.chain if power >= 0 else psi.inverse_chain
+    for _ in range(abs(power)):
+        w = apply_automorphism(chain, w)
+    return w
 
 
 @pytest.fixture

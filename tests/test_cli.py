@@ -116,6 +116,31 @@ class TestBasicCommands:
         code, out, _ = run(capsys, "farey-dist", "1/0", "0/1")
         assert code == 0 and out == "1"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-3/5", "1/0"],
+            ["1/0", "-3/5"],
+            ["-3/5", "-1/2"],
+            ["-3/5", "1/0", "--out", "{out}"],
+            ["--out", "{out}", "-3/5", "1/0"],
+            ["1/0", "--out", "{out}", "-3/5"],
+        ],
+    )
+    def test_farey_dist_negative_numerator(self, capsys, tmp_path, argv):
+        # a slope -p/q is a positional argument, not an unknown option, in
+        # either place and with --out anywhere, and reads as with "--"
+        reference = tmp_path / "reference.json"
+        s, t = [a for a in argv if "/" in a]
+        code, out, _ = run(capsys, "farey-dist", "--out", str(reference), "--", s, t)
+        assert code == 0
+        path = tmp_path / "report.json"
+        argv = [str(path) if a == "{out}" else a for a in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(path)]
+        assert run(capsys, "farey-dist", *argv) == (0, out, "")
+        assert path.read_text() == reference.read_text()
+
 
 class TestJsonOutput:
     def test_classify_report(self, capsys, tmp_path):

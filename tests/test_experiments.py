@@ -1,17 +1,20 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from freefactor import (
+    FreeFactorVertex,
     InternalContradictionError,
     PreconditionError,
     WhAutomorphism,
     Word,
     apply_automorphism,
+    ad,
     b_index,
     boundary_word,
     build_boundary_pA,
@@ -22,14 +25,18 @@ from freefactor import (
     exp_lipschitz,
     exp_quasiflat,
     exp_twist_stability,
+    factor_invariant,
     random_word,
     run_experiment,
 )
-from freefactor import cli, experiments, factors
-from freefactor.experiments import _random_edge_images, _rng
+from freefactor import cli, experiments, factors, words
+from freefactor.experiments import _grid_values, _random_edge_images, _rng
+from freefactor.factors import _cyclic_value_from_ends
+from freefactor.farey import exponent_sums
+from freefactor.words import _positive_substitution
 from freefactor.whitehead import _random_multiplier_move, vertex_order
 
-from conftest import W
+from conftest import W, psi_power
 
 DATA = Path(__file__).parent / "data"
 
@@ -76,6 +83,14 @@ QUASIFLAT_DIGESTS = [
 ]
 
 
+# sha256 of twist-stability's report, and quasiflat_digest of quasiflat's,
+# at radius 16, recorded from the grid that materialised every psi^r(x).
+RADIUS_16_DIGESTS = {
+    "twist-stability": "d0506ad850fbb3c7d2fc843ecf52ebb374fb62001a1f86951c15f9ed7b11a1aa",
+    "quasiflat": "ec910accf2e948ef835308d5b9d81eaf0c3c5ef2814b182b14895e0f9c4819bf",
+}
+
+
 def quasiflat_digest(report) -> str:
     data = report.to_json_dict()
     for key in ("fit_slope", "fit_intercept", "cover_constant"):
@@ -105,6 +120,26 @@ def oracle_quasiflat_pairs(report, c0: int) -> dict:
         "pairs_below_line": sum(1 for m, l in zip(ms, lowers) if l < c * m - cover - 1e-9),
         "pairs_above_upper_bound": sum(1 for m, l in zip(ms, lowers) if l > c0 * m),
     }
+
+
+def oracle_grid_values(radius_r, radius_k):
+    """The materialising grid that _grid_values replaced: every psi^r(x)
+    built letter by letter and each value read off factor_invariant.
+    Returns the values and the exponent sums of psi^r(x) by r."""
+    psi = build_boundary_pA()
+    b = boundary_word(2)
+    lo_r, hi_r = radius_r
+    psi_x = {0: W("x")}
+    for r in range(1, hi_r + 1):
+        psi_x[r] = psi_power(psi, psi_x[r - 1], 1)
+    for r in range(-1, lo_r - 1, -1):
+        psi_x[r] = psi_power(psi, psi_x[r + 1], -1)
+    values = {}
+    for r in range(lo_r, hi_r + 1):
+        for k in range(-radius_k, radius_k + 1):
+            vertex = FreeFactorVertex((ad(b, psi_x[r], k),), 2)
+            values[(r, k)] = factor_invariant(vertex, b).value
+    return values, {r: exponent_sums(w) for r, w in psi_x.items()}
 
 
 def _conjugation_chain(w: Word) -> tuple[WhAutomorphism, ...]:
@@ -164,9 +199,9 @@ class TestBoundaryAutomorphism:
 
     def test_fixes_boundary_exactly(self, b2):
         psi = build_boundary_pA()
-        assert psi.apply(b2, 1) == b2
-        assert psi.apply(b2, -1) == b2
-        assert psi.apply(b2, 5) == b2
+        assert psi_power(psi, b2, 1) == b2
+        assert psi_power(psi, b2, -1) == b2
+        assert psi_power(psi, b2, 5) == b2
 
     def test_homology(self):
         psi = build_boundary_pA()
@@ -194,7 +229,7 @@ class TestBoundaryAutomorphism:
     def test_inverse_round_trip(self):
         psi = build_boundary_pA()
         w = W("xYxxy")
-        assert psi.apply(psi.apply(w, 3), -3) == w
+        assert psi_power(psi, psi_power(psi, w, 3), -3) == w
 
     def test_inverse_checked_on_both_generators(self, monkeypatch, capsys):
         # without tau's inverse the chain still sends xy back to x, but it
@@ -387,6 +422,139 @@ class TestQuasiflat:
             exp_quasiflat(1)
         assert main(["experiment", "quasiflat", "--radius", "1"]) == 3
         assert capsys.readouterr().err.startswith("internal error: ")
+
+
+class TestGridFromEnds:
+    @pytest.mark.parametrize("radius_k", [0, 1, 3, 12])
+    def test_matches_materialising_oracle(self, radius_k):
+        # |r| <= 12 reaches 75,025-letter words; a small radius_k shrinks
+        # the windows to (2 radius_k + 1) |b| letters
+        values, sums, b, _ = _grid_values((-12, 12), radius_k)
+        assert (values, sums) == oracle_grid_values((-12, 12), radius_k)
+        assert b == boundary_word(2)
+
+    def test_substitutions(self):
+        psi = build_boundary_pA()
+        assert _positive_substitution(psi.chain) == {1: (1, 2), 2: (2, 1, 2)}
+        assert _positive_substitution(psi.inverse_chain) == {1: (1, 1, -2), -2: (1, -2)}
+
+    @pytest.mark.parametrize("field", ["chain", "inverse_chain"])
+    def test_no_positive_alphabet_is_a_contradiction(
+        self, monkeypatch, capsys, tmp_path, field
+    ):
+        # followed by conjugation by x, psi sends x to xxyX and psi^-1 sends x
+        # to xxxYX: each image holds both x and X
+        psi = build_boundary_pA()
+        bad = replace(psi, **{field: getattr(psi, field) + _conjugation_chain(W("x"))})
+        monkeypatch.setattr(experiments, "build_boundary_pA", lambda: bad)
+        with pytest.raises(InternalContradictionError, match="positive substitution"):
+            _grid_values((-1, 1), 1)
+        for name in ("quasiflat", "twist-stability"):
+            out = tmp_path / f"{name}.json"
+            argv = ["experiment", name, "--radius", "1", "--out", str(out)]
+            assert cli.main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert "positive substitution" in captured.err
+
+    def test_short_window_raises_and_never_guesses(self, monkeypatch, capsys, tmp_path):
+        # every window shorter than (2K + 1)|b| = 52 either still decides
+        # every value exactly or raises; a 1-letter window cannot hold the
+        # |b| letters that the b-power test reads at k = 0, so it raises
+        orbit_ends = experiments._orbit_ends
+        expected = oracle_grid_values((-6, 6), 6)
+        raised = []
+        for window in range(1, 53):
+            def shrunk(images, steps, _, window=window):
+                return orbit_ends(images, steps, window)
+
+            monkeypatch.setattr(experiments, "_orbit_ends", shrunk)
+            try:
+                values, sums, _, _ = _grid_values((-6, 6), 6)
+            except InternalContradictionError as exc:
+                assert "cannot decide a grid value" in str(exc)
+                raised.append(window)
+                continue
+            assert (values, sums) == expected, window
+        assert 1 in raised
+        monkeypatch.setattr(
+            experiments, "_orbit_ends", lambda images, steps, _: orbit_ends(images, steps, 1)
+        )
+        for name in ("quasiflat", "twist-stability"):
+            out = tmp_path / f"{name}.json"
+            argv = ["experiment", name, "--radius", "6", "--out", str(out)]
+            assert cli.main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert "cannot decide a grid value" in captured.err
+
+    def test_windows_never_guess_on_arbitrary_words(self, b2):
+        # the value on windows of 1-24 letters of reduced words that cancel
+        # deep into b^k (b^j s, p s p^-1) or are b-powers, whose invariant is
+        # infinite: each call raises or returns the materialised value, and
+        # dropping any one clause of its guard returns wrong values here
+        rng = random.Random(3)
+        bl, binv = b2.letters, b2.inverse().letters
+        raised = 0
+        for _ in range(6000):
+            kind = rng.randrange(4)
+            s = random_word(rng.randint(1, 30), 2, rng)
+            if kind == 0:
+                w = s
+            elif kind == 1:
+                w = (b2 ** rng.choice((-3, -2, -1, 1, 2, 3))) * s
+            elif kind == 2:
+                p = random_word(rng.randint(1, 12), 2, rng)
+                w = p * s * p.inverse()
+            else:
+                w = b2 ** rng.choice((-8, -5, -3, -1, 1, 3, 5, 8))
+            if w.is_identity():
+                continue
+            k = rng.randint(-4, 4)
+            try:
+                vertex = FreeFactorVertex((ad(b2, w, k),), 2)
+                expected = factor_invariant(vertex, b2).value
+            except PreconditionError:
+                expected = None  # a power of b lies in the factor
+            window, ls = rng.randint(1, 24), w.letters
+            ends = (ls, 0, ())
+            if len(ls) > 2 * window:
+                ends = (ls[:window], len(ls) - 2 * window, ls[-window:])
+            power = {j: bl * j if j >= 0 else binv * -j for j in (k, -k)}
+            try:
+                value = _cyclic_value_from_ends(*ends, power[k], power[-k], bl, binv)
+            except InternalContradictionError:
+                raised += 1
+                continue
+            assert value == expected, (w, k, window)
+        assert raised > 0
+
+    def test_never_builds_psi_powers(self, monkeypatch):
+        # the ends are iterated on windows: the one apply_automorphism call
+        # per substitution letter reads a letter image, and the words the
+        # certificate and the paths check stay short
+        calls = []
+        apply = experiments.apply_automorphism
+
+        def counted(chain, w):
+            calls.append(len(w))
+            return apply(chain, w)
+
+        for module in (experiments, words):
+            monkeypatch.setattr(module, "apply_automorphism", counted)
+        exp_quasiflat(16)
+        exp_twist_stability(64)
+        assert calls and max(calls) <= len(boundary_word(2))
+
+    @pytest.mark.parametrize("name", ["quasiflat", "twist-stability"])
+    def test_same_bytes_as_materialising_grid_at_radius_16(self, name):
+        report = run_experiment(name, radius=16)
+        digest = (
+            quasiflat_digest(report)
+            if name == "quasiflat"
+            else hashlib.sha256(report.to_json().encode()).hexdigest()
+        )
+        assert digest == RADIUS_16_DIGESTS[name]
 
 
 class TestTwistStability:

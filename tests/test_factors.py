@@ -26,10 +26,17 @@ from freefactor import (
     random_word,
 )
 from freefactor.experiments import _random_deep_factor, _random_edge_images, boundary_word
-from freefactor.factors import _graph_invariant, _in_cyclic
+from freefactor.factors import _BASIS_COMMUTATORS, _graph_invariant, _in_cyclic
+from freefactor.words import _peel
 from freefactor.whitehead import vertex_order
 
-from conftest import W, random_cyclically_reduced, random_element, reduced_loops
+from conftest import (
+    W,
+    psi_power,
+    random_cyclically_reduced,
+    random_element,
+    reduced_loops,
+)
 
 
 def subgroup_rank(graph: CoreGraph) -> int:
@@ -265,7 +272,7 @@ class TestFoldOracle:
                     graph = fold([gen], 2)
                     assert adjacency_lists(graph) == adjacency_lists(oracle_fold([gen], 2))
                     assert_core(graph)
-                w = psi.apply(w, sign)
+                w = psi_power(psi, w, sign)
 
     def test_empty_and_identity(self):
         for gens in ([], [Word.identity(3)]):
@@ -355,6 +362,14 @@ def oracle_is_basis_pair(u, v):
     return fold([u, v], 2).is_whole_group()
 
 
+def oracle_word_commutator_basis_pair(u, v):
+    """The Word-product form that is_basis_pair's letter tuples replaced:
+    [u, v] built as three reduced products of Words and two inverses."""
+    ls = (u * v * u.inverse() * v.inverse()).letters
+    i = _peel(ls)
+    return ls[i : len(ls) - i] in _BASIS_COMMUTATORS
+
+
 def basis_pair_cases(rng, count):
     """``count`` batches of eight rank-2 pairs: a basis, its conjugate,
     a Nielsen move of it and four non-bases made from it, and a random
@@ -410,6 +425,7 @@ class TestBasisPair:
         for u, v in pairs:
             expected = oracle_is_basis_pair(u, v)
             assert is_basis_pair(u, v) == expected, (u, v)
+            assert oracle_word_commutator_basis_pair(u, v) == expected, (u, v)
             bases += expected
         assert 3 * 2600 <= bases < len(pairs) - 3 * 2600
 

@@ -26,7 +26,7 @@ from freefactor import (
 from freefactor.experiments import build_boundary_pA
 from freefactor.farey import _inverse_mod, exponent_sums
 
-from conftest import W
+from conftest import W, psi_power
 
 
 def oracle_dist_to_infinity(p: int, q: int, cache: dict | None = None) -> int:
@@ -336,7 +336,7 @@ class TestExponentSums:
         psi = build_boundary_pA()
         w = W("x")
         for _ in range(8):
-            w = psi.apply(w)
+            w = psi_power(psi, w)
             assert exponent_sums(w) == oracle_exponent_sums(w)
 
 
@@ -530,7 +530,7 @@ class TestProjection:
 
     def test_twisted_factor(self):
         psi = build_boundary_pA()
-        assert slope_of(psi.apply(W("x"))) == Slope(1, 1)
+        assert slope_of(psi_power(psi, W("x"))) == Slope(1, 1)
 
 
 class TestClosestOrbitPoint:
@@ -551,8 +551,8 @@ class TestClosestOrbitPoint:
         x = W("x")
         images = {0: x}
         for j in range(1, 9):
-            images[j] = psi.apply(images[j - 1], 1)
-            images[-j] = psi.apply(images[-(j - 1)], -1)
+            images[j] = psi_power(psi, images[j - 1], 1)
+            images[-j] = psi_power(psi, images[-(j - 1)], -1)
         slopes = {j: slope_of(w, assume_primitive=True) for j, w in images.items()}
         window = [slopes[j] for j in range(-6, 7)]
         widened = [slopes[j] for j in range(-8, 9)]
@@ -578,7 +578,7 @@ class TestLoxodromicOrbit:
             distances.append(
                 farey_distance(Slope(1, 0), slope_of(word, assume_primitive=True))
             )
-            word = psi.apply(word, 1)
+            word = psi_power(psi, word, 1)
         assert distances[0] == 0
         # strictly increasing start, linear lower bound over the window
         assert all(distances[j] < distances[j + 1] for j in range(8))

@@ -32,7 +32,7 @@ from freefactor.whitehead import (
     vertex_order,
 )
 
-from conftest import W
+from conftest import W, psi_power
 
 
 def graph_from_edges(rank, edges):
@@ -319,7 +319,7 @@ class TestClassify:
         assert is_primitive(W("x"))
         assert not is_primitive(W("xx"))
         psi = build_boundary_pA()
-        assert is_primitive(psi.apply(W("x"), 5))
+        assert is_primitive(psi_power(psi, W("x"), 5))
 
     def test_simple_words_keep_cut_vertices_under_automorphisms(self):
         # every automorphic image of a non-filling word shows a cut vertex
