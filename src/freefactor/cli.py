@@ -33,8 +33,7 @@ def _emit(args, text: str, payload: dict) -> None:
     if getattr(args, "out", None):
         payload = {"schema_version": SCHEMA_VERSION, **payload}
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _cmd_reduce(args) -> int:
@@ -168,15 +167,15 @@ def _cmd_experiment(args) -> int:
         if key in kwargs:
             kwargs[key] = parse_word(kwargs[key], rank)
     report = run_experiment(args.name, **kwargs)
-    print(
-        f"{report.name}: {len(report.trials)} records, "
-        f"{report.violations} violations"
-    )
-    for key, value in sorted(report.summary.items()):
-        if not isinstance(value, (list, dict)):
-            print(f"  {key}: {value}")
-    if args.out:
-        report.write_json(args.out)
+    lines = [
+        f"{report.name}: {len(report.trials)} records, {report.violations} violations",
+        *(
+            f"  {key}: {value}"
+            for key, value in sorted(report.summary.items())
+            if not isinstance(value, (list, dict))
+        ),
+    ]
+    _emit(args, "\n".join(lines), report.to_json_dict())
     if args.csv:
         report.write_csv(args.csv)
     return 0 if report.violations == 0 else 1

@@ -64,11 +64,10 @@ class ExperimentReport:
     trials: list[dict] = field(default_factory=list)
     violations: int = 0
     summary: dict = field(default_factory=dict)
-    schema_version: int = SCHEMA_VERSION
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "name": self.name,
             "parameters": self.parameters,
             "violations": self.violations,
@@ -78,10 +77,6 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
 
     def write_csv(self, path) -> None:
         keys: list[str] = []
@@ -336,8 +331,6 @@ def exp_basis_change(
     b: Word | None = None,
     trials: int = 1000,
     seed: int = 0,
-    *,
-    basis_chain: tuple[WhAutomorphism, ...] | None = None,
 ) -> ExperimentReport:
     """Spread of the factor invariant between two minimizing bases.
 
@@ -349,8 +342,7 @@ def exp_basis_change(
     """
     b = boundary_word(rank) if b is None else b
     _check_filling_minimal(b)
-    if basis_chain is None:
-        basis_chain = _find_second_minimizing_basis(rank, b, seed)
+    basis_chain = _find_second_minimizing_basis(rank, b, seed)
     chain_inv = tuple(phi.inverse() for phi in reversed(basis_chain))
     b_t = apply_automorphism(chain_inv, b)
     if len(b_t) != len(b):
@@ -589,13 +581,15 @@ def exp_quasiflat(radius: int = 8) -> ExperimentReport:
     The lower bound on the graph distance between two grid vertices is
     max(ceil(|delta invariant| / 2), Farey distance of the projected
     slopes); both maps are distance-decreasing, so the bound is certified.
-    The upper bound is (|dr| + |dk|) * c0, where c0 is the length of the
-    longer of two fixed factor-graph paths, <x> -> <psi(x)> and
-    <x> -> <b x b^-1>, each verified edge by edge on every run.  A
-    least-squares fit lower >= c * (|dr| + |dk|) - C is reported, with C
-    enlarged to cover every grid pair.  Values and slopes come from
-    ``_grid_values``: end windows of (2R + 1)|b| letters and the letter
-    counts of psi^r(x), which is never built.
+    psi acts on slopes by its homology matrix, a Farey-graph isometry, so
+    the 2R + 1 distances from the slope of psi^-R(x) give every pair.  The
+    upper bound is (|dr| + |dk|) * c0, where c0 is the length of the longer
+    of two fixed factor-graph paths, <x> -> <psi(x)> and <x> -> <b x b^-1>,
+    each verified edge by edge on every run.  A least-squares fit
+    lower >= c * (|dr| + |dk|) - C is reported, with C enlarged to cover
+    every grid pair.  Values and slopes come from ``_grid_values``: end
+    windows of (2R + 1)|b| letters and the letter counts of psi^r(x), which
+    is never built.
     """
     R = radius
     values, sums, b, psi = _grid_values((-R, R), R)
@@ -613,26 +607,23 @@ def exp_quasiflat(radius: int = 8) -> ExperimentReport:
         report.trials.append(
             {"r": r, "k": k, "value": values[(r, k)], "slope": str(slopes[r + R])}
         )
-    # dfar[r1 + R, r2 + R]: Farey distance between the slopes of psi^r1(x)
-    # and psi^r2(x)
-    dfar = np.zeros((2 * R + 1, 2 * R + 1), dtype=np.int64)
-    for i in range(2 * R + 1):
-        for j in range(i, 2 * R + 1):
-            dfar[i, j] = dfar[j, i] = farey_distance(slopes[i], slopes[j])
+    # The slope of psi^r(x) is M^r (1, 0), M the homology matrix, and
+    # build_boundary_pA checks det M = +-1.  GL_2(Z) acts on the Farey graph
+    # by isometries, so the slopes at r1 and r2 lie dstep[|r1 - r2|] apart.
+    dstep = np.array([farey_distance(slopes[0], s) for s in slopes])
     row, k, value = np.array([(r + R, k, values[(r, k)]) for r, k in points]).T
     # every pair p1 < p2 of points, in the order of a nested loop over points
     first, second = np.triu_indices(len(points), 1)
-    steps = np.abs(row[first] - row[second]) + np.abs(k[first] - k[second])
-    lower = np.maximum(
-        (np.abs(value[first] - value[second]) + 1) // 2, dfar[row[first], row[second]]
-    )
+    steps = np.abs(row[first] - row[second])  # |dr| until |dk| is added
+    lower = np.maximum((np.abs(value[first] - value[second]) + 1) // 2, dstep[steps])
+    steps += np.abs(k[first] - k[second])
     fit = np.polyfit(steps.astype(float), lower.astype(float), 1)
     c, intercept = float(fit[0]), float(fit[1])
     cover = max(0.0, float(np.max(c * steps - lower)))
     below = int(np.count_nonzero(lower < c * steps - cover - 1e-9))
     # certified lower bounds can never exceed the path-witnessed upper bound
     above_upper = int(np.count_nonzero(lower > c0 * steps))
-    pure_psi = dfar[R, R + 1 :].tolist()
+    pure_psi = dstep[1 : R + 1].tolist()
     strictly_increasing = all(
         pure_psi[i] < pure_psi[i + 1] for i in range(len(pure_psi) - 1)
     )
@@ -734,15 +725,8 @@ def exp_boundary_length(rank: int = 4) -> ExperimentReport:
 
 
 def _parameters(fn) -> dict:
-    """The parameters run_experiment may pass fn, in order, with defaults.
-
-    Keyword-only parameters (basis_chain) are for library callers only.
-    """
-    return {
-        p.name: p.default
-        for p in inspect.signature(fn).parameters.values()
-        if p.kind is p.POSITIONAL_OR_KEYWORD
-    }
+    """The parameters of fn with their defaults, in signature order."""
+    return {p.name: p.default for p in inspect.signature(fn).parameters.values()}
 
 
 # name -> (function, the parameters run_experiment passes it).  Defaults

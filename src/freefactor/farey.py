@@ -86,16 +86,16 @@ class Slope(namedtuple("Slope", "p q")):
         return f"{self.p}/{self.q}"
 
 
-def slope_of(w: Word, assume_primitive: bool = False) -> Slope:
+def slope_of(w: Word) -> Slope:
     """Exponent-sum vector of a primitive rank-2 word, as a slope.
 
     Abelianization is conjugation-invariant, so this is well defined on
-    conjugacy classes.  Non-primitive words are rejected (their exponent
-    vector need not be a primitive pair).
+    conjugacy classes.  Every word is checked: non-primitive words are
+    rejected (their exponent vector need not be a primitive pair).
     """
     if w.rank != 2:
         raise RankError("slopes are defined for rank 2 only")
-    if not assume_primitive and not is_primitive(w):
+    if not is_primitive(w):
         raise PreconditionError(f"{w} is not primitive")
     return Slope(*exponent_sums(w))
 

@@ -262,20 +262,23 @@ def _cut_table(
     ``crossing @ edges[pairs]`` is cap(A, A^c) for every move at once.
     ``inverse_col[k]`` is the column of a^-1.  The table has
     2N(2^(2N-2) - 1) * N(2N - 1) entries: 0.9 MB at rank 5, 6.5 MB at
-    rank 6.
+    rank 6.  A table numpy cannot allocate raises ``RankError``.
     """
     n = 2 * rank
     per = _moves_per_multiplier(rank)
-    bits = (np.arange(1, per + 1)[:, None] >> np.arange(n - 2)) & 1
-    inside = np.zeros((n * per, n), dtype=bool)
-    for col in range(n):
-        others = [c for c in range(n) if c // 2 != col // 2]
-        rows = slice(col * per, (col + 1) * per)
-        inside[rows, others] = bits
-        inside[rows, col ^ 1] = True
-    pairs = np.triu_indices(n, 1)
-    crossing = (inside[:, pairs[0]] != inside[:, pairs[1]]).astype(np.int64)
-    inverse_col = np.repeat(np.arange(n) ^ 1, per)
+    try:
+        bits = (np.arange(1, per + 1)[:, None] >> np.arange(n - 2)) & 1
+        inside = np.zeros((n * per, n), dtype=bool)
+        for col in range(n):
+            others = [c for c in range(n) if c // 2 != col // 2]
+            rows = slice(col * per, (col + 1) * per)
+            inside[rows, others] = bits
+            inside[rows, col ^ 1] = True
+        pairs = np.triu_indices(n, 1)
+        crossing = (inside[:, pairs[0]] != inside[:, pairs[1]]).astype(np.int64)
+        inverse_col = np.repeat(np.arange(n) ^ 1, per)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's range
+        raise RankError(f"rank {rank}: no move table for {n * per} moves ({exc})")
     for arr in (crossing, *pairs, inverse_col):
         arr.flags.writeable = False
     return crossing, pairs, inverse_col

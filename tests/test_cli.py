@@ -240,6 +240,14 @@ class TestErrors:
         code, _, err = run(capsys, "reduce", "--n", "2", "z")
         assert code == 1 and "error:" in err
 
+    # both ranks fail before anything is allocated: 30 asks numpy for
+    # 2 EiB, 40 for more than it can address
+    @pytest.mark.parametrize("rank", ["30", "40"])
+    def test_rank_too_large_for_the_move_table_exit_1(self, capsys, rank):
+        code, out, err = run(capsys, "minimize", "--n", rank, "x1")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: rank {rank}: no move table for ")
+
     def test_zero_slope_names_the_domain_error(self, capsys):
         code, out, err = run(capsys, "farey-dist", "1/0", "0/0")
         assert code == 1 and out == ""
@@ -302,6 +310,7 @@ class TestExperimentCommand:
             ["lipschitz", "--n", "0"],
             ["lipschitz", "--trials", "-5"],
             ["quasiflat", "--n", "3"],
+            ["lipschitz", "--n", "40", "--trials", "1"],
         ],
     )
     def test_bad_parameters_exit_1(self, capsys, tmp_path, argv):

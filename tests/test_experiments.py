@@ -11,6 +11,7 @@ from freefactor import (
     FreeFactorVertex,
     InternalContradictionError,
     PreconditionError,
+    Slope,
     WhAutomorphism,
     Word,
     apply_automorphism,
@@ -26,6 +27,7 @@ from freefactor import (
     exp_quasiflat,
     exp_twist_stability,
     factor_invariant,
+    farey_distance,
     random_word,
     run_experiment,
 )
@@ -101,8 +103,6 @@ def quasiflat_digest(report) -> str:
 def oracle_quasiflat_pairs(report, c0: int) -> dict:
     """The per-pair loop that exp_quasiflat's pair arrays replaced, run on
     the grid values and slopes of its report."""
-    from freefactor import Slope, farey_distance
-
     points = [(t["r"], t["k"], t["value"], Slope.from_string(t["slope"])) for t in report.trials]
     ms, lowers = [], []
     for idx, (r1, k1, v1, s1) in enumerate(points):
@@ -352,11 +352,13 @@ class TestZeroFiber:
 
 
 class TestBasisChange:
-    def test_identity_chain_gives_zero(self, b2):
-        from freefactor.whitehead import WhAutomorphism
-
-        chain = (WhAutomorphism.identity(2),)
-        report = exp_basis_change(2, trials=40, seed=1, basis_chain=chain)
+    def test_identity_chain_gives_zero(self, b2, monkeypatch):
+        monkeypatch.setattr(
+            experiments,
+            "_find_second_minimizing_basis",
+            lambda rank, b, seed: (WhAutomorphism.identity(2),),
+        )
+        report = exp_basis_change(2, trials=40, seed=1)
         assert report.summary["empirical_spread"] == 0
 
     def test_swap_basis_stabilizes(self):
@@ -393,11 +395,15 @@ class TestQuasiflat:
             assert is_basis_pair(u, v)
         assert report.summary["upper_bound_unit"] == max(1, len(path) - 1)
 
-    @pytest.mark.parametrize("radius", [2, 5])
+    @pytest.mark.parametrize("radius", [2, 5, 8])
     def test_pair_arrays_match_the_loop(self, radius):
         report = exp_quasiflat(radius)
         expected = oracle_quasiflat_pairs(report, report.summary["upper_bound_unit"])
         assert {key: report.summary[key] for key in expected} == expected
+        slopes = {t["r"]: Slope.from_string(t["slope"]) for t in report.trials}
+        assert report.summary["pure_psi_distances"] == [
+            farey_distance(slopes[0], slopes[d]) for d in range(1, radius + 1)
+        ]
 
     def test_adjacency_paths_fixed_across_radii(self):
         for radius in (1, 2):

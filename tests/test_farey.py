@@ -355,8 +355,8 @@ class TestAdjacency:
             u = apply_automorphism(chain, W("x"))
             v = apply_automorphism(chain, W("y"))
             assert is_basis_pair(u, v)
-            su = slope_of(u, assume_primitive=True)
-            sv = slope_of(v, assume_primitive=True)
+            su = Slope(*exponent_sums(u))
+            sv = Slope(*exponent_sums(v))
             assert farey_adjacent(su, sv)
             assert farey_distance(su, sv) == 1
 
@@ -553,7 +553,7 @@ class TestClosestOrbitPoint:
         for j in range(1, 9):
             images[j] = psi_power(psi, images[j - 1], 1)
             images[-j] = psi_power(psi, images[-(j - 1)], -1)
-        slopes = {j: slope_of(w, assume_primitive=True) for j, w in images.items()}
+        slopes = {j: Slope(*exponent_sums(w)) for j, w in images.items()}
         window = [slopes[j] for j in range(-6, 7)]
         widened = [slopes[j] for j in range(-8, 9)]
         rng = random.Random(4)
@@ -576,7 +576,7 @@ class TestLoxodromicOrbit:
         distances = []
         for j in range(13):
             distances.append(
-                farey_distance(Slope(1, 0), slope_of(word, assume_primitive=True))
+                farey_distance(Slope(1, 0), Slope(*exponent_sums(word)))
             )
             word = psi_power(psi, word, 1)
         assert distances[0] == 0
