@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 
@@ -19,6 +18,7 @@ from .experiments import (
     EXPERIMENT_NAMES,
     EXPERIMENTS,
     SCHEMA_VERSION,
+    json_text,
     run_experiment,
 )
 from .factors import FreeFactorVertex, factor_invariant
@@ -31,9 +31,10 @@ from .words import Word, b_reduced_decomposition, format_word, parse_word
 def _emit(args, text: str, payload: dict) -> None:
     print(text)
     if getattr(args, "out", None):
-        payload = {"schema_version": SCHEMA_VERSION, **payload}
+        if "schema_version" not in payload:  # experiment reports carry it
+            payload = {"schema_version": SCHEMA_VERSION, **payload}
         with open(args.out, "w") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            fh.write(json_text(payload))
 
 
 def _cmd_reduce(args) -> int:

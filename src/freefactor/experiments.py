@@ -54,7 +54,13 @@ from .words import (
     random_word,
 )
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
+
+
+def json_text(payload: dict) -> str:
+    """The one JSON encoding of every report and ``--out`` document:
+    sorted keys, two-space indent, a final newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 @dataclass
@@ -76,7 +82,7 @@ class ExperimentReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_json_dict())
 
     def write_csv(self, path) -> None:
         keys: list[str] = []
@@ -575,6 +581,42 @@ def _check_path(path: tuple[str, ...], start: Word, end: Word) -> None:
             )
 
 
+def _pair_classes(grid: np.ndarray, dstep: list[int]) -> np.ndarray:
+    """How many grid pairs fall in each class (m, l), as hist[m, l].
+
+    ``grid[i, j]`` is the value at r = i - R, k = j - R.  A pair with row
+    offset dr, column offset dk and values v1, v2 has m = dr + |dk| and the
+    certified lower bound l = max(ceil(|v1 - v2| / 2), dstep[dr]).  Each
+    row offset dr is one (2R + 1 - dr) x (2R + 1) x (2R + 1) block, whose
+    pairs one ``bincount`` counts by (|dk|, v1 - v2); those counts then go
+    to their classes.  Memory is one block, O(R^3), never one entry per
+    pair.
+    """
+    n = len(grid)
+    span = int(grid.max() - grid.min())
+    diffs = 2 * span + 1  # v1 - v2 + span lies in 0..2 span
+    width = max((span + 1) // 2, max(dstep)) + 1
+    cols = np.arange(n)
+    by_dk = np.abs(cols[:, None] - cols[None, :]) * diffs
+    half_diff = (np.abs(np.arange(-span, span + 1)) + 1) // 2
+    shifted = grid + span
+    counts = np.zeros((2 * n - 1) * width, dtype=np.int64)
+    buffer = np.empty((n, n, n), dtype=np.int64)
+    for dr in range(n):
+        block = buffer[: n - dr]
+        np.subtract(shifted[: n - dr, :, None], grid[dr:, None, :], out=block)
+        block += by_dk
+        found = np.bincount(block.ravel(), minlength=n * diffs)
+        codes = (dr + cols)[:, None] * width + np.maximum(half_diff, dstep[dr])
+        np.add.at(counts, codes.ravel(), found)
+        if dr == 0:
+            # the block held both orders of each pair in a row, and each
+            # point with itself in class (0, 0); nothing else is counted yet
+            counts[0] -= n * n
+            counts //= 2
+    return counts.reshape(2 * n - 1, width)
+
+
 def exp_quasiflat(radius: int = 8) -> ExperimentReport:
     """Distance bounds over the orbit grid psi^r ad_b^k(<x>), with a linear fit.
 
@@ -585,11 +627,17 @@ def exp_quasiflat(radius: int = 8) -> ExperimentReport:
     the 2R + 1 distances from the slope of psi^-R(x) give every pair.  The
     upper bound is (|dr| + |dk|) * c0, where c0 is the length of the longer
     of two fixed factor-graph paths, <x> -> <psi(x)> and <x> -> <b x b^-1>,
-    each verified edge by edge on every run.  A least-squares fit
-    lower >= c * (|dr| + |dk|) - C is reported, with C enlarged to cover
-    every grid pair.  Values and slopes come from ``_grid_values``: end
-    windows of (2R + 1)|b| letters and the letter counts of psi^r(x), which
-    is never built.
+    each verified edge by edge on every run.
+
+    The pairs are counted by class (m, l), m = |dr| + |dk| and l the lower
+    bound (``_pair_classes``).  From the class counts come, exactly: the
+    least-squares line lower ~ c * m - C0 from the integer moments of the
+    pairs, the constant C that makes lower >= c * m - C hold for every
+    pair, and the lower envelope min l over the pairs at each m = 1..4R,
+    the best constants of the certified lower bound.  The fractions are
+    reported as correctly rounded floats.  Values and slopes come from
+    ``_grid_values``: end windows of (2R + 1)|b| letters and the letter
+    counts of psi^r(x), which is never built.
     """
     R = radius
     values, sums, b, psi = _grid_values((-R, R), R)
@@ -610,29 +658,41 @@ def exp_quasiflat(radius: int = 8) -> ExperimentReport:
     # The slope of psi^r(x) is M^r (1, 0), M the homology matrix, and
     # build_boundary_pA checks det M = +-1.  GL_2(Z) acts on the Farey graph
     # by isometries, so the slopes at r1 and r2 lie dstep[|r1 - r2|] apart.
-    dstep = np.array([farey_distance(slopes[0], s) for s in slopes])
-    row, k, value = np.array([(r + R, k, values[(r, k)]) for r, k in points]).T
-    # every pair p1 < p2 of points, in the order of a nested loop over points
-    first, second = np.triu_indices(len(points), 1)
-    steps = np.abs(row[first] - row[second])  # |dr| until |dk| is added
-    lower = np.maximum((np.abs(value[first] - value[second]) + 1) // 2, dstep[steps])
-    steps += np.abs(k[first] - k[second])
-    fit = np.polyfit(steps.astype(float), lower.astype(float), 1)
-    c, intercept = float(fit[0]), float(fit[1])
-    cover = max(0.0, float(np.max(c * steps - lower)))
-    below = int(np.count_nonzero(lower < c * steps - cover - 1e-9))
+    dstep = [farey_distance(slopes[0], s) for s in slopes]
+    # points are sorted by (r, k), so the values fill the grid row by row
+    grid = np.array([values[p] for p in points], dtype=np.int64).reshape(2 * R + 1, -1)
+    hist = _pair_classes(grid, dstep)
+    ms, ls = np.nonzero(hist)
+    classes = list(zip(ms.tolist(), ls.tolist(), hist[ms, ls].tolist()))
+    # exact moments in Python ints: at R = 64 the products below overflow int64
+    n = sum(count for _, _, count in classes)
+    sum_m = sum(count * m for m, _, count in classes)
+    sum_mm = sum(count * m * m for m, _, count in classes)
+    sum_l = sum(count * l for _, l, count in classes)
+    sum_ml = sum(count * m * l for m, l, count in classes)
+    # the normal equations: c = num / den and intercept = num_0 / den, den > 0
+    # because m takes at least the values 1 and 2
+    den = n * sum_mm - sum_m * sum_m
+    num = n * sum_ml - sum_m * sum_l
+    num_0 = sum_mm * sum_l - sum_m * sum_ml
+    # den * (c * m - l) for each class; cover = its maximum (at least 0) / den
+    gaps = [(num * m - den * l, count) for m, l, count in classes]
+    cover = max(0, max(gap for gap, _ in gaps))
+    below = sum(count for gap, count in gaps if gap > cover)
     # certified lower bounds can never exceed the path-witnessed upper bound
-    above_upper = int(np.count_nonzero(lower > c0 * steps))
-    pure_psi = dstep[1 : R + 1].tolist()
+    above_upper = sum(count for m, l, count in classes if l > c0 * m)
+    envelope = np.argmax(hist[1:] > 0, axis=1).tolist()  # least l at each m >= 1
+    pure_psi = dstep[1 : R + 1]
     strictly_increasing = all(
         pure_psi[i] < pure_psi[i + 1] for i in range(len(pure_psi) - 1)
     )
-    report.violations = (c <= 0) + below + (not strictly_increasing) + above_upper
+    report.violations = (num <= 0) + below + (not strictly_increasing) + above_upper
     report.summary = {
-        "fit_slope": c,
-        "fit_intercept": intercept,
-        "cover_constant": cover,
-        "pairs": len(steps),
+        "fit_slope": num / den,
+        "fit_intercept": num_0 / den,
+        "cover_constant": cover / den,
+        "lower_envelope": envelope,
+        "pairs": n,
         "pairs_below_line": below,
         "pairs_above_upper_bound": above_upper,
         "pure_psi_distances": pure_psi,

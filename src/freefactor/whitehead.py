@@ -31,6 +31,7 @@ bounded caches; the per-rank cut table behind an unbounded one.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -260,7 +261,9 @@ def _cut_table(
     pairs (i, j), i < j, as columns in ``vertex_order``; row k of
     ``crossing`` is 1 where exactly one end of the pair lies in A, so
     ``crossing @ edges[pairs]`` is cap(A, A^c) for every move at once.
-    ``inverse_col[k]`` is the column of a^-1.  The table has
+    ``crossing`` is float64, so that product is one BLAS matrix-vector
+    product, and exact: every partial sum is an integer of at most
+    |w| < 2^53.  ``inverse_col[k]`` is the column of a^-1.  The table has
     2N(2^(2N-2) - 1) * N(2N - 1) entries: 0.9 MB at rank 5, 6.5 MB at
     rank 6.  A table numpy cannot allocate raises ``RankError``.
     """
@@ -275,7 +278,7 @@ def _cut_table(
             inside[rows, others] = bits
             inside[rows, col ^ 1] = True
         pairs = np.triu_indices(n, 1)
-        crossing = (inside[:, pairs[0]] != inside[:, pairs[1]]).astype(np.int64)
+        crossing = (inside[:, pairs[0]] != inside[:, pairs[1]]).astype(np.float64)
         inverse_col = np.repeat(np.arange(n) ^ 1, per)
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's range
         raise RankError(f"rank {rank}: no move table for {n * per} moves ({exc})")
@@ -284,19 +287,27 @@ def _cut_table(
     return crossing, pairs, inverse_col
 
 
-def _edge_matrix(core: Word) -> np.ndarray:
-    """Symmetric edge-multiplicity matrix of the cyclic Whitehead graph.
+@lru_cache(maxsize=None)
+def _columns(rank: int) -> dict[int, int]:
+    """Letter -> its column in ``vertex_order``: 2(|l| - 1) + [l < 0], so
+    the column of l^-1 is that of l xor 1."""
+    return {letter: col for col, letter in enumerate(vertex_order(rank))}
 
-    Rows and columns follow ``vertex_order``: letter l sits at column
-    2(|l| - 1) + [l < 0], so the column of l^-1 is that of l xor 1.
-    """
+
+def _edge_matrix(core: Word) -> np.ndarray:
+    """Symmetric edge-multiplicity matrix of the cyclic Whitehead graph,
+    rows and columns in ``vertex_order``.  The distinct cyclic letter pairs
+    are counted in Python: at most (2N)^2 of them, so a short word costs no
+    numpy calls per letter."""
     n = 2 * core.rank
-    ls = np.array(core.letters)
-    cols = 2 * (np.abs(ls) - 1) + (ls < 0)
+    col = _columns(core.rank)
+    ls = core.letters
+    half = [0] * (n * n)
     # the cyclic subword uv gives the edge {u, v^-1}
-    half = np.bincount(cols * n + (np.roll(cols, -1) ^ 1), minlength=n * n)
-    half = half.reshape(n, n)
-    return half + half.T
+    for (u, v), count in Counter(zip(ls, ls[1:] + ls[:1])).items():
+        half[col[u] * n + (col[v] ^ 1)] += count
+    matrix = np.array(half, dtype=np.int64).reshape(n, n)
+    return matrix + matrix.T
 
 
 @dataclass(frozen=True)
@@ -335,7 +346,7 @@ def _move_scores(edges: np.ndarray) -> np.ndarray:
     enumeration order, by the cut lemma; ``edges`` is the Whitehead graph
     of w."""
     crossing, pairs, inverse_col = _cut_table(len(edges) // 2)
-    cut = crossing @ edges[pairs]
+    cut = (crossing @ edges[pairs].astype(np.float64)).astype(np.int64)
     return edges.sum() // 2 + cut - edges.sum(axis=1)[inverse_col]
 
 
@@ -344,11 +355,12 @@ def minimize_cyclic_length(w: Word) -> MinimizationCertificate:
 
     Each step scores all 2N(2^(2N-2) - 1) multiplier moves at once from the
     cut capacities of the current Whitehead graph (see the module
-    docstring): O(|w|) to build the edge matrix, then one matrix-vector
-    product of O(2^(2N) N^2) integer operations.  Only the winning move is
-    built and applied; an applied length that differs from its score
-    raises ``InternalContradictionError``.  Ties go to the first move in
-    the fixed enumeration order, making the certificate reproducible.
+    docstring): O(|w|) to build the edge matrix, then one float64
+    matrix-vector product of O(2^(2N) N^2) operations, exact on these
+    integers.  Only the winning move is built and applied; an applied
+    length that differs from its score raises
+    ``InternalContradictionError``.  Ties go to the first move in the fixed
+    enumeration order, making the certificate reproducible.
     Signed permutations never change length and are not searched.
     """
     if w.is_identity():

@@ -148,7 +148,7 @@ class TestJsonOutput:
         code, _, _ = run(capsys, "classify", "--n", "2", "xyXY", "--out", str(path))
         assert code == 0
         data = json.loads(path.read_text())
-        assert data["schema_version"] == 3
+        assert data["schema_version"] == 4
         assert data["verdict"] == "Filling"
         assert data["minimized"] == "xyXY"
         assert data["length_trace"] == [4]

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ from conftest import W, psi_power
 
 DATA = Path(__file__).parent / "data"
 
+# The digests below were recorded at schema_version 3 (see schema_3_digest).
 # sha256 of run_experiment(name, rank=n, trials=25, seed=1).to_json(), recorded
 # when random moves were still drawn with rng.choice from full move tables;
 # drawing by index must consume the random stream identically.
@@ -70,10 +72,9 @@ TWIST_STABILITY_DIGESTS = [
     (8, "a8cfaef477836755ee267e3ad3217851914636cddc91edb5666ff546f0a02ac5"),
 ]
 
-# The same for quasiflat, from the same commit, hashed with the three
-# least-squares fields removed (see quasiflat_digest): LAPACK builds may
-# differ in their last bits.
-QUASIFLAT_DIGESTS = [
+# The same for quasiflat, from the same commit, hashed without the
+# least-squares fields, which np.polyfit gave then.
+QUASIFLAT_SCHEMA_3_DIGESTS = [
     (1, "7ca94c41231388564cd1bc3acaecb3fecfba42311ca0070fe4f547dadc18eb26"),
     (2, "d66432aa0b4a096fccd89a4c77ad7e18d80d10efa485ca51b1d34db2b157f41d"),
     (3, "3992603ba2fcafa4b5e4c95f3f49b5634a49c0a71638a001c0f1912777504fb4"),
@@ -84,41 +85,80 @@ QUASIFLAT_DIGESTS = [
     (8, "ac4a4d29ad8b4458bfd38e156e658bb138ea394acb374a64bd6984d50ed57364"),
 ]
 
+# sha256 of run_experiment("quasiflat", radius=r).to_json() for r = 1..8 at
+# schema_version 4: the least-squares fields are exact fractions, correctly
+# rounded, so the whole report is pinned.
+QUASIFLAT_DIGESTS = [
+    (1, "3268679dd40630c9cf9d091ad988a06f648edc603b6e1406fbe6b6bb3922092d"),
+    (2, "411c9a3ad0a6c3a3f2a8c85f3024e9a887e2a55d3dcc9bf0afb968e6d67228b1"),
+    (3, "0dfc3bc6dc7c8fc61008704fb03ac292849c0878c4d466f4423882c24323a718"),
+    (4, "803b2eb35376c283bb317f2f5c0c9f1a540f7a147845510fef5b5c507e198995"),
+    (5, "bb4cf897de7e3dc27e381dac126f74e7abc58ebedb23ce4d25deb6ac143c68b8"),
+    (6, "3a7a7a7bcbde9a0f597dbc9775206bc05214c6962281375e956d297afe910b82"),
+    (7, "b530354a3b28bb3b4a4a19e0d222036aae6c1bf225051418bf05c483a98a6b37"),
+    (8, "e733b8e8927b05a1ca677a4c8bf6389f141328f2b73337cd7e43b3a52000d8ce"),
+]
 
-# sha256 of twist-stability's report, and quasiflat_digest of quasiflat's,
-# at radius 16, recorded from the grid that materialised every psi^r(x).
+
+# sha256 of the schema-4 reports at radius 16, whose schema_3_digest matched
+# the grid that materialised every psi^r(x).
 RADIUS_16_DIGESTS = {
-    "twist-stability": "d0506ad850fbb3c7d2fc843ecf52ebb374fb62001a1f86951c15f9ed7b11a1aa",
-    "quasiflat": "ec910accf2e948ef835308d5b9d81eaf0c3c5ef2814b182b14895e0f9c4819bf",
+    "twist-stability": "7367199a499b824b943bdcedc1ed93e5d95cb252fd789e3939c61b44b37541de",
+    "quasiflat": "e75e6f7bbf04d09b680d2dfe057bc56c7fcb6e73387ed8b31510c4b2bdfe890a",
 }
 
 
-def quasiflat_digest(report) -> str:
+def sha256(report) -> str:
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+
+def schema_3_digest(report) -> str:
+    """The digest that a schema-3 pin recorded for ``report``.
+
+    Schema 4 changed only schema_version and quasiflat's least-squares
+    fields, and added quasiflat's lower_envelope, so every other byte must
+    match.  Quasiflat's schema-3 pins hashed the report without its
+    least-squares fields and without the final newline.
+    """
     data = report.to_json_dict()
-    for key in ("fit_slope", "fit_intercept", "cover_constant"):
-        del data["summary"][key]
-    return hashlib.sha256(json.dumps(data, sort_keys=True, indent=2).encode()).hexdigest()
+    data["schema_version"] = 3
+    text = experiments.json_text(data)
+    if report.name == "quasiflat":
+        for key in ("fit_slope", "fit_intercept", "cover_constant", "lower_envelope"):
+            del data["summary"][key]
+        text = json.dumps(data, sort_keys=True, indent=2)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def oracle_quasiflat_pairs(report, c0: int) -> dict:
-    """The per-pair loop that exp_quasiflat's pair arrays replaced, run on
-    the grid values and slopes of its report."""
+    """The per-pair loop that exp_quasiflat's pair classes replaced, run on
+    the grid values and slopes of its report, with the least-squares line
+    and its cover from exact Fraction moments of the pairs."""
     points = [(t["r"], t["k"], t["value"], Slope.from_string(t["slope"])) for t in report.trials]
     ms, lowers = [], []
     for idx, (r1, k1, v1, s1) in enumerate(points):
         for r2, k2, v2, s2 in points[idx + 1 :]:
             lowers.append(max((abs(v1 - v2) + 1) // 2, farey_distance(s1, s2)))
             ms.append(abs(r1 - r2) + abs(k1 - k2))
-    fit = np.polyfit(np.array(ms, dtype=float), np.array(lowers, dtype=float), 1)
-    c, intercept = float(fit[0]), float(fit[1])
-    cover = max(0.0, max(c * m - l for m, l in zip(ms, lowers)))
+    n = len(ms)
+    mean_m, mean_l = Fraction(sum(ms), n), Fraction(sum(lowers), n)
+    var_m = Fraction(sum(m * m for m in ms), n) - mean_m**2
+    cov = Fraction(sum(m * l for m, l in zip(ms, lowers)), n) - mean_m * mean_l
+    c = cov / var_m
+    intercept = mean_l - c * mean_m
+    cover = max(0, max(c * m - l for m, l in set(zip(ms, lowers))))
+    envelope = {}
+    for m, l in zip(ms, lowers):
+        envelope[m] = min(l, envelope.get(m, l))
     return {
-        "fit_slope": c,
-        "fit_intercept": intercept,
-        "cover_constant": cover,
-        "pairs": len(ms),
-        "pairs_below_line": sum(1 for m, l in zip(ms, lowers) if l < c * m - cover - 1e-9),
+        "fit_slope": float(c),
+        "fit_intercept": float(intercept),
+        "cover_constant": float(cover),
+        "lower_envelope": [envelope[m] for m in range(1, max(ms) + 1)],
+        "pairs": n,
+        "pairs_below_line": sum(1 for m, l in zip(ms, lowers) if l < c * m - cover),
         "pairs_above_upper_bound": sum(1 for m, l in zip(ms, lowers) if l > c0 * m),
+        "polyfit": np.polyfit(np.array(ms, dtype=float), np.array(lowers, dtype=float), 1),
     }
 
 
@@ -395,11 +435,16 @@ class TestQuasiflat:
             assert is_basis_pair(u, v)
         assert report.summary["upper_bound_unit"] == max(1, len(path) - 1)
 
-    @pytest.mark.parametrize("radius", [2, 5, 8])
+    @pytest.mark.parametrize("radius", [1, 2, 3, 4, 5, 6, 7, 8, 12])
     def test_pair_arrays_match_the_loop(self, radius):
+        # the fit fields are the correctly rounded exact fractions, and
+        # np.polyfit agrees with them to rounding
         report = exp_quasiflat(radius)
         expected = oracle_quasiflat_pairs(report, report.summary["upper_bound_unit"])
+        slope, intercept = expected.pop("polyfit")
         assert {key: report.summary[key] for key in expected} == expected
+        assert report.summary["fit_slope"] == pytest.approx(slope, rel=1e-12)
+        assert report.summary["fit_intercept"] == pytest.approx(intercept, rel=1e-12)
         slopes = {t["r"]: Slope.from_string(t["slope"]) for t in report.trials}
         assert report.summary["pure_psi_distances"] == [
             farey_distance(slopes[0], slopes[d]) for d in range(1, radius + 1)
@@ -554,13 +599,7 @@ class TestGridFromEnds:
 
     @pytest.mark.parametrize("name", ["quasiflat", "twist-stability"])
     def test_same_bytes_as_materialising_grid_at_radius_16(self, name):
-        report = run_experiment(name, radius=16)
-        digest = (
-            quasiflat_digest(report)
-            if name == "quasiflat"
-            else hashlib.sha256(report.to_json().encode()).hexdigest()
-        )
-        assert digest == RADIUS_16_DIGESTS[name]
+        assert sha256(run_experiment(name, radius=16)) == RADIUS_16_DIGESTS[name]
 
 
 class TestTwistStability:
@@ -668,16 +707,19 @@ class TestReports:
     @pytest.mark.parametrize("name,rank,digest", TABLE_DRAW_DIGESTS)
     def test_same_bytes_as_table_draws(self, name, rank, digest):
         report = run_experiment(name, rank=rank, trials=25, seed=1)
-        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+        assert schema_3_digest(report) == digest
 
     @pytest.mark.parametrize("radius,digest", TWIST_STABILITY_DIGESTS)
     def test_same_bytes_as_loop_twist_stability(self, radius, digest):
-        report = run_experiment("twist-stability", radius=radius)
-        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+        assert schema_3_digest(run_experiment("twist-stability", radius=radius)) == digest
+
+    @pytest.mark.parametrize("radius,digest", QUASIFLAT_SCHEMA_3_DIGESTS)
+    def test_same_bytes_as_loop_quasiflat(self, radius, digest):
+        assert schema_3_digest(run_experiment("quasiflat", radius=radius)) == digest
 
     @pytest.mark.parametrize("radius,digest", QUASIFLAT_DIGESTS)
-    def test_same_bytes_as_loop_quasiflat(self, radius, digest):
-        assert quasiflat_digest(run_experiment("quasiflat", radius=radius)) == digest
+    def test_whole_quasiflat_report(self, radius, digest):
+        assert sha256(run_experiment("quasiflat", radius=radius)) == digest
 
     def test_unknown_experiment(self):
         from freefactor import DomainError

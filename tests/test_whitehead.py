@@ -22,9 +22,11 @@ from freefactor import (
     random_word,
     whitehead_graph,
 )
+from freefactor import whitehead
 from freefactor.experiments import boundary_word, build_boundary_pA
 from freefactor.whitehead import (
     MinimizationCertificate,
+    _cut_table,
     _move_scores,
     _multiplier_move_at,
     _random_multiplier_move,
@@ -460,6 +462,24 @@ def oracle_minimize_cyclic_length(w: Word) -> MinimizationCertificate:
     )
 
 
+def oracle_edge_matrix(core: Word) -> np.ndarray:
+    """The numpy edge matrix that ``_edge_matrix``'s count of letter pairs
+    replaced: letter l at column 2(|l| - 1) + [l < 0]."""
+    n = 2 * core.rank
+    ls = np.array(core.letters)
+    cols = 2 * (np.abs(ls) - 1) + (ls < 0)
+    half = np.bincount(cols * n + (np.roll(cols, -1) ^ 1), minlength=n * n)
+    half = half.reshape(n, n)
+    return half + half.T
+
+
+def oracle_move_scores(edges: np.ndarray) -> np.ndarray:
+    """The int64 cut product that ``_move_scores``' float64 product replaced."""
+    crossing, pairs, inverse_col = _cut_table(len(edges) // 2)
+    cut = crossing.astype(np.int64) @ edges[pairs]
+    return edges.sum() // 2 + cut - edges.sum(axis=1)[inverse_col]
+
+
 def _random_cores(rank, count, seed, lengths=(1, 24)):
     rng = random.Random(seed)
     cores = []
@@ -509,6 +529,26 @@ class TestCutScores:
                 minimize_cyclic_length(w).to_json_dict()
                 == oracle_minimize_cyclic_length(w).to_json_dict()
             )
+
+    @pytest.mark.parametrize("rank,count", [(2, 60), (3, 40), (4, 20), (5, 10), (6, 4)])
+    def test_float_scores_match_integer_oracle(self, monkeypatch, rank, count):
+        rng = random.Random(300 + rank)
+        words = [random_word(rng.randint(2, 40), rank, rng) for _ in range(count)]
+        words = [w for w in words if not cyclic_reduce(w).core.is_identity()]
+        for w in words:
+            core = cyclic_reduce(w).core
+            edges = whitehead_graph(w)
+            assert np.array_equal(edges, oracle_edge_matrix(core))
+            scores = _move_scores(edges)
+            assert scores.dtype == np.int64
+            assert np.array_equal(scores, oracle_move_scores(edges))
+        certificates = [minimize_cyclic_length(w) for w in words]
+        monkeypatch.setattr(whitehead, "_edge_matrix", oracle_edge_matrix)
+        monkeypatch.setattr(whitehead, "_move_scores", oracle_move_scores)
+        for w, cert in zip(words, certificates):
+            expected = minimize_cyclic_length(w)
+            assert cert.to_json_dict() == expected.to_json_dict()
+            assert np.array_equal(cert.edges, expected.edges)
 
     @pytest.mark.parametrize("rank", [5, 6])
     def test_high_rank_boundary_words(self, rank):
