@@ -52,7 +52,6 @@ from .factors import (
     random_free_factor,
 )
 from .farey import (
-    FareyGraph,
     Slope,
     farey_distance,
     slope_of,
@@ -74,3 +73,13 @@ from .experiments import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # FareyGraph, the one numpy-backed class, loads on first use, so that
+    # importing the package does not import numpy
+    if name == "FareyGraph":
+        from .farey_graph import FareyGraph
+
+        return FareyGraph
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,12 +11,13 @@ so every such bound is checked at full strength.
 from __future__ import annotations
 
 import inspect
+import itertools
 import json
 import math
+import operator
 import random
+from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import (
     DomainError,
@@ -581,40 +582,71 @@ def _check_path(path: tuple[str, ...], start: Word, end: Word) -> None:
             )
 
 
-def _pair_classes(grid: np.ndarray, dstep: list[int]) -> np.ndarray:
-    """How many grid pairs fall in each class (m, l), as hist[m, l].
+def _pair_classes(
+    grid: list[tuple[int, ...]], dstep: list[int]
+) -> dict[tuple[int, int], int]:
+    """How many grid pairs fall in each class (m, l), as {(m, l): count}
+    with the keys in sorted order.
 
-    ``grid[i, j]`` is the value at r = i - R, k = j - R.  A pair with row
+    ``grid[i][j]`` is the value at r = i - R, k = j - R.  A pair with row
     offset dr, column offset dk and values v1, v2 has m = dr + |dk| and the
-    certified lower bound l = max(ceil(|v1 - v2| / 2), dstep[dr]).  Each
-    row offset dr is one (2R + 1 - dr) x (2R + 1) x (2R + 1) block, whose
-    pairs one ``bincount`` counts by (|dk|, v1 - v2); those counts then go
-    to their classes.  Memory is one block, O(R^3), never one entry per
-    pair.
+    certified lower bound l = max(ceil(|v1 - v2| / 2), dstep[dr]).  Equal
+    rows give equal pairs, so each distinct row is a kind: the column pairs
+    of each ordered pair of kinds are tallied once by (|dk|, ceil(|dv| / 2))
+    (``_column_pairs``), and each row offset dr adds every tally times the
+    number of row pairs (i, i + dr) of its kinds.  With T distinct rows of
+    n values the tallies cost O(T^2 n^2), and the row offsets n times T^2
+    tallies of at most n (ceil(span / 2) + 1) entries, span the largest
+    value difference; all of it is exact in Python ints for any grid.  The
+    orbit grid has T = 2 (its rows r >= 0 are equal, and so are its rows
+    r < 0) and tallies of O(n) entries, so it costs O(R^2).
     """
     n = len(grid)
-    span = int(grid.max() - grid.min())
-    diffs = 2 * span + 1  # v1 - v2 + span lies in 0..2 span
+    kinds: dict[tuple[int, ...], int] = {}
+    kind = [kinds.setdefault(row, len(kinds)) for row in grid]
+    rows, t = list(kinds), len(kinds)
+    span = max(map(max, rows)) - min(map(min, rows))
     width = max((span + 1) // 2, max(dstep)) + 1
-    cols = np.arange(n)
-    by_dk = np.abs(cols[:, None] - cols[None, :]) * diffs
-    half_diff = (np.abs(np.arange(-span, span + 1)) + 1) // 2
-    shifted = grid + span
-    counts = np.zeros((2 * n - 1) * width, dtype=np.int64)
-    buffer = np.empty((n, n, n), dtype=np.int64)
+    hist = [0] * ((2 * n - 1) * width)  # class (m, l) at m * width + l
+    tallies: dict[int, list[tuple[int, int, int]]] = {}
+    scaled = [a * t for a in kind]  # the row pair (a, b) as a * T + b
     for dr in range(n):
-        block = buffer[: n - dr]
-        np.subtract(shifted[: n - dr, :, None], grid[dr:, None, :], out=block)
-        block += by_dk
-        found = np.bincount(block.ravel(), minlength=n * diffs)
-        codes = (dr + cols)[:, None] * width + np.maximum(half_diff, dstep[dr])
-        np.add.at(counts, codes.ravel(), found)
-        if dr == 0:
-            # the block held both orders of each pair in a row, and each
-            # point with itself in class (0, 0); nothing else is counted yet
-            counts[0] -= n * n
-            counts //= 2
-    return counts.reshape(2 * n - 1, width)
+        floor, shift = dstep[dr], dr * width
+        for pair, count in Counter(map(operator.add, scaled[: n - dr], kind[dr:])).items():
+            if pair not in tallies:
+                a, b = divmod(pair, t)
+                tallies[pair] = _column_pairs(rows[a], rows[b], span, width)
+            tally = tallies[pair]
+            if not dr:
+                # a row with itself: both orders of each pair, and each
+                # column with itself in class (0, 0)
+                tally = [(base, half, found // 2) for base, half, found in tally if base]
+            for base, half, found in tally:
+                hist[shift + base + (half if half > floor else floor)] += count * found
+    return {divmod(code, width): count for code, count in enumerate(hist) if count}
+
+
+def _column_pairs(
+    left: tuple[int, ...], right: tuple[int, ...], span: int, width: int
+) -> list[tuple[int, int, int]]:
+    """(|dk| * width, ceil(|v1 - v2| / 2), count) over the column pairs
+    v1 = left[j], v2 = right[j + dk].
+
+    Column j and value v are coded as j * scale + v.  The difference of two
+    codes is dk * scale + dv with |dv| <= span < scale / 2, and its absolute
+    value is |dk| * scale + dv', |dv'| = |dv|; so one C loop over the
+    product of the codes counts every pair at once.
+    """
+    scale = 2 * span + 1
+    found: dict[tuple[int, int], int] = {}
+    for code, count in Counter(map(abs, itertools.starmap(operator.sub, itertools.product(
+        [j * scale + v for j, v in enumerate(right)],
+        [j * scale + v for j, v in enumerate(left)],
+    )))).items():
+        dk, dv = divmod(code + span, scale)
+        key = dk * width, (abs(dv - span) + 1) // 2
+        found[key] = found.get(key, 0) + count
+    return [(base, half, count) for (base, half), count in found.items()]
 
 
 def exp_quasiflat(radius: int = 8) -> ExperimentReport:
@@ -659,11 +691,9 @@ def exp_quasiflat(radius: int = 8) -> ExperimentReport:
     # build_boundary_pA checks det M = +-1.  GL_2(Z) acts on the Farey graph
     # by isometries, so the slopes at r1 and r2 lie dstep[|r1 - r2|] apart.
     dstep = [farey_distance(slopes[0], s) for s in slopes]
-    # points are sorted by (r, k), so the values fill the grid row by row
-    grid = np.array([values[p] for p in points], dtype=np.int64).reshape(2 * R + 1, -1)
-    hist = _pair_classes(grid, dstep)
-    ms, ls = np.nonzero(hist)
-    classes = list(zip(ms.tolist(), ls.tolist(), hist[ms, ls].tolist()))
+    axis = range(-R, R + 1)
+    grid = [tuple(values[r, k] for k in axis) for r in axis]
+    classes = [(m, l, count) for (m, l), count in _pair_classes(grid, dstep).items()]
     # exact moments in Python ints: at R = 64 the products below overflow int64
     n = sum(count for _, _, count in classes)
     sum_m = sum(count * m for m, _, count in classes)
@@ -681,7 +711,10 @@ def exp_quasiflat(radius: int = 8) -> ExperimentReport:
     below = sum(count for gap, count in gaps if gap > cover)
     # certified lower bounds can never exceed the path-witnessed upper bound
     above_upper = sum(count for m, l, count in classes if l > c0 * m)
-    envelope = np.argmax(hist[1:] > 0, axis=1).tolist()  # least l at each m >= 1
+    least = {}
+    for m, l, _ in classes:  # sorted by (m, l): the first l at each m is least
+        least.setdefault(m, l)
+    envelope = [least[m] for m in range(1, 4 * R + 1)]
     pure_psi = dstep[1 : R + 1]
     strictly_increasing = all(
         pure_psi[i] < pure_psi[i + 1] for i in range(len(pure_psi) - 1)

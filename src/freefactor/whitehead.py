@@ -11,21 +11,39 @@ Greedy descent over multiplier automorphisms reaches the minimal cyclic
 length in the automorphism orbit: while a word is not minimal, some single
 multiplier move strictly shortens it.  Moves are scored without applying
 them, by Whitehead's cut lemma (Lyndon-Schupp, *Combinatorial Group
-Theory*, I.4): the move (Z, a) changes the cyclic length by
+Theory*, I.4): the move (a, Z) changes the cyclic length by
 cap(A, A^c) - deg(a^-1) in the Whitehead graph, with
-A = (Z - {a}) | {a^-1}.  One descent step therefore costs O(|w|) to build
-the edge-multiplicity matrix plus one numpy pass over the
-2N(2^(2N-2) - 1) cut sets, and only the chosen move is applied.
+A = (Z - {a}) | {a^-1}.  A is an a^-1 | a cut, so the best move for one
+multiplier a is a minimum a^-1 | a cut: one max-flow on 2N vertices
+(Roig-Ventura-Weil, "On the complexity of the Whitehead minimization
+problem", IJAC 2007).  One flow per generator x covers both multipliers
+x and x^-1: deg(x) = deg(x^-1), since both count the occurrences of
+x^+-1, and a minimum cut has the same value with its two ends swapped.
+So x and x^-1 score the same, and x, which comes first, is the one kept.
+
+Ties go to the first move in the fixed order of
+``enumerate_whitehead_automorphisms``: by multiplier, then by the bit mask
+of Z - {a} over the other letters.  For a fixed multiplier that is the
+minimum cut with the least mask.  The source sides of the minimum cuts are
+closed under intersection (submodularity of the cut function), so the
+vertices reachable from a^-1 in the final residual graph, which is the
+intersection of all of them, are the source side of a minimum cut that is
+contained in every other.  Its mask is therefore a subset of every other
+minimum cut's mask, hence numerically the smallest.  A flow stops early
+once its value reaches deg(a^-1) + best - |w|, since from there its move
+cannot beat the best one found so far.  One descent step costs O(|w|) to
+build the graph and N small max-flows, each of at most deg(a^-1)
+augmenting paths; only the chosen move is applied.
 
 The Whitehead graph has one representation: the symmetric
-edge-multiplicity matrix over ``vertex_order`` that descent scores
-(``whitehead_graph``), and ``find_cut_vertex`` reads the same matrix.
+edge-multiplicity matrix over ``vertex_order``, as a tuple of int rows
+(``whitehead_graph``), which descent cuts and ``find_cut_vertex`` reads.
 Moves are addressed by their index in a fixed order, so a random move is
 drawn by unranking one random index (``_multiplier_move_at``,
 ``_signed_permutation_at``) and no table of all moves is ever built.
 
-Everything here is pure over immutable inputs.  The unrankers sit behind
-bounded caches; the per-rank cut table behind an unbounded one.
+Everything here is pure over immutable inputs; the unrankers sit behind
+bounded caches.
 """
 
 from __future__ import annotations
@@ -35,8 +53,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-
-import numpy as np
 
 from .errors import (
     DomainError,
@@ -53,13 +69,14 @@ def vertex_order(rank: int) -> tuple[int, ...]:
     return tuple(l for i in range(1, rank + 1) for l in (i, -i))
 
 
-def whitehead_graph(w: Word) -> np.ndarray:
+def whitehead_graph(w: Word) -> tuple[tuple[int, ...], ...]:
     """Edge-multiplicity matrix of the cyclic Whitehead graph of ``w``.
 
     One edge {u, v^-1} per cyclic length-2 subword uv of the cyclic core;
-    rows and columns follow ``vertex_order``.  The matrix is symmetric, so
-    the edge count (the cyclic length) is ``sum // 2`` and the degree of a
-    vertex is its row sum.
+    rows and columns follow ``vertex_order``, and each row is a tuple of
+    ints.  The matrix is symmetric, so the edge count (the cyclic length)
+    is half the sum of all entries and the degree of a vertex is its row
+    sum.
     """
     core = cyclic_reduce(w).core
     if core.is_identity():
@@ -67,14 +84,14 @@ def whitehead_graph(w: Word) -> np.ndarray:
     return _edge_matrix(core)
 
 
-def find_cut_vertex(edges: np.ndarray) -> int | None:
+def find_cut_vertex(edges: tuple[tuple[int, ...], ...]) -> int | None:
     """Lowest vertex (in the fixed letter order) whose removal disconnects.
 
     ``edges`` is a Whitehead graph as ``whitehead_graph`` returns it.
     Returns None when no vertex removal disconnects the induced subgraph.
     """
     n = len(edges)
-    adj = [np.flatnonzero(row).tolist() for row in edges]
+    adj = [[j for j, count in enumerate(row) if count] for row in edges]
     for v in range(n):
         start = 1 if v == 0 else 0
         seen = {v, start}
@@ -222,8 +239,9 @@ def enumerate_whitehead_automorphisms(rank: int) -> tuple[WhAutomorphism, ...]:
 
     For each of the 2*rank multipliers there are 2^(2*rank-2) admissible
     sets Z, one of which ({a} alone) is the identity, so the count is
-    2*rank * (2^(2*rank-2) - 1).  This order defines the move indices that
-    descent scores and draws unrank; the library never builds the tuple.
+    2*rank * (2^(2*rank-2) - 1).  This order is descent's tie-break and
+    defines the indices that random draws unrank; the library never builds
+    the tuple.
     """
     if rank < 2:
         raise RankError(f"rank must be at least 2, got {rank}")
@@ -251,63 +269,27 @@ def _signed_permutation_at(rank: int, index: int) -> WhAutomorphism:
 
 
 @lru_cache(maxsize=None)
-def _cut_table(
-    rank: int,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """The vertex pairs that each multiplier move's cut separates.
-
-    The k-th move (a, Z) of ``enumerate_whitehead_automorphisms`` cuts the
-    vertices along A = (Z - {a}) | {a^-1}.  ``pairs`` lists the vertex
-    pairs (i, j), i < j, as columns in ``vertex_order``; row k of
-    ``crossing`` is 1 where exactly one end of the pair lies in A, so
-    ``crossing @ edges[pairs]`` is cap(A, A^c) for every move at once.
-    ``crossing`` is float64, so that product is one BLAS matrix-vector
-    product, and exact: every partial sum is an integer of at most
-    |w| < 2^53.  ``inverse_col[k]`` is the column of a^-1.  The table has
-    2N(2^(2N-2) - 1) * N(2N - 1) entries: 0.9 MB at rank 5, 6.5 MB at
-    rank 6.  A table numpy cannot allocate raises ``RankError``.
-    """
-    n = 2 * rank
-    per = _moves_per_multiplier(rank)
-    try:
-        bits = (np.arange(1, per + 1)[:, None] >> np.arange(n - 2)) & 1
-        inside = np.zeros((n * per, n), dtype=bool)
-        for col in range(n):
-            others = [c for c in range(n) if c // 2 != col // 2]
-            rows = slice(col * per, (col + 1) * per)
-            inside[rows, others] = bits
-            inside[rows, col ^ 1] = True
-        pairs = np.triu_indices(n, 1)
-        crossing = (inside[:, pairs[0]] != inside[:, pairs[1]]).astype(np.float64)
-        inverse_col = np.repeat(np.arange(n) ^ 1, per)
-    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's range
-        raise RankError(f"rank {rank}: no move table for {n * per} moves ({exc})")
-    for arr in (crossing, *pairs, inverse_col):
-        arr.flags.writeable = False
-    return crossing, pairs, inverse_col
-
-
-@lru_cache(maxsize=None)
 def _columns(rank: int) -> dict[int, int]:
     """Letter -> its column in ``vertex_order``: 2(|l| - 1) + [l < 0], so
     the column of l^-1 is that of l xor 1."""
     return {letter: col for col, letter in enumerate(vertex_order(rank))}
 
 
-def _edge_matrix(core: Word) -> np.ndarray:
+def _edge_matrix(core: Word) -> tuple[tuple[int, ...], ...]:
     """Symmetric edge-multiplicity matrix of the cyclic Whitehead graph,
-    rows and columns in ``vertex_order``.  The distinct cyclic letter pairs
-    are counted in Python: at most (2N)^2 of them, so a short word costs no
-    numpy calls per letter."""
+    rows and columns in ``vertex_order``, as a tuple of int rows.  The
+    distinct cyclic letter pairs are counted once each: at most (2N)^2 of
+    them, so the work per letter is one ``Counter`` step."""
     n = 2 * core.rank
     col = _columns(core.rank)
     ls = core.letters
-    half = [0] * (n * n)
+    rows = [[0] * n for _ in range(n)]
     # the cyclic subword uv gives the edge {u, v^-1}
     for (u, v), count in Counter(zip(ls, ls[1:] + ls[:1])).items():
-        half[col[u] * n + (col[v] ^ 1)] += count
-    matrix = np.array(half, dtype=np.int64).reshape(n, n)
-    return matrix + matrix.T
+        i, j = col[u], col[v] ^ 1
+        rows[i][j] += count
+        rows[j][i] += count
+    return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)
@@ -325,7 +307,7 @@ class MinimizationCertificate:
     minimized: Word
     chain: tuple[WhAutomorphism, ...]
     length_trace: tuple[int, ...]
-    edges: np.ndarray = field(compare=False, repr=False)
+    edges: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -341,51 +323,124 @@ class MinimizationCertificate:
         return find_cut_vertex(self.edges)
 
 
-def _move_scores(edges: np.ndarray) -> np.ndarray:
-    """Cyclic length of phi(w) for every multiplier move phi, in
-    enumeration order, by the cut lemma; ``edges`` is the Whitehead graph
-    of w."""
-    crossing, pairs, inverse_col = _cut_table(len(edges) // 2)
-    cut = (crossing @ edges[pairs].astype(np.float64)).astype(np.int64)
-    return edges.sum() // 2 + cut - edges.sum(axis=1)[inverse_col]
+def _min_cut(
+    edges: tuple[tuple[int, ...], ...],
+    adj: list[list[int]],
+    source: int,
+    sink: int,
+    bound: int,
+) -> tuple[int, list[int] | None]:
+    """Maximum source-sink flow in the Whitehead graph, stopped at ``bound``.
+
+    Each edge of multiplicity c carries up to c units either way.  The
+    paths of one or two edges share no edge, so they are filled first
+    without a search; then flow is pushed along shortest augmenting paths
+    (Edmonds-Karp).  Returns the flow and, when it stayed below ``bound``,
+    the vertices reachable from ``source`` in the residual graph: the
+    inclusion-minimal source side of a minimum cut, whose capacity is the
+    flow.  Once the flow reaches ``bound`` the side is None.
+    """
+    residual = [list(row) for row in edges]
+    out, into = residual[source], residual[sink]
+    flow = 0
+    for u in adj[source]:
+        push = out[u] if u == sink else min(out[u], into[u])
+        if push:
+            push = min(push, bound - flow)
+            out[u] -= push
+            residual[u][source] += push
+            if u != sink:
+                residual[u][sink] -= push
+                into[u] += push
+            flow += push
+            if flow >= bound:
+                return flow, None
+    n = len(edges)
+    while True:
+        parent = [-1] * n
+        parent[source] = source
+        queue = [source]
+        for u in queue:  # the queue grows while it is read
+            row = residual[u]
+            for v in adj[u]:
+                if row[v] and parent[v] < 0:
+                    parent[v] = u
+                    queue.append(v)
+            if parent[sink] >= 0:
+                break
+        else:
+            return flow, queue
+        push = bound - flow
+        v = sink
+        while v != source:
+            u = parent[v]
+            push = min(push, residual[u][v])
+            v = u
+        v = sink
+        while v != source:
+            u = parent[v]
+            residual[u][v] -= push
+            residual[v][u] += push
+            v = u
+        flow += push
+        if flow >= bound:
+            return flow, None
 
 
 def minimize_cyclic_length(w: Word) -> MinimizationCertificate:
     """Greedy descent: apply the best strictly-shortening multiplier move.
 
-    Each step scores all 2N(2^(2N-2) - 1) multiplier moves at once from the
-    cut capacities of the current Whitehead graph (see the module
-    docstring): O(|w|) to build the edge matrix, then one float64
-    matrix-vector product of O(2^(2N) N^2) operations, exact on these
-    integers.  Only the winning move is built and applied; an applied
-    length that differs from its score raises
-    ``InternalContradictionError``.  Ties go to the first move in the fixed
-    enumeration order, making the certificate reproducible.
-    Signed permutations never change length and are not searched.
+    Each step builds the Whitehead graph of the current word in O(|w|) and
+    runs one bounded max-flow per generator x, from x^-1 to x (see the
+    module docstring): the move (x, Z) with A = (Z - {x}) | {x^-1} the
+    least minimum cut scores |w| + cut - deg(x^-1).  The first generator
+    with the least score wins, which is the first minimal move in the
+    fixed enumeration order, so the certificate is reproducible.  Only the
+    winning move is built and applied; an applied length that differs
+    from its score raises ``InternalContradictionError``.  Signed
+    permutations never change length and are not searched.
     """
     if w.is_identity():
         raise IdentityWordError("cannot minimize the identity")
+    rank = w.rank
+    verts = vertex_order(rank)
     current = cyclic_reduce(w).core
     trace = [len(current)]
     chain: list[WhAutomorphism] = []
     while True:
         edges = _edge_matrix(current)
-        scores = _move_scores(edges)
-        k = int(np.argmin(scores))
-        if scores[k] >= len(current):
+        length = len(current)
+        adj = None
+        best, best_side, a = length, None, None
+        for sink in range(0, 2 * rank, 2):
+            source = sink + 1
+            out = edges[source]
+            degree = sum(out)
+            bound = degree + best - length
+            # the paths of one or two edges share no edge, so their
+            # capacity is a lower bound on the cut
+            if bound <= 0 or out[sink] + sum(map(min, out, edges[sink])) >= bound:
+                continue
+            if adj is None:
+                adj = [[j for j, count in enumerate(row) if count] for row in edges]
+            cut, side = _min_cut(edges, adj, source, sink, bound)
+            if side is not None:
+                best, best_side, a = length + cut - degree, side, verts[sink]
+        if best_side is None:
             break
-        best = _multiplier_move_at(w.rank, k)
-        current = cyclic_reduce(best(current)).core
-        if len(current) != scores[k]:
+        zset = {a} | {verts[v] for v in best_side if verts[v] != -a}
+        move = WhAutomorphism.multiplier_move(a, zset, rank)
+        current = cyclic_reduce(move(current)).core
+        if len(current) != best:
             raise InternalContradictionError(
-                f"move {k} scored {scores[k]} but gave cyclic length {len(current)}"
+                f"move {move.generator_images()} scored {best} "
+                f"but gave cyclic length {len(current)}"
             )
-        chain.append(best)
+        chain.append(move)
         trace.append(len(current))
     # minimized is a cyclic permutation of current, so it has the same
     # Whitehead graph
     minimized = cyclic_reduce(apply_automorphism(chain, w)).core
-    edges.flags.writeable = False
     return MinimizationCertificate(w, minimized, tuple(chain), tuple(trace), edges)
 
 

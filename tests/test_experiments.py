@@ -33,7 +33,7 @@ from freefactor import (
     run_experiment,
 )
 from freefactor import cli, experiments, factors, words
-from freefactor.experiments import _grid_values, _random_edge_images, _rng
+from freefactor.experiments import _grid_values, _pair_classes, _random_edge_images, _rng
 from freefactor.factors import _cyclic_value_from_ends
 from freefactor.farey import exponent_sums
 from freefactor.words import _positive_substitution
@@ -180,6 +180,66 @@ def oracle_grid_values(radius_r, radius_k):
             vertex = FreeFactorVertex((ad(b, psi_x[r], k),), 2)
             values[(r, k)] = factor_invariant(vertex, b).value
     return values, {r: exponent_sums(w) for r, w in psi_x.items()}
+
+
+def oracle_pair_classes(grid, dstep: list[int]) -> dict:
+    """The numpy class histogram that ``_pair_classes`` replaced, as
+    {(m, l): count} in sorted order.
+
+    Each row offset dr is one (2R + 1 - dr) x (2R + 1) x (2R + 1) block,
+    whose pairs one ``bincount`` counts by (|dk|, v1 - v2); those counts
+    then go to their classes (m, l) = (dr + |dk|, max(ceil(|v1 - v2| / 2),
+    dstep[dr])).
+    """
+    grid = np.array(grid, dtype=np.int64)
+    n = len(grid)
+    span = int(grid.max() - grid.min())
+    diffs = 2 * span + 1  # v1 - v2 + span lies in 0..2 span
+    width = max((span + 1) // 2, max(dstep)) + 1
+    cols = np.arange(n)
+    by_dk = np.abs(cols[:, None] - cols[None, :]) * diffs
+    half_diff = (np.abs(np.arange(-span, span + 1)) + 1) // 2
+    shifted = grid + span
+    counts = np.zeros((2 * n - 1) * width, dtype=np.int64)
+    buffer = np.empty((n, n, n), dtype=np.int64)
+    for dr in range(n):
+        block = buffer[: n - dr]
+        np.subtract(shifted[: n - dr, :, None], grid[dr:, None, :], out=block)
+        block += by_dk
+        found = np.bincount(block.ravel(), minlength=n * diffs)
+        codes = (dr + cols)[:, None] * width + np.maximum(half_diff, dstep[dr])
+        np.add.at(counts, codes.ravel(), found)
+        if dr == 0:
+            # the block held both orders of each pair in a row, and each
+            # point with itself in class (0, 0); nothing else is counted yet
+            counts[0] -= n * n
+            counts //= 2
+    hist = counts.reshape(2 * n - 1, width)
+    ms, ls = np.nonzero(hist)
+    return {(m, l): c for m, l, c in zip(ms.tolist(), ls.tolist(), hist[ms, ls].tolist())}
+
+
+def oracle_pair_loop(grid, dstep: list[int]) -> dict:
+    """The class of every grid pair, one pair at a time."""
+    n = len(grid)
+    points = [(i, j, grid[i][j]) for i in range(n) for j in range(n)]
+    classes: dict = {}
+    for idx, (i1, j1, v1) in enumerate(points):
+        for i2, j2, v2 in points[idx + 1 :]:
+            cls = (i2 - i1 + abs(j2 - j1), max((abs(v1 - v2) + 1) // 2, dstep[i2 - i1]))
+            classes[cls] = classes.get(cls, 0) + 1
+    return dict(sorted(classes.items()))
+
+
+def orbit_grid(radius: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The quasiflat grid and Farey row of exp_quasiflat at ``radius``."""
+    values, sums, _, _ = _grid_values((-radius, radius), radius)
+    span = range(-radius, radius + 1)
+    slopes = [Slope(*sums[r]) for r in span]
+    return (
+        [tuple(values[r, k] for k in span) for r in span],
+        [farey_distance(slopes[0], s) for s in slopes],
+    )
 
 
 def _conjugation_chain(w: Word) -> tuple[WhAutomorphism, ...]:
@@ -449,6 +509,37 @@ class TestQuasiflat:
         assert report.summary["pure_psi_distances"] == [
             farey_distance(slopes[0], slopes[d]) for d in range(1, radius + 1)
         ]
+
+    @pytest.mark.parametrize("radius", range(1, 13))
+    def test_pair_classes_match_numpy_oracle(self, radius):
+        grid, dstep = orbit_grid(radius)
+        # the grid has two distinct rows: r < 0 and r >= 0
+        assert len(set(grid)) == 2
+        classes = _pair_classes(grid, dstep)
+        assert list(classes) == sorted(classes)
+        assert classes == oracle_pair_classes(grid, dstep)
+        if radius <= 4:
+            assert classes == oracle_pair_loop(grid, dstep)
+
+    @pytest.mark.parametrize("rows", ["distinct", "repeated"])
+    def test_pair_classes_on_random_grids(self, rows):
+        rng = random.Random(11 if rows == "distinct" else 12)
+        for _ in range(30):
+            n = rng.randint(1, 9)
+            lo, hi = sorted(rng.randint(-20, 20) for _ in range(2))
+            if rows == "distinct":
+                grid = set()
+                while len(grid) < n:
+                    grid.add(tuple(rng.randint(lo, hi + n) for _ in range(n)))
+                grid = list(grid)
+            else:
+                kinds = [tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(3)]
+                grid = [rng.choice(kinds) for _ in range(n)]
+            dstep = [0] + [rng.randint(0, 12) for _ in range(n - 1)]
+            classes = _pair_classes(grid, dstep)
+            assert list(classes) == sorted(classes)
+            assert classes == oracle_pair_classes(grid, dstep)
+            assert classes == oracle_pair_loop(grid, dstep), grid
 
     def test_adjacency_paths_fixed_across_radii(self):
         for radius in (1, 2):

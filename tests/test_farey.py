@@ -24,7 +24,8 @@ from freefactor import (
     slope_of,
 )
 from freefactor.experiments import build_boundary_pA
-from freefactor.farey import _inverse_mod, exponent_sums
+from freefactor.farey import exponent_sums
+from freefactor.farey_graph import _inverse_mod
 
 from conftest import W, psi_power
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -26,8 +27,7 @@ from freefactor import whitehead
 from freefactor.experiments import boundary_word, build_boundary_pA
 from freefactor.whitehead import (
     MinimizationCertificate,
-    _cut_table,
-    _move_scores,
+    _edge_matrix,
     _multiplier_move_at,
     _random_multiplier_move,
     _signed_permutation_at,
@@ -40,15 +40,19 @@ from conftest import W, psi_power
 def graph_from_edges(rank, edges):
     """Whitehead graph matrix built by hand from a list of letter pairs."""
     col = {v: i for i, v in enumerate(vertex_order(rank))}
-    g = np.zeros((2 * rank, 2 * rank), dtype=np.int64)
+    g = [[0] * (2 * rank) for _ in range(2 * rank)]
     for u, v in edges:
-        g[col[u], col[v]] += 1
-        g[col[v], col[u]] += 1
-    return g
+        g[col[u]][col[v]] += 1
+        g[col[v]][col[u]] += 1
+    return tuple(map(tuple, g))
 
 
 def degree(g, v):
-    return int(g.sum(axis=1)[vertex_order(len(g) // 2).index(v)])
+    return sum(g[vertex_order(len(g) // 2).index(v)])
+
+
+def edge_count(g):
+    return sum(map(sum, g)) // 2
 
 
 class TestWhiteheadGraph:
@@ -56,18 +60,19 @@ class TestWhiteheadGraph:
         g = whitehead_graph(b2)
         # cycle x - y^-1 - x^-1 - y - x
         expected = graph_from_edges(2, ((1, -2), (-1, -2), (-1, 2), (1, 2)))
-        assert np.array_equal(g, expected)
-        assert g.sum() // 2 == 4
+        assert g == expected
+        assert all(type(row) is tuple and all(type(c) is int for c in row) for row in g)
+        assert edge_count(g) == 4
         assert all(degree(g, v) == 2 for v in vertex_order(2))
 
     def test_square_doubles_edge(self):
         g = whitehead_graph(W("xx"))
-        assert np.array_equal(g, graph_from_edges(2, ((1, -1), (1, -1))))
+        assert g == graph_from_edges(2, ((1, -1), (1, -1)))
         assert degree(g, 2) == 0 and degree(g, -2) == 0
 
     def test_xy_disconnected(self):
         g = whitehead_graph(W("xy"))
-        assert np.array_equal(g, graph_from_edges(2, ((1, -2), (-1, 2))))
+        assert g == graph_from_edges(2, ((1, -2), (-1, 2)))
 
     def test_identity_rejected(self):
         with pytest.raises(IdentityWordError):
@@ -80,7 +85,7 @@ class TestWhiteheadGraph:
             if cyclic_reduce(w).core.is_identity():
                 continue
             g = whitehead_graph(w)
-            assert g.sum() // 2 == len(cyclic_reduce(w).core)
+            assert edge_count(g) == len(cyclic_reduce(w).core)
 
     def test_degree_counts_letter_occurrences(self):
         rng = random.Random(4)
@@ -473,11 +478,73 @@ def oracle_edge_matrix(core: Word) -> np.ndarray:
     return half + half.T
 
 
-def oracle_move_scores(edges: np.ndarray) -> np.ndarray:
-    """The int64 cut product that ``_move_scores``' float64 product replaced."""
-    crossing, pairs, inverse_col = _cut_table(len(edges) // 2)
+@functools.lru_cache(maxsize=None)
+def oracle_cut_table(rank: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The vertex pairs that each multiplier move's cut separates.
+
+    The k-th move (a, Z) of ``enumerate_whitehead_automorphisms`` cuts the
+    vertices along A = (Z - {a}) | {a^-1}.  ``pairs`` lists the vertex
+    pairs (i, j), i < j, as columns in ``vertex_order``; row k of
+    ``crossing`` is 1 where exactly one end of the pair lies in A, so
+    ``crossing @ edges[pairs]`` is cap(A, A^c) for every move at once, and
+    ``inverse_col[k]`` is the column of a^-1.  This table of
+    2N(2^(2N-2) - 1) rows scored every move of a descent step before the
+    descent became one max-flow per generator; it stays here as the
+    reference for the differential tests.
+    """
+    n = 2 * rank
+    per = (1 << (2 * rank - 2)) - 1
+    bits = (np.arange(1, per + 1)[:, None] >> np.arange(n - 2)) & 1
+    inside = np.zeros((n * per, n), dtype=bool)
+    for col in range(n):
+        others = [c for c in range(n) if c // 2 != col // 2]
+        rows = slice(col * per, (col + 1) * per)
+        inside[rows, others] = bits
+        inside[rows, col ^ 1] = True
+    pairs = np.triu_indices(n, 1)
+    crossing = (inside[:, pairs[0]] != inside[:, pairs[1]]).astype(np.float64)
+    inverse_col = np.repeat(np.arange(n) ^ 1, per)
+    return crossing, pairs, inverse_col
+
+
+def oracle_move_scores(edges) -> np.ndarray:
+    """Cyclic length of phi(w) for every multiplier move phi, in
+    enumeration order, by the cut lemma, from one float64 BLAS product over
+    the cut table; ``edges`` is the Whitehead graph of w."""
+    edges = np.array(edges, dtype=np.int64)
+    crossing, pairs, inverse_col = oracle_cut_table(len(edges) // 2)
+    cut = (crossing @ edges[pairs].astype(np.float64)).astype(np.int64)
+    return edges.sum() // 2 + cut - edges.sum(axis=1)[inverse_col]
+
+
+def oracle_integer_move_scores(edges) -> np.ndarray:
+    """The int64 cut product that the float64 product replaced."""
+    edges = np.array(edges, dtype=np.int64)
+    crossing, pairs, inverse_col = oracle_cut_table(len(edges) // 2)
     cut = crossing.astype(np.int64) @ edges[pairs]
     return edges.sum() // 2 + cut - edges.sum(axis=1)[inverse_col]
+
+
+def oracle_table_descent(w: Word) -> MinimizationCertificate:
+    """The descent that scores every move of the table at every step and
+    applies the first one of least score, the library's descent before one
+    max-flow per generator replaced the table."""
+    current = cyclic_reduce(w).core
+    trace = [len(current)]
+    chain = []
+    while True:
+        edges = whitehead_graph(current)
+        scores = oracle_move_scores(edges)
+        k = int(np.argmin(scores))
+        if scores[k] >= len(current):
+            break
+        best = _multiplier_move_at(w.rank, k)
+        current = cyclic_reduce(best(current)).core
+        assert len(current) == scores[k]
+        chain.append(best)
+        trace.append(len(current))
+    minimized = cyclic_reduce(apply_automorphism(chain, w)).core
+    return MinimizationCertificate(w, minimized, tuple(chain), tuple(trace), edges)
 
 
 def _random_cores(rank, count, seed, lengths=(1, 24)):
@@ -490,12 +557,26 @@ def _random_cores(rank, count, seed, lengths=(1, 24)):
     return cores
 
 
+def _moved_short_words(rank, count, seed):
+    """Whitehead images of short words: their descents take several steps."""
+    rng = random.Random(seed)
+    words = []
+    while len(words) < count:
+        w = random_word(rng.randint(1, 4), rank, rng)
+        for _ in range(rng.randint(1, 5)):
+            w = _random_multiplier_move(rng, rank)(w)
+        if not cyclic_reduce(w).core.is_identity():
+            words.append(w)
+    return words
+
+
 class TestCutScores:
     @pytest.mark.parametrize("rank,count", [(2, 60), (3, 25), (4, 6)])
     def test_score_equals_applied_length(self, rank, count):
+        # the table oracle's cut-lemma scores are the applied lengths
         table = enumerate_whitehead_automorphisms(rank)
         for core in _random_cores(rank, count, seed=100 + rank):
-            scores = _move_scores(whitehead_graph(core))
+            scores = oracle_move_scores(whitehead_graph(core))
             assert len(scores) == len(table)
             applied = [len(cyclic_reduce(phi(core)).core) for phi in table]
             assert scores.tolist() == applied, core
@@ -508,9 +589,9 @@ class TestCutScores:
             cert = minimize_cyclic_length(w)
             assert cert.to_json_dict() == expected.to_json_dict()
             # the graph kept from the last descent step is the minimal word's
-            assert np.array_equal(cert.edges, expected.edges)
+            assert cert.edges == expected.edges
             assert cert.cut_vertex == expected.cut_vertex
-            scores = _move_scores(whitehead_graph(w))
+            scores = oracle_move_scores(whitehead_graph(w))
             best = scores.min()
             ties += best < len(w) and int(np.sum(scores == best)) > 1
         # the first-in-enumeration-order tie-break was exercised
@@ -531,24 +612,72 @@ class TestCutScores:
             )
 
     @pytest.mark.parametrize("rank,count", [(2, 60), (3, 40), (4, 20), (5, 10), (6, 4)])
-    def test_float_scores_match_integer_oracle(self, monkeypatch, rank, count):
+    def test_float_scores_match_integer_oracle(self, rank, count):
+        # the table oracle's float64 product is exact, and the library's
+        # edge matrix is the numpy one as int rows
         rng = random.Random(300 + rank)
         words = [random_word(rng.randint(2, 40), rank, rng) for _ in range(count)]
         words = [w for w in words if not cyclic_reduce(w).core.is_identity()]
         for w in words:
             core = cyclic_reduce(w).core
             edges = whitehead_graph(w)
-            assert np.array_equal(edges, oracle_edge_matrix(core))
-            scores = _move_scores(edges)
+            assert edges == _edge_matrix(core)
+            assert edges == tuple(map(tuple, oracle_edge_matrix(core).tolist()))
+            scores = oracle_move_scores(edges)
             assert scores.dtype == np.int64
-            assert np.array_equal(scores, oracle_move_scores(edges))
-        certificates = [minimize_cyclic_length(w) for w in words]
-        monkeypatch.setattr(whitehead, "_edge_matrix", oracle_edge_matrix)
-        monkeypatch.setattr(whitehead, "_move_scores", oracle_move_scores)
-        for w, cert in zip(words, certificates):
-            expected = minimize_cyclic_length(w)
-            assert cert.to_json_dict() == expected.to_json_dict()
-            assert np.array_equal(cert.edges, expected.edges)
+            assert np.array_equal(scores, oracle_integer_move_scores(edges))
+
+    @pytest.mark.parametrize("rank,count", [(2, 150), (3, 120), (4, 80), (5, 40), (6, 15)])
+    def test_certificates_match_table_descent(self, rank, count):
+        # chain, trace, minimized word, final graph and cut vertex equal the
+        # table's at every step, on random words and on Whitehead images of
+        # short words, which take longer descents
+        words = _random_cores(rank, count, seed=400 + rank, lengths=(2, 30))
+        words += _moved_short_words(rank, count, seed=500 + rank)
+        longest = ties = 0
+        for w in words:
+            expected = oracle_table_descent(w)
+            cert = minimize_cyclic_length(w)
+            assert cert.to_json_dict() == expected.to_json_dict(), w
+            assert cert.chain == expected.chain
+            assert cert.edges == expected.edges
+            assert cert.cut_vertex == expected.cut_vertex
+            longest = max(longest, len(cert.chain))
+            scores = oracle_move_scores(whitehead_graph(w))
+            best = scores.min()
+            ties += best < len(w) and int(np.sum(scores == best)) > 1
+        assert longest >= 3 and ties > 0
+
+    def test_early_stopped_flows_never_win(self, monkeypatch):
+        # every flow that ran to completion found the least cut the table
+        # finds for its multiplier; the others stopped at their bound
+        calls = []
+        original = whitehead._min_cut
+
+        def recording(edges, adj, source, sink, bound):
+            flow, side = original(edges, adj, source, sink, bound)
+            calls.append((edges, sink, bound, flow, side))
+            return flow, side
+
+        monkeypatch.setattr(whitehead, "_min_cut", recording)
+        for w in _moved_short_words(4, 40, seed=9):
+            minimize_cyclic_length(w)
+        assert any(side is None for *_, side in calls)
+        assert any(side is not None for *_, side in calls)
+        per = (1 << 6) - 1
+        for edges, sink, bound, flow, side in calls:
+            scores = oracle_move_scores(edges)[sink * per : (sink + 1) * per]
+            length, degree = sum(map(sum, edges)) // 2, sum(edges[sink + 1])
+            least = int(scores.min()) - length + degree  # the least cut
+            if side is None:
+                assert flow == bound <= least
+            else:
+                assert flow == least < bound
+                mask = int(np.argmin(scores)) + 1
+                others = [c for c in range(8) if c // 2 != sink // 2]
+                assert sorted(side) == sorted(
+                    [sink + 1] + [c for i, c in enumerate(others) if mask >> i & 1]
+                )
 
     @pytest.mark.parametrize("rank", [5, 6])
     def test_high_rank_boundary_words(self, rank):
