@@ -60,8 +60,60 @@ SCHEMA_VERSION = 4
 
 def json_text(payload: dict) -> str:
     """The one JSON encoding of every report and ``--out`` document:
-    sorted keys, two-space indent, a final newline."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    sorted keys, two-space indent, a final newline.
+
+    The bytes are those of ``json.dumps(payload, sort_keys=True,
+    indent=2) + "\n"``, whose indent makes json fall back to its pure
+    Python encoder.  A report's trial list, most of its bytes, is a list
+    of flat dicts, which the C encoder writes instead (``_trials_text``)
+    into the place of an empty list.  A top-level key is the only text
+    that follows a newline and two spaces, so that place is found once.
+    """
+    trials = payload.get("trials") if type(payload) is dict else None
+    if not _flat_dicts(trials):
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps({**payload, "trials": []}, sort_keys=True, indent=2)
+    before, after = text.split('\n  "trials": []')
+    return "".join((before, '\n  "trials": ', *_trials_text(trials), after, "\n"))
+
+
+# the exact types whose JSON text has no newline and no container
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+# the newline and indent of a trial's members, and the C encoder with
+# sorted keys and members separated by "," and that newline
+_MEMBER = "\n      "
+_encode_trials = json.JSONEncoder(sort_keys=True, separators=("," + _MEMBER, ": ")).encode
+
+
+def _flat_dicts(o) -> bool:
+    """Whether o is a nonempty list of nonempty dicts of scalars."""
+    return (
+        type(o) is list
+        and bool(o)
+        and {*map(type, o)} == {dict}
+        and all(o)
+        and _SCALARS.issuperset(map(type, itertools.chain.from_iterable(map(dict.values, o))))
+    )
+
+
+def _trials_text(trials) -> tuple[str, ...]:
+    """The pieces of ``json.dumps(trials, sort_keys=True, indent=2)``,
+    indented as a top-level value, for trials that ``_flat_dicts``
+    accepts.
+
+    With members separated by "," + their newline, the C encoder writes
+    each dict as its indented text without its first and last line
+    break.  Each "},<member newline>{" between two dicts is then moved to
+    the list's indent; no encoded string holds a raw newline, so that
+    text occurs nowhere else, and no dict is empty, so it never stands
+    for an empty one.
+    """
+    inner = "\n    "
+    body = _encode_trials(trials).replace(
+        "}," + _MEMBER + "{", inner + "}," + inner + "{" + _MEMBER
+    )[2:-2]
+    return "[", inner, "{", _MEMBER, body, inner, "}", "\n  ]"
 
 
 @dataclass
@@ -522,43 +574,108 @@ def build_boundary_pA() -> BoundaryAutomorphism:
 
 def _grid_values(
     radius_r: tuple[int, int], radius_k: int
-) -> tuple[dict, dict, Word, BoundaryAutomorphism]:
-    """Factor invariants over the orbit grid psi^r ad_b^k(<x>), and the
-    exponent sums of psi^r(x) by r, read off certified ends of psi^r(x).
+) -> tuple[dict[int, tuple[int, ...]], dict, Word, BoundaryAutomorphism]:
+    """Factor invariants over the orbit grid psi^r ad_b^k(<x>), as
+    {r: the values at k = -radius_k..radius_k}, and the exponent sums of
+    psi^r(x) by r, read off certified ends of psi^r(x).
 
     Certificate, checked on every call: psi and psi^-1 are positive
     substitutions on {x, y} and {x, Y} (``_positive_substitution``), so
     w = psi^r(x) is reduced and cyclically reduced, and its ends iterate
     on windows (``_orbit_ends``) without building w.
 
-    Windows of L = (2K + 1)|b| letters decide every |k| <= K.  Each junction
-    of b^k w b^-k cancels t <= |k||b| letters of w.  The reduced product g
-    is conjugate to the cyclically reduced w by b^k, so g = u c u^-1 with
-    c a rotation of w and 2|u| + |w| = |g| <= 2|k||b| + |w|: |u| <= |k||b|.
-    The peel compares letters up to index |u| of g, within the first
-    t + |u| + 1 <= 2|k||b| + 1 letters of w (and the last, at the tail);
-    with u empty the power test reads |b| letters, within (|k| + 1)|b|.
-    ``_cyclic_value_from_ends`` raises rather than guess if a window is
-    ever too short.
+    Each row r is evaluated on windows only at |k| <= depth =
+    min(2, radius_k), and beyond that by the b-conjugation step
+    (``_grid_row``).  A window evaluation never guesses:
+    ``_cyclic_value_from_ends`` returns the exact value and end letters
+    or raises.  The windows hold (2 depth + 1)|b| letters, independent of
+    the radius, and depth 2 decides every row of this psi; a row whose
+    step premise still fails there raises.  Rows with equal ends share
+    one evaluation and one tuple (a value reads ``hidden`` only through
+    its truth value); ``_pair_classes`` merges equal rows by value.
     """
     psi = build_boundary_pA()
     b = boundary_word(2)
     bl, binv = b.letters, b.inverse().letters
-    window = (2 * radius_k + 1) * len(bl)
     lo_r, hi_r = radius_r
-    ends = {}
-    for chain, sign, steps in ((psi.inverse_chain, -1, -lo_r), (psi.chain, 1, hi_r)):
-        images = _positive_substitution(chain)
-        for r, end in enumerate(_orbit_ends(images, steps, window)):
-            ends[sign * r] = end
-    power = {k: bl * k if k >= 0 else binv * -k for k in range(-radius_k, radius_k + 1)}
-    values = {
-        (r, k): _cyclic_value_from_ends(*ends[r][:3], power[k], power[-k], bl, binv)
-        for r in range(lo_r, hi_r + 1)
-        for k in power
+    depth = min(2, radius_k)
+    window = (2 * depth + 1) * len(bl)
+    ends = {
+        sign * r: end
+        for chain, sign, steps in ((psi.inverse_chain, -1, -lo_r), (psi.chain, 1, hi_r))
+        for r, end in enumerate(_orbit_ends(_positive_substitution(chain), steps, window))
     }
+    rows = {}
+    values = {}
+    for r in range(lo_r, hi_r + 1):
+        head, hidden, tail, _ = ends[r]
+        key = head, hidden > 0, tail
+        if key not in rows:
+            rows[key] = _grid_row(head, hidden, tail, depth, radius_k, bl, binv)
+        values[r] = rows[key]
     sums = {r: (c.get(1, 0), c.get(2, 0) - c.get(-2, 0)) for r, (*_, c) in ends.items()}
     return values, sums, b, psi
+
+
+def _grid_row(head, hidden, tail, depth, radius_k, bl, binv) -> tuple[int, ...]:
+    """The values at k = -radius_k..radius_k of the grid row whose
+    psi^r(x) = w has ends (head, hidden, tail).  Raise
+    InternalContradictionError if a side meets no step premise by
+    |k| = depth < radius_k.
+
+    Step lemma.  Let g_k be the reduced form of b^k w b^-k, g_k = u c u^-1
+    with u its longest conjugator (``_peel``), and value(k) the number K
+    of whole b blocks that u starts with if K >= 1, else minus the number
+    of whole b^-1 blocks it starts with (counted within u, as
+    ``_cyclic_value_from_ends`` does).  Premise at k: b[-1] != g_k[0]^-1
+    and g_k[-1] != b[-1].  Then:
+
+    - b g_k b^-1 is reduced letter for letter: the first junction pairs
+      b[-1] with g_k[0], the second g_k[-1] with b^-1[0] = b[-1]^-1.  It
+      equals b^(k+1) w b^-(k+1), so it is g_(k+1).
+    - Its first |b| letters are b and its last |b| are b^-1, which peel
+      off each other; what remains is g_k, so ``_peel`` grows by exactly
+      |b| and u_(k+1) = b u_k.
+    - value(k) >= 0: a negative value needs u_k to start with a whole b^-1
+      block, so g_k[0] = b^-1[0] = b[-1]^-1, which the premise excludes.
+    - value(k+1) = value(k) + 1: if u_k starts with K >= 1 b blocks,
+      b u_k starts with K + 1; if value(k) = 0, u_k starts with no whole
+      b block (or is shorter than b), and b u_k starts with exactly one.
+    - g_(k+1) starts with b[0] and ends with b[0]^-1, and b[-1] != b[0]^-1
+      because b is cyclically reduced, so the premise holds at k + 1 and,
+      by induction, at every larger k.
+
+    The mirror statement, with b^-1 for b (premise b^-1[-1] != g_k[0]^-1
+    and g_k[-1] != b^-1[-1]), gives u_(k-1) = b^-1 u_k.  Its premise says
+    g_k does not start with b[0], so value(k) <= 0, and b^-1 u_k starts
+    with no b block and with one more b^-1 block than u_k:
+    value(k-1) = value(k) - 1.
+
+    So each side is evaluated on windows from k = 0 outwards until the
+    premise holds, and every later value is one addition.  A side whose
+    premise fails at every |k| <= depth is whole only if depth =
+    radius_k (every value a window evaluation), and raises otherwise.  The premise is
+    read off the end letters that the window evaluation returns, which
+    are exact, so no value is extrapolated without it.
+    """
+    row = {}
+    for block, inverse, sign in ((bl, binv, 1), (binv, bl, -1)):
+        for j in range(radius_k + 1):
+            if j > depth:
+                raise InternalContradictionError(
+                    f"no b-conjugation step by |k| = {depth}: the grid row "
+                    "cannot be extended without more window evaluations"
+                )
+            value, first, last = _cyclic_value_from_ends(
+                head, hidden, tail, block * j, inverse * j, bl, binv
+            )
+            row[sign * j] = value
+            if first != -block[-1] and last != block[-1]:
+                break
+        for j in range(j + 1, radius_k + 1):
+            value += sign
+            row[sign * j] = value
+    return tuple(row[k] for k in range(-radius_k, radius_k + 1))
 
 
 # Factor-graph paths <x> -> <psi(x)> and <x> -> <b x b^-1> in rank 2, b the
@@ -668,8 +785,8 @@ def exp_quasiflat(radius: int = 8) -> ExperimentReport:
     pair, and the lower envelope min l over the pairs at each m = 1..4R,
     the best constants of the certified lower bound.  The fractions are
     reported as correctly rounded floats.  Values and slopes come from
-    ``_grid_values``: end windows of (2R + 1)|b| letters and the letter
-    counts of psi^r(x), which is never built.
+    ``_grid_values``: a few end windows per row, the b-conjugation step
+    and the letter counts of psi^r(x), which is never built.
     """
     R = radius
     values, sums, b, psi = _grid_values((-R, R), R)
@@ -682,17 +799,17 @@ def exp_quasiflat(radius: int = 8) -> ExperimentReport:
         "quasiflat",
         {"rank": 2, "b": format_word(b), "grid_radius": R},
     )
-    points = sorted(values)
-    for r, k in points:
-        report.trials.append(
-            {"r": r, "k": k, "value": values[(r, k)], "slope": str(slopes[r + R])}
+    axis = range(-R, R + 1)
+    for r, slope in zip(axis, map(str, slopes)):
+        report.trials.extend(
+            {"r": r, "k": k, "value": value, "slope": slope}
+            for k, value in zip(axis, values[r])
         )
     # The slope of psi^r(x) is M^r (1, 0), M the homology matrix, and
     # build_boundary_pA checks det M = +-1.  GL_2(Z) acts on the Farey graph
     # by isometries, so the slopes at r1 and r2 lie dstep[|r1 - r2|] apart.
     dstep = [farey_distance(slopes[0], s) for s in slopes]
-    axis = range(-R, R + 1)
-    grid = [tuple(values[r, k] for k in axis) for r in axis]
+    grid = list(values.values())
     classes = [(m, l, count) for (m, l), count in _pair_classes(grid, dstep).items()]
     # exact moments in Python ints: at R = 64 the products below overflow int64
     n = sum(count for _, _, count in classes)
@@ -743,8 +860,7 @@ def exp_twist_stability(radius: int = 8) -> ExperimentReport:
 
     Measures |value(r, k) - value(0, k)| over r in [0, radius], k in
     [-radius, radius]; the running maximum over r must stop growing by
-    r = radius // 2 for every k.  Values come from ``_grid_values``, read
-    off end windows of (2R + 1)|b| letters of psi^r(x).
+    r = radius // 2 for every k.  Values come from ``_grid_values``.
     """
     R = radius
     values, _, b, _ = _grid_values((0, R), R)
@@ -759,7 +875,8 @@ def exp_twist_stability(radius: int = 8) -> ExperimentReport:
         running = 0
         settle = 0
         for r in range(0, R + 1):
-            disp = abs(values[(r, k)] - values[(0, k)])
+            value = values[r][k + R]
+            disp = abs(value - values[0][k + R])
             if disp > running:
                 running = disp
                 settle = r
@@ -767,7 +884,7 @@ def exp_twist_stability(radius: int = 8) -> ExperimentReport:
                 {
                     "r": r,
                     "k": k,
-                    "value": values[(r, k)],
+                    "value": value,
                     "displacement": disp,
                 }
             )

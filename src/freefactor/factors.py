@@ -509,11 +509,14 @@ def _cyclic_invariant(g: Word, b: Word) -> FactorInvariant:
     return FactorInvariant(value, g if first == c[0] else g.inverse(), 0)
 
 
-def _cyclic_value_from_ends(head, hidden, tail, bk, bk_inv, bl, binv) -> int:
+def _cyclic_value_from_ends(
+    head, hidden, tail, bk, bk_inv, bl, binv
+) -> tuple[int, int, int]:
     """The invariant of <b^k w b^-k> read off the ends of a reduced w (see
     ``words._orbit_ends``): the value of ``_cyclic_invariant``, from
     junction cancellation, the peel and the b or b^-1 blocks the
-    conjugator starts with, with no Word built.  Raise
+    conjugator starts with, with no Word built; then the first and the
+    last letter of the reduced b^k w b^-k.  Raise
     InternalContradictionError rather than guess if the peel reaches a
     window edge (as it does when a junction eats a whole window: the b^k
     and b^-k left on the two sides peel off each other), or if the
@@ -530,7 +533,8 @@ def _cyclic_value_from_ends(head, hidden, tail, bk, bk_inv, bl, binv) -> int:
             f"the {len(head)}-letter ends of a {len(head) + hidden + len(tail)}"
             "-letter word cannot decide a grid value"
         )
-    return _leading_power(g, bl, i // m) or -_leading_power(g, binv, i // m)
+    value = _leading_power(g, bl, i // m) or -_leading_power(g, binv, i // m)
+    return value, g[0], g[-1]
 
 
 def _graph_invariant(graph: CoreGraph, b: Word) -> FactorInvariant:

@@ -35,6 +35,22 @@ SMALL_RUNS = {
 }
 
 
+# every subcommand once, with the flags that change its --out payload
+OUT_RUNS = [
+    ["reduce", "--n", "3", "x1 X2 x1"],
+    ["classify", "--n", "2", "xyXY"],
+    ["classify", "--n", "3", "xxyzXYzy"],
+    ["minimize", "--n", "2", "xyxy"],
+    ["index", "--n", "2", "--b", "xyXY", "xyXYxyXYxyxYXyxYX"],
+    ["index", "--n", "2", "--b", "xyXY", "--geometric", "xyXYxyXYxyxYXyxYX"],
+    ["factor-invariant", "--n", "2", "--b", "xyXY", "--gen", "yxYXyxyXY"],
+    ["factor-invariant", "--n", "3", "--b", "xxyyzz", "--gen", "xxyyzzyZZYYXX",
+     "--gen", "xxyyzzxZZYYXX"],
+    ["farey-dist", "-3/5", "1/0"],
+    *(["experiment", name, *argv] for name, (argv, _) in SMALL_RUNS.items()),
+]
+
+
 def fresh_python(*args) -> subprocess.CompletedProcess:
     """Run ``python *args`` in a new interpreter that imports this package."""
     src = str(Path(freefactor.__file__).resolve().parents[1])
@@ -168,6 +184,21 @@ class TestJsonOutput:
         assert data["verdict"] == "Filling"
         assert data["minimized"] == "xyXY"
         assert data["length_trace"] == [4]
+
+    @pytest.mark.parametrize("argv", OUT_RUNS, ids=" ".join)
+    def test_same_bytes_as_json_dumps(self, capsys, monkeypatch, tmp_path, argv):
+        payloads = []
+        encode = freefactor.cli.json_text
+
+        def recorded(payload):
+            payloads.append(payload)
+            return encode(payload)
+
+        monkeypatch.setattr(freefactor.cli, "json_text", recorded)
+        path = tmp_path / "report.json"
+        code, _, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0 and len(payloads) == 1
+        assert path.read_text() == json.dumps(payloads[0], sort_keys=True, indent=2) + "\n"
 
     def test_minimize_chain_replays(self, capsys, tmp_path):
         path = tmp_path / "report.json"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freefactor import (
     FreeFactorVertex,
@@ -33,10 +35,16 @@ from freefactor import (
     run_experiment,
 )
 from freefactor import cli, experiments, factors, words
-from freefactor.experiments import _grid_values, _pair_classes, _random_edge_images, _rng
+from freefactor.experiments import (
+    _grid_row,
+    _grid_values,
+    _pair_classes,
+    _random_edge_images,
+    _rng,
+)
 from freefactor.factors import _cyclic_value_from_ends
 from freefactor.farey import exponent_sums
-from freefactor.words import _positive_substitution
+from freefactor.words import _orbit_ends, _positive_substitution
 from freefactor.whitehead import _random_multiplier_move, vertex_order
 
 from conftest import W, psi_power
@@ -106,6 +114,81 @@ RADIUS_16_DIGESTS = {
     "twist-stability": "7367199a499b824b943bdcedc1ed93e5d95cb252fd789e3939c61b44b37541de",
     "quasiflat": "e75e6f7bbf04d09b680d2dfe057bc56c7fcb6e73387ed8b31510c4b2bdfe890a",
 }
+
+
+# every experiment at ranks 2-4, and the grid experiments at r = 1..16
+JSON_RUNS = [
+    *(
+        (name, {"rank": n, "trials": 10, "seed": 1})
+        for name in ("lipschitz", "cancellation", "basis-change")
+        for n in (2, 3, 4)
+    ),
+    *((name, {"rank": n}) for name in ("zero-fiber", "boundary-length") for n in (2, 3, 4)),
+    *((name, {"radius": r}) for name in ("quasiflat", "twist-stability") for r in range(1, 17)),
+]
+
+# strings that look like the structure json_text rewrites, or need escapes
+TRICKY_TEXT = st.sampled_from(
+    [
+        '"},\n      {"',
+        "},\n      {",
+        '\n  "trials": []',
+        "trials",
+        'say "x"',
+        "back\\slash",
+        "\\n",
+        "ünï ☃ 𝄞",
+        "",
+        "\x00\x1f",
+    ]
+)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**300), max_value=2**300),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324]),
+    st.text(),
+    TRICKY_TEXT,
+)
+JSON_KEYS = st.one_of(st.text(), TRICKY_TEXT)
+SLOPES = (
+    st.tuples(st.integers(-99, 99), st.integers(-99, 99))
+    .filter(lambda t: math.gcd(*t) == 1)
+    .map(lambda t: Slope(*t))
+)
+JSON_VALUES = st.recursive(
+    st.one_of(JSON_SCALARS, SLOPES),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(JSON_KEYS, children, max_size=4),
+        st.dictionaries(st.one_of(st.integers(), st.booleans()), children, max_size=4),
+        st.lists(st.dictionaries(JSON_KEYS, JSON_SCALARS, max_size=3), max_size=4),
+    ),
+    max_leaves=24,
+)
+# report-shaped payloads: a "trials" entry beside other keys, most often a
+# list of flat dicts (the shape json_text hands to the C encoder)
+FLAT_DICTS = st.one_of(
+    st.dictionaries(JSON_KEYS, JSON_SCALARS, max_size=3),
+    st.dictionaries(st.integers(), JSON_SCALARS, max_size=3),
+)
+JSON_PAYLOADS = st.builds(
+    lambda rest, trials: {**rest, "trials": trials},
+    st.dictionaries(JSON_KEYS, JSON_VALUES, max_size=4),
+    st.one_of(
+        st.lists(FLAT_DICTS, max_size=5),
+        st.lists(FLAT_DICTS, max_size=5).map(tuple),
+        JSON_VALUES,
+    ),
+)
+
+
+def oracle_json_text(payload) -> str:
+    """The encoding json_text replaced: json's pure-Python indenting encoder."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def sha256(report) -> str:
@@ -182,6 +265,41 @@ def oracle_grid_values(radius_r, radius_k):
     return values, {r: exponent_sums(w) for r, w in psi_x.items()}
 
 
+def oracle_window_grid(radius_r, radius_k):
+    """The window grid that the b-conjugation step replaced: ends of every
+    psi^r(x) on windows of (2 radius_k + 1)|b| letters, and each value
+    read off them by _cyclic_value_from_ends, k by k.  Returns the values
+    and the exponent sums of psi^r(x) by r."""
+    psi = build_boundary_pA()
+    b = boundary_word(2)
+    bl, binv = b.letters, b.inverse().letters
+    window = (2 * radius_k + 1) * len(bl)
+    lo_r, hi_r = radius_r
+    ends = {}
+    for chain, sign, steps in ((psi.inverse_chain, -1, -lo_r), (psi.chain, 1, hi_r)):
+        images = _positive_substitution(chain)
+        for r, end in enumerate(_orbit_ends(images, steps, window)):
+            ends[sign * r] = end
+    power = {k: bl * k if k >= 0 else binv * -k for k in range(-radius_k, radius_k + 1)}
+    values = {
+        (r, k): _cyclic_value_from_ends(*ends[r][:3], power[k], power[-k], bl, binv)[0]
+        for r in range(lo_r, hi_r + 1)
+        for k in power
+    }
+    sums = {r: (c.get(1, 0), c.get(2, 0) - c.get(-2, 0)) for r, (*_, c) in ends.items()}
+    return values, sums
+
+
+def grid_points(radius_r, radius_k):
+    """_grid_values as {(r, k): value} and the exponent sums by r."""
+    rows, sums, _, _ = _grid_values(radius_r, radius_k)
+    return {
+        (r, k): value
+        for r, row in rows.items()
+        for k, value in zip(range(-radius_k, radius_k + 1), row)
+    }, sums
+
+
 def oracle_pair_classes(grid, dstep: list[int]) -> dict:
     """The numpy class histogram that ``_pair_classes`` replaced, as
     {(m, l): count} in sorted order.
@@ -233,11 +351,11 @@ def oracle_pair_loop(grid, dstep: list[int]) -> dict:
 
 def orbit_grid(radius: int) -> tuple[list[tuple[int, ...]], list[int]]:
     """The quasiflat grid and Farey row of exp_quasiflat at ``radius``."""
-    values, sums, _, _ = _grid_values((-radius, radius), radius)
+    rows, sums, _, _ = _grid_values((-radius, radius), radius)
     span = range(-radius, radius + 1)
     slopes = [Slope(*sums[r]) for r in span]
     return (
-        [tuple(values[r, k] for k in span) for r in span],
+        [rows[r] for r in span],
         [farey_distance(slopes[0], s) for s in slopes],
     )
 
@@ -571,9 +689,89 @@ class TestGridFromEnds:
     def test_matches_materialising_oracle(self, radius_k):
         # |r| <= 12 reaches 75,025-letter words; a small radius_k shrinks
         # the windows to (2 radius_k + 1) |b| letters
-        values, sums, b, _ = _grid_values((-12, 12), radius_k)
-        assert (values, sums) == oracle_grid_values((-12, 12), radius_k)
-        assert b == boundary_word(2)
+        assert grid_points((-12, 12), radius_k) == oracle_grid_values((-12, 12), radius_k)
+        assert _grid_values((-1, 1), 1)[2] == boundary_word(2)
+
+    @pytest.mark.parametrize("radius", [*range(1, 17), 32, 64])
+    def test_matches_window_oracle(self, radius):
+        for radius_r in ((-radius, radius), (0, radius)):
+            assert grid_points(radius_r, radius) == oracle_window_grid(radius_r, radius)
+
+    def test_step_on_arbitrary_words(self, b2):
+        # rows of reduced words that start or end in b^+-1 blocks, or are
+        # conjugates, whole in the head window: each row raises (a power of
+        # b, or no step premise by |k| = 2) or equals the materialised
+        # invariants at every k
+        rng = random.Random(5)
+        bl, binv = b2.letters, b2.inverse().letters
+        rows = 0
+        for _ in range(400):
+            s = random_word(rng.randint(1, 12), 2, rng)
+            p = b2 ** rng.randint(-2, 2) * random_word(rng.randint(0, 3), 2, rng)
+            w = p * s * p.inverse() if rng.random() < 0.5 else p * s
+            if w.is_identity():
+                continue
+            try:
+                expected = tuple(
+                    factor_invariant(FreeFactorVertex((ad(b2, w, k),), 2), b2).value
+                    for k in range(-6, 7)
+                )
+            except PreconditionError:
+                continue  # a power of b lies in the factor
+            try:
+                row = _grid_row(w.letters, 0, (), 2, 6, bl, binv)
+            except InternalContradictionError:
+                continue
+            assert row == expected, w
+            rows += 1
+        assert rows > 200
+
+    def test_rows_are_shared_by_equal_ends(self):
+        # psi and psi^-1 are prolongable, so the windows of psi^r(x) stop
+        # changing after a few steps, and so do the rows
+        rows = _grid_values((-64, 64), 64)[0]
+        assert len({id(row) for row in rows.values()}) == 10
+        assert rows[64] is rows[63] and rows[-64] is rows[-63]
+
+    def test_unmet_premise_raises_and_never_extrapolates(self, monkeypatch, capsys, tmp_path):
+        # end letters that break both step premises: g_k ending in b[-1]
+        # stops the b side, g_k starting with b[0] the b^-1 side
+        bl = boundary_word(2).letters
+        value_from_ends, orbit_ends = experiments._cyclic_value_from_ends, _orbit_ends
+        windows, evaluated = [], {}
+
+        def unmet(head, hidden, tail, bk, bk_inv, *rest):
+            k = len(bk) // len(bl) * (1 if bk[:1] == bl[:1] else -1)
+            evaluated.setdefault((head, hidden > 0, tail), set()).add(k)
+            return value_from_ends(head, hidden, tail, bk, bk_inv, *rest)[0], bl[0], bl[-1]
+
+        def recorded(images, steps, window):
+            windows.append(window)
+            return orbit_ends(images, steps, window)
+
+        monkeypatch.setattr(experiments, "_cyclic_value_from_ends", unmet)
+        monkeypatch.setattr(experiments, "_orbit_ends", recorded)
+        # radius_k > 2: a row is not extended past |k| = 2 without the premise
+        with pytest.raises(InternalContradictionError, match="no b-conjugation step"):
+            _grid_values((-6, 6), 6)
+        # one window of 5 |b| letters for psi^-1 and one for psi
+        assert windows == [20, 20]
+        assert all(ks <= set(range(-2, 3)) for ks in evaluated.values())
+        for name in ("quasiflat", "twist-stability"):
+            out = tmp_path / f"{name}.json"
+            argv = ["experiment", name, "--radius", "6", "--out", str(out)]
+            assert cli.main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert "no b-conjugation step" in captured.err
+
+        # radius_k <= 2: every value is a window evaluation, and exact
+        for radius_k in (0, 1, 2):
+            evaluated.clear()
+            assert grid_points((-6, 6), radius_k) == oracle_window_grid((-6, 6), radius_k)
+            assert evaluated and all(
+                ks == set(range(-radius_k, radius_k + 1)) for ks in evaluated.values()
+            )
 
     def test_substitutions(self):
         psi = build_boundary_pA()
@@ -612,12 +810,12 @@ class TestGridFromEnds:
 
             monkeypatch.setattr(experiments, "_orbit_ends", shrunk)
             try:
-                values, sums, _, _ = _grid_values((-6, 6), 6)
+                points = grid_points((-6, 6), 6)
             except InternalContradictionError as exc:
                 assert "cannot decide a grid value" in str(exc)
                 raised.append(window)
                 continue
-            assert (values, sums) == expected, window
+            assert points == expected, window
         assert 1 in raised
         monkeypatch.setattr(
             experiments, "_orbit_ends", lambda images, steps, _: orbit_ends(images, steps, 1)
@@ -664,11 +862,14 @@ class TestGridFromEnds:
                 ends = (ls[:window], len(ls) - 2 * window, ls[-window:])
             power = {j: bl * j if j >= 0 else binv * -j for j in (k, -k)}
             try:
-                value = _cyclic_value_from_ends(*ends, power[k], power[-k], bl, binv)
+                value, first, last = _cyclic_value_from_ends(
+                    *ends, power[k], power[-k], bl, binv
+                )
             except InternalContradictionError:
                 raised += 1
                 continue
-            assert value == expected, (w, k, window)
+            g = ad(b2, w, k).letters
+            assert (value, first, last) == (expected, g[0], g[-1]), (w, k, window)
         assert raised > 0
 
     def test_never_builds_psi_powers(self, monkeypatch):
@@ -691,6 +892,42 @@ class TestGridFromEnds:
     @pytest.mark.parametrize("name", ["quasiflat", "twist-stability"])
     def test_same_bytes_as_materialising_grid_at_radius_16(self, name):
         assert sha256(run_experiment(name, radius=16)) == RADIUS_16_DIGESTS[name]
+
+
+class TestJsonText:
+    @pytest.mark.parametrize("name,kwargs", JSON_RUNS)
+    def test_every_report(self, name, kwargs):
+        data = run_experiment(name, **kwargs).to_json_dict()
+        assert experiments.json_text(data) == oracle_json_text(data)
+
+    @settings(max_examples=400)
+    @given(JSON_VALUES)
+    def test_any_value(self, value):
+        assert experiments.json_text(value) == oracle_json_text(value)
+
+    @settings(max_examples=400)
+    @given(JSON_PAYLOADS)
+    def test_any_report_shape(self, payload):
+        assert experiments.json_text(payload) == oracle_json_text(payload)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"a": object()},
+            [1, {2, 3}],
+            {(1, 2): 0},
+            {"a": [{"b": b"c"}]},
+            {1: 0, "a": 1},
+            {"trials": [{"a": 1, 2: 0}]},
+            {"trials": [{"a": object()}]},
+            {"trials": [{"a": 1}], 1: 0},
+        ],
+    )
+    def test_same_errors(self, value):
+        with pytest.raises(TypeError):
+            oracle_json_text(value)
+        with pytest.raises(TypeError):
+            experiments.json_text(value)
 
 
 class TestTwistStability:
