@@ -701,9 +701,10 @@ def _check_path(path: tuple[str, ...], start: Word, end: Word) -> None:
 
 def _pair_classes(
     grid: list[tuple[int, ...]], dstep: list[int]
-) -> dict[tuple[int, int], int]:
-    """How many grid pairs fall in each class (m, l), as {(m, l): count}
-    with the keys in sorted order.
+) -> tuple[list[int], int]:
+    """How many grid pairs fall in each class (m, l), as a flat histogram
+    ``hist`` and its row width: class (m, l) is ``hist[m * width + l]``, so
+    the rows m = 0 .. 2n - 2 follow one another and each lists l in order.
 
     ``grid[i][j]`` is the value at r = i - R, k = j - R.  A pair with row
     offset dr, column offset dk and values v1, v2 has m = dr + |dk| and the
@@ -740,7 +741,7 @@ def _pair_classes(
                 tally = [(base, half, found // 2) for base, half, found in tally if base]
             for base, half, found in tally:
                 hist[shift + base + (half if half > floor else floor)] += count * found
-    return {divmod(code, width): count for code, count in enumerate(hist) if count}
+    return hist, width
 
 
 def _column_pairs(
@@ -809,41 +810,47 @@ def exp_quasiflat(radius: int = 8) -> ExperimentReport:
     # build_boundary_pA checks det M = +-1.  GL_2(Z) acts on the Farey graph
     # by isometries, so the slopes at r1 and r2 lie dstep[|r1 - r2|] apart.
     dstep = [farey_distance(slopes[0], s) for s in slopes]
-    grid = list(values.values())
-    classes = [(m, l, count) for (m, l), count in _pair_classes(grid, dstep).items()]
-    # exact moments in Python ints: at R = 64 the products below overflow int64
-    n = sum(count for _, _, count in classes)
-    sum_m = sum(count * m for m, _, count in classes)
-    sum_mm = sum(count * m * m for m, _, count in classes)
-    sum_l = sum(count * l for _, l, count in classes)
-    sum_ml = sum(count * m * l for m, l, count in classes)
+    hist, width = _pair_classes(list(values.values()), dstep)
+    # One pass over the rows m = 1..4R of the histogram (m = 0 would pair a
+    # point with itself): exact moments in Python ints, since at R = 64 the
+    # products below overflow int64, the pairs above the path-witnessed upper
+    # bound c0 * m, which certified lower bounds can never exceed, and the
+    # least l at each m, the row's first nonzero class.
+    n = sum_m = sum_mm = sum_l = sum_ml = above_upper = 0
+    envelope = []
+    weights = range(width)
+    for m in range(1, 4 * R + 1):
+        row = hist[m * width : (m + 1) * width]
+        count = sum(row)
+        weighted = sum(map(operator.mul, row, weights))
+        n += count
+        sum_m += count * m
+        sum_mm += count * m * m
+        sum_l += weighted
+        sum_ml += weighted * m
+        above_upper += sum(row[c0 * m + 1 :])
+        envelope.append(next(l for l, found in enumerate(row) if found))
     # the normal equations: c = num / den and intercept = num_0 / den, den > 0
     # because m takes at least the values 1 and 2
     den = n * sum_mm - sum_m * sum_m
     num = n * sum_ml - sum_m * sum_l
     num_0 = sum_mm * sum_l - sum_m * sum_ml
-    # den * (c * m - l) for each class; cover = its maximum (at least 0) / den
-    gaps = [(num * m - den * l, count) for m, l, count in classes]
-    cover = max(0, max(gap for gap, _ in gaps))
-    below = sum(count for gap, count in gaps if gap > cover)
-    # certified lower bounds can never exceed the path-witnessed upper bound
-    above_upper = sum(count for m, l, count in classes if l > c0 * m)
-    least = {}
-    for m, l, _ in classes:  # sorted by (m, l): the first l at each m is least
-        least.setdefault(m, l)
-    envelope = [least[m] for m in range(1, 4 * R + 1)]
+    # cover = the largest den * (c * m - l) over the pairs (at least 0) / den;
+    # at each m it is largest at the least l.  So no pair lies below the
+    # line c * m - cover, and pairs_below_line is 0 by construction.
+    cover = max(0, max(num * m - den * l for m, l in enumerate(envelope, 1)))
     pure_psi = dstep[1 : R + 1]
     strictly_increasing = all(
         pure_psi[i] < pure_psi[i + 1] for i in range(len(pure_psi) - 1)
     )
-    report.violations = (num <= 0) + below + (not strictly_increasing) + above_upper
+    report.violations = (num <= 0) + (not strictly_increasing) + above_upper
     report.summary = {
         "fit_slope": num / den,
         "fit_intercept": num_0 / den,
         "cover_constant": cover / den,
         "lower_envelope": envelope,
         "pairs": n,
-        "pairs_below_line": below,
+        "pairs_below_line": 0,
         "pairs_above_upper_bound": above_upper,
         "pure_psi_distances": pure_psi,
         "pure_psi_strictly_increasing": strictly_increasing,

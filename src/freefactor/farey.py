@@ -7,14 +7,18 @@ rank-2 group correspond to slopes through abelianization, and basis pairs
 map to edges, so this graph models the rank-2 factor graph up to inner
 automorphisms.
 
-The primary distance algorithm moves the target to 1/0 by a unimodular
-matrix and folds a min-plus recurrence over the regular continued
-fraction of the image (Beardon-Hockman-Short, "Geodesic continued
-fractions", 2012).  It keeps no state between calls and takes one step
-per partial quotient, O(log q).  The recurrence is exact: every neighbor
-of 1/0 is an integer, and any geodesic from 1/0 to x must enter the
-interval of x through floor(x) or ceil(x) (arcs of the Farey tessellation
-do not cross).  The matrix comes from one modular inverse, a C call.
+The primary distance algorithm moves the first slope to 1/0 by a
+unimodular matrix and folds a min-plus recurrence over the regular
+continued fraction of the image of the second (Beardon-Hockman-Short,
+"Geodesic continued fractions", 2012), one step per partial quotient,
+O(log q).  The recurrence is exact: every neighbor of 1/0 is an integer,
+and any geodesic from 1/0 to x must enter the interval of x through
+floor(x) or ceil(x) (arcs of the Farey tessellation do not cross).  The
+matrix comes from one modular inverse, a C call.  Callers hold the first
+slope and sweep the second (a row of distances), so the module keeps the
+completion of the most recent first slope in one slot and a row pays for
+one inverse.  The slot is one tuple, read once and replaced whole: the
+state is O(1), and a thread never sees half of it.
 
 A slope is an immutable tuple subclass, so it hashes and compares in C
 and equals the plain tuple (p, q).
@@ -103,11 +107,16 @@ def exponent_sums(w: Word) -> tuple[int, int]:
     return ls.count(1) - ls.count(-1), ls.count(2) - ls.count(-2)
 
 
+# (sp, sq, a, b) with a * sp + b * sq = 1: the completion of the most
+# recent first argument of farey_distance that needed one (sq not 0 or 1)
+_held = (1, 2, 1, 0)
+
+
 def farey_distance(s: Slope, t: Slope) -> int:
     """Exact graph distance between two slopes.
 
-    Completes t to a determinant-one matrix sending it to 1/0 and applies
-    the matrix to s, giving p/q with q = det(t, s).  Then it translates
+    Completes s to a determinant-one matrix sending it to 1/0 and applies
+    the matrix to t, giving p/q with q = det(s, t).  Then it translates
     p/q into [0, 1), writes it as [0; a_1, ..., a_n], and folds the
     continued fraction.  A geodesic leaves 1/0 through floor(x) or ceil(x);
     moving that integer to 1/0 drops a_1 (floor exit) or decrements the
@@ -120,21 +129,31 @@ def farey_distance(s: Slope, t: Slope) -> int:
     (0, 1) . M(a_1) ... M(a_n) . (1, 0) with M(a) = [[1, a], [0, inf]],
     which Euclid's loop evaluates left to right on the row vector (u, v):
     two integers of state and one step per partial quotient, O(log q).
+
+    The distance is symmetric, and callers hold s while t varies, so the
+    completion of s is kept in one module-level slot: a call whose s has
+    the coordinates of the last one skips the modular inverse.
     """
+    global _held
     # indexing beats the field properties and unpacking a tuple subclass
     sp, sq = s[0], s[1]
     tp, tq = t[0], t[1]
-    q = tp * sq - tq * sp
+    q = sp * tq - sq * tp
     if q == 0:  # primitive pairs with determinant 0 are the same slope
         return 0
-    if tq == 0:  # t = 1/0 already
-        p = sp
-    elif tq == 1:  # x -> 1/(tp - x) sends tp to 1/0
-        p = sq
+    if sq == 0:  # s = 1/0 already
+        p = tp
+    elif sq == 1:  # x -> 1/(sp - x) sends sp to 1/0
+        p = tq
     else:
-        # Bezout pair u*tp + v*tq = 1, with u = tp^-1 mod tq from C
-        u = pow(tp, -1, tq)
-        p = u * sp + (1 - u * tp) // tq * sq
+        # the matrix [[a, b], [-sq, sp]] sends s to 1/0; read the slot once
+        hp, hq, a, b = _held
+        if hp != sp or hq != sq:
+            # Bezout pair a*sp + b*sq = 1, with a = sp^-1 mod sq from C
+            a = pow(sp, -1, sq)
+            b = (1 - a * sp) // sq
+            _held = sp, sq, a, b
+        p = a * tp + b * tq
     # x -> -x fixes 1/0, so the distance from 1/0 depends on |p/q| only
     if q < 0:
         q = -q

@@ -36,8 +36,9 @@ class FareyGraph:
     of one denominator q >= 2 are adjacent, so every edge is found exactly
     once, from its endpoint of larger denominator (or larger integer).  The
     build runs one extended Euclid over all V vertices at once (O(log limit)
-    numpy rounds) for the inverses, and one sort for the CSR rows.  Each
-    breadth-first-search level gathers the CSR rows of its frontier only.
+    numpy rounds) for the inverses, and one in-place sort of the int64 edge
+    codes src * V + dst for the CSR rows.  Each breadth-first-search level
+    gathers the CSR rows of its frontier only.
     ``index`` maps each slope, or the plain tuple (p, q), to its vertex.
     """
 
@@ -79,10 +80,15 @@ class FareyGraph:
         v = np.concatenate((position[b[inside], a[inside] + limit],
                             position[q - b, p - a + limit]))
         src = np.concatenate((u, v))
-        dst = np.concatenate((v, u))
-        order = np.lexsort((dst, src))
         self.indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
-        self.indices = dst[order]
+        # the edge codes src * n + dst, sorted in place, list each row's
+        # targets in order, row after row
+        codes = src  # src is read no more: reuse its buffer
+        codes *= n
+        codes += np.concatenate((v, u))
+        codes.sort()
+        codes %= n
+        self.indices = codes
 
     def bfs(self, source: Slope) -> np.ndarray:
         """Distances from ``source`` to every vertex of the box (-1 if unreached)."""

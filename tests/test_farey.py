@@ -3,6 +3,8 @@ import itertools
 import math
 import pickle
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -101,6 +103,39 @@ def oracle_farey_distance(s: Slope, t: Slope) -> int:
     q2 = t.p * s.q - t.q * s.p
     # the matrix [[u, v], [-t.q, t.p]] has determinant 1, so p2/q2 is primitive
     return farey_distance(Slope(p2, q2), Slope(1, 0))
+
+
+def oracle_target_fold(s, t) -> int:
+    """Reference for ``farey_distance``: the stateless fold it replaced.
+
+    Completes the *second* slope t to a determinant-one matrix sending it
+    to 1/0, with the Bezout pair from ``pow(tp, -1, tq)`` on every call
+    (t = 1/0 and integers t need none), applies it to s and folds the
+    regular continued fraction of the image.
+    """
+    sp, sq = s[0], s[1]
+    tp, tq = t[0], t[1]
+    q = tp * sq - tq * sp
+    if q == 0:
+        return 0
+    if tq == 0:
+        p = sp
+    elif tq == 1:
+        p = sq
+    else:
+        u = pow(tp, -1, tq)
+        p = u * sp + (1 - u * tp) // tq * sq
+    if q < 0:
+        q = -q
+    p %= q
+    if not p:
+        return 1
+    u, v = 1, q // p
+    q, p = p, q % p
+    while p:
+        u, v = (u + 1 if u < v else v), u + q // p
+        q, p = p, q % p
+    return u + 1 if u < v else v
 
 
 def oracle_farey_csr(limit: int) -> tuple[list[Slope], np.ndarray, np.ndarray]:
@@ -442,6 +477,88 @@ class TestContinuedFractionFold:
         for _ in range(10**4):
             s, t = draw(), draw()
             assert farey_distance(s, t) == oracle_farey_distance(s, t), (s, t)
+
+    def test_rows_with_held_first_slope_match_target_fold(self):
+        # criterion 07's rows: one source held, every inner slope swept
+        graph = FareyGraph(12)
+        inner = [s for s in graph.slopes if abs(s.p) <= 12 and s.q <= 12]
+        for s in inner:
+            for t in inner:
+                assert farey_distance(s, t) == oracle_target_fold(s, t), (s, t)
+
+    def test_interleaved_held_slopes_match_target_fold(self):
+        # held slopes a, b, a, ... call by call and row by row, so that a
+        # stale completion of the previous first slope would show
+        rng = random.Random(23)
+        for bound in (50, 10**6, 10**18):
+            held = [random_slope(rng, bound) for _ in range(6)]
+            targets = [random_slope(rng, bound) for _ in range(40)]
+            for a, b in itertools.permutations(held, 2):
+                for i, t in enumerate(targets):
+                    s = a if i % 2 == 0 else b
+                    assert farey_distance(s, t) == oracle_target_fold(s, t), (s, t)
+                for s in (a, b, a):
+                    for t in targets[:8]:
+                        assert farey_distance(s, t) == oracle_target_fold(s, t), (s, t)
+
+    def test_equal_slopes_and_tuples_as_held_argument(self):
+        rng = random.Random(29)
+        for bound in (30, 10**18):
+            for _ in range(100):
+                s, t = random_slope(rng, bound), random_slope(rng, bound)
+                expected = oracle_target_fold(s, t)
+                # a fresh equal Slope, the plain tuple, then the slope again
+                for held in (s, Slope(s.p, s.q), (s.p, s.q), s):
+                    assert farey_distance(held, t) == expected, (held, t)
+                assert farey_distance((t.p, t.q), s) == expected
+                assert farey_distance((s.p, s.q), (t.p, t.q)) == expected
+
+    def test_infinity_and_integers_on_either_side(self):
+        rng = random.Random(31)
+        bound = 10**18
+        specials = [Slope(1, 0), (1, 0), Slope(0, 1), Slope(-1, 1), Slope(bound, 1)]
+        specials += [Slope(rng.randint(-bound, bound), 1) for _ in range(20)]
+        others = specials + [random_slope(rng, n) for n in (5, 10**6, bound) for _ in range(20)]
+        for s in specials:
+            for t in others:
+                assert farey_distance(s, t) == oracle_target_fold(s, t), (s, t)
+                assert farey_distance(t, s) == oracle_target_fold(t, s), (t, s)
+
+    def test_huge_slopes_match_target_fold(self):
+        rng = random.Random(37)
+        bound = 10**18
+        for _ in range(200):
+            s = random_slope(rng, bound)
+            for _ in range(10):
+                t = random_slope(rng, bound)
+                assert farey_distance(s, t) == oracle_target_fold(s, t), (s, t)
+                assert farey_distance(t, s) == oracle_target_fold(s, t), (t, s)
+
+    def test_threads_sharing_the_held_slot(self):
+        # every thread holds its own first slope; whichever completion the
+        # slot holds when a thread reads it, the distance is right
+        rng = random.Random(41)
+        rows = [(random_slope(rng, 10**9), [random_slope(rng, 10**9) for _ in range(300)])
+                for _ in range(4)]
+        wrong = []
+
+        def sweep(s, targets):
+            for _ in range(5):
+                for t in targets:
+                    if farey_distance(s, t) != oracle_target_fold(s, t):
+                        wrong.append((s, t))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=sweep, args=row) for row in rows]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not wrong, wrong[:5]
 
     def test_memory_stays_bounded(self):
         rng = random.Random(5)
