@@ -17,6 +17,7 @@ import math
 import operator
 import random
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -55,7 +56,7 @@ from .words import (
     random_word,
 )
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def json_text(payload: dict) -> str:
@@ -572,12 +573,18 @@ def build_boundary_pA() -> BoundaryAutomorphism:
 # the two-parameter orbit grid
 
 
-def _grid_values(
-    radius_r: tuple[int, int], radius_k: int
-) -> tuple[dict[int, tuple[int, ...]], dict, Word, BoundaryAutomorphism]:
+# the |k| by which every row of this psi meets a step premise (``_grid_row``)
+_DEPTH = 2
+
+
+def _grid_values(radius_r: tuple[int, int], radius_k: int) -> tuple[
+    dict[int, tuple[int, ...]], dict[int, tuple], Word, BoundaryAutomorphism, Iterator
+]:
     """Factor invariants over the orbit grid psi^r ad_b^k(<x>), as
-    {r: the values at k = -radius_k..radius_k}, and the exponent sums of
-    psi^r(x) by r, read off certified ends of psi^r(x).
+    {r: the values at k = -radius_k..radius_k} for r in radius_r; the
+    certified ends of psi^r(x), with its letter counts, by r in radius_r
+    (``_orbit_ends``); b, psi; and the walk of the ends of psi^r(x) for
+    r past radius_r, which goes on to the first repeated key.
 
     Certificate, checked on every call: psi and psi^-1 are positive
     substitutions on {x, y} and {x, Y} (``_positive_substitution``), so
@@ -585,26 +592,26 @@ def _grid_values(
     on windows (``_orbit_ends``) without building w.
 
     Each row r is evaluated on windows only at |k| <= depth =
-    min(2, radius_k), and beyond that by the b-conjugation step
+    min(_DEPTH, radius_k), and beyond that by the b-conjugation step
     (``_grid_row``).  A window evaluation never guesses:
     ``_cyclic_value_from_ends`` returns the exact value and end letters
     or raises.  The windows hold (2 depth + 1)|b| letters, independent of
     the radius, and depth 2 decides every row of this psi; a row whose
-    step premise still fails there raises.  Rows with equal ends share
-    one evaluation and one tuple (a value reads ``hidden`` only through
-    its truth value); ``_pair_classes`` merges equal rows by value.
+    step premise still fails there raises.  A row depends only on its key
+    (head, hidden > 0, tail), so rows with equal keys share one evaluation
+    and one tuple; ``_pair_classes`` merges equal rows by value.
     """
     psi = build_boundary_pA()
     b = boundary_word(2)
     bl, binv = b.letters, b.inverse().letters
     lo_r, hi_r = radius_r
-    depth = min(2, radius_k)
+    depth = min(_DEPTH, radius_k)
     window = (2 * depth + 1) * len(bl)
-    ends = {
-        sign * r: end
-        for chain, sign, steps in ((psi.inverse_chain, -1, -lo_r), (psi.chain, 1, hi_r))
-        for r, end in enumerate(_orbit_ends(_positive_substitution(chain), steps, window))
-    }
+    ends = {}
+    # psi's walk comes last, so ``walk`` goes on from r = hi_r + 1
+    for chain, sign, steps in ((psi.inverse_chain, -1, -lo_r), (psi.chain, 1, hi_r)):
+        walk = _orbit_ends(_positive_substitution(chain), steps, window)
+        ends.update((sign * r, end) for r, end in zip(range(steps + 1), walk))
     rows = {}
     values = {}
     for r in range(lo_r, hi_r + 1):
@@ -613,8 +620,7 @@ def _grid_values(
         if key not in rows:
             rows[key] = _grid_row(head, hidden, tail, depth, radius_k, bl, binv)
         values[r] = rows[key]
-    sums = {r: (c.get(1, 0), c.get(2, 0) - c.get(-2, 0)) for r, (*_, c) in ends.items()}
-    return values, sums, b, psi
+    return values, ends, b, psi, walk
 
 
 def _grid_row(head, hidden, tail, depth, radius_k, bl, binv) -> tuple[int, ...]:
@@ -651,16 +657,22 @@ def _grid_row(head, hidden, tail, depth, radius_k, bl, binv) -> tuple[int, ...]:
     with no b block and with one more b^-1 block than u_k:
     value(k-1) = value(k) - 1.
 
-    So each side is evaluated on windows from k = 0 outwards until the
-    premise holds, and every later value is one addition.  A side whose
-    premise fails at every |k| <= depth is whole only if depth =
-    radius_k (every value a window evaluation), and raises otherwise.  The premise is
-    read off the end letters that the window evaluation returns, which
-    are exact, so no value is extrapolated without it.
+    So k = 0 is evaluated on windows once, each side from there outwards
+    until the premise holds, and every later value is one addition.  The
+    two sides share the value and end letters at k = 0 and differ only in
+    the premise they test.  A side whose premise fails at every |k| <=
+    depth is whole only if radius_k <= depth (every value a window
+    evaluation), and raises otherwise.  The premise is read off the end
+    letters that the window evaluation returns, which are exact, so no
+    value is extrapolated without it.
     """
-    row = {}
+    at_zero = _cyclic_value_from_ends(head, hidden, tail, (), (), bl, binv)
+    row = {0: at_zero[0]}
     for block, inverse, sign in ((bl, binv, 1), (binv, bl, -1)):
-        for j in range(radius_k + 1):
+        value, first, last = at_zero
+        j = 0
+        while (first == -block[-1] or last == block[-1]) and j < radius_k:
+            j += 1
             if j > depth:
                 raise InternalContradictionError(
                     f"no b-conjugation step by |k| = {depth}: the grid row "
@@ -670,8 +682,6 @@ def _grid_row(head, hidden, tail, depth, radius_k, bl, binv) -> tuple[int, ...]:
                 head, hidden, tail, block * j, inverse * j, bl, binv
             )
             row[sign * j] = value
-            if first != -block[-1] and last != block[-1]:
-                break
         for j in range(j + 1, radius_k + 1):
             value += sign
             row[sign * j] = value
@@ -790,12 +800,13 @@ def exp_quasiflat(radius: int = 8) -> ExperimentReport:
     and the letter counts of psi^r(x), which is never built.
     """
     R = radius
-    values, sums, b, psi = _grid_values((-R, R), R)
+    values, ends, b, psi, _ = _grid_values((-R, R), R)
     x = Word((1,), 2)
     _check_path(_PSI_PATH, x, psi.x_image)
     _check_path(_AD_PATH, x, ad(b, x))
     c0 = max(1, len(_PSI_PATH) - 1, len(_AD_PATH) - 1)
-    slopes = [Slope(*sums[r]) for r in range(-R, R + 1)]
+    counts = [ends[r][3] for r in range(-R, R + 1)]
+    slopes = [Slope(c.get(1, 0), c.get(2, 0) - c.get(-2, 0)) for c in counts]
     report = ExperimentReport(
         "quasiflat",
         {"rank": 2, "b": format_word(b), "grid_radius": R},
@@ -836,8 +847,7 @@ def exp_quasiflat(radius: int = 8) -> ExperimentReport:
     num = n * sum_ml - sum_m * sum_l
     num_0 = sum_mm * sum_l - sum_m * sum_ml
     # cover = the largest den * (c * m - l) over the pairs (at least 0) / den;
-    # at each m it is largest at the least l.  So no pair lies below the
-    # line c * m - cover, and pairs_below_line is 0 by construction.
+    # at each m it is largest at the least l
     cover = max(0, max(num * m - den * l for m, l in enumerate(envelope, 1)))
     pure_psi = dstep[1 : R + 1]
     strictly_increasing = all(
@@ -850,7 +860,6 @@ def exp_quasiflat(radius: int = 8) -> ExperimentReport:
         "cover_constant": cover / den,
         "lower_envelope": envelope,
         "pairs": n,
-        "pairs_below_line": 0,
         "pairs_above_upper_bound": above_upper,
         "pure_psi_distances": pure_psi,
         "pure_psi_strictly_increasing": strictly_increasing,
@@ -863,47 +872,69 @@ def exp_quasiflat(radius: int = 8) -> ExperimentReport:
 
 
 def exp_twist_stability(radius: int = 8) -> ExperimentReport:
-    """Displacement of the invariant under psi powers at fixed conjugation depth.
+    """Displacement of the invariant under psi powers at fixed conjugation
+    depth, and its exact supremum over the whole half-plane.
 
-    Measures |value(r, k) - value(0, k)| over r in [0, radius], k in
-    [-radius, radius]; the running maximum over r must stop growing by
-    r = radius // 2 for every k.  Values come from ``_grid_values``.
+    The trials list |value(r, k) - value(0, k)| for r in [0, radius] and
+    k in [-radius, radius], with values from ``_grid_values``.  The
+    summary holds sup_displacement, the supremum of that displacement
+    over every r >= 0 and every integer k, and rows_repeat_from, the first
+    r whose end-window key repeats an earlier one.  The certificate:
+
+    - A row depends only on its key (head, hidden > 0, tail), the end
+      windows of psi^r(x); ``_grid_values`` shares rows on this fact.
+    - Every image of psi is non-empty, so once the word is longer than
+      both windows, the next key is a function of the current one, and
+      before that the head is the whole word (``_orbit_ends``).  So the
+      first repeated key proves that every later row is one that has
+      already been evaluated: the rows r < rows_repeat_from are all the
+      rows.
+    - By the step lemma, which ``_grid_row`` proves and checks by |k| =
+      depth (every row here reaches |k| = depth + 1, so a failed premise
+      raises at every radius), each row has slope +-1 beyond |k| = depth:
+      value(r, k + 1) = value(r, k) + 1 for k >= depth and value(r, k - 1)
+      = value(r, k) - 1 for k <= -depth.  So the displacement is constant
+      there, and its maximum over the distinct rows at |k| <= depth + 1
+      is the supremum over the whole half-plane.
+
+    The supremum is a finite maximum, so the report has no violations; a
+    certificate that cannot be completed raises instead.  The rows
+    r <= radius come from one ``_grid_values`` call at |k| <= max(radius,
+    depth + 1); past the radius only the end windows are walked, and a row
+    first met there is evaluated at |k| <= depth + 1 only.
     """
     R = radius
-    values, _, b, _ = _grid_values((0, R), R)
+    width = max(R, _DEPTH + 1)
+    values, ends, b, _, walk = _grid_values((0, R), width)
+    ends.update(zip(itertools.count(R + 1), walk))
     report = ExperimentReport(
         "twist-stability",
         {"rank": 2, "b": format_word(b), "radius": R},
     )
-    threshold = max(1, R // 2)
-    overall = 0
-    settle_by_k = {}
+    rs = list(range(R + 1))  # one int object per r, shared by the columns
     for k in range(-R, R + 1):
-        running = 0
-        settle = 0
-        for r in range(0, R + 1):
-            value = values[r][k + R]
-            disp = abs(value - values[0][k + R])
-            if disp > running:
-                running = disp
-                settle = r
-            report.trials.append(
-                {
-                    "r": r,
-                    "k": k,
-                    "value": value,
-                    "displacement": disp,
-                }
-            )
-        overall = max(overall, running)
-        settle_by_k[str(k)] = settle
-        if settle > threshold:
-            report.violations += 1
+        column = [values[r][k + width] for r in rs]
+        report.trials.extend(
+            {"r": r, "k": k, "value": value, "displacement": abs(value - column[0])}
+            for r, value in zip(rs, column)
+        )
+    bl, binv = b.letters, b.inverse().letters
+    near = slice(width - _DEPTH - 1, width + _DEPTH + 2)
+    rows = {}
+    for r in itertools.count():
+        head, hidden, tail, _ = ends[r]
+        key = head, hidden > 0, tail
+        if key in rows:
+            break
+        if r <= R:
+            rows[key] = values[r][near]
+        else:
+            rows[key] = _grid_row(*key, _DEPTH, _DEPTH + 1, bl, binv)
     report.summary = {
-        "empirical_bound": overall,
-        "settle_threshold": threshold,
-        "settle_by_k": settle_by_k,
-        "settle_at_k0": settle_by_k["0"],
+        "sup_displacement": max(
+            abs(v - v0) for row in rows.values() for v, v0 in zip(row, values[0][near])
+        ),
+        "rows_repeat_from": r,
     }
     return report
 

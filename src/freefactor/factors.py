@@ -513,13 +513,13 @@ def _cyclic_value_from_ends(
     head, hidden, tail, bk, bk_inv, bl, binv
 ) -> tuple[int, int, int]:
     """The invariant of <b^k w b^-k> read off the ends of a reduced w (see
-    ``words._orbit_ends``): the value of ``_cyclic_invariant``, from
-    junction cancellation, the peel and the b or b^-1 blocks the
-    conjugator starts with, with no Word built; then the first and the
-    last letter of the reduced b^k w b^-k.  Raise
-    InternalContradictionError rather than guess if the peel reaches a
-    window edge (as it does when a junction eats a whole window: the b^k
-    and b^-k left on the two sides peel off each other), or if the
+    ``words._orbit_ends``; ``hidden`` is read only as a truth value): the
+    value of ``_cyclic_invariant``, from junction cancellation, the peel
+    and the b or b^-1 blocks the conjugator starts with, with no Word
+    built; then the first and the last letter of the reduced b^k w b^-k.
+    Raise InternalContradictionError rather than guess if the peel
+    reaches a window edge (as it does when a junction eats a whole window:
+    the b^k and b^-k left on the two sides peel off each other), or if the
     conjugator is empty and the core may be a b-power (its first |b|
     letters, repeated if it is shorter, unknown or b^+-1).
     """
@@ -530,8 +530,7 @@ def _cyclic_value_from_ends(
         hidden and len(left) < m or (g * m)[:m] in (bl, binv)
     ):
         raise InternalContradictionError(
-            f"the {len(head)}-letter ends of a {len(head) + hidden + len(tail)}"
-            "-letter word cannot decide a grid value"
+            f"the {len(head)}-letter ends of a word cannot decide a grid value"
         )
     value = _leading_power(g, bl, i // m) or -_leading_power(g, binv, i // m)
     return value, g[0], g[-1]

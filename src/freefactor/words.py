@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import neg
@@ -394,17 +395,27 @@ def _positive_substitution(chain) -> dict[int, tuple[int, ...]]:
     )
 
 
-def _orbit_ends(images: dict, steps: int, window: int) -> list[tuple]:
-    """(head, hidden, tail, letter counts) of sigma^r(x), r = 0..steps, for
-    the positive substitution sigma = ``images``.  A word longer than
-    2 * window keeps window letters at each end and counts the rest as
-    ``hidden``; a shorter one is all ``head``.  No image is empty and
+def _orbit_ends(images: dict, steps: int, window: int) -> Iterator[tuple]:
+    """Yield (head, hidden, tail, letter counts) of sigma^r(x), r = 0, 1,
+    ..., for the positive substitution sigma = ``images``.  A word longer
+    than 2 * window keeps window letters at each end and counts the rest
+    as ``hidden``; a shorter one is all ``head``.  No image is empty and
     nothing cancels, so the ends of sigma(w) are those of sigma applied to
     the ends of w, and the counts go through sigma's count matrix.
+
+    The walk runs to r = steps, and on past it, for a caller that reads
+    on, until the key (head, hidden > 0, tail) of some r repeats an
+    earlier one; that entry is the last.  The key of sigma(w) is a
+    function of the key of w: a word of at most 2 * window letters is its
+    head, and once longer, the images of its window-letter ends hold at
+    least window letters each and its image is longer still.  So from the
+    first repeated key on, the keys cycle.  Past steps only the windows
+    are walked: an entry there has no counts (None), and its hidden is
+    only whether the word is longer than 2 * window.
     """
     head, tail, counts = (1,), (), {1: 1}
-    ends = []
-    for r in range(steps + 1):
+    seen = set()
+    for r in itertools.count():
         if r:
             head, tail = (
                 tuple(itertools.chain.from_iterable(map(images.__getitem__, seq)))
@@ -413,12 +424,18 @@ def _orbit_ends(images: dict, steps: int, window: int) -> list[tuple]:
             counts = {
                 a: sum(n * images[c].count(a) for c, n in counts.items())
                 for a in images
-            }
-        hidden = max(0, sum(counts.values()) - 2 * window)
+            } if r <= steps else None
+        if counts:
+            hidden = max(0, sum(counts.values()) - 2 * window)
+        else:
+            hidden = bool(tail) or len(head) > 2 * window
         if hidden:
             head, tail = head[:window], (tail or head)[-window:]
-        ends.append((head, hidden, tail, counts))
-    return ends
+        yield head, hidden, tail, counts
+        key = head, hidden > 0, tail
+        if r >= steps and key in seen:
+            return
+        seen.add(key)
 
 
 def random_word(length: int, rank: int, seed) -> Word:

@@ -16,6 +16,7 @@ from freefactor import (
     run_experiment,
 )
 from freefactor.cli import main
+from freefactor.experiments import SCHEMA_VERSION
 
 # Small CLI flags per experiment, and the run_experiment keywords they mean.
 SMALL_RUNS = {
@@ -180,7 +181,7 @@ class TestJsonOutput:
         code, _, _ = run(capsys, "classify", "--n", "2", "xyXY", "--out", str(path))
         assert code == 0
         data = json.loads(path.read_text())
-        assert data["schema_version"] == 4
+        assert data["schema_version"] == SCHEMA_VERSION
         assert data["verdict"] == "Filling"
         assert data["minimized"] == "xyXY"
         assert data["length_trace"] == [4]

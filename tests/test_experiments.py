@@ -2,8 +2,8 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,7 @@ from freefactor.farey import exponent_sums
 from freefactor.words import _orbit_ends, _positive_substitution
 from freefactor.whitehead import _random_multiplier_move, vertex_order
 
-from conftest import W, psi_power
+from conftest import W, oracle_quasiflat_pairs, psi_power
 
 DATA = Path(__file__).parent / "data"
 
@@ -108,8 +108,9 @@ QUASIFLAT_DIGESTS = [
 ]
 
 
-# sha256 of the schema-4 reports at radius 16, whose schema_3_digest matched
-# the grid that materialised every psi^r(x).
+# sha256 of the schema-4 reports at radius 16 (``sha256`` hashes a report's
+# schema-4 bytes), whose schema_3_digest matched the grid that materialised
+# every psi^r(x).
 RADIUS_16_DIGESTS = {
     "twist-stability": "7367199a499b824b943bdcedc1ed93e5d95cb252fd789e3939c61b44b37541de",
     "quasiflat": "e75e6f7bbf04d09b680d2dfe057bc56c7fcb6e73387ed8b31510c4b2bdfe890a",
@@ -191,19 +192,70 @@ def oracle_json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def oracle_twist_summary(report) -> dict:
+    """The verdict that twist-stability's supremum certificate replaced,
+    recomputed from its trials: the running maximum of the displacement
+    over r for each k, the r at which it last grew, and a violation for
+    each k where that r exceeds max(1, radius // 2)."""
+    radius = report.parameters["radius"]
+    threshold = max(1, radius // 2)
+    displacement = {(t["r"], t["k"]): t["displacement"] for t in report.trials}
+    overall, settle_by_k, violations = 0, {}, 0
+    for k in range(-radius, radius + 1):
+        running = settle = 0
+        for r in range(radius + 1):
+            if displacement[r, k] > running:
+                running, settle = displacement[r, k], r
+        overall = max(overall, running)
+        settle_by_k[str(k)] = settle
+        violations += settle > threshold
+    return {
+        "summary": {
+            "empirical_bound": overall,
+            "settle_threshold": threshold,
+            "settle_by_k": settle_by_k,
+            "settle_at_k0": settle_by_k["0"],
+        },
+        "violations": violations,
+    }
+
+
+def schema_4_dict(report) -> dict:
+    """``report`` as schema 4 wrote it.
+
+    Schema 5 changed only twist-stability's summary, which had the
+    running-max verdict (``oracle_twist_summary``) where it now has
+    sup_displacement and rows_repeat_from, and dropped quasiflat's
+    pairs_below_line, which was always 0; every other byte is the same.
+    """
+    data = report.to_json_dict()
+    data["schema_version"] = 4
+    if report.name == "quasiflat":
+        data["summary"] = {**data["summary"], "pairs_below_line": 0}
+    if report.name == "twist-stability":
+        assert set(data["summary"]) == {"sup_displacement", "rows_repeat_from"}
+        data.update(oracle_twist_summary(report))
+    return data
+
+
+def schema_4_text(report) -> str:
+    return experiments.json_text(schema_4_dict(report))
+
+
 def sha256(report) -> str:
-    return hashlib.sha256(report.to_json().encode()).hexdigest()
+    """The digest of ``report`` as schema 4 wrote it."""
+    return hashlib.sha256(schema_4_text(report).encode()).hexdigest()
 
 
 def schema_3_digest(report) -> str:
     """The digest that a schema-3 pin recorded for ``report``.
 
     Schema 4 changed only schema_version and quasiflat's least-squares
-    fields, and added quasiflat's lower_envelope, so every other byte must
-    match.  Quasiflat's schema-3 pins hashed the report without its
-    least-squares fields and without the final newline.
+    fields, and added quasiflat's lower_envelope, so every other byte of
+    the schema-4 report must match.  Quasiflat's schema-3 pins hashed the
+    report without its least-squares fields and without the final newline.
     """
-    data = report.to_json_dict()
+    data = schema_4_dict(report)
     data["schema_version"] = 3
     text = experiments.json_text(data)
     if report.name == "quasiflat":
@@ -211,38 +263,6 @@ def schema_3_digest(report) -> str:
             del data["summary"][key]
         text = json.dumps(data, sort_keys=True, indent=2)
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def oracle_quasiflat_pairs(report, c0: int) -> dict:
-    """The per-pair loop that exp_quasiflat's pair classes replaced, run on
-    the grid values and slopes of its report, with the least-squares line
-    and its cover from exact Fraction moments of the pairs."""
-    points = [(t["r"], t["k"], t["value"], Slope.from_string(t["slope"])) for t in report.trials]
-    ms, lowers = [], []
-    for idx, (r1, k1, v1, s1) in enumerate(points):
-        for r2, k2, v2, s2 in points[idx + 1 :]:
-            lowers.append(max((abs(v1 - v2) + 1) // 2, farey_distance(s1, s2)))
-            ms.append(abs(r1 - r2) + abs(k1 - k2))
-    n = len(ms)
-    mean_m, mean_l = Fraction(sum(ms), n), Fraction(sum(lowers), n)
-    var_m = Fraction(sum(m * m for m in ms), n) - mean_m**2
-    cov = Fraction(sum(m * l for m, l in zip(ms, lowers)), n) - mean_m * mean_l
-    c = cov / var_m
-    intercept = mean_l - c * mean_m
-    cover = max(0, max(c * m - l for m, l in set(zip(ms, lowers))))
-    envelope = {}
-    for m, l in zip(ms, lowers):
-        envelope[m] = min(l, envelope.get(m, l))
-    return {
-        "fit_slope": float(c),
-        "fit_intercept": float(intercept),
-        "cover_constant": float(cover),
-        "lower_envelope": [envelope[m] for m in range(1, max(ms) + 1)],
-        "pairs": n,
-        "pairs_below_line": sum(1 for m, l in zip(ms, lowers) if l < c * m - cover),
-        "pairs_above_upper_bound": sum(1 for m, l in zip(ms, lowers) if l > c0 * m),
-        "polyfit": np.polyfit(np.array(ms, dtype=float), np.array(lowers, dtype=float), 1),
-    }
 
 
 def oracle_grid_values(radius_r, radius_k):
@@ -286,18 +306,25 @@ def oracle_window_grid(radius_r, radius_k):
         for r in range(lo_r, hi_r + 1)
         for k in power
     }
-    sums = {r: (c.get(1, 0), c.get(2, 0) - c.get(-2, 0)) for r, (*_, c) in ends.items()}
-    return values, sums
+    return values, counted_sums(ends, radius_r)
+
+
+def counted_sums(ends, radius_r) -> dict:
+    """The exponent sums of psi^r(x) by r in radius_r, read off the letter
+    counts of its ends {r: (head, hidden, tail, counts)}."""
+    lo_r, hi_r = radius_r
+    counts = {r: ends[r][3] for r in range(lo_r, hi_r + 1)}
+    return {r: (c.get(1, 0), c.get(2, 0) - c.get(-2, 0)) for r, c in counts.items()}
 
 
 def grid_points(radius_r, radius_k):
     """_grid_values as {(r, k): value} and the exponent sums by r."""
-    rows, sums, _, _ = _grid_values(radius_r, radius_k)
+    rows, ends, *_ = _grid_values(radius_r, radius_k)
     return {
         (r, k): value
         for r, row in rows.items()
         for k, value in zip(range(-radius_k, radius_k + 1), row)
-    }, sums
+    }, counted_sums(ends, radius_r)
 
 
 def pair_class_counts(grid, dstep: list[int]) -> dict:
@@ -360,7 +387,8 @@ def oracle_pair_loop(grid, dstep: list[int]) -> dict:
 
 def orbit_grid(radius: int) -> tuple[list[tuple[int, ...]], list[int]]:
     """The quasiflat grid and Farey row of exp_quasiflat at ``radius``."""
-    rows, sums, _, _ = _grid_values((-radius, radius), radius)
+    rows, ends, *_ = _grid_values((-radius, radius), radius)
+    sums = counted_sums(ends, (-radius, radius))
     span = range(-radius, radius + 1)
     slopes = [Slope(*sums[r]) for r in span]
     return (
@@ -600,7 +628,8 @@ class TestQuasiflat:
         report = exp_quasiflat(3)
         assert report.violations == 0
         assert report.summary["fit_slope"] > 0
-        assert report.summary["pairs_below_line"] == 0
+        assert "pairs_below_line" not in report.summary
+        assert oracle_quasiflat_pairs(report, 3)["pairs_below_line"] == 0
         assert report.summary["pure_psi_strictly_increasing"]
         assert report.summary["psi_path"] == ["x", "xy"]
         # values track the conjugation depth to within 1 (a junction letter
@@ -629,6 +658,7 @@ class TestQuasiflat:
         report = exp_quasiflat(radius)
         expected = oracle_quasiflat_pairs(report, report.summary["upper_bound_unit"])
         slope, intercept = expected.pop("polyfit")
+        assert expected.pop("pairs_below_line") == 0
         assert {key: report.summary[key] for key in expected} == expected
         assert report.summary["fit_slope"] == pytest.approx(slope, rel=1e-12)
         assert report.summary["fit_intercept"] == pytest.approx(intercept, rel=1e-12)
@@ -937,12 +967,129 @@ class TestJsonText:
             experiments.json_text(value)
 
 
+def largest_displacement(values) -> int:
+    """max |value(r, k) - value(0, k)| over a grid {(r, k): value}."""
+    return max(abs(value - values[0, k]) for (_, k), value in values.items())
+
+
+def first_repeated_key(ends) -> int:
+    """The first r whose key (head, hidden > 0, tail) repeats an earlier one."""
+    keys = [(head, hidden > 0, tail) for head, hidden, tail, _ in ends]
+    return next(r for r, key in enumerate(keys) if key in keys[:r])
+
+
 class TestTwistStability:
     def test_zero_displacement_growth(self):
         report = exp_twist_stability(4)
         assert report.violations == 0
-        assert report.summary["settle_at_k0"] <= 2
-        assert report.summary["empirical_bound"] >= 0
+        assert report.summary == {"sup_displacement": 0, "rows_repeat_from": 6}
+
+    def test_supremum_matches_materialised_windows(self):
+        # both oracles reach past the first repeated key, the materialising
+        # one to 75,025-letter words, the window one to r = k = 40
+        materialised = largest_displacement(oracle_grid_values((0, 12), 12)[0])
+        windows = largest_displacement(oracle_window_grid((0, 40), 40)[0])
+        for radius in range(1, 17):
+            summary = exp_twist_stability(radius).summary
+            assert summary["rows_repeat_from"] < 12
+            assert summary["sup_displacement"] == materialised == windows, radius
+
+    def test_rows_repeat_from_is_the_first_repeated_key(self):
+        images = _positive_substitution(build_boundary_pA().chain)
+        expected = first_repeated_key(_orbit_ends(images, 12, 20))
+        assert expected == 6
+        for radius in [*range(1, 17), 64]:
+            assert exp_twist_stability(radius).summary["rows_repeat_from"] == expected
+
+    def test_walk_past_steps_follows_the_counted_walk(self):
+        # past steps only the windows are walked, to the first repeated key,
+        # and the keys are those of the walk that counts every letter
+        psi = build_boundary_pA()
+        for chain in (psi.chain, psi.inverse_chain):
+            images = _positive_substitution(chain)
+            for window in (1, 4, 12, 20, 52):
+                counted = list(_orbit_ends(images, 16, window))
+                repeat = first_repeated_key(counted)
+                for steps in range(10):
+                    ends = list(_orbit_ends(images, steps, window))
+                    assert len(ends) == max(steps, repeat) + 1
+                    assert ends[: steps + 1] == counted[: steps + 1]
+                    for end, full in zip(ends[steps + 1 :], counted[steps + 1 :]):
+                        assert end[3] is None
+                        assert (end[0], end[1] > 0, end[2]) == (full[0], full[1] > 0, full[2])
+
+    def test_walks_go_past_the_radius_only_for_the_certificate(self, monkeypatch):
+        # the walk is lazy: quasiflat reads each side to R, twist-stability
+        # reads psi^-1 at r = 0 only and psi on to its first repeated key
+        orbit_ends, pulled = experiments._orbit_ends, []
+
+        def counted(images, steps, window):
+            pulled.append(0)
+            for end in orbit_ends(images, steps, window):
+                pulled[-1] += 1
+                yield end
+
+        monkeypatch.setattr(experiments, "_orbit_ends", counted)
+        for radius in (1, 3, 6, 9):
+            pulled.clear()
+            exp_quasiflat(radius)
+            assert pulled == [radius + 1, radius + 1]
+            pulled.clear()
+            exp_twist_stability(radius)
+            assert pulled == [1, max(radius, 6) + 1]
+
+    def test_supremum_reads_rows_past_the_radius(self, monkeypatch):
+        # shift every value of the rows whose words outgrow the 20-letter
+        # windows, first met at r = 5: the rows r <= radius of a small
+        # radius do not show it, the certificate's rows do
+        value_from_ends = experiments._cyclic_value_from_ends
+
+        def shifted(head, hidden, tail, *rest):
+            value, first, last = value_from_ends(head, hidden, tail, *rest)
+            return value + (hidden > 0), first, last
+
+        monkeypatch.setattr(experiments, "_cyclic_value_from_ends", shifted)
+        for radius in (1, 2, 4, 5, 8):
+            report = exp_twist_stability(radius)
+            shown = max(t["displacement"] for t in report.trials)
+            assert shown == (radius >= 5)
+            assert report.summary == {"sup_displacement": 1, "rows_repeat_from": 6}
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_unmet_premise_exits_3_at_small_radius(
+        self, monkeypatch, capsys, tmp_path, radius
+    ):
+        # the certificate's rows reach |k| = 3, so the step premise is
+        # checked by |k| = 2 at every radius
+        bl = boundary_word(2).letters
+        value_from_ends = experiments._cyclic_value_from_ends
+
+        def unmet(*args):
+            return value_from_ends(*args)[0], bl[0], bl[-1]
+
+        monkeypatch.setattr(experiments, "_cyclic_value_from_ends", unmet)
+        out = tmp_path / "twist.json"
+        argv = ["experiment", "twist-stability", "--radius", str(radius), "--out", str(out)]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "no b-conjugation step" in captured.err
+
+    def test_each_row_evaluates_k0_once(self, monkeypatch):
+        # both sides of a row start from one window evaluation at k = 0
+        value_from_ends = experiments._cyclic_value_from_ends
+        at_zero = Counter()
+
+        def counted(head, hidden, tail, bk, *rest):
+            at_zero[head, hidden > 0, tail] += not bk
+            return value_from_ends(head, hidden, tail, bk, *rest)
+
+        monkeypatch.setattr(experiments, "_cyclic_value_from_ends", counted)
+        for radius in (1, 3, 8):
+            for experiment in (exp_twist_stability, exp_quasiflat):
+                at_zero.clear()
+                experiment(radius)
+                assert at_zero and set(at_zero.values()) == {1}, (experiment, radius)
 
 
 def count_folds(monkeypatch, run) -> int:
@@ -980,7 +1127,8 @@ class TestReports:
     def test_golden_zero_fiber(self):
         report = exp_fzero_fiber(2, k_lo=-3, k_hi=3)
         golden = (DATA / "zero_fiber_golden.json").read_text()
-        assert report.to_json() == golden
+        assert schema_4_text(report) == golden
+        assert report.to_json() == golden.replace('"schema_version": 4', '"schema_version": 5')
 
     @pytest.mark.parametrize(
         "name,kwargs",
