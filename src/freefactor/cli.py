@@ -18,7 +18,7 @@ from .experiments import (
     EXPERIMENT_NAMES,
     EXPERIMENTS,
     SCHEMA_VERSION,
-    json_text,
+    json_pieces,
     run_experiment,
 )
 from .factors import FreeFactorVertex, factor_invariant
@@ -34,7 +34,7 @@ def _emit(args, text: str, payload: dict) -> None:
         if "schema_version" not in payload:  # experiment reports carry it
             payload = {"schema_version": SCHEMA_VERSION, **payload}
         with open(args.out, "w") as fh:
-            fh.write(json_text(payload))
+            fh.writelines(json_pieces(payload))
 
 
 def _cmd_reduce(args) -> int:

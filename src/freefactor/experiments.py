@@ -10,7 +10,6 @@ so every such bound is checked at full strength.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import json
 import math
@@ -18,7 +17,6 @@ import operator
 import random
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 from .errors import (
     DomainError,
@@ -46,6 +44,8 @@ from .whitehead import (
 )
 from .words import (
     Word,
+    _Frozen,
+    _Value,
     _orbit_ends,
     _positive_substitution,
     ad,
@@ -64,18 +64,30 @@ def json_text(payload: dict) -> str:
     sorted keys, two-space indent, a final newline.
 
     The bytes are those of ``json.dumps(payload, sort_keys=True,
-    indent=2) + "\n"``, whose indent makes json fall back to its pure
-    Python encoder.  A report's trial list, most of its bytes, is a list
-    of flat dicts, which the C encoder writes instead (``_trials_text``)
-    into the place of an empty list.  A top-level key is the only text
-    that follows a newline and two spaces, so that place is found once.
+    indent=2) + "\n"``; ``json_pieces`` makes them.
+    """
+    return "".join(json_pieces(payload))
+
+
+def json_pieces(payload: dict) -> Iterator[str]:
+    """The text of ``json_text(payload)`` in pieces, each made when the
+    one before it has been taken, so that a writer holds one at a time.
+
+    json's indent makes it fall back to its pure Python encoder.  A
+    report's trial list, most of its bytes, is a list of flat dicts,
+    which the C encoder writes instead (``_trials_text``) into the place
+    of an empty list.  A top-level key is the only text that follows a
+    newline and two spaces, so that place is found once.
     """
     trials = payload.get("trials") if type(payload) is dict else None
     if not _flat_dicts(trials):
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        yield json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return
     text = json.dumps({**payload, "trials": []}, sort_keys=True, indent=2)
     before, after = text.split('\n  "trials": []')
-    return "".join((before, '\n  "trials": ', *_trials_text(trials), after, "\n"))
+    yield before + '\n  "trials": '
+    yield from _trials_text(trials)
+    yield after + "\n"
 
 
 # the exact types whose JSON text has no newline and no container
@@ -98,32 +110,49 @@ def _flat_dicts(o) -> bool:
     )
 
 
-def _trials_text(trials) -> tuple[str, ...]:
-    """The pieces of ``json.dumps(trials, sort_keys=True, indent=2)``,
+def _trials_text(trials) -> Iterator[str]:
+    """The text of ``json.dumps(trials, sort_keys=True, indent=2)``,
     indented as a top-level value, for trials that ``_flat_dicts``
-    accepts.
+    accepts, in pieces of at most ``_TRIALS_PER_PIECE`` trials.
 
     With members separated by "," + their newline, the C encoder writes
     each dict as its indented text without its first and last line
     break.  Each "},<member newline>{" between two dicts is then moved to
     the list's indent; no encoded string holds a raw newline, so that
     text occurs nowhere else, and no dict is empty, so it never stands
-    for an empty one.
+    for an empty one.  Two pieces meet where two dicts do.
     """
     inner = "\n    "
-    body = _encode_trials(trials).replace(
-        "}," + _MEMBER + "{", inner + "}," + inner + "{" + _MEMBER
-    )[2:-2]
-    return "[", inner, "{", _MEMBER, body, inner, "}", "\n  ]"
+    between = inner + "}," + inner + "{" + _MEMBER
+    yield "[" + inner + "{" + _MEMBER
+    for start in range(0, len(trials), _TRIALS_PER_PIECE):
+        if start:
+            yield between
+        piece = _encode_trials(trials[start : start + _TRIALS_PER_PIECE])
+        yield piece.replace("}," + _MEMBER + "{", between)[2:-2]
+    yield inner + "}\n  ]"
 
 
-@dataclass
-class ExperimentReport:
-    name: str
-    parameters: dict
-    trials: list[dict] = field(default_factory=list)
-    violations: int = 0
-    summary: dict = field(default_factory=dict)
+# about 370 kB of text per piece of orbit-grid trials
+_TRIALS_PER_PIECE = 4096
+
+
+class ExperimentReport(_Value):
+    _fields = ("name", "parameters", "trials", "violations", "summary")
+
+    def __init__(
+        self,
+        name: str,
+        parameters: dict,
+        trials: list[dict] | None = None,
+        violations: int = 0,
+        summary: dict | None = None,
+    ):
+        self.name = name
+        self.parameters = parameters
+        self.trials = [] if trials is None else trials
+        self.violations = violations
+        self.summary = {} if summary is None else summary
 
     def to_json_dict(self) -> dict:
         return {
@@ -495,8 +524,7 @@ def _find_second_minimizing_basis(
 # boundary-fixing automorphism of the one-holed torus
 
 
-@dataclass(frozen=True)
-class BoundaryAutomorphism:
+class BoundaryAutomorphism(_Frozen):
     """Automorphism fixing the genus-one boundary word, with certificates.
 
     Built as the composite of two verified boundary-fixing twist moves; the
@@ -506,11 +534,21 @@ class BoundaryAutomorphism:
     the report states them as constants.
     """
 
-    x_image: Word
-    y_image: Word
-    homology: tuple[tuple[int, int], tuple[int, int]]
-    chain: tuple[WhAutomorphism, ...]
-    inverse_chain: tuple[WhAutomorphism, ...]
+    _fields = ("x_image", "y_image", "homology", "chain", "inverse_chain")
+
+    def __init__(
+        self,
+        x_image: Word,
+        y_image: Word,
+        homology: tuple[tuple[int, int], tuple[int, int]],
+        chain: tuple[WhAutomorphism, ...],
+        inverse_chain: tuple[WhAutomorphism, ...],
+    ):
+        object.__setattr__(self, "x_image", x_image)
+        object.__setattr__(self, "y_image", y_image)
+        object.__setattr__(self, "homology", homology)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "inverse_chain", inverse_chain)
 
     def to_json_dict(self) -> dict:
         return {
@@ -973,8 +1011,10 @@ def exp_boundary_length(rank: int = 4) -> ExperimentReport:
 
 
 def _parameters(fn) -> dict:
-    """The parameters of fn with their defaults, in signature order."""
-    return {p.name: p.default for p in inspect.signature(fn).parameters.values()}
+    """The parameters of fn with their defaults, in signature order.
+    Every parameter of an experiment has a default, so the two line up."""
+    code = fn.__code__
+    return dict(zip(code.co_varnames[: code.co_argcount], fn.__defaults__, strict=True))
 
 
 # name -> (function, the parameters run_experiment passes it).  Defaults

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import neg
 
@@ -45,6 +44,8 @@ from .whitehead import (
 from .words import (
     GENERATOR_CHARS,
     Word,
+    _Frozen,
+    _as_tuple,
     _leading_power,
     _peel,
     _times,
@@ -223,12 +224,15 @@ def is_basis_pair(u: Word, v: Word) -> bool:
     return ls[i : len(ls) - i] in _BASIS_COMMUTATORS
 
 
-@dataclass(frozen=True)
-class FreeFactorVertex:
+class FreeFactorVertex(_Frozen):
     """A vertex of the free factor graph: a proper, nontrivial free factor."""
 
-    generators: tuple[Word, ...]
-    rank_ambient: int
+    _fields = ("generators", "rank_ambient")
+
+    def __init__(self, generators, rank_ambient: int):
+        object.__setattr__(self, "generators", _as_tuple(generators, "generators"))
+        object.__setattr__(self, "rank_ambient", rank_ambient)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.generators:
@@ -341,8 +345,7 @@ def _check_filling_minimal(b: Word) -> None:
         raise PreconditionError(f"b = {b} is not filling")
 
 
-@dataclass(frozen=True)
-class FactorInvariant:
+class FactorInvariant(_Frozen):
     """The factor invariant, exact: read off the generator of a cyclic
     factor, or off the folded core graph of any other.
 
@@ -353,9 +356,12 @@ class FactorInvariant:
     bound.
     """
 
-    value: int
-    witness: Word
-    samples: int
+    _fields = ("value", "witness", "samples")
+
+    def __init__(self, value: int, witness: Word, samples: int):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "samples", samples)
 
     @property
     def tight(self) -> bool:

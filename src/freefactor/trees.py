@@ -19,25 +19,26 @@ folded core graph (factors.factor_invariant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     AxesEqualError,
     DomainError,
     IdentityWordError,
     RankError,
 )
-from .words import Word, _require_axis_word, cyclic_reduce
+from .words import Word, _Frozen, _require_axis_word, cyclic_reduce
 
 
-@dataclass(frozen=True)
-class AxisInterval:
+class AxisInterval(_Frozen):
     """The interval [lo_position, hi_position] of the axis of ``on_axis_of``,
     with endpoints given as letter positions."""
 
-    on_axis_of: Word
-    lo_position: int
-    hi_position: int
+    _fields = ("on_axis_of", "lo_position", "hi_position")
+
+    def __init__(self, on_axis_of: Word, lo_position: int, hi_position: int):
+        object.__setattr__(self, "on_axis_of", on_axis_of)
+        object.__setattr__(self, "lo_position", lo_position)
+        object.__setattr__(self, "hi_position", hi_position)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.lo_position > self.hi_position:

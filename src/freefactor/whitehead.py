@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 
@@ -60,7 +59,7 @@ from .errors import (
     InternalContradictionError,
     RankError,
 )
-from .words import Word, apply_automorphism, cyclic_reduce, format_word
+from .words import Word, _Frozen, apply_automorphism, cyclic_reduce, format_word
 
 
 @lru_cache(maxsize=None)
@@ -106,8 +105,7 @@ def find_cut_vertex(edges: tuple[tuple[int, ...], ...]) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class WhAutomorphism:
+class WhAutomorphism(_Frozen):
     """A Whitehead automorphism.
 
     ``multiplier`` kind: determined by a letter ``a`` and a set ``Z`` with
@@ -119,11 +117,22 @@ class WhAutomorphism:
     the images of generators 1..rank.
     """
 
-    kind: str
-    rank: int
-    multiplier: int | None = None
-    zset: frozenset[int] | None = None
-    images: tuple[int, ...] | None = None
+    _fields = ("kind", "rank", "multiplier", "zset", "images")
+
+    def __init__(
+        self,
+        kind: str,
+        rank: int,
+        multiplier: int | None = None,
+        zset: frozenset[int] | None = None,
+        images: tuple[int, ...] | None = None,
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "multiplier", multiplier)
+        object.__setattr__(self, "zset", zset)
+        object.__setattr__(self, "images", images)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind == "multiplier":
@@ -292,8 +301,7 @@ def _edge_matrix(core: Word) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
-@dataclass(frozen=True)
-class MinimizationCertificate:
+class MinimizationCertificate(_Frozen):
     """Record of a greedy descent to minimal cyclic length.
 
     Applying ``chain`` to ``input`` and cyclically reducing yields
@@ -303,11 +311,25 @@ class MinimizationCertificate:
     shorter move.
     """
 
-    input: Word
-    minimized: Word
-    chain: tuple[WhAutomorphism, ...]
-    length_trace: tuple[int, ...]
-    edges: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    # edges neither compares, hashes nor shows
+    _fields = ("input", "minimized", "chain", "length_trace")
+
+    def __init__(
+        self,
+        input: Word,
+        minimized: Word,
+        chain: tuple[WhAutomorphism, ...],
+        length_trace: tuple[int, ...],
+        edges: tuple[tuple[int, ...], ...],
+    ):
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "minimized", minimized)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "length_trace", length_trace)
+        object.__setattr__(self, "edges", edges)
+
+    def __reduce__(self):
+        return MinimizationCertificate, (*self._key(self), self.edges)
 
     def to_json_dict(self) -> dict:
         return {

@@ -37,9 +37,8 @@ import itertools
 import random
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
-from operator import neg
+from operator import attrgetter, neg
 
 from .errors import (
     DomainError,
@@ -73,12 +72,75 @@ def free_reduce(letters) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+class _Value:
+    """Equality and repr over the fields named in ``_fields``, in order,
+    as ``dataclasses`` writes them: equal iff of the same class with equal
+    fields, and ``Name(field=value, ...)``.  A subclass sets its fields in
+    its own ``__init__``.  Without ``__hash__`` it is unhashable, as a
+    mutable dataclass is.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls):
+        # _key(v) is the tuple of v's fields
+        if "_fields" in cls.__dict__:
+            cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+
+class _Frozen(_Value):
+    """An immutable ``_Value``: hashed by its fields, refusing assignment
+    and deletion with AttributeError, as a frozen dataclass.  Its
+    ``__init__`` writes the fields past ``__setattr__`` and then calls
+    ``__post_init__`` where it has one.  Copies and pickles are rebuilt
+    by ``__init__`` from ``_fields``, which are its arguments unless the
+    subclass overrides ``__reduce__``.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._key(self)
+
+
+def _as_tuple(items, what: str) -> tuple:
+    """``items`` as a tuple; DomainError if it is not a sequence."""
+    if type(items) is tuple:
+        return items
+    try:
+        return tuple(items)
+    except TypeError:
+        raise DomainError(f"{what} must be a sequence, got {items!r}") from None
+
+
+class Word(_Frozen):
     """A freely reduced word over the rank-``rank`` alphabet."""
 
-    letters: tuple[int, ...]
-    rank: int
+    __slots__ = _fields = ("letters", "rank")
+
+    def __init__(self, letters, rank: int):
+        _set_letters(self, _as_tuple(letters, "letters"))
+        _set_rank(self, rank)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.rank < 2:
@@ -151,7 +213,7 @@ class Word:
 
 
 # The slot descriptors' setters write a frozen Word's two fields directly,
-# without the lookup ``object.__setattr__`` makes per call.
+# past ``_Frozen.__setattr__``.
 _set_letters = Word.letters.__set__
 _set_rank = Word.rank.__set__
 
@@ -224,12 +286,14 @@ def format_word(w: Word) -> str:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class CyclicDecomposition:
+class CyclicDecomposition(_Frozen):
     """w == conjugator * core * conjugator^-1 with the core cyclically reduced."""
 
-    conjugator: Word
-    core: Word
+    __slots__ = _fields = ("conjugator", "core")
+
+    def __init__(self, conjugator: Word, core: Word):
+        object.__setattr__(self, "conjugator", conjugator)
+        object.__setattr__(self, "core", core)
 
 
 def cyclic_reduce(w: Word) -> CyclicDecomposition:
@@ -262,13 +326,15 @@ def _peel(ls: tuple[int, ...]) -> int:
     return i
 
 
-@dataclass(frozen=True, slots=True)
-class BReducedDecomposition:
+class BReducedDecomposition(_Frozen):
     """w == b^k * core * b^-k as reduced words, with |k| maximal."""
 
-    k: int
-    core: Word
-    b: Word
+    __slots__ = _fields = ("k", "core", "b")
+
+    def __init__(self, k: int, core: Word, b: Word):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "b", b)
 
 
 def _require_axis_word(b: Word) -> None:

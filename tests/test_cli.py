@@ -16,7 +16,7 @@ from freefactor import (
     run_experiment,
 )
 from freefactor.cli import main
-from freefactor.experiments import SCHEMA_VERSION
+from freefactor.experiments import EXPERIMENTS, SCHEMA_VERSION, _parameters
 
 # Small CLI flags per experiment, and the run_experiment keywords they mean.
 SMALL_RUNS = {
@@ -188,14 +188,15 @@ class TestJsonOutput:
 
     @pytest.mark.parametrize("argv", OUT_RUNS, ids=" ".join)
     def test_same_bytes_as_json_dumps(self, capsys, monkeypatch, tmp_path, argv):
+        # the report is written piece by piece, from one json_pieces call
         payloads = []
-        encode = freefactor.cli.json_text
+        encode = freefactor.cli.json_pieces
 
         def recorded(payload):
             payloads.append(payload)
             return encode(payload)
 
-        monkeypatch.setattr(freefactor.cli, "json_text", recorded)
+        monkeypatch.setattr(freefactor.cli, "json_pieces", recorded)
         path = tmp_path / "report.json"
         code, _, _ = run(capsys, *argv, "--out", str(path))
         assert code == 0 and len(payloads) == 1
@@ -280,10 +281,14 @@ class TestHighRanks:
 
 class TestNoNumpy:
     def test_commands_run_without_numpy(self, tmp_path):
-        # a fresh interpreter: numpy loads only with the FareyGraph oracle
+        # a fresh interpreter: numpy loads only with the FareyGraph oracle,
+        # and neither dataclasses nor inspect (with its ast, dis and
+        # tokenize) at all; judged against what was loaded before the
+        # package, so that a site hook that loads one of them does not count
         script = f"""
 import sys
-import freefactor.cli
+before = set(sys.modules)
+import freefactor, freefactor.cli
 runs = [
     ["classify", "--n", "3", "xyzXYZ"],
     ["index", "--n", "2", "--b", "xyXY", "xyXYx", "--geometric"],
@@ -293,7 +298,8 @@ runs = [
 ]
 for argv in runs:
     assert freefactor.cli.main(argv) == 0, argv
-assert "numpy" not in sys.modules, "numpy imported"
+added = {{"numpy", "dataclasses", "inspect"}} & (set(sys.modules) - before)
+assert not added, added
 import freefactor
 from freefactor import FareyGraph
 assert "numpy" in sys.modules
@@ -304,6 +310,16 @@ print("ok")
         done = fresh_python("-c", script)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "ok"
+
+    def test_parameters_without_inspect(self):
+        # the experiment registry reads each signature off the code object
+        import inspect
+
+        for name, (fn, parameters) in EXPERIMENTS.items():
+            signature = inspect.signature(fn).parameters.values()
+            assert parameters == {p.name: p.default for p in signature}, name
+            assert list(parameters) == [p.name for p in signature], name
+            assert _parameters(fn) == parameters
 
     def test_unknown_attribute_still_raises(self):
         import freefactor.farey

@@ -3,7 +3,6 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freefactor import (
+    BoundaryAutomorphism,
     FreeFactorVertex,
     InternalContradictionError,
     PreconditionError,
@@ -822,7 +822,9 @@ class TestGridFromEnds:
         # followed by conjugation by x, psi sends x to xxyX and psi^-1 sends x
         # to xxxYX: each image holds both x and X
         psi = build_boundary_pA()
-        bad = replace(psi, **{field: getattr(psi, field) + _conjugation_chain(W("x"))})
+        chains = {"chain": psi.chain, "inverse_chain": psi.inverse_chain}
+        chains[field] += _conjugation_chain(W("x"))
+        bad = BoundaryAutomorphism(psi.x_image, psi.y_image, psi.homology, **chains)
         monkeypatch.setattr(experiments, "build_boundary_pA", lambda: bad)
         with pytest.raises(InternalContradictionError, match="positive substitution"):
             _grid_values((-1, 1), 1)
@@ -946,6 +948,22 @@ class TestJsonText:
     @given(JSON_PAYLOADS)
     def test_any_report_shape(self, payload):
         assert experiments.json_text(payload) == oracle_json_text(payload)
+
+    @settings(max_examples=200)
+    @given(JSON_PAYLOADS, st.integers(1, 6))
+    def test_any_report_shape_in_small_pieces(self, payload, per_piece):
+        # two pieces of the trial list meet wherever two trials do
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "_TRIALS_PER_PIECE", per_piece)
+            assert experiments.json_text(payload) == oracle_json_text(payload)
+
+    def test_large_report_comes_in_bounded_pieces(self):
+        # 65 * 129 = 8,385 trials: three pieces of at most 4,096 trials
+        data = run_experiment("twist-stability", radius=64).to_json_dict()
+        pieces = list(experiments.json_pieces(data))
+        text = oracle_json_text(data)
+        assert "".join(pieces) == text
+        assert len(pieces) == 9 and max(map(len, pieces)) < len(text) / 2
 
     @pytest.mark.parametrize(
         "value",

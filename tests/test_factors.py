@@ -556,6 +556,22 @@ class TestRandomFreeFactor:
             random_free_factor(3, 0, 1, seed=0)
 
 
+class TestFreeFactorVertex:
+    def test_list_generators_become_a_tuple(self):
+        x, y = W("x", 3), W("y", 3)
+        listed = FreeFactorVertex([x, y], 3)
+        assert type(listed.generators) is tuple
+        assert listed == FreeFactorVertex((x, y), 3)
+        assert hash(listed) == hash(FreeFactorVertex((x, y), 3))
+        b = W("xxyyzz", 3)
+        assert factor_invariant(listed, b) == factor_invariant(FreeFactorVertex((x, y), 3), b)
+
+    @pytest.mark.parametrize("generators", [5, None])
+    def test_generators_not_a_sequence(self, generators):
+        with pytest.raises(DomainError, match="generators must be a sequence"):
+            FreeFactorVertex(generators, 3)
+
+
 def oracle_factor_invariant(a, b, sample_budget=150):
     """The product sampler that factor_invariant replaced: (value, tight).
 

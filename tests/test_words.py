@@ -435,6 +435,18 @@ class TestBoundaryStillChecks:
         with pytest.raises(WordSyntaxError):
             Word.from_letters([5], 2)
 
+    def test_list_letters_become_a_tuple(self):
+        listed = Word([1, 2], 2)
+        assert listed.letters == (1, 2) and type(listed.letters) is tuple
+        assert listed == Word((1, 2), 2) and hash(listed) == hash(Word((1, 2), 2))
+        assert listed * Word((1,), 2) == Word((1, 2, 1), 2)
+        assert Word(iter([2, -1]), 2) == W("yX")
+
+    @pytest.mark.parametrize("letters", [5, None, 1.5])
+    def test_letters_not_a_sequence(self, letters):
+        with pytest.raises(DomainError, match="letters must be a sequence"):
+            Word(letters, 2)
+
     def test_automorphism_image_outside_rank(self):
         class Escapes:
             """Duck-typed automorphism whose image of x leaves the rank."""
