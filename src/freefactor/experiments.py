@@ -16,7 +16,7 @@ import math
 import operator
 import random
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from .errors import (
     DomainError,
@@ -615,50 +615,65 @@ def build_boundary_pA() -> BoundaryAutomorphism:
 _DEPTH = 2
 
 
-def _grid_values(radius_r: tuple[int, int], radius_k: int) -> tuple[
-    dict[int, tuple[int, ...]], dict[int, tuple], Word, BoundaryAutomorphism, Iterator
+def _grid_values(radius_k: int) -> tuple[
+    Callable[[int], tuple[int, ...]], int, Word, BoundaryAutomorphism
 ]:
-    """Factor invariants over the orbit grid psi^r ad_b^k(<x>), as
-    {r: the values at k = -radius_k..radius_k} for r in radius_r; the
-    certified ends of psi^r(x), with its letter counts, by r in radius_r
-    (``_orbit_ends``); b, psi; and the walk of the ends of psi^r(x) for
-    r past radius_r, which goes on to the first repeated key.
+    """The orbit grid psi^r ad_b^k(<x>) over all of Z^2: ``row_of``, the
+    function r -> the factor invariants at k = -radius_k..radius_k, for
+    every integer r; the number of distinct end-window keys of psi's
+    side, which is the first r >= 0 whose key repeats an earlier one; b;
+    psi.
 
     Certificate, checked on every call: psi and psi^-1 are positive
     substitutions on {x, y} and {x, Y} (``_positive_substitution``), so
-    w = psi^r(x) is reduced and cyclically reduced, and its ends iterate
-    on windows (``_orbit_ends``) without building w.
+    w = psi^r(x) is reduced and cyclically reduced for every integer r,
+    and its ends iterate on windows (``_orbit_ends``) without building w.
 
-    Each row r is evaluated on windows only at |k| <= depth =
+    The two-sided cycle.  Row r depends only on the key (head, hidden,
+    tail) of its word, psi^r(x) on psi's side r >= 0 and psi^-|r|(x) on
+    psi^-1's side r < 0: ``_grid_row`` reads nothing else.  Each side is
+    walked once, to its first repeated key, and from there its keys cycle
+    (``_orbit_ends``), so the key of any r is a list lookup, and every row
+    of Z^2 is the row of one of the finitely many keys of the two walks.
+    ``row_of`` evaluates a key's row the first time some r reads it, and
+    rows with equal keys share one evaluation and one tuple (r = 0 is on
+    both sides); psi^-1's side is walked when an r < 0 is first read.
+
+    Each row is evaluated on windows only at |k| <= depth =
     min(_DEPTH, radius_k), and beyond that by the b-conjugation step
     (``_grid_row``).  A window evaluation never guesses:
     ``_cyclic_value_from_ends`` returns the exact value and end letters
     or raises.  The windows hold (2 depth + 1)|b| letters, independent of
     the radius, and depth 2 decides every row of this psi; a row whose
-    step premise still fails there raises.  A row depends only on its key
-    (head, hidden > 0, tail), so rows with equal keys share one evaluation
-    and one tuple; ``_pair_classes`` merges equal rows by value.
+    step premise still fails there raises.  ``_pair_classes`` merges
+    equal rows by value.
     """
     psi = build_boundary_pA()
     b = boundary_word(2)
     bl, binv = b.letters, b.inverse().letters
-    lo_r, hi_r = radius_r
     depth = min(_DEPTH, radius_k)
     window = (2 * depth + 1) * len(bl)
-    ends = {}
-    # psi's walk comes last, so ``walk`` goes on from r = hi_r + 1
-    for chain, sign, steps in ((psi.inverse_chain, -1, -lo_r), (psi.chain, 1, hi_r)):
-        walk = _orbit_ends(_positive_substitution(chain), steps, window)
-        ends.update((sign * r, end) for r, end in zip(range(steps + 1), walk))
+    images = {
+        1: _positive_substitution(psi.chain),
+        -1: _positive_substitution(psi.inverse_chain),
+    }
+    cycles = {1: _orbit_ends(images[1], window)}
     rows = {}
-    values = {}
-    for r in range(lo_r, hi_r + 1):
-        head, hidden, tail, _ = ends[r]
-        key = head, hidden > 0, tail
+
+    def row_of(r: int) -> tuple[int, ...]:
+        side = -1 if r < 0 else 1
+        if side not in cycles:
+            cycles[side] = _orbit_ends(images[side], window)
+        keys, repeat = cycles[side]
+        i = abs(r)
+        if i >= len(keys):
+            i = repeat + (i - repeat) % (len(keys) - repeat)
+        key = keys[i]
         if key not in rows:
-            rows[key] = _grid_row(head, hidden, tail, depth, radius_k, bl, binv)
-        values[r] = rows[key]
-    return values, ends, b, psi, walk
+            rows[key] = _grid_row(*key, depth, radius_k, bl, binv)
+        return rows[key]
+
+    return row_of, len(cycles[1][0]), b, psi
 
 
 def _grid_row(head, hidden, tail, depth, radius_k, bl, binv) -> tuple[int, ...]:
@@ -815,6 +830,24 @@ def _column_pairs(
     return [(base, half, count) for (base, half), count in found.items()]
 
 
+def _homology_orbit(matrix, radius: int) -> dict[int, tuple[int, int]]:
+    """The exponent sums of psi^r(x) at r = -radius..radius, for psi with
+    homology ``matrix`` M (columns the exponent sums of psi(x) and
+    psi(y)): abelianisation is a homomorphism, so they are M^r (1, 0).
+    ``build_boundary_pA`` checks det M = +-1, so M^-1 is the integer
+    matrix det M times the adjugate of M.
+    """
+    (p, q), (s, t) = matrix
+    det = p * t - q * s
+    sums = {0: (1, 0)}
+    for r in range(1, radius + 1):
+        u, v = sums[r - 1]
+        sums[r] = p * u + q * v, s * u + t * v
+        u, v = sums[1 - r]
+        sums[-r] = det * (t * u - q * v), det * (p * v - s * u)
+    return sums
+
+
 def exp_quasiflat(radius: int = 8) -> ExperimentReport:
     """Distance bounds over the orbit grid psi^r ad_b^k(<x>), with a linear fit.
 
@@ -833,33 +866,37 @@ def exp_quasiflat(radius: int = 8) -> ExperimentReport:
     pairs, the constant C that makes lower >= c * m - C hold for every
     pair, and the lower envelope min l over the pairs at each m = 1..4R,
     the best constants of the certified lower bound.  The fractions are
-    reported as correctly rounded floats.  Values and slopes come from
-    ``_grid_values``: a few end windows per row, the b-conjugation step
-    and the letter counts of psi^r(x), which is never built.
+    reported as correctly rounded floats.
+
+    The values come from ``_grid_values``: a few end windows per row and
+    the b-conjugation step, with psi^r(x) never built.  Its two-sided
+    cycle certificate says that every row of Z^2, not only the window's,
+    is one of the rows it evaluates.  The slopes come from powers of psi's
+    homology matrix (``_homology_orbit``).
     """
     R = radius
-    values, ends, b, psi, _ = _grid_values((-R, R), R)
+    row_of, _, b, psi = _grid_values(R)
     x = Word((1,), 2)
     _check_path(_PSI_PATH, x, psi.x_image)
     _check_path(_AD_PATH, x, ad(b, x))
     c0 = max(1, len(_PSI_PATH) - 1, len(_AD_PATH) - 1)
-    counts = [ends[r][3] for r in range(-R, R + 1)]
-    slopes = [Slope(c.get(1, 0), c.get(2, 0) - c.get(-2, 0)) for c in counts]
+    sums = _homology_orbit(psi.homology, R)
+    axis = range(-R, R + 1)
+    slopes = [Slope(*sums[r]) for r in axis]
+    grid = [row_of(r) for r in axis]
     report = ExperimentReport(
         "quasiflat",
         {"rank": 2, "b": format_word(b), "grid_radius": R},
     )
-    axis = range(-R, R + 1)
-    for r, slope in zip(axis, map(str, slopes)):
+    for r, slope, values in zip(axis, map(str, slopes), grid):
         report.trials.extend(
             {"r": r, "k": k, "value": value, "slope": slope}
-            for k, value in zip(axis, values[r])
+            for k, value in zip(axis, values)
         )
-    # The slope of psi^r(x) is M^r (1, 0), M the homology matrix, and
-    # build_boundary_pA checks det M = +-1.  GL_2(Z) acts on the Farey graph
-    # by isometries, so the slopes at r1 and r2 lie dstep[|r1 - r2|] apart.
+    # GL_2(Z) acts on the Farey graph by isometries, so the slopes at r1 and
+    # r2 lie dstep[|r1 - r2|] apart.
     dstep = [farey_distance(slopes[0], s) for s in slopes]
-    hist, width = _pair_classes(list(values.values()), dstep)
+    hist, width = _pair_classes(grid, dstep)
     # One pass over the rows m = 1..4R of the histogram (m = 0 would pair a
     # point with itself): exact moments in Python ints, since at R = 64 the
     # products below overflow int64, the pairs above the path-witnessed upper
@@ -919,14 +956,11 @@ def exp_twist_stability(radius: int = 8) -> ExperimentReport:
     over every r >= 0 and every integer k, and rows_repeat_from, the first
     r whose end-window key repeats an earlier one.  The certificate:
 
-    - A row depends only on its key (head, hidden > 0, tail), the end
-      windows of psi^r(x); ``_grid_values`` shares rows on this fact.
-    - Every image of psi is non-empty, so once the word is longer than
-      both windows, the next key is a function of the current one, and
-      before that the head is the whole word (``_orbit_ends``).  So the
-      first repeated key proves that every later row is one that has
-      already been evaluated: the rows r < rows_repeat_from are all the
-      rows.
+    - By the two-sided cycle of ``_grid_values``, every row of Z^2 is the
+      row of one of the distinct keys of the two sides' walks, and the
+      half-plane r >= 0 needs psi's side only.  Walked once to its first
+      repeated key, that side has rows_repeat_from distinct keys, so the
+      rows r < rows_repeat_from are all the rows of the half-plane.
     - By the step lemma, which ``_grid_row`` proves and checks by |k| =
       depth (every row here reaches |k| = depth + 1, so a failed premise
       raises at every radius), each row has slope +-1 beyond |k| = depth:
@@ -936,15 +970,14 @@ def exp_twist_stability(radius: int = 8) -> ExperimentReport:
       is the supremum over the whole half-plane.
 
     The supremum is a finite maximum, so the report has no violations; a
-    certificate that cannot be completed raises instead.  The rows
-    r <= radius come from one ``_grid_values`` call at |k| <= max(radius,
-    depth + 1); past the radius only the end windows are walked, and a row
-    first met there is evaluated at |k| <= depth + 1 only.
+    certificate that cannot be completed raises instead.  Every row comes
+    from one ``_grid_values`` grid at |k| <= max(radius, depth + 1), and
+    psi^-1's side is never walked.
     """
     R = radius
     width = max(R, _DEPTH + 1)
-    values, ends, b, _, walk = _grid_values((0, R), width)
-    ends.update(zip(itertools.count(R + 1), walk))
+    row_of, distinct, b, _ = _grid_values(width)
+    values = [row_of(r) for r in range(R + 1)]
     report = ExperimentReport(
         "twist-stability",
         {"rank": 2, "b": format_word(b), "radius": R},
@@ -956,23 +989,13 @@ def exp_twist_stability(radius: int = 8) -> ExperimentReport:
             {"r": r, "k": k, "value": value, "displacement": abs(value - column[0])}
             for r, value in zip(rs, column)
         )
-    bl, binv = b.letters, b.inverse().letters
     near = slice(width - _DEPTH - 1, width + _DEPTH + 2)
-    rows = {}
-    for r in itertools.count():
-        head, hidden, tail, _ = ends[r]
-        key = head, hidden > 0, tail
-        if key in rows:
-            break
-        if r <= R:
-            rows[key] = values[r][near]
-        else:
-            rows[key] = _grid_row(*key, _DEPTH, _DEPTH + 1, bl, binv)
+    at_zero = values[0][near]
     report.summary = {
         "sup_displacement": max(
-            abs(v - v0) for row in rows.values() for v, v0 in zip(row, values[0][near])
+            abs(v - v0) for r in range(distinct) for v, v0 in zip(row_of(r)[near], at_zero)
         ),
-        "rows_repeat_from": r,
+        "rows_repeat_from": distinct,
     }
     return report
 

@@ -42,7 +42,6 @@ from .whitehead import (
     vertex_order,
 )
 from .words import (
-    GENERATOR_CHARS,
     Word,
     _Frozen,
     _as_tuple,
@@ -99,7 +98,7 @@ class CoreGraph:
             nbrs = self._adj[u]
             for letter in range(1, self.rank + 1):
                 if letter in nbrs:
-                    label = GENERATOR_CHARS[letter - 1]
+                    label = format_word(_trusted_word((letter,), self.rank))
                     lines.append(f'  {u} -> {nbrs[letter]} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines)

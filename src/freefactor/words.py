@@ -36,7 +36,6 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from collections.abc import Iterator
 from functools import lru_cache
 from operator import attrgetter, neg
 
@@ -182,12 +181,7 @@ class Word(_Frozen):
         cancel, so the scan stops at the first letter pair that does not."""
         if self.rank != other.rank:
             raise RankError("cannot multiply words of different ranks")
-        a, b = self.letters, other.letters
-        n, k = len(a), 0
-        stop = min(n, len(b))
-        while k < stop and a[n - 1 - k] == -b[k]:
-            k += 1
-        return _trusted_word(a[: n - k] + b[k:] if k else a + b, self.rank)
+        return _trusted_word(_times(self.letters, other.letters), self.rank)
 
     def __pow__(self, n: int) -> "Word":
         """w^n as u c^n u^-1, where w = u c u^-1 with c cyclically reduced:
@@ -255,7 +249,7 @@ def parse_word(text: str, rank: int) -> Word:
             index = int(m.group(2))
             if not 1 <= index <= rank:
                 raise WordSyntaxError(
-                    f"generator index {index} exceeds rank {rank}"
+                    f"generator index {index} is not in 1..{rank}"
                 )
             letters.append(index if m.group(1) == "x" else -index)
     else:
@@ -309,7 +303,8 @@ def cyclic_reduce(w: Word) -> CyclicDecomposition:
 
 
 def _times(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """``Word.__mul__`` on reduced letter tuples: only the junction cancels."""
+    """The reduced product of reduced letter tuples (``Word.__mul__``):
+    only the junction cancels."""
     n, k = len(a), 0
     stop = min(n, len(b))
     while k < stop and a[n - 1 - k] == -b[k]:
@@ -461,47 +456,40 @@ def _positive_substitution(chain) -> dict[int, tuple[int, ...]]:
     )
 
 
-def _orbit_ends(images: dict, steps: int, window: int) -> Iterator[tuple]:
-    """Yield (head, hidden, tail, letter counts) of sigma^r(x), r = 0, 1,
-    ..., for the positive substitution sigma = ``images``.  A word longer
-    than 2 * window keeps window letters at each end and counts the rest
-    as ``hidden``; a shorter one is all ``head``.  No image is empty and
-    nothing cancels, so the ends of sigma(w) are those of sigma applied to
-    the ends of w, and the counts go through sigma's count matrix.
+def _orbit_ends(images: dict, window: int) -> tuple[list[tuple], int]:
+    """The cycle of end-window keys of sigma^r(x), r = 0, 1, ..., for the
+    positive substitution sigma = ``images``: the distinct keys in walk
+    order, and the index that the first repeated key returns to.
 
-    The walk runs to r = steps, and on past it, for a caller that reads
-    on, until the key (head, hidden > 0, tail) of some r repeats an
-    earlier one; that entry is the last.  The key of sigma(w) is a
-    function of the key of w: a word of at most 2 * window letters is its
-    head, and once longer, the images of its window-letter ends hold at
-    least window letters each and its image is longer still.  So from the
-    first repeated key on, the keys cycle.  Past steps only the windows
-    are walked: an entry there has no counts (None), and its hidden is
-    only whether the word is longer than 2 * window.
+    The key of a word w is (head, hidden, tail).  If w is longer than 2 *
+    window, head and tail are its first and last window letters and
+    hidden is True; otherwise head is all of w, hidden is False and tail
+    is empty.  No image is empty and nothing cancels, so the ends of
+    sigma(w) are those of sigma applied to the ends of w, and the key of
+    sigma(w) is a function of the key of w: a word of at most 2 * window
+    letters is its head, and once longer, the images of its window-letter
+    ends hold at least window letters each and its image is longer still.
+    So from the first repeated key on, the keys cycle, and with n keys
+    returning to j, the key of sigma^r(x) is the key at r for r < n and
+    at j + (r - j) mod (n - j) for every r >= n.
+
+    Walked once for psi and once for psi^-1, the two cycles certify the
+    whole orbit grid (``experiments._grid_values``): a grid row depends
+    only on its word's key, so every row of Z^2 is the row of one of
+    their finitely many keys.
     """
-    head, tail, counts = (1,), (), {1: 1}
-    seen = set()
-    for r in itertools.count():
-        if r:
-            head, tail = (
-                tuple(itertools.chain.from_iterable(map(images.__getitem__, seq)))
-                for seq in (head, tail)
-            )
-            counts = {
-                a: sum(n * images[c].count(a) for c, n in counts.items())
-                for a in images
-            } if r <= steps else None
-        if counts:
-            hidden = max(0, sum(counts.values()) - 2 * window)
-        else:
-            hidden = bool(tail) or len(head) > 2 * window
+    head, hidden, tail = (1,), False, ()
+    keys = []
+    while (key := (head, hidden, tail)) not in keys:
+        keys.append(key)
+        head, tail = (
+            tuple(itertools.chain.from_iterable(map(images.__getitem__, seq)))
+            for seq in (head, tail)
+        )
+        hidden = hidden or len(head) > 2 * window
         if hidden:
             head, tail = head[:window], (tail or head)[-window:]
-        yield head, hidden, tail, counts
-        key = head, hidden > 0, tail
-        if r >= steps and key in seen:
-            return
-        seen.add(key)
+    return keys, keys.index(key)
 
 
 def random_word(length: int, rank: int, seed) -> Word:

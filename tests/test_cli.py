@@ -11,7 +11,9 @@ import freefactor
 from freefactor import (
     EXPERIMENT_NAMES,
     b_reduced_decomposition,
+    boundary_word,
     fold,
+    format_word,
     parse_word,
     run_experiment,
 )
@@ -379,6 +381,20 @@ class TestErrors:
         code, out, err = run(capsys, "minimize", "--n", rank, "x")
         assert code == 1 and out == ""
         assert err == f"error: rank must be at least 2, got {rank}"
+
+    def test_dot_past_rank_26(self, tmp_path):
+        # rank 30 has no compact letters: the DOT labels are x1..x30
+        b = format_word(boundary_word(30))
+        dot = tmp_path / "g.dot"
+        done = fresh_python(
+            "-m", "freefactor.cli", "factor-invariant", "--n", "30", "--b", b,
+            "--gen", "x27", "--dot", str(dot),
+        )
+        assert done.returncode == 0 and "Traceback" not in done.stderr, done.stderr
+        assert done.stdout == "value = 0 (witness x27)\n"
+        assert dot.read_text() == (
+            'digraph core {\n  0 [shape=doublecircle];\n  0 -> 0 [label="x27"];\n}\n'
+        )
 
     def test_zero_slope_names_the_domain_error(self, capsys):
         code, out, err = run(capsys, "farey-dist", "1/0", "0/0")

@@ -1,8 +1,10 @@
 import hashlib
+import itertools
 import json
 import math
 import random
 from collections import Counter
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,7 @@ from freefactor import cli, experiments, factors, words
 from freefactor.experiments import (
     _grid_row,
     _grid_values,
+    _homology_orbit,
     _pair_classes,
     _random_edge_images,
     _rng,
@@ -285,46 +288,91 @@ def oracle_grid_values(radius_r, radius_k):
     return values, {r: exponent_sums(w) for r, w in psi_x.items()}
 
 
+def oracle_orbit_ends(images: dict, steps: int, window: int) -> Iterator[tuple]:
+    """The counted walker that the key cycle of ``_orbit_ends`` replaced.
+
+    Yield (head, hidden, tail, letter counts) of sigma^r(x), r = 0, 1,
+    ..., for the positive substitution sigma = ``images``.  A word longer
+    than 2 * window keeps window letters at each end and counts the rest
+    as ``hidden``; a shorter one is all ``head``.  The counts go through
+    sigma's count matrix.  The walk runs to r = steps, and on past it
+    until the key (head, hidden > 0, tail) of some r repeats an earlier
+    one; that entry is the last.  Past steps only the windows are walked:
+    an entry there has no counts (None), and its hidden is only whether
+    the word is longer than 2 * window.
+    """
+    head, tail, counts = (1,), (), {1: 1}
+    seen = set()
+    for r in itertools.count():
+        if r:
+            head, tail = (
+                tuple(itertools.chain.from_iterable(map(images.__getitem__, seq)))
+                for seq in (head, tail)
+            )
+            counts = {
+                a: sum(n * images[c].count(a) for c, n in counts.items())
+                for a in images
+            } if r <= steps else None
+        if counts:
+            hidden = max(0, sum(counts.values()) - 2 * window)
+        else:
+            hidden = bool(tail) or len(head) > 2 * window
+        if hidden:
+            head, tail = head[:window], (tail or head)[-window:]
+        yield head, hidden, tail, counts
+        key = head, hidden > 0, tail
+        if r >= steps and key in seen:
+            return
+        seen.add(key)
+
+
+def oracle_ends(radius_r, window) -> dict:
+    """The counted walk of each side of the orbit grid, {r: (head, hidden,
+    tail, counts)} for r in radius_r."""
+    psi = build_boundary_pA()
+    lo_r, hi_r = radius_r
+    ends = {}
+    for chain, sign, steps in ((psi.inverse_chain, -1, -lo_r), (psi.chain, 1, hi_r)):
+        images = _positive_substitution(chain)
+        for r, end in zip(range(steps + 1), oracle_orbit_ends(images, steps, window)):
+            ends[sign * r] = end
+    return ends
+
+
 def oracle_window_grid(radius_r, radius_k):
     """The window grid that the b-conjugation step replaced: ends of every
     psi^r(x) on windows of (2 radius_k + 1)|b| letters, and each value
     read off them by _cyclic_value_from_ends, k by k.  Returns the values
     and the exponent sums of psi^r(x) by r."""
-    psi = build_boundary_pA()
     b = boundary_word(2)
     bl, binv = b.letters, b.inverse().letters
-    window = (2 * radius_k + 1) * len(bl)
     lo_r, hi_r = radius_r
-    ends = {}
-    for chain, sign, steps in ((psi.inverse_chain, -1, -lo_r), (psi.chain, 1, hi_r)):
-        images = _positive_substitution(chain)
-        for r, end in enumerate(_orbit_ends(images, steps, window)):
-            ends[sign * r] = end
+    ends = oracle_ends(radius_r, (2 * radius_k + 1) * len(bl))
     power = {k: bl * k if k >= 0 else binv * -k for k in range(-radius_k, radius_k + 1)}
     values = {
         (r, k): _cyclic_value_from_ends(*ends[r][:3], power[k], power[-k], bl, binv)[0]
         for r in range(lo_r, hi_r + 1)
         for k in power
     }
-    return values, counted_sums(ends, radius_r)
+    return values, counted_sums(radius_r)
 
 
-def counted_sums(ends, radius_r) -> dict:
+def counted_sums(radius_r) -> dict:
     """The exponent sums of psi^r(x) by r in radius_r, read off the letter
-    counts of its ends {r: (head, hidden, tail, counts)}."""
-    lo_r, hi_r = radius_r
-    counts = {r: ends[r][3] for r in range(lo_r, hi_r + 1)}
+    counts of the counted walk (``oracle_orbit_ends``)."""
+    counts = {r: end[3] for r, end in oracle_ends(radius_r, 1).items()}
     return {r: (c.get(1, 0), c.get(2, 0) - c.get(-2, 0)) for r, c in counts.items()}
 
 
-def grid_points(radius_r, radius_k):
-    """_grid_values as {(r, k): value} and the exponent sums by r."""
-    rows, ends, *_ = _grid_values(radius_r, radius_k)
+def grid_points(radius_r, radius_k) -> dict:
+    """The rows r in radius_r of _grid_values as {(r, k): value}."""
+    row_of = _grid_values(radius_k)[0]
+    lo_r, hi_r = radius_r
     return {
         (r, k): value
-        for r, row in rows.items()
-        for k, value in zip(range(-radius_k, radius_k + 1), row)
-    }, counted_sums(ends, radius_r)
+        for r in range(lo_r, hi_r + 1)
+        for k, value in zip(range(-radius_k, radius_k + 1), row_of(r))
+    }
 
 
 def pair_class_counts(grid, dstep: list[int]) -> dict:
@@ -387,12 +435,12 @@ def oracle_pair_loop(grid, dstep: list[int]) -> dict:
 
 def orbit_grid(radius: int) -> tuple[list[tuple[int, ...]], list[int]]:
     """The quasiflat grid and Farey row of exp_quasiflat at ``radius``."""
-    rows, ends, *_ = _grid_values((-radius, radius), radius)
-    sums = counted_sums(ends, (-radius, radius))
+    row_of = _grid_values(radius)[0]
+    sums = counted_sums((-radius, radius))
     span = range(-radius, radius + 1)
     slopes = [Slope(*sums[r]) for r in span]
     return (
-        [rows[r] for r in span],
+        [row_of(r) for r in span],
         [farey_distance(slopes[0], s) for s in slopes],
     )
 
@@ -726,13 +774,21 @@ class TestGridFromEnds:
     def test_matches_materialising_oracle(self, radius_k):
         # |r| <= 12 reaches 75,025-letter words; a small radius_k shrinks
         # the windows to (2 radius_k + 1) |b| letters
-        assert grid_points((-12, 12), radius_k) == oracle_grid_values((-12, 12), radius_k)
-        assert _grid_values((-1, 1), 1)[2] == boundary_word(2)
+        values, sums = oracle_grid_values((-12, 12), radius_k)
+        assert grid_points((-12, 12), radius_k) == values
+        assert _homology_orbit(build_boundary_pA().homology, 12) == sums
+        assert _grid_values(1)[2] == boundary_word(2)
+
+    def test_slopes_from_homology_match_the_counted_sums(self):
+        sums = _homology_orbit(build_boundary_pA().homology, 64)
+        assert sums == counted_sums((-64, 64))
+        slopes = {t["r"]: t["slope"] for t in exp_quasiflat(16).trials}
+        assert slopes == {r: str(Slope(*sums[r])) for r in range(-16, 17)}
 
     @pytest.mark.parametrize("radius", [*range(1, 17), 32, 64])
     def test_matches_window_oracle(self, radius):
         for radius_r in ((-radius, radius), (0, radius)):
-            assert grid_points(radius_r, radius) == oracle_window_grid(radius_r, radius)
+            assert grid_points(radius_r, radius) == oracle_window_grid(radius_r, radius)[0]
 
     def test_step_on_arbitrary_words(self, b2):
         # rows of reduced words that start or end in b^+-1 blocks, or are
@@ -766,7 +822,8 @@ class TestGridFromEnds:
     def test_rows_are_shared_by_equal_ends(self):
         # psi and psi^-1 are prolongable, so the windows of psi^r(x) stop
         # changing after a few steps, and so do the rows
-        rows = _grid_values((-64, 64), 64)[0]
+        row_of = _grid_values(64)[0]
+        rows = {r: row_of(r) for r in range(-64, 65)}
         assert len({id(row) for row in rows.values()}) == 10
         assert rows[64] is rows[63] and rows[-64] is rows[-63]
 
@@ -782,16 +839,16 @@ class TestGridFromEnds:
             evaluated.setdefault((head, hidden > 0, tail), set()).add(k)
             return value_from_ends(head, hidden, tail, bk, bk_inv, *rest)[0], bl[0], bl[-1]
 
-        def recorded(images, steps, window):
+        def recorded(images, window):
             windows.append(window)
-            return orbit_ends(images, steps, window)
+            return orbit_ends(images, window)
 
         monkeypatch.setattr(experiments, "_cyclic_value_from_ends", unmet)
         monkeypatch.setattr(experiments, "_orbit_ends", recorded)
         # radius_k > 2: a row is not extended past |k| = 2 without the premise
         with pytest.raises(InternalContradictionError, match="no b-conjugation step"):
-            _grid_values((-6, 6), 6)
-        # one window of 5 |b| letters for psi^-1 and one for psi
+            grid_points((-6, 6), 6)
+        # one window of 5 |b| letters for psi and one for psi^-1
         assert windows == [20, 20]
         assert all(ks <= set(range(-2, 3)) for ks in evaluated.values())
         for name in ("quasiflat", "twist-stability"):
@@ -805,7 +862,7 @@ class TestGridFromEnds:
         # radius_k <= 2: every value is a window evaluation, and exact
         for radius_k in (0, 1, 2):
             evaluated.clear()
-            assert grid_points((-6, 6), radius_k) == oracle_window_grid((-6, 6), radius_k)
+            assert grid_points((-6, 6), radius_k) == oracle_window_grid((-6, 6), radius_k)[0]
             assert evaluated and all(
                 ks == set(range(-radius_k, radius_k + 1)) for ks in evaluated.values()
             )
@@ -827,7 +884,7 @@ class TestGridFromEnds:
         bad = BoundaryAutomorphism(psi.x_image, psi.y_image, psi.homology, **chains)
         monkeypatch.setattr(experiments, "build_boundary_pA", lambda: bad)
         with pytest.raises(InternalContradictionError, match="positive substitution"):
-            _grid_values((-1, 1), 1)
+            _grid_values(1)
         for name in ("quasiflat", "twist-stability"):
             out = tmp_path / f"{name}.json"
             argv = ["experiment", name, "--radius", "1", "--out", str(out)]
@@ -841,11 +898,11 @@ class TestGridFromEnds:
         # every value exactly or raises; a 1-letter window cannot hold the
         # |b| letters that the b-power test reads at k = 0, so it raises
         orbit_ends = experiments._orbit_ends
-        expected = oracle_grid_values((-6, 6), 6)
+        expected = oracle_grid_values((-6, 6), 6)[0]
         raised = []
         for window in range(1, 53):
-            def shrunk(images, steps, _, window=window):
-                return orbit_ends(images, steps, window)
+            def shrunk(images, _, window=window):
+                return orbit_ends(images, window)
 
             monkeypatch.setattr(experiments, "_orbit_ends", shrunk)
             try:
@@ -857,7 +914,7 @@ class TestGridFromEnds:
             assert points == expected, window
         assert 1 in raised
         monkeypatch.setattr(
-            experiments, "_orbit_ends", lambda images, steps, _: orbit_ends(images, steps, 1)
+            experiments, "_orbit_ends", lambda images, _: orbit_ends(images, 1)
         )
         for name in ("quasiflat", "twist-stability"):
             out = tmp_path / f"{name}.json"
@@ -1014,47 +1071,66 @@ class TestTwistStability:
 
     def test_rows_repeat_from_is_the_first_repeated_key(self):
         images = _positive_substitution(build_boundary_pA().chain)
-        expected = first_repeated_key(_orbit_ends(images, 12, 20))
+        expected = first_repeated_key(oracle_orbit_ends(images, 12, 20))
         assert expected == 6
         for radius in [*range(1, 17), 64]:
             assert exp_twist_stability(radius).summary["rows_repeat_from"] == expected
 
-    def test_walk_past_steps_follows_the_counted_walk(self):
-        # past steps only the windows are walked, to the first repeated key,
-        # and the keys are those of the walk that counts every letter
+    def test_cycle_follows_the_counted_walk(self):
+        # the distinct keys up to the first repeat are the counted walk's,
+        # and the cycle they close gives its key at every r
         psi = build_boundary_pA()
         for chain in (psi.chain, psi.inverse_chain):
             images = _positive_substitution(chain)
             for window in (1, 4, 12, 20, 52):
-                counted = list(_orbit_ends(images, 16, window))
-                repeat = first_repeated_key(counted)
-                for steps in range(10):
-                    ends = list(_orbit_ends(images, steps, window))
-                    assert len(ends) == max(steps, repeat) + 1
-                    assert ends[: steps + 1] == counted[: steps + 1]
-                    for end, full in zip(ends[steps + 1 :], counted[steps + 1 :]):
-                        assert end[3] is None
-                        assert (end[0], end[1] > 0, end[2]) == (full[0], full[1] > 0, full[2])
+                keys, repeat = _orbit_ends(images, window)
+                counted = [
+                    (head, hidden > 0, tail)
+                    for head, hidden, tail, _ in oracle_orbit_ends(images, 40, window)
+                ]
+                n = len(keys)
+                assert first_repeated_key(oracle_orbit_ends(images, 0, window)) == n
+                assert keys == counted[:n] and keys[repeat] == counted[n]
+                for r, key in enumerate(counted):
+                    assert key == keys[r if r < n else repeat + (r - repeat) % (n - repeat)]
+                assert all(type(hidden) is bool for _, hidden, _ in keys)
 
-    def test_walks_go_past_the_radius_only_for_the_certificate(self, monkeypatch):
-        # the walk is lazy: quasiflat reads each side to R, twist-stability
-        # reads psi^-1 at r = 0 only and psi on to its first repeated key
-        orbit_ends, pulled = experiments._orbit_ends, []
+    def test_cycles_at_20_letter_windows(self):
+        # psi has 6 keys and returns to the last; psi^-1 has 5 and does too
+        psi = build_boundary_pA()
+        cycles = [
+            (len(keys), repeat)
+            for keys, repeat in (
+                _orbit_ends(_positive_substitution(chain), 20)
+                for chain in (psi.chain, psi.inverse_chain)
+            )
+        ]
+        assert cycles == [(6, 5), (5, 4)]
 
-        def counted(images, steps, window):
-            pulled.append(0)
-            for end in orbit_ends(images, steps, window):
-                pulled[-1] += 1
-                yield end
+    def test_each_side_is_walked_once_to_its_repeat(self, monkeypatch):
+        # quasiflat walks psi and psi^-1 once each, to their first repeated
+        # keys, at any radius; twist-stability walks psi only
+        psi = build_boundary_pA()
+        psi_images = _positive_substitution(psi.chain)
+        orbit_ends, walks = experiments._orbit_ends, []
 
-        monkeypatch.setattr(experiments, "_orbit_ends", counted)
-        for radius in (1, 3, 6, 9):
-            pulled.clear()
+        def recorded(images, window):
+            keys, repeat = orbit_ends(images, window)
+            side = "psi" if images == psi_images else "psi^-1"
+            walks.append((side, len(keys)))
+            assert len(keys) == first_repeated_key(oracle_orbit_ends(images, 0, window))
+            return keys, repeat
+
+        monkeypatch.setattr(experiments, "_orbit_ends", recorded)
+        for radius in (1, 3, 6, 9, 64):
+            walks.clear()
             exp_quasiflat(radius)
-            assert pulled == [radius + 1, radius + 1]
-            pulled.clear()
+            # radius 1 reads 12-letter windows, every other radius 20
+            psi_keys = 5 if radius == 1 else 6
+            assert sorted(walks) == [("psi", psi_keys), ("psi^-1", 5)]
+            walks.clear()
             exp_twist_stability(radius)
-            assert pulled == [1, max(radius, 6) + 1]
+            assert walks == [("psi", 6)]
 
     def test_supremum_reads_rows_past_the_radius(self, monkeypatch):
         # shift every value of the rows whose words outgrow the 20-letter

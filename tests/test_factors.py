@@ -27,7 +27,7 @@ from freefactor import (
 )
 from freefactor.experiments import _random_deep_factor, _random_edge_images, boundary_word
 from freefactor.factors import _BASIS_COMMUTATORS, _graph_invariant, _in_cyclic
-from freefactor.words import _peel
+from freefactor.words import GENERATOR_CHARS, _peel
 from freefactor.whitehead import vertex_order
 
 from conftest import (
@@ -108,6 +108,33 @@ class TestFold:
     def test_dot_export(self):
         text = fold([W("x")]).to_dot()
         assert "digraph" in text and "label=\"x\"" in text
+
+    def test_dot_labels_match_compact_letters_up_to_rank_26(self):
+        # each edge is labelled with its letter as a word prints it, which
+        # up to rank 26 is the compact character
+        rng = random.Random(4)
+        for _ in range(60):
+            rank = rng.randint(2, 26)
+            graph = random_free_factor(rank, rng.randint(1, rank - 1), 3, rng).graph
+            assert graph.to_dot() == oracle_to_dot(graph)
+
+    def test_dot_labels_past_rank_26(self):
+        text = fold([Word((27,), 30), Word((3, 30), 30)]).to_dot()
+        assert '[label="x27"]' in text and '[label="x30"]' in text
+        assert '[label="z"]' not in text and '[label="x3"]' in text
+
+
+def oracle_to_dot(graph) -> str:
+    """The DOT text as it was written when edges took their labels from
+    the compact characters, which exist up to rank 26 only."""
+    lines = ["digraph core {", '  0 [shape=doublecircle];']
+    for u in sorted(graph._adj):
+        for letter in range(1, graph.rank + 1):
+            if letter in graph._adj[u]:
+                label = GENERATOR_CHARS[letter - 1]
+                lines.append(f'  {u} -> {graph._adj[u][letter]} [label="{label}"];')
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def oracle_fold(generators, rank=None):

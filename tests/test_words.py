@@ -81,6 +81,12 @@ class TestParse:
         with pytest.raises(WordSyntaxError):
             parse_word("z", 2)
 
+    @pytest.mark.parametrize("text", ["x0", "X0", "x1 x0", "x4"])
+    def test_token_index_outside_the_alphabet(self, text):
+        # an index of 0 is as out of range as one past the rank
+        with pytest.raises(WordSyntaxError, match=r"^generator index \d+ is not in 1\.\.3$"):
+            parse_word(text, 3)
+
     def test_rank_too_small(self):
         with pytest.raises(RankError):
             parse_word("x", 1)
