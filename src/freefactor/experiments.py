@@ -46,8 +46,14 @@ from .words import (
     Word,
     _Frozen,
     _Value,
+    _apply_table,
+    _chain_table,
+    _image_table,
     _orbit_ends,
     _positive_substitution,
+    _random_letters,
+    _times,
+    _trusted_word,
     ad,
     apply_automorphism,
     b_index,
@@ -214,26 +220,39 @@ def _random_edge_images(rng: random.Random, rank: int, b: Word) -> tuple[Word, .
     equivalent chain of single-letter Whitehead moves letter for letter.
     Draws are retried while the images exceed 110 letters in total; after
     40 tries theta is the identity.
+
+    The images are letter tuples until one Word is built for each returned
+    image.  Every draw is the one the sampler that stepped Words made, in
+    the same order (a burst's moves are applied as they are drawn, and
+    applying one draws nothing), so the stream is consumed call for call
+    as then, the images are the same, and seeded reports are byte-identical.
     """
-    basis = tuple(Word((i,), rank) for i in range(1, rank + 1))
+    basis = tuple((i,) for i in range(1, rank + 1))
     for _ in range(40):
         images = basis
         for _ in range(rng.randint(1, 3)):
             roll = rng.random()
             if roll < 0.65:
                 if roll < 0.45:
-                    w = b ** rng.choice((-2, -1, 1, 2))
+                    w = (b ** rng.choice((-2, -1, 1, 2))).letters
                 else:
-                    w = random_word(rng.randint(1, 3), rank, rng)
-                images = tuple(u.conjugated_by(w) for u in images)
+                    w = _random_letters(rng.randint(1, 3), rank, rng)
+                images = _conjugates(images, w)
             else:
-                burst = [
-                    _random_multiplier_move(rng, rank) for _ in range(rng.randint(1, 2))
-                ]
-                images = tuple(apply_automorphism(burst, u) for u in images)
+                for _ in range(rng.randint(1, 2)):
+                    table = _image_table(_random_multiplier_move(rng, rank))
+                    images = tuple(_apply_table(table, u) for u in images)
         if sum(map(len, images)) <= 110:
-            return images
-    return basis
+            break
+    else:
+        images = basis
+    return tuple(_trusted_word(u, rank) for u in images)
+
+
+def _conjugates(images, w: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """w u w^-1, reduced, for each reduced letter tuple u of ``images``."""
+    w_inv = tuple(map(operator.neg, reversed(w)))
+    return tuple(_times(_times(w, u), w_inv) for u in images)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +452,9 @@ def exp_basis_change(
     _check_filling_minimal(b)
     basis_chain = _find_second_minimizing_basis(rank, b, seed)
     chain_inv = tuple(phi.inverse() for phi in reversed(basis_chain))
-    b_t = apply_automorphism(chain_inv, b)
+    # the second basis's letter images: each word below is one reduction
+    table = _chain_table(chain_inv, rank)
+    b_t = _trusted_word(_apply_table(table, b.letters), rank)
     if len(b_t) != len(b):
         raise PreconditionError("chain does not preserve the minimal length of b")
     report = ExperimentReport(
@@ -454,9 +475,8 @@ def exp_basis_change(
         rng = _rng(seed, "basis-change", i)
         factor = _random_deep_factor(rng, rank, b)
         vs = factor_invariant(factor, b).value
-        factor_t = FreeFactorVertex(
-            tuple(apply_automorphism(chain_inv, g) for g in factor.generators), rank
-        )
+        gens_t = (_apply_table(table, g.letters) for g in factor.generators)
+        factor_t = FreeFactorVertex(tuple(_trusted_word(g, rank) for g in gens_t), rank)
         vt = factor_invariant(factor_t, b_t).value
         diff = abs(vs - vt)
         running_max = max(running_max, diff)
@@ -482,12 +502,15 @@ def exp_basis_change(
 
 
 def _random_deep_factor(rng: random.Random, rank: int, b: Word) -> FreeFactorVertex:
-    """Random free factor, conjugated to a random depth along b."""
+    """Random free factor, conjugated to a random depth along b: by b^k w
+    for k in -2..2 and a random word w of at most 3 letters, drawn in that
+    order, on letter tuples."""
     factor = random_free_factor(rank, rng.randint(1, rank - 1), rng.randint(0, 3), rng)
-    conj = (b ** rng.randint(-2, 2)) * random_word(rng.randint(0, 3), rank, rng)
-    return FreeFactorVertex(
-        tuple(g.conjugated_by(conj) for g in factor.generators), rank
+    conj = _times(
+        (b ** rng.randint(-2, 2)).letters, _random_letters(rng.randint(0, 3), rank, rng)
     )
+    gens = _conjugates([g.letters for g in factor.generators], conj)
+    return FreeFactorVertex(tuple(_trusted_word(g, rank) for g in gens), rank)
 
 
 def _find_second_minimizing_basis(

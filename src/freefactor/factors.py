@@ -44,12 +44,14 @@ from .whitehead import (
 from .words import (
     Word,
     _Frozen,
+    _apply_table,
     _as_tuple,
+    _checked_int,
+    _image_table,
     _leading_power,
     _peel,
     _times,
     _trusted_word,
-    apply_automorphism,
     format_word,
 )
 
@@ -312,20 +314,33 @@ def af_adjacent(a: FreeFactorVertex, b: FreeFactorVertex) -> bool:
 def random_free_factor(
     rank_ambient: int, factor_rank: int, chain_length: int, seed
 ) -> FreeFactorVertex:
-    """theta(<random standard subset>) for a random multiplier chain theta."""
-    if not 1 <= factor_rank < rank_ambient:
-        raise RankError(
-            f"factor rank must be in [1, {rank_ambient - 1}], got {factor_rank}"
-        )
+    """theta(<random standard subset>) for a random multiplier chain theta.
+
+    ``seed`` may be an int, a string, or a ``random.Random`` instance.  The
+    subset is one ``rng.sample`` and theta's moves are drawn in order, as
+    the sampler that applied theta to Words drew them; the generators are
+    then built on letter tuples, with no draw.  So the stream is consumed
+    call for call as then and the factor is the same, and every seeded
+    report that samples factors is byte-identical.
+    """
+    rank_ambient = _checked_int(rank_ambient, "ambient rank", 2, error=RankError)
+    factor_rank = _checked_int(
+        factor_rank, "factor rank", 1, rank_ambient - 1, error=RankError
+    )
+    chain_length = _checked_int(chain_length, "chain length", 0)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    subset = tuple(sorted(rng.sample(range(1, rank_ambient + 1), factor_rank)))
-    chain = tuple(
-        _random_multiplier_move(rng, rank_ambient) for _ in range(chain_length)
-    )
-    gens = tuple(
-        apply_automorphism(chain, Word((s,), rank_ambient)) for s in subset
-    )
-    return FreeFactorVertex(gens, rank_ambient)
+    subset = sorted(rng.sample(range(1, rank_ambient + 1), factor_rank))
+    tables = [
+        _image_table(_random_multiplier_move(rng, rank_ambient))
+        for _ in range(chain_length)
+    ]
+    gens = []
+    for s in subset:
+        letters = (s,)
+        for table in tables:
+            letters = _apply_table(table, letters)
+        gens.append(_trusted_word(letters, rank_ambient))
+    return FreeFactorVertex(tuple(gens), rank_ambient)
 
 
 @lru_cache(maxsize=64)

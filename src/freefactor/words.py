@@ -16,8 +16,9 @@ Two interchangeable text forms are accepted:
 the compact form whenever the rank allows it.
 
 Letters are checked where they come in from outside: ``Word(...)``,
-``Word.from_letters``, ``parse_word`` and ``random_word`` check every
-letter against the alphabet and reject an unreduced word, and
+``Word.from_letters`` and ``parse_word`` check every letter against the
+alphabet and reject an unreduced word, ``random_word`` draws each letter
+from the alphabet minus the one letter that would cancel, and
 ``apply_automorphism`` checks each automorphism's letter images once, when
 it first builds that automorphism's image table.  A word derived from
 checked words of one rank is built by the private ``_trusted_word`` with
@@ -34,6 +35,7 @@ so concurrent callers need no coordination.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import re
 from functools import lru_cache
@@ -50,6 +52,9 @@ from .errors import (
 GENERATOR_CHARS = "xyzabcdefghijklmnopqrstuvw"
 _CHAR_TO_INDEX = {c: i + 1 for i, c in enumerate(GENERATOR_CHARS)}
 _TOKEN_RE = re.compile(r"^([xX])([0-9]+)$")
+# The compact text of every letter of rank <= 26, indexed by the letter
+# itself: 53 entries, so negative indexing puts the text of -i at index -i.
+_LETTER_TEXT = ("", *GENERATOR_CHARS, *GENERATOR_CHARS[::-1].upper())
 
 
 def free_reduce(letters) -> tuple[int, ...]:
@@ -270,11 +275,7 @@ def format_word(w: Word) -> str:
     if not w.letters:
         return "1"
     if w.rank <= 26:
-        chars = []
-        for letter in w.letters:
-            c = GENERATOR_CHARS[abs(letter) - 1]
-            chars.append(c.upper() if letter < 0 else c)
-        return "".join(chars)
+        return "".join(map(_LETTER_TEXT.__getitem__, w.letters))
     return " ".join(
         ("x" if l > 0 else "X") + str(abs(l)) for l in w.letters
     )
@@ -423,6 +424,13 @@ def _image_table(phi) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
+def _apply_table(table, letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The image of a letter tuple under a letter-image table laid out as
+    ``_image_table``'s: the images of its letters concatenated and freely
+    reduced once."""
+    return free_reduce(itertools.chain.from_iterable(map(table.__getitem__, letters)))
+
+
 def apply_automorphism(chain, w: Word) -> Word:
     """Apply a sequence of automorphisms left to right.
 
@@ -437,9 +445,26 @@ def apply_automorphism(chain, w: Word) -> Word:
             raise RankError(
                 f"automorphism of rank {phi.rank} applied to word of rank {w.rank}"
             )
-        images = map(_image_table(phi).__getitem__, w.letters)
-        w = _trusted_word(free_reduce(itertools.chain.from_iterable(images)), w.rank)
+        w = _trusted_word(_apply_table(_image_table(phi), w.letters), w.rank)
     return w
+
+
+def _chain_table(chain, rank: int) -> tuple[tuple[int, ...], ...]:
+    """The letter-image table, laid out as ``_image_table``'s, of the
+    composite of ``chain`` applied left to right: each letter's image
+    under ``apply_automorphism(chain, .)``.
+
+    An automorphism is a homomorphism, so the image of a word is the
+    product of its letters' images, and reduced words are unique: for a
+    word w of this rank, ``_apply_table(table, w.letters)`` is the letters
+    of ``apply_automorphism(chain, w)``, with one reduction in place of
+    one per element of the chain.
+    """
+    letters = (*range(1, rank + 1), *range(-rank, 0))
+    return (
+        (),
+        *(apply_automorphism(chain, _trusted_word((l,), rank)).letters for l in letters),
+    )
 
 
 def _positive_substitution(chain) -> dict[int, tuple[int, ...]]:
@@ -492,21 +517,61 @@ def _orbit_ends(images: dict, window: int) -> tuple[list[tuple], int]:
     return keys, keys.index(key)
 
 
+def _checked_int(
+    value, what: str, low: int, high: int | None = None, error=DomainError
+) -> int:
+    """``value`` as an int (``operator.index``) in [low, high], or at least
+    ``low`` when ``high`` is None; DomainError for a non-integer and
+    ``error``, a DomainError, for one out of range."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+    if value < low or (high is not None and value > high):
+        bounds = f"at least {low}" if high is None else f"in [{low}, {high}]"
+        raise error(f"{what} must be {bounds}, got {value}")
+    return value
+
+
+# (rank, previous letter) choice tuples kept: every pair at ranks 2-26 fits
+_CHOICE_TUPLES = 1024
+
+
+@lru_cache(maxsize=_CHOICE_TUPLES)
+def _letter_choices(rank: int, prev: int) -> tuple[int, ...]:
+    """The letters that may follow ``prev`` in a reduced word, in the order
+    x1..xr, X1..Xr: all 2*rank but prev^-1, and all 2*rank for prev = 0,
+    which stands for no letter yet."""
+    alphabet = (*range(1, rank + 1), *range(-1, -rank - 1, -1))
+    return tuple(l for l in alphabet if l != -prev)
+
+
+def _random_letters(length: int, rank: int, rng: random.Random) -> tuple[int, ...]:
+    """The letters of ``random_word(length, rank, rng)``, for a checked
+    length and rank: one ``rng.choice`` per letter over its choice tuple."""
+    choice = rng.choice
+    letters = []
+    prev = 0
+    for _ in range(length):
+        prev = choice(_letter_choices(rank, prev))
+        letters.append(prev)
+    return tuple(letters)
+
+
 def random_word(length: int, rank: int, seed) -> Word:
     """Uniformly random reduced word of exactly ``length`` letters.
 
     The first letter is uniform over the 2*rank letters, each later letter
     uniform over the 2*rank - 1 non-cancelling choices.  ``seed`` may be an
     int, a string, or a ``random.Random`` instance; fixed seeds reproduce.
+
+    Each letter is one ``rng.choice`` over its candidates in the order
+    x1..xr, X1..Xr without the inverse of the letter before, as the
+    sampler that rebuilt that list for every letter drew it.  The stream
+    is consumed call for call as then, and each draw picks the same
+    letter, so every seeded report that samples words is byte-identical.
     """
-    if length < 0:
-        raise DomainError("length must be nonnegative")
-    if rank < 2:
-        raise RankError(f"rank must be at least 2, got {rank}")
+    length = _checked_int(length, "length", 0)
+    rank = _checked_int(rank, "rank", 2, error=RankError)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    alphabet = [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)]
-    letters: list[int] = []
-    for _ in range(length):
-        choices = [l for l in alphabet if not letters or l != -letters[-1]]
-        letters.append(rng.choice(choices))
-    return Word(tuple(letters), rank)
+    return _trusted_word(_random_letters(length, rank, rng), rank)

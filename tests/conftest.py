@@ -6,6 +6,8 @@ from hypothesis import settings
 
 from freefactor import (
     DomainError,
+    FreeFactorVertex,
+    RankError,
     Slope,
     Word,
     apply_automorphism,
@@ -14,6 +16,7 @@ from freefactor import (
     parse_word,
     random_word,
 )
+from freefactor.whitehead import _random_multiplier_move
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
@@ -40,6 +43,34 @@ def b2() -> Word:
 @pytest.fixture
 def b3() -> Word:
     return boundary_word(3)
+
+
+def oracle_random_word(length: int, rank: int, rng) -> Word:
+    """The Word-level sampler that random_word replaced: the candidate list
+    rebuilt for every letter, and the letters checked by Word."""
+    if length < 0:
+        raise DomainError("length must be nonnegative")
+    if rank < 2:
+        raise RankError(f"rank must be at least 2, got {rank}")
+    alphabet = [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)]
+    letters: list[int] = []
+    for _ in range(length):
+        choices = [l for l in alphabet if not letters or l != -letters[-1]]
+        letters.append(rng.choice(choices))
+    return Word(tuple(letters), rank)
+
+
+def oracle_random_free_factor(
+    rank_ambient: int, factor_rank: int, chain_length: int, rng
+) -> FreeFactorVertex:
+    """The Word-level sampler that random_free_factor replaced: theta
+    applied to each subset generator as a Word."""
+    subset = tuple(sorted(rng.sample(range(1, rank_ambient + 1), factor_rank)))
+    chain = tuple(
+        _random_multiplier_move(rng, rank_ambient) for _ in range(chain_length)
+    )
+    gens = tuple(apply_automorphism(chain, Word((s,), rank_ambient)) for s in subset)
+    return FreeFactorVertex(gens, rank_ambient)
 
 
 def random_element(factor, rng, max_syllables=4):

@@ -42,6 +42,7 @@ from freefactor.experiments import (
     _grid_values,
     _homology_orbit,
     _pair_classes,
+    _random_deep_factor,
     _random_edge_images,
     _rng,
 )
@@ -50,24 +51,49 @@ from freefactor.farey import exponent_sums
 from freefactor.words import _orbit_ends, _positive_substitution
 from freefactor.whitehead import _random_multiplier_move, vertex_order
 
-from conftest import W, oracle_quasiflat_pairs, psi_power
+from conftest import (
+    W,
+    oracle_quasiflat_pairs,
+    oracle_random_free_factor,
+    oracle_random_word,
+    psi_power,
+)
 
 DATA = Path(__file__).parent / "data"
 
-# The digests below were recorded at schema_version 3 (see schema_3_digest).
-# sha256 of run_experiment(name, rank=n, trials=25, seed=1).to_json(), recorded
-# when random moves were still drawn with rng.choice from full move tables;
-# drawing by index must consume the random stream identically.
+# The digests below were recorded at schema_version 3 (see schema_3_digest),
+# as (name, rank, digest, trials, seed): sha256 of run_experiment(name,
+# rank=rank, trials=trials, seed=seed).to_json().  The trials=25, seed=1 pins
+# were recorded when random moves were still drawn with rng.choice from full
+# move tables; drawing by index must consume the random stream identically.
+# The rest, at the factor-edges benchmark's call sizes and at ranks 4-5 with
+# 200 trials, were recorded when the samplers still built a Word at every
+# step; sampling on letter tuples must give the same bytes.
 TABLE_DRAW_DIGESTS = [
-    ("lipschitz", 2, "c93edd5c8e58b2ee9fdcd0503cc17e2de84e7f015150d40cea8eb9e8242eda6d"),
-    ("lipschitz", 3, "9bde2f8eccafe74baf00f5b15d45fb8993c2a6527bb417ec0ae54d142bc5ddc3"),
-    ("lipschitz", 4, "db1a177001da1af415673b96a64d1a267287198b6aa225837dcd8c10a6945214"),
-    ("cancellation", 2, "752941774c83a90e9d68a670c890aed1636b650854b3a7a605f56056eb17882c"),
-    ("cancellation", 3, "409c5e46dd933d1bb3bea7b78ddc4a54e5c55a80f9dbff1a868145fc55ca684b"),
-    ("cancellation", 4, "652c2104d8f6b7f4ae8375a398f7a8fccb7c4c4e51cf3e4968b0430a19df38d4"),
-    ("basis-change", 2, "bf8aef15c0be250b69ae6c41e6e8e5a826441f71e6361083cad8e125938a3475"),
-    ("basis-change", 3, "3d2011947d824cf0adf718bbb844b09e4410067e19b0bceffbb645a2e00d49af"),
-    ("basis-change", 4, "d4da6cdd54e058c99267a292fcbc3a8a58961d896eb879a1c5248bb4ec915dfe"),
+    ("lipschitz", 2, "c93edd5c8e58b2ee9fdcd0503cc17e2de84e7f015150d40cea8eb9e8242eda6d", 25, 1),
+    ("lipschitz", 3, "9bde2f8eccafe74baf00f5b15d45fb8993c2a6527bb417ec0ae54d142bc5ddc3", 25, 1),
+    ("lipschitz", 4, "db1a177001da1af415673b96a64d1a267287198b6aa225837dcd8c10a6945214", 25, 1),
+    ("cancellation", 2, "752941774c83a90e9d68a670c890aed1636b650854b3a7a605f56056eb17882c", 25, 1),
+    ("cancellation", 3, "409c5e46dd933d1bb3bea7b78ddc4a54e5c55a80f9dbff1a868145fc55ca684b", 25, 1),
+    ("cancellation", 4, "652c2104d8f6b7f4ae8375a398f7a8fccb7c4c4e51cf3e4968b0430a19df38d4", 25, 1),
+    ("basis-change", 2, "bf8aef15c0be250b69ae6c41e6e8e5a826441f71e6361083cad8e125938a3475", 25, 1),
+    ("basis-change", 3, "3d2011947d824cf0adf718bbb844b09e4410067e19b0bceffbb645a2e00d49af", 25, 1),
+    ("basis-change", 4, "d4da6cdd54e058c99267a292fcbc3a8a58961d896eb879a1c5248bb4ec915dfe", 25, 1),
+    ("lipschitz", 2, "a74e6a3552552160fcc5412ca4980df6ca6294a37f6aa98d31d6523111906f73", 75, 3),
+    ("lipschitz", 3, "c71ad2402d31f70df3e1867e5bfd894c0011faa64df9568b20f550e07e5a50c2", 20, 3),
+    ("basis-change", 2, "7dd32d1c9beb6208899919ae8268218fef018759396c15b5bdcd0b32af250331", 100, 3),
+    ("lipschitz", 2, "8ec6a7fd99c5c95e13dcedd167a6a827ee1ec8a85f433908754b755c7a1382a7", 75, 5),
+    ("lipschitz", 3, "d4ca390caeb28da7ecf219d84eb894b3bc553cc9e385b01d62e4436c2c01155a", 20, 5),
+    ("basis-change", 2, "c82af2f74716803fac53250b17c8ed51e10411ba1be0ea7137324f3bf4a1d86a", 100, 5),
+    ("lipschitz", 2, "8ced1e886f98096b93b59106b98d6bd68e6b7b7a5795590ab34fcc6acc7413df", 75, 9),
+    ("lipschitz", 3, "85ad39094351862309eaee2b849096cbcf72487343e24eacb17ae75fbef21ee4", 20, 9),
+    ("basis-change", 2, "8c9f8fae0269158a2d32ae9d5f7b807fcec4eac58983a86a02765d98e24f5334", 100, 9),
+    ("lipschitz", 4, "c60de9ba37c32a48dfc493565932c31b78966d0867381ee89df843e8fb1a2b80", 200, 1),
+    ("lipschitz", 5, "7662d3745d7906329a5d9530c1a2f24718a276bc9d72a75b17c496c973f3c47e", 200, 1),
+    ("basis-change", 4, "22e7027d4233208ac8bb5301c172e7c040e7459bffd2c79d6a7bdd98b2eadf87", 200, 1),
+    ("basis-change", 5, "6bdd82693a08919eee92fecbdfe07f77c84cabfaa44fd26c454f405605fdc290", 200, 1),
+    ("cancellation", 4, "dc4562a820e5ee52fffd286ab65ed2383f0d2cd742db31e523b3ec4f12ba86b1", 200, 1),
+    ("cancellation", 5, "8462c4a8d3a02b7169bccbe045baadff9cfca67a3e26d0579d62fe56a0924ac6", 200, 1),
 ]
 
 # sha256 of run_experiment("twist-stability", radius=r).to_json() for r = 1..8,
@@ -481,6 +507,41 @@ def oracle_random_edge_chain(
     return ()
 
 
+def oracle_random_edge_images(rng, rank: int, b: Word) -> tuple[Word, ...]:
+    """The Word-level sampler that _random_edge_images replaced: every step
+    builds a Word for each image."""
+    basis = tuple(Word((i,), rank) for i in range(1, rank + 1))
+    for _ in range(40):
+        images = basis
+        for _ in range(rng.randint(1, 3)):
+            roll = rng.random()
+            if roll < 0.65:
+                if roll < 0.45:
+                    w = b ** rng.choice((-2, -1, 1, 2))
+                else:
+                    w = oracle_random_word(rng.randint(1, 3), rank, rng)
+                images = tuple(u.conjugated_by(w) for u in images)
+            else:
+                burst = [
+                    _random_multiplier_move(rng, rank) for _ in range(rng.randint(1, 2))
+                ]
+                images = tuple(apply_automorphism(burst, u) for u in images)
+        if sum(map(len, images)) <= 110:
+            return images
+    return basis
+
+
+def oracle_random_deep_factor(rng, rank: int, b: Word) -> FreeFactorVertex:
+    """The Word-level sampler that _random_deep_factor replaced."""
+    factor = oracle_random_free_factor(
+        rank, rng.randint(1, rank - 1), rng.randint(0, 3), rng
+    )
+    conj = (b ** rng.randint(-2, 2)) * oracle_random_word(rng.randint(0, 3), rank, rng)
+    return FreeFactorVertex(
+        tuple(g.conjugated_by(conj) for g in factor.generators), rank
+    )
+
+
 class TestBoundaryWords:
     def test_values(self):
         assert boundary_word(2) == W("xyXY")
@@ -585,16 +646,19 @@ class TestLipschitz:
 class TestRandomEdgeImages:
     @pytest.mark.parametrize("rank", [2, 3, 4, 5])
     def test_matches_chain_oracle(self, rank):
-        # equal images, and the stream left where the chain sampler left it,
-        # so exp_lipschitz's subset draw that follows is unchanged
+        # equal images, and the stream left where the chain sampler and the
+        # Word-level sampler left it, so exp_lipschitz's subset draw that
+        # follows is unchanged
         b = boundary_word(rank)
         basis = [Word((i,), rank) for i in range(1, rank + 1)]
         for i in range(500):
-            rng, oracle_rng = _rng(0, "lipschitz", i), _rng(0, "lipschitz", i)
-            images = _random_edge_images(rng, rank, b)
-            chain = oracle_random_edge_chain(oracle_rng, rank, b)
+            rngs = [_rng(0, "lipschitz", i) for _ in range(3)]
+            images = _random_edge_images(rngs[0], rank, b)
+            chain = oracle_random_edge_chain(rngs[1], rank, b)
             assert images == tuple(apply_automorphism(chain, g) for g in basis), i
-            assert rng.getstate() == oracle_rng.getstate(), i
+            assert images == oracle_random_edge_images(rngs[2], rank, b), i
+            assert len({rng.getstate() for rng in rngs}) == 1, i
+            assert all(Word(u.letters, rank) == u for u in images)
 
     def test_fallback_is_the_basis(self):
         # every draw conjugates by a power of a 60-letter word, so all 40
@@ -604,10 +668,37 @@ class TestRandomEdgeImages:
                 return 0.0
 
         b = boundary_word(2) ** 15
-        rng, oracle_rng = Conjugating(1), Conjugating(1)
+        rng, oracle_rng, word_rng = Conjugating(1), Conjugating(1), Conjugating(1)
         assert _random_edge_images(rng, 2, b) == (W("x"), W("y"))
         assert oracle_random_edge_chain(oracle_rng, 2, b) == ()
-        assert rng.getstate() == oracle_rng.getstate()
+        assert oracle_random_edge_images(word_rng, 2, b) == (W("x"), W("y"))
+        assert rng.getstate() == oracle_rng.getstate() == word_rng.getstate()
+
+
+class TestRandomDeepFactor:
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_matches_word_level_sampler(self, rank):
+        # the same factor, and the stream left where the Word-level sampler
+        # left it, so each basis-change trial is unchanged
+        b = boundary_word(rank)
+        for i in range(400):
+            rng, oracle_rng = _rng(1, "basis-change", i), _rng(1, "basis-change", i)
+            factor = _random_deep_factor(rng, rank, b)
+            assert factor == oracle_random_deep_factor(oracle_rng, rank, b), i
+            assert rng.getstate() == oracle_rng.getstate(), i
+            assert all(Word(g.letters, rank) == g for g in factor.generators)
+
+    def test_samples_through_random_free_factor(self, monkeypatch):
+        calls = []
+        original = experiments.random_free_factor
+
+        def spy(*args):
+            calls.append(args[:3])
+            return original(*args)
+
+        monkeypatch.setattr(experiments, "random_free_factor", spy)
+        exp_basis_change(3, trials=5, seed=1)
+        assert len(calls) == 5
 
 
 class TestCancellation:
@@ -1281,9 +1372,12 @@ class TestReports:
         with pytest.raises(DomainError):
             run_experiment(name, **kwargs)
 
-    @pytest.mark.parametrize("name,rank,digest", TABLE_DRAW_DIGESTS)
-    def test_same_bytes_as_table_draws(self, name, rank, digest):
-        report = run_experiment(name, rank=rank, trials=25, seed=1)
+    @pytest.mark.parametrize(
+        "name,rank,digest,trials,seed",
+        [pytest.param(*pin, id="-".join(map(str, pin[:3]))) for pin in TABLE_DRAW_DIGESTS],
+    )
+    def test_same_bytes_as_table_draws(self, name, rank, digest, trials, seed):
+        report = run_experiment(name, rank=rank, trials=trials, seed=seed)
         assert schema_3_digest(report) == digest
 
     @pytest.mark.parametrize("radius,digest", TWIST_STABILITY_DIGESTS)

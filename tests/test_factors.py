@@ -32,6 +32,7 @@ from freefactor.whitehead import vertex_order
 
 from conftest import (
     W,
+    oracle_random_free_factor,
     psi_power,
     random_cyclically_reduced,
     random_element,
@@ -581,6 +582,31 @@ class TestRandomFreeFactor:
             random_free_factor(3, 3, 1, seed=0)
         with pytest.raises(RankError):
             random_free_factor(3, 0, 1, seed=0)
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_matches_word_level_sampler(self, rank):
+        # the same generators, and the stream left where the Word-level
+        # sampler left it
+        for seed in range(200):
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            factor_rank, chain_length = 1 + seed % (rank - 1), seed % 6
+            factor = random_free_factor(rank, factor_rank, chain_length, rng)
+            expected = oracle_random_free_factor(rank, factor_rank, chain_length, oracle_rng)
+            assert factor == expected, seed
+            assert rng.getstate() == oracle_rng.getstate(), seed
+            assert all(Word(g.letters, rank) == g for g in factor.generators)
+
+    def test_negative_chain_length(self):
+        # range(-2) is empty: this once returned an untransformed factor
+        with pytest.raises(DomainError, match="chain length must be at least 0"):
+            random_free_factor(3, 1, -2, 0)
+
+    @pytest.mark.parametrize(
+        "args", [(3.0, 1, 2), (2.5, 1, 2), (3, 1.0, 2), (3, 2.5, 2), (3, 1, 2.0), (3, 1, 2.5)]
+    )
+    def test_non_integer_arguments(self, args):
+        with pytest.raises(DomainError, match="must be an integer"):
+            random_free_factor(*args, 0)
 
 
 class TestFreeFactorVertex:

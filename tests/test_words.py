@@ -22,6 +22,7 @@ from freefactor import (
     random_word,
 )
 from freefactor import words
+from freefactor.words import _apply_table, _chain_table
 from freefactor.whitehead import (
     WhAutomorphism,
     _moves_per_multiplier,
@@ -29,7 +30,7 @@ from freefactor.whitehead import (
     _signed_permutation_at,
 )
 
-from conftest import W
+from conftest import W, oracle_random_word
 
 
 def naive_reduce(letters):
@@ -298,6 +299,53 @@ class TestRandomWord:
             random_word(-1, 2, 0)
 
 
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5, 26, 27, 40])
+    def test_matches_word_level_sampler(self, rank):
+        # the same letters, and the stream left where the per-letter
+        # sampler left it, so every draw after it is unchanged
+        for seed in range(300):
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            length = seed % 13
+            w = random_word(length, rank, rng)
+            assert w == oracle_random_word(length, rank, oracle_rng), seed
+            assert rng.getstate() == oracle_rng.getstate(), seed
+            assert Word(w.letters, rank) == w
+
+    @pytest.mark.parametrize("length,rank", [(2.5, 2), (3.0, 2), ("3", 2), (3, 2.5), (3, 3.0)])
+    def test_non_integer_arguments(self, length, rank):
+        with pytest.raises(DomainError, match="must be an integer"):
+            random_word(length, rank, 0)
+
+    def test_rank_below_two(self):
+        with pytest.raises(RankError):
+            random_word(3, 1, 0)
+
+
+def oracle_format_word(w: Word) -> str:
+    """The per-letter formatter that the letter table replaced."""
+    if not w.letters:
+        return "1"
+    if w.rank <= 26:
+        chars = []
+        for letter in w.letters:
+            c = words.GENERATOR_CHARS[abs(letter) - 1]
+            chars.append(c.upper() if letter < 0 else c)
+        return "".join(chars)
+    return " ".join(("x" if l > 0 else "X") + str(abs(l)) for l in w.letters)
+
+
+class TestFormatWord:
+    @pytest.mark.parametrize("rank", range(2, 31))
+    def test_matches_per_letter_formatter(self, rank):
+        rng = random.Random(rank)
+        every_letter = Word((*range(1, rank + 1), *range(-1, -rank - 1, -1)), rank)
+        samples = [Word.identity(rank), every_letter]
+        samples += [random_word(rng.randint(1, 40), rank, rng) for _ in range(50)]
+        for w in samples:
+            assert format_word(w) == oracle_format_word(w), w.letters
+            assert parse_word(format_word(w), rank) == w
+
+
 # ---------------------------------------------------------------------------
 # The reduce-everything forms of product, power and automorphism application
 # that the library replaced with junction-only cancellation and image tables;
@@ -419,6 +467,29 @@ class TestDerivedWordsMatchOracles:
         rank, chain = rank_chain
         w = data.draw(word_of(rank, 24))
         assert_same(apply_automorphism(chain, w), oracle_apply(chain, w))
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_composed_chain_table(self, rank):
+        # one reduction through the composed table is the sequential
+        # application of the chain, move by move
+        rng = random.Random(rank)
+        moves = 2 * rank * _moves_per_multiplier(rank)
+        perms = math.factorial(rank) << rank
+        for _ in range(60):
+            chain = tuple(
+                _multiplier_move_at(rank, rng.randrange(moves))
+                if rng.random() < 0.7
+                else _signed_permutation_at(rank, rng.randrange(perms))
+                for _ in range(rng.randint(1, 4))
+            )
+            table = _chain_table(chain, rank)
+            for letter in (*range(1, rank + 1), *range(-rank, 0)):
+                assert table[letter] == oracle_apply(chain, Word((letter,), rank)).letters
+            for _ in range(10):
+                w = random_word(rng.randint(0, 20), rank, rng)
+                expected = oracle_apply(chain, w)
+                assert _apply_table(table, w.letters) == expected.letters
+                assert apply_automorphism(chain, w) == expected
 
     @given(conjugates())
     @settings(max_examples=100)
