@@ -36,6 +36,7 @@ from .farey import Slope, exponent_sums, farey_distance
 from .whitehead import (
     WhAutomorphism,
     _random_multiplier_move,
+    _random_multiplier_table,
     _signed_permutation_at,
     is_primitive,
     minimize_cyclic_length,
@@ -48,7 +49,6 @@ from .words import (
     _Value,
     _apply_table,
     _chain_table,
-    _image_table,
     _orbit_ends,
     _positive_substitution,
     _random_letters,
@@ -240,7 +240,7 @@ def _random_edge_images(rng: random.Random, rank: int, b: Word) -> tuple[Word, .
                 images = _conjugates(images, w)
             else:
                 for _ in range(rng.randint(1, 2)):
-                    table = _image_table(_random_multiplier_move(rng, rank))
+                    table = _random_multiplier_table(rng, rank)
                     images = tuple(_apply_table(table, u) for u in images)
         if sum(map(len, images)) <= 110:
             break

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .whitehead import (
     Classification,
-    _random_multiplier_move,
+    _random_multiplier_table,
     classify,
     minimize_cyclic_length,
     vertex_order,
@@ -47,7 +47,6 @@ from .words import (
     _apply_table,
     _as_tuple,
     _checked_int,
-    _image_table,
     _leading_power,
     _peel,
     _times,
@@ -228,18 +227,21 @@ def is_basis_pair(u: Word, v: Word) -> bool:
 class FreeFactorVertex(_Frozen):
     """A vertex of the free factor graph: a proper, nontrivial free factor."""
 
-    _fields = ("generators", "rank_ambient")
+    __slots__ = _fields = ("generators", "rank_ambient")
 
     def __init__(self, generators, rank_ambient: int):
-        object.__setattr__(self, "generators", _as_tuple(generators, "generators"))
-        object.__setattr__(self, "rank_ambient", rank_ambient)
+        _set_generators(self, _as_tuple(generators, "generators"))
+        _set_rank_ambient(self, rank_ambient)
         self.__post_init__()
 
     def __post_init__(self):
-        if not self.generators:
+        gens = self.generators
+        if not gens:
             raise DomainError("a free factor needs at least one generator")
-        if any(g.rank != self.rank_ambient for g in self.generators):
-            raise RankError("generator rank does not match ambient rank")
+        rank = self.rank_ambient
+        for g in gens:
+            if g.rank != rank:
+                raise RankError("generator rank does not match ambient rank")
 
     @property
     def graph(self) -> CoreGraph:
@@ -247,6 +249,11 @@ class FreeFactorVertex(_Frozen):
 
     def describe(self) -> list[str]:
         return [format_word(g) for g in self.generators]
+
+
+# the slot descriptors' setters, past _Frozen's refusing __setattr__
+_set_generators = FreeFactorVertex.generators.__set__
+_set_rank_ambient = FreeFactorVertex.rank_ambient.__set__
 
 
 @lru_cache(maxsize=4096)
@@ -330,10 +337,7 @@ def random_free_factor(
     chain_length = _checked_int(chain_length, "chain length", 0)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     subset = sorted(rng.sample(range(1, rank_ambient + 1), factor_rank))
-    tables = [
-        _image_table(_random_multiplier_move(rng, rank_ambient))
-        for _ in range(chain_length)
-    ]
+    tables = [_random_multiplier_table(rng, rank_ambient) for _ in range(chain_length)]
     gens = []
     for s in subset:
         letters = (s,)

@@ -17,8 +17,16 @@ floor(x) or ceil(x) (arcs of the Farey tessellation do not cross).  The
 matrix comes from one modular inverse, a C call.  Callers hold the first
 slope and sweep the second (a row of distances), so the module keeps the
 completion of the most recent first slope in one slot and a row pays for
-one inverse.  The slot is one tuple, read once and replaced whole: the
-state is O(1), and a thread never sees half of it.
+one inverse.  The slot is one tuple, read once and replaced whole, so a
+thread never sees half of it.
+
+The fold is a min-plus product row . tail.  Euclid's loop evaluates the
+row while the remaining fraction's denominator is at least 128; the tail
+of a fraction below that is one byte of a fixed 16 KiB table, filled
+entry by entry the first time a fold ends there and never emptied.  So
+the state is that slot and that table, whatever the number of calls.
+Filling lazily keeps the table's build out of start-up: importing the
+package fills no entry, and an orbit-grid pass fills about a dozen.
 
 A slope is an immutable tuple subclass, so it hashes and compares in C
 and equals the plain tuple (p, q).
@@ -107,9 +115,36 @@ def exponent_sums(w: Word) -> tuple[int, int]:
     return ls.count(1) - ls.count(-1), ls.count(2) - ls.count(-2)
 
 
-# (sp, sq, a, b) with a * sp + b * sq = 1: the completion of the most
-# recent first argument of farey_distance that needed one (sq not 0 or 1)
-_held = (1, 2, 1, 0)
+# (sp, sq, a, b) with a * sp + b * sq = 1 (a, b = 1, 0 for sq = 0): the
+# completion of the most recent first argument of farey_distance
+_held = (1, 0, 1, 0)
+
+# The tail (X, Y) of p/q for 0 <= p < q < 128 (see farey_distance): entry
+# q << 7 | p holds X | Y << 4, and 0 means not filled yet (X is at least 1).
+# Below 128, X and Y are at most 6, so each fits in 4 bits.  The edge 128 is
+# written as a literal, which the hot loop reads faster than a global.
+_tail = bytearray(128 * 128)
+
+
+def _tail_entry(q: int, p: int) -> int:
+    """Fill and return the tail entry of p/q, 0 <= p < q < 128.
+
+    Walks the entry's own Euclid tail, filling each missing entry on the
+    way: (X, Y) = (1, 0) at p = 0, else (min(1 + X', a + Y'), X') with
+    a = q // p and (X', Y') the entry of (q mod p)/p.  The recursion is one
+    level per partial quotient, at most 10 deep below 128.  Every entry
+    is a function of (q, p) alone, so threads that fill one concurrently
+    write the same byte, and a reader sees 0 or that byte: no lock.
+    """
+    if p:
+        r = q % p
+        e = _tail[p << 7 | r] or _tail_entry(p, r)
+        x = e & 15
+        e = min(1 + x, q // p + (e >> 4)) | x << 4
+    else:
+        e = 1
+    _tail[q << 7 | p] = e
+    return e
 
 
 def farey_distance(s: Slope, t: Slope) -> int:
@@ -126,13 +161,40 @@ def farey_distance(s: Slope, t: Slope) -> int:
         D_i = min(1 + D_{i+1}, a_i + D_{i+2}),
 
     and the distance is D_1.  This is the min-plus product
-    (0, 1) . M(a_1) ... M(a_n) . (1, 0) with M(a) = [[1, a], [0, inf]],
-    which Euclid's loop evaluates left to right on the row vector (u, v):
-    two integers of state and one step per partial quotient, O(log q).
+    (0, 1) . M(a_1) ... M(a_n) . (1, 0) with M(a) = [[1, a], [0, inf]].
+
+    The product splits as row . tail.  Euclid's loop evaluates the row
+    (0, 1) . M(a_1) ... M(a_{k-1}) left to right on (u, v), two integers
+    of state and one step per partial quotient, while the remaining
+    fraction p/q = [0; a_k, ..., a_n] has q >= 128.  Its tail
+    T(p/q) = M(a_k) ... M(a_n) . (1, 0) is a column (X, Y), and the
+    distance is min(u + X, v + Y).  The tail obeys
+
+        T(0/q) = (1, 0),    T(p/q) = (min(1 + X', a + Y'), X'),
+
+    with a = q // p and (X', Y') = T((q mod p)/p).  Proof: for p > 0,
+    p/q = 1/(a + (q mod p)/p), so a_k = a and the remaining quotients are
+    those of (q mod p)/p; T(p/q) = M(a) . T((q mod p)/p), and the min-plus
+    product of M(a) with (X', Y') is (min(1 + X', a + Y'), min(X', inf)).
+    For p = 0 no quotient is left and the product is (1, 0).  By induction
+    X = D_k, the distance from 1/0 to p/q, and Y = D_{k+1}.
+
+    Below q = 128 the tail is one byte of a fixed 16 KiB table
+    (``_tail``), filled by ``_tail_entry`` on first use and kept.  It is
+    not built ahead: the whole table costs a few milliseconds, which
+    every process would pay at start-up, while a row of box distances
+    reads a few dozen entries and an orbit grid about a dozen.  A box row
+    takes about 2 steps of the loop before its read.
 
     The distance is symmetric, and callers hold s while t varies, so the
     completion of s is kept in one module-level slot: a call whose s has
     the coordinates of the last one skips the modular inverse.
+
+    s must be a primitive pair (1/0 may also be written (-1, 0)) and t a
+    nonzero one, else DomainError.  Both checks sit where a held row does
+    not pass (q = 0 and refilling the slot).  A non-primitive t is read as
+    its reduced slope, and exactly: its common factor g scales p and q,
+    which Euclid's loop divides out, ending at p = 0 with q = g.
     """
     global _held
     # indexing beats the field properties and unpacking a tuple subclass
@@ -140,34 +202,47 @@ def farey_distance(s: Slope, t: Slope) -> int:
     tp, tq = t[0], t[1]
     q = sp * tq - sq * tp
     if q == 0:  # primitive pairs with determinant 0 are the same slope
+        if math.gcd(sp, sq) != 1 or not (tp or tq):
+            raise DomainError(
+                f"farey_distance needs a primitive first pair and a nonzero"
+                f" second one, got {s!r} and {t!r}"
+            )
         return 0
-    if sq == 0:  # s = 1/0 already
-        p = tp
-    elif sq == 1:  # x -> 1/(sp - x) sends sp to 1/0
-        p = tq
-    else:
-        # the matrix [[a, b], [-sq, sp]] sends s to 1/0; read the slot once
-        hp, hq, a, b = _held
-        if hp != sp or hq != sq:
-            # Bezout pair a*sp + b*sq = 1, with a = sp^-1 mod sq from C
-            a = pow(sp, -1, sq)
+    # the matrix [[a, b], [-sq, sp]] sends s to 1/0; read the slot once
+    hp, hq, a, b = _held
+    if hp != sp or hq != sq:
+        # the Bezout pair a*sp + b*sq = 1, with a = sp^-1 mod sq from C (0
+        # for an integer, sq = 1); (1, 0) for 1/0, up to the sign of sp
+        if sq:
+            try:
+                a = pow(sp, -1, sq)
+            except ValueError:
+                raise DomainError(f"first slope {s!r} is not a primitive pair") from None
             b = (1 - a * sp) // sq
-            _held = sp, sq, a, b
-        p = a * tp + b * tq
+        elif sp == 1 or sp == -1:
+            a, b = 1, 0
+        else:
+            raise DomainError(f"first slope {s!r} is not a primitive pair")
+        _held = sp, sq, a, b
     # x -> -x fixes 1/0, so the distance from 1/0 depends on |p/q| only
     if q < 0:
         q = -q
-    p %= q
-    if not p:  # an integer: a neighbor of 1/0
-        return 1
-    # the first step from (u, v) = (0, 1), where min(u + 1, v) is 1
-    u, v = 1, q // p
-    q, p = p, q % p
-    while p:
-        # min(u + 1, v), spelled out: calling min() makes the loop ~3x slower
-        u, v = (u + 1 if u < v else v), u + q // p
-        q, p = p, q % p
-    return u + 1 if u < v else v
+    p = (a * tp + b * tq) % q
+    u, v = 0, 1
+    # the try costs nothing until it catches (Python 3.11+), so a held row
+    # pays no test for the rare p = 0 below
+    try:
+        while q >= 128:
+            # min(u + 1, v), spelled out: calling min() makes the loop ~3x slower
+            u, v = (u + 1 if u < v else v), u + q // p
+            q, p = p, q % p
+    except ZeroDivisionError:
+        # p = 0 with q >= 128: t had the common factor q, and T(0/q) = (1, 0)
+        return u + 1 if u < v else v
+    e = _tail[q << 7 | p] or _tail_entry(q, p)
+    u += e & 15
+    v += e >> 4
+    return u if u < v else v
 
 
 def __getattr__(name: str):

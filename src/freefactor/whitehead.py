@@ -59,7 +59,14 @@ from .errors import (
     InternalContradictionError,
     RankError,
 )
-from .words import Word, _Frozen, apply_automorphism, cyclic_reduce, format_word
+from .words import (
+    Word,
+    _Frozen,
+    _image_table,
+    apply_automorphism,
+    cyclic_reduce,
+    format_word,
+)
 
 
 @lru_cache(maxsize=None)
@@ -241,6 +248,21 @@ def _random_multiplier_move(rng, rank: int) -> WhAutomorphism:
     """
     count = 2 * rank * _moves_per_multiplier(rank)
     return _multiplier_move_at(rank, rng.randrange(count))
+
+
+@lru_cache(maxsize=_UNRANK_CACHE)
+def _multiplier_table_at(rank: int, index: int) -> tuple[tuple[int, ...], ...]:
+    """The letter-image table (``words._image_table``) of the ``index``-th
+    multiplier move, cached by (rank, index): a hit hashes two ints, not
+    the move's five fields."""
+    return _image_table(_multiplier_move_at(rank, index))
+
+
+def _random_multiplier_table(rng, rank: int) -> tuple[tuple[int, ...], ...]:
+    """The letter-image table of a uniform multiplier move, drawn as
+    ``_random_multiplier_move`` draws the move: one ``rng.randrange``."""
+    count = 2 * rank * _moves_per_multiplier(rank)
+    return _multiplier_table_at(rank, rng.randrange(count))
 
 
 def enumerate_whitehead_automorphisms(rank: int) -> tuple[WhAutomorphism, ...]:

@@ -1,8 +1,10 @@
 import copy
 import itertools
 import math
+import os
 import pickle
 import random
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -25,6 +27,7 @@ from freefactor import (
     is_basis_pair,
     slope_of,
 )
+from freefactor import farey
 from freefactor.experiments import build_boundary_pA
 from freefactor.farey import exponent_sums
 from freefactor.farey_graph import _inverse_mod
@@ -136,6 +139,63 @@ def oracle_target_fold(s, t) -> int:
         u, v = (u + 1 if u < v else v), u + q // p
         q, p = p, q % p
     return u + 1 if u < v else v
+
+
+def oracle_held_fold(s, t) -> int:
+    """Reference for ``farey_distance``: the fold it replaced, with Euclid's
+    loop run to the end and no table.
+
+    Completes the *first* slope s to a determinant-one matrix sending it to
+    1/0 (s = 1/0 and integers s need no inverse, any other s the Bezout
+    pair from ``pow(sp, -1, sq)``), applies it to t and folds the regular
+    continued fraction of the image; stateless, so no slot.
+    """
+    sp, sq = s[0], s[1]
+    tp, tq = t[0], t[1]
+    q = sp * tq - sq * tp
+    if q == 0:
+        return 0
+    if sq == 0:
+        p = tp
+    elif sq == 1:
+        p = tq
+    else:
+        a = pow(sp, -1, sq)
+        p = a * tp + (1 - a * sp) // sq * tq
+    if q < 0:
+        q = -q
+    p %= q
+    if not p:
+        return 1
+    u, v = 1, q // p
+    q, p = p, q % p
+    while p:
+        u, v = (u + 1 if u < v else v), u + q // p
+        q, p = p, q % p
+    return u + 1 if u < v else v
+
+
+def oracle_tail(q: int, p: int) -> tuple[int, int]:
+    """Reference for the tail entry (X, Y) of p/q, 0 <= p < q: X is the
+    distance from 1/0 to p/q and Y that of (q mod p)/p (0 for p = 0, the
+    distance from 1/0 to itself), each reduced first."""
+    g = math.gcd(p, q)
+    x = oracle_dist_to_infinity(p // g, q // g)
+    y = oracle_dist_to_infinity(q % p // g, p // g) if p else 0
+    return x, y
+
+
+def completion_preimage(s, p: int, q: int) -> tuple[int, int]:
+    """The pair t that ``farey_distance(s, t)`` folds as p/q: the preimage
+    of (p, q) under s's completion [[a, b], [-sq, sp]], whose inverse is
+    [[sp, -b], [sq, a]]."""
+    sp, sq = s
+    if sq == 0:
+        a, b = 1, 0
+    else:
+        a = pow(sp, -1, sq)
+        b = (1 - a * sp) // sq
+    return sp * p - b * q, sq * p + a * q
 
 
 def oracle_farey_csr(limit: int) -> tuple[list[Slope], np.ndarray, np.ndarray]:
@@ -534,9 +594,12 @@ class TestContinuedFractionFold:
                 assert farey_distance(s, t) == oracle_target_fold(s, t), (s, t)
                 assert farey_distance(t, s) == oracle_target_fold(s, t), (t, s)
 
-    def test_threads_sharing_the_held_slot(self):
+    def test_threads_sharing_the_held_slot(self, monkeypatch):
         # every thread holds its own first slope; whichever completion the
-        # slot holds when a thread reads it, the distance is right
+        # slot holds when a thread reads it, the distance is right.  The
+        # tail table starts empty, so the threads also fill entries
+        # concurrently, and every entry they fill must be the oracle's.
+        monkeypatch.setattr(farey, "_tail", bytearray(len(farey._tail)))
         rng = random.Random(41)
         rows = [(random_slope(rng, 10**9), [random_slope(rng, 10**9) for _ in range(300)])
                 for _ in range(4)]
@@ -555,10 +618,17 @@ class TestContinuedFractionFold:
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not wrong, wrong[:5]
+        table = farey._tail
+        filled = [(i >> 7, i & 127) for i, e in enumerate(table) if e]
+        assert filled
+        for q, p in filled:
+            e = table[q << 7 | p]
+            assert (e & 15, e >> 4) == oracle_tail(q, p), (p, q)
 
     def test_memory_stays_bounded(self):
         rng = random.Random(5)
@@ -572,6 +642,126 @@ class TestContinuedFractionFold:
         finally:
             tracemalloc.stop()
         assert retained < 1 << 20, retained
+
+
+class TestTailTable:
+    def test_every_entry_matches_oracle(self, monkeypatch):
+        monkeypatch.setattr(farey, "_tail", bytearray(len(farey._tail)))
+        for q in range(1, 128):
+            for p in range(q):
+                farey._tail_entry(q, p)
+        table = farey._tail
+        assert sum(1 for e in table if e) == 128 * 127 // 2
+        for q in range(128):
+            for p in range(128):
+                e = table[q << 7 | p]
+                if p >= q:
+                    assert e == 0, (p, q)  # no fraction, no entry
+                else:
+                    assert (e & 15, e >> 4) == oracle_tail(q, p), (p, q)
+
+    def test_distances_fill_their_entries_lazily(self, monkeypatch):
+        monkeypatch.setattr(farey, "_tail", bytearray(len(farey._tail)))
+        assert farey_distance(Slope(1, 0), Slope(13, 21)) == 4
+        # 13/21, 8/13, 5/8, 3/5, 2/3, 1/2, 0/1: one entry per Euclid step
+        filled = {(i & 127, i >> 7) for i, e in enumerate(farey._tail) if e}
+        assert filled == {(13, 21), (8, 13), (5, 8), (3, 5), (2, 3), (1, 2), (0, 1)}
+        assert farey_distance(Slope(1, 0), Slope(13, 21)) == 4
+
+    @pytest.mark.parametrize("crossing", [127, 128, 129])
+    def test_folds_crossing_the_table_edge(self, crossing):
+        # fractions whose Euclid chain has the denominator `crossing`: the
+        # fraction r/crossing itself, and 1/(a + r/crossing) one and two
+        # quotients up, folded from several held slopes
+        rng = random.Random(crossing)
+        held = [(1, 0), (-1, 0), (0, 1), (5, 1), (-3, 7), (13, 21), (10**9 + 7, 10**9 + 9)]
+        fractions = []
+        for r in range(crossing):
+            if math.gcd(r, crossing) != 1:
+                continue
+            fractions.append((r, crossing))
+            a = rng.randint(1, 300)
+            p1, q1 = crossing, a * crossing + r
+            fractions.append((p1, q1))
+            fractions.append((q1, rng.randint(1, 5) * q1 + p1))
+        for s in held:
+            for p, q in fractions:
+                t = completion_preimage(s, p, q)
+                expected = oracle_dist_to_infinity(p, q)
+                assert oracle_held_fold(s, t) == expected, (s, t)
+                assert farey_distance(s, t) == expected, (s, t)
+                assert farey_distance(t, s) == expected, (t, s)
+
+    def test_matches_held_fold_on_box_and_far_pairs(self):
+        graph = FareyGraph(20)
+        inner = [s for s in graph.slopes if abs(s.p) <= 20 and s.q <= 20]
+        for s in inner:
+            for t in inner:
+                assert farey_distance(s, t) == oracle_held_fold(s, t), (s, t)
+        rng = random.Random(43)
+        for bound, count in ((10**6, 1500), (10**18, 3000)):
+            for _ in range(count):
+                s, t = random_slope(rng, bound), random_slope(rng, bound)
+                assert farey_distance(s, t) == oracle_held_fold(s, t), (s, t)
+                assert farey_distance(t, s) == oracle_held_fold(t, s), (t, s)
+
+    def test_common_factor_of_the_second_pair_is_divided_out(self):
+        # Euclid ends at p = 0 with q the common factor g, on either side of
+        # the table's edge
+        rng = random.Random(47)
+        for s in [(1, 0), (0, 1), (2, 1), (-3, 7), (34, 55)]:
+            for _ in range(40):
+                t = random_slope(rng, 10**4)
+                for g in (2, 127, 128, 129, 1000, 10**9):
+                    scaled = (g * t.p, g * t.q)
+                    assert farey_distance(s, scaled) == farey_distance(s, t), (s, t, g)
+
+    def test_import_fills_no_entry(self):
+        # a fresh interpreter: the table is built by use, not at import
+        src = os.path.dirname(os.path.dirname(os.path.abspath(farey.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        script = (
+            "import freefactor, freefactor.cli; "
+            "print(len(freefactor.farey._tail), any(freefactor.farey._tail))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["16384", "False"]
+
+
+class TestBadPairs:
+    @pytest.mark.parametrize("s, t", [((0, 0), (1, 2)), ((1, 2), (0, 0)), ((0, 0), (0, 0))])
+    def test_zero_pair(self, s, t):
+        with pytest.raises(DomainError):
+            farey_distance(s, t)
+
+    @pytest.mark.parametrize("t", [(1, 3), (1, 2), (0, 1), (1, 0)])
+    def test_non_primitive_first_pair(self, t):
+        # (2, 4) against (1, 2) has determinant 0; against the others its
+        # completion has no modular inverse
+        with pytest.raises(DomainError):
+            farey_distance((2, 4), t)
+
+    @pytest.mark.parametrize("t", [(1, 3), (1, 0), (5, 1)])
+    def test_first_pair_with_q_zero_must_be_one_over_zero(self, t):
+        with pytest.raises(DomainError):
+            farey_distance((2, 0), t)
+        assert farey_distance((-1, 0), t) == farey_distance((1, 0), t)
+
+    def test_a_bad_pair_leaves_the_held_slot_working(self):
+        assert farey_distance((3, 5), (1, 2)) == oracle_held_fold((3, 5), (1, 2))
+        with pytest.raises(DomainError):
+            farey_distance((6, 10), (1, 2))
+        for t in [(1, 2), (7, 9), (-4, 5)]:
+            assert farey_distance((3, 5), t) == oracle_held_fold((3, 5), t)
+
+    def test_non_primitive_second_pair_is_its_reduced_slope(self):
+        assert farey_distance((1, 0), (2, 4)) == farey_distance((1, 0), (1, 2)) == 2
+        assert farey_distance((1, 2), (2, 4)) == 0
+        assert farey_distance((3, 5), (-6, 0)) == farey_distance((3, 5), (1, 0))
 
 
 class TestFareyGraph:

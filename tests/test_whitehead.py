@@ -30,9 +30,11 @@ from freefactor.whitehead import (
     _edge_matrix,
     _multiplier_move_at,
     _random_multiplier_move,
+    _random_multiplier_table,
     _signed_permutation_at,
     vertex_order,
 )
+from freefactor.words import _image_table
 
 from conftest import W, psi_power
 
@@ -256,6 +258,17 @@ class TestEnumeration:
                     rank, by_index.randrange(len(perms))
                 )
             assert by_table.random() == by_index.random()
+
+    @pytest.mark.parametrize("rank", [2, 3, 5])
+    def test_table_draws_match_move_draws(self, rank):
+        # the table keyed by (rank, index) is the drawn move's image table,
+        # and the draw consumes the stream as the move's draw does
+        for seed in range(3):
+            by_move, by_table = random.Random(seed), random.Random(seed)
+            for _ in range(500):
+                move = _random_multiplier_move(by_move, rank)
+                assert _random_multiplier_table(by_table, rank) == _image_table(move)
+            assert by_move.random() == by_table.random()
 
 
 class TestMinimize:
