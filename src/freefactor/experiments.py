@@ -36,7 +36,6 @@ from .farey import Slope, exponent_sums, farey_distance
 from .whitehead import (
     WhAutomorphism,
     _random_multiplier_move,
-    _random_multiplier_table,
     _signed_permutation_at,
     is_primitive,
     minimize_cyclic_length,
@@ -240,7 +239,7 @@ def _random_edge_images(rng: random.Random, rank: int, b: Word) -> tuple[Word, .
                 images = _conjugates(images, w)
             else:
                 for _ in range(rng.randint(1, 2)):
-                    table = _random_multiplier_table(rng, rank)
+                    table = _random_multiplier_move(rng, rank).table
                     images = tuple(_apply_table(table, u) for u in images)
         if sum(map(len, images)) <= 110:
             break

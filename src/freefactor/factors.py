@@ -36,7 +36,7 @@ from .errors import (
 )
 from .whitehead import (
     Classification,
-    _random_multiplier_table,
+    _random_multiplier_move,
     classify,
     minimize_cyclic_length,
     vertex_order,
@@ -337,12 +337,12 @@ def random_free_factor(
     chain_length = _checked_int(chain_length, "chain length", 0)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     subset = sorted(rng.sample(range(1, rank_ambient + 1), factor_rank))
-    tables = [_random_multiplier_table(rng, rank_ambient) for _ in range(chain_length)]
+    moves = [_random_multiplier_move(rng, rank_ambient) for _ in range(chain_length)]
     gens = []
     for s in subset:
         letters = (s,)
-        for table in tables:
-            letters = _apply_table(table, letters)
+        for move in moves:
+            letters = _apply_table(move.table, letters)
         gens.append(_trusted_word(letters, rank_ambient))
     return FreeFactorVertex(tuple(gens), rank_ambient)
 
@@ -481,6 +481,18 @@ def factor_invariant(a: FreeFactorVertex, b: Word) -> FactorInvariant:
     return _graph_invariant(a.graph, b)
 
 
+def _inverse_blocks(prefix: tuple, binv: tuple) -> tuple[int, int | None]:
+    """The number J of whole b^-1 blocks that ``prefix`` starts with, and the
+    letter that would continue the next block (None if the rest of
+    ``prefix`` is not a proper prefix of b^-1)."""
+    m = len(binv)
+    blocks = _leading_power(prefix, binv, len(prefix) // m)
+    rest = prefix[blocks * m :]
+    if len(rest) < m and rest == binv[: len(rest)]:
+        return blocks, binv[len(rest)]
+    return blocks, None
+
+
 def _cyclic_invariant(g: Word, b: Word) -> FactorInvariant:
     """The invariant of <g>, read off g = u c u^-1 (``_peel``).
 
@@ -522,11 +534,8 @@ def _cyclic_invariant(g: Word, b: Word) -> FactorInvariant:
     value = _leading_power(u, bl, len(u) // m)
     bad_first = None
     if value == 0:
-        blocks = _leading_power(u, binv, len(u) // m)
+        blocks, bad_first = _inverse_blocks(u, binv)
         value = -blocks
-        rest = u[blocks * m :]
-        if len(rest) < m and rest == binv[: len(rest)]:
-            bad_first = binv[len(rest)]  # the letter continuing the next block
     first = next(
         l for l in vertex_order(g.rank) if l in (c[0], -c[-1]) and l != bad_first
     )
@@ -595,14 +604,9 @@ def _graph_invariant(graph: CoreGraph, b: Word) -> FactorInvariant:
             )
 
     stem, end = _forced_stem(graph)
-    m = len(binv)
-    blocks_in_stem = _leading_power(stem, binv, len(stem) // m)
-    rest = stem[blocks_in_stem * m :]
-    bad_first = set()
-    if stem:
-        bad_first.add(-stem[-1])
-    if len(rest) < m and rest == binv[: len(rest)]:
-        bad_first.add(binv[len(rest)])  # the letter continuing the next block
+    blocks_in_stem, next_letter = _inverse_blocks(stem, binv)
+    # None, for no stem or no next letter, matches no letter
+    bad_first = {-stem[-1] if stem else None, next_letter}
     loop, visited = _closed_path(graph, end, bad_first, stem[-1] if stem else None)
     samples += visited
     if loop is None:

@@ -195,51 +195,60 @@ def farey_distance(s: Slope, t: Slope) -> int:
     not pass (q = 0 and refilling the slot).  A non-primitive t is read as
     its reduced slope, and exactly: its common factor g scales p and q,
     which Euclid's loop divides out, ending at p = 0 with q = g.
+
+    A coordinate that is not an integer is a DomainError too, at no cost
+    to a held row: it fails an integer operation, or a cold exit (q = 0, a
+    new first slope, p = 0) reads it through ``operator.index``.
     """
     global _held
-    # indexing beats the field properties and unpacking a tuple subclass
-    sp, sq = s[0], s[1]
-    tp, tq = t[0], t[1]
-    q = sp * tq - sq * tp
-    if q == 0:  # primitive pairs with determinant 0 are the same slope
-        if math.gcd(sp, sq) != 1 or not (tp or tq):
-            raise DomainError(
-                f"farey_distance needs a primitive first pair and a nonzero"
-                f" second one, got {s!r} and {t!r}"
-            )
-        return 0
-    # the matrix [[a, b], [-sq, sp]] sends s to 1/0; read the slot once
-    hp, hq, a, b = _held
-    if hp != sp or hq != sq:
-        # the Bezout pair a*sp + b*sq = 1, with a = sp^-1 mod sq from C (0
-        # for an integer, sq = 1); (1, 0) for 1/0, up to the sign of sp
-        if sq:
-            try:
-                a = pow(sp, -1, sq)
-            except ValueError:
-                raise DomainError(f"first slope {s!r} is not a primitive pair") from None
-            b = (1 - a * sp) // sq
-        elif sp == 1 or sp == -1:
-            a, b = 1, 0
-        else:
-            raise DomainError(f"first slope {s!r} is not a primitive pair")
-        _held = sp, sq, a, b
-    # x -> -x fixes 1/0, so the distance from 1/0 depends on |p/q| only
-    if q < 0:
-        q = -q
-    p = (a * tp + b * tq) % q
-    u, v = 0, 1
     # the try costs nothing until it catches (Python 3.11+), so a held row
-    # pays no test for the rare p = 0 below
+    # pays no test for a TypeError or for the rare p = 0 below
     try:
-        while q >= 128:
-            # min(u + 1, v), spelled out: calling min() makes the loop ~3x slower
-            u, v = (u + 1 if u < v else v), u + q // p
-            q, p = p, q % p
-    except ZeroDivisionError:
-        # p = 0 with q >= 128: t had the common factor q, and T(0/q) = (1, 0)
-        return u + 1 if u < v else v
-    e = _tail[q << 7 | p] or _tail_entry(q, p)
+        # indexing beats the field properties and unpacking a tuple subclass
+        sp, sq = s[0], s[1]
+        tp, tq = t[0], t[1]
+        q = sp * tq - sq * tp
+        if q == 0:  # primitive pairs with determinant 0 are the same slope
+            if math.gcd(sp, sq) != 1 or not math.gcd(tp, tq):
+                raise DomainError(
+                    f"farey_distance needs a primitive first pair and a nonzero"
+                    f" second one, got {s!r} and {t!r}"
+                )
+            return 0
+        # the matrix [[a, b], [-sq, sp]] sends s to 1/0; read the slot once
+        hp, hq, a, b = _held
+        if hp != sp or hq != sq:
+            # the Bezout pair a*sp + b*sq = 1, with a = sp^-1 mod sq from C
+            # (0 for an integer, sq = 1); (1, 0) for 1/0, up to the sign of sp
+            sp, sq = operator.index(sp), operator.index(sq)
+            if sq:
+                try:
+                    a = pow(sp, -1, sq)
+                except ValueError:
+                    raise DomainError(f"first slope {s!r} is not primitive") from None
+                b = (1 - a * sp) // sq
+            elif sp == 1 or sp == -1:
+                a, b = 1, 0
+            else:
+                raise DomainError(f"first slope {s!r} is not primitive")
+            _held = sp, sq, a, b
+        # x -> -x fixes 1/0, so the distance from 1/0 depends on |p/q| only
+        if q < 0:
+            q = -q
+        p = (a * tp + b * tq) % q
+        u, v = 0, 1
+        try:
+            while q >= 128:
+                # min(u + 1, v) spelled out: calling min() makes the loop ~3x slower
+                u, v = (u + 1 if u < v else v), u + q // p
+                q, p = p, q % p
+            e = _tail[q << 7 | p] or _tail_entry(q, p)
+        except ZeroDivisionError:
+            # p = 0 with q >= 128: t had the common factor q, and T(0/q) = (1, 0)
+            operator.index(q)  # a float q divides by zero too
+            e = 1
+    except (TypeError, IndexError):
+        raise DomainError(f"slopes must be integer pairs, got {s!r}, {t!r}") from None
     u += e & 15
     v += e >> 4
     return u if u < v else v

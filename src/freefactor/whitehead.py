@@ -42,8 +42,8 @@ Moves are addressed by their index in a fixed order, so a random move is
 drawn by unranking one random index (``_multiplier_move_at``,
 ``_signed_permutation_at``) and no table of all moves is ever built.
 
-Everything here is pure over immutable inputs; the unrankers sit behind
-bounded caches.
+Everything here is pure over immutable inputs.  A move builds its
+letter-image table once, and the unrankers keep moves in bounded caches.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from .errors import (
 from .words import (
     Word,
     _Frozen,
-    _image_table,
     apply_automorphism,
     cyclic_reduce,
     format_word,
@@ -122,6 +121,10 @@ class WhAutomorphism(_Frozen):
 
     ``permutation`` kind: a signed permutation of the generators, given by
     the images of generators 1..rank.
+
+    ``table`` is the image of every letter, built once from the checked
+    fields: 2*rank + 1 letter tuples indexed by the letter itself (-i at
+    index -i).  Equality, hashing, repr and pickling ignore it.
     """
 
     _fields = ("kind", "rank", "multiplier", "zset", "images")
@@ -142,24 +145,37 @@ class WhAutomorphism(_Frozen):
         self.__post_init__()
 
     def __post_init__(self):
+        rank = self.rank
+        table = [()] * (2 * rank + 1)
         if self.kind == "multiplier":
             a, z = self.multiplier, self.zset
             if a is None or z is None:
                 raise DomainError("multiplier move needs a letter and a set")
-            if not (0 < abs(a) <= self.rank):
-                raise RankError(f"multiplier {a} outside rank {self.rank}")
+            if not all(isinstance(v, int) for v in (a, *z)):
+                raise DomainError(f"letters must be integers, got {a!r} and {z!r}")
+            if not (0 < abs(a) <= rank):
+                raise RankError(f"multiplier {a} outside rank {rank}")
             if a not in z or -a in z:
                 raise DomainError("need a in Z and a^-1 not in Z")
-            if any(v == 0 or abs(v) > self.rank for v in z):
+            if any(v == 0 or abs(v) > rank for v in z):
                 raise RankError("Z contains a letter outside the alphabet")
+            # the rule read with Z - {a} also fixes a and a^-1
+            others = set(z) - {a}
+            for v in vertex_order(rank):
+                table[v] = (a,) * (-v in others) + (v,) + (-a,) * (v in others)
         elif self.kind == "permutation":
             imgs = self.images
-            if imgs is None or len(imgs) != self.rank:
+            if imgs is None or len(imgs) != rank:
                 raise DomainError("need one image per generator")
-            if sorted(abs(i) for i in imgs) != list(range(1, self.rank + 1)):
+            if not all(isinstance(i, int) for i in imgs):
+                raise DomainError(f"images must be integers, got {imgs!r}")
+            if sorted(map(abs, imgs)) != list(range(1, rank + 1)):
                 raise DomainError("images are not a signed permutation")
+            for i, img in enumerate(imgs, 1):
+                table[i], table[-i] = (img,), (-img,)
         else:
             raise DomainError(f"unknown automorphism kind {self.kind!r}")
+        object.__setattr__(self, "table", tuple(table))
 
     @classmethod
     def multiplier_move(cls, a: int, zset, rank: int) -> "WhAutomorphism":
@@ -172,21 +188,6 @@ class WhAutomorphism(_Frozen):
     @classmethod
     def identity(cls, rank: int) -> "WhAutomorphism":
         return cls.permutation_move(range(1, rank + 1), rank)
-
-    def letter_image(self, letter: int) -> tuple[int, ...]:
-        if self.kind == "multiplier":
-            a = self.multiplier
-            if letter == a or letter == -a:
-                return (letter,)
-            image = []
-            if -letter in self.zset:
-                image.append(a)
-            image.append(letter)
-            if letter in self.zset:
-                image.append(-a)
-            return tuple(image)
-        img = self.images[abs(letter) - 1]
-        return (img,) if letter > 0 else (-img,)
 
     def __call__(self, w: Word) -> Word:
         return apply_automorphism((self,), w)
@@ -203,14 +204,14 @@ class WhAutomorphism(_Frozen):
 
     def generator_images(self) -> dict[str, str]:
         """Images of the generators, in compact text (for certificates)."""
-        out = {}
-        for i in range(1, self.rank + 1):
-            gen = Word((i,), self.rank)
-            out[format_word(gen)] = format_word(self(gen))
-        return out
+        rank = self.rank
+        return {
+            format_word(Word((i,), rank)): format_word(Word(self.table[i], rank))
+            for i in range(1, rank + 1)
+        }
 
     def is_identity_map(self) -> bool:
-        return all(self.letter_image(i) == (i,) for i in range(1, self.rank + 1))
+        return all(self.table[i] == (i,) for i in range(1, self.rank + 1))
 
 
 def _moves_per_multiplier(rank: int) -> int:
@@ -219,8 +220,8 @@ def _moves_per_multiplier(rank: int) -> int:
 
 # Entries kept by each unranker's cache: every move at ranks 2-5 fits (at
 # rank 5, 2,550 multiplier moves and 3,840 signed permutations), so repeated
-# draws cost a lookup instead of building and validating an automorphism,
-# and memory stays bounded at any rank.
+# draws cost a lookup instead of building and validating an automorphism
+# and its table, and memory stays bounded at any rank.
 _UNRANK_CACHE = 4096
 
 
@@ -248,21 +249,6 @@ def _random_multiplier_move(rng, rank: int) -> WhAutomorphism:
     """
     count = 2 * rank * _moves_per_multiplier(rank)
     return _multiplier_move_at(rank, rng.randrange(count))
-
-
-@lru_cache(maxsize=_UNRANK_CACHE)
-def _multiplier_table_at(rank: int, index: int) -> tuple[tuple[int, ...], ...]:
-    """The letter-image table (``words._image_table``) of the ``index``-th
-    multiplier move, cached by (rank, index): a hit hashes two ints, not
-    the move's five fields."""
-    return _image_table(_multiplier_move_at(rank, index))
-
-
-def _random_multiplier_table(rng, rank: int) -> tuple[tuple[int, ...], ...]:
-    """The letter-image table of a uniform multiplier move, drawn as
-    ``_random_multiplier_move`` draws the move: one ``rng.randrange``."""
-    count = 2 * rank * _moves_per_multiplier(rank)
-    return _multiplier_table_at(rank, rng.randrange(count))
 
 
 def enumerate_whitehead_automorphisms(rank: int) -> tuple[WhAutomorphism, ...]:

@@ -19,8 +19,8 @@ Letters are checked where they come in from outside: ``Word(...)``,
 ``Word.from_letters`` and ``parse_word`` check every letter against the
 alphabet and reject an unreduced word, ``random_word`` draws each letter
 from the alphabet minus the one letter that would cancel, and
-``apply_automorphism`` checks each automorphism's letter images once, when
-it first builds that automorphism's image table.  A word derived from
+``apply_automorphism`` reads letter images off ``WhAutomorphism.table``,
+checked when the automorphism was built.  A word derived from
 checked words of one rank is built by the private ``_trusted_word`` with
 no re-check: it is a product, power, slice or inverse of reduced words
 over that alphabet, so its letters are in the alphabet already, and each
@@ -398,36 +398,10 @@ def ad(b: Word, w: Word, k: int = 1) -> Word:
     return (b**k) * w * (b**-k)
 
 
-# Image tables kept: one per Whitehead move at ranks 2-5 fits, as in the
-# whitehead unrankers' caches.
-_IMAGE_TABLES = 4096
-
-
-@lru_cache(maxsize=_IMAGE_TABLES)
-def _image_table(phi) -> tuple[tuple[int, ...], ...]:
-    """phi's image of every letter, indexed by the letter itself.
-
-    The tuple has 2*rank + 1 entries, so Python's negative indexing puts
-    the image of -i at index -i.  Every image letter is checked here, once
-    per automorphism, against the rank-``phi.rank`` alphabet.
-    """
-    rank = phi.rank
-    table = [()] * (2 * rank + 1)
-    for letter in (*range(1, rank + 1), *range(-rank, 0)):
-        image = tuple(phi.letter_image(letter))
-        for l in image:
-            if not isinstance(l, int) or l == 0 or abs(l) > rank:
-                raise WordSyntaxError(
-                    f"image letter {l!r} outside alphabet of rank {rank}"
-                )
-        table[letter] = image
-    return tuple(table)
-
-
 def _apply_table(table, letters: tuple[int, ...]) -> tuple[int, ...]:
-    """The image of a letter tuple under a letter-image table laid out as
-    ``_image_table``'s: the images of its letters concatenated and freely
-    reduced once."""
+    """The image of a letter tuple under a checked letter-image table, laid
+    out as ``WhAutomorphism.table``: the images of its letters concatenated
+    and freely reduced once."""
     return free_reduce(itertools.chain.from_iterable(map(table.__getitem__, letters)))
 
 
@@ -435,23 +409,25 @@ def apply_automorphism(chain, w: Word) -> Word:
     """Apply a sequence of automorphisms left to right.
 
     A chain ``[g1, g2]`` acts as the composite ``g2 o g1`` (g1 first).  Each
-    element must be hashable and expose ``rank`` and
-    ``letter_image(letter) -> tuple``; its letter images are read once into
-    a bounded cache.  Each step concatenates the images of w's letters and
-    freely reduces the result once.
+    element is a ``WhAutomorphism`` (anything else raises DomainError), and
+    each step concatenates the images of w's letters in its checked
+    ``table`` and freely reduces the result once.
     """
     for phi in chain:
-        if phi.rank != w.rank:
-            raise RankError(
-                f"automorphism of rank {phi.rank} applied to word of rank {w.rank}"
-            )
-        w = _trusted_word(_apply_table(_image_table(phi), w.letters), w.rank)
+        # the try costs nothing until it catches (Python 3.11+)
+        try:
+            rank, table = phi.rank, phi.table
+        except AttributeError:
+            raise DomainError(f"{phi!r} is not a Whitehead automorphism") from None
+        if rank != w.rank:
+            raise RankError(f"automorphism of rank {rank} on a word of rank {w.rank}")
+        w = _trusted_word(_apply_table(table, w.letters), w.rank)
     return w
 
 
 def _chain_table(chain, rank: int) -> tuple[tuple[int, ...], ...]:
-    """The letter-image table, laid out as ``_image_table``'s, of the
-    composite of ``chain`` applied left to right: each letter's image
+    """The letter-image table, laid out as ``WhAutomorphism.table``, of
+    the composite of ``chain`` applied left to right: each letter's image
     under ``apply_automorphism(chain, .)``.
 
     An automorphism is a homomorphism, so the image of a word is the
@@ -472,7 +448,7 @@ def _positive_substitution(chain) -> dict[int, tuple[int, ...]]:
     whichever alphabet A has every image a word over A, so that no power
     of the chain cancels on a word over A.  Raise
     InternalContradictionError if neither does."""
-    images = {l: apply_automorphism(chain, Word((l,), 2)).letters for l in (1, 2, -2)}
+    images = _chain_table(chain, 2)
     for alphabet in ((1, 2), (1, -2)):
         if all(set(images[a]) <= set(alphabet) for a in alphabet):
             return {a: images[a] for a in alphabet}

@@ -45,6 +45,27 @@ def b3() -> Word:
     return boundary_word(3)
 
 
+def oracle_letter_image(phi, letter: int) -> tuple[int, ...]:
+    """The image of one letter under a Whitehead automorphism, read off its
+    fields (the per-letter derivation that ``WhAutomorphism.table``
+    replaced): a multiplier move sends v != a^+-1 to a^[v^-1 in Z] v
+    a^-[v in Z] and fixes a^+-1; a permutation sends +-i to the signed
+    image of generator i."""
+    if phi.kind == "multiplier":
+        a = phi.multiplier
+        if letter == a or letter == -a:
+            return (letter,)
+        image = []
+        if -letter in phi.zset:
+            image.append(a)
+        image.append(letter)
+        if letter in phi.zset:
+            image.append(-a)
+        return tuple(image)
+    img = phi.images[abs(letter) - 1]
+    return (img,) if letter > 0 else (-img,)
+
+
 def oracle_random_word(length: int, rank: int, rng) -> Word:
     """The Word-level sampler that random_word replaced: the candidate list
     rebuilt for every letter, and the letters checked by Word."""

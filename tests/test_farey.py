@@ -758,6 +758,37 @@ class TestBadPairs:
         for t in [(1, 2), (7, 9), (-4, 5)]:
             assert farey_distance((3, 5), t) == oracle_held_fold((3, 5), t)
 
+    @pytest.mark.parametrize(
+        "s, t",
+        [
+            ((1, 0), (1.0, 3.0)),  # a float at the table read
+            ((3.0, 5.0), (1, 7)),  # a float first pair
+            ((1, 0), (1.0, 0.0)),  # the q = 0 exit
+            ((1, 0), (0.0, 1000.0)),  # the p = 0 exit of Euclid's loop
+            ((1, 0), (0.5, 1000.0)),  # floats through Euclid's loop
+            ((1, 0), ("1", 3)),
+            ((1, 0), (1j, 3)),
+            ((1,), (1, 2)),
+            (None, (1, 2)),
+        ],
+    )
+    def test_non_integer_pairs(self, s, t):
+        # with the slot holding another slope, and holding s's value
+        for held in ((1, 2), (1, 0), (3, 5)):
+            farey_distance(held, (1, 3))
+            with pytest.raises(DomainError):
+                farey_distance(s, t)
+        assert farey_distance((3, 5), (1, 2)) == oracle_held_fold((3, 5), (1, 2))
+
+    @pytest.mark.parametrize("t", [(1, 7), (1000, 1), (-355, 113), (10**6 + 1, 10**6)])
+    def test_numpy_first_pair_reads_as_ints(self, t):
+        expected = oracle_held_fold((3, 5), t)
+        farey_distance((1, 0), (1, 2))  # the slot holds another slope
+        assert farey_distance((np.int64(3), np.int64(5)), t) == expected
+        # and now the slot holds (3, 5)
+        assert farey_distance((np.int64(3), np.int64(5)), t) == expected
+        assert farey_distance((3, 5), t) == expected
+
     def test_non_primitive_second_pair_is_its_reduced_slope(self):
         assert farey_distance((1, 0), (2, 4)) == farey_distance((1, 0), (1, 2)) == 2
         assert farey_distance((1, 2), (2, 4)) == 0

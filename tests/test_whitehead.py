@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import pickle
 import random
 
 import numpy as np
@@ -10,6 +11,7 @@ from freefactor import (
     Classification,
     DomainError,
     IdentityWordError,
+    RankError,
     Word,
     WhAutomorphism,
     apply_automorphism,
@@ -30,13 +32,11 @@ from freefactor.whitehead import (
     _edge_matrix,
     _multiplier_move_at,
     _random_multiplier_move,
-    _random_multiplier_table,
     _signed_permutation_at,
     vertex_order,
 )
-from freefactor.words import _image_table
 
-from conftest import W, psi_power
+from conftest import W, oracle_letter_image, psi_power
 
 
 def graph_from_edges(rank, edges):
@@ -180,6 +180,16 @@ def oracle_permutation_automorphisms(rank):
     )
 
 
+def oracle_table(phi):
+    """phi's letter-image table, laid out as ``WhAutomorphism.table``, from
+    the per-letter oracle."""
+    table = [()] * (2 * phi.rank + 1)
+    for letter in vertex_order(phi.rank):
+        table[letter] = oracle_letter_image(phi, letter)
+    return tuple(table)
+
+
+@functools.lru_cache(maxsize=None)
 def oracle_multiplier_moves(rank):
     """Multiplier moves by multiplier a in vertex order, then by the set Z.
 
@@ -210,13 +220,13 @@ class TestEnumeration:
         for phi in enumerate_whitehead_automorphisms(2):
             a = phi.multiplier
             for v in (1, 2, -1, -2):
-                img = phi.letter_image(v)
+                img = phi.table[v]
                 assert img in ((v,), (a, v), (v, -a), (a, v, -a))
 
     def test_image_length_bounded(self):
         for phi in enumerate_whitehead_automorphisms(3):
             for i in (1, 2, 3):
-                assert len(phi.letter_image(i)) <= 3
+                assert len(phi.table[i]) <= 3
 
     def test_inverse_composes_to_identity(self):
         for phi in enumerate_whitehead_automorphisms(2):
@@ -261,14 +271,82 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("rank", [2, 3, 5])
     def test_table_draws_match_move_draws(self, rank):
-        # the table keyed by (rank, index) is the drawn move's image table,
-        # and the draw consumes the stream as the move's draw does
+        # a sampler reads the drawn move's table: one randrange per move,
+        # picking the move that rng.choice over the enumeration would, and
+        # its table holds the oracle image of every letter
+        moves = oracle_multiplier_moves(rank)
         for seed in range(3):
-            by_move, by_table = random.Random(seed), random.Random(seed)
+            by_move, by_choice = random.Random(seed), random.Random(seed)
             for _ in range(500):
-                move = _random_multiplier_move(by_move, rank)
-                assert _random_multiplier_table(by_table, rank) == _image_table(move)
-            assert by_move.random() == by_table.random()
+                table = _random_multiplier_move(by_move, rank).table
+                assert table == oracle_table(by_choice.choice(moves))
+            assert by_move.random() == by_choice.random()
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_table_matches_oracle(self, rank):
+        perms = math.factorial(rank) << rank
+        for phi in (
+            *enumerate_whitehead_automorphisms(rank),
+            *(_signed_permutation_at(rank, i) for i in range(perms)),
+        ):
+            assert phi.table == oracle_table(phi), phi
+            # the table is derived: it neither compares, hashes nor shows
+            assert "table" not in repr(phi)
+            assert pickle.loads(pickle.dumps(phi)).table == phi.table
+
+
+class TestAutomorphismValidation:
+    """Each refusal of ``WhAutomorphism.__post_init__``: every move is
+    checked once, when it is built, and never when it is applied."""
+
+    @pytest.mark.parametrize(
+        "args,error",
+        [
+            # a missing a or Z
+            (("multiplier", 2, None, frozenset({1})), DomainError),
+            (("multiplier", 2, 1, None), DomainError),
+            # the multiplier out of range
+            (("multiplier", 2, 3, frozenset({3})), RankError),
+            (("multiplier", 2, 0, frozenset({0})), RankError),
+            # a not in Z, or a^-1 in Z
+            (("multiplier", 2, 1, frozenset({2})), DomainError),
+            (("multiplier", 2, 1, frozenset({1, -1})), DomainError),
+            # a Z letter outside the alphabet
+            (("multiplier", 2, 1, frozenset({1, 3})), RankError),
+            (("multiplier", 2, 1, frozenset({1, 0})), RankError),
+            # the wrong number of permutation images
+            (("permutation", 2, None, None, None), DomainError),
+            (("permutation", 2, None, None, (1,)), DomainError),
+            (("permutation", 2, None, None, (1, 2, 3)), DomainError),
+            # images that are not a signed permutation
+            (("permutation", 2, None, None, (1, 1)), DomainError),
+            (("permutation", 2, None, None, (1, -3)), DomainError),
+            # an unknown kind
+            (("transvection", 2, 1, frozenset({1})), DomainError),
+            # non-integer letters: a float a, a float Z letter, a float image
+            (("multiplier", 2, 1.0, frozenset({1.0, 2})), DomainError),
+            (("multiplier", 2, 1, frozenset({1, 2.0})), DomainError),
+            (("permutation", 2, None, None, (2.0, 1)), DomainError),
+            (("permutation", 2, None, None, ("2", 1)), DomainError),
+        ],
+    )
+    def test_refused_at_construction(self, args, error):
+        with pytest.raises(error):
+            WhAutomorphism(*args)
+
+    def test_float_letters_refused_by_the_constructors(self):
+        with pytest.raises(DomainError, match="integers"):
+            WhAutomorphism.multiplier_move(1.0, {1.0, 2}, 2)
+        with pytest.raises(DomainError, match="integers"):
+            WhAutomorphism.permutation_move([2.0, 1], 2)
+
+    def test_table_is_not_a_field(self):
+        phi = WhAutomorphism.multiplier_move(-2, {-2, 1}, 2)  # x -> xy
+        assert phi.table == ((), (1, 2), (2,), (-2,), (-2, -1))
+        assert phi == WhAutomorphism.multiplier_move(-2, (1, -2), 2)
+        assert hash(phi) == hash(WhAutomorphism.multiplier_move(-2, (1, -2), 2))
+        with pytest.raises(AttributeError):
+            phi.table = ()
 
 
 class TestMinimize:

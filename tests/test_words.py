@@ -30,7 +30,7 @@ from freefactor.whitehead import (
     _signed_permutation_at,
 )
 
-from conftest import W, oracle_random_word
+from conftest import W, oracle_letter_image, oracle_random_word
 
 
 def naive_reduce(letters):
@@ -373,7 +373,7 @@ def oracle_apply(chain, w: Word) -> Word:
     for phi in chain:
         image = []
         for letter in w.letters:
-            image.extend(phi.letter_image(letter))
+            image.extend(oracle_letter_image(phi, letter))
         w = Word(free_reduce(image), w.rank)
     return w
 
@@ -533,8 +533,13 @@ class TestBoundaryStillChecks:
             def letter_image(self, letter):
                 return (3,) if letter == 1 else (letter,)
 
-        with pytest.raises(WordSyntaxError):
-            apply_automorphism([Escapes()], W("yx"))
+        # only a WhAutomorphism, whose table was checked when it was built,
+        # is applied; a move whose image leaves the rank cannot be built
+        for element in (Escapes(), object(), None):
+            with pytest.raises(DomainError, match="not a Whitehead automorphism"):
+                apply_automorphism([element], W("yx"))
+        with pytest.raises(RankError):
+            WhAutomorphism.multiplier_move(1, {1, 3}, 2)
 
     def test_trusted_constructor_is_private(self):
         import freefactor
