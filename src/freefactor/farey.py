@@ -135,14 +135,19 @@ def _tail_entry(q: int, p: int) -> int:
     level per partial quotient, at most 10 deep below 128.  Every entry
     is a function of (q, p) alone, so threads that fill one concurrently
     write the same byte, and a reader sees 0 or that byte: no lock.
+
+    q = 0 has no tail: it raises ZeroDivisionError and stores nothing.  No
+    fold of Python ints gets there (see ``farey_distance``).
     """
     if p:
         r = q % p
         e = _tail[p << 7 | r] or _tail_entry(p, r)
         x = e & 15
         e = min(1 + x, q // p + (e >> 4)) | x << 4
-    else:
+    elif q:
         e = 1
+    else:
+        raise ZeroDivisionError("the fraction 0/0 has no tail")
     _tail[q << 7 | p] = e
     return e
 
@@ -182,9 +187,12 @@ def farey_distance(s: Slope, t: Slope) -> int:
     Below q = 128 the tail is one byte of a fixed 16 KiB table
     (``_tail``), filled by ``_tail_entry`` on first use and kept.  It is
     not built ahead: the whole table costs a few milliseconds, which
-    every process would pay at start-up, while a row of box distances
-    reads a few dozen entries and an orbit grid about a dozen.  A box row
-    takes about 2 steps of the loop before its read.
+    every process would pay at start-up, while an orbit-grid pass fills
+    about a dozen entries.  Rows of box distances fill it fast: a row from
+    1/0 over |p|, q <= 50 fills 774 entries, the first box row of a
+    farey-oracle benchmark pass 2,389-2,965 and the whole pass about
+    4,850 of the 8,128 (seeds 1-3).  A box row takes about 2 steps of the
+    loop before its read.
 
     The distance is symmetric, and callers hold s while t varies, so the
     completion of s is kept in one module-level slot: a call whose s has
@@ -199,6 +207,14 @@ def farey_distance(s: Slope, t: Slope) -> int:
     A coordinate that is not an integer is a DomainError too, at no cost
     to a held row: it fails an integer operation, or a cold exit (q = 0, a
     new first slope, p = 0) reads it through ``operator.index``.
+
+    numpy integers are read as their values, with one limit.  Their floor
+    division by zero returns 0 instead of raising, so Euclid's loop can
+    run past p = 0 to q = 0, whose tail ``_tail_entry`` refuses; that cold
+    exit folds both pairs again as Python ints.  But numpy products wrap
+    past 2**63 where ints grow, so a numpy pair whose determinant or
+    completion leaves int64 gives a wrong distance: pass Python ints or
+    ``Slope``s there.
     """
     global _held
     # the try costs nothing until it catches (Python 3.11+), so a held row
@@ -244,6 +260,9 @@ def farey_distance(s: Slope, t: Slope) -> int:
                 q, p = p, q % p
             e = _tail[q << 7 | p] or _tail_entry(q, p)
         except ZeroDivisionError:
+            if not q:  # numpy ints ran on to q = 0: fold them as ints
+                s, t = (tuple(map(operator.index, pair)) for pair in (s, t))
+                return farey_distance(s, t)
             # p = 0 with q >= 128: t had the common factor q, and T(0/q) = (1, 0)
             operator.index(q)  # a float q divides by zero too
             e = 1

@@ -62,6 +62,7 @@ from .errors import (
 from .words import (
     Word,
     _Frozen,
+    _checked_int,
     apply_automorphism,
     cyclic_reduce,
     format_word,
@@ -122,9 +123,11 @@ class WhAutomorphism(_Frozen):
     ``permutation`` kind: a signed permutation of the generators, given by
     the images of generators 1..rank.
 
-    ``table`` is the image of every letter, built once from the checked
-    fields: 2*rank + 1 letter tuples indexed by the letter itself (-i at
-    index -i).  Equality, hashing, repr and pickling ignore it.
+    ``rank`` is read as ``Word`` reads it: an int through
+    ``operator.index``, and at least 2.  ``table`` is the image of every
+    letter, built once from the checked fields: 2*rank + 1 letter tuples
+    indexed by the letter itself (-i at index -i).  Equality, hashing,
+    repr and pickling ignore it.
     """
 
     _fields = ("kind", "rank", "multiplier", "zset", "images")
@@ -138,7 +141,7 @@ class WhAutomorphism(_Frozen):
         images: tuple[int, ...] | None = None,
     ):
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "rank", _checked_int(rank, "rank", 2, error=RankError))
         object.__setattr__(self, "multiplier", multiplier)
         object.__setattr__(self, "zset", zset)
         object.__setattr__(self, "images", images)

@@ -137,18 +137,21 @@ def _as_tuple(items, what: str) -> tuple:
 
 
 class Word(_Frozen):
-    """A freely reduced word over the rank-``rank`` alphabet."""
+    """A freely reduced word over the rank-``rank`` alphabet.
+
+    ``rank`` is read through ``operator.index``, so a numpy integer is
+    stored as an int; one that is not an integer is a DomainError, and one
+    below 2 a RankError.
+    """
 
     __slots__ = _fields = ("letters", "rank")
 
     def __init__(self, letters, rank: int):
         _set_letters(self, _as_tuple(letters, "letters"))
-        _set_rank(self, rank)
+        _set_rank(self, _checked_int(rank, "rank", 2, error=RankError))
         self.__post_init__()
 
     def __post_init__(self):
-        if self.rank < 2:
-            raise RankError(f"rank must be at least 2, got {self.rank}")
         prev = 0
         for letter in self.letters:
             if not isinstance(letter, int) or letter == 0 or abs(letter) > self.rank:

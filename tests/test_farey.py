@@ -278,7 +278,11 @@ def oracle_bfs_mask(graph: FareyGraph, source: Slope) -> np.ndarray:
 
 
 def oracle_bfs(graph: FareyGraph, source: Slope) -> np.ndarray:
-    """Reference for ``FareyGraph.bfs``: CSR row gathers and sorted frontiers."""
+    """Reference for ``FareyGraph.bfs``: CSR row gathers and sorted frontiers.
+
+    Push levels only: the algorithm ``bfs`` ran before it pulled its large
+    levels through ``FareyGraph.parents``.
+    """
     indptr, indices = graph.indptr, graph.indices
     dist = np.full(len(graph.slopes), -1, dtype=np.int64)
     dist[graph.index[source]] = 0
@@ -789,6 +793,24 @@ class TestBadPairs:
         assert farey_distance((np.int64(3), np.int64(5)), t) == expected
         assert farey_distance((3, 5), t) == expected
 
+    @pytest.mark.parametrize("s, t", [
+        ((1, 0), (0, 1000)),
+        ((1, 0), (3 * 1000, 7 * 1000)),
+        ((3, 5), (200, 400)),
+    ])
+    def test_numpy_pair_with_a_large_common_factor(self, s, t):
+        # numpy divides by zero without raising, so the fold of these pairs
+        # runs past p = 0; it is redone in ints, and entry 0 stays unfilled
+        expected = oracle_held_fold(s, t)
+        with np.errstate(divide="ignore"):
+            for a, b in ((s, np.array(t)), (np.array(s), t), (np.array(s), np.array(t))):
+                farey_distance((1, 2), (1, 3))  # the slot holds another slope
+                for _ in range(2):
+                    d = farey_distance(tuple(a), tuple(b))
+                    assert d == expected and type(d) is int, (a, b, d)
+            assert farey_distance((1, 0), (np.int64(0), np.int64(1000))) == 1
+        assert farey._tail[0] == 0
+
     def test_non_primitive_second_pair_is_its_reduced_slope(self):
         assert farey_distance((1, 0), (2, 4)) == farey_distance((1, 0), (1, 2)) == 2
         assert farey_distance((1, 2), (2, 4)) == 0
@@ -805,6 +827,24 @@ class TestFareyGraph:
         assert graph.indices.dtype == indices.dtype
         assert np.array_equal(graph.indptr, indptr)
         assert np.array_equal(graph.indices, indices)
+
+    @pytest.mark.parametrize("limit", [*range(1, 41), 128])
+    def test_parents_match_determinant_scan(self, limit):
+        graph = FareyGraph(limit)
+        _, indptr, indices = oracle_farey_csr(limit)
+        n = len(graph.slopes)
+        assert graph.parents.dtype == np.int64 and graph.parents.shape == (2, n)
+        child = np.broadcast_to(np.arange(n), (2, n))
+        real = graph.parents != child
+        pairs = list(zip(child[real].tolist(), graph.parents[real].tolist()))
+        assert len(set(pairs)) == len(pairs)  # each child-parent pair once
+        edges = set(zip(np.repeat(np.arange(n), np.diff(indptr)).tolist(), indices.tolist()))
+        assert set(pairs) | {(p, c) for c, p in pairs} == edges
+        assert 2 * len(pairs) == len(indices)
+        # the self slots: 1/0 in both, -limit/1 in its first
+        assert graph.parents[:, 0].tolist() == [0, 0]
+        assert np.flatnonzero(~real[0]).tolist() == [0, graph.index[(-limit, 1)]]
+        assert np.flatnonzero(~real[1]).tolist() == [0]
 
     @pytest.mark.parametrize("limit", [1, 2, 24, 128])
     def test_inverse_mod_matches_pow(self, limit):
@@ -832,6 +872,22 @@ class TestFareyGraph:
             assert dist.dtype == np.int64
             assert np.array_equal(dist, oracle_bfs_mask(graph, s)), s
             assert np.array_equal(dist, oracle_bfs(graph, s)), s
+
+    def test_bfs_matches_oracles_on_seeded_sources_at_256(self):
+        # about a third of these levels pull, and they hold most vertices
+        graph = FareyGraph(256)
+        for s in random.Random(11).sample(graph.slopes, 100):
+            dist = graph.bfs(s)
+            assert np.array_equal(dist, oracle_bfs_mask(graph, s)), s
+            assert np.array_equal(dist, oracle_bfs(graph, s)), s
+
+    def test_bfs_result_is_a_fresh_int64_array(self):
+        graph = FareyGraph(40)
+        first = graph.bfs(Slope(1, 0))
+        assert first.dtype == np.int64 and first.shape == (len(graph.slopes),)
+        assert first.flags.owndata
+        first[:] = 7  # a caller's write reaches neither the graph nor the next result
+        assert np.array_equal(graph.bfs(Slope(1, 0)), oracle_bfs(graph, Slope(1, 0)))
 
     def test_bfs_accepts_plain_tuple_source(self):
         graph = FareyGraph(8)

@@ -340,6 +340,16 @@ class TestAutomorphismValidation:
         with pytest.raises(DomainError, match="integers"):
             WhAutomorphism.permutation_move([2.0, 1], 2)
 
+    @pytest.mark.parametrize("rank", [1.5, 2.0, "2", None])
+    def test_rank_must_be_an_integer(self, rank):
+        with pytest.raises(DomainError, match="rank must be an integer"):
+            WhAutomorphism.multiplier_move(1, {1}, rank)
+        with pytest.raises(DomainError, match="rank must be an integer"):
+            WhAutomorphism("permutation", rank, images=(1, 2))
+        phi = WhAutomorphism.multiplier_move(-2, {-2, 1}, np.int64(2))
+        assert type(phi.rank) is int and phi == WhAutomorphism.multiplier_move(-2, {-2, 1}, 2)
+        assert phi(W("x")) == W("xy")
+
     def test_table_is_not_a_field(self):
         phi = WhAutomorphism.multiplier_move(-2, {-2, 1}, 2)  # x -> xy
         assert phi.table == ((), (1, 2), (2,), (-2,), (-2, -1))

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +57,16 @@ def test_module_doctests():
     import freefactor.words
 
     assert doctest.testmod(freefactor.words).failed == 0
+
+
+@pytest.mark.parametrize("rank", [2.0, 2.5, "2", None])
+def test_word_rank_must_be_an_integer(rank):
+    with pytest.raises(DomainError, match="rank must be an integer"):
+        Word((1,), rank)
+    w = Word((1, -2), np.int64(2))
+    assert type(w.rank) is int and w == Word((1, -2), 2)
+    with pytest.raises(RankError, match="rank must be at least 2, got 1"):
+        Word((1,), np.int64(1))
 
 
 class TestParse:
