@@ -705,11 +705,10 @@ def _grid_row(head, hidden, tail, depth, radius_k, bl, binv) -> tuple[int, ...]:
     |k| = depth < radius_k.
 
     Step lemma.  Let g_k be the reduced form of b^k w b^-k, g_k = u c u^-1
-    with u its longest conjugator (``_peel``), and value(k) the number K
-    of whole b blocks that u starts with if K >= 1, else minus the number
-    of whole b^-1 blocks it starts with (counted within u, as
-    ``_cyclic_value_from_ends`` does).  Premise at k: b[-1] != g_k[0]^-1
-    and g_k[-1] != b[-1].  Then:
+    with u its longest conjugator (``_peel``), and value(k) its balanced
+    b-exponent, which ``words._b_exponent`` reads off u: K if u starts with
+    K >= 1 whole b blocks, else minus its whole b^-1 blocks.  Premise at
+    k: b[-1] != g_k[0]^-1 and g_k[-1] != b[-1].  Then:
 
     - b g_k b^-1 is reduced letter for letter: the first junction pairs
       b[-1] with g_k[0], the second g_k[-1] with b^-1[0] = b[-1]^-1.  It

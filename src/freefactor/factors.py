@@ -46,8 +46,8 @@ from .words import (
     _Frozen,
     _apply_table,
     _as_tuple,
+    _b_exponent,
     _checked_int,
-    _leading_power,
     _peel,
     _times,
     _trusted_word,
@@ -481,35 +481,14 @@ def factor_invariant(a: FreeFactorVertex, b: Word) -> FactorInvariant:
     return _graph_invariant(a.graph, b)
 
 
-def _inverse_blocks(prefix: tuple, binv: tuple) -> tuple[int, int | None]:
-    """The number J of whole b^-1 blocks that ``prefix`` starts with, and the
-    letter that would continue the next block (None if the rest of
-    ``prefix`` is not a proper prefix of b^-1)."""
-    m = len(binv)
-    blocks = _leading_power(prefix, binv, len(prefix) // m)
-    rest = prefix[blocks * m :]
-    if len(rest) < m and rest == binv[: len(rest)]:
-        return blocks, binv[len(rest)]
-    return blocks, None
-
-
 def _cyclic_invariant(g: Word, b: Word) -> FactorInvariant:
-    """The invariant of <g>, read off g = u c u^-1 (``_peel``).
+    """The invariant of <g>, read off g = u c u^-1 (``_peel``): the
+    balanced b-exponent of g itself, ``b_index(g, b)``.
 
-    Every element g^n = u c^n u^-1 (n != 0) is reduced as written: c is
-    cyclically reduced and u is the longest conjugator.  Being
-    b^k m b^-k (k >= 1) needs 2k|b| < 2|u| + |n||c|, so b^k is a prefix of
-    u c^n, and b^-k a suffix of c^n u^-1, that is b^k a prefix of u c^-n.
-    These two words part right after u, at c[0] against c[-1]^-1, so both
-    start with b^k iff u does.  The value is therefore the number K of
-    whole b blocks that u starts with, attained by every element, whenever
-    K >= 1.
-
-    Otherwise every element starts with u and ends with u^-1, so each has
-    exponent <= -J, where J counts the whole b^-1 blocks u starts with
-    (the cap 2J|b| <= 2|u| < |g^n| never binds).  Of g and g^-1, whose
-    first letters after u are c[0] and c[-1]^-1, at most one continues
-    the next b^-1 block, and the other has exponent exactly -J.
+    Every element g^n = u c^n u^-1 (n != 0) is reduced as written, and
+    c^n is cyclically reduced, so its longest conjugator is u, and
+    ``_b_exponent`` reads the same value off u for every n: each element
+    attains it.
 
     With u empty, g^n = c^n is cyclically reduced and has exponent 0,
     unless <g> contains a power of b: then c^L/|c| = (b^+-1)^L/|b| with
@@ -517,25 +496,21 @@ def _cyclic_invariant(g: Word, b: Word) -> FactorInvariant:
     nonempty no element is cyclically reduced, so none is a power of b.
 
     The witness is g or g^-1: whichever of c[0] and c[-1]^-1 comes first
-    in ``vertex_order``, after dropping, when the value is -J, the letter
-    that would continue the next b^-1 block.  That is the element the
-    graph search finds on the core graph, a stem u ending in a cycle c.
+    in ``vertex_order``, after dropping the letter that would continue the
+    next b^-1 block (``_b_exponent``'s second value).  That is the element
+    the graph search finds on the core graph, a stem u ending in a cycle c.
     """
     gl = g.letters
     i = _peel(gl)
-    u, c = gl[:i], gl[i : len(gl) - i]
+    c = gl[i : len(gl) - i]
     bl = b.letters
     binv = b.inverse().letters
-    m = len(bl)
-    if not u:
+    if not i:
+        m = len(bl)
         span = math.lcm(len(c), m)
         if c * (span // len(c)) in (bl * (span // m), binv * (span // m)):
             raise _infinite_invariant(span // m)
-    value = _leading_power(u, bl, len(u) // m)
-    bad_first = None
-    if value == 0:
-        blocks, bad_first = _inverse_blocks(u, binv)
-        value = -blocks
+    value, bad_first = _b_exponent(gl, i, bl, binv)
     first = next(
         l for l in vertex_order(g.rank) if l in (c[0], -c[-1]) and l != bad_first
     )
@@ -547,9 +522,9 @@ def _cyclic_value_from_ends(
 ) -> tuple[int, int, int]:
     """The invariant of <b^k w b^-k> read off the ends of a reduced w (see
     ``words._orbit_ends``; ``hidden`` is read only as a truth value): the
-    value of ``_cyclic_invariant``, from junction cancellation, the peel
-    and the b or b^-1 blocks the conjugator starts with, with no Word
-    built; then the first and the last letter of the reduced b^k w b^-k.
+    value of ``_cyclic_invariant``, ``_b_exponent`` of the peeled window
+    letters after junction cancellation, with no Word built; then the
+    first and the last letter of the reduced b^k w b^-k.
     Raise InternalContradictionError rather than guess if the peel
     reaches a window edge (as it does when a junction eats a whole window:
     the b^k and b^-k left on the two sides peel off each other), or if the
@@ -565,8 +540,7 @@ def _cyclic_value_from_ends(
         raise InternalContradictionError(
             f"the {len(head)}-letter ends of a word cannot decide a grid value"
         )
-    value = _leading_power(g, bl, i // m) or -_leading_power(g, binv, i // m)
-    return value, g[0], g[-1]
+    return _b_exponent(g, i, bl, binv)[0], g[0], g[-1]
 
 
 def _graph_invariant(graph: CoreGraph, b: Word) -> FactorInvariant:
@@ -580,8 +554,8 @@ def _graph_invariant(graph: CoreGraph, b: Word) -> FactorInvariant:
 
     If no k >= 1 qualifies, every element starts with the forced stem at
     the basepoint and ends with its inverse, so the value is -J, where J is
-    the number of whole b^-1 blocks the stem spells; a loop that leaves the
-    stem off the next b^-1 letter attains it.
+    the number of whole b^-1 blocks the stem spells (``_b_exponent``); a
+    loop that leaves the stem off the next b^-1 letter attains it.
 
     The search costs O(edges) per block vertex tried, from v_K downwards.
     """
@@ -604,7 +578,15 @@ def _graph_invariant(graph: CoreGraph, b: Word) -> FactorInvariant:
             )
 
     stem, end = _forced_stem(graph)
-    blocks_in_stem, next_letter = _inverse_blocks(stem, binv)
+    # Every element is the stem, a nonempty loop at its end and the
+    # stem's inverse, so a stem starting with b would make each element
+    # b m b^-1 letter for letter with m a nonempty loop at v_1, which the
+    # k = 1 search would have found: the stem's count is never positive.
+    value, next_letter = _b_exponent(stem, len(stem), b_letters, binv)
+    if value > 0:
+        raise InternalContradictionError(
+            "the forced stem starts with b, but no loop follows b"
+        )
     # None, for no stem or no next letter, matches no letter
     bad_first = {-stem[-1] if stem else None, next_letter}
     loop, visited = _closed_path(graph, end, bad_first, stem[-1] if stem else None)
@@ -615,5 +597,5 @@ def _graph_invariant(graph: CoreGraph, b: Word) -> FactorInvariant:
         )
     inverse_stem = tuple(-l for l in reversed(stem))
     return FactorInvariant(
-        -blocks_in_stem, _trusted_word(stem + loop + inverse_stem, b.rank), samples
+        value, _trusted_word(stem + loop + inverse_stem, b.rank), samples
     )

@@ -9,8 +9,10 @@ the identity (positive in the b direction).
 
 The geometric index of a under b reads off the minimal interval
 [b^i, b^j] containing the projection of the axis of a onto the axis of b:
-the index is i if i > 0, j if j < 0, and 0 otherwise.  It always agrees
-with the combinatorial exponent of words.b_reduced_decomposition.
+the index is i if i > 0, j if j < 0, and 0 otherwise.  When the axes
+coincide (they share an end, as two powers of one word do), the
+projection is the whole axis and the index is 0.  It always agrees with
+the combinatorial exponent of words.b_reduced_decomposition.
 
 Subgroups, and their minimal subtrees, are not modelled here: what the
 experiments report about a free factor is read off its generators or its
@@ -115,9 +117,14 @@ def project_axis_to_axis(a: Word, b: Word) -> AxisInterval:
 def geometric_index(a: Word, b: Word) -> int:
     """Index read from the projection of X_a onto X_b via the power hull.
 
-    Equals words.b_reduced_decomposition(a, b).k exactly.
+    When X_a = X_b (``project_axis_to_axis`` raises AxesEqualError) the
+    projection is the whole axis, whose power hull contains 0, so the
+    index is 0.  Equals words.b_reduced_decomposition(a, b).k exactly.
     """
-    i, j = project_axis_to_axis(a, b).power_hull()
+    try:
+        i, j = project_axis_to_axis(a, b).power_hull()
+    except AxesEqualError:
+        return 0
     if i > 0:
         return i
     if j < 0:

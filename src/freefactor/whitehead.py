@@ -263,8 +263,7 @@ def enumerate_whitehead_automorphisms(rank: int) -> tuple[WhAutomorphism, ...]:
     defines the indices that random draws unrank; the library never builds
     the tuple.
     """
-    if rank < 2:
-        raise RankError(f"rank must be at least 2, got {rank}")
+    rank = _checked_int(rank, "rank", 2, error=RankError)
     count = 2 * rank * _moves_per_multiplier(rank)
     return tuple(_multiplier_move_at(rank, k) for k in range(count))
 

@@ -243,8 +243,7 @@ def parse_word(text: str, rank: int) -> Word:
     >>> parse_word("x1 X2 x1", 3).letters
     (1, -2, 1)
     """
-    if rank < 2:
-        raise RankError(f"rank must be at least 2, got {rank}")
+    rank = _checked_int(rank, "rank", 2, error=RankError)
     text = text.strip()
     if text in ("", "1"):
         return Word.identity(rank)
@@ -344,50 +343,59 @@ def _require_axis_word(b: Word) -> None:
         raise NotCyclicallyReducedError(f"b = {b} is not cyclically reduced")
 
 
-def _leading_power(seq: tuple[int, ...], block: tuple[int, ...], cap: int) -> int:
-    m = len(block)
-    count = 0
-    while count < cap and seq[count * m : (count + 1) * m] == block:
-        count += 1
-    return count
+def _b_exponent(
+    ls: tuple[int, ...], i: int, bl: tuple[int, ...], binv: tuple[int, ...]
+) -> tuple[int, int | None]:
+    """The balanced b-exponent of the reduced word ``ls``, for a nonempty
+    cyclically reduced b with letters ``bl`` and inverse letters ``binv``,
+    read off its longest conjugator u = ls[:i] (``i = _peel(ls)``): the
+    number K of whole b blocks that u starts with if K >= 1, else minus
+    the number J of whole b^-1 blocks it starts with.  The second value,
+    for a caller choosing a witness, is the letter that would continue the
+    next b^-1 block when the value is -J and the rest of u after those
+    blocks is a proper (possibly empty) prefix of b^-1; None otherwise.
 
-
-def _trailing_power(seq: tuple[int, ...], block: tuple[int, ...], cap: int) -> int:
-    n, m = len(seq), len(block)
-    count = 0
-    while count < cap and seq[n - (count + 1) * m : n - count * m] == block:
-        count += 1
-    return count
+    Proof.  Let w = u c u^-1 be nonempty, so that c is nonempty and
+    cyclically reduced.  w = b^k m b^-k letter for letter (k >= 1, m
+    nonempty) says that w and w^-1 = u c^-1 u^-1 both start with b^k and
+    2k|b| < |w|.  The two agree on u and part right after it, at c[0]
+    against c[-1]^-1, which differ as c is cyclically reduced.  So b^k is
+    a prefix of both iff it is a prefix of u, and then 2k|b| <= 2|u| <
+    |w| holds by itself: the largest such k is K.  With b^-1 for b, the
+    largest k with w = b^-k m b^k is J.  b[0] != b[-1]^-1, so u does not
+    start with both b and b^-1, and the exponent is K if K >= 1, else -J.
+    The empty word peels to i = 0 and gets 0.
+    """
+    m = len(bl)
+    cap = i // m
+    k = 0
+    while k < cap and ls[k * m : (k + 1) * m] == bl:
+        k += 1
+    if k:
+        return k, None
+    while k < cap and ls[k * m : (k + 1) * m] == binv:
+        k += 1
+    rest = ls[k * m : i]
+    if len(rest) < m and rest == binv[: len(rest)]:
+        return -k, binv[len(rest)]
+    return -k, None
 
 
 def b_reduced_decomposition(w: Word, b: Word) -> BReducedDecomposition:
     """Strip the maximal balanced b-power: w == b^k * core * b^-k, |k| maximal.
 
     Both junctions of the returned decomposition are reduced (the
-    concatenation is letter-for-letter equal to ``w``).  A reduced word
-    cannot begin with both ``b`` and ``b^-1``, so the maximizer is unique;
-    positive and negative k are mutually exclusive.  The identity word gets
-    k = 0 with an empty core.
+    concatenation is letter-for-letter equal to ``w``).  The maximizer is
+    unique, and k is read off the longest conjugator of w by
+    ``_b_exponent``.  The identity word gets k = 0 with an empty core.
     """
     if w.rank != b.rank:
         raise RankError("w and b must have the same rank")
     _require_axis_word(b)
-    n, m = len(w), len(b)
-    if n == 0:
-        return BReducedDecomposition(0, w, b)
-    # k copies in front and k in back need 2*k*m < n: an empty core would
-    # force cancellation between b^k and b^-k.
-    cap = (n - 1) // (2 * m)
-    bl = b.letters
-    binv = b.inverse().letters
-    k = min(_leading_power(w.letters, bl, cap), _trailing_power(w.letters, binv, cap))
-    if k == 0:
-        k = -min(
-            _leading_power(w.letters, binv, cap),
-            _trailing_power(w.letters, bl, cap),
-        )
-    cut = abs(k) * m
-    core = _trusted_word(w.letters[cut : n - cut], w.rank)
+    ls, bl = w.letters, b.letters
+    k = _b_exponent(ls, _peel(ls), bl, b.inverse().letters)[0]
+    cut = abs(k) * len(bl)
+    core = _trusted_word(ls[cut : len(ls) - cut], w.rank)
     return BReducedDecomposition(k, core, b)
 
 

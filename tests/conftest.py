@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from freefactor import (
+    BReducedDecomposition,
     DomainError,
     FreeFactorVertex,
     RankError,
@@ -79,6 +80,34 @@ def oracle_random_word(length: int, rank: int, rng) -> Word:
         choices = [l for l in alphabet if not letters or l != -letters[-1]]
         letters.append(rng.choice(choices))
     return Word(tuple(letters), rank)
+
+
+def oracle_b_reduced_decomposition(w: Word, b: Word) -> BReducedDecomposition:
+    """The four-scan b_reduced_decomposition that the conjugator reader
+    ``words._b_exponent`` replaced: k leading b blocks against k trailing
+    b^-1 blocks, capped by 2k|b| < |w|, and failing that the same for
+    b^-1; the core is re-checked by ``Word``."""
+    n, m = len(w), len(b)
+    if n == 0:
+        return BReducedDecomposition(0, w, b)
+    cap = (n - 1) // (2 * m)
+    ls, bl, binv = w.letters, b.letters, b.inverse().letters
+
+    def leading(block):
+        count = 0
+        while count < cap and ls[count * m : (count + 1) * m] == block:
+            count += 1
+        return count
+
+    def trailing(block):
+        count = 0
+        while count < cap and ls[n - (count + 1) * m : n - count * m] == block:
+            count += 1
+        return count
+
+    k = min(leading(bl), trailing(binv)) or -min(leading(binv), trailing(bl))
+    cut = abs(k) * m
+    return BReducedDecomposition(k, Word(ls[cut : n - cut], w.rank), b)
 
 
 def oracle_random_free_factor(

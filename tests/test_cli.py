@@ -107,6 +107,14 @@ class TestBasicCommands:
         )
         assert code == 0 and "geometric agrees" in out
 
+    @pytest.mark.parametrize("word", ["xyXY", "xyXYxyXY", "yxYX"])
+    def test_index_geometric_on_the_axis_of_b(self, capsys, word):
+        # b, b^2 and b^-1 share b's axis: the projection is the whole axis
+        code, out, _ = run(
+            capsys, "index", "--n", "2", "--b", "xyXY", "--geometric", word
+        )
+        assert code == 0 and out == "k = 0 (geometric agrees)"
+
     def test_factor_invariant(self, capsys):
         code, out, _ = run(
             capsys, "factor-invariant", "--n", "2", "--b", "xyXY", "--gen", "x"

@@ -26,7 +26,12 @@ from freefactor import (
     random_word,
 )
 from freefactor.experiments import _random_deep_factor, _random_edge_images, boundary_word
-from freefactor.factors import _BASIS_COMMUTATORS, _graph_invariant, _in_cyclic
+from freefactor.factors import (
+    _BASIS_COMMUTATORS,
+    _cyclic_invariant,
+    _graph_invariant,
+    _in_cyclic,
+)
 from freefactor.words import GENERATOR_CHARS, _peel
 from freefactor.whitehead import vertex_order
 
@@ -861,6 +866,26 @@ class TestCyclicClosedForm:
                 inverse_witness += closed[1] == g.inverse()
         assert {-3, -1, 0, 1, 3} <= values
         assert 0 < inverse_witness < 4 * 2600
+
+    def test_value_is_b_index_of_the_generator(self):
+        rng = random.Random(1302)
+        values, finite = set(), 0
+        for rank in (2, 3, 4, 5):
+            b = boundary_word(rank)
+            for _ in range(2700):
+                if rng.random() < 0.5:
+                    conj = (b ** rng.randint(-3, 3)) * random_word(rng.randint(0, 4), rank, rng)
+                    g = conj * random_word(rng.randint(1, 8), rank, rng) * conj.inverse()
+                else:
+                    g = random_word(rng.randint(1, 24), rank, rng)
+                try:
+                    value = _cyclic_invariant(g, b).value
+                except PreconditionError:  # <g> holds a power of b
+                    continue
+                assert value == b_index(g, b), (rank, g)
+                values.add(value)
+                finite += 1
+        assert finite >= 10_000 and {-3, 0, 3} <= values
 
     @pytest.mark.parametrize("rank", [2, 3, 4, 5])
     def test_power_of_b_errors_match(self, rank):

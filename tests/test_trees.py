@@ -161,15 +161,24 @@ class TestGeometricIndex:
         rng = random.Random(rank * 100)
         checked = 0
         while checked < 250:
-            a = random_word(rng.randint(1, 40), rank, rng)
+            if checked % 25 == 0:  # a power of b shares its axis
+                a = b ** rng.choice((-2, -1, 1, 2))
+            else:
+                a = random_word(rng.randint(1, 40), rank, rng)
             if a.is_identity():
                 continue
-            try:
-                geo = geometric_index(a, b)
-            except AxesEqualError:
-                continue
-            assert geo == b_index(a, b), a
+            assert geometric_index(a, b) == b_index(a, b), a
             checked += 1
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_shared_axis_is_zero(self, rank):
+        # X_a = X_b: the projection is the whole axis, whose power hull
+        # contains 0
+        b = boundary_word(rank)
+        for n in (-3, -2, -1, 1, 2, 3):
+            with pytest.raises(AxesEqualError):
+                project_axis_to_axis(b**n, b)
+            assert geometric_index(b**n, b) == b_index(b**n, b) == 0
 
 
 def oracle_subtree_axis_overlap(generators, b, depth, unbounded_multiple=6):

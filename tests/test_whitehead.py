@@ -346,6 +346,13 @@ class TestAutomorphismValidation:
             WhAutomorphism.multiplier_move(1, {1}, rank)
         with pytest.raises(DomainError, match="rank must be an integer"):
             WhAutomorphism("permutation", rank, images=(1, 2))
+        with pytest.raises(DomainError, match="rank must be an integer"):
+            enumerate_whitehead_automorphisms(rank)
+        assert enumerate_whitehead_automorphisms(np.int64(2)) == (
+            enumerate_whitehead_automorphisms(2)
+        )
+        with pytest.raises(RankError, match="rank must be at least 2, got 1"):
+            enumerate_whitehead_automorphisms(1)
         phi = WhAutomorphism.multiplier_move(-2, {-2, 1}, np.int64(2))
         assert type(phi.rank) is int and phi == WhAutomorphism.multiplier_move(-2, {-2, 1}, 2)
         assert phi(W("x")) == W("xy")

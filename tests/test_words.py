@@ -16,6 +16,7 @@ from freefactor import (
     apply_automorphism,
     b_index,
     b_reduced_decomposition,
+    boundary_word,
     cyclic_reduce,
     format_word,
     free_reduce,
@@ -31,7 +32,12 @@ from freefactor.whitehead import (
     _signed_permutation_at,
 )
 
-from conftest import W, oracle_letter_image, oracle_random_word
+from conftest import (
+    W,
+    oracle_b_reduced_decomposition,
+    oracle_letter_image,
+    oracle_random_word,
+)
 
 
 def naive_reduce(letters):
@@ -63,10 +69,14 @@ def test_module_doctests():
 def test_word_rank_must_be_an_integer(rank):
     with pytest.raises(DomainError, match="rank must be an integer"):
         Word((1,), rank)
-    w = Word((1, -2), np.int64(2))
-    assert type(w.rank) is int and w == Word((1, -2), 2)
+    with pytest.raises(DomainError, match="rank must be an integer"):
+        parse_word("x", rank)
+    for w in (Word((1, -2), np.int64(2)), parse_word("xY", np.int64(2))):
+        assert type(w.rank) is int and w == Word((1, -2), 2)
     with pytest.raises(RankError, match="rank must be at least 2, got 1"):
         Word((1,), np.int64(1))
+    with pytest.raises(RankError, match="rank must be at least 2, got 1"):
+        parse_word("x", 1)
 
 
 class TestParse:
@@ -218,6 +228,36 @@ class TestBReduced:
         b = W("xyXY")
         w = Word.from_letters(letters, 2)
         assert b_index(w, b) == brute_force_b_exponent(w, b)
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_matches_oracles_on_constructed_words(self, rank):
+        # b^k c b^-k for |k| <= 4 of both signs; short or b-like cores
+        # cancel into the b blocks or extend them
+        b = boundary_word(rank)
+        rng = random.Random(3300 + rank)
+        ks = set()
+        for _ in range(600):
+            k = rng.randint(-4, 4)
+            if rng.random() < 0.25:
+                c = b ** rng.choice((-1, 1)) * random_word(rng.randint(0, 3), rank, rng)
+            else:
+                c = random_word(rng.randint(0, 10), rank, rng)
+            w = ad(b, c, k)
+            d = b_reduced_decomposition(w, b)
+            assert d == oracle_b_reduced_decomposition(w, b), (w, k)
+            assert d.k == brute_force_b_exponent(w, b), (w, k)
+            ks.add(d.k)
+        assert set(range(-4, 5)) <= ks
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_matches_oracles_on_random_words(self, rank):
+        b = boundary_word(rank)
+        rng = random.Random(3400 + rank)
+        for _ in range(600):
+            w = random_word(rng.randint(0, 30), rank, rng)
+            d = b_reduced_decomposition(w, b)
+            assert d == oracle_b_reduced_decomposition(w, b), w
+            assert d.k == brute_force_b_exponent(w, b), w
 
     @given(letters_strategy(rank=2, max_size=24))
     @settings(max_examples=100)
