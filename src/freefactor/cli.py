@@ -2,8 +2,9 @@
 
 Every subcommand prints a human-readable summary to stdout and, with
 ``--out PATH``, writes a full JSON document.  Exit codes: 0 on success
-(and zero violations for experiments), 1 on domain errors, 2 on usage
-errors, 3 when a computed result contradicts a theorem (a bug).
+(and zero violations for experiments), 1 on domain errors and unwritable
+output paths, 2 on usage errors, 3 when a computed result contradicts a
+theorem (a bug).
 """
 
 from __future__ import annotations
@@ -262,6 +263,10 @@ def main(argv=None) -> int:
         return 3
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # the CLI reads no file: only its writes can fail
+        where = exc.filename or "output"  # a failed write() names no file
+        print(f"error: cannot write {where}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

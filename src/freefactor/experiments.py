@@ -27,8 +27,8 @@ from .factors import (
     FreeFactorVertex,
     _check_filling_minimal,
     _cyclic_value_from_ends,
+    _factor_value,
     af_adjacent,
-    factor_invariant,
     is_basis_pair,
     random_free_factor,
 )
@@ -269,10 +269,13 @@ def exp_lipschitz(
     Rank >= 3 samples nested pairs theta(<x_i>) < theta(<x_i, x_j>); rank 2
     samples basis pairs theta(x), theta(y).  The bound is 1 for rank >= 3
     and 2 for rank 2.  Every sampled pair must pass ``af_adjacent``; one
-    that does not raises ``InternalContradictionError``.
+    that does not raises ``InternalContradictionError``.  The trial loop
+    reads values with ``_factor_value``, which builds no witness for a
+    cyclic factor; b is checked, and b^+-1 spelled, once before it.
     """
     b = boundary_word(rank) if b is None else b
     _check_filling_minimal(b)
+    bl, binv = b.letters, b.inverse().letters
     bound = 1 if rank >= 3 else 2
     report = ExperimentReport(
         "lipschitz",
@@ -301,8 +304,8 @@ def exp_lipschitz(
             raise InternalContradictionError(
                 "the sampled factors are not adjacent in the free factor graph"
             )
-        value_a = factor_invariant(fa, b).value
-        value_b = factor_invariant(fb, b).value
+        value_a = _factor_value(fa, b, bl, binv)
+        value_b = _factor_value(fb, b, bl, binv)
         delta = abs(value_a - value_b)
         violation = delta > bound
         max_delta = max(max_delta, delta)
@@ -445,7 +448,9 @@ def exp_basis_change(
     keeps b at minimal length (permutations/inversions plus chains checked
     length-neutral on b).  Reports the running maximum of the spread and
     whether it stabilizes: the maximum over all trials must equal the
-    maximum over the first min(100, trials).
+    maximum over the first min(100, trials).  The trial loop reads values
+    with ``_factor_value``, which builds no witness for a cyclic factor; b
+    and b_t are checked, and spelled both ways, once before it.
     """
     b = boundary_word(rank) if b is None else b
     _check_filling_minimal(b)
@@ -456,6 +461,9 @@ def exp_basis_change(
     b_t = _trusted_word(_apply_table(table, b.letters), rank)
     if len(b_t) != len(b):
         raise PreconditionError("chain does not preserve the minimal length of b")
+    _check_filling_minimal(b_t)
+    bl, binv = b.letters, b.inverse().letters
+    bl_t, binv_t = b_t.letters, b_t.inverse().letters
     report = ExperimentReport(
         "basis-change",
         {
@@ -473,10 +481,10 @@ def exp_basis_change(
     for i in range(trials):
         rng = _rng(seed, "basis-change", i)
         factor = _random_deep_factor(rng, rank, b)
-        vs = factor_invariant(factor, b).value
+        vs = _factor_value(factor, b, bl, binv)
         gens_t = (_apply_table(table, g.letters) for g in factor.generators)
         factor_t = FreeFactorVertex(tuple(_trusted_word(g, rank) for g in gens_t), rank)
-        vt = factor_invariant(factor_t, b_t).value
+        vt = _factor_value(factor_t, b_t, bl_t, binv_t)
         diff = abs(vs - vt)
         running_max = max(running_max, diff)
         if i + 1 == checkpoint:

@@ -11,9 +11,11 @@ standard subsets of the basis, and a free factor is its generators: every
 quantity computed from one is read off them.  A cyclic factor, one with a
 single nontrivial generator, is never folded: its invariant and its
 membership test are closed forms in that generator, and a rank-2 basis
-pair is decided by its commutator.  Only a factor with two or more
-nontrivial generators is read off its folded core graph.  Deciding
-whether an arbitrary subgroup is a free factor is out of scope.
+pair is decided by its commutator.  The invariant's value is read by
+``_cyclic_value``, on letter tuples: the experiments' trial loops take it
+alone (``_factor_value``), ``factor_invariant`` adds a witness.  Only a
+factor with two or more nontrivial generators is read off its folded core
+graph.  Deciding whether an arbitrary subgroup is a free factor is out of scope.
 
 Folding mutates a private working graph and freezes it before returning;
 all public values are immutable, so concurrent use is safe after
@@ -471,6 +473,8 @@ def factor_invariant(a: FreeFactorVertex, b: Word) -> FactorInvariant:
     A factor with one nontrivial generator gets the closed form of
     ``_cyclic_invariant``, with no core graph and ``samples`` 0; any other
     factor is searched on its folded core graph (``_graph_invariant``).
+    A caller that needs only the value calls ``_factor_value``, which
+    builds no witness for a cyclic factor and comes here for any other.
     """
     _check_filling_minimal(b)
     if b.rank != a.rank_ambient:
@@ -499,22 +503,38 @@ def _cyclic_invariant(g: Word, b: Word) -> FactorInvariant:
     in ``vertex_order``, after dropping the letter that would continue the
     next b^-1 block (``_b_exponent``'s second value).  That is the element
     the graph search finds on the core graph, a stem u ending in a cycle c.
+    Only the witness is chosen here: the value and the refusal come from
+    ``_cyclic_value``, which ``_factor_value`` calls with no witness.
     """
     gl = g.letters
+    value, bad_first, i = _cyclic_value(gl, b.letters, b.inverse().letters)
+    first = next(
+        l for l in vertex_order(g.rank) if l in (gl[i], -gl[-1 - i]) and l != bad_first
+    )
+    return FactorInvariant(value, g if first == gl[i] else g.inverse(), 0)
+
+
+def _cyclic_value(gl, bl, binv) -> tuple[int, int | None, int]:
+    """The invariant of <g> from the letters of g, b and b^-1: peel g,
+    refuse a <g> holding a power of b (``_infinite_invariant``), then
+    ``_b_exponent``.  Returns its two values and the peel depth."""
     i = _peel(gl)
-    c = gl[i : len(gl) - i]
-    bl = b.letters
-    binv = b.inverse().letters
     if not i:
         m = len(bl)
-        span = math.lcm(len(c), m)
-        if c * (span // len(c)) in (bl * (span // m), binv * (span // m)):
+        span = math.lcm(len(gl), m)
+        if gl * (span // len(gl)) in (bl * (span // m), binv * (span // m)):
             raise _infinite_invariant(span // m)
-    value, bad_first = _b_exponent(gl, i, bl, binv)
-    first = next(
-        l for l in vertex_order(g.rank) if l in (c[0], -c[-1]) and l != bad_first
-    )
-    return FactorInvariant(value, g if first == c[0] else g.inverse(), 0)
+    return (*_b_exponent(gl, i, bl, binv), i)
+
+
+def _factor_value(a: FreeFactorVertex, b: Word, bl, binv) -> int:
+    """``factor_invariant(a, b).value`` for b of a's rank, past
+    ``_check_filling_minimal``, spelled ``bl`` (b^-1: ``binv``).  A cyclic
+    factor's value comes off ``_cyclic_value`` with no witness built."""
+    g = _cyclic_generator(a)
+    if g is None:
+        return factor_invariant(a, b).value
+    return _cyclic_value(g.letters, bl, binv)[0]
 
 
 def _cyclic_value_from_ends(

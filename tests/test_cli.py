@@ -404,6 +404,24 @@ class TestErrors:
             'digraph core {\n  0 [shape=doublecircle];\n  0 -> 0 [label="x27"];\n}\n'
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reduce", "x", "--out"],
+            ["experiment", "lipschitz", "--trials", "2", "--csv"],
+            ["factor-invariant", "--b", "xyXY", "--gen", "x", "--dot"],
+        ],
+        ids=["out", "csv", "dot"],
+    )
+    @pytest.mark.parametrize("missing", [True, False], ids=["missing-dir", "a-dir"])
+    def test_unwritable_path_exit_1(self, capsys, tmp_path, argv, missing):
+        # a path under a missing directory, or a directory itself
+        path = tmp_path / "no" / "such" / "file" if missing else tmp_path
+        code, _, err = run(capsys, *argv, str(path))
+        reason = "No such file or directory" if missing else "Is a directory"
+        assert code == 1
+        assert err == f"error: cannot write {path}: {reason}"
+
     def test_zero_slope_names_the_domain_error(self, capsys):
         code, out, err = run(capsys, "farey-dist", "1/0", "0/0")
         assert code == 1 and out == ""

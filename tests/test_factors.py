@@ -21,14 +21,21 @@ from freefactor import (
     enumerate_whitehead_automorphisms,
     factor_invariant,
     fold,
+    format_word,
     is_basis_pair,
     random_free_factor,
     random_word,
 )
-from freefactor.experiments import _random_deep_factor, _random_edge_images, boundary_word
+from freefactor.experiments import (
+    _find_second_minimizing_basis,
+    _random_deep_factor,
+    _random_edge_images,
+    boundary_word,
+)
 from freefactor.factors import (
     _BASIS_COMMUTATORS,
     _cyclic_invariant,
+    _factor_value,
     _graph_invariant,
     _in_cyclic,
 )
@@ -907,3 +914,72 @@ class TestCyclicClosedForm:
         gen = (b2**-2) * W("y") * (b2**2)
         inv = factor_invariant(FreeFactorVertex((gen, Word.identity(2)), 2), b2)
         assert (inv.value, inv.witness, inv.samples) == (-2, gen.inverse(), 0)
+
+
+def value_outcome(compute):
+    """The value, or (exception class, message) if compute raises."""
+    try:
+        return compute()
+    except PreconditionError as exc:
+        return type(exc), str(exc)
+
+
+def assert_values_match(factor, b):
+    """_factor_value against the oracle factor_invariant(factor, b).value;
+    returns the value."""
+    bl, binv = b.letters, b.inverse().letters
+    entry = value_outcome(lambda: _factor_value(factor, b, bl, binv))
+    oracle = value_outcome(lambda: factor_invariant(factor, b).value)
+    assert entry == oracle, (factor.describe(), format_word(b))
+    return entry
+
+
+class TestFactorValue:
+    """The experiments' trial loops read a cyclic factor's value with no
+    witness; factor_invariant stays the oracle."""
+
+    @staticmethod
+    def both_bases(rank, b, factors):
+        """Each factor against b, and its image in a second minimizing
+        basis (as basis-change builds it) against b's image there."""
+        chain = _find_second_minimizing_basis(rank, b, rank)
+        chain_inv = tuple(phi.inverse() for phi in reversed(chain))
+        b_t = apply_automorphism(chain_inv, b)
+        for factor in factors:
+            yield factor, b
+            gens = tuple(apply_automorphism(chain_inv, g) for g in factor.generators)
+            yield FreeFactorVertex(gens, rank), b_t
+
+    def test_matches_on_sampled_factors(self):
+        rng = random.Random(1801)
+        values, cyclic, compared = set(), 0, 0
+        for rank in (2, 3, 4, 5):
+            b = boundary_word(rank)
+            factors = []
+            for _ in range(250):  # the lipschitz sampler's pairs
+                images = _random_edge_images(rng, rank, b)
+                ti, tj = images[:2] if rank == 2 else rng.sample(images, 2)
+                pairs = ((ti,), (tj,)) if rank == 2 else ((ti,), (ti, tj))
+                factors += [FreeFactorVertex(gens, rank) for gens in pairs]
+            if rank <= 4:  # the basis-change sampler's factors
+                factors += [_random_deep_factor(rng, rank, b) for _ in range(250)]
+            for factor, base in self.both_bases(rank, b, factors):
+                values.add(assert_values_match(factor, base))
+                cyclic += len(factor.generators) == 1
+                compared += 1
+        assert compared >= 3000 and 0 < cyclic < compared
+        assert min(values) < 0 < max(values)
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_power_of_b_refused_alike(self, rank):
+        b = boundary_word(rank)
+        for g, name in ((b, "b"), (b.inverse(), "b"), (b**2, "b^2")):
+            refusal = assert_values_match(FreeFactorVertex((g,), rank), b)
+            assert refusal == (
+                PreconditionError,
+                f"{name} lies in the subgroup; the invariant is infinite",
+            )
+
+    def test_rotation_of_b_is_finite(self, b2):
+        # yXYx is conjugate to b = xyXY, but <yXYx> holds no power of b
+        assert assert_values_match(FreeFactorVertex((W("yXYx"),), 2), b2) == 0
