@@ -22,6 +22,7 @@ from .errors import (
     DomainError,
     InternalContradictionError,
     PreconditionError,
+    RankError,
 )
 from .factors import (
     FreeFactorVertex,
@@ -49,7 +50,6 @@ from .words import (
     _apply_table,
     _chain_table,
     _orbit_ends,
-    _positive_substitution,
     _random_letters,
     _times,
     _trusted_word,
@@ -207,6 +207,16 @@ def boundary_word(rank: int) -> Word:
     return Word(tuple(letters), rank)
 
 
+def _base_word(rank: int, b: Word | None) -> Word:
+    """b, by default ``boundary_word(rank)``, checked to be of that rank
+    (RankError) and filling at minimal length (``_check_filling_minimal``)."""
+    b = boundary_word(rank) if b is None else b
+    if b.rank != rank:
+        raise RankError(f"b = {b} has rank {b.rank}, not the experiment's rank {rank}")
+    _check_filling_minimal(b)
+    return b
+
+
 def _random_edge_images(rng: random.Random, rank: int, b: Word) -> tuple[Word, ...]:
     """Images of the basis x_1..x_N under a random automorphism theta.
 
@@ -273,8 +283,7 @@ def exp_lipschitz(
     reads values with ``_factor_value``, which builds no witness for a
     cyclic factor; b is checked, and b^+-1 spelled, once before it.
     """
-    b = boundary_word(rank) if b is None else b
-    _check_filling_minimal(b)
+    b = _base_word(rank, b)
     bl, binv = b.letters, b.inverse().letters
     bound = 1 if rank >= 3 else 2
     report = ExperimentReport(
@@ -341,8 +350,7 @@ def exp_cancellation(
     letters of the unreduced concatenation survive reduction and (ii) the
     reduced word has balanced exponent >= 1.
     """
-    b = boundary_word(rank) if b is None else b
-    _check_filling_minimal(b)
+    b = _base_word(rank, b)
     report = ExperimentReport(
         "cancellation",
         {"rank": rank, "b": format_word(b), "trials": trials, "seed": seed},
@@ -399,8 +407,7 @@ def exp_fzero_fiber(
     k_hi: int = 10,
 ) -> ExperimentReport:
     """The map k -> exponent of b^k a b^-k: small zero fiber, injective off it."""
-    b = boundary_word(rank) if b is None else b
-    _check_filling_minimal(b)
+    b = _base_word(rank, b)
     a = Word((1,), rank) if a is None else a
     if not is_primitive(a):
         raise PreconditionError(f"a = {a} must be primitive")
@@ -452,8 +459,7 @@ def exp_basis_change(
     with ``_factor_value``, which builds no witness for a cyclic factor; b
     and b_t are checked, and spelled both ways, once before it.
     """
-    b = boundary_word(rank) if b is None else b
-    _check_filling_minimal(b)
+    b = _base_word(rank, b)
     basis_chain = _find_second_minimizing_basis(rank, b, seed)
     chain_inv = tuple(phi.inverse() for phi in reversed(basis_chain))
     # the second basis's letter images: each word below is one reduction
@@ -555,30 +561,77 @@ def _find_second_minimizing_basis(
 
 
 class BoundaryAutomorphism(_Frozen):
-    """Automorphism fixing the genus-one boundary word, with certificates.
+    """A rank-2 automorphism psi fixing the boundary word b = xyXY, given by
+    the images of x and y under psi and under psi^-1.  The constructor
+    checks, in order, and raises InternalContradictionError at the first
+    that fails, so the report states them as constants:
 
-    Built as the composite of two verified boundary-fixing twist moves; the
-    homology action having |trace| > 2 certifies the mapping-class
-    representative is pseudo-Anosov (one-holed torus criterion).
-    build_boundary_pA raises InternalContradictionError unless both hold, so
-    the report states them as constants.
+    - psi(b) = b, letter for letter;
+    - its homology matrix M (columns the exponent sums of psi(x), psi(y))
+      has det M = +-1 and |trace M| > 2, which certifies a pseudo-Anosov
+      (the one-holed torus criterion; Casson-Bleiler, 1988);
+    - psi^-1 sends psi(x) back to x and psi(y) back to y;
+    - psi and psi^-1 are each a positive substitution on {x, y} or on
+      {x, Y}, so no power cancels on a word over it (``_orbit_ends``).
+
+    ``table`` and ``inverse_table`` (laid out as ``WhAutomorphism.table``),
+    ``homology`` and ``substitutions`` (the alphabet's letter images, of
+    psi at 1 and of psi^-1 at -1) are built from the images once;
+    equality, hashing, repr and pickling ignore them.
     """
 
-    _fields = ("x_image", "y_image", "homology", "chain", "inverse_chain")
+    _fields = ("x_image", "y_image", "inverse_x_image", "inverse_y_image")
 
     def __init__(
-        self,
-        x_image: Word,
-        y_image: Word,
-        homology: tuple[tuple[int, int], tuple[int, int]],
-        chain: tuple[WhAutomorphism, ...],
-        inverse_chain: tuple[WhAutomorphism, ...],
+        self, x_image: Word, y_image: Word, inverse_x_image: Word, inverse_y_image: Word
     ):
         object.__setattr__(self, "x_image", x_image)
         object.__setattr__(self, "y_image", y_image)
-        object.__setattr__(self, "homology", homology)
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "inverse_chain", inverse_chain)
+        object.__setattr__(self, "inverse_x_image", inverse_x_image)
+        object.__setattr__(self, "inverse_y_image", inverse_y_image)
+        self.__post_init__()
+
+    def __post_init__(self):
+        images = (self.x_image, self.y_image)
+        inverse_images = (self.inverse_x_image, self.inverse_y_image)
+        if not all(type(w) is Word and w.rank == 2 for w in images + inverse_images):
+            raise DomainError("a boundary automorphism needs four words of rank 2")
+        # the images of x, y, Y, X at indices 1, 2, -2, -1
+        table, inverse_table = (
+            ((), u.letters, v.letters, v.inverse().letters, u.inverse().letters)
+            for u, v in (images, inverse_images)
+        )
+        b = boundary_word(2).letters
+        if _apply_table(table, b) != b:
+            raise InternalContradictionError("the automorphism does not fix the boundary")
+        # the columns of the homology matrix are the images' exponent sums
+        (p, s), (q, t) = map(exponent_sums, images)
+        if abs(p * t - q * s) != 1:
+            raise InternalContradictionError("homology action is not invertible")
+        if abs(p + t) <= 2:
+            raise InternalContradictionError(
+                f"homology trace {p + t} does not certify a pseudo-Anosov"
+            )
+        for gen, image in enumerate(images, 1):
+            if _apply_table(inverse_table, image.letters) != (gen,):
+                raise InternalContradictionError(
+                    f"the inverse does not send {image} back to {Word((gen,), 2)}"
+                )
+        substitutions = {}
+        for side, images_of in ((1, table), (-1, inverse_table)):
+            for alphabet in ((1, 2), (1, -2)):
+                if all(set(images_of[a]) <= set(alphabet) for a in alphabet):
+                    substitutions[side] = {a: images_of[a] for a in alphabet}
+                    break
+            else:
+                raise InternalContradictionError(
+                    "the automorphism or its inverse is a positive substitution "
+                    "on neither {x, y} nor {x, Y}"
+                )
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "inverse_table", inverse_table)
+        object.__setattr__(self, "homology", ((p, q), (s, t)))
+        object.__setattr__(self, "substitutions", substitutions)
 
     def to_json_dict(self) -> dict:
         return {
@@ -592,49 +645,11 @@ class BoundaryAutomorphism(_Frozen):
 
 
 def build_boundary_pA() -> BoundaryAutomorphism:
-    """The automorphism x -> xy, y -> yxy of the rank-2 group.
-
-    It is the composite of the twists x -> xy and y -> yx (each fixes the
-    commutator boundary word exactly), fixes the boundary word itself, and
-    acts on homology by [[1,1],[1,2]] with trace 3 > 2.
-    """
-    rank = 2
-    b = boundary_word(rank)
-    sigma = WhAutomorphism.multiplier_move(-2, {-2, 1}, rank)  # x -> xy
-    tau = WhAutomorphism.multiplier_move(-1, {-1, 2}, rank)  # y -> yx
-    for phi in (sigma, tau):
-        if phi(b) != b:
-            raise InternalContradictionError("twist move does not fix the boundary")
-    chain = (tau, sigma)  # tau applied first
-    x, y = Word((1,), rank), Word((2,), rank)
-    x_img = apply_automorphism(chain, x)
-    y_img = apply_automorphism(chain, y)
-    if apply_automorphism(chain, b) != b:
-        raise InternalContradictionError("composite does not fix the boundary")
-    hom = (exponent_sums(x_img), exponent_sums(y_img))
-    # columns of the homology matrix are the image exponent vectors
-    matrix = ((hom[0][0], hom[1][0]), (hom[0][1], hom[1][1]))
-    det = matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
-    trace = matrix[0][0] + matrix[1][1]
-    if abs(det) != 1:
-        raise InternalContradictionError("homology action is not invertible")
-    if abs(trace) <= 2:
-        raise InternalContradictionError(
-            f"homology trace {trace} does not certify a pseudo-Anosov"
-        )
-    inverse_chain = (sigma.inverse(), tau.inverse())
-    for gen, image in ((x, x_img), (y, y_img)):
-        if apply_automorphism(inverse_chain, image) != gen:
-            raise InternalContradictionError(
-                f"inverse chain does not send {image} back to {gen}"
-            )
-    return BoundaryAutomorphism(
-        x_image=x_img,
-        y_image=y_img,
-        homology=matrix,
-        chain=chain,
-        inverse_chain=inverse_chain,
-    )
+    """psi: x -> xy, y -> yxy, with psi^-1: x -> xxY, y -> yX.  It fixes
+    xyXY, has homology [[1,1],[1,2]] of trace 3, and is positive on {x, y},
+    psi^-1 on {x, Y}; the constructor checks each."""
+    images = ("xy", "yxy", "xxY", "yX")
+    return BoundaryAutomorphism(*(parse_word(text, 2) for text in images))
 
 
 # ---------------------------------------------------------------------------
@@ -654,10 +669,10 @@ def _grid_values(radius_k: int) -> tuple[
     side, which is the first r >= 0 whose key repeats an earlier one; b;
     psi.
 
-    Certificate, checked on every call: psi and psi^-1 are positive
-    substitutions on {x, y} and {x, Y} (``_positive_substitution``), so
-    w = psi^r(x) is reduced and cyclically reduced for every integer r,
-    and its ends iterate on windows (``_orbit_ends``) without building w.
+    Certificate, checked when psi is built: psi and psi^-1 are positive
+    substitutions (``BoundaryAutomorphism.substitutions``), so w = psi^r(x)
+    is reduced and cyclically reduced for every integer r, and its ends
+    iterate on windows (``_orbit_ends``) without building w.
 
     The two-sided cycle.  Row r depends only on the key (head, hidden,
     tail) of its word, psi^r(x) on psi's side r >= 0 and psi^-|r|(x) on
@@ -683,17 +698,13 @@ def _grid_values(radius_k: int) -> tuple[
     bl, binv = b.letters, b.inverse().letters
     depth = min(_DEPTH, radius_k)
     window = (2 * depth + 1) * len(bl)
-    images = {
-        1: _positive_substitution(psi.chain),
-        -1: _positive_substitution(psi.inverse_chain),
-    }
-    cycles = {1: _orbit_ends(images[1], window)}
+    cycles = {1: _orbit_ends(psi.substitutions[1], window)}
     rows = {}
 
     def row_of(r: int) -> tuple[int, ...]:
         side = -1 if r < 0 else 1
         if side not in cycles:
-            cycles[side] = _orbit_ends(images[side], window)
+            cycles[side] = _orbit_ends(psi.substitutions[side], window)
         keys, repeat = cycles[side]
         i = abs(r)
         if i >= len(keys):
@@ -863,7 +874,7 @@ def _homology_orbit(matrix, radius: int) -> dict[int, tuple[int, int]]:
     """The exponent sums of psi^r(x) at r = -radius..radius, for psi with
     homology ``matrix`` M (columns the exponent sums of psi(x) and
     psi(y)): abelianisation is a homomorphism, so they are M^r (1, 0).
-    ``build_boundary_pA`` checks det M = +-1, so M^-1 is the integer
+    ``BoundaryAutomorphism`` checks det M = +-1, so M^-1 is the integer
     matrix det M times the adjugate of M.
     """
     (p, q), (s, t) = matrix
@@ -1087,15 +1098,18 @@ EXPERIMENTS = {
 
 EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 
-# The smallest value each integer parameter may take.
-_MINIMUM = {"rank": 2, "trials": 1, "radius": 1}
+# The integer parameters, each with the smallest value it may take (None
+# for no bound).
+_INTEGERS = {"rank": 2, "trials": 1, "radius": 1, "k_lo": None, "k_hi": None}
 
 
 def run_experiment(name: str, **kwargs) -> ExperimentReport:
     """Run a named experiment.
 
     Unknown names, parameters the experiment does not take and values that
-    would crash it, pass vacuously or be ignored raise DomainError.  The
+    would crash it, pass vacuously or be ignored raise DomainError; the
+    integer parameters are read through ``operator.index``, so one that is
+    not an integer is refused too, and ``seed`` may be anything.  The
     function is looked up as a module attribute at call time, so that a
     wrapper written over that attribute (a call tracer, a test's fake) is
     what runs, and it is given its arguments positionally, in signature
@@ -1113,8 +1127,15 @@ def run_experiment(name: str, **kwargs) -> ExperimentReport:
             f"{name} does not take {', '.join(unknown)}; it takes {', '.join(accepted)}"
         )
     for key, value in kwargs.items():
-        if key in _MINIMUM and value < _MINIMUM[key]:
-            raise DomainError(f"{key} must be at least {_MINIMUM[key]}, got {value}")
+        if key not in _INTEGERS:
+            continue
+        try:
+            value = kwargs[key] = operator.index(value)
+        except TypeError:
+            raise DomainError(f"{key} must be an integer, got {value!r}") from None
+        low = _INTEGERS[key]
+        if low is not None and value < low:
+            raise DomainError(f"{key} must be at least {low}, got {value}")
     if "rank" not in parameters:
         rank = kwargs.pop("rank", 2)
         if rank != 2:

@@ -10,8 +10,9 @@ the identity (positive in the b direction).
 The geometric index of a under b reads off the minimal interval
 [b^i, b^j] containing the projection of the axis of a onto the axis of b:
 the index is i if i > 0, j if j < 0, and 0 otherwise.  When the axes
-coincide (they share an end, as two powers of one word do), the
-projection is the whole axis and the index is 0.  It always agrees with
+coincide (they share an end, as two powers of one word do), or a is the
+identity, which fixes the whole tree, the projection is the whole axis
+and the index is 0.  It always agrees with
 the combinatorial exponent of words.b_reduced_decomposition.
 
 Subgroups, and their minimal subtrees, are not modelled here: what the
@@ -100,10 +101,10 @@ def project_axis_to_axis(a: Word, b: Word) -> AxisInterval:
     ends of X_a project to the interval's endpoints.
     """
     _require_axis_word(b)
-    if a.is_identity():
-        raise IdentityWordError("a must be nontrivial")
     if a.rank != b.rank:
         raise RankError("a and b must have the same rank")
+    if a.is_identity():
+        raise IdentityWordError("a must be nontrivial")
     dec = cyclic_reduce(a)
     g = dec.conjugator.letters
     core = dec.core.letters
@@ -119,11 +120,14 @@ def geometric_index(a: Word, b: Word) -> int:
 
     When X_a = X_b (``project_axis_to_axis`` raises AxesEqualError) the
     projection is the whole axis, whose power hull contains 0, so the
-    index is 0.  Equals words.b_reduced_decomposition(a, b).k exactly.
+    index is 0.  The identity fixes the whole tree, so its projection is
+    the whole axis too, and its index 0 (``project_axis_to_axis`` raises
+    IdentityWordError for it once b and the ranks are checked).  Equals
+    words.b_reduced_decomposition(a, b).k exactly.
     """
     try:
         i, j = project_axis_to_axis(a, b).power_hull()
-    except AxesEqualError:
+    except (AxesEqualError, IdentityWordError):
         return 0
     if i > 0:
         return i

@@ -43,7 +43,6 @@ from operator import attrgetter, neg
 
 from .errors import (
     DomainError,
-    InternalContradictionError,
     NotCyclicallyReducedError,
     RankError,
     WordSyntaxError,
@@ -454,20 +453,6 @@ def _chain_table(chain, rank: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _positive_substitution(chain) -> dict[int, tuple[int, ...]]:
-    """A rank-2 chain's images of the letters of {x, y} or of {x, Y},
-    whichever alphabet A has every image a word over A, so that no power
-    of the chain cancels on a word over A.  Raise
-    InternalContradictionError if neither does."""
-    images = _chain_table(chain, 2)
-    for alphabet in ((1, 2), (1, -2)):
-        if all(set(images[a]) <= set(alphabet) for a in alphabet):
-            return {a: images[a] for a in alphabet}
-    raise InternalContradictionError(
-        "the automorphism is a positive substitution on neither {x, y} nor {x, Y}"
-    )
-
-
 def _orbit_ends(images: dict, window: int) -> tuple[list[tuple], int]:
     """The cycle of end-window keys of sigma^r(x), r = 0, 1, ..., for the
     positive substitution sigma = ``images``: the distinct keys in walk
@@ -485,10 +470,11 @@ def _orbit_ends(images: dict, window: int) -> tuple[list[tuple], int]:
     returning to j, the key of sigma^r(x) is the key at r for r < n and
     at j + (r - j) mod (n - j) for every r >= n.
 
-    Walked once for psi and once for psi^-1, the two cycles certify the
-    whole orbit grid (``experiments._grid_values``): a grid row depends
-    only on its word's key, so every row of Z^2 is the row of one of
-    their finitely many keys.
+    Walked once for psi and once for psi^-1, on the substitutions that
+    ``experiments.BoundaryAutomorphism`` checks positive when it is built,
+    the two cycles certify the whole orbit grid
+    (``experiments._grid_values``): a grid row depends only on its word's
+    key, so every row of Z^2 is the row of one of their finitely many keys.
     """
     head, hidden, tail = (1,), False, ()
     keys = []

@@ -18,6 +18,7 @@ from freefactor import (
     random_word,
 )
 from freefactor.whitehead import _random_multiplier_move
+from freefactor.words import _apply_table
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
@@ -29,11 +30,13 @@ def W(text: str, rank: int = 2) -> Word:
 
 def psi_power(psi, w: Word, power: int = 1) -> Word:
     """psi^power(w) for a BoundaryAutomorphism psi, built letter by letter:
-    one application of psi's chain, or of its inverse chain, per step."""
-    chain = psi.chain if power >= 0 else psi.inverse_chain
+    one application of psi's letter-image table, or of its inverse's, per
+    step, and the result checked by ``Word``."""
+    table = psi.table if power >= 0 else psi.inverse_table
+    letters = w.letters
     for _ in range(abs(power)):
-        w = apply_automorphism(chain, w)
-    return w
+        letters = _apply_table(table, letters)
+    return Word(letters, w.rank)
 
 
 @pytest.fixture

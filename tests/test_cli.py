@@ -115,6 +115,14 @@ class TestBasicCommands:
         )
         assert code == 0 and out == "k = 0 (geometric agrees)"
 
+    @pytest.mark.parametrize("word", ["1", "xX"])
+    def test_index_geometric_of_the_identity(self, capsys, word):
+        # the identity fixes the whole tree, so its geometric index is 0
+        code, out, err = run(
+            capsys, "index", "--n", "2", "--b", "xyXY", "--geometric", word
+        )
+        assert (code, out, err) == (0, "k = 0 (geometric agrees)", "")
+
     def test_factor_invariant(self, capsys):
         code, out, _ = run(
             capsys, "factor-invariant", "--n", "2", "--b", "xyXY", "--gen", "x"

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 from collections import Counter
 from collections.abc import Iterator
 from pathlib import Path
@@ -13,9 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from freefactor import (
     BoundaryAutomorphism,
+    DomainError,
     FreeFactorVertex,
     InternalContradictionError,
     PreconditionError,
+    RankError,
     Slope,
     WhAutomorphism,
     Word,
@@ -48,7 +51,7 @@ from freefactor.experiments import (
 )
 from freefactor.factors import _cyclic_value_from_ends
 from freefactor.farey import exponent_sums
-from freefactor.words import _orbit_ends, _positive_substitution
+from freefactor.words import _chain_table, _orbit_ends
 from freefactor.whitehead import _random_multiplier_move, vertex_order
 
 from conftest import (
@@ -358,8 +361,9 @@ def oracle_ends(radius_r, window) -> dict:
     psi = build_boundary_pA()
     lo_r, hi_r = radius_r
     ends = {}
-    for chain, sign, steps in ((psi.inverse_chain, -1, -lo_r), (psi.chain, 1, hi_r)):
-        images = _positive_substitution(chain)
+    for images, sign, steps in (
+        (psi.substitutions[-1], -1, -lo_r), (psi.substitutions[1], 1, hi_r)
+    ):
         for r, end in zip(range(steps + 1), oracle_orbit_ends(images, steps, window)):
             ends[sign * r] = end
     return ends
@@ -555,11 +559,41 @@ class TestBoundaryWords:
         assert all(t["verdict"] == "filling" for t in report.trials)
 
 
+# Rank-2 automorphisms, as the images of x and y and those of x and y under
+# the inverse, that each fail one certificate of BoundaryAutomorphism, with
+# the text of its error.
+BAD_BOUNDARY_AUTOMORPHISMS = {
+    # the twist y -> yx fixes xyXY, but acts on homology by [[1, 1], [0, 1]]
+    "twist": (("x", "yx", "x", "yX"), "homology trace 2 does not certify"),
+    "swap": (("y", "x", "y", "x"), "does not fix the boundary"),
+    "wrong-inverse": (("xy", "yxy", "xY", "y"), "does not send yxy back to y$"),
+    # ad_b psi and its inverse psi^-1 ad_b^-1: it fixes b and has trace 3,
+    # but psi(x) and psi(y) each hold x, y, X and Y
+    "ad_b-psi": (
+        ("xyXYxyyxYX", "xyyyxYX", "yxYxYxyXY", "yxYXyyXY"),
+        "positive substitution on neither",
+    ),
+}
+
+
 class TestBoundaryAutomorphism:
     def test_images(self):
         psi = build_boundary_pA()
         assert psi.x_image == W("xy")
         assert psi.y_image == W("yxy")
+        assert psi.inverse_x_image == W("xxY")
+        assert psi.inverse_y_image == W("yX")
+
+    def test_tables_and_substitutions(self):
+        psi = build_boundary_pA()
+        for table, images in (
+            (psi.table, ("xy", "yxy")), (psi.inverse_table, ("xxY", "yX"))
+        ):
+            for letter, image in enumerate(images, 1):
+                assert table[letter] == W(image).letters
+                assert table[-letter] == W(image).inverse().letters
+        assert psi.substitutions[1] == {1: (1, 2), 2: (2, 1, 2)}
+        assert psi.substitutions[-1] == {1: (1, 1, -2), -2: (1, -2)}
 
     def test_fixes_boundary_exactly(self, b2):
         psi = build_boundary_pA()
@@ -574,41 +608,80 @@ class TestBoundaryAutomorphism:
         assert summary["trace"] == 3
         assert summary["is_pseudo_anosov"] and summary["fixes_boundary"]
 
-    def test_trace_two_is_a_contradiction(self, monkeypatch, capsys):
-        # homology [[1, 1], [0, 1]] is invertible but has trace 2, which
-        # certifies no pseudo-Anosov
-        monkeypatch.setattr(
-            experiments, "exponent_sums", lambda w: (1, 0) if w == W("xy") else (1, 1)
-        )
-        with pytest.raises(InternalContradictionError, match="trace 2"):
-            build_boundary_pA()
-        assert cli.main(["experiment", "quasiflat", "--radius", "1"]) == 3
-        assert "trace 2" in capsys.readouterr().err
+    def test_inverse_is_valid_too(self):
+        # psi^-1, with psi as its inverse, passes every certificate: its
+        # homology [[2, -1], [-1, 1]] has trace 3, and the sides swap
+        psi = build_boundary_pA()
+        inverse = BoundaryAutomorphism(W("xxY"), W("yX"), W("xy"), W("yxy"))
+        assert inverse.homology == ((2, -1), (-1, 1))
+        assert inverse.table == psi.inverse_table
+        assert inverse.inverse_table == psi.table
+        assert inverse.substitutions == {1: psi.substitutions[-1], -1: psi.substitutions[1]}
+
+    def test_trace_two_is_a_contradiction(self, b2):
+        images, match = BAD_BOUNDARY_AUTOMORPHISMS["twist"]
+        twist = WhAutomorphism.multiplier_move(-1, {-1, 2}, 2)  # y -> yx
+        assert twist(b2) == b2
+        assert [W(t) for t in images] == [
+            twist(W("x")), twist(W("y")), twist.inverse()(W("x")), twist.inverse()(W("y"))
+        ]
+        with pytest.raises(InternalContradictionError, match=match):
+            BoundaryAutomorphism(*map(W, images))
 
     def test_twin_twists_fix_boundary(self, b2):
+        # psi is the twist y -> yx followed by the twist x -> xy, each of
+        # which fixes b: the derivation that the images replaced
+        sigma = WhAutomorphism.multiplier_move(-2, {-2, 1}, 2)  # x -> xy
+        tau = WhAutomorphism.multiplier_move(-1, {-1, 2}, 2)  # y -> yx
+        assert sigma(b2) == b2 and tau(b2) == b2
         psi = build_boundary_pA()
-        for phi in psi.chain:
-            assert phi(b2) == b2
+        assert psi.table == _chain_table((tau, sigma), 2)
+        assert psi.inverse_table == _chain_table((sigma.inverse(), tau.inverse()), 2)
 
     def test_inverse_round_trip(self):
         psi = build_boundary_pA()
         w = W("xYxxy")
         assert psi_power(psi, psi_power(psi, w, 3), -3) == w
 
-    def test_inverse_checked_on_both_generators(self, monkeypatch, capsys):
-        # without tau's inverse the chain still sends xy back to x, but it
-        # sends yxy to yx
-        tau = WhAutomorphism.multiplier_move(-1, {-1, 2}, 2)
-        inverse = WhAutomorphism.inverse
+    def test_inverse_checked_on_both_generators(self):
+        images, match = BAD_BOUNDARY_AUTOMORPHISMS["wrong-inverse"]
+        # x -> xY, y -> y sends xy to xYy = x, so only y's check catches it
+        assert W("xY") * W("y") == W("x")
+        with pytest.raises(InternalContradictionError, match=match):
+            BoundaryAutomorphism(*map(W, images))
+
+    def test_positive_substitution_checked(self, b2):
+        images, match = BAD_BOUNDARY_AUTOMORPHISMS["ad_b-psi"]
+        psi = build_boundary_pA()
+        assert [W(t) for t in images] == [
+            ad(b2, psi.x_image), ad(b2, psi.y_image),
+            ad(b2, psi.inverse_x_image, -1), ad(b2, psi.inverse_y_image, -1),
+        ]
+        with pytest.raises(InternalContradictionError, match=match):
+            BoundaryAutomorphism(*map(W, images))
+
+    @pytest.mark.parametrize("y_inverse", [W("yX", 3), "yX", None])
+    def test_needs_four_rank_2_words(self, y_inverse):
+        with pytest.raises(DomainError, match="four words of rank 2"):
+            BoundaryAutomorphism(W("xy"), W("yxy"), W("xxY"), y_inverse)
+
+    @pytest.mark.parametrize("name", ["quasiflat", "twist-stability"])
+    @pytest.mark.parametrize("bad", list(BAD_BOUNDARY_AUTOMORPHISMS))
+    def test_bad_automorphism_raises_and_exits_3_without_a_report(
+        self, monkeypatch, capsys, tmp_path, name, bad
+    ):
+        images, match = BAD_BOUNDARY_AUTOMORPHISMS[bad]
+        with pytest.raises(InternalContradictionError, match=match):
+            BoundaryAutomorphism(*map(W, images))
         monkeypatch.setattr(
-            WhAutomorphism,
-            "inverse",
-            lambda phi: WhAutomorphism.identity(2) if phi == tau else inverse(phi),
+            experiments, "build_boundary_pA", lambda: BoundaryAutomorphism(*map(W, images))
         )
-        with pytest.raises(InternalContradictionError, match="yxy back to y$"):
-            build_boundary_pA()
-        assert cli.main(["experiment", "quasiflat", "--radius", "1"]) == 3
-        assert "yxy back to y" in capsys.readouterr().err
+        out = tmp_path / "report.json"
+        argv = ["experiment", name, "--radius", "1", "--out", str(out)]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert re.search(match, captured.err)
 
 
 class TestLipschitz:
@@ -958,31 +1031,29 @@ class TestGridFromEnds:
                 ks == set(range(-radius_k, radius_k + 1)) for ks in evaluated.values()
             )
 
-    def test_substitutions(self):
+    def test_substitutions(self, monkeypatch):
+        # _grid_values walks the substitutions that psi holds
         psi = build_boundary_pA()
-        assert _positive_substitution(psi.chain) == {1: (1, 2), 2: (2, 1, 2)}
-        assert _positive_substitution(psi.inverse_chain) == {1: (1, 1, -2), -2: (1, -2)}
+        walked = []
+        orbit_ends = experiments._orbit_ends
 
-    @pytest.mark.parametrize("field", ["chain", "inverse_chain"])
-    def test_no_positive_alphabet_is_a_contradiction(
-        self, monkeypatch, capsys, tmp_path, field
-    ):
-        # followed by conjugation by x, psi sends x to xxyX and psi^-1 sends x
-        # to xxxYX: each image holds both x and X
-        psi = build_boundary_pA()
-        chains = {"chain": psi.chain, "inverse_chain": psi.inverse_chain}
-        chains[field] += _conjugation_chain(W("x"))
-        bad = BoundaryAutomorphism(psi.x_image, psi.y_image, psi.homology, **chains)
-        monkeypatch.setattr(experiments, "build_boundary_pA", lambda: bad)
-        with pytest.raises(InternalContradictionError, match="positive substitution"):
+        def recorded(images, window):
+            walked.append(images)
+            return orbit_ends(images, window)
+
+        monkeypatch.setattr(experiments, "_orbit_ends", recorded)
+        _grid_values(1)[0](-1)
+        assert walked == [psi.substitutions[1], psi.substitutions[-1]]
+
+    def test_no_positive_alphabet_is_a_contradiction(self, monkeypatch):
+        # ad_b psi fixes b and has trace 3, but no side of it is a positive
+        # substitution, so it cannot be built and no grid reads it
+        images, match = BAD_BOUNDARY_AUTOMORPHISMS["ad_b-psi"]
+        monkeypatch.setattr(
+            experiments, "build_boundary_pA", lambda: BoundaryAutomorphism(*map(W, images))
+        )
+        with pytest.raises(InternalContradictionError, match=match):
             _grid_values(1)
-        for name in ("quasiflat", "twist-stability"):
-            out = tmp_path / f"{name}.json"
-            argv = ["experiment", name, "--radius", "1", "--out", str(out)]
-            assert cli.main(argv) == 3
-            captured = capsys.readouterr()
-            assert captured.out == "" and not out.exists()
-            assert "positive substitution" in captured.err
 
     def test_short_window_raises_and_never_guesses(self, monkeypatch, capsys, tmp_path):
         # every window shorter than (2K + 1)|b| = 52 either still decides
@@ -1060,21 +1131,23 @@ class TestGridFromEnds:
         assert raised > 0
 
     def test_never_builds_psi_powers(self, monkeypatch):
-        # the ends are iterated on windows: the one apply_automorphism call
-        # per substitution letter reads a letter image, and the words the
-        # certificate and the paths check stay short
-        calls = []
-        apply = experiments.apply_automorphism
+        # psi is read off its images: the ends are iterated on windows of
+        # its substitutions, and no Whitehead move, chain table or chain
+        # application is made on the way
+        def refused(*args, **kwargs):
+            raise AssertionError("the orbit grid built an automorphism chain")
 
-        def counted(chain, w):
-            calls.append(len(w))
-            return apply(chain, w)
-
+        expected = {
+            (name, radius): sha256(run_experiment(name, radius=radius))
+            for name in ("quasiflat", "twist-stability")
+            for radius in (1, 2, 3)
+        }
+        monkeypatch.setattr(WhAutomorphism, "__init__", refused)
         for module in (experiments, words):
-            monkeypatch.setattr(module, "apply_automorphism", counted)
-        exp_quasiflat(16)
-        exp_twist_stability(64)
-        assert calls and max(calls) <= len(boundary_word(2))
+            monkeypatch.setattr(module, "apply_automorphism", refused)
+            monkeypatch.setattr(module, "_chain_table", refused)
+        for (name, radius), digest in expected.items():
+            assert sha256(run_experiment(name, radius=radius)) == digest
 
     @pytest.mark.parametrize("name", ["quasiflat", "twist-stability"])
     def test_same_bytes_as_materialising_grid_at_radius_16(self, name):
@@ -1161,7 +1234,7 @@ class TestTwistStability:
             assert summary["sup_displacement"] == materialised == windows, radius
 
     def test_rows_repeat_from_is_the_first_repeated_key(self):
-        images = _positive_substitution(build_boundary_pA().chain)
+        images = build_boundary_pA().substitutions[1]
         expected = first_repeated_key(oracle_orbit_ends(images, 12, 20))
         assert expected == 6
         for radius in [*range(1, 17), 64]:
@@ -1171,8 +1244,7 @@ class TestTwistStability:
         # the distinct keys up to the first repeat are the counted walk's,
         # and the cycle they close gives its key at every r
         psi = build_boundary_pA()
-        for chain in (psi.chain, psi.inverse_chain):
-            images = _positive_substitution(chain)
+        for images in (psi.substitutions[1], psi.substitutions[-1]):
             for window in (1, 4, 12, 20, 52):
                 keys, repeat = _orbit_ends(images, window)
                 counted = [
@@ -1192,8 +1264,8 @@ class TestTwistStability:
         cycles = [
             (len(keys), repeat)
             for keys, repeat in (
-                _orbit_ends(_positive_substitution(chain), 20)
-                for chain in (psi.chain, psi.inverse_chain)
+                _orbit_ends(images, 20)
+                for images in (psi.substitutions[1], psi.substitutions[-1])
             )
         ]
         assert cycles == [(6, 5), (5, 4)]
@@ -1202,7 +1274,7 @@ class TestTwistStability:
         # quasiflat walks psi and psi^-1 once each, to their first repeated
         # keys, at any radius; twist-stability walks psi only
         psi = build_boundary_pA()
-        psi_images = _positive_substitution(psi.chain)
+        psi_images = psi.substitutions[1]
         orbit_ends, walks = experiments._orbit_ends, []
 
         def recorded(images, window):
@@ -1371,6 +1443,36 @@ class TestReports:
 
         with pytest.raises(DomainError):
             run_experiment(name, **kwargs)
+
+    @pytest.mark.parametrize(
+        "name,kwargs",
+        [
+            ("quasiflat", {"radius": 2.0}),
+            ("lipschitz", {"rank": 2.0}),
+            ("zero-fiber", {"k_lo": 0.5}),
+            ("zero-fiber", {"k_hi": "3"}),
+            ("twist-stability", {"radius": "3"}),
+            ("basis-change", {"trials": None}),
+            ("boundary-length", {"rank": [4]}),
+        ],
+    )
+    def test_non_integer_parameters_rejected(self, name, kwargs):
+        (key, value), = kwargs.items()
+        message = f"{key} must be an integer, got {value!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            run_experiment(name, **kwargs)
+
+    def test_integer_parameters_read_through_index(self):
+        # a numpy integer is an integer: it runs, and is reported as an int
+        report = run_experiment("zero-fiber", k_lo=np.int64(-2), k_hi=np.int64(2))
+        assert report == run_experiment("zero-fiber", k_lo=-2, k_hi=2)
+        assert type(report.parameters["k_lo"]) is int
+
+    @pytest.mark.parametrize("name", ["lipschitz", "cancellation", "zero-fiber", "basis-change"])
+    @pytest.mark.parametrize("rank,b_rank", [(2, 3), (3, 2)])
+    def test_base_word_of_another_rank_rejected(self, name, rank, b_rank):
+        with pytest.raises(RankError, match=f"has rank {b_rank}, not"):
+            run_experiment(name, rank=rank, b=boundary_word(b_rank))
 
     @pytest.mark.parametrize(
         "name,rank,digest,trials,seed",

@@ -180,6 +180,22 @@ class TestGeometricIndex:
                 project_axis_to_axis(b**n, b)
             assert geometric_index(b**n, b) == b_index(b**n, b) == 0
 
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_identity_is_zero(self, rank):
+        # the identity fixes the whole tree: its projection is the whole
+        # axis, as for a shared axis, while the projection itself still
+        # refuses it
+        b, one = boundary_word(rank), Word.identity(rank)
+        assert geometric_index(one, b) == b_index(one, b) == 0
+        with pytest.raises(IdentityWordError):
+            project_axis_to_axis(one, b)
+
+    def test_identity_still_checks_b_and_rank(self, b2):
+        with pytest.raises(NotCyclicallyReducedError):
+            geometric_index(Word.identity(2), W("xyX"))
+        with pytest.raises(RankError):
+            geometric_index(Word.identity(3), b2)
+
 
 def oracle_subtree_axis_overlap(generators, b, depth, unbounded_multiple=6):
     """The product sampler that subtree_axis_overlap replaced:

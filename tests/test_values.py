@@ -103,9 +103,8 @@ class ExperimentReport:
 class BoundaryAutomorphism:
     x_image: words.Word
     y_image: words.Word
-    homology: tuple
-    chain: tuple
-    inverse_chain: tuple
+    inverse_x_image: words.Word
+    inverse_y_image: words.Word
 
 
 ORACLES = {
@@ -179,9 +178,8 @@ def samples() -> dict:
         experiments.BoundaryAutomorphism: [
             build_boundary_pA(),
             build_boundary_pA(),
-            experiments.BoundaryAutomorphism(
-                W("y"), W("x"), ((0, 1), (1, 0)), (move,), (move.inverse(),)
-            ),
+            # psi^-1, with psi as its inverse
+            experiments.BoundaryAutomorphism(W("xxY"), W("yX"), W("xy"), W("yxy")),
         ],
     }
 
@@ -283,8 +281,10 @@ def test_validators_still_run():
         factors.FreeFactorVertex((), 2)
     with pytest.raises(DomainError):
         trees.AxisInterval(W("xy"), 2, 1)
+    with pytest.raises(DomainError):
+        experiments.BoundaryAutomorphism(W("y"), W("x"), W("y"), W("x"))
     for cls in (words.Word, whitehead.WhAutomorphism, factors.FreeFactorVertex,
-                trees.AxisInterval):
+                trees.AxisInterval, experiments.BoundaryAutomorphism):
         assert "__post_init__" in vars(cls)
 
 
