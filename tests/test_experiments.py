@@ -1045,15 +1045,28 @@ class TestGridFromEnds:
         _grid_values(1)[0](-1)
         assert walked == [psi.substitutions[1], psi.substitutions[-1]]
 
-    def test_no_positive_alphabet_is_a_contradiction(self, monkeypatch):
-        # ad_b psi fixes b and has trace 3, but no side of it is a positive
-        # substitution, so it cannot be built and no grid reads it
+    @pytest.mark.parametrize("field", ["chain", "inverse_chain"])
+    def test_no_positive_alphabet_is_a_contradiction(
+        self, monkeypatch, capsys, tmp_path, field
+    ):
+        # ad_b psi fixes b and has trace 3, but neither it nor its inverse is
+        # a positive substitution, so it cannot be built, in either direction,
+        # and no grid or report reads it
         images, match = BAD_BOUNDARY_AUTOMORPHISMS["ad_b-psi"]
+        if field == "inverse_chain":
+            images = images[2:] + images[:2]  # psi^-1 ad_b^-1 as the automorphism
         monkeypatch.setattr(
             experiments, "build_boundary_pA", lambda: BoundaryAutomorphism(*map(W, images))
         )
         with pytest.raises(InternalContradictionError, match=match):
             _grid_values(1)
+        for name in ("quasiflat", "twist-stability"):
+            out = tmp_path / f"{name}.json"
+            argv = ["experiment", name, "--radius", "1", "--out", str(out)]
+            assert cli.main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert "positive substitution" in captured.err
 
     def test_short_window_raises_and_never_guesses(self, monkeypatch, capsys, tmp_path):
         # every window shorter than (2K + 1)|b| = 52 either still decides
