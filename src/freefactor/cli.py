@@ -25,7 +25,7 @@ from .experiments import (
 from .factors import FreeFactorVertex, factor_invariant
 from .farey import Slope, farey_distance
 from .trees import geometric_index
-from .whitehead import Classification, classify, minimize_cyclic_length
+from .whitehead import Classification, classify, is_primitive, minimize_cyclic_length
 from .words import Word, b_reduced_decomposition, format_word, parse_word
 
 
@@ -109,6 +109,12 @@ def _cmd_index(args) -> int:
 def _cmd_factor_invariant(args) -> int:
     b = parse_word(args.b, args.n)
     gens = tuple(parse_word(g, args.n) for g in args.gen)
+    # <g> is a free factor iff g is primitive; a factor of two or more
+    # generators is not checked
+    nontrivial = [g for g in gens if not g.is_identity()]
+    if len(nontrivial) == 1 and not is_primitive(nontrivial[0]):
+        raise DomainError(f"generator {format_word(nontrivial[0])} is not primitive, "
+                          "so it generates no free factor")
     vertex = FreeFactorVertex(gens, args.n)
     inv = factor_invariant(vertex, b)
     if args.dot:
@@ -226,7 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_index)
 
-    p = sub.add_parser("factor-invariant", help="invariant of a free factor")
+    p = sub.add_parser(
+        "factor-invariant",
+        help="invariant of a free factor",
+        description="Invariant of the free factor the --gen words generate. One "
+        "nontrivial generator must be primitive; two or more are not checked "
+        "to generate a free factor.",
+    )
     add_common(p, needs_b=True)
     p.add_argument(
         "--gen", action="append", required=True, help="factor generator (repeatable)"

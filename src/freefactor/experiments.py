@@ -48,6 +48,7 @@ from .words import (
     _Frozen,
     _Value,
     _apply_table,
+    _checked_int,
     _chain_table,
     _orbit_ends,
     _random_letters,
@@ -582,15 +583,6 @@ class BoundaryAutomorphism(_Frozen):
 
     _fields = ("x_image", "y_image", "inverse_x_image", "inverse_y_image")
 
-    def __init__(
-        self, x_image: Word, y_image: Word, inverse_x_image: Word, inverse_y_image: Word
-    ):
-        object.__setattr__(self, "x_image", x_image)
-        object.__setattr__(self, "y_image", y_image)
-        object.__setattr__(self, "inverse_x_image", inverse_x_image)
-        object.__setattr__(self, "inverse_y_image", inverse_y_image)
-        self.__post_init__()
-
     def __post_init__(self):
         images = (self.x_image, self.y_image)
         inverse_images = (self.inverse_x_image, self.inverse_y_image)
@@ -1108,12 +1100,12 @@ def run_experiment(name: str, **kwargs) -> ExperimentReport:
 
     Unknown names, parameters the experiment does not take and values that
     would crash it, pass vacuously or be ignored raise DomainError; the
-    integer parameters are read through ``operator.index``, so one that is
-    not an integer is refused too, and ``seed`` may be anything.  The
-    function is looked up as a module attribute at call time, so that a
-    wrapper written over that attribute (a call tracer, a test's fake) is
-    what runs, and it is given its arguments positionally, in signature
-    order.
+    integer parameters are read through ``words._checked_int``
+    (``operator.index``), so one that is not an integer is refused too,
+    and ``seed`` may be anything.  The function is looked up as a module
+    attribute at call time, so that a wrapper written over that attribute
+    (a call tracer, a test's fake) is what runs, and it is given its
+    arguments positionally, in signature order.
     """
     if name not in EXPERIMENTS:
         raise DomainError(
@@ -1127,15 +1119,8 @@ def run_experiment(name: str, **kwargs) -> ExperimentReport:
             f"{name} does not take {', '.join(unknown)}; it takes {', '.join(accepted)}"
         )
     for key, value in kwargs.items():
-        if key not in _INTEGERS:
-            continue
-        try:
-            value = kwargs[key] = operator.index(value)
-        except TypeError:
-            raise DomainError(f"{key} must be an integer, got {value!r}") from None
-        low = _INTEGERS[key]
-        if low is not None and value < low:
-            raise DomainError(f"{key} must be at least {low}, got {value}")
+        if key in _INTEGERS:
+            kwargs[key] = _checked_int(value, key, _INTEGERS[key])
     if "rank" not in parameters:
         rank = kwargs.pop("rank", 2)
         if rank != 2:

@@ -378,11 +378,6 @@ class FactorInvariant(_Frozen):
 
     _fields = ("value", "witness", "samples")
 
-    def __init__(self, value: int, witness: Word, samples: int):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "samples", samples)
-
     @property
     def tight(self) -> bool:
         return True

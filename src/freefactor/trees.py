@@ -37,12 +37,6 @@ class AxisInterval(_Frozen):
 
     _fields = ("on_axis_of", "lo_position", "hi_position")
 
-    def __init__(self, on_axis_of: Word, lo_position: int, hi_position: int):
-        object.__setattr__(self, "on_axis_of", on_axis_of)
-        object.__setattr__(self, "lo_position", lo_position)
-        object.__setattr__(self, "hi_position", hi_position)
-        self.__post_init__()
-
     def __post_init__(self):
         if self.lo_position > self.hi_position:
             raise DomainError("interval endpoints out of order")

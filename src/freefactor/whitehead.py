@@ -364,29 +364,16 @@ def _min_cut(
 ) -> tuple[int, list[int] | None]:
     """Maximum source-sink flow in the Whitehead graph, stopped at ``bound``.
 
-    Each edge of multiplicity c carries up to c units either way.  The
-    paths of one or two edges share no edge, so they are filled first
-    without a search; then flow is pushed along shortest augmenting paths
-    (Edmonds-Karp).  Returns the flow and, when it stayed below ``bound``,
-    the vertices reachable from ``source`` in the residual graph: the
-    inclusion-minimal source side of a minimum cut, whose capacity is the
-    flow.  Once the flow reaches ``bound`` the side is None.
+    Each edge of multiplicity c carries up to c units either way.  From
+    zero flow, flow is pushed along shortest augmenting paths
+    (Edmonds-Karp), at most ``bound`` of them.  Returns the flow and, when
+    it stayed below ``bound``, the vertices reachable from ``source`` in
+    the residual graph: the inclusion-minimal source side of a minimum
+    cut, whose capacity is the flow.  Once the flow reaches ``bound`` the
+    side is None.
     """
     residual = [list(row) for row in edges]
-    out, into = residual[source], residual[sink]
     flow = 0
-    for u in adj[source]:
-        push = out[u] if u == sink else min(out[u], into[u])
-        if push:
-            push = min(push, bound - flow)
-            out[u] -= push
-            residual[u][source] += push
-            if u != sink:
-                residual[u][sink] -= push
-                into[u] += push
-            flow += push
-            if flow >= bound:
-                return flow, None
     n = len(edges)
     while True:
         parent = [-1] * n
@@ -442,19 +429,14 @@ def minimize_cyclic_length(w: Word) -> MinimizationCertificate:
     while True:
         edges = _edge_matrix(current)
         length = len(current)
-        adj = None
+        adj = [[j for j, count in enumerate(row) if count] for row in edges]
         best, best_side, a = length, None, None
         for sink in range(0, 2 * rank, 2):
             source = sink + 1
-            out = edges[source]
-            degree = sum(out)
+            degree = sum(edges[source])
             bound = degree + best - length
-            # the paths of one or two edges share no edge, so their
-            # capacity is a lower bound on the cut
-            if bound <= 0 or out[sink] + sum(map(min, out, edges[sink])) >= bound:
+            if bound <= 0:
                 continue
-            if adj is None:
-                adj = [[j for j, count in enumerate(row) if count] for row in edges]
             cut, side = _min_cut(edges, adj, source, sink, bound)
             if side is not None:
                 best, best_side, a = length + cut - degree, side, verts[sink]

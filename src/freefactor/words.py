@@ -104,13 +104,27 @@ class _Value:
 class _Frozen(_Value):
     """An immutable ``_Value``: hashed by its fields, refusing assignment
     and deletion with AttributeError, as a frozen dataclass.  Its
-    ``__init__`` writes the fields past ``__setattr__`` and then calls
-    ``__post_init__`` where it has one.  Copies and pickles are rebuilt
-    by ``__init__`` from ``_fields``, which are its arguments unless the
-    subclass overrides ``__reduce__``.
+    ``__init__`` takes the fields positionally, in ``_fields`` order,
+    writes them past ``__setattr__`` and then calls ``__post_init__``,
+    which checks nothing unless a subclass overrides it.  Copies and
+    pickles are rebuilt by ``__init__`` from ``_fields``, which are its
+    arguments unless the subclass overrides ``__reduce__``.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(
+                f"{self.__class__.__qualname__}() takes {len(self._fields)} "
+                f"arguments ({', '.join(self._fields)}), got {len(values)}"
+            )
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
 
     def __hash__(self) -> int:
         return hash(self._key(self))
@@ -287,10 +301,6 @@ class CyclicDecomposition(_Frozen):
 
     __slots__ = _fields = ("conjugator", "core")
 
-    def __init__(self, conjugator: Word, core: Word):
-        object.__setattr__(self, "conjugator", conjugator)
-        object.__setattr__(self, "core", core)
-
 
 def cyclic_reduce(w: Word) -> CyclicDecomposition:
     """Peel matching end letters until the core is cyclically reduced.
@@ -327,11 +337,6 @@ class BReducedDecomposition(_Frozen):
     """w == b^k * core * b^-k as reduced words, with |k| maximal."""
 
     __slots__ = _fields = ("k", "core", "b")
-
-    def __init__(self, k: int, core: Word, b: Word):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "core", core)
-        object.__setattr__(self, "b", b)
 
 
 def _require_axis_word(b: Word) -> None:
@@ -491,15 +496,18 @@ def _orbit_ends(images: dict, window: int) -> tuple[list[tuple], int]:
 
 
 def _checked_int(
-    value, what: str, low: int, high: int | None = None, error=DomainError
+    value, what: str, low: int | None, high: int | None = None, error=DomainError
 ) -> int:
-    """``value`` as an int (``operator.index``) in [low, high], or at least
-    ``low`` when ``high`` is None; DomainError for a non-integer and
-    ``error``, a DomainError, for one out of range."""
+    """``value`` as an int (``operator.index``) in [low, high], at least
+    ``low`` when ``high`` is None, and any int when ``low`` is None;
+    DomainError for a non-integer and ``error``, a DomainError, for one
+    out of range."""
     try:
         value = operator.index(value)
     except TypeError:
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
+    if low is None:
+        return value
     if value < low or (high is not None and value > high):
         bounds = f"at least {low}" if high is None else f"in [{low}, {high}]"
         raise error(f"{what} must be {bounds}, got {value}")

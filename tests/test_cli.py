@@ -144,6 +144,23 @@ class TestBasicCommands:
         )
         assert code == 0 and out == expected
 
+    @pytest.mark.parametrize("gens", [["xx"], ["xxyy"], ["xx", "1"]])
+    def test_factor_invariant_refuses_non_primitive(self, capsys, tmp_path, gens):
+        # <g> is a free factor iff g is primitive
+        path = tmp_path / "report.json"
+        args = [arg for g in gens for arg in ("--gen", g)]
+        code, out, err = run(
+            capsys, "factor-invariant", "--n", "2", "--b", "xyXY", *args, "--out", str(path)
+        )
+        assert code == 1 and out == "" and not path.exists()
+        assert err.startswith("error:") and gens[0] in err and "Traceback" not in err
+
+    def test_factor_invariant_primitive_generator(self, capsys):
+        code, out, _ = run(
+            capsys, "factor-invariant", "--n", "2", "--b", "xyXY", "--gen", "xxy"
+        )
+        assert code == 0 and out.startswith("value = 0")
+
     def test_factor_invariant_witness(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, out, _ = run(
@@ -367,14 +384,14 @@ class TestParserReuse:
 
     def test_append_list_does_not_leak(self, capsys, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
-        gens = (["--gen", "x"], ["--gen", "xyxY"])
+        gens = (["--gen", "x"], ["--gen", "xyX"])
         for path, gen in zip(paths, gens):
             code, _, _ = run(
                 capsys, "factor-invariant", "--b", "xyXY", *gen, "--out", str(path)
             )
             assert code == 0
         assert [json.loads(p.read_text())["generators"] for p in paths] == [
-            ["x"], ["xyxY"]
+            ["x"], ["xyX"]
         ]
 
     def test_parser_built_once(self):

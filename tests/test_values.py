@@ -292,3 +292,19 @@ def test_certificate_cut_vertex_after_a_copy():
     cert = minimize_cyclic_length(W("xxyzXYZ", 3))
     for back in (copy.copy(cert), copy.deepcopy(cert), pickle.loads(pickle.dumps(cert))):
         assert back.edges == cert.edges and back.cut_vertex == cert.cut_vertex
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [words.CyclicDecomposition, words.BReducedDecomposition, factors.FactorInvariant,
+     trees.AxisInterval, experiments.BoundaryAutomorphism],
+    ids=lambda cls: cls.__name__,
+)
+def test_shared_initializer_counts_arguments(cls):
+    # _Frozen's positional __init__ refuses too few or too many values with
+    # TypeError, as the dataclass's did
+    args = [getattr(SAMPLES[cls][0], name) for name in cls._fields]
+    assert cls(*args) == SAMPLES[cls][0]
+    for wrong in (args[:-1], args + [None]):
+        assert outcome(cls, *wrong) is TypeError
+        assert outcome(ORACLES[cls], *wrong) is TypeError

@@ -678,6 +678,54 @@ def _moved_short_words(rank, count, seed):
     return words
 
 
+def _random_multigraph(rng, n):
+    """A symmetric zero-diagonal multiplicity matrix on ``n`` vertices with
+    source ``n - 1`` and sink ``n - 2``: a heavy direct source-sink edge
+    and many source-v-sink paths on top of random edges."""
+    rows = [[0] * n for _ in range(n)]
+
+    def add(u, v, count):
+        rows[u][v] += count
+        rows[v][u] += count
+
+    source, sink = n - 1, n - 2
+    add(source, sink, rng.choice((0, 1, rng.randint(2, 9))))
+    for v in range(n - 2):
+        if rng.random() < 0.7:
+            add(source, v, rng.randint(1, 4))
+            add(v, sink, rng.randint(1, 4))
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < 0.4:
+            add(u, v, rng.randint(1, 3))
+    return tuple(map(tuple, rows)), source, sink
+
+
+class TestMinCut:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_matches_brute_force(self, n):
+        # every source side is enumerated: the flow is the least cut capped
+        # at the bound, and below the bound the side is the intersection of
+        # all minimum source sides
+        rng = random.Random(600 + n)
+        for _ in range(40):
+            edges, source, sink = _random_multigraph(rng, n)
+            adj = [[j for j, count in enumerate(row) if count] for row in edges]
+            inner = [v for v in range(n) if v not in (source, sink)]
+            cuts = {}
+            for mask in range(1 << len(inner)):
+                side = frozenset([source] + [v for i, v in enumerate(inner) if mask >> i & 1])
+                cuts[side] = sum(edges[u][v] for u in side for v in range(n) if v not in side)
+            least = min(cuts.values())
+            smallest = frozenset.intersection(*(s for s, c in cuts.items() if c == least))
+            for bound in range(1, least + 3):
+                flow, side = whitehead._min_cut(edges, adj, source, sink, bound)
+                if least >= bound:
+                    assert (flow, side) == (bound, None), (edges, bound)
+                else:
+                    assert flow == least, (edges, bound)
+                    assert sorted(side) == sorted(smallest), (edges, bound)
+
+
 class TestCutScores:
     @pytest.mark.parametrize("rank,count", [(2, 60), (3, 25), (4, 6)])
     def test_score_equals_applied_length(self, rank, count):
