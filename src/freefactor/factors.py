@@ -9,13 +9,13 @@ edges - vertices + 1.
 Free factors are only ever *constructed*, as automorphic images of
 standard subsets of the basis, and a free factor is its generators: every
 quantity computed from one is read off them.  A cyclic factor, one with a
-single nontrivial generator, is never folded: its invariant and its
-membership test are closed forms in that generator, and a rank-2 basis
-pair is decided by its commutator.  The invariant's value is read by
-``_cyclic_value``, on letter tuples: the experiments' trial loops take it
-alone (``_factor_value``), ``factor_invariant`` adds a witness.  Only a
-factor with two or more nontrivial generators is read off its folded core
-graph.  Deciding whether an arbitrary subgroup is a free factor is out of scope.
+single nontrivial generator, is never folded for its membership test or
+its invariant's value: both are closed forms in that generator
+(``_in_cyclic``, and ``_cyclic_value`` on letter tuples, which the
+experiments' trial loops read through ``_factor_value``), and a rank-2
+basis pair is decided by its commutator.  ``factor_invariant``, which also
+finds a witness, searches the folded core graph of every factor.  Deciding
+whether an arbitrary subgroup is a free factor is out of scope.
 
 Folding mutates a private working graph and freezes it before returning;
 all public values are immutable, so concurrent use is safe after
@@ -366,14 +366,13 @@ def _check_filling_minimal(b: Word) -> None:
 
 
 class FactorInvariant(_Frozen):
-    """The factor invariant, exact: read off the generator of a cyclic
-    factor, or off the folded core graph of any other.
+    """The factor invariant, exact: searched on the folded core graph of
+    the factor.
 
     ``witness`` is an element of the factor whose balanced b-exponent is
     ``value``.  ``samples`` counts the directed-edge states the graph
-    searches visited; it is 0 for a cyclic factor, which needs no search.
-    ``tight`` is always True: the value is exact, not a sampled lower
-    bound.
+    searches visited.  ``tight`` is always True: the value is exact, not a
+    sampled lower bound.
     """
 
     _fields = ("value", "witness", "samples")
@@ -463,73 +462,56 @@ def _closed_path(
 
 def factor_invariant(a: FreeFactorVertex, b: Word) -> FactorInvariant:
     """Supremum of the balanced b-exponent over the nontrivial elements of
-    the factor.
+    the factor, with a witness: a search of its folded core graph
+    (``_graph_invariant``), for a cyclic factor as for any other.
 
-    A factor with one nontrivial generator gets the closed form of
-    ``_cyclic_invariant``, with no core graph and ``samples`` 0; any other
-    factor is searched on its folded core graph (``_graph_invariant``).
     A caller that needs only the value calls ``_factor_value``, which
-    builds no witness for a cyclic factor and comes here for any other.
+    reads a cyclic factor's value off its generator (``_cyclic_value``)
+    and comes here for any other.
     """
     _check_filling_minimal(b)
     if b.rank != a.rank_ambient:
         raise RankError("b and the factor must have the same ambient rank")
-    g = _cyclic_generator(a)
-    if g is not None:
-        return _cyclic_invariant(g, b)
     return _graph_invariant(a.graph, b)
 
 
-def _cyclic_invariant(g: Word, b: Word) -> FactorInvariant:
-    """The invariant of <g>, read off g = u c u^-1 (``_peel``): the
-    balanced b-exponent of g itself, ``b_index(g, b)``.
+def _cyclic_value(gl, bl, binv) -> int:
+    """The invariant of <g>, g nontrivial, from the letters of g, b and
+    b^-1, with no core graph: the balanced b-exponent of g itself,
+    ``b_index(g, b)``.
 
-    Every element g^n = u c^n u^-1 (n != 0) is reduced as written, and
-    c^n is cyclically reduced, so its longest conjugator is u, and
+    Write g = u c u^-1 with u the longest conjugator (``_peel``).  Every
+    element g^n = u c^n u^-1 (n != 0) is reduced as written, and c^n is
+    cyclically reduced, so its longest conjugator is u, and
     ``_b_exponent`` reads the same value off u for every n: each element
     attains it.
 
     With u empty, g^n = c^n is cyclically reduced and has exponent 0,
-    unless <g> contains a power of b: then c^L/|c| = (b^+-1)^L/|b| with
-    L = lcm(|c|, |b|), and L/|b| is the least power of b in <g>.  With u
-    nonempty no element is cyclically reduced, so none is a power of b.
-
-    The witness is g or g^-1: whichever of c[0] and c[-1]^-1 comes first
-    in ``vertex_order``, after dropping the letter that would continue the
-    next b^-1 block (``_b_exponent``'s second value).  That is the element
-    the graph search finds on the core graph, a stem u ending in a cycle c.
-    Only the witness is chosen here: the value and the refusal come from
-    ``_cyclic_value``, which ``_factor_value`` calls with no witness.
+    unless <g> contains a power of b (``_infinite_invariant``).  If
+    c^n = b^+-m, then c and b commute, so both are powers of one root r,
+    and the least such m is L/|b| with L = lcm(|c|, |b|), where
+    c^(L/|c|) = (b^+-1)^(L/|b|) letter for letter; if no power of c is a
+    power of b, that equality fails.  So the refusal is exact and names
+    the least power.  With u nonempty no element is cyclically reduced,
+    so none is a power of b.
     """
-    gl = g.letters
-    value, bad_first, i = _cyclic_value(gl, b.letters, b.inverse().letters)
-    first = next(
-        l for l in vertex_order(g.rank) if l in (gl[i], -gl[-1 - i]) and l != bad_first
-    )
-    return FactorInvariant(value, g if first == gl[i] else g.inverse(), 0)
-
-
-def _cyclic_value(gl, bl, binv) -> tuple[int, int | None, int]:
-    """The invariant of <g> from the letters of g, b and b^-1: peel g,
-    refuse a <g> holding a power of b (``_infinite_invariant``), then
-    ``_b_exponent``.  Returns its two values and the peel depth."""
     i = _peel(gl)
     if not i:
         m = len(bl)
         span = math.lcm(len(gl), m)
         if gl * (span // len(gl)) in (bl * (span // m), binv * (span // m)):
             raise _infinite_invariant(span // m)
-    return (*_b_exponent(gl, i, bl, binv), i)
+    return _b_exponent(gl, i, bl, binv)[0]
 
 
 def _factor_value(a: FreeFactorVertex, b: Word, bl, binv) -> int:
     """``factor_invariant(a, b).value`` for b of a's rank, past
     ``_check_filling_minimal``, spelled ``bl`` (b^-1: ``binv``).  A cyclic
-    factor's value comes off ``_cyclic_value`` with no witness built."""
+    factor's value comes off ``_cyclic_value`` with no graph searched."""
     g = _cyclic_generator(a)
     if g is None:
         return factor_invariant(a, b).value
-    return _cyclic_value(g.letters, bl, binv)[0]
+    return _cyclic_value(g.letters, bl, binv)
 
 
 def _cyclic_value_from_ends(
@@ -537,7 +519,7 @@ def _cyclic_value_from_ends(
 ) -> tuple[int, int, int]:
     """The invariant of <b^k w b^-k> read off the ends of a reduced w (see
     ``words._orbit_ends``; ``hidden`` is read only as a truth value): the
-    value of ``_cyclic_invariant``, ``_b_exponent`` of the peeled window
+    value of ``_cyclic_value``, ``_b_exponent`` of the peeled window
     letters after junction cancellation, with no Word built; then the
     first and the last letter of the reduced b^k w b^-k.
     Raise InternalContradictionError rather than guess if the peel

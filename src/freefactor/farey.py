@@ -204,17 +204,12 @@ def farey_distance(s: Slope, t: Slope) -> int:
     its reduced slope, and exactly: its common factor g scales p and q,
     which Euclid's loop divides out, ending at p = 0 with q = g.
 
-    A coordinate that is not an integer is a DomainError too, at no cost
-    to a held row: it fails an integer operation, or a cold exit (q = 0, a
-    new first slope, p = 0) reads it through ``operator.index``.
-
-    numpy integers are read as their values, with one limit.  Their floor
-    division by zero returns 0 instead of raising, so Euclid's loop can
-    run past p = 0 to q = 0, whose tail ``_tail_entry`` refuses; that cold
-    exit folds both pairs again as Python ints.  But numpy products wrap
-    past 2**63 where ints grow, so a numpy pair whose determinant or
-    completion leaves int64 gives a wrong distance: pass Python ints or
-    ``Slope``s there.
+    A coordinate that is not a Python int, such as a numpy integer or a
+    float, makes q something other than a Python int.  One type test on q
+    then reads all four coordinates through ``operator.index`` and starts
+    again, so numpy integers are read as their values and no product wraps
+    past 2**63 (numpy may warn of an overflow in q first), and a coordinate
+    that is not an integer is a DomainError.
     """
     global _held
     # the try costs nothing until it catches (Python 3.11+), so a held row
@@ -224,6 +219,9 @@ def farey_distance(s: Slope, t: Slope) -> int:
         sp, sq = s[0], s[1]
         tp, tq = t[0], t[1]
         q = sp * tq - sq * tp
+        if type(q) is not int:
+            index = operator.index
+            return farey_distance((index(sp), index(sq)), (index(tp), index(tq)))
         if q == 0:  # primitive pairs with determinant 0 are the same slope
             if math.gcd(sp, sq) != 1 or not math.gcd(tp, tq):
                 raise DomainError(
@@ -236,7 +234,6 @@ def farey_distance(s: Slope, t: Slope) -> int:
         if hp != sp or hq != sq:
             # the Bezout pair a*sp + b*sq = 1, with a = sp^-1 mod sq from C
             # (0 for an integer, sq = 1); (1, 0) for 1/0, up to the sign of sp
-            sp, sq = operator.index(sp), operator.index(sq)
             if sq:
                 try:
                     a = pow(sp, -1, sq)
@@ -260,11 +257,7 @@ def farey_distance(s: Slope, t: Slope) -> int:
                 q, p = p, q % p
             e = _tail[q << 7 | p] or _tail_entry(q, p)
         except ZeroDivisionError:
-            if not q:  # numpy ints ran on to q = 0: fold them as ints
-                s, t = (tuple(map(operator.index, pair)) for pair in (s, t))
-                return farey_distance(s, t)
             # p = 0 with q >= 128: t had the common factor q, and T(0/q) = (1, 0)
-            operator.index(q)  # a float q divides by zero too
             e = 1
     except (TypeError, IndexError):
         raise DomainError(f"slopes must be integer pairs, got {s!r}, {t!r}") from None

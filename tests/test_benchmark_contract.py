@@ -57,3 +57,45 @@ def test_tracer_wraps_every_target_around_quasiflat(capsys):
         hasattr(traced_object(layer, attr), "__wrapped__")
         for layer, attr, _ in module.TARGETS
     )
+
+
+def test_tracer_post_hooks_read_what_the_traced_bench_reads(capsys):
+    # one run that fires every post hook: the hooks read
+    # FactorInvariant.samples and .tight, cert.chain, args[0].rank, the
+    # quasiflat radius and the tracer's phase
+    module = load_tracer_module()
+    tracer = module.Tracer()
+    b = "xxyyzz"
+    try:
+        tracer.install()
+        codes = [
+            cli.main(["factor-invariant", "--n", "3", "--b", b, "--gen", "xY", "--gen", "yz"]),
+            cli.main(["factor-invariant", "--n", "3", "--b", b, "--gen", "xyZ"]),
+            cli.main(["classify", "--n", "3", "xyzXzY"]),
+            cli.main(["experiment", "quasiflat", "--radius", "1"]),
+        ]
+        tracer.phase = "box"
+        distance = freefactor.farey.farey_distance((1, 0), (3, 5))
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0, 0, 0, 0] and distance == 3
+    extra = tracer.extra
+    expected = {
+        "whitehead.minimize_cyclic_length.steps",
+        "whitehead.minimize_cyclic_length.rank3.calls",
+        "whitehead.minimize_cyclic_length.rank3.total_s",
+        "whitehead.moves_evaluated",
+        "factors.factor_invariant.samples",
+        "factors.factor_invariant.tight",
+        "factors.FreeFactorVertex.graph.folds",
+        "experiments.exp_quasiflat.r1.total_s",
+        "farey.farey_distance.box.calls",
+        "farey.farey_distance.box.self_s",
+    }
+    assert expected - set(extra) == set()
+    # both factors, the cyclic one too, are searched on their core graphs
+    assert tracer.calls["factors.factor_invariant"] == 2
+    assert extra["factors.factor_invariant.tight"] == 2
+    assert extra["factors.factor_invariant.samples"] > 0
+    assert extra["farey.farey_distance.box.calls"] == 1

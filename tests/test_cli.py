@@ -452,6 +452,12 @@ class TestErrors:
         assert code == 1 and out == ""
         assert "slope (0, 0) is not allowed" in err
 
+    @pytest.mark.parametrize("s, t", [("1.5/2", "1/0"), ("1/0", "3.0/5")])
+    def test_float_slope_exit_1(self, capsys, s, t):
+        code, out, err = run(capsys, "farey-dist", s, t)
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot parse slope")
+
     def test_internal_contradiction_exit_3(self, capsys, monkeypatch):
         import freefactor.cli
         from freefactor import InternalContradictionError

@@ -774,6 +774,10 @@ class TestBadPairs:
             ((1, 0), (1j, 3)),
             ((1,), (1, 2)),
             (None, (1, 2)),
+            ((1, 0), (np.float64(1.0), np.float64(3.0))),  # numpy floats
+            ((np.float64(3.0), np.float64(5.0)), (1, 7)),
+            ((np.int64(3), np.int64(5)), (np.float64(1.0), 7)),
+            ((np.int64(3), np.int64(5)), ("1", 7)),
         ],
     )
     def test_non_integer_pairs(self, s, t):
@@ -799,8 +803,8 @@ class TestBadPairs:
         ((3, 5), (200, 400)),
     ])
     def test_numpy_pair_with_a_large_common_factor(self, s, t):
-        # numpy divides by zero without raising, so the fold of these pairs
-        # runs past p = 0; it is redone in ints, and entry 0 stays unfilled
+        # numpy divides by zero without raising; the pairs are read as ints
+        # before the fold, so it stops at p = 0, and entry 0 stays unfilled
         expected = oracle_held_fold(s, t)
         with np.errstate(divide="ignore"):
             for a, b in ((s, np.array(t)), (np.array(s), t), (np.array(s), np.array(t))):
@@ -810,6 +814,35 @@ class TestBadPairs:
                     assert d == expected and type(d) is int, (a, b, d)
             assert farey_distance((1, 0), (np.int64(0), np.int64(1000))) == 1
         assert farey._tail[0] == 0
+
+    def test_numpy_pair_past_int64_products(self):
+        # sp * tq and sq * tp leave int64, where numpy products wrap
+        t = (np.int64(-3447570584521229372), np.int64(543804029693342781))
+        with np.errstate(over="ignore"):
+            assert farey_distance((3, 5), t) == 28
+        assert oracle_held_fold((3, 5), tuple(map(int, t))) == 28
+
+    def test_seeded_numpy_pairs_match_int_pairs(self):
+        rng = random.Random(2101)
+        limit = 2**62
+        wrapped = 0
+        for _ in range(300):
+            while True:
+                s = (rng.randint(-limit, limit), rng.randint(1, limit))
+                if math.gcd(*s) == 1:
+                    break
+            t = (rng.randint(-limit, limit), rng.randint(0, limit))
+            if t == (0, 0):
+                continue
+            q = s[0] * t[1] - s[1] * t[0]
+            wrapped += not -(2**63) <= q < 2**63
+            expected = oracle_held_fold(s, t)
+            with np.errstate(over="ignore"):
+                for a, b in ((np.array(s), t), (s, np.array(t)), (np.array(s), np.array(t))):
+                    d = farey_distance(tuple(a), tuple(b))
+                    assert d == expected and type(d) is int, (s, t, d)
+            assert farey_distance(s, t) == expected
+        assert wrapped > 200
 
     def test_non_primitive_second_pair_is_its_reduced_slope(self):
         assert farey_distance((1, 0), (2, 4)) == farey_distance((1, 0), (1, 2)) == 2
