@@ -27,7 +27,6 @@ from .errors import (
 from .factors import (
     FreeFactorVertex,
     _check_filling_minimal,
-    _cyclic_value_from_ends,
     _factor_value,
     af_adjacent,
     is_basis_pair,
@@ -48,9 +47,10 @@ from .words import (
     _Frozen,
     _Value,
     _apply_table,
+    _b_exponent,
     _checked_int,
     _chain_table,
-    _orbit_ends,
+    _peel,
     _random_letters,
     _times,
     _trusted_word,
@@ -575,10 +575,10 @@ class BoundaryAutomorphism(_Frozen):
     - psi and psi^-1 are each a positive substitution on {x, y} or on
       {x, Y}, so no power cancels on a word over it (``_orbit_ends``).
 
-    ``table`` and ``inverse_table`` (laid out as ``WhAutomorphism.table``),
-    ``homology`` and ``substitutions`` (the alphabet's letter images, of
-    psi at 1 and of psi^-1 at -1) are built from the images once;
-    equality, hashing, repr and pickling ignore them.
+    ``table`` and ``inverse_table``, the letter images of psi and of
+    psi^-1 laid out as ``WhAutomorphism.table`` (indexed by signed letter,
+    so -2 reads the image of Y), and ``homology`` are built from the
+    images once; equality, hashing, repr and pickling ignore them.
     """
 
     _fields = ("x_image", "y_image", "inverse_x_image", "inverse_y_image")
@@ -609,13 +609,11 @@ class BoundaryAutomorphism(_Frozen):
                 raise InternalContradictionError(
                     f"the inverse does not send {image} back to {Word((gen,), 2)}"
                 )
-        substitutions = {}
-        for side, images_of in ((1, table), (-1, inverse_table)):
-            for alphabet in ((1, 2), (1, -2)):
-                if all(set(images_of[a]) <= set(alphabet) for a in alphabet):
-                    substitutions[side] = {a: images_of[a] for a in alphabet}
-                    break
-            else:
+        for images_of in (table, inverse_table):
+            if not any(
+                all(set(images_of[a]) <= set(alphabet) for a in alphabet)
+                for alphabet in ((1, 2), (1, -2))
+            ):
                 raise InternalContradictionError(
                     "the automorphism or its inverse is a positive substitution "
                     "on neither {x, y} nor {x, Y}"
@@ -623,7 +621,6 @@ class BoundaryAutomorphism(_Frozen):
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "inverse_table", inverse_table)
         object.__setattr__(self, "homology", ((p, q), (s, t)))
-        object.__setattr__(self, "substitutions", substitutions)
 
     def to_json_dict(self) -> dict:
         return {
@@ -662,58 +659,86 @@ def _grid_values(radius_k: int) -> tuple[
     psi.
 
     Certificate, checked when psi is built: psi and psi^-1 are positive
-    substitutions (``BoundaryAutomorphism.substitutions``), so w = psi^r(x)
-    is reduced and cyclically reduced for every integer r, and its ends
-    iterate on windows (``_orbit_ends``) without building w.
+    substitutions (``BoundaryAutomorphism``), so w = psi^r(x) is reduced
+    and cyclically reduced for every integer r, and its ends iterate on
+    windows of psi's tables (``_orbit_ends``) without building w.
 
-    The two-sided cycle.  Row r depends only on the key (head, hidden,
-    tail) of its word, psi^r(x) on psi's side r >= 0 and psi^-|r|(x) on
-    psi^-1's side r < 0: ``_grid_row`` reads nothing else.  Each side is
-    walked once, to its first repeated key, and from there its keys cycle
+    The two-sided cycle.  Row r depends only on the key (head, tail) of
+    its word, psi^r(x) on psi's side r >= 0 and psi^-|r|(x) on psi^-1's
+    side r < 0: ``_grid_row`` reads nothing else.  Each side is walked
+    once, to its first repeated key, and from there its keys cycle
     (``_orbit_ends``), so the key of any r is a list lookup, and every row
     of Z^2 is the row of one of the finitely many keys of the two walks.
     ``row_of`` evaluates a key's row the first time some r reads it, and
     rows with equal keys share one evaluation and one tuple (r = 0 is on
     both sides); psi^-1's side is walked when an r < 0 is first read.
 
-    Each row is evaluated on windows only at |k| <= depth =
-    min(_DEPTH, radius_k), and beyond that by the b-conjugation step
-    (``_grid_row``).  A window evaluation never guesses:
-    ``_cyclic_value_from_ends`` returns the exact value and end letters
-    or raises.  The windows hold (2 depth + 1)|b| letters, independent of
-    the radius, and depth 2 decides every row of this psi; a row whose
-    step premise still fails there raises.  ``_pair_classes`` merges
-    equal rows by value.
+    Each row is evaluated on windows only at |k| <= _DEPTH, and beyond
+    that by the b-conjugation step (``_grid_row``).  A window evaluation
+    never guesses: ``_cyclic_value_from_ends`` returns the exact value and
+    end letters or raises.  The windows hold (2 _DEPTH + 1)|b| = 20
+    letters at every radius, and depth 2 decides every row of this psi; a
+    row whose step premise still fails there raises.  ``_pair_classes``
+    merges equal rows by value.
     """
     psi = build_boundary_pA()
     b = boundary_word(2)
     bl, binv = b.letters, b.inverse().letters
-    depth = min(_DEPTH, radius_k)
-    window = (2 * depth + 1) * len(bl)
-    cycles = {1: _orbit_ends(psi.substitutions[1], window)}
+    window = (2 * _DEPTH + 1) * len(bl)
+    cycles = {1: _orbit_ends(psi.table, window)}
     rows = {}
 
     def row_of(r: int) -> tuple[int, ...]:
         side = -1 if r < 0 else 1
         if side not in cycles:
-            cycles[side] = _orbit_ends(psi.substitutions[side], window)
+            cycles[side] = _orbit_ends(psi.inverse_table, window)
         keys, repeat = cycles[side]
         i = abs(r)
         if i >= len(keys):
             i = repeat + (i - repeat) % (len(keys) - repeat)
         key = keys[i]
         if key not in rows:
-            rows[key] = _grid_row(*key, depth, radius_k, bl, binv)
+            rows[key] = _grid_row(*key, radius_k, bl, binv)
         return rows[key]
 
     return row_of, len(cycles[1][0]), b, psi
 
 
-def _grid_row(head, hidden, tail, depth, radius_k, bl, binv) -> tuple[int, ...]:
+def _orbit_ends(table, window: int) -> tuple[list[tuple], int]:
+    """The cycle of end-window keys of sigma^r(x), r = 0, 1, ..., for the
+    positive substitution sigma with letter images ``table`` (indexed by
+    signed letter, as ``BoundaryAutomorphism.table``): the distinct keys
+    in walk order, and the index that the first repeated key returns to.
+
+    The key of a word w is (head, tail).  If w is longer than 2 * window,
+    head and tail are its first and last window letters; otherwise head is
+    all of w and tail is empty.  No image is empty and nothing cancels, so
+    the ends of sigma(w) are those of sigma applied to the ends of w, and
+    the key of sigma(w) is a function of the key of w: a word of at most
+    2 * window letters is its head, and once longer, the images of its
+    window-letter ends hold at least window letters each and its image is
+    longer still, so its tail stays nonempty.  So from the first repeated
+    key on, the keys cycle, and with n keys returning to j, the key of
+    sigma^r(x) is the key at r for r < n and at j + (r - j) mod (n - j)
+    for every r >= n.
+    """
+    head, tail = (1,), ()
+    keys = []
+    while (key := (head, tail)) not in keys:
+        keys.append(key)
+        head, tail = (
+            tuple(itertools.chain.from_iterable(map(table.__getitem__, seq)))
+            for seq in (head, tail)
+        )
+        if tail or len(head) > 2 * window:
+            head, tail = head[:window], (tail or head)[-window:]
+    return keys, keys.index(key)
+
+
+def _grid_row(head, tail, radius_k, bl, binv) -> tuple[int, ...]:
     """The values at k = -radius_k..radius_k of the grid row whose
-    psi^r(x) = w has ends (head, hidden, tail).  Raise
-    InternalContradictionError if a side meets no step premise by
-    |k| = depth < radius_k.
+    psi^r(x) = w has ends (head, tail).  Raise InternalContradictionError
+    if a side meets no step premise by |k| = _DEPTH < radius_k.
 
     Step lemma.  Let g_k be the reduced form of b^k w b^-k, g_k = u c u^-1
     with u its longest conjugator (``_peel``), and value(k) its balanced
@@ -746,25 +771,25 @@ def _grid_row(head, hidden, tail, depth, radius_k, bl, binv) -> tuple[int, ...]:
     until the premise holds, and every later value is one addition.  The
     two sides share the value and end letters at k = 0 and differ only in
     the premise they test.  A side whose premise fails at every |k| <=
-    depth is whole only if radius_k <= depth (every value a window
+    _DEPTH is whole only if radius_k <= _DEPTH (every value a window
     evaluation), and raises otherwise.  The premise is read off the end
     letters that the window evaluation returns, which are exact, so no
     value is extrapolated without it.
     """
-    at_zero = _cyclic_value_from_ends(head, hidden, tail, (), (), bl, binv)
+    at_zero = _cyclic_value_from_ends(head, tail, (), (), bl, binv)
     row = {0: at_zero[0]}
     for block, inverse, sign in ((bl, binv, 1), (binv, bl, -1)):
         value, first, last = at_zero
         j = 0
         while (first == -block[-1] or last == block[-1]) and j < radius_k:
             j += 1
-            if j > depth:
+            if j > _DEPTH:
                 raise InternalContradictionError(
-                    f"no b-conjugation step by |k| = {depth}: the grid row "
+                    f"no b-conjugation step by |k| = {_DEPTH}: the grid row "
                     "cannot be extended without more window evaluations"
                 )
             value, first, last = _cyclic_value_from_ends(
-                head, hidden, tail, block * j, inverse * j, bl, binv
+                head, tail, block * j, inverse * j, bl, binv
             )
             row[sign * j] = value
         for j in range(j + 1, radius_k + 1):
@@ -773,9 +798,32 @@ def _grid_row(head, hidden, tail, depth, radius_k, bl, binv) -> tuple[int, ...]:
     return tuple(row[k] for k in range(-radius_k, radius_k + 1))
 
 
-# Factor-graph paths <x> -> <psi(x)> and <x> -> <b x b^-1> in rank 2, b the
-# boundary word; _check_path verifies both on every quasiflat run.
-_PSI_PATH = ("x", "xy")
+def _cyclic_value_from_ends(head, tail, bk, bk_inv, bl, binv) -> tuple[int, int, int]:
+    """The invariant of <b^k w b^-k> read off the key (head, tail) of a
+    reduced w (``_orbit_ends``; tail is empty when head is all of w): the
+    value of ``factors._cyclic_value``, ``_b_exponent`` of the peeled
+    window letters after junction cancellation, with no Word built; then
+    the first and the last letter of the reduced b^k w b^-k.
+    Raise InternalContradictionError rather than guess if the peel
+    reaches a window edge (as it does when a junction eats a whole window:
+    the b^k and b^-k left on the two sides peel off each other), or if the
+    conjugator is empty and the core may be a b-power (its first |b|
+    letters, repeated if it is shorter, unknown or b^+-1).
+    """
+    left, right = _times(bk, head), _times(tail, bk_inv)
+    g = left + right if tail else _times(left, right)
+    i, m = _peel(g), len(bl)
+    if tail and i >= min(len(left), len(right)) or not i and (
+        tail and len(left) < m or (g * m)[:m] in (bl, binv)
+    ):
+        raise InternalContradictionError(
+            f"the {len(head)}-letter ends of a word cannot decide a grid value"
+        )
+    return _b_exponent(g, i, bl, binv)[0], g[0], g[-1]
+
+
+# The factor-graph path <x> -> <b x b^-1> in rank 2, b the boundary word;
+# quasiflat verifies it, and the edge <x> -> <psi(x)>, on every run.
 _AD_PATH = ("x", "YX", "xyXYXYX", "xyXYxyxYX")
 
 
@@ -889,8 +937,8 @@ def exp_quasiflat(radius: int = 8) -> ExperimentReport:
     psi acts on slopes by its homology matrix, a Farey-graph isometry, so
     the 2R + 1 distances from the slope of psi^-R(x) give every pair.  The
     upper bound is (|dr| + |dk|) * c0, where c0 is the length of the longer
-    of two fixed factor-graph paths, <x> -> <psi(x)> and <x> -> <b x b^-1>,
-    each verified edge by edge on every run.
+    of two factor-graph paths, the edge <x> -> <psi(x)> read off psi and a
+    fixed path <x> -> <b x b^-1>, each verified edge by edge on every run.
 
     The pairs are counted by class (m, l), m = |dr| + |dk| and l the lower
     bound (``_pair_classes``).  From the class counts come, exactly: the
@@ -909,9 +957,10 @@ def exp_quasiflat(radius: int = 8) -> ExperimentReport:
     R = radius
     row_of, _, b, psi = _grid_values(R)
     x = Word((1,), 2)
-    _check_path(_PSI_PATH, x, psi.x_image)
+    psi_path = ("x", format_word(psi.x_image))
+    _check_path(psi_path, x, psi.x_image)
     _check_path(_AD_PATH, x, ad(b, x))
-    c0 = max(1, len(_PSI_PATH) - 1, len(_AD_PATH) - 1)
+    c0 = max(1, len(_AD_PATH) - 1)  # the psi path is one edge
     sums = _homology_orbit(psi.homology, R)
     axis = range(-R, R + 1)
     slopes = [Slope(*sums[r]) for r in axis]
@@ -971,7 +1020,7 @@ def exp_quasiflat(radius: int = 8) -> ExperimentReport:
         "pure_psi_distances": pure_psi,
         "pure_psi_strictly_increasing": strictly_increasing,
         "upper_bound_unit": c0,
-        "psi_path": list(_PSI_PATH),
+        "psi_path": list(psi_path),
         "ad_path": list(_AD_PATH),
         "boundary_automorphism": psi.to_json_dict(),
     }
@@ -994,16 +1043,16 @@ def exp_twist_stability(radius: int = 8) -> ExperimentReport:
       repeated key, that side has rows_repeat_from distinct keys, so the
       rows r < rows_repeat_from are all the rows of the half-plane.
     - By the step lemma, which ``_grid_row`` proves and checks by |k| =
-      depth (every row here reaches |k| = depth + 1, so a failed premise
-      raises at every radius), each row has slope +-1 beyond |k| = depth:
-      value(r, k + 1) = value(r, k) + 1 for k >= depth and value(r, k - 1)
-      = value(r, k) - 1 for k <= -depth.  So the displacement is constant
-      there, and its maximum over the distinct rows at |k| <= depth + 1
+      _DEPTH (every row here reaches |k| = _DEPTH + 1, so a failed premise
+      raises at every radius), each row has slope +-1 beyond |k| = _DEPTH:
+      value(r, k + 1) = value(r, k) + 1 for k >= _DEPTH and value(r, k - 1)
+      = value(r, k) - 1 for k <= -_DEPTH.  So the displacement is constant
+      there, and its maximum over the distinct rows at |k| <= _DEPTH + 1
       is the supremum over the whole half-plane.
 
     The supremum is a finite maximum, so the report has no violations; a
     certificate that cannot be completed raises instead.  Every row comes
-    from one ``_grid_values`` grid at |k| <= max(radius, depth + 1), and
+    from one ``_grid_values`` grid at |k| <= max(radius, _DEPTH + 1), and
     psi^-1's side is never walked.
     """
     R = radius

@@ -514,32 +514,6 @@ def _factor_value(a: FreeFactorVertex, b: Word, bl, binv) -> int:
     return _cyclic_value(g.letters, bl, binv)
 
 
-def _cyclic_value_from_ends(
-    head, hidden, tail, bk, bk_inv, bl, binv
-) -> tuple[int, int, int]:
-    """The invariant of <b^k w b^-k> read off the ends of a reduced w (see
-    ``words._orbit_ends``; ``hidden`` is read only as a truth value): the
-    value of ``_cyclic_value``, ``_b_exponent`` of the peeled window
-    letters after junction cancellation, with no Word built; then the
-    first and the last letter of the reduced b^k w b^-k.
-    Raise InternalContradictionError rather than guess if the peel
-    reaches a window edge (as it does when a junction eats a whole window:
-    the b^k and b^-k left on the two sides peel off each other), or if the
-    conjugator is empty and the core may be a b-power (its first |b|
-    letters, repeated if it is shorter, unknown or b^+-1).
-    """
-    left, right = _times(bk, head), _times(tail, bk_inv)
-    g = left + right if hidden else _times(left, right)
-    i, m = _peel(g), len(bl)
-    if hidden and i >= min(len(left), len(right)) or not i and (
-        hidden and len(left) < m or (g * m)[:m] in (bl, binv)
-    ):
-        raise InternalContradictionError(
-            f"the {len(head)}-letter ends of a word cannot decide a grid value"
-        )
-    return _b_exponent(g, i, bl, binv)[0], g[0], g[-1]
-
-
 def _graph_invariant(graph: CoreGraph, b: Word) -> FactorInvariant:
     """The invariant of the subgroup with folded core graph ``graph``.
 

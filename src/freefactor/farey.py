@@ -205,11 +205,13 @@ def farey_distance(s: Slope, t: Slope) -> int:
     which Euclid's loop divides out, ending at p = 0 with q = g.
 
     A coordinate that is not a Python int, such as a numpy integer or a
-    float, makes q something other than a Python int.  One type test on q
-    then reads all four coordinates through ``operator.index`` and starts
-    again, so numpy integers are read as their values and no product wraps
-    past 2**63 (numpy may warn of an overflow in q first), and a coordinate
-    that is not an integer is a DomainError.
+    float, makes q something other than a Python int, or makes its
+    product overflow (a Python int past int64 or past a float's range).
+    One type test on q then reads all four coordinates through
+    ``operator.index`` and starts again, so numpy integers are read as
+    their values and no product wraps past 2**63 (numpy may warn of an
+    overflow in q first), and a coordinate that is not an integer is a
+    DomainError.
     """
     global _held
     # the try costs nothing until it catches (Python 3.11+), so a held row
@@ -218,7 +220,10 @@ def farey_distance(s: Slope, t: Slope) -> int:
         # indexing beats the field properties and unpacking a tuple subclass
         sp, sq = s[0], s[1]
         tp, tq = t[0], t[1]
-        q = sp * tq - sq * tp
+        try:
+            q = sp * tq - sq * tp
+        except OverflowError:  # a Python int too large for numpy or a float
+            q = None
         if type(q) is not int:
             index = operator.index
             return farey_distance((index(sp), index(sq)), (index(tp), index(tq)))

@@ -69,7 +69,11 @@ from .words import (
 )
 
 
-@lru_cache(maxsize=None)
+# ranks kept by each per-rank cache: all that the experiments and CI use fit
+_RANK_CACHE = 32
+
+
+@lru_cache(maxsize=_RANK_CACHE)
 def vertex_order(rank: int) -> tuple[int, ...]:
     """Fixed letter order x < x^-1 < y < y^-1 < ... used for tie-breaks."""
     return tuple(l for i in range(1, rank + 1) for l in (i, -i))
@@ -287,7 +291,7 @@ def _signed_permutation_at(rank: int, index: int) -> WhAutomorphism:
     return WhAutomorphism.permutation_move(images, rank)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_RANK_CACHE)
 def _columns(rank: int) -> dict[int, int]:
     """Letter -> its column in ``vertex_order``: 2(|l| - 1) + [l < 0], so
     the column of l^-1 is that of l xor 1."""

@@ -458,43 +458,6 @@ def _chain_table(chain, rank: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _orbit_ends(images: dict, window: int) -> tuple[list[tuple], int]:
-    """The cycle of end-window keys of sigma^r(x), r = 0, 1, ..., for the
-    positive substitution sigma = ``images``: the distinct keys in walk
-    order, and the index that the first repeated key returns to.
-
-    The key of a word w is (head, hidden, tail).  If w is longer than 2 *
-    window, head and tail are its first and last window letters and
-    hidden is True; otherwise head is all of w, hidden is False and tail
-    is empty.  No image is empty and nothing cancels, so the ends of
-    sigma(w) are those of sigma applied to the ends of w, and the key of
-    sigma(w) is a function of the key of w: a word of at most 2 * window
-    letters is its head, and once longer, the images of its window-letter
-    ends hold at least window letters each and its image is longer still.
-    So from the first repeated key on, the keys cycle, and with n keys
-    returning to j, the key of sigma^r(x) is the key at r for r < n and
-    at j + (r - j) mod (n - j) for every r >= n.
-
-    Walked once for psi and once for psi^-1, on the substitutions that
-    ``experiments.BoundaryAutomorphism`` checks positive when it is built,
-    the two cycles certify the whole orbit grid
-    (``experiments._grid_values``): a grid row depends only on its word's
-    key, so every row of Z^2 is the row of one of their finitely many keys.
-    """
-    head, hidden, tail = (1,), False, ()
-    keys = []
-    while (key := (head, hidden, tail)) not in keys:
-        keys.append(key)
-        head, tail = (
-            tuple(itertools.chain.from_iterable(map(images.__getitem__, seq)))
-            for seq in (head, tail)
-        )
-        hidden = hidden or len(head) > 2 * window
-        if hidden:
-            head, tail = head[:window], (tail or head)[-window:]
-    return keys, keys.index(key)
-
-
 def _checked_int(
     value, what: str, low: int | None, high: int | None = None, error=DomainError
 ) -> int:

@@ -41,17 +41,18 @@ from freefactor import (
 )
 from freefactor import cli, experiments, factors, words
 from freefactor.experiments import (
+    _cyclic_value_from_ends,
     _grid_row,
     _grid_values,
     _homology_orbit,
+    _orbit_ends,
     _pair_classes,
     _random_deep_factor,
     _random_edge_images,
     _rng,
 )
-from freefactor.factors import _cyclic_value_from_ends
 from freefactor.farey import exponent_sums
-from freefactor.words import _chain_table, _orbit_ends
+from freefactor.words import _chain_table
 from freefactor.whitehead import _random_multiplier_move, vertex_order
 
 from conftest import (
@@ -317,54 +318,63 @@ def oracle_grid_values(radius_r, radius_k):
     return values, {r: exponent_sums(w) for r, w in psi_x.items()}
 
 
-def oracle_orbit_ends(images: dict, steps: int, window: int) -> Iterator[tuple]:
+def oracle_orbit_ends(table, steps: int, window: int) -> Iterator[tuple]:
     """The counted walker that the key cycle of ``_orbit_ends`` replaced.
 
-    Yield (head, hidden, tail, letter counts) of sigma^r(x), r = 0, 1,
-    ..., for the positive substitution sigma = ``images``.  A word longer
-    than 2 * window keeps window letters at each end and counts the rest
-    as ``hidden``; a shorter one is all ``head``.  The counts go through
-    sigma's count matrix.  The walk runs to r = steps, and on past it
-    until the key (head, hidden > 0, tail) of some r repeats an earlier
-    one; that entry is the last.  Past steps only the windows are walked:
-    an entry there has no counts (None), and its hidden is only whether
-    the word is longer than 2 * window.
+    Yield (head, tail, letter counts) of sigma^r(x), r = 0, 1, ..., for
+    the positive substitution sigma whose letter images ``table`` holds
+    (indexed by signed letter).  A word longer than 2 * window keeps
+    window letters at each end, head and tail, and counts the letters
+    between them; a shorter one is all ``head``, with tail empty.  The
+    counts go through sigma's count matrix, and whether a word outgrows
+    2 * window is read off them; each such entry also asserts that the
+    windows alone tell the same (a nonempty tail or a head longer than
+    2 * window), and that tail is empty exactly when the counted length
+    is at most 2 * window.  The
+    walk runs to r = steps, and on past it until the key (head, tail) of
+    some r repeats an earlier one; that entry is the last.  Past steps
+    only the windows are walked: an entry there has no counts (None).
     """
     head, tail, counts = (1,), (), {1: 1}
+    letters = (1, 2, -2, -1)
     seen = set()
     for r in itertools.count():
         if r:
             head, tail = (
-                tuple(itertools.chain.from_iterable(map(images.__getitem__, seq)))
+                tuple(itertools.chain.from_iterable(map(table.__getitem__, seq)))
                 for seq in (head, tail)
             )
             counts = {
-                a: sum(n * images[c].count(a) for c, n in counts.items())
-                for a in images
+                a: sum(n * table[c].count(a) for c, n in counts.items())
+                for a in letters
             } if r <= steps else None
+        by_windows = bool(tail) or len(head) > 2 * window
         if counts:
-            hidden = max(0, sum(counts.values()) - 2 * window)
+            longer = sum(counts.values()) > 2 * window
+            assert longer == by_windows, (r, window)
         else:
-            hidden = bool(tail) or len(head) > 2 * window
-        if hidden:
+            longer = by_windows
+        if longer:
             head, tail = head[:window], (tail or head)[-window:]
-        yield head, hidden, tail, counts
-        key = head, hidden > 0, tail
+        if counts:
+            assert (tail == ()) == (sum(counts.values()) <= 2 * window), (r, window)
+        yield head, tail, counts
+        key = head, tail
         if r >= steps and key in seen:
             return
         seen.add(key)
 
 
 def oracle_ends(radius_r, window) -> dict:
-    """The counted walk of each side of the orbit grid, {r: (head, hidden,
-    tail, counts)} for r in radius_r."""
+    """The counted walk of each side of the orbit grid, {r: (head, tail,
+    counts)} for r in radius_r."""
     psi = build_boundary_pA()
     lo_r, hi_r = radius_r
     ends = {}
-    for images, sign, steps in (
-        (psi.substitutions[-1], -1, -lo_r), (psi.substitutions[1], 1, hi_r)
+    for table, sign, steps in (
+        (psi.inverse_table, -1, -lo_r), (psi.table, 1, hi_r)
     ):
-        for r, end in zip(range(steps + 1), oracle_orbit_ends(images, steps, window)):
+        for r, end in zip(range(steps + 1), oracle_orbit_ends(table, steps, window)):
             ends[sign * r] = end
     return ends
 
@@ -380,7 +390,7 @@ def oracle_window_grid(radius_r, radius_k):
     ends = oracle_ends(radius_r, (2 * radius_k + 1) * len(bl))
     power = {k: bl * k if k >= 0 else binv * -k for k in range(-radius_k, radius_k + 1)}
     values = {
-        (r, k): _cyclic_value_from_ends(*ends[r][:3], power[k], power[-k], bl, binv)[0]
+        (r, k): _cyclic_value_from_ends(*ends[r][:2], power[k], power[-k], bl, binv)[0]
         for r in range(lo_r, hi_r + 1)
         for k in power
     }
@@ -390,7 +400,7 @@ def oracle_window_grid(radius_r, radius_k):
 def counted_sums(radius_r) -> dict:
     """The exponent sums of psi^r(x) by r in radius_r, read off the letter
     counts of the counted walk (``oracle_orbit_ends``)."""
-    counts = {r: end[3] for r, end in oracle_ends(radius_r, 1).items()}
+    counts = {r: end[2] for r, end in oracle_ends(radius_r, 1).items()}
     return {r: (c.get(1, 0), c.get(2, 0) - c.get(-2, 0)) for r, c in counts.items()}
 
 
@@ -592,8 +602,6 @@ class TestBoundaryAutomorphism:
             for letter, image in enumerate(images, 1):
                 assert table[letter] == W(image).letters
                 assert table[-letter] == W(image).inverse().letters
-        assert psi.substitutions[1] == {1: (1, 2), 2: (2, 1, 2)}
-        assert psi.substitutions[-1] == {1: (1, 1, -2), -2: (1, -2)}
 
     def test_fixes_boundary_exactly(self, b2):
         psi = build_boundary_pA()
@@ -616,7 +624,6 @@ class TestBoundaryAutomorphism:
         assert inverse.homology == ((2, -1), (-1, 1))
         assert inverse.table == psi.inverse_table
         assert inverse.inverse_table == psi.table
-        assert inverse.substitutions == {1: psi.substitutions[-1], -1: psi.substitutions[1]}
 
     def test_trace_two_is_a_contradiction(self, b2):
         images, match = BAD_BOUNDARY_AUTOMORPHISMS["twist"]
@@ -932,6 +939,25 @@ class TestQuasiflat:
         assert main(["experiment", "quasiflat", "--radius", "1"]) == 3
         assert capsys.readouterr().err.startswith("internal error: ")
 
+    def test_psi_path_is_read_off_psi(self, monkeypatch, capsys):
+        # psi^2 passes every certificate of the constructor, but x and
+        # psi^2(x) = xyyxy are no basis pair, so its one-edge path fails
+        def squared(table):
+            return tuple(words._apply_table(table, image) for image in table)
+
+        psi = build_boundary_pA()
+        square = BoundaryAutomorphism(*map(W, ("xyyxy", "yxyxyyxy", "xxYxxYxY", "yXyXX")))
+        assert square.table == squared(psi.table)
+        assert square.inverse_table == squared(psi.inverse_table)
+        assert square.to_json_dict()["trace"] == 7
+        monkeypatch.setattr(experiments, "build_boundary_pA", lambda: square)
+        with pytest.raises(InternalContradictionError, match="not a basis pair"):
+            exp_quasiflat(1)
+        assert cli.main(["experiment", "quasiflat", "--radius", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: ") and "x and xyyxy" in err
+        assert "not a basis pair" in err
+
 
 class TestGridFromEnds:
     @pytest.mark.parametrize("radius_k", [0, 1, 3, 12])
@@ -976,7 +1002,7 @@ class TestGridFromEnds:
             except PreconditionError:
                 continue  # a power of b lies in the factor
             try:
-                row = _grid_row(w.letters, 0, (), 2, 6, bl, binv)
+                row = _grid_row(w.letters, (), 6, bl, binv)
             except InternalContradictionError:
                 continue
             assert row == expected, w
@@ -998,10 +1024,10 @@ class TestGridFromEnds:
         value_from_ends, orbit_ends = experiments._cyclic_value_from_ends, _orbit_ends
         windows, evaluated = [], {}
 
-        def unmet(head, hidden, tail, bk, bk_inv, *rest):
+        def unmet(head, tail, bk, bk_inv, *rest):
             k = len(bk) // len(bl) * (1 if bk[:1] == bl[:1] else -1)
-            evaluated.setdefault((head, hidden > 0, tail), set()).add(k)
-            return value_from_ends(head, hidden, tail, bk, bk_inv, *rest)[0], bl[0], bl[-1]
+            evaluated.setdefault((head, tail), set()).add(k)
+            return value_from_ends(head, tail, bk, bk_inv, *rest)[0], bl[0], bl[-1]
 
         def recorded(images, window):
             windows.append(window)
@@ -1032,7 +1058,7 @@ class TestGridFromEnds:
             )
 
     def test_substitutions(self, monkeypatch):
-        # _grid_values walks the substitutions that psi holds
+        # _grid_values walks psi's substitutions as the tables that psi holds
         psi = build_boundary_pA()
         walked = []
         orbit_ends = experiments._orbit_ends
@@ -1043,7 +1069,7 @@ class TestGridFromEnds:
 
         monkeypatch.setattr(experiments, "_orbit_ends", recorded)
         _grid_values(1)[0](-1)
-        assert walked == [psi.substitutions[1], psi.substitutions[-1]]
+        assert walked == [psi.table, psi.inverse_table]
 
     @pytest.mark.parametrize("field", ["chain", "inverse_chain"])
     def test_no_positive_alphabet_is_a_contradiction(
@@ -1128,9 +1154,9 @@ class TestGridFromEnds:
             except PreconditionError:
                 expected = None  # a power of b lies in the factor
             window, ls = rng.randint(1, 24), w.letters
-            ends = (ls, 0, ())
+            ends = (ls, ())
             if len(ls) > 2 * window:
-                ends = (ls[:window], len(ls) - 2 * window, ls[-window:])
+                ends = (ls[:window], ls[-window:])
             power = {j: bl * j if j >= 0 else binv * -j for j in (k, -k)}
             try:
                 value, first, last = _cyclic_value_from_ends(
@@ -1145,7 +1171,7 @@ class TestGridFromEnds:
 
     def test_never_builds_psi_powers(self, monkeypatch):
         # psi is read off its images: the ends are iterated on windows of
-        # its substitutions, and no Whitehead move, chain table or chain
+        # its tables, and no Whitehead move, chain table or chain
         # application is made on the way
         def refused(*args, **kwargs):
             raise AssertionError("the orbit grid built an automorphism chain")
@@ -1225,8 +1251,8 @@ def largest_displacement(values) -> int:
 
 
 def first_repeated_key(ends) -> int:
-    """The first r whose key (head, hidden > 0, tail) repeats an earlier one."""
-    keys = [(head, hidden > 0, tail) for head, hidden, tail, _ in ends]
+    """The first r whose key (head, tail) repeats an earlier one."""
+    keys = [(head, tail) for head, tail, _ in ends]
     return next(r for r, key in enumerate(keys) if key in keys[:r])
 
 
@@ -1247,8 +1273,8 @@ class TestTwistStability:
             assert summary["sup_displacement"] == materialised == windows, radius
 
     def test_rows_repeat_from_is_the_first_repeated_key(self):
-        images = build_boundary_pA().substitutions[1]
-        expected = first_repeated_key(oracle_orbit_ends(images, 12, 20))
+        table = build_boundary_pA().table
+        expected = first_repeated_key(oracle_orbit_ends(table, 12, 20))
         assert expected == 6
         for radius in [*range(1, 17), 64]:
             assert exp_twist_stability(radius).summary["rows_repeat_from"] == expected
@@ -1257,19 +1283,17 @@ class TestTwistStability:
         # the distinct keys up to the first repeat are the counted walk's,
         # and the cycle they close gives its key at every r
         psi = build_boundary_pA()
-        for images in (psi.substitutions[1], psi.substitutions[-1]):
+        for table in (psi.table, psi.inverse_table):
             for window in (1, 4, 12, 20, 52):
-                keys, repeat = _orbit_ends(images, window)
+                keys, repeat = _orbit_ends(table, window)
                 counted = [
-                    (head, hidden > 0, tail)
-                    for head, hidden, tail, _ in oracle_orbit_ends(images, 40, window)
+                    (head, tail) for head, tail, _ in oracle_orbit_ends(table, 40, window)
                 ]
                 n = len(keys)
-                assert first_repeated_key(oracle_orbit_ends(images, 0, window)) == n
+                assert first_repeated_key(oracle_orbit_ends(table, 0, window)) == n
                 assert keys == counted[:n] and keys[repeat] == counted[n]
                 for r, key in enumerate(counted):
                     assert key == keys[r if r < n else repeat + (r - repeat) % (n - repeat)]
-                assert all(type(hidden) is bool for _, hidden, _ in keys)
 
     def test_cycles_at_20_letter_windows(self):
         # psi has 6 keys and returns to the last; psi^-1 has 5 and does too
@@ -1277,8 +1301,7 @@ class TestTwistStability:
         cycles = [
             (len(keys), repeat)
             for keys, repeat in (
-                _orbit_ends(images, 20)
-                for images in (psi.substitutions[1], psi.substitutions[-1])
+                _orbit_ends(table, 20) for table in (psi.table, psi.inverse_table)
             )
         ]
         assert cycles == [(6, 5), (5, 4)]
@@ -1287,23 +1310,21 @@ class TestTwistStability:
         # quasiflat walks psi and psi^-1 once each, to their first repeated
         # keys, at any radius; twist-stability walks psi only
         psi = build_boundary_pA()
-        psi_images = psi.substitutions[1]
         orbit_ends, walks = experiments._orbit_ends, []
 
-        def recorded(images, window):
-            keys, repeat = orbit_ends(images, window)
-            side = "psi" if images == psi_images else "psi^-1"
+        def recorded(table, window):
+            keys, repeat = orbit_ends(table, window)
+            side = "psi" if table == psi.table else "psi^-1"
             walks.append((side, len(keys)))
-            assert len(keys) == first_repeated_key(oracle_orbit_ends(images, 0, window))
+            assert len(keys) == first_repeated_key(oracle_orbit_ends(table, 0, window))
             return keys, repeat
 
         monkeypatch.setattr(experiments, "_orbit_ends", recorded)
         for radius in (1, 3, 6, 9, 64):
             walks.clear()
             exp_quasiflat(radius)
-            # radius 1 reads 12-letter windows, every other radius 20
-            psi_keys = 5 if radius == 1 else 6
-            assert sorted(walks) == [("psi", psi_keys), ("psi^-1", 5)]
+            # every radius reads 20-letter windows
+            assert sorted(walks) == [("psi", 6), ("psi^-1", 5)]
             walks.clear()
             exp_twist_stability(radius)
             assert walks == [("psi", 6)]
@@ -1314,9 +1335,9 @@ class TestTwistStability:
         # radius do not show it, the certificate's rows do
         value_from_ends = experiments._cyclic_value_from_ends
 
-        def shifted(head, hidden, tail, *rest):
-            value, first, last = value_from_ends(head, hidden, tail, *rest)
-            return value + (hidden > 0), first, last
+        def shifted(head, tail, *rest):
+            value, first, last = value_from_ends(head, tail, *rest)
+            return value + (tail != ()), first, last
 
         monkeypatch.setattr(experiments, "_cyclic_value_from_ends", shifted)
         for radius in (1, 2, 4, 5, 8):
@@ -1350,9 +1371,9 @@ class TestTwistStability:
         value_from_ends = experiments._cyclic_value_from_ends
         at_zero = Counter()
 
-        def counted(head, hidden, tail, bk, *rest):
-            at_zero[head, hidden > 0, tail] += not bk
-            return value_from_ends(head, hidden, tail, bk, *rest)
+        def counted(head, tail, bk, *rest):
+            at_zero[head, tail] += not bk
+            return value_from_ends(head, tail, bk, *rest)
 
         monkeypatch.setattr(experiments, "_cyclic_value_from_ends", counted)
         for radius in (1, 3, 8):

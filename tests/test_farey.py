@@ -822,6 +822,31 @@ class TestBadPairs:
             assert farey_distance((3, 5), t) == 28
         assert oracle_held_fold((3, 5), tuple(map(int, t))) == 28
 
+    @pytest.mark.parametrize("s, t, expected", [
+        ((2**70 + 1, 1), (np.int64(1), np.int64(2)), 3),
+        ((np.int64(3), np.int64(5)), (2**70 + 1, 1), 4),
+        ((np.int64(1), np.int64(2)), (2**70 + 1, 1), 3),
+        ((1, 0), (np.int64(1), 2**80), 2),
+    ])
+    def test_python_int_past_int64_against_a_numpy_int(self, s, t, expected):
+        # the determinant's product raises OverflowError in numpy, and the
+        # pair is read as Python ints
+        assert oracle_held_fold(tuple(map(int, s)), tuple(map(int, t))) == expected
+        for held in ((1, 2), tuple(map(int, s))):
+            farey_distance(held, (1, 3))
+            d = farey_distance(s, t)
+            assert d == expected and type(d) is int, (s, t, d)
+
+    @pytest.mark.parametrize("s, t", [
+        ((10**400, 1), (1.0, 2.0)),
+        ((1.0, 2.0), (10**400, 1)),
+        ((np.float64(1.0), np.float64(2.0)), (10**400, 1)),
+    ])
+    def test_python_int_past_a_float_is_a_domain_error(self, s, t):
+        with pytest.raises(DomainError):
+            farey_distance(s, t)
+        assert farey_distance((3, 5), (1, 2)) == oracle_held_fold((3, 5), (1, 2))
+
     def test_seeded_numpy_pairs_match_int_pairs(self):
         rng = random.Random(2101)
         limit = 2**62

@@ -295,6 +295,59 @@ class TestEnumeration:
             assert pickle.loads(pickle.dumps(phi)).table == phi.table
 
 
+def package_caches() -> dict:
+    """Every ``functools`` cache defined in a ``freefactor`` module, at
+    module level or in a class, by qualified name."""
+    import importlib
+    import pkgutil
+
+    import freefactor
+
+    found = {}
+    for info in pkgutil.iter_modules(freefactor.__path__):
+        module = importlib.import_module(f"freefactor.{info.name}")
+        spaces = [vars(module)]
+        spaces += [vars(c) for c in vars(module).values() if isinstance(c, type)]
+        for space in spaces:
+            for obj in space.values():
+                if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
+                    found[f"{info.name}.{obj.__qualname__}"] = obj
+    return found
+
+
+class TestBoundedCaches:
+    def test_every_cache_with_arguments_has_a_bound(self):
+        # a cache keyed by what a caller passes must not grow with a
+        # long-lived process; one of no arguments holds a single entry
+        import inspect
+
+        caches = package_caches()
+        assert {"whitehead.vertex_order", "whitehead._columns", "cli.build_parser"} <= set(caches)
+        unbounded = [
+            name
+            for name, cached in caches.items()
+            if cached.cache_parameters()["maxsize"] is None
+            and inspect.signature(cached.__wrapped__).parameters
+        ]
+        assert unbounded == []
+
+    @pytest.mark.parametrize("cached", [vertex_order, whitehead._columns])
+    def test_rank_caches_hold_at_most_their_bound(self, cached):
+        cached.cache_clear()
+        for rank in range(2, 1001):
+            cached(rank)
+        info = cached.cache_info()
+        assert info.maxsize == whitehead._RANK_CACHE and info.currsize <= info.maxsize
+        # the ranks that the experiments and CI use fit together
+        cached.cache_clear()
+        for _ in range(2):
+            for rank in range(2, 31):
+                cached(rank)
+        assert cached.cache_info().misses == 29
+        assert vertex_order(1000)[-2:] == (1000, -1000)
+        assert whitehead._columns(1000)[-1000] == 1999
+
+
 class TestAutomorphismValidation:
     """Each refusal of ``WhAutomorphism.__post_init__``: every move is
     checked once, when it is built, and never when it is applied."""
