@@ -59,7 +59,6 @@ from .farey import (
 from .experiments import (
     EXPERIMENT_NAMES,
     BoundaryAutomorphism,
-    ExperimentReport,
     boundary_word,
     build_boundary_pA,
     exp_basis_change,
@@ -71,6 +70,7 @@ from .experiments import (
     exp_twist_stability,
     run_experiment,
 )
+from .report import ExperimentReport
 
 __version__ = "0.1.0"
 

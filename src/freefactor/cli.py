@@ -15,15 +15,10 @@ import re
 import sys
 
 from .errors import DomainError, InternalContradictionError
-from .experiments import (
-    EXPERIMENT_NAMES,
-    EXPERIMENTS,
-    SCHEMA_VERSION,
-    json_pieces,
-    run_experiment,
-)
+from .experiments import EXPERIMENT_NAMES, EXPERIMENTS, run_experiment
 from .factors import FreeFactorVertex, factor_invariant
 from .farey import Slope, farey_distance
+from .report import SCHEMA_VERSION, json_pieces
 from .trees import geometric_index
 from .whitehead import Classification, classify, is_primitive, minimize_cyclic_length
 from .words import Word, b_reduced_decomposition, format_word, parse_word
@@ -183,7 +178,7 @@ def _cmd_experiment(args) -> int:
             if not isinstance(value, (list, dict))
         ),
     ]
-    _emit(args, "\n".join(lines), report.to_json_dict())
+    _emit(args, "\n".join(lines), report.json_payload())
     if args.csv:
         report.write_csv(args.csv)
     return 0 if report.violations == 0 else 1

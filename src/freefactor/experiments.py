@@ -11,12 +11,11 @@ so every such bound is checked at full strength.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 import random
 from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 
 from .errors import (
     DomainError,
@@ -33,6 +32,7 @@ from .factors import (
     random_free_factor,
 )
 from .farey import Slope, exponent_sums, farey_distance
+from .report import ExperimentReport, _OrbitTrials
 from .whitehead import (
     WhAutomorphism,
     _random_multiplier_move,
@@ -45,7 +45,6 @@ from .whitehead import (
 from .words import (
     Word,
     _Frozen,
-    _Value,
     _apply_table,
     _b_exponent,
     _checked_int,
@@ -61,130 +60,6 @@ from .words import (
     parse_word,
     random_word,
 )
-
-SCHEMA_VERSION = 5
-
-
-def json_text(payload: dict) -> str:
-    """The one JSON encoding of every report and ``--out`` document:
-    sorted keys, two-space indent, a final newline.
-
-    The bytes are those of ``json.dumps(payload, sort_keys=True,
-    indent=2) + "\n"``; ``json_pieces`` makes them.
-    """
-    return "".join(json_pieces(payload))
-
-
-def json_pieces(payload: dict) -> Iterator[str]:
-    """The text of ``json_text(payload)`` in pieces, each made when the
-    one before it has been taken, so that a writer holds one at a time.
-
-    json's indent makes it fall back to its pure Python encoder.  A
-    report's trial list, most of its bytes, is a list of flat dicts,
-    which the C encoder writes instead (``_trials_text``) into the place
-    of an empty list.  A top-level key is the only text that follows a
-    newline and two spaces, so that place is found once.
-    """
-    trials = payload.get("trials") if type(payload) is dict else None
-    if not _flat_dicts(trials):
-        yield json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        return
-    text = json.dumps({**payload, "trials": []}, sort_keys=True, indent=2)
-    before, after = text.split('\n  "trials": []')
-    yield before + '\n  "trials": '
-    yield from _trials_text(trials)
-    yield after + "\n"
-
-
-# the exact types whose JSON text has no newline and no container
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-# the newline and indent of a trial's members, and the C encoder with
-# sorted keys and members separated by "," and that newline
-_MEMBER = "\n      "
-_encode_trials = json.JSONEncoder(sort_keys=True, separators=("," + _MEMBER, ": ")).encode
-
-
-def _flat_dicts(o) -> bool:
-    """Whether o is a nonempty list of nonempty dicts of scalars."""
-    return (
-        type(o) is list
-        and bool(o)
-        and {*map(type, o)} == {dict}
-        and all(o)
-        and _SCALARS.issuperset(map(type, itertools.chain.from_iterable(map(dict.values, o))))
-    )
-
-
-def _trials_text(trials) -> Iterator[str]:
-    """The text of ``json.dumps(trials, sort_keys=True, indent=2)``,
-    indented as a top-level value, for trials that ``_flat_dicts``
-    accepts, in pieces of at most ``_TRIALS_PER_PIECE`` trials.
-
-    With members separated by "," + their newline, the C encoder writes
-    each dict as its indented text without its first and last line
-    break.  Each "},<member newline>{" between two dicts is then moved to
-    the list's indent; no encoded string holds a raw newline, so that
-    text occurs nowhere else, and no dict is empty, so it never stands
-    for an empty one.  Two pieces meet where two dicts do.
-    """
-    inner = "\n    "
-    between = inner + "}," + inner + "{" + _MEMBER
-    yield "[" + inner + "{" + _MEMBER
-    for start in range(0, len(trials), _TRIALS_PER_PIECE):
-        if start:
-            yield between
-        piece = _encode_trials(trials[start : start + _TRIALS_PER_PIECE])
-        yield piece.replace("}," + _MEMBER + "{", between)[2:-2]
-    yield inner + "}\n  ]"
-
-
-# about 370 kB of text per piece of orbit-grid trials
-_TRIALS_PER_PIECE = 4096
-
-
-class ExperimentReport(_Value):
-    _fields = ("name", "parameters", "trials", "violations", "summary")
-
-    def __init__(
-        self,
-        name: str,
-        parameters: dict,
-        trials: list[dict] | None = None,
-        violations: int = 0,
-        summary: dict | None = None,
-    ):
-        self.name = name
-        self.parameters = parameters
-        self.trials = [] if trials is None else trials
-        self.violations = violations
-        self.summary = {} if summary is None else summary
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "name": self.name,
-            "parameters": self.parameters,
-            "violations": self.violations,
-            "summary": self.summary,
-            "trials": self.trials,
-        }
-
-    def to_json(self) -> str:
-        return json_text(self.to_json_dict())
-
-    def write_csv(self, path) -> None:
-        keys: list[str] = []
-        for trial in self.trials:
-            for key in trial:
-                if key not in keys:
-                    keys.append(key)
-        with open(path, "w") as fh:
-            fh.write(",".join(["trial"] + keys) + "\n")
-            for i, trial in enumerate(self.trials):
-                row = [str(i)] + [str(trial.get(k, "")) for k in keys]
-                fh.write(",".join(row) + "\n")
-
 
 def _rng(seed, *tags) -> random.Random:
     return random.Random(":".join(str(t) for t in (seed, *tags)))
@@ -928,6 +803,28 @@ def _homology_orbit(matrix, radius: int) -> dict[int, tuple[int, int]]:
     return sums
 
 
+class _QuasiflatTrials(_OrbitTrials):
+    """Rows (r, slope string, values at k = -R..R) of the quasiflat grid."""
+
+    _keys, _fixed = ("r", "k", "value", "slope"), frozenset({"r", "slope"})
+
+    def _row_fields(self, row) -> dict:
+        r, slope, values = row
+        radius = self.width // 2
+        return {"r": r, "k": range(-radius, radius + 1), "value": values, "slope": slope}
+
+
+class _TwistTrials(_OrbitTrials):
+    """Rows (k, values at r = 0..R) of twist-stability, its trials by k."""
+
+    _keys, _fixed = ("r", "k", "value", "displacement"), frozenset({"k"})
+
+    def _row_fields(self, row) -> dict:
+        k, column = row
+        shifts = [abs(value - column[0]) for value in column]
+        return {"r": range(self.width), "k": k, "value": column, "displacement": shifts}
+
+
 def exp_quasiflat(radius: int = 8) -> ExperimentReport:
     """Distance bounds over the orbit grid psi^r ad_b^k(<x>), with a linear fit.
 
@@ -968,12 +865,8 @@ def exp_quasiflat(radius: int = 8) -> ExperimentReport:
     report = ExperimentReport(
         "quasiflat",
         {"rank": 2, "b": format_word(b), "grid_radius": R},
+        _QuasiflatTrials(list(zip(axis, map(str, slopes), grid)), 2 * R + 1),
     )
-    for r, slope, values in zip(axis, map(str, slopes), grid):
-        report.trials.extend(
-            {"r": r, "k": k, "value": value, "slope": slope}
-            for k, value in zip(axis, values)
-        )
     # GL_2(Z) acts on the Farey graph by isometries, so the slopes at r1 and
     # r2 lie dstep[|r1 - r2|] apart.
     dstep = [farey_distance(slopes[0], s) for s in slopes]
@@ -1059,17 +952,12 @@ def exp_twist_stability(radius: int = 8) -> ExperimentReport:
     width = max(R, _DEPTH + 1)
     row_of, distinct, b, _ = _grid_values(width)
     values = [row_of(r) for r in range(R + 1)]
+    columns = [(k, [row[k + width] for row in values]) for k in range(-R, R + 1)]
     report = ExperimentReport(
         "twist-stability",
         {"rank": 2, "b": format_word(b), "radius": R},
+        _TwistTrials(columns, R + 1),
     )
-    rs = list(range(R + 1))  # one int object per r, shared by the columns
-    for k in range(-R, R + 1):
-        column = [values[r][k + width] for r in rs]
-        report.trials.extend(
-            {"r": r, "k": k, "value": value, "displacement": abs(value - column[0])}
-            for r, value in zip(rs, column)
-        )
     near = slice(width - _DEPTH - 1, width + _DEPTH + 2)
     at_zero = values[0][near]
     report.summary = {

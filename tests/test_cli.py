@@ -18,7 +18,8 @@ from freefactor import (
     run_experiment,
 )
 from freefactor.cli import main
-from freefactor.experiments import EXPERIMENTS, SCHEMA_VERSION, _parameters
+from freefactor.experiments import EXPERIMENTS, _parameters
+from freefactor.report import SCHEMA_VERSION
 
 # Small CLI flags per experiment, and the run_experiment keywords they mean.
 SMALL_RUNS = {
@@ -223,7 +224,9 @@ class TestJsonOutput:
 
     @pytest.mark.parametrize("argv", OUT_RUNS, ids=" ".join)
     def test_same_bytes_as_json_dumps(self, capsys, monkeypatch, tmp_path, argv):
-        # the report is written piece by piece, from one json_pieces call
+        # the report is written piece by piece, from one json_pieces call;
+        # an orbit experiment's trials are a sequence, which json.dumps
+        # encodes as the list of its dicts
         payloads = []
         encode = freefactor.cli.json_pieces
 
@@ -235,7 +238,8 @@ class TestJsonOutput:
         path = tmp_path / "report.json"
         code, _, _ = run(capsys, *argv, "--out", str(path))
         assert code == 0 and len(payloads) == 1
-        assert path.read_text() == json.dumps(payloads[0], sort_keys=True, indent=2) + "\n"
+        expected = json.dumps(payloads[0], sort_keys=True, indent=2, default=list)
+        assert path.read_text() == expected + "\n"
 
     def test_minimize_chain_replays(self, capsys, tmp_path):
         path = tmp_path / "report.json"

@@ -40,6 +40,7 @@ from freefactor import (
     run_experiment,
 )
 from freefactor import cli, experiments, factors, words
+from freefactor import report as reports
 from freefactor.experiments import (
     _cyclic_value_from_ends,
     _grid_row,
@@ -225,6 +226,49 @@ def oracle_json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def oracle_orbit_trials(name: str, radius: int) -> list[dict]:
+    """The trial list that quasiflat or twist-stability built, one dict per
+    trial, before their trials became a sequence over the grid's rows."""
+    R = radius
+    axis = range(-R, R + 1)
+    if name == "quasiflat":
+        row_of, _, _, psi = _grid_values(R)
+        sums = _homology_orbit(psi.homology, R)
+        trials = []
+        for r in axis:
+            slope = str(Slope(*sums[r]))
+            trials.extend(
+                {"r": r, "k": k, "value": value, "slope": slope}
+                for k, value in zip(axis, row_of(r))
+            )
+        return trials
+    width = max(R, experiments._DEPTH + 1)
+    row_of = _grid_values(width)[0]
+    values = [row_of(r) for r in range(R + 1)]
+    trials = []
+    for k in axis:
+        column = [values[r][k + width] for r in range(R + 1)]
+        trials.extend(
+            {"r": r, "k": k, "value": value, "displacement": abs(value - column[0])}
+            for r, value in enumerate(column)
+        )
+    return trials
+
+
+def oracle_csv_text(trials) -> str:
+    """The text that ``write_csv`` wrote of a list of trial dicts: a header
+    of the keys in the order they first occur, then one line per trial."""
+    keys: list[str] = []
+    for trial in trials:
+        for key in trial:
+            if key not in keys:
+                keys.append(key)
+    lines = [",".join(["trial"] + keys)]
+    for i, trial in enumerate(trials):
+        lines.append(",".join([str(i)] + [str(trial.get(k, "")) for k in keys]))
+    return "".join(line + "\n" for line in lines)
+
+
 def oracle_twist_summary(report) -> dict:
     """The verdict that twist-stability's supremum certificate replaced,
     recomputed from its trials: the running maximum of the displacement
@@ -272,7 +316,7 @@ def schema_4_dict(report) -> dict:
 
 
 def schema_4_text(report) -> str:
-    return experiments.json_text(schema_4_dict(report))
+    return reports.json_text(schema_4_dict(report))
 
 
 def sha256(report) -> str:
@@ -290,7 +334,7 @@ def schema_3_digest(report) -> str:
     """
     data = schema_4_dict(report)
     data["schema_version"] = 3
-    text = experiments.json_text(data)
+    text = reports.json_text(data)
     if report.name == "quasiflat":
         for key in ("fit_slope", "fit_intercept", "cover_constant", "lower_envelope"):
             del data["summary"][key]
@@ -1197,33 +1241,43 @@ class TestJsonText:
     @pytest.mark.parametrize("name,kwargs", JSON_RUNS)
     def test_every_report(self, name, kwargs):
         data = run_experiment(name, **kwargs).to_json_dict()
-        assert experiments.json_text(data) == oracle_json_text(data)
+        assert reports.json_text(data) == oracle_json_text(data)
 
     @settings(max_examples=400)
     @given(JSON_VALUES)
     def test_any_value(self, value):
-        assert experiments.json_text(value) == oracle_json_text(value)
+        assert reports.json_text(value) == oracle_json_text(value)
 
     @settings(max_examples=400)
     @given(JSON_PAYLOADS)
     def test_any_report_shape(self, payload):
-        assert experiments.json_text(payload) == oracle_json_text(payload)
+        assert reports.json_text(payload) == oracle_json_text(payload)
 
     @settings(max_examples=200)
     @given(JSON_PAYLOADS, st.integers(1, 6))
     def test_any_report_shape_in_small_pieces(self, payload, per_piece):
         # two pieces of the trial list meet wherever two trials do
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(experiments, "_TRIALS_PER_PIECE", per_piece)
-            assert experiments.json_text(payload) == oracle_json_text(payload)
+            patch.setattr(reports, "_TRIALS_PER_PIECE", per_piece)
+            assert reports.json_text(payload) == oracle_json_text(payload)
 
     def test_large_report_comes_in_bounded_pieces(self):
-        # 65 * 129 = 8,385 trials: three pieces of at most 4,096 trials
-        data = run_experiment("twist-stability", radius=64).to_json_dict()
-        pieces = list(experiments.json_pieces(data))
-        text = oracle_json_text(data)
-        assert "".join(pieces) == text
-        assert len(pieces) == 9 and max(map(len, pieces)) < len(text) / 2
+        # a list of trial dicts comes in pieces of at most 4,096 trials, and
+        # an orbit report's trials in pieces of one row each: twist-stability
+        # R=64 has 129 rows of 65 trials, 8,385 in all
+        for name in ("twist-stability", "quasiflat"):
+            report = run_experiment(name, radius=64)
+            data = report.to_json_dict()
+            listed = list(reports.json_pieces(data))
+            pieces = list(reports.json_pieces(report.json_payload()))
+            assert "".join(listed) == "".join(pieces) == oracle_json_text(data)
+            trials = [piece.count("\n    {\n") for piece in pieces]
+            rows, width = report.trials.rows, report.trials.width
+            assert trials == [0, *(width for _ in rows), 0, 0]
+            assert max(piece.count("\n    {\n") for piece in listed) <= 4096
+            assert sum(trials) == len(data["trials"]) == len(rows) * width
+            if name == "twist-stability":
+                assert len(listed) == 9 and len(pieces) == 132
 
     @pytest.mark.parametrize(
         "value",
@@ -1242,7 +1296,86 @@ class TestJsonText:
         with pytest.raises(TypeError):
             oracle_json_text(value)
         with pytest.raises(TypeError):
-            experiments.json_text(value)
+            reports.json_text(value)
+
+
+class TestOrbitTrials:
+    """quasiflat's and twist-stability's trials, a sequence over the grid's
+    rows, against the lists of dicts that the experiments built."""
+
+    @pytest.mark.parametrize("name", ["quasiflat", "twist-stability"])
+    def test_same_as_dict_lists(self, name, tmp_path):
+        for radius in range(1, 65):
+            report = run_experiment(name, radius=radius)
+            oracle = oracle_orbit_trials(name, radius)
+            trials = report.trials
+            assert isinstance(trials, reports._OrbitTrials)
+            assert "".join(trials._text()) == "".join(reports._trials_text(oracle))
+            report.write_csv(tmp_path / "trials.csv")
+            assert (tmp_path / "trials.csv").read_text() == oracle_csv_text(oracle)
+            # to_json_dict lists the trials by iterating over them
+            assert report.to_json_dict()["trials"] == oracle
+            n = len(oracle)
+            assert len(trials) == n
+            for i in {0, 1, n // 2, n - 1, -1, -n, *range(-n, n, 1 + n // 50)}:
+                assert trials[i] == oracle[i], (radius, i)
+            for i in (n, n + 1, -n - 1, 10 * n):
+                with pytest.raises(IndexError):
+                    trials[i]
+
+    def test_list_reads_of_the_sequence(self):
+        report = run_experiment("twist-stability", radius=3)
+        oracle = oracle_orbit_trials("twist-stability", 3)
+        trials = report.trials
+        assert trials[np.int64(5)] == oracle[5]
+        assert list(reversed(trials)) == oracle[::-1]
+        assert oracle[9] in trials and {"r": 0} not in trials
+        assert trials.index(oracle[9]) == 9 and trials.count(oracle[9]) == 1
+        with pytest.raises(TypeError):
+            trials["0"]
+        with pytest.raises(TypeError):
+            trials[0] = {}
+
+    @pytest.mark.parametrize(
+        "name,kwargs",
+        [
+            ("lipschitz", {"trials": 8, "seed": 4}),
+            ("zero-fiber", {"k_lo": -3, "k_hi": 3}),
+            ("boundary-length", {}),
+        ],
+    )
+    def test_sampled_trials_stay_lists(self, name, kwargs, tmp_path):
+        report = run_experiment(name, **kwargs)
+        assert type(report.trials) is list
+        assert report.to_json_dict()["trials"] == report.trials
+        report.write_csv(tmp_path / "trials.csv")
+        assert (tmp_path / "trials.csv").read_text() == oracle_csv_text(report.trials)
+
+    def test_reports_are_written_with_no_trial_dict(self, monkeypatch, capsys, tmp_path):
+        expected = {}
+        for name, radius in (("twist-stability", 64), ("quasiflat", 16)):
+            oracle = oracle_orbit_trials(name, radius)
+            payload = run_experiment(name, radius=radius).json_payload()
+            expected[name, radius] = (
+                reports.json_text({**payload, "trials": oracle}),
+                oracle_csv_text(oracle),
+                len(oracle),
+            )
+
+        def refused(*args):
+            raise AssertionError("a trial dict was made")
+
+        monkeypatch.setattr(reports._OrbitTrials, "_trial", refused)
+        for (name, radius), (text, csv_text, count) in expected.items():
+            out, csv = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            argv = ["experiment", name, "--radius", str(radius), "--out", str(out),
+                    "--csv", str(csv)]
+            assert cli.main(argv) == 0
+            stdout = capsys.readouterr().out
+            assert stdout.startswith(f"{name}: {count} records, 0 violations\n")
+            assert out.read_text() == text and csv.read_text() == csv_text
+            with pytest.raises(AssertionError):
+                run_experiment(name, radius=1).to_json_dict()
 
 
 def largest_displacement(values) -> int:

@@ -174,6 +174,11 @@ def samples() -> dict:
             experiments.ExperimentReport("boundary-length", {}),
             experiments.ExperimentReport("boundary-length", {}, [], 0, {}),
             experiments.ExperimentReport("boundary-length", {}, violations=1),
+            # trials that are a sequence over the orbit grid's rows
+            run_experiment("twist-stability", radius=2),
+            run_experiment("twist-stability", radius=2),
+            run_experiment("twist-stability", radius=3),
+            run_experiment("quasiflat", radius=1),
         ],
         experiments.BoundaryAutomorphism: [
             build_boundary_pA(),
