@@ -15,7 +15,7 @@ import math
 import operator
 import random
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 from .errors import (
     DomainError,
@@ -553,7 +553,7 @@ def _grid_values(radius_k: int) -> tuple[
     never guesses: ``_cyclic_value_from_ends`` returns the exact value and
     end letters or raises.  The windows hold (2 _DEPTH + 1)|b| = 20
     letters at every radius, and depth 2 decides every row of this psi; a
-    row whose step premise still fails there raises.  ``_pair_classes``
+    row whose step premise still fails there raises.  ``_pair_rows``
     merges equal rows by value.
     """
     psi = build_boundary_pA()
@@ -717,25 +717,25 @@ def _check_path(path: tuple[str, ...], start: Word, end: Word) -> None:
             )
 
 
-def _pair_classes(
-    grid: list[tuple[int, ...]], dstep: list[int]
-) -> tuple[list[int], int]:
-    """How many grid pairs fall in each class (m, l), as a flat histogram
-    ``hist`` and its row width: class (m, l) is ``hist[m * width + l]``, so
-    the rows m = 0 .. 2n - 2 follow one another and each lists l in order.
+def _pair_rows(grid: list[tuple[int, ...]], dstep: list[int]) -> Iterator[list[int]]:
+    """The grid pairs by class (m, l), one m at a time: for m = 1 .. 2n - 2,
+    a row of one common length whose entry l counts the pairs at m with
+    lower bound l.
 
     ``grid[i][j]`` is the value at r = i - R, k = j - R.  A pair with row
     offset dr, column offset dk and values v1, v2 has m = dr + |dk| and the
-    certified lower bound l = max(ceil(|v1 - v2| / 2), dstep[dr]).  Equal
-    rows give equal pairs, so each distinct row is a kind: the column pairs
-    of each ordered pair of kinds are tallied once by (|dk|, ceil(|dv| / 2))
-    (``_column_pairs``), and each row offset dr adds every tally times the
-    number of row pairs (i, i + dr) of its kinds.  With T distinct rows of
-    n values the tallies cost O(T^2 n^2), and the row offsets n times T^2
-    tallies of at most n (ceil(span / 2) + 1) entries, span the largest
-    value difference; all of it is exact in Python ints for any grid.  The
-    orbit grid has T = 2 (its rows r >= 0 are equal, and so are its rows
-    r < 0) and tallies of O(n) entries, so it costs O(R^2).
+    certified lower bound l = max(ceil(|v1 - v2| / 2), dstep[dr]), where
+    dstep[0] = 0.  Equal rows give equal pairs, so each distinct row is a
+    kind: the column pairs of each ordered pair of kinds are tallied once
+    by |dk| (``_column_pairs``) and their row pairs counted once per dr,
+    and row m adds, over dr <= m, the tallies at |dk| = m - dr times their
+    row pairs; a row with itself (dr = 0) tallies each pair twice, an even
+    count halved exactly.  With T distinct rows of n values the tallies
+    cost O(T^2 n^2), and the rows n^2 T^2 tallies of at most
+    ceil(span / 2) + 1 entries, span the largest value difference, all
+    exact in Python ints for any grid.  The orbit grid has T = 2 (its rows
+    r >= 0 are equal, and so are its rows r < 0) and tallies of O(1)
+    entries at each |dk|, so it costs O(R^2) and holds O(R) counts.
     """
     n = len(grid)
     kinds: dict[tuple[int, ...], int] = {}
@@ -743,30 +743,33 @@ def _pair_classes(
     rows, t = list(kinds), len(kinds)
     span = max(map(max, rows)) - min(map(min, rows))
     width = max((span + 1) // 2, max(dstep)) + 1
-    hist = [0] * ((2 * n - 1) * width)  # class (m, l) at m * width + l
-    tallies: dict[int, list[tuple[int, int, int]]] = {}
-    scaled = [a * t for a in kind]  # the row pair (a, b) as a * T + b
-    for dr in range(n):
-        floor, shift = dstep[dr], dr * width
-        for pair, count in Counter(map(operator.add, scaled[: n - dr], kind[dr:])).items():
-            if pair not in tallies:
-                a, b = divmod(pair, t)
-                tallies[pair] = _column_pairs(rows[a], rows[b], span, width)
-            tally = tallies[pair]
-            if not dr:
-                # a row with itself: both orders of each pair, and each
-                # column with itself in class (0, 0)
-                tally = [(base, half, found // 2) for base, half, found in tally if base]
-            for base, half, found in tally:
-                hist[shift + base + (half if half > floor else floor)] += count * found
-    return hist, width
+    scaled = [a * t for a in kind]  # row pair of kinds (a, b) as a * T + b
+    by_dr = [Counter(map(operator.add, scaled, kind[dr:])) for dr in range(n)]
+    kind_pairs = []
+    for pair in set().union(*by_dr):
+        per_dr = [c[pair] for c in by_dr]
+        while not per_dr[-1]:  # no such row pairs this far apart
+            per_dr.pop()
+        kind_pairs.append((_column_pairs(rows[pair // t], rows[pair % t], span), per_dr))
+    for m in range(1, 2 * n - 1):
+        row = [0] * width
+        lo = max(1, m - n + 1)
+        floors = dstep[lo:]
+        for tally, per_dr in kind_pairs:
+            for half, found in tally[m] if m < n else ():  # dr = 0
+                row[half] += per_dr[0] * found // 2
+            # dr from lo up, until |dk| = m - dr < 0 or per_dr ends
+            for floor, count, group in zip(floors, per_dr[lo:], tally[m - lo :: -1]):
+                for half, found in group:
+                    row[half if half > floor else floor] += count * found
+        yield row
 
 
 def _column_pairs(
-    left: tuple[int, ...], right: tuple[int, ...], span: int, width: int
-) -> list[tuple[int, int, int]]:
-    """(|dk| * width, ceil(|v1 - v2| / 2), count) over the column pairs
-    v1 = left[j], v2 = right[j + dk].
+    left: tuple[int, ...], right: tuple[int, ...], span: int
+) -> list[list[tuple[int, int]]]:
+    """The (ceil(|v1 - v2| / 2), count) tallies of the column pairs
+    v1 = left[j], v2 = right[j + dk], listed by |dk|.
 
     Column j and value v are coded as j * scale + v.  The difference of two
     codes is dk * scale + dv with |dv| <= span < scale / 2, and its absolute
@@ -774,15 +777,15 @@ def _column_pairs(
     product of the codes counts every pair at once.
     """
     scale = 2 * span + 1
-    found: dict[tuple[int, int], int] = {}
+    found: list[dict[int, int]] = [{} for _ in left]
     for code, count in Counter(map(abs, itertools.starmap(operator.sub, itertools.product(
         [j * scale + v for j, v in enumerate(right)],
         [j * scale + v for j, v in enumerate(left)],
     )))).items():
         dk, dv = divmod(code + span, scale)
-        key = dk * width, (abs(dv - span) + 1) // 2
-        found[key] = found.get(key, 0) + count
-    return [(base, half, count) for (base, half), count in found.items()]
+        tally, half = found[dk], (abs(dv - span) + 1) // 2
+        tally[half] = tally.get(half, 0) + count
+    return [list(tally.items()) for tally in found]
 
 
 def _homology_orbit(matrix, radius: int) -> dict[int, tuple[int, int]]:
@@ -838,7 +841,7 @@ def exp_quasiflat(radius: int = 8) -> ExperimentReport:
     fixed path <x> -> <b x b^-1>, each verified edge by edge on every run.
 
     The pairs are counted by class (m, l), m = |dr| + |dk| and l the lower
-    bound (``_pair_classes``).  From the class counts come, exactly: the
+    bound (``_pair_rows``).  From the class counts come, exactly: the
     least-squares line lower ~ c * m - C0 from the integer moments of the
     pairs, the constant C that makes lower >= c * m - C hold for every
     pair, and the lower envelope min l over the pairs at each m = 1..4R,
@@ -870,26 +873,22 @@ def exp_quasiflat(radius: int = 8) -> ExperimentReport:
     # GL_2(Z) acts on the Farey graph by isometries, so the slopes at r1 and
     # r2 lie dstep[|r1 - r2|] apart.
     dstep = [farey_distance(slopes[0], s) for s in slopes]
-    hist, width = _pair_classes(grid, dstep)
-    # One pass over the rows m = 1..4R of the histogram (m = 0 would pair a
-    # point with itself): exact moments in Python ints, since at R = 64 the
-    # products below overflow int64, the pairs above the path-witnessed upper
-    # bound c0 * m, which certified lower bounds can never exceed, and the
-    # least l at each m, the row's first nonzero class.
+    # One pass over the rows m = 1..4R as they come: exact moments in Python
+    # ints, since at R = 64 the products below overflow int64, the pairs above
+    # the path-witnessed upper bound c0 * m, which certified lower bounds can
+    # never exceed, and the least l at each m, the row's first nonzero class.
     n = sum_m = sum_mm = sum_l = sum_ml = above_upper = 0
     envelope = []
-    weights = range(width)
-    for m in range(1, 4 * R + 1):
-        row = hist[m * width : (m + 1) * width]
+    for m, row in enumerate(_pair_rows(grid, dstep), 1):
         count = sum(row)
-        weighted = sum(map(operator.mul, row, weights))
+        weighted = sum(map(operator.mul, row, itertools.count()))
         n += count
         sum_m += count * m
         sum_mm += count * m * m
         sum_l += weighted
         sum_ml += weighted * m
         above_upper += sum(row[c0 * m + 1 :])
-        envelope.append(next(l for l, found in enumerate(row) if found))
+        envelope.append(row.index(next(filter(None, row))))
     # the normal equations: c = num / den and intercept = num_0 / den, den > 0
     # because m takes at least the values 1 and 2
     den = n * sum_mm - sum_m * sum_m

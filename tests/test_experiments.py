@@ -47,7 +47,7 @@ from freefactor.experiments import (
     _grid_values,
     _homology_orbit,
     _orbit_ends,
-    _pair_classes,
+    _pair_rows,
     _random_deep_factor,
     _random_edge_images,
     _rng,
@@ -460,17 +460,24 @@ def grid_points(radius_r, radius_k) -> dict:
 
 
 def pair_class_counts(grid, dstep: list[int]) -> dict:
-    """``_pair_classes`` read as {(m, l): count}, keys in sorted order, after
-    checking the histogram's shape: 2n - 1 rows m of ``width`` classes l."""
-    hist, width = _pair_classes(grid, dstep)
-    assert len(hist) == (2 * len(grid) - 1) * width
-    assert width > max(dstep)
-    return {divmod(code, width): count for code, count in enumerate(hist) if count}
+    """``_pair_rows`` read as {(m, l): count}, keys in sorted order, after
+    checking the rows' shape: 2n - 2 rows m = 1..2n - 2, all of one length,
+    longer than the largest Farey step."""
+    rows = list(_pair_rows(grid, dstep))
+    assert len(rows) == 2 * len(grid) - 2
+    assert len({len(row) for row in rows}) <= 1
+    assert all(len(row) > max(dstep) for row in rows)
+    return {
+        (m, l): count
+        for m, row in enumerate(rows, 1)
+        for l, count in enumerate(row)
+        if count
+    }
 
 
 def oracle_pair_classes(grid, dstep: list[int]) -> dict:
-    """The numpy class histogram that ``_pair_classes`` replaced, as
-    {(m, l): count} in sorted order.
+    """The numpy class histogram that the pair counting in Python ints
+    (``_pair_rows``) replaced, as {(m, l): count} in sorted order.
 
     Each row offset dr is one (2R + 1 - dr) x (2R + 1) x (2R + 1) block,
     whose pairs one ``bincount`` counts by (|dk|, v1 - v2); those counts
