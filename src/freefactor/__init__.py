@@ -19,6 +19,7 @@ from .words import (
     apply_automorphism,
     b_index,
     b_reduced_decomposition,
+    boundary_word,
     cyclic_reduce,
     format_word,
     free_reduce,
@@ -56,18 +57,19 @@ from .farey import (
     farey_distance,
     slope_of,
 )
+from .orbit import (
+    BoundaryAutomorphism,
+    build_boundary_pA,
+    exp_quasiflat,
+    exp_twist_stability,
+)
 from .experiments import (
     EXPERIMENT_NAMES,
-    BoundaryAutomorphism,
-    boundary_word,
-    build_boundary_pA,
     exp_basis_change,
     exp_boundary_length,
     exp_cancellation,
     exp_fzero_fiber,
     exp_lipschitz,
-    exp_quasiflat,
-    exp_twist_stability,
     run_experiment,
 )
 from .report import ExperimentReport

@@ -18,14 +18,13 @@ finds a witness, searches the folded core graph of every factor.  Deciding
 whether an arbitrary subgroup is a free factor is out of scope.
 
 Folding mutates a private working graph and freezes it before returning;
-all public values are immutable, so concurrent use is safe after
-construction.
+a factor keeps its own graph, so it is freed with the factor.  All public
+values are immutable, so concurrent use is safe after construction.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from collections import deque
 from functools import lru_cache
 from operator import neg
@@ -51,6 +50,7 @@ from .words import (
     _b_exponent,
     _checked_int,
     _peel,
+    _random_stream,
     _times,
     _trusted_word,
     format_word,
@@ -227,9 +227,12 @@ def is_basis_pair(u: Word, v: Word) -> bool:
 
 
 class FreeFactorVertex(_Frozen):
-    """A vertex of the free factor graph: a proper, nontrivial free factor."""
+    """A vertex of the free factor graph: a proper, nontrivial free factor.
+    ``graph`` folds on its first read and keeps the graph in a slot, which
+    equality, hashing, repr and pickling ignore."""
 
-    __slots__ = _fields = ("generators", "rank_ambient")
+    __slots__ = ("generators", "rank_ambient", "_graph")
+    _fields = ("generators", "rank_ambient")
 
     def __init__(self, generators, rank_ambient: int):
         _set_generators(self, _as_tuple(generators, "generators"))
@@ -247,7 +250,9 @@ class FreeFactorVertex(_Frozen):
 
     @property
     def graph(self) -> CoreGraph:
-        return _fold_cached(self.generators, self.rank_ambient)
+        if not hasattr(self, "_graph"):
+            _set_graph(self, fold(self.generators, self.rank_ambient))
+        return self._graph
 
     def describe(self) -> list[str]:
         return [format_word(g) for g in self.generators]
@@ -256,11 +261,7 @@ class FreeFactorVertex(_Frozen):
 # the slot descriptors' setters, past _Frozen's refusing __setattr__
 _set_generators = FreeFactorVertex.generators.__set__
 _set_rank_ambient = FreeFactorVertex.rank_ambient.__set__
-
-
-@lru_cache(maxsize=4096)
-def _fold_cached(generators: tuple[Word, ...], rank: int) -> CoreGraph:
-    return fold(list(generators), rank)
+_set_graph = FreeFactorVertex._graph.__set__
 
 
 def _cyclic_generator(a: FreeFactorVertex) -> Word | None:
@@ -305,9 +306,9 @@ def af_adjacent(a: FreeFactorVertex, b: FreeFactorVertex) -> bool:
     Rank >= 3: strict containment one way or the other (every generator
     of one lies in the other, and not conversely).  Membership in a cyclic
     factor is read off its generator (``_in_cyclic``); only a factor with
-    two or more nontrivial generators is folded, and its cached core graph
-    is the one ``factor_invariant`` reads.  Rank 2: the cyclic generators
-    form a basis (``is_basis_pair``, no fold).
+    two or more nontrivial generators is folded, and the core graph it
+    keeps is the one ``factor_invariant`` reads.  Rank 2: the cyclic
+    generators form a basis (``is_basis_pair``, no fold).
     """
     if a.rank_ambient != b.rank_ambient:
         raise RankError("factors live in different ambient ranks")
@@ -325,19 +326,19 @@ def random_free_factor(
 ) -> FreeFactorVertex:
     """theta(<random standard subset>) for a random multiplier chain theta.
 
-    ``seed`` may be an int, a string, or a ``random.Random`` instance.  The
-    subset is one ``rng.sample`` and theta's moves are drawn in order, as
-    the sampler that applied theta to Words drew them; the generators are
-    then built on letter tuples, with no draw.  So the stream is consumed
-    call for call as then and the factor is the same, and every seeded
-    report that samples factors is byte-identical.
+    ``seed`` is a ``random.Random`` or a seed of one (``_random_stream``).
+    The subset is one ``rng.sample`` and theta's moves are drawn in order,
+    as the sampler that applied theta to Words drew them; the generators
+    are then built on letter tuples, with no draw.  So the stream is
+    consumed call for call as then and the factor is the same, and every
+    seeded report that samples factors is byte-identical.
     """
     rank_ambient = _checked_int(rank_ambient, "ambient rank", 2, error=RankError)
     factor_rank = _checked_int(
         factor_rank, "factor rank", 1, rank_ambient - 1, error=RankError
     )
     chain_length = _checked_int(chain_length, "chain length", 0)
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    rng = _random_stream(seed)
     subset = sorted(rng.sample(range(1, rank_ambient + 1), factor_rank))
     moves = [_random_multiplier_move(rng, rank_ambient) for _ in range(chain_length)]
     gens = []

@@ -413,6 +413,24 @@ def ad(b: Word, w: Word, k: int = 1) -> Word:
     return (b**k) * w * (b**-k)
 
 
+def boundary_word(rank: int) -> Word:
+    """Surface boundary word for the given rank.
+
+    Even rank: product of commutators [x1,x2][x3,x4]...; odd rank: the
+    squares word x1^2 x2^2 ... (one-holed nonorientable surface).  These
+    minimize to cyclic length 2*rank and fill; the suite certifies both.
+    """
+    letters: list[int] = []
+    if rank % 2 == 0:
+        for i in range(0, rank, 2):
+            a, b = i + 1, i + 2
+            letters += [a, b, -a, -b]
+    else:
+        for i in range(1, rank + 1):
+            letters += [i, i]
+    return Word(tuple(letters), rank)
+
+
 def _apply_table(table, letters: tuple[int, ...]) -> tuple[int, ...]:
     """The image of a letter tuple under a checked letter-image table, laid
     out as ``WhAutomorphism.table``: the images of its letters concatenated
@@ -502,12 +520,28 @@ def _random_letters(length: int, rank: int, rng: random.Random) -> tuple[int, ..
     return tuple(letters)
 
 
+def _random_stream(seed) -> random.Random:
+    """``seed`` itself if it is a ``random.Random``, else a new stream seeded
+    with it; DomainError, naming the accepted types, for a seed that
+    ``random.Random`` refuses."""
+    if isinstance(seed, random.Random):
+        return seed
+    try:
+        return random.Random(seed)
+    except TypeError:
+        raise DomainError(
+            "seed must be None, an int, a float, a str, bytes, a bytearray "
+            f"or a random.Random, got {seed!r}"
+        ) from None
+
+
 def random_word(length: int, rank: int, seed) -> Word:
     """Uniformly random reduced word of exactly ``length`` letters.
 
     The first letter is uniform over the 2*rank letters, each later letter
-    uniform over the 2*rank - 1 non-cancelling choices.  ``seed`` may be an
-    int, a string, or a ``random.Random`` instance; fixed seeds reproduce.
+    uniform over the 2*rank - 1 non-cancelling choices.  ``seed`` is a
+    ``random.Random`` or a seed of one (``_random_stream``); fixed seeds
+    reproduce.
 
     Each letter is one ``rng.choice`` over its candidates in the order
     x1..xr, X1..Xr without the inverse of the letter before, as the
@@ -517,5 +551,5 @@ def random_word(length: int, rank: int, seed) -> Word:
     """
     length = _checked_int(length, "length", 0)
     rank = _checked_int(rank, "rank", 2, error=RankError)
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    rng = _random_stream(seed)
     return _trusted_word(_random_letters(length, rank, rng), rank)

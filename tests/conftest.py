@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import freefactor
 from freefactor import (
     BReducedDecomposition,
     DomainError,
@@ -22,6 +28,62 @@ from freefactor.words import _apply_table
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
+
+
+# ---------------------------------------------------------------------------
+# the cost of each test: its wall time and the rise in the process's peak
+# RSS that it caused, so that a test that grows 10x slower or holds
+# gigabytes shows in the run that changes it
+
+_STATUS = Path("/proc/self/status")
+_COSTS: list[tuple[float, int | None, str]] = []  # (seconds, peak rise in kB, node id)
+
+
+def _peak_kb() -> int | None:
+    """This process's high-water RSS, VmHWM, in kB; None where the kernel
+    does not report it."""
+    try:
+        status = _STATUS.read_text()
+    except OSError:
+        return None
+    for line in status.splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1])
+    return None
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    before, start = _peak_kb(), time.perf_counter()
+    yield
+    seconds, after = time.perf_counter() - start, _peak_kb()
+    rise = None if before is None or after is None else after - before
+    _COSTS.append((seconds, rise, item.nodeid))
+
+
+def pytest_terminal_summary(terminalreporter):
+    if not _COSTS:
+        return
+    write = terminalreporter.write_line
+    terminalreporter.section("test cost: wall time, and the rise in peak RSS")
+    risen = sorted((c for c in _COSTS if c[1] and c[1] >= 1024), key=lambda c: -c[1])
+    for title, costs in (
+        ("slowest", sorted(_COSTS, key=lambda c: -c[0])), ("largest peak rise", risen)
+    ):
+        write(title + ":")
+        for seconds, rise, nodeid in costs[:10]:
+            shown = "" if rise is None else f"  +{rise / 1024:.1f} MB"
+            write(f"{seconds:8.2f} s{shown}  {nodeid}")
+
+
+def fresh_python(*args) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a new interpreter that imports this package."""
+    src = str(Path(freefactor.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def W(text: str, rank: int = 2) -> Word:

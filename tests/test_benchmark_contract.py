@@ -48,7 +48,7 @@ def test_tracer_wraps_every_target_around_quasiflat(capsys):
     assert code == 0
     assert [name for name, ok in wrapped.items() if not ok] == []
     # quasiflat reads its grid values off word ends, with no factor_invariant
-    # call; its path check reaches is_basis_pair through experiments' own
+    # call; its path check reaches is_basis_pair through orbit's own
     # binding, which the tracer must have rebound
     assert tracer.calls["factors.is_basis_pair"] > 0
     assert tracer.calls["experiments.exp_quasiflat"] == 1

@@ -1,8 +1,4 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -20,6 +16,8 @@ from freefactor import (
 from freefactor.cli import main
 from freefactor.experiments import EXPERIMENTS, _parameters
 from freefactor.report import SCHEMA_VERSION
+
+from conftest import fresh_python
 
 # Small CLI flags per experiment, and the run_experiment keywords they mean.
 SMALL_RUNS = {
@@ -53,16 +51,6 @@ OUT_RUNS = [
     ["farey-dist", "-3/5", "1/0"],
     *(["experiment", name, *argv] for name, (argv, _) in SMALL_RUNS.items()),
 ]
-
-
-def fresh_python(*args) -> subprocess.CompletedProcess:
-    """Run ``python *args`` in a new interpreter that imports this package."""
-    src = str(Path(freefactor.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
 
 
 def run(capsys, *argv):

@@ -39,18 +39,16 @@ from freefactor import (
     random_word,
     run_experiment,
 )
-from freefactor import cli, experiments, factors, words
+from freefactor import cli, experiments, factors, orbit, words
 from freefactor import report as reports
-from freefactor.experiments import (
+from freefactor.experiments import _random_deep_factor, _random_edge_images, _rng
+from freefactor.orbit import (
     _cyclic_value_from_ends,
     _grid_row,
     _grid_values,
     _homology_orbit,
     _orbit_ends,
     _pair_rows,
-    _random_deep_factor,
-    _random_edge_images,
-    _rng,
 )
 from freefactor.farey import exponent_sums
 from freefactor.words import _chain_table
@@ -232,7 +230,8 @@ def oracle_orbit_trials(name: str, radius: int) -> list[dict]:
     R = radius
     axis = range(-R, R + 1)
     if name == "quasiflat":
-        row_of, _, _, psi = _grid_values(R)
+        psi = build_boundary_pA()
+        row_of = _grid_values(psi, boundary_word(2), R)[0]
         sums = _homology_orbit(psi.homology, R)
         trials = []
         for r in axis:
@@ -242,8 +241,8 @@ def oracle_orbit_trials(name: str, radius: int) -> list[dict]:
                 for k, value in zip(axis, row_of(r))
             )
         return trials
-    width = max(R, experiments._DEPTH + 1)
-    row_of = _grid_values(width)[0]
+    width = max(R, orbit._DEPTH + 1)
+    row_of = _grid_values(build_boundary_pA(), boundary_word(2), width)[0]
     values = [row_of(r) for r in range(R + 1)]
     trials = []
     for k in axis:
@@ -342,11 +341,11 @@ def schema_3_digest(report) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def oracle_grid_values(radius_r, radius_k):
-    """The materialising grid that _grid_values replaced: every psi^r(x)
-    built letter by letter and each value read off factor_invariant.
-    Returns the values and the exponent sums of psi^r(x) by r."""
-    psi = build_boundary_pA()
+def oracle_grid_values(psi, radius_r, radius_k):
+    """The materialising grid that _grid_values replaced, for the boundary
+    automorphism psi: every psi^r(x) built letter by letter and each value
+    read off factor_invariant.  Returns the values and the exponent sums
+    of psi^r(x) by r."""
     b = boundary_word(2)
     lo_r, hi_r = radius_r
     psi_x = {0: W("x")}
@@ -448,9 +447,9 @@ def counted_sums(radius_r) -> dict:
     return {r: (c.get(1, 0), c.get(2, 0) - c.get(-2, 0)) for r, c in counts.items()}
 
 
-def grid_points(radius_r, radius_k) -> dict:
-    """The rows r in radius_r of _grid_values as {(r, k): value}."""
-    row_of = _grid_values(radius_k)[0]
+def grid_points(psi, radius_r, radius_k) -> dict:
+    """The rows r in radius_r of psi's _grid_values as {(r, k): value}."""
+    row_of = _grid_values(psi, boundary_word(2), radius_k)[0]
     lo_r, hi_r = radius_r
     return {
         (r, k): value
@@ -526,7 +525,7 @@ def oracle_pair_loop(grid, dstep: list[int]) -> dict:
 
 def orbit_grid(radius: int) -> tuple[list[tuple[int, ...]], list[int]]:
     """The quasiflat grid and Farey row of exp_quasiflat at ``radius``."""
-    row_of = _grid_values(radius)[0]
+    row_of = _grid_values(build_boundary_pA(), boundary_word(2), radius)[0]
     sums = counted_sums((-radius, radius))
     span = range(-radius, radius + 1)
     slopes = [Slope(*sums[r]) for r in span]
@@ -634,6 +633,11 @@ BAD_BOUNDARY_AUTOMORPHISMS = {
         ("xyXYxyyxYX", "xyyyxYX", "yxYxYxyXY", "yxYXyyXY"),
         "positive substitution on neither",
     ),
+    # psi^-1 ad_b^-1, with ad_b psi as its inverse: the same pair, swapped
+    "ad_b-psi-inverse": (
+        ("yxYxYxyXY", "yxYXyyXY", "xyXYxyyxYX", "xyyyxYX"),
+        "positive substitution on neither",
+    ),
 }
 
 
@@ -732,7 +736,7 @@ class TestBoundaryAutomorphism:
         with pytest.raises(InternalContradictionError, match=match):
             BoundaryAutomorphism(*map(W, images))
         monkeypatch.setattr(
-            experiments, "build_boundary_pA", lambda: BoundaryAutomorphism(*map(W, images))
+            orbit, "build_boundary_pA", lambda: BoundaryAutomorphism(*map(W, images))
         )
         out = tmp_path / "report.json"
         argv = ["experiment", name, "--radius", "1", "--out", str(out)]
@@ -981,13 +985,10 @@ class TestQuasiflat:
         ],
     )
     def test_unverified_path_is_a_contradiction(self, monkeypatch, capsys, path):
-        import freefactor.experiments as experiments
-        from freefactor.cli import main
-
-        monkeypatch.setattr(experiments, "_AD_PATH", path)
+        monkeypatch.setattr(orbit, "_AD_PATH", path)
         with pytest.raises(InternalContradictionError):
             exp_quasiflat(1)
-        assert main(["experiment", "quasiflat", "--radius", "1"]) == 3
+        assert cli.main(["experiment", "quasiflat", "--radius", "1"]) == 3
         assert capsys.readouterr().err.startswith("internal error: ")
 
     def test_psi_path_is_read_off_psi(self, monkeypatch, capsys):
@@ -1001,7 +1002,7 @@ class TestQuasiflat:
         assert square.table == squared(psi.table)
         assert square.inverse_table == squared(psi.inverse_table)
         assert square.to_json_dict()["trace"] == 7
-        monkeypatch.setattr(experiments, "build_boundary_pA", lambda: square)
+        monkeypatch.setattr(orbit, "build_boundary_pA", lambda: square)
         with pytest.raises(InternalContradictionError, match="not a basis pair"):
             exp_quasiflat(1)
         assert cli.main(["experiment", "quasiflat", "--radius", "1"]) == 3
@@ -1015,10 +1016,25 @@ class TestGridFromEnds:
     def test_matches_materialising_oracle(self, radius_k):
         # |r| <= 12 reaches 75,025-letter words; a small radius_k shrinks
         # the windows to (2 radius_k + 1) |b| letters
-        values, sums = oracle_grid_values((-12, 12), radius_k)
-        assert grid_points((-12, 12), radius_k) == values
-        assert _homology_orbit(build_boundary_pA().homology, 12) == sums
-        assert _grid_values(1)[2] == boundary_word(2)
+        psi = build_boundary_pA()
+        values, sums = oracle_grid_values(psi, (-12, 12), radius_k)
+        assert grid_points(psi, (-12, 12), radius_k) == values
+        assert _homology_orbit(psi.homology, 12) == sums
+
+    @pytest.mark.parametrize("radius_k", [0, 1, 3, 6])
+    def test_psi_squared_matches_materialising_oracle(self, b2, radius_k):
+        # the grid is a function of the psi it is given: psi^2, from psi's
+        # images squared, passes every certificate, and |r| <= 4 reaches
+        # psi^8(x), 1,597 letters, past psi^2's first repeated key (r = 4)
+        psi = build_boundary_pA()
+        square = BoundaryAutomorphism(
+            *(psi_power(psi, W(g), power) for power in (2, -2) for g in ("x", "y"))
+        )
+        assert square.to_json_dict()["trace"] == 7
+        values, sums = oracle_grid_values(square, (-4, 4), radius_k)
+        assert grid_points(square, (-4, 4), radius_k) == values
+        assert _grid_values(square, b2, radius_k)[1] == 4
+        assert _homology_orbit(square.homology, 4) == sums
 
     def test_slopes_from_homology_match_the_counted_sums(self):
         sums = _homology_orbit(build_boundary_pA().homology, 64)
@@ -1029,7 +1045,8 @@ class TestGridFromEnds:
     @pytest.mark.parametrize("radius", [*range(1, 17), 32, 64])
     def test_matches_window_oracle(self, radius):
         for radius_r in ((-radius, radius), (0, radius)):
-            assert grid_points(radius_r, radius) == oracle_window_grid(radius_r, radius)[0]
+            points = grid_points(build_boundary_pA(), radius_r, radius)
+            assert points == oracle_window_grid(radius_r, radius)[0]
 
     def test_step_on_arbitrary_words(self, b2):
         # rows of reduced words that start or end in b^+-1 blocks, or are
@@ -1060,10 +1077,10 @@ class TestGridFromEnds:
             rows += 1
         assert rows > 200
 
-    def test_rows_are_shared_by_equal_ends(self):
+    def test_rows_are_shared_by_equal_ends(self, b2):
         # psi and psi^-1 are prolongable, so the windows of psi^r(x) stop
         # changing after a few steps, and so do the rows
-        row_of = _grid_values(64)[0]
+        row_of = _grid_values(build_boundary_pA(), b2, 64)[0]
         rows = {r: row_of(r) for r in range(-64, 65)}
         assert len({id(row) for row in rows.values()}) == 10
         assert rows[64] is rows[63] and rows[-64] is rows[-63]
@@ -1071,8 +1088,8 @@ class TestGridFromEnds:
     def test_unmet_premise_raises_and_never_extrapolates(self, monkeypatch, capsys, tmp_path):
         # end letters that break both step premises: g_k ending in b[-1]
         # stops the b side, g_k starting with b[0] the b^-1 side
-        bl = boundary_word(2).letters
-        value_from_ends, orbit_ends = experiments._cyclic_value_from_ends, _orbit_ends
+        psi, bl = build_boundary_pA(), boundary_word(2).letters
+        value_from_ends, orbit_ends = orbit._cyclic_value_from_ends, _orbit_ends
         windows, evaluated = [], {}
 
         def unmet(head, tail, bk, bk_inv, *rest):
@@ -1084,11 +1101,11 @@ class TestGridFromEnds:
             windows.append(window)
             return orbit_ends(images, window)
 
-        monkeypatch.setattr(experiments, "_cyclic_value_from_ends", unmet)
-        monkeypatch.setattr(experiments, "_orbit_ends", recorded)
+        monkeypatch.setattr(orbit, "_cyclic_value_from_ends", unmet)
+        monkeypatch.setattr(orbit, "_orbit_ends", recorded)
         # radius_k > 2: a row is not extended past |k| = 2 without the premise
         with pytest.raises(InternalContradictionError, match="no b-conjugation step"):
-            grid_points((-6, 6), 6)
+            grid_points(psi, (-6, 6), 6)
         # one window of 5 |b| letters for psi and one for psi^-1
         assert windows == [20, 20]
         assert all(ks <= set(range(-2, 3)) for ks in evaluated.values())
@@ -1103,62 +1120,53 @@ class TestGridFromEnds:
         # radius_k <= 2: every value is a window evaluation, and exact
         for radius_k in (0, 1, 2):
             evaluated.clear()
-            assert grid_points((-6, 6), radius_k) == oracle_window_grid((-6, 6), radius_k)[0]
+            points = grid_points(psi, (-6, 6), radius_k)
+            assert points == oracle_window_grid((-6, 6), radius_k)[0]
             assert evaluated and all(
                 ks == set(range(-radius_k, radius_k + 1)) for ks in evaluated.values()
             )
 
-    def test_substitutions(self, monkeypatch):
+    def test_substitutions(self, monkeypatch, b2):
         # _grid_values walks psi's substitutions as the tables that psi holds
         psi = build_boundary_pA()
         walked = []
-        orbit_ends = experiments._orbit_ends
+        orbit_ends = orbit._orbit_ends
 
         def recorded(images, window):
             walked.append(images)
             return orbit_ends(images, window)
 
-        monkeypatch.setattr(experiments, "_orbit_ends", recorded)
-        _grid_values(1)[0](-1)
+        monkeypatch.setattr(orbit, "_orbit_ends", recorded)
+        _grid_values(psi, b2, 1)[0](-1)
         assert walked == [psi.table, psi.inverse_table]
 
     @pytest.mark.parametrize("field", ["chain", "inverse_chain"])
-    def test_no_positive_alphabet_is_a_contradiction(
-        self, monkeypatch, capsys, tmp_path, field
-    ):
+    def test_no_positive_alphabet_is_a_contradiction(self, field):
         # ad_b psi fixes b and has trace 3, but neither it nor its inverse is
         # a positive substitution, so it cannot be built, in either direction,
-        # and no grid or report reads it
+        # and no grid reads it (the CLI runs of both directions are in
+        # test_bad_automorphism_raises_and_exits_3_without_a_report)
         images, match = BAD_BOUNDARY_AUTOMORPHISMS["ad_b-psi"]
         if field == "inverse_chain":
             images = images[2:] + images[:2]  # psi^-1 ad_b^-1 as the automorphism
-        monkeypatch.setattr(
-            experiments, "build_boundary_pA", lambda: BoundaryAutomorphism(*map(W, images))
-        )
+            assert (images, match) == BAD_BOUNDARY_AUTOMORPHISMS["ad_b-psi-inverse"]
         with pytest.raises(InternalContradictionError, match=match):
-            _grid_values(1)
-        for name in ("quasiflat", "twist-stability"):
-            out = tmp_path / f"{name}.json"
-            argv = ["experiment", name, "--radius", "1", "--out", str(out)]
-            assert cli.main(argv) == 3
-            captured = capsys.readouterr()
-            assert captured.out == "" and not out.exists()
-            assert "positive substitution" in captured.err
+            BoundaryAutomorphism(*map(W, images))
 
     def test_short_window_raises_and_never_guesses(self, monkeypatch, capsys, tmp_path):
         # every window shorter than (2K + 1)|b| = 52 either still decides
         # every value exactly or raises; a 1-letter window cannot hold the
         # |b| letters that the b-power test reads at k = 0, so it raises
-        orbit_ends = experiments._orbit_ends
-        expected = oracle_grid_values((-6, 6), 6)[0]
+        psi, orbit_ends = build_boundary_pA(), orbit._orbit_ends
+        expected = oracle_grid_values(psi, (-6, 6), 6)[0]
         raised = []
         for window in range(1, 53):
             def shrunk(images, _, window=window):
                 return orbit_ends(images, window)
 
-            monkeypatch.setattr(experiments, "_orbit_ends", shrunk)
+            monkeypatch.setattr(orbit, "_orbit_ends", shrunk)
             try:
-                points = grid_points((-6, 6), 6)
+                points = grid_points(psi, (-6, 6), 6)
             except InternalContradictionError as exc:
                 assert "cannot decide a grid value" in str(exc)
                 raised.append(window)
@@ -1166,7 +1174,7 @@ class TestGridFromEnds:
             assert points == expected, window
         assert 1 in raised
         monkeypatch.setattr(
-            experiments, "_orbit_ends", lambda images, _: orbit_ends(images, 1)
+            orbit, "_orbit_ends", lambda images, _: orbit_ends(images, 1)
         )
         for name in ("quasiflat", "twist-stability"):
             out = tmp_path / f"{name}.json"
@@ -1405,7 +1413,8 @@ class TestTwistStability:
     def test_supremum_matches_materialised_windows(self):
         # both oracles reach past the first repeated key, the materialising
         # one to 75,025-letter words, the window one to r = k = 40
-        materialised = largest_displacement(oracle_grid_values((0, 12), 12)[0])
+        psi = build_boundary_pA()
+        materialised = largest_displacement(oracle_grid_values(psi, (0, 12), 12)[0])
         windows = largest_displacement(oracle_window_grid((0, 40), 40)[0])
         for radius in range(1, 17):
             summary = exp_twist_stability(radius).summary
@@ -1450,7 +1459,7 @@ class TestTwistStability:
         # quasiflat walks psi and psi^-1 once each, to their first repeated
         # keys, at any radius; twist-stability walks psi only
         psi = build_boundary_pA()
-        orbit_ends, walks = experiments._orbit_ends, []
+        orbit_ends, walks = orbit._orbit_ends, []
 
         def recorded(table, window):
             keys, repeat = orbit_ends(table, window)
@@ -1459,7 +1468,7 @@ class TestTwistStability:
             assert len(keys) == first_repeated_key(oracle_orbit_ends(table, 0, window))
             return keys, repeat
 
-        monkeypatch.setattr(experiments, "_orbit_ends", recorded)
+        monkeypatch.setattr(orbit, "_orbit_ends", recorded)
         for radius in (1, 3, 6, 9, 64):
             walks.clear()
             exp_quasiflat(radius)
@@ -1473,13 +1482,13 @@ class TestTwistStability:
         # shift every value of the rows whose words outgrow the 20-letter
         # windows, first met at r = 5: the rows r <= radius of a small
         # radius do not show it, the certificate's rows do
-        value_from_ends = experiments._cyclic_value_from_ends
+        value_from_ends = orbit._cyclic_value_from_ends
 
         def shifted(head, tail, *rest):
             value, first, last = value_from_ends(head, tail, *rest)
             return value + (tail != ()), first, last
 
-        monkeypatch.setattr(experiments, "_cyclic_value_from_ends", shifted)
+        monkeypatch.setattr(orbit, "_cyclic_value_from_ends", shifted)
         for radius in (1, 2, 4, 5, 8):
             report = exp_twist_stability(radius)
             shown = max(t["displacement"] for t in report.trials)
@@ -1493,12 +1502,12 @@ class TestTwistStability:
         # the certificate's rows reach |k| = 3, so the step premise is
         # checked by |k| = 2 at every radius
         bl = boundary_word(2).letters
-        value_from_ends = experiments._cyclic_value_from_ends
+        value_from_ends = orbit._cyclic_value_from_ends
 
         def unmet(*args):
             return value_from_ends(*args)[0], bl[0], bl[-1]
 
-        monkeypatch.setattr(experiments, "_cyclic_value_from_ends", unmet)
+        monkeypatch.setattr(orbit, "_cyclic_value_from_ends", unmet)
         out = tmp_path / "twist.json"
         argv = ["experiment", "twist-stability", "--radius", str(radius), "--out", str(out)]
         assert cli.main(argv) == 3
@@ -1508,14 +1517,14 @@ class TestTwistStability:
 
     def test_each_row_evaluates_k0_once(self, monkeypatch):
         # both sides of a row start from one window evaluation at k = 0
-        value_from_ends = experiments._cyclic_value_from_ends
+        value_from_ends = orbit._cyclic_value_from_ends
         at_zero = Counter()
 
         def counted(head, tail, bk, *rest):
             at_zero[head, tail] += not bk
             return value_from_ends(head, tail, bk, *rest)
 
-        monkeypatch.setattr(experiments, "_cyclic_value_from_ends", counted)
+        monkeypatch.setattr(orbit, "_cyclic_value_from_ends", counted)
         for radius in (1, 3, 8):
             for experiment in (exp_twist_stability, exp_quasiflat):
                 at_zero.clear()
@@ -1524,7 +1533,8 @@ class TestTwistStability:
 
 
 def count_folds(monkeypatch, run) -> int:
-    """How many times ``run()`` calls ``factors.fold``, from a cold cache."""
+    """How many times ``run()`` calls ``factors.fold``: each factor that it
+    builds folds at most once, on its first ``graph`` read."""
     calls = []
     fold = factors.fold
 
@@ -1533,7 +1543,6 @@ def count_folds(monkeypatch, run) -> int:
         return fold(*args, **kwargs)
 
     monkeypatch.setattr(factors, "fold", counted)
-    factors._fold_cached.cache_clear()
     run()
     return len(calls)
 

@@ -28,7 +28,7 @@ from freefactor import (
     slope_of,
 )
 from freefactor import farey
-from freefactor.experiments import build_boundary_pA
+from freefactor.orbit import build_boundary_pA
 from freefactor.farey import exponent_sums
 from freefactor.farey_graph import _inverse_mod
 

@@ -18,9 +18,9 @@ from freefactor import (
     random_free_factor,
     random_word,
 )
-from freefactor.experiments import _random_deep_factor, boundary_word
+from freefactor.experiments import _random_deep_factor
 from freefactor.factors import _forced_stem
-from freefactor.words import _require_axis_word
+from freefactor.words import _require_axis_word, boundary_word
 
 from conftest import W, random_cyclically_reduced, reduced_loops
 

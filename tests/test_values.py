@@ -25,7 +25,7 @@ from freefactor import (
     minimize_cyclic_length,
     run_experiment,
 )
-from freefactor import experiments, factors, trees, whitehead, words
+from freefactor import experiments, factors, orbit, trees, whitehead, words
 
 from conftest import W
 
@@ -117,7 +117,7 @@ ORACLES = {
     factors.FactorInvariant: FactorInvariant,
     trees.AxisInterval: AxisInterval,
     experiments.ExperimentReport: ExperimentReport,
-    experiments.BoundaryAutomorphism: BoundaryAutomorphism,
+    orbit.BoundaryAutomorphism: BoundaryAutomorphism,
 }
 
 
@@ -180,11 +180,11 @@ def samples() -> dict:
             run_experiment("twist-stability", radius=3),
             run_experiment("quasiflat", radius=1),
         ],
-        experiments.BoundaryAutomorphism: [
+        orbit.BoundaryAutomorphism: [
             build_boundary_pA(),
             build_boundary_pA(),
             # psi^-1, with psi as its inverse
-            experiments.BoundaryAutomorphism(W("xxY"), W("yX"), W("xy"), W("yxy")),
+            orbit.BoundaryAutomorphism(W("xxY"), W("yX"), W("xy"), W("yxy")),
         ],
     }
 
@@ -287,9 +287,9 @@ def test_validators_still_run():
     with pytest.raises(DomainError):
         trees.AxisInterval(W("xy"), 2, 1)
     with pytest.raises(DomainError):
-        experiments.BoundaryAutomorphism(W("y"), W("x"), W("y"), W("x"))
+        orbit.BoundaryAutomorphism(W("y"), W("x"), W("y"), W("x"))
     for cls in (words.Word, whitehead.WhAutomorphism, factors.FreeFactorVertex,
-                trees.AxisInterval, experiments.BoundaryAutomorphism):
+                trees.AxisInterval, orbit.BoundaryAutomorphism):
         assert "__post_init__" in vars(cls)
 
 
@@ -302,7 +302,7 @@ def test_certificate_cut_vertex_after_a_copy():
 @pytest.mark.parametrize(
     "cls",
     [words.CyclicDecomposition, words.BReducedDecomposition, factors.FactorInvariant,
-     trees.AxisInterval, experiments.BoundaryAutomorphism],
+     trees.AxisInterval, orbit.BoundaryAutomorphism],
     ids=lambda cls: cls.__name__,
 )
 def test_shared_initializer_counts_arguments(cls):

@@ -26,7 +26,8 @@ from freefactor import (
     whitehead_graph,
 )
 from freefactor import whitehead
-from freefactor.experiments import boundary_word, build_boundary_pA
+from freefactor.orbit import build_boundary_pA
+from freefactor.words import boundary_word
 from freefactor.whitehead import (
     MinimizationCertificate,
     _edge_matrix,

@@ -371,6 +371,17 @@ class TestRandomWord:
         with pytest.raises(RankError):
             random_word(3, 1, 0)
 
+    @pytest.mark.parametrize("seed", [(1, 2), [1], {}])
+    def test_unreadable_seed(self, seed):
+        with pytest.raises(DomainError, match="seed must be None, an int.* or a random.Random"):
+            random_word(20, 4, seed)
+
+    @pytest.mark.parametrize("seed", [None, 7, 2.5, "seven", b"seven", bytearray(b"7")])
+    def test_readable_seed_seeds_a_stream(self, seed):
+        w = random_word(20, 4, seed)
+        if seed is not None:
+            assert w == random_word(20, 4, random.Random(seed))
+
 
 def oracle_format_word(w: Word) -> str:
     """The per-letter formatter that the letter table replaced."""
