@@ -14,12 +14,13 @@ them, by Whitehead's cut lemma (Lyndon-Schupp, *Combinatorial Group
 Theory*, I.4): the move (a, Z) changes the cyclic length by
 cap(A, A^c) - deg(a^-1) in the Whitehead graph, with
 A = (Z - {a}) | {a^-1}.  A is an a^-1 | a cut, so the best move for one
-multiplier a is a minimum a^-1 | a cut: one max-flow on 2N vertices
-(Roig-Ventura-Weil, "On the complexity of the Whitehead minimization
-problem", IJAC 2007).  One flow per generator x covers both multipliers
-x and x^-1: deg(x) = deg(x^-1), since both count the occurrences of
-x^+-1, and a minimum cut has the same value with its two ends swapped.
-So x and x^-1 score the same, and x, which comes first, is the one kept.
+multiplier a is a minimum a^-1 | a cut: one max-flow on the letters of
+the word (Roig-Ventura-Weil, "On the complexity of the Whitehead
+minimization problem", IJAC 2007).  One flow per generator x covers both
+multipliers x and x^-1: deg(x) = deg(x^-1), since both count the
+occurrences of x^+-1, and a minimum cut has the same value with its two
+ends swapped.  So x and x^-1 score the same, and x, which comes first, is
+the one kept.
 
 Ties go to the first move in the fixed order of
 ``enumerate_whitehead_automorphisms``: by multiplier, then by the bit mask
@@ -32,18 +33,24 @@ contained in every other.  Its mask is therefore a subset of every other
 minimum cut's mask, hence numerically the smallest.  A flow stops early
 once its value reaches deg(a^-1) + best - |w|, since from there its move
 cannot beat the best one found so far.  One descent step costs O(|w|) to
-build the graph and N small max-flows, each of at most deg(a^-1)
-augmenting paths; only the chosen move is applied.
+build the graph and one small max-flow per generator that the word uses,
+each of at most deg(a^-1) rounds; only the chosen move is applied.
 
-The Whitehead graph has one representation: the symmetric
-edge-multiplicity matrix over ``vertex_order``, as a tuple of int rows
-(``whitehead_graph``), which descent cuts and ``find_cut_vertex`` reads.
-Moves are addressed by their index in a fixed order, so a random move is
-drawn by unranking one random index (``_multiplier_move_at``,
-``_signed_permutation_at``) and no table of all moves is ever built.
+The Whitehead graph has one representation: a map from each letter of
+the cyclic core to its neighbour letters, each with its edge
+multiplicity (``whitehead_graph``), which descent cuts and
+``find_cut_vertex`` reads.  The letters of a generator that the word
+misses are isolated and are not keys, so building and cutting the graph
+costs no more at rank 10^6 than at rank 2; only an applied move, whose
+certificate prints the image of every generator, builds a table over the
+whole alphabet.  Moves are addressed by their index in a fixed order, so
+a random move is drawn by unranking one random index
+(``_multiplier_move_at``, ``_signed_permutation_at``) and no table of all
+moves is ever built.
 
 Everything here is pure over immutable inputs.  A move builds its
-letter-image table once, and the unrankers keep moves in bounded caches.
+letter-image table once, and the unrankers keep the moves of ranks 2-5 in
+bounded caches.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 
 from .errors import (
     DomainError,
@@ -79,40 +86,46 @@ def vertex_order(rank: int) -> tuple[int, ...]:
     return tuple(l for i in range(1, rank + 1) for l in (i, -i))
 
 
-def whitehead_graph(w: Word) -> tuple[tuple[int, ...], ...]:
-    """Edge-multiplicity matrix of the cyclic Whitehead graph of ``w``.
+def whitehead_graph(w: Word) -> dict[int, dict[int, int]]:
+    """The cyclic Whitehead graph of ``w``, on the letters it uses.
 
-    One edge {u, v^-1} per cyclic length-2 subword uv of the cyclic core;
-    rows and columns follow ``vertex_order``, and each row is a tuple of
-    ints.  The matrix is symmetric, so the edge count (the cyclic length)
-    is half the sum of all entries and the degree of a vertex is its row
-    sum.
+    One edge {u, v^-1} per cyclic length-2 subword uv of the cyclic core.
+    The graph maps each letter l with l or l^-1 in the core to its
+    neighbours, each with its edge multiplicity; no letter of a generator
+    that the core misses is a key, and no key maps to a zero.  It is
+    symmetric, so the edge count (the cyclic length) is half the sum of
+    all multiplicities and the degree of a letter is the sum of its row.
     """
     core = cyclic_reduce(w).core
     if core.is_identity():
         raise IdentityWordError("the word reduces to the identity")
-    return _edge_matrix(core)
+    return _letter_graph(core)
 
 
-def find_cut_vertex(edges: tuple[tuple[int, ...], ...]) -> int | None:
+def find_cut_vertex(edges: dict[int, dict[int, int]], rank: int) -> int | None:
     """Lowest vertex (in the fixed letter order) whose removal disconnects.
 
-    ``edges`` is a Whitehead graph as ``whitehead_graph`` returns it.
-    Returns None when no vertex removal disconnects the induced subgraph.
+    ``edges`` is a Whitehead graph as ``whitehead_graph`` returns it, of a
+    word of rank ``rank``: the graph lives on all 2*rank letters, and a
+    letter that is no key is isolated.  Returns None when no vertex
+    removal disconnects the induced subgraph.  When the word misses a
+    generator, its two letters are isolated, so removing letter 1 leaves
+    an isolated letter beside other vertices, a disconnected graph:
+    letter 1, the lowest vertex, is the answer with no search.
     """
-    n = len(edges)
-    adj = [[j for j, count in enumerate(row) if count] for row in edges]
-    for v in range(n):
-        start = 1 if v == 0 else 0
+    if len(edges) < 2 * rank:
+        return 1
+    for v in vertex_order(rank):
+        start = -1 if v == 1 else 1
         seen = {v, start}
         stack = [start]
         while stack:
-            for nb in adj[stack.pop()]:
+            for nb in edges[stack.pop()]:
                 if nb not in seen:
                     seen.add(nb)
                     stack.append(nb)
-        if len(seen) < n:
-            return vertex_order(n // 2)[v]
+        if len(seen) < len(edges):
+            return v
     return None
 
 
@@ -225,14 +238,30 @@ def _moves_per_multiplier(rank: int) -> int:
     return (1 << (2 * rank - 2)) - 1
 
 
-# Entries kept by each unranker's cache: every move at ranks 2-5 fits (at
-# rank 5, 2,550 multiplier moves and 3,840 signed permutations), so repeated
-# draws cost a lookup instead of building and validating an automorphism
-# and its table, and memory stays bounded at any rank.
+# Entries kept by each unranker's cache.  A rank's moves are cached only
+# where the cache holds every one of them, ranks 2-5 (at rank 5, 2,550
+# multiplier moves and 3,840 signed permutations; at rank 6, 12,276 and
+# 46,080), so repeated draws cost a lookup instead of building and
+# validating an automorphism and its table.  Above, each draw builds its
+# move, and the move and its rank-sized table die with their last holder.
 _UNRANK_CACHE = 4096
+_CACHED_RANK = 5
 
 
-@lru_cache(maxsize=_UNRANK_CACHE)
+def _cached_at_small_ranks(unrank):
+    """``unrank`` behind a cache at ranks up to ``_CACHED_RANK``."""
+    cached = lru_cache(maxsize=_UNRANK_CACHE)(unrank)
+
+    @wraps(unrank)
+    def at(rank: int, index: int) -> WhAutomorphism:
+        return (cached if rank <= _CACHED_RANK else unrank)(rank, index)
+
+    at.cache_info, at.cache_clear = cached.cache_info, cached.cache_clear
+    at.cache_parameters = cached.cache_parameters
+    return at
+
+
+@_cached_at_small_ranks
 def _multiplier_move_at(rank: int, index: int) -> WhAutomorphism:
     """The ``index``-th move of ``enumerate_whitehead_automorphisms(rank)``.
 
@@ -272,7 +301,7 @@ def enumerate_whitehead_automorphisms(rank: int) -> tuple[WhAutomorphism, ...]:
     return tuple(_multiplier_move_at(rank, k) for k in range(count))
 
 
-@lru_cache(maxsize=_UNRANK_CACHE)
+@_cached_at_small_ranks
 def _signed_permutation_at(rank: int, index: int) -> WhAutomorphism:
     """The ``index``-th of the rank! * 2^rank signed generator permutations.
 
@@ -291,28 +320,21 @@ def _signed_permutation_at(rank: int, index: int) -> WhAutomorphism:
     return WhAutomorphism.permutation_move(images, rank)
 
 
-@lru_cache(maxsize=_RANK_CACHE)
-def _columns(rank: int) -> dict[int, int]:
-    """Letter -> its column in ``vertex_order``: 2(|l| - 1) + [l < 0], so
-    the column of l^-1 is that of l xor 1."""
-    return {letter: col for col, letter in enumerate(vertex_order(rank))}
-
-
-def _edge_matrix(core: Word) -> tuple[tuple[int, ...], ...]:
-    """Symmetric edge-multiplicity matrix of the cyclic Whitehead graph,
-    rows and columns in ``vertex_order``, as a tuple of int rows.  The
-    distinct cyclic letter pairs are counted once each: at most (2N)^2 of
-    them, so the work per letter is one ``Counter`` step."""
-    n = 2 * core.rank
-    col = _columns(core.rank)
+def _letter_graph(core: Word) -> dict[int, dict[int, int]]:
+    """The Whitehead graph of a nontrivial cyclically reduced ``core``, as
+    ``whitehead_graph`` returns it.  The distinct cyclic letter pairs are
+    counted once each, so the work per letter is one ``Counter`` step."""
     ls = core.letters
-    rows = [[0] * n for _ in range(n)]
-    # the cyclic subword uv gives the edge {u, v^-1}
+    graph: dict[int, dict[int, int]] = {}
+    # the cyclic subword uv gives the edge {u, v^-1}; a cyclically reduced
+    # core has no subword u u^-1, so the graph has no loop
     for (u, v), count in Counter(zip(ls, ls[1:] + ls[:1])).items():
-        i, j = col[u], col[v] ^ 1
-        rows[i][j] += count
-        rows[j][i] += count
-    return tuple(map(tuple, rows))
+        v = -v
+        row = graph.setdefault(u, {})
+        row[v] = row.get(v, 0) + count
+        row = graph.setdefault(v, {})
+        row[u] = row.get(u, 0) + count
+    return graph
 
 
 class MinimizationCertificate(_Frozen):
@@ -334,7 +356,7 @@ class MinimizationCertificate(_Frozen):
         minimized: Word,
         chain: tuple[WhAutomorphism, ...],
         length_trace: tuple[int, ...],
-        edges: tuple[tuple[int, ...], ...],
+        edges: dict[int, dict[int, int]],
     ):
         object.__setattr__(self, "input", input)
         object.__setattr__(self, "minimized", minimized)
@@ -356,58 +378,76 @@ class MinimizationCertificate(_Frozen):
     @cached_property
     def cut_vertex(self) -> int | None:
         """Lowest cut vertex of the minimal word's Whitehead graph, if any."""
-        return find_cut_vertex(self.edges)
+        return find_cut_vertex(self.edges, self.input.rank)
 
 
 def _min_cut(
-    edges: tuple[tuple[int, ...], ...],
-    adj: list[list[int]],
-    source: int,
-    sink: int,
-    bound: int,
+    edges: dict[int, dict[int, int]], source: int, sink: int, bound: int
 ) -> tuple[int, list[int] | None]:
     """Maximum source-sink flow in the Whitehead graph, stopped at ``bound``.
 
     Each edge of multiplicity c carries up to c units either way.  From
-    zero flow, flow is pushed along shortest augmenting paths
-    (Edmonds-Karp), at most ``bound`` of them.  Returns the flow and, when
-    it stayed below ``bound``, the vertices reachable from ``source`` in
-    the residual graph: the inclusion-minimal source side of a minimum
-    cut, whose capacity is the flow.  Once the flow reaches ``bound`` the
-    side is None.
+    zero flow, each round grows a breadth-first tree of the residual graph
+    from ``source`` until it meets ``sink``, and pushes along its path to
+    each neighbour of ``sink`` in it, as much as the path and the arc into
+    ``sink`` still carry.  Until a push of the round is positive, the path
+    to the sink's parent keeps all it carried, so each round pushes at
+    least one unit and at most ``bound`` rounds run.  Returns the flow
+    and, when it stayed below ``bound``, the letters reachable from
+    ``source`` in the residual graph: the inclusion-minimal source side of
+    a minimum cut, whose capacity is the flow.  Once the flow reaches
+    ``bound`` the side is None.
+
+    Descent on the word's letters makes the moves that the edge matrix
+    over the whole alphabet made, by two facts.  First, a generator x
+    that the word misses has deg(x^-1) = 0, and as the best score never
+    exceeds |w|, its bound deg(x^-1) + best - |w| is at most 0: the
+    matrix descent skipped its flow, as the letter descent, which runs
+    one flow per generator of the word in ascending order, never starts
+    it.  Second, the result depends on the graph alone, not on the order
+    in which a search meets neighbours.  The flow is min(bound, max flow)
+    whichever paths carry it.  Let f be any maximum flow, S_f the set
+    reachable from ``source`` in its residual graph and (S, T) any
+    minimum cut.  As |f| = cap(S, T), f saturates every edge from S to T
+    and sends nothing back, so no residual arc leaves S and S_f lies in
+    S.  No residual arc leaves S_f either, and the sink is outside it, so
+    f saturates the edges out of S_f and cap(S_f) = |f|: S_f is itself a
+    minimum cut, the intersection of all of them, whichever f was found.
     """
-    residual = [list(row) for row in edges]
+    residual = {u: row.copy() for u, row in edges.items()}
     flow = 0
-    n = len(edges)
     while True:
-        parent = [-1] * n
-        parent[source] = source
+        # a breadth-first tree of the residual graph, grown until it meets
+        # the sink, which it never grows from
+        parent = {source: source}
         queue = [source]
         for u in queue:  # the queue grows while it is read
             row = residual[u]
-            for v in adj[u]:
-                if row[v] and parent[v] < 0:
+            for v in row:
+                if v not in parent and row[v]:
                     parent[v] = u
                     queue.append(v)
-            if parent[sink] >= 0:
+            if sink in parent:
                 break
         else:
             return flow, queue
-        push = bound - flow
-        v = sink
-        while v != source:
-            u = parent[v]
-            push = min(push, residual[u][v])
-            v = u
-        v = sink
-        while v != source:
-            u = parent[v]
-            residual[u][v] -= push
-            residual[v][u] += push
-            v = u
-        flow += push
-        if flow >= bound:
-            return flow, None
+        # augment along the tree path to each neighbour m of the sink
+        for m in residual[sink]:
+            if m not in parent:
+                continue
+            push, v, u = bound - flow, sink, m
+            while v != source:
+                if residual[u][v] < push:
+                    push = residual[u][v]
+                v, u = u, parent[u]
+            v, u = sink, m
+            while v != source:
+                residual[u][v] -= push
+                residual[v][u] += push
+                v, u = u, parent[u]
+            flow += push
+            if flow >= bound:
+                return flow, None
 
 
 def minimize_cyclic_length(w: Word) -> MinimizationCertificate:
@@ -419,35 +459,33 @@ def minimize_cyclic_length(w: Word) -> MinimizationCertificate:
     least minimum cut scores |w| + cut - deg(x^-1).  The first generator
     with the least score wins, which is the first minimal move in the
     fixed enumeration order, so the certificate is reproducible.  Only the
-    winning move is built and applied; an applied length that differs
-    from its score raises ``InternalContradictionError``.  Signed
-    permutations never change length and are not searched.
+    generators of the word are searched, in ascending order: the others
+    cannot shorten it (``_min_cut``).  Only the winning move is built and
+    applied; an applied length that differs from its score raises
+    ``InternalContradictionError``.  Signed permutations never change
+    length and are not searched.
     """
     if w.is_identity():
         raise IdentityWordError("cannot minimize the identity")
-    rank = w.rank
-    verts = vertex_order(rank)
     current = cyclic_reduce(w).core
     trace = [len(current)]
     chain: list[WhAutomorphism] = []
     while True:
-        edges = _edge_matrix(current)
+        edges = _letter_graph(current)
         length = len(current)
-        adj = [[j for j, count in enumerate(row) if count] for row in edges]
         best, best_side, a = length, None, None
-        for sink in range(0, 2 * rank, 2):
-            source = sink + 1
-            degree = sum(edges[source])
+        for x in sorted(x for x in edges if x > 0):
+            degree = sum(edges[-x].values())
             bound = degree + best - length
             if bound <= 0:
                 continue
-            cut, side = _min_cut(edges, adj, source, sink, bound)
+            cut, side = _min_cut(edges, -x, x, bound)
             if side is not None:
-                best, best_side, a = length + cut - degree, side, verts[sink]
+                best, best_side, a = length + cut - degree, side, x
         if best_side is None:
             break
-        zset = {a} | {verts[v] for v in best_side if verts[v] != -a}
-        move = WhAutomorphism.multiplier_move(a, zset, rank)
+        # the side holds a^-1 and never a: Z is a and the side's other letters
+        move = WhAutomorphism.multiplier_move(a, {a, *best_side} - {-a}, w.rank)
         current = cyclic_reduce(move(current)).core
         if len(current) != best:
             raise InternalContradictionError(

@@ -261,7 +261,7 @@ class TestClassifyWork:
         monkeypatch.setattr(wh, "minimize_cyclic_length", minimize)
         monkeypatch.setattr(freefactor.cli, "minimize_cyclic_length", minimize)
         monkeypatch.setattr(wh, "whitehead_graph", counting("graph", wh.whitehead_graph))
-        monkeypatch.setattr(wh, "_edge_matrix", counting("edges", wh._edge_matrix))
+        monkeypatch.setattr(wh, "_letter_graph", counting("edges", wh._letter_graph))
         for word, verdict in (("xyXY", "Filling"), ("xxy", "Primitive"),
                               ("xxx", "SimpleNonPrimitive")):
             counts.update(minimize=0, graph=0, edges=0)
@@ -318,6 +318,30 @@ class TestHighRanks:
         code, seconds, peak_mb = fields
         assert int(code) == 0 and json.loads(out.read_text())["violations"] == 0, child
         assert float(seconds) < 10 and float(peak_mb) < 200, child
+
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["minimize", "--n", "1000000", "x1"], "x1 (length 1, 0 moves)"),
+            (["classify", "--n", "100000", "x1"], "Primitive"),
+        ],
+    )
+    def test_huge_rank_under_an_address_limit(self, argv, expected):
+        # the Whitehead graph lives on the word's letters, so a one-letter
+        # word costs no rank-sized matrix; the child limits its own address
+        # space to 800 MB, under which the (2N)^2 edge matrix ended in a
+        # MemoryError traceback
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (800 * 2**20, 800 * 2**20))\n"
+            "from freefactor import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        done = fresh_python("-c", script, *argv)
+        child = f"exit {done.returncode}, stdout {done.stdout!r}, stderr {done.stderr!r}"
+        assert (done.returncode, done.stdout.strip()) == (0, expected), child
+        assert "Traceback" not in done.stderr, child
 
 
 class TestNoNumpy:

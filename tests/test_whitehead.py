@@ -1,8 +1,10 @@
 import functools
 import itertools
+import json
 import math
 import pickle
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from freefactor import (
     fold,
     is_primitive,
     minimize_cyclic_length,
+    parse_word,
     random_word,
     whitehead_graph,
 )
@@ -30,24 +33,45 @@ from freefactor.orbit import build_boundary_pA
 from freefactor.words import boundary_word
 from freefactor.whitehead import (
     MinimizationCertificate,
-    _edge_matrix,
     _multiplier_move_at,
     _random_multiplier_move,
     _signed_permutation_at,
     vertex_order,
 )
 
-from conftest import W, oracle_letter_image, psi_power
+from conftest import W, _peak_kb, fresh_python, oracle_letter_image, psi_power
 
 
 def graph_from_edges(rank, edges):
     """Whitehead graph matrix built by hand from a list of letter pairs."""
-    col = {v: i for i, v in enumerate(vertex_order(rank))}
+    col = oracle_columns(rank)
     g = [[0] * (2 * rank) for _ in range(2 * rank)]
     for u, v in edges:
         g[col[u]][col[v]] += 1
         g[col[v]][col[u]] += 1
     return tuple(map(tuple, g))
+
+
+def dense(graph, rank):
+    """A letter graph of ``whitehead_graph`` as the edge matrix it replaced:
+    rows and columns in ``vertex_order``, a tuple of int rows, and a zero
+    row for each letter that is no key."""
+    col = oracle_columns(rank)
+    rows = [[0] * (2 * rank) for _ in range(2 * rank)]
+    for u, row in graph.items():
+        for v, count in row.items():
+            rows[col[u]][col[v]] = count
+    return tuple(map(tuple, rows))
+
+
+def letter_graph(matrix):
+    """The letter graph of an edge matrix: the inverse of ``dense``."""
+    verts = vertex_order(len(matrix) // 2)
+    return {
+        verts[i]: {verts[j]: c for j, c in enumerate(row) if c}
+        for i, row in enumerate(matrix)
+        if any(row)
+    }
 
 
 def degree(g, v):
@@ -60,7 +84,9 @@ def edge_count(g):
 
 class TestWhiteheadGraph:
     def test_commutator_is_four_cycle(self, b2):
-        g = whitehead_graph(b2)
+        graph = whitehead_graph(b2)
+        assert graph == {1: {-2: 1, 2: 1}, -2: {1: 1, -1: 1}, -1: {-2: 1, 2: 1}, 2: {-1: 1, 1: 1}}
+        g = dense(graph, 2)
         # cycle x - y^-1 - x^-1 - y - x
         expected = graph_from_edges(2, ((1, -2), (-1, -2), (-1, 2), (1, 2)))
         assert g == expected
@@ -69,12 +95,29 @@ class TestWhiteheadGraph:
         assert all(degree(g, v) == 2 for v in vertex_order(2))
 
     def test_square_doubles_edge(self):
-        g = whitehead_graph(W("xx"))
+        graph = whitehead_graph(W("xx"))
+        # y is missing: its letters are no keys
+        assert graph == {1: {-1: 2}, -1: {1: 2}}
+        g = dense(graph, 2)
         assert g == graph_from_edges(2, ((1, -1), (1, -1)))
         assert degree(g, 2) == 0 and degree(g, -2) == 0
 
+    @pytest.mark.parametrize("rank", [2, 3, 5, 64])
+    def test_keys_are_the_letters_of_the_core(self, rank):
+        # each letter of the core and its inverse, each mapped to its
+        # neighbours with positive int multiplicities: no zero, no loop,
+        # and the graph is symmetric
+        for core in _random_cores(rank, 60, seed=700 + rank, lengths=(1, 30)):
+            graph = whitehead_graph(core)
+            assert set(graph) == {s * l for l in core.letters for s in (1, -1)}
+            for u, row in graph.items():
+                assert u not in row
+                assert all(type(c) is int and c > 0 and graph[v][u] == c for v, c in row.items())
+            assert dense(graph, rank) == oracle_edge_rows(core)
+            assert letter_graph(dense(graph, rank)) == graph
+
     def test_xy_disconnected(self):
-        g = whitehead_graph(W("xy"))
+        g = dense(whitehead_graph(W("xy")), 2)
         assert g == graph_from_edges(2, ((1, -2), (-1, 2)))
 
     def test_identity_rejected(self):
@@ -87,7 +130,7 @@ class TestWhiteheadGraph:
             w = random_word(rng.randint(1, 20), 3, rng)
             if cyclic_reduce(w).core.is_identity():
                 continue
-            g = whitehead_graph(w)
+            g = dense(whitehead_graph(w), 3)
             assert edge_count(g) == len(cyclic_reduce(w).core)
 
     def test_degree_counts_letter_occurrences(self):
@@ -97,7 +140,7 @@ class TestWhiteheadGraph:
             core = cyclic_reduce(w).core
             if core.is_identity():
                 continue
-            g = whitehead_graph(w)
+            g = dense(whitehead_graph(w), 2)
             for v in vertex_order(2):
                 occurrences = sum(1 for l in core.letters if l in (v, -v))
                 assert degree(g, v) == occurrences
@@ -105,19 +148,34 @@ class TestWhiteheadGraph:
 
 class TestCutVertex:
     def test_cycle_has_none(self, b2):
-        assert find_cut_vertex(whitehead_graph(b2)) is None
+        assert find_cut_vertex(whitehead_graph(b2), 2) is None
 
     def test_disconnected_has_one(self):
         # any disconnected graph on >= 3 vertices has a cut vertex
-        assert find_cut_vertex(whitehead_graph(W("xy"))) == 1
+        assert find_cut_vertex(whitehead_graph(W("xy")), 2) == 1
 
     def test_square_graph(self):
-        assert find_cut_vertex(whitehead_graph(W("xx"))) == 1
+        assert find_cut_vertex(whitehead_graph(W("xx")), 2) == 1
 
     def test_path_graph_interior(self):
         g = graph_from_edges(2, ((1, 2), (2, -1), (-1, -2)))  # path x-y-X-Y
-        v = find_cut_vertex(g)
+        v = find_cut_vertex(letter_graph(g), 2)
         assert v in (2, -1)  # an interior vertex
+        assert v == oracle_dense_cut_vertex(g)
+
+    @pytest.mark.parametrize("rank", [2, 3, 6, 64, 10**6])
+    def test_a_missing_generator_gives_letter_one(self, rank):
+        # the two letters of a missing generator are isolated, so removing
+        # letter 1 disconnects; the matrix search over all 2 * rank
+        # vertices, run where the matrix is small, agrees
+        words = [(1, 1), (2, 2, 2), (1, 2, -1, -2), (2, 2, -3, -2, 3)]
+        words = [Word(w, rank) for w in words if max(map(abs, w)) <= rank]
+        words = [w for w in words if len({abs(l) for l in w.letters}) < rank]
+        assert len(words) == (2 if rank == 2 else 4)
+        for word in words:
+            assert find_cut_vertex(whitehead_graph(word), rank) == 1
+            if rank <= 64:
+                assert oracle_dense_cut_vertex(oracle_edge_rows(word)) == 1
 
     @pytest.mark.parametrize("rank", [2, 3, 4, 5])
     def test_matches_edge_list_oracle(self, rank):
@@ -128,7 +186,8 @@ class TestCutVertex:
         for core in _random_cores(rank, 500, seed=50 + rank, lengths=(2, 20)):
             for word in (core, minimize_cyclic_length(core).minimized):
                 expected = oracle_find_cut_vertex(word)
-                assert find_cut_vertex(whitehead_graph(word)) == expected, word
+                assert find_cut_vertex(whitehead_graph(word), rank) == expected, word
+                assert oracle_dense_cut_vertex(oracle_edge_rows(word)) == expected, word
                 verdicts.add(expected)
         # no cut vertex, and a cut at the first vertex and at a later one
         assert {None, 1} < verdicts
@@ -169,6 +228,142 @@ def oracle_find_cut_vertex(w: Word) -> int | None:
         if len(seen) < len(rest):
             return v
     return None
+
+
+def oracle_columns(rank: int) -> dict[int, int]:
+    """Letter -> its column in ``vertex_order``: 2(|l| - 1) + [l < 0], so
+    the column of l^-1 is that of l xor 1."""
+    return {letter: col for col, letter in enumerate(vertex_order(rank))}
+
+
+# The dense descent below was the library's before the Whitehead graph
+# became a map on the word's own letters.  It builds the (2N)^2 edge
+# matrix over the whole alphabet and cuts it by column index; it stays
+# here as the oracle of the differential tests of ``TestDenseOracle``.
+
+
+def oracle_edge_rows(w: Word) -> tuple[tuple[int, ...], ...]:
+    """Symmetric edge-multiplicity matrix of the cyclic Whitehead graph,
+    rows and columns in ``vertex_order``, as a tuple of int rows."""
+    core = cyclic_reduce(w).core
+    n = 2 * core.rank
+    col = oracle_columns(core.rank)
+    ls = core.letters
+    rows = [[0] * n for _ in range(n)]
+    # the cyclic subword uv gives the edge {u, v^-1}
+    for (u, v), count in Counter(zip(ls, ls[1:] + ls[:1])).items():
+        i, j = col[u], col[v] ^ 1
+        rows[i][j] += count
+        rows[j][i] += count
+    return tuple(map(tuple, rows))
+
+
+def oracle_dense_cut_vertex(edges) -> int | None:
+    """Lowest vertex of the edge matrix ``edges`` whose removal
+    disconnects, searched over all 2N vertices."""
+    n = len(edges)
+    adj = [[j for j, count in enumerate(row) if count] for row in edges]
+    for v in range(n):
+        start = 1 if v == 0 else 0
+        seen = {v, start}
+        stack = [start]
+        while stack:
+            for nb in adj[stack.pop()]:
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        if len(seen) < n:
+            return vertex_order(n // 2)[v]
+    return None
+
+
+def oracle_dense_min_cut(edges, adj, source, sink, bound):
+    """Edmonds-Karp on the edge matrix by column index, stopped at
+    ``bound``: the flow, and the residual-reachable columns below it."""
+    residual = [list(row) for row in edges]
+    flow = 0
+    n = len(edges)
+    while True:
+        parent = [-1] * n
+        parent[source] = source
+        queue = [source]
+        for u in queue:  # the queue grows while it is read
+            row = residual[u]
+            for v in adj[u]:
+                if row[v] and parent[v] < 0:
+                    parent[v] = u
+                    queue.append(v)
+            if parent[sink] >= 0:
+                break
+        else:
+            return flow, queue
+        push = bound - flow
+        v = sink
+        while v != source:
+            u = parent[v]
+            push = min(push, residual[u][v])
+            v = u
+        v = sink
+        while v != source:
+            u = parent[v]
+            residual[u][v] -= push
+            residual[v][u] += push
+            v = u
+        flow += push
+        if flow >= bound:
+            return flow, None
+
+
+def oracle_dense_descent(w: Word):
+    """The dense descent: (certificate, edge matrix of the minimal word).
+
+    Every generator's flow runs on the 2N-column matrix, from column
+    2(x - 1) + 1 (x^-1) to column 2(x - 1) (x), and a column is turned
+    back into its letter through ``vertex_order``.  The certificate keeps
+    the letter graph of the minimal word, so that its ``cut_vertex`` reads
+    as the library's does; the matrix is returned beside it.
+    """
+    rank = w.rank
+    verts = vertex_order(rank)
+    current = cyclic_reduce(w).core
+    trace = [len(current)]
+    chain = []
+    while True:
+        edges = oracle_edge_rows(current)
+        length = len(current)
+        adj = [[j for j, count in enumerate(row) if count] for row in edges]
+        best, best_side, a = length, None, None
+        for sink in range(0, 2 * rank, 2):
+            source = sink + 1
+            degree = sum(edges[source])
+            bound = degree + best - length
+            if bound <= 0:
+                continue
+            cut, side = oracle_dense_min_cut(edges, adj, source, sink, bound)
+            if side is not None:
+                best, best_side, a = length + cut - degree, side, verts[sink]
+        if best_side is None:
+            break
+        zset = {a} | {verts[v] for v in best_side if verts[v] != -a}
+        move = WhAutomorphism.multiplier_move(a, zset, rank)
+        current = cyclic_reduce(move(current)).core
+        assert len(current) == best
+        chain.append(move)
+        trace.append(len(current))
+    minimized = cyclic_reduce(apply_automorphism(chain, w)).core
+    cert = MinimizationCertificate(
+        w, minimized, tuple(chain), tuple(trace), letter_graph(edges)
+    )
+    return cert, edges
+
+
+def oracle_dense_classify(w: Word) -> Classification:
+    cert, edges = oracle_dense_descent(w)
+    if len(cert.minimized) == 1:
+        return Classification.PRIMITIVE
+    if oracle_dense_cut_vertex(edges) is not None:
+        return Classification.SIMPLE_NON_PRIMITIVE
+    return Classification.FILLING
 
 
 def oracle_permutation_automorphisms(rank):
@@ -323,7 +518,12 @@ class TestBoundedCaches:
         import inspect
 
         caches = package_caches()
-        assert {"whitehead.vertex_order", "whitehead._columns", "cli.build_parser"} <= set(caches)
+        assert {
+            "whitehead.vertex_order",
+            "whitehead._multiplier_move_at",
+            "whitehead._signed_permutation_at",
+            "cli.build_parser",
+        } <= set(caches)
         unbounded = [
             name
             for name, cached in caches.items()
@@ -332,7 +532,7 @@ class TestBoundedCaches:
         ]
         assert unbounded == []
 
-    @pytest.mark.parametrize("cached", [vertex_order, whitehead._columns])
+    @pytest.mark.parametrize("cached", [vertex_order])
     def test_rank_caches_hold_at_most_their_bound(self, cached):
         cached.cache_clear()
         for rank in range(2, 1001):
@@ -346,7 +546,54 @@ class TestBoundedCaches:
                 cached(rank)
         assert cached.cache_info().misses == 29
         assert vertex_order(1000)[-2:] == (1000, -1000)
-        assert whitehead._columns(1000)[-1000] == 1999
+
+
+class TestMoveCaches:
+    """The unrankers cache a rank's moves only where the cache holds every
+    one of them, so a draw at a higher rank keeps no table alive."""
+
+    def test_cached_ranks_are_those_whose_moves_all_fit(self):
+        size, top = whitehead._UNRANK_CACHE, whitehead._CACHED_RANK
+        multipliers = [2 * r * whitehead._moves_per_multiplier(r) for r in (top, top + 1)]
+        permutations = [math.factorial(r) << r for r in (top, top + 1)]
+        assert multipliers == [2550, 12276] and permutations == [3840, 46080]
+        assert max(multipliers[0], permutations[0]) <= size < min(multipliers[1], permutations[1])
+
+    @pytest.mark.parametrize("unrank", [_multiplier_move_at, _signed_permutation_at])
+    def test_only_small_ranks_enter_the_cache(self, unrank):
+        unrank.cache_clear()
+        for rank in (2, 5):
+            assert unrank(rank, 7) is unrank(rank, 7)
+        assert unrank.cache_info().currsize == 2
+        for rank in (6, 200):
+            assert unrank(rank, 7) == unrank(rank, 7)
+            assert unrank(rank, 7) is not unrank(rank, 7)
+        info = unrank.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
+        unrank.cache_clear()
+
+    def test_high_rank_draws_die_with_their_holder(self):
+        # a fresh interpreter draws 10,000 multiplier moves at rank 200 and
+        # drops each; its own high-water RSS (VmHWM) rose by about 154 MB
+        # when the 4,096-entry cache kept every drawn move and its
+        # 401-entry table at any rank
+        script = (
+            "import random\n"
+            "from freefactor.whitehead import _random_multiplier_move\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return int(status.read().split('VmHWM:')[1].split()[0]) / 1024\n"
+            "start = peak()\n"
+            "rng = random.Random(1)\n"
+            "for _ in range(10000):\n"
+            "    _random_multiplier_move(rng, 200).table\n"
+            "print(peak() - start)\n"
+        )
+        if _peak_kb() is None:
+            pytest.skip("no /proc/self/status to read VmHWM from")
+        done = fresh_python("-c", script)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) < 20, done.stdout
 
 
 class TestAutomorphismValidation:
@@ -498,7 +745,7 @@ class TestClassify:
             for _ in range(10):
                 chain = [rng.choice(table) for _ in range(rng.randint(0, 4))]
                 image = apply_automorphism(chain, base)
-                assert find_cut_vertex(whitehead_graph(image)) is not None
+                assert find_cut_vertex(whitehead_graph(image), 2) is not None
 
     def test_minimizing_basis(self, b2):
         # the certificate's chain rewrites w in a basis minimizing its length
@@ -630,8 +877,8 @@ def oracle_minimize_cyclic_length(w: Word) -> MinimizationCertificate:
 
 
 def oracle_edge_matrix(core: Word) -> np.ndarray:
-    """The numpy edge matrix that ``_edge_matrix``'s count of letter pairs
-    replaced: letter l at column 2(|l| - 1) + [l < 0]."""
+    """The numpy edge matrix that ``oracle_edge_rows``' count of letter
+    pairs replaced: letter l at column 2(|l| - 1) + [l < 0]."""
     n = 2 * core.rank
     ls = np.array(core.letters)
     cols = 2 * (np.abs(ls) - 1) + (ls < 0)
@@ -696,7 +943,7 @@ def oracle_table_descent(w: Word) -> MinimizationCertificate:
     chain = []
     while True:
         edges = whitehead_graph(current)
-        scores = oracle_move_scores(edges)
+        scores = oracle_move_scores(dense(edges, w.rank))
         k = int(np.argmin(scores))
         if scores[k] >= len(current):
             break
@@ -764,6 +1011,8 @@ class TestMinCut:
         for _ in range(40):
             edges, source, sink = _random_multigraph(rng, n)
             adj = [[j for j, count in enumerate(row) if count] for row in edges]
+            # every vertex a key, an isolated one with no neighbour
+            graph = {u: {v: c for v, c in enumerate(row) if c} for u, row in enumerate(edges)}
             inner = [v for v in range(n) if v not in (source, sink)]
             cuts = {}
             for mask in range(1 << len(inner)):
@@ -772,7 +1021,9 @@ class TestMinCut:
             least = min(cuts.values())
             smallest = frozenset.intersection(*(s for s, c in cuts.items() if c == least))
             for bound in range(1, least + 3):
-                flow, side = whitehead._min_cut(edges, adj, source, sink, bound)
+                flow, side = whitehead._min_cut(graph, source, sink, bound)
+                dense_flow, dense_side = oracle_dense_min_cut(edges, adj, source, sink, bound)
+                assert flow == dense_flow and (side is None) == (dense_side is None)
                 if least >= bound:
                     assert (flow, side) == (bound, None), (edges, bound)
                 else:
@@ -786,7 +1037,7 @@ class TestCutScores:
         # the table oracle's cut-lemma scores are the applied lengths
         table = enumerate_whitehead_automorphisms(rank)
         for core in _random_cores(rank, count, seed=100 + rank):
-            scores = oracle_move_scores(whitehead_graph(core))
+            scores = oracle_move_scores(dense(whitehead_graph(core), rank))
             assert len(scores) == len(table)
             applied = [len(cyclic_reduce(phi(core)).core) for phi in table]
             assert scores.tolist() == applied, core
@@ -801,7 +1052,7 @@ class TestCutScores:
             # the graph kept from the last descent step is the minimal word's
             assert cert.edges == expected.edges
             assert cert.cut_vertex == expected.cut_vertex
-            scores = oracle_move_scores(whitehead_graph(w))
+            scores = oracle_move_scores(dense(whitehead_graph(w), rank))
             best = scores.min()
             ties += best < len(w) and int(np.sum(scores == best)) > 1
         # the first-in-enumeration-order tie-break was exercised
@@ -823,15 +1074,15 @@ class TestCutScores:
 
     @pytest.mark.parametrize("rank,count", [(2, 60), (3, 40), (4, 20), (5, 10), (6, 4)])
     def test_float_scores_match_integer_oracle(self, rank, count):
-        # the table oracle's float64 product is exact, and the library's
-        # edge matrix is the numpy one as int rows
+        # the table oracle's float64 product is exact, and the dense view
+        # of the library's letter graph is the numpy edge matrix as int rows
         rng = random.Random(300 + rank)
         words = [random_word(rng.randint(2, 40), rank, rng) for _ in range(count)]
         words = [w for w in words if not cyclic_reduce(w).core.is_identity()]
         for w in words:
             core = cyclic_reduce(w).core
-            edges = whitehead_graph(w)
-            assert edges == _edge_matrix(core)
+            edges = dense(whitehead_graph(w), rank)
+            assert edges == oracle_edge_rows(core)
             assert edges == tuple(map(tuple, oracle_edge_matrix(core).tolist()))
             scores = oracle_move_scores(edges)
             assert scores.dtype == np.int64
@@ -853,7 +1104,7 @@ class TestCutScores:
             assert cert.edges == expected.edges
             assert cert.cut_vertex == expected.cut_vertex
             longest = max(longest, len(cert.chain))
-            scores = oracle_move_scores(whitehead_graph(w))
+            scores = oracle_move_scores(dense(whitehead_graph(w), rank))
             best = scores.min()
             ties += best < len(w) and int(np.sum(scores == best)) > 1
         assert longest >= 3 and ties > 0
@@ -864,9 +1115,9 @@ class TestCutScores:
         calls = []
         original = whitehead._min_cut
 
-        def recording(edges, adj, source, sink, bound):
-            flow, side = original(edges, adj, source, sink, bound)
-            calls.append((edges, sink, bound, flow, side))
+        def recording(edges, source, sink, bound):
+            flow, side = original(edges, source, sink, bound)
+            calls.append((edges, source, sink, bound, flow, side))
             return flow, side
 
         monkeypatch.setattr(whitehead, "_min_cut", recording)
@@ -875,18 +1126,22 @@ class TestCutScores:
         assert any(side is None for *_, side in calls)
         assert any(side is not None for *_, side in calls)
         per = (1 << 6) - 1
-        for edges, sink, bound, flow, side in calls:
-            scores = oracle_move_scores(edges)[sink * per : (sink + 1) * per]
-            length, degree = sum(map(sum, edges)) // 2, sum(edges[sink + 1])
+        for edges, source, sink, bound, flow, side in calls:
+            # the flow runs from x^-1 to the generator x, whose block of
+            # moves starts at x's column 2(x - 1)
+            assert sink > 0 and source == -sink
+            col = 2 * (sink - 1)
+            scores = oracle_move_scores(dense(edges, 4))[col * per : (col + 1) * per]
+            length, degree = sum(map(sum, dense(edges, 4))) // 2, sum(edges[source].values())
             least = int(scores.min()) - length + degree  # the least cut
             if side is None:
                 assert flow == bound <= least
             else:
                 assert flow == least < bound
                 mask = int(np.argmin(scores)) + 1
-                others = [c for c in range(8) if c // 2 != sink // 2]
+                others = [l for l in vertex_order(4) if abs(l) != sink]
                 assert sorted(side) == sorted(
-                    [sink + 1] + [c for i, c in enumerate(others) if mask >> i & 1]
+                    [source] + [l for i, l in enumerate(others) if mask >> i & 1]
                 )
 
     @pytest.mark.parametrize("rank", [5, 6])
@@ -906,3 +1161,81 @@ class TestClassifyWithCertificate:
     def test_foreign_certificate_rejected(self, b2):
         with pytest.raises(DomainError):
             classify(W("xx"), minimize_cyclic_length(b2))
+
+
+def _words_missing_a_generator(rank, count, seed):
+    """Random cyclically reduced words on a random proper subset of the
+    generators, of at most six of them."""
+    rng = random.Random(seed)
+    words = []
+    while len(words) < count:
+        gens = rng.sample(range(1, rank + 1), rng.randint(1, min(rank - 1, 6)))
+        letters = []
+        for _ in range(rng.randint(2, 40)):
+            letter = rng.choice(gens) * rng.choice((1, -1))
+            if not letters or letters[-1] != -letter:
+                letters.append(letter)
+        core = cyclic_reduce(Word(tuple(letters), rank)).core
+        if not core.is_identity():
+            words.append(core)
+    return words
+
+
+def load_benchmark_runner(monkeypatch):
+    """``perfbench/run.py``, loaded from its file, unchanged."""
+    import importlib.util
+    from pathlib import Path
+
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestDenseOracle:
+    """The letter-graph descent against the dense matrix descent it
+    replaced: the certificate's JSON text, its chain, the verdict, the cut
+    vertex and the final graph are equal on every word."""
+
+    @staticmethod
+    def check(words, rank):
+        for w in words:
+            expected, matrix = oracle_dense_descent(w)
+            cert = minimize_cyclic_length(w)
+            assert json.dumps(cert.to_json_dict()) == json.dumps(expected.to_json_dict()), w
+            assert cert.chain == expected.chain
+            assert dense(cert.edges, rank) == matrix
+            assert cert.cut_vertex == oracle_dense_cut_vertex(matrix)
+            assert classify(w, cert) == oracle_dense_classify(w)
+
+    @pytest.mark.parametrize("rank", range(2, 9))
+    def test_random_and_moved_words(self, rank):
+        words = _random_cores(rank, 40, seed=800 + rank, lengths=(2, 40))
+        words += _moved_short_words(rank, 40, seed=900 + rank)
+        self.check(words, rank)
+
+    @pytest.mark.parametrize("rank", [6, 7, 8, 16, 64])
+    def test_words_that_miss_a_generator(self, rank):
+        words = _words_missing_a_generator(rank, 40, seed=1000 + rank)
+        self.check(words, rank)
+        assert all(cert.cut_vertex == 1 for cert in map(minimize_cyclic_length, words))
+
+    @pytest.mark.parametrize("rank,length", [(26, 20), (64, 20), (3, 200)])
+    def test_rank_curve_shapes(self, rank, length):
+        rng = random.Random(f"{rank}:{length}")
+        words = []
+        while len(words) < 30:
+            w = random_word(length, rank, rng)
+            if not cyclic_reduce(w).core.is_identity():
+                words.append(w)
+        self.check(words, rank)
+
+    def test_benchmark_words(self, monkeypatch):
+        run = load_benchmark_runner(monkeypatch)
+        for seed in (1, 2, 3):
+            ops = run.make_ops("word-descent", seed)["ops"]
+            assert len(ops) == 36
+            for op in ops:
+                self.check([parse_word(op["word"], op["rank"])], op["rank"])
