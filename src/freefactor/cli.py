@@ -275,6 +275,13 @@ def main(argv=None) -> int:
         where = exc.filename or "output"  # a failed write() names no file
         print(f"error: cannot write {where}: {exc.strerror}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # what the failed command held is freed by the time this runs
+        print(
+            "error: out of memory: the input needs more memory than is available",
+            file=sys.stderr,
+        )
+        return 1
 
 
 if __name__ == "__main__":

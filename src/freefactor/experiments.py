@@ -21,10 +21,12 @@ from .errors import (
     RankError,
 )
 from .factors import (
-    FreeFactorVertex,
+    _adjacent,
     _check_filling_minimal,
+    _describe,
     _factor_value,
-    af_adjacent,
+    _random_factor_letters,
+    _trial_factor,
     random_free_factor,
 )
 from .orbit import exp_quasiflat, exp_twist_stability
@@ -69,8 +71,17 @@ def _base_word(rank: int, b: Word | None) -> Word:
     return b
 
 
-def _random_edge_images(rng: random.Random, rank: int, b: Word) -> tuple[Word, ...]:
-    """Images of the basis x_1..x_N under a random automorphism theta.
+def _b_powers(b: Word) -> tuple[tuple[int, ...], ...]:
+    """The letters of b^0, b^1, b^2, b^-2 and b^-1, in that order, so that
+    ``powers[k]`` spells b^k for every k in -2..2."""
+    return tuple((b**k).letters for k in (0, 1, 2, -2, -1))
+
+
+def _random_edge_images(
+    rng: random.Random, rank: int, b_powers
+) -> tuple[tuple[int, ...], ...]:
+    """The letters of the images of the basis x_1..x_N under a random
+    automorphism theta, with b^k spelled ``b_powers[k]`` (``_b_powers``).
 
     theta mixes multiplier bursts with conjugations; conjugating by powers
     of b moves factors to varying depths, so the sampled edges exercise
@@ -82,8 +93,8 @@ def _random_edge_images(rng: random.Random, rank: int, b: Word) -> tuple[Word, .
     Draws are retried while the images exceed 110 letters in total; after
     40 tries theta is the identity.
 
-    The images are letter tuples until one Word is built for each returned
-    image.  Every draw is the one the sampler that stepped Words made, in
+    The images are letter tuples from draw to return, and no Word is
+    built.  Every draw is the one the sampler that stepped Words made, in
     the same order (a burst's moves are applied as they are drawn, and
     applying one draws nothing), so the stream is consumed call for call
     as then, the images are the same, and seeded reports are byte-identical.
@@ -95,7 +106,7 @@ def _random_edge_images(rng: random.Random, rank: int, b: Word) -> tuple[Word, .
             roll = rng.random()
             if roll < 0.65:
                 if roll < 0.45:
-                    w = (b ** rng.choice((-2, -1, 1, 2))).letters
+                    w = b_powers[rng.choice((-2, -1, 1, 2))]
                 else:
                     w = _random_letters(rng.randint(1, 3), rank, rng)
                 images = _conjugates(images, w)
@@ -104,10 +115,8 @@ def _random_edge_images(rng: random.Random, rank: int, b: Word) -> tuple[Word, .
                     table = _random_multiplier_move(rng, rank).table
                     images = tuple(_apply_table(table, u) for u in images)
         if sum(map(len, images)) <= 110:
-            break
-    else:
-        images = basis
-    return tuple(_trusted_word(u, rank) for u in images)
+            return images
+    return basis
 
 
 def _conjugates(images, w: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -130,13 +139,21 @@ def exp_lipschitz(
 
     Rank >= 3 samples nested pairs theta(<x_i>) < theta(<x_i, x_j>); rank 2
     samples basis pairs theta(x), theta(y).  The bound is 1 for rank >= 3
-    and 2 for rank 2.  Every sampled pair must pass ``af_adjacent``; one
-    that does not raises ``InternalContradictionError``.  The trial loop
-    reads values with ``_factor_value``, which builds no witness for a
-    cyclic factor; b is checked, and b^+-1 spelled, once before it.
+    and 2 for rank 2.  Every sampled pair must pass ``af_adjacent``'s edge
+    test (``factors._adjacent``); one that does not raises
+    ``InternalContradictionError``.
+
+    The images are drawn as letter tuples (``_random_edge_images``), and
+    a cyclic factor stays its generator's letters: it is edge-tested by
+    the letter body of ``is_basis_pair`` or ``_in_cyclic``, valued by
+    ``_cyclic_value`` and written by ``words._format_letters``.  Only the
+    two-generator side of a nested pair becomes a ``FreeFactorVertex``,
+    whose one fold serves both its edge test and its value.  b is
+    checked, and its powers spelled, once before the trial loop.
     """
     b = _base_word(rank, b)
-    bl, binv = b.letters, b.inverse().letters
+    b_powers = _b_powers(b)
+    bl, binv = b_powers[1], b_powers[-1]
     bound = 1 if rank >= 3 else 2
     report = ExperimentReport(
         "lipschitz",
@@ -150,18 +167,14 @@ def exp_lipschitz(
     max_delta = 0
     for i in range(trials):
         rng = _rng(seed, "lipschitz", i)
-        images = _random_edge_images(rng, rank, b)
+        images = _random_edge_images(rng, rank, b_powers)
         if rank == 2:
-            small, big = (1,), (2,)
+            fa, fb = images
         else:
-            i1, i2 = rng.sample(range(1, rank + 1), 2)
-            small = (min(i1, i2),)
-            big = tuple(sorted((i1, i2)))
-        fa, fb = (
-            FreeFactorVertex(tuple(images[s - 1] for s in subset), rank)
-            for subset in (small, big)
-        )
-        if not af_adjacent(fa, fb):
+            i1, i2 = sorted(rng.sample(range(1, rank + 1), 2))
+            fa = images[i1 - 1]
+            fb = _trial_factor((fa, images[i2 - 1]), rank)
+        if not _adjacent(fa, fb, rank):
             raise InternalContradictionError(
                 "the sampled factors are not adjacent in the free factor graph"
             )
@@ -173,8 +186,8 @@ def exp_lipschitz(
         report.violations += violation
         report.trials.append(
             {
-                "a": "|".join(fa.describe()),
-                "b_factor": "|".join(fb.describe()),
+                "a": _describe(fa, rank),
+                "b_factor": _describe(fb, rank),
                 "value_a": value_a,
                 "value_b": value_b,
                 "delta": delta,
@@ -307,11 +320,18 @@ def exp_basis_change(
     keeps b at minimal length (permutations/inversions plus chains checked
     length-neutral on b).  Reports the running maximum of the spread and
     whether it stabilizes: the maximum over all trials must equal the
-    maximum over the first min(100, trials).  The trial loop reads values
-    with ``_factor_value``, which builds no witness for a cyclic factor; b
-    and b_t are checked, and spelled both ways, once before it.
+    maximum over the first min(100, trials).
+
+    Each factor is drawn as letter tuples (``_random_deep_factor``) and
+    mapped to the second basis by one letter table.  A cyclic factor
+    stays its generator's letters, valued by ``_cyclic_value`` and
+    written by ``words._format_letters``; only a factor with two or more
+    generators becomes a ``FreeFactorVertex``, whose graph is searched.
+    b and b_t are checked, b's powers are spelled, and b_t is spelled both
+    ways, once before the trial loop.
     """
     b = _base_word(rank, b)
+    b_powers = _b_powers(b)
     basis_chain = _find_second_minimizing_basis(rank, b, seed)
     chain_inv = tuple(phi.inverse() for phi in reversed(basis_chain))
     # the second basis's letter images: each word below is one reduction
@@ -320,7 +340,7 @@ def exp_basis_change(
     if len(b_t) != len(b):
         raise PreconditionError("chain does not preserve the minimal length of b")
     _check_filling_minimal(b_t)
-    bl, binv = b.letters, b.inverse().letters
+    bl, binv = b_powers[1], b_powers[-1]
     bl_t, binv_t = b_t.letters, b_t.inverse().letters
     report = ExperimentReport(
         "basis-change",
@@ -338,10 +358,10 @@ def exp_basis_change(
     max_at_checkpoint = 0
     for i in range(trials):
         rng = _rng(seed, "basis-change", i)
-        factor = _random_deep_factor(rng, rank, b)
+        gens = _random_deep_factor(rng, rank, b_powers)
+        factor = _trial_factor(gens, rank)
         vs = _factor_value(factor, b, bl, binv)
-        gens_t = (_apply_table(table, g.letters) for g in factor.generators)
-        factor_t = FreeFactorVertex(tuple(_trusted_word(g, rank) for g in gens_t), rank)
+        factor_t = _trial_factor(tuple(_apply_table(table, g) for g in gens), rank)
         vt = _factor_value(factor_t, b_t, bl_t, binv_t)
         diff = abs(vs - vt)
         running_max = max(running_max, diff)
@@ -349,7 +369,7 @@ def exp_basis_change(
             max_at_checkpoint = running_max
         report.trials.append(
             {
-                "factor": "|".join(factor.describe()),
+                "factor": _describe(factor, rank),
                 "value_standard": vs,
                 "value_second": vt,
                 "diff": diff,
@@ -366,16 +386,27 @@ def exp_basis_change(
     return report
 
 
-def _random_deep_factor(rng: random.Random, rank: int, b: Word) -> FreeFactorVertex:
-    """Random free factor, conjugated to a random depth along b: by b^k w
-    for k in -2..2 and a random word w of at most 3 letters, drawn in that
-    order, on letter tuples."""
-    factor = random_free_factor(rank, rng.randint(1, rank - 1), rng.randint(0, 3), rng)
-    conj = _times(
-        (b ** rng.randint(-2, 2)).letters, _random_letters(rng.randint(0, 3), rank, rng)
+def _random_deep_factor(
+    rng: random.Random, rank: int, b_powers
+) -> tuple[tuple[int, ...], ...]:
+    """The generators' letters of a random free factor, conjugated to a
+    random depth along b: by b^k w for k in -2..2 and a random word w of
+    at most 3 letters, drawn in that order, with b^k spelled
+    ``b_powers[k]`` (``_b_powers``).
+
+    The factor's rank and chain length are drawn here, and its letters
+    come from ``factors._random_factor_letters``, the sampler that
+    ``random_free_factor`` wraps, so the stream is consumed draw for draw
+    as when this called ``random_free_factor``; no Word or
+    ``FreeFactorVertex`` is built.
+    """
+    gens = _random_factor_letters(
+        rng, rank, rng.randint(1, rank - 1), rng.randint(0, 3)
     )
-    gens = _conjugates([g.letters for g in factor.generators], conj)
-    return FreeFactorVertex(tuple(_trusted_word(g, rank) for g in gens), rank)
+    conj = _times(
+        b_powers[rng.randint(-2, 2)], _random_letters(rng.randint(0, 3), rank, rng)
+    )
+    return _conjugates(gens, conj)
 
 
 def _find_second_minimizing_basis(

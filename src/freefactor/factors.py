@@ -17,6 +17,12 @@ basis pair is decided by its commutator.  ``factor_invariant``, which also
 finds a witness, searches the folded core graph of every factor.  Deciding
 whether an arbitrary subgroup is a free factor is out of scope.
 
+The experiments' trial loops hold a cyclic factor as its generator's
+letter tuple and build a ``FreeFactorVertex`` only for a factor with two
+or more generators, whose graph they read (``_trial_factor``).  The
+private functions ``_contains``, ``_adjacent``, ``_factor_value`` and
+``_describe`` take a factor in either form.
+
 Folding mutates a private working graph and freezes it before returning;
 a factor keeps its own graph, so it is freed with the factor.  All public
 values are immutable, so concurrent use is safe after construction.
@@ -49,6 +55,7 @@ from .words import (
     _as_tuple,
     _b_exponent,
     _checked_int,
+    _format_letters,
     _peel,
     _random_stream,
     _times,
@@ -87,12 +94,16 @@ class CoreGraph:
         """True iff w spells a loop at the basepoint."""
         if w.rank != self.rank:
             raise RankError("word rank does not match graph rank")
+        return self._reads_loop(w.letters)
+
+    def _reads_loop(self, letters) -> bool:
+        """``contains`` on the letters of a word of the graph's rank."""
+        adj = self._adj
         cur = self.basepoint
-        for letter in w.letters:
-            nxt = self._adj[cur].get(letter)
-            if nxt is None:
+        for letter in letters:
+            cur = adj[cur].get(letter)
+            if cur is None:
                 return False
-            cur = nxt
         return cur == self.basepoint
 
     def to_dot(self) -> str:
@@ -113,19 +124,31 @@ class CoreGraph:
 def fold(generators, rank: int | None = None) -> CoreGraph:
     """Stallings folding of the wedge of generator loops.
 
-    Every vertex keeps a signed letter -> vertex dict.  Laying down the
-    generator loops, an edge whose slot is already taken by another vertex
-    pushes that pair onto a merge stack.  A merge unions the two vertices
-    (the basepoint always stays the root), moves the smaller dict into the
+    Every vertex keeps a signed letter -> vertex dict.  Each generator is
+    read forward from the basepoint along the edges already laid, as far
+    as they go, then backward into the basepoint from its last letter, no
+    further back than the forward read's stop.  Only the unread middle is
+    laid down, as a path of new vertices from the forward stop to the
+    backward one; each read stopped at an empty slot, so only the middle's
+    last slot can clash, when both stops are one vertex and the middle
+    starts with the inverse of its last letter.  A generator read whole
+    ends where its forward read stops, so that vertex and the backward
+    stop are one vertex of the folded graph.  Each such pair, and each
+    clash, goes on a merge stack.  A merge unions the two vertices (the
+    basepoint always stays the root), moves the smaller dict into the
     larger and pushes each slot that now clashes.  With reduced generators
-    no non-basepoint vertex ever has fewer than two distinct signed labels,
-    so the folded graph is already a core graph.  Vertices are then
-    renumbered canonically.
+    no non-basepoint vertex ever has fewer than two distinct signed
+    labels, so the folded graph is already a core graph.  Vertices are
+    then renumbered canonically.
 
-    Cost: for total generator length L, each merge removes a vertex and
-    moves at most 2 * rank slots, so folding takes O(rank * L) dict
-    operations plus one find per stack entry, amortized O(log L) with path
-    halving.  The renumbering is O(rank * V).
+    Cost: for total generator length L, the reads and the laying take
+    O(L) dict operations, and each merge removes a vertex and moves at
+    most 2 * rank slots, so folding takes O(rank * L) dict operations plus
+    one find per stack entry, amortized O(log L) with path halving.  A
+    letter read along a laid edge lays no vertex, so the merges that
+    laying it would have cost never happen: a generator that shares a
+    prefix or a suffix with those before it folds with few merges or
+    none.  The renumbering is O(rank * V).
     """
     gens = [g for g in generators if not g.is_identity()]
     if rank is None:
@@ -145,23 +168,39 @@ def fold(generators, rank: int | None = None) -> CoreGraph:
             v = parent[v]
         return v
 
+    # No vertex merges before every generator is read, so the reads walk
+    # the laid dicts as they are, with no find.
     for g in gens:
-        cur = 0
-        last = len(g.letters) - 1
-        for i, letter in enumerate(g.letters):
-            if i == last:
-                nxt = 0
-            else:
-                nxt = len(adj)
-                parent.append(nxt)
-                adj.append({})
-            other = adj[cur].setdefault(letter, nxt)
-            if other != nxt:
-                merges.append((other, nxt))
-            other = adj[nxt].setdefault(-letter, cur)
-            if other != cur:
-                merges.append((other, cur))
+        ls = g.letters
+        i, cur = 0, 0
+        for letter in ls:
+            nxt = adj[cur].get(letter)
+            if nxt is None:
+                break
+            i += 1
             cur = nxt
+        j, end = len(ls), 0
+        while j > i:
+            nxt = adj[end].get(-ls[j - 1])
+            if nxt is None:
+                break
+            j -= 1
+            end = nxt
+        if i == j:
+            if cur != end:
+                merges.append((cur, end))
+            continue
+        for letter in ls[i : j - 1]:
+            nxt = len(adj)
+            parent.append(nxt)
+            adj.append({-letter: cur})
+            adj[cur][letter] = nxt
+            cur = nxt
+        letter = ls[j - 1]
+        adj[cur][letter] = end
+        other = adj[end].setdefault(-letter, cur)
+        if other != cur:
+            merges.append((other, cur))
 
     while merges:
         u, v = merges.pop()
@@ -220,7 +259,11 @@ def is_basis_pair(u: Word, v: Word) -> bool:
     """
     if u.rank != 2 or v.rank != 2:
         raise RankError("basis-pair test is rank-2 only")
-    ul, vl = u.letters, v.letters
+    return _basis_pair(u.letters, v.letters)
+
+
+def _basis_pair(ul, vl) -> bool:
+    """``is_basis_pair`` on the letters of two words of rank 2."""
     ls = _times(_times(ul, vl), tuple(map(neg, reversed(_times(vl, ul)))))
     i = _peel(ls)
     return ls[i : len(ls) - i] in _BASIS_COMMUTATORS
@@ -271,8 +314,9 @@ def _cyclic_generator(a: FreeFactorVertex) -> Word | None:
     return gens[0] if len(gens) == 1 else None
 
 
-def _in_cyclic(g: Word, w: Word) -> bool:
-    """True iff w lies in <g>, for g nontrivial; nothing is folded.
+def _in_cyclic(gl, wl) -> bool:
+    """True iff the word w with letters ``wl`` lies in <g>, for g
+    nontrivial with letters ``gl``; nothing is folded.
 
     Write g = u c u^-1 and w = u' c' u'^-1 with the longest conjugators
     (``_peel``).  Each g^n = u c^n u^-1 (n != 0) is reduced as written and
@@ -280,10 +324,8 @@ def _in_cyclic(g: Word, w: Word) -> bool:
     unique, so a nontrivial w is a power of g iff u' = u and c' is c^m or
     (c^-1)^m for some m >= 1.
     """
-    wl = w.letters
     if not wl:
         return True
-    gl = g.letters
     i = _peel(gl)
     if _peel(wl) != i or wl[:i] != gl[:i]:
         return False
@@ -293,11 +335,22 @@ def _in_cyclic(g: Word, w: Word) -> bool:
     return not rest and core in (c * m, tuple(-l for l in reversed(c)) * m)
 
 
-def _contains(a: FreeFactorVertex, w: Word) -> bool:
-    """True iff w lies in a: the closed form for a cyclic factor, a walk
-    on the folded core graph for any other."""
-    g = _cyclic_generator(a)
-    return _in_cyclic(g, w) if g is not None else a.graph.contains(w)
+def _generator_letters(a) -> tuple[tuple[int, ...], ...]:
+    """The letters of each generator of a factor given as the private
+    functions below take it (see the module docstring)."""
+    return (a,) if type(a) is tuple else tuple(g.letters for g in a.generators)
+
+
+def _contains(a, wl) -> bool:
+    """True iff the word with letters ``wl`` lies in the factor a: the
+    closed form for a cyclic factor, a walk on the folded core graph for
+    any other."""
+    if type(a) is not tuple:
+        g = _cyclic_generator(a)
+        if g is None:
+            return a.graph._reads_loop(wl)
+        a = g.letters
+    return _in_cyclic(a, wl)
 
 
 def af_adjacent(a: FreeFactorVertex, b: FreeFactorVertex) -> bool:
@@ -312,12 +365,20 @@ def af_adjacent(a: FreeFactorVertex, b: FreeFactorVertex) -> bool:
     """
     if a.rank_ambient != b.rank_ambient:
         raise RankError("factors live in different ambient ranks")
-    if a.rank_ambient == 2:
-        if len(a.generators) != 1 or len(b.generators) != 1:
-            raise DomainError("rank-2 factors must be cyclic")
-        return is_basis_pair(a.generators[0], b.generators[0])
-    a_in_b = all(_contains(b, w) for w in a.generators)
-    b_in_a = all(_contains(a, w) for w in b.generators)
+    if a.rank_ambient == 2 and (len(a.generators) != 1 or len(b.generators) != 1):
+        raise DomainError("rank-2 factors must be cyclic")
+    return _adjacent(a, b, a.rank_ambient)
+
+
+def _adjacent(a, b, rank: int) -> bool:
+    """``af_adjacent`` past its checks, on two factors of rank ``rank``,
+    each a FreeFactorVertex or a cyclic factor's generator letters; at
+    rank 2 both are cyclic."""
+    gens_a, gens_b = _generator_letters(a), _generator_letters(b)
+    if rank == 2:
+        return _basis_pair(gens_a[0], gens_b[0])
+    a_in_b = all(_contains(b, w) for w in gens_a)
+    b_in_a = all(_contains(a, w) for w in gens_b)
     return a_in_b != b_in_a
 
 
@@ -327,27 +388,45 @@ def random_free_factor(
     """theta(<random standard subset>) for a random multiplier chain theta.
 
     ``seed`` is a ``random.Random`` or a seed of one (``_random_stream``).
-    The subset is one ``rng.sample`` and theta's moves are drawn in order,
-    as the sampler that applied theta to Words drew them; the generators
-    are then built on letter tuples, with no draw.  So the stream is
-    consumed call for call as then and the factor is the same, and every
-    seeded report that samples factors is byte-identical.
+    The arguments are checked here, and the generators' letters come from
+    ``_random_factor_letters``, the one factor sampler, which
+    ``experiments._random_deep_factor`` also calls; a Word is built for
+    each generator only to return the factor.
     """
     rank_ambient = _checked_int(rank_ambient, "ambient rank", 2, error=RankError)
     factor_rank = _checked_int(
         factor_rank, "factor rank", 1, rank_ambient - 1, error=RankError
     )
     chain_length = _checked_int(chain_length, "chain length", 0)
-    rng = _random_stream(seed)
-    subset = sorted(rng.sample(range(1, rank_ambient + 1), factor_rank))
-    moves = [_random_multiplier_move(rng, rank_ambient) for _ in range(chain_length)]
+    gens = _random_factor_letters(
+        _random_stream(seed), rank_ambient, factor_rank, chain_length
+    )
+    return FreeFactorVertex(
+        tuple(_trusted_word(g, rank_ambient) for g in gens), rank_ambient
+    )
+
+
+def _random_factor_letters(
+    rng, rank: int, factor_rank: int, chain_length: int
+) -> tuple[tuple[int, ...], ...]:
+    """The generators' letter tuples of ``random_free_factor``, for
+    checked arguments and a ``random.Random``.
+
+    The subset is one ``rng.sample`` and theta's moves are drawn in order,
+    as the sampler that applied theta to Words drew them; the images are
+    then read off the moves' letter tables, with no draw.  So the stream
+    is consumed call for call as then and the factor is the same, and
+    every seeded report that samples factors is byte-identical.
+    """
+    subset = sorted(rng.sample(range(1, rank + 1), factor_rank))
+    moves = [_random_multiplier_move(rng, rank) for _ in range(chain_length)]
     gens = []
     for s in subset:
         letters = (s,)
         for move in moves:
             letters = _apply_table(move.table, letters)
-        gens.append(_trusted_word(letters, rank_ambient))
-    return FreeFactorVertex(tuple(gens), rank_ambient)
+        gens.append(letters)
+    return tuple(gens)
 
 
 @lru_cache(maxsize=64)
@@ -505,14 +584,31 @@ def _cyclic_value(gl, bl, binv) -> int:
     return _b_exponent(gl, i, bl, binv)[0]
 
 
-def _factor_value(a: FreeFactorVertex, b: Word, bl, binv) -> int:
-    """``factor_invariant(a, b).value`` for b of a's rank, past
+def _factor_value(a, b: Word, bl, binv) -> int:
+    """``factor_invariant(a, b).value`` for a factor a of b's rank, a
+    FreeFactorVertex or a cyclic factor's generator letters, and b past
     ``_check_filling_minimal``, spelled ``bl`` (b^-1: ``binv``).  A cyclic
     factor's value comes off ``_cyclic_value`` with no graph searched."""
-    g = _cyclic_generator(a)
-    if g is None:
-        return factor_invariant(a, b).value
-    return _cyclic_value(g.letters, bl, binv)
+    if type(a) is not tuple:
+        g = _cyclic_generator(a)
+        if g is None:
+            return factor_invariant(a, b).value
+        a = g.letters
+    return _cyclic_value(a, bl, binv)
+
+
+def _trial_factor(gens, rank: int):
+    """The factor with generator letter tuples ``gens``, a basis of it of
+    rank ``rank``, as the private functions take it: the one generator's
+    letters for a cyclic factor, else a FreeFactorVertex."""
+    if len(gens) == 1:
+        return gens[0]
+    return FreeFactorVertex(tuple(_trusted_word(g, rank) for g in gens), rank)
+
+
+def _describe(a, rank: int) -> str:
+    """A factor's generators in ``format_word`` text, joined by "|"."""
+    return "|".join(_format_letters(g, rank) for g in _generator_letters(a))
 
 
 def _graph_invariant(graph: CoreGraph, b: Word) -> FactorInvariant:

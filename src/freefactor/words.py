@@ -287,13 +287,17 @@ def parse_word(text: str, rank: int) -> Word:
 
 def format_word(w: Word) -> str:
     """Canonical text of a word: compact for rank <= 26, tokens otherwise."""
-    if not w.letters:
+    return _format_letters(w.letters, w.rank)
+
+
+def _format_letters(letters: tuple[int, ...], rank: int) -> str:
+    """``format_word`` of the reduced word with these letters at this rank,
+    with no Word built: "1" for none, compact for rank <= 26, tokens above."""
+    if not letters:
         return "1"
-    if w.rank <= 26:
-        return "".join(map(_LETTER_TEXT.__getitem__, w.letters))
-    return " ".join(
-        ("x" if l > 0 else "X") + str(abs(l)) for l in w.letters
-    )
+    if rank <= 26:
+        return "".join(map(_LETTER_TEXT.__getitem__, letters))
+    return " ".join(("x" if l > 0 else "X") + str(abs(l)) for l in letters)
 
 
 class CyclicDecomposition(_Frozen):

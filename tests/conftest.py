@@ -23,6 +23,7 @@ from freefactor import (
     parse_word,
     random_word,
 )
+from freefactor.experiments import _b_powers, _random_deep_factor, _random_edge_images
 from freefactor.whitehead import _random_multiplier_move
 from freefactor.words import _apply_table
 
@@ -186,6 +187,23 @@ def oracle_random_free_factor(
     )
     gens = tuple(apply_automorphism(chain, Word((s,), rank_ambient)) for s in subset)
     return FreeFactorVertex(gens, rank_ambient)
+
+
+def edge_images(rng, rank: int, b: Word) -> tuple[Word, ...]:
+    """``experiments._random_edge_images`` with b's powers spelled for it,
+    each image's letters checked by ``Word``."""
+    images = _random_edge_images(rng, rank, _b_powers(b))
+    assert all(type(u) is tuple for u in images)
+    return tuple(Word(u, rank) for u in images)
+
+
+def deep_factor(rng, rank: int, b: Word) -> FreeFactorVertex:
+    """The factor whose generators ``experiments._random_deep_factor``
+    draws, with b's powers spelled for it, each generator's letters
+    checked by ``Word``."""
+    gens = _random_deep_factor(rng, rank, _b_powers(b))
+    assert all(type(g) is tuple for g in gens)
+    return FreeFactorVertex(tuple(Word(g, rank) for g in gens), rank)
 
 
 def random_element(factor, rng, max_syllables=4):

@@ -25,9 +25,8 @@ from freefactor import (
     random_word,
     run_experiment,
 )
-from freefactor.experiments import _random_deep_factor
 
-from conftest import oracle_quasiflat_pairs, random_element
+from conftest import deep_factor, oracle_quasiflat_pairs, random_element
 
 
 def _verdict(num: int, description: str, ok: bool, elapsed: float) -> None:
@@ -90,7 +89,7 @@ def test_criterion_04_exponent_spread_within_factor():
         b = boundary_word(rank)
         rng = random.Random(1000 + rank)
         for _ in range(500):
-            factor = _random_deep_factor(rng, rank, b)
+            factor = deep_factor(rng, rank, b)
             # exact exponent range over all of the factor; the minimum is
             # minus the invariant along b^-1
             hi = factor_invariant(factor, b).value

@@ -344,6 +344,35 @@ class TestHighRanks:
         assert "Traceback" not in done.stderr, child
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["boundary-length", "--n", "100000000000"],
+            ["lipschitz", "--n", "100000000", "--trials", "1"],
+            ["zero-fiber", "--k-lo", "-100000000000", "--k-hi", "100000000000"],
+            ["quasiflat", "--radius", "100000000"],
+            ["twist-stability", "--radius", "1000000000"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_out_of_memory_is_one_error_line(self, argv):
+        # each run needs far more than the 800 MB the child limits itself
+        # to; the MemoryError ends in one error line and exit 1, not a
+        # traceback
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (800 * 2**20, 800 * 2**20))\n"
+            "from freefactor import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        done = fresh_python("-c", script, "experiment", *argv)
+        child = f"exit {done.returncode}, stdout {done.stdout!r}, stderr {done.stderr!r}"
+        assert done.returncode == 1, child
+        assert "Traceback" not in done.stderr, child
+        assert done.stderr.startswith("error: out of memory"), child
+        assert len(done.stderr.splitlines()) == 1, child
+
+
 class TestNoNumpy:
     def test_commands_run_without_numpy(self, tmp_path):
         # a fresh interpreter: numpy loads only with the FareyGraph oracle,

@@ -41,7 +41,12 @@ from freefactor import (
 )
 from freefactor import cli, experiments, factors, orbit, words
 from freefactor import report as reports
-from freefactor.experiments import _random_deep_factor, _random_edge_images, _rng
+from freefactor.experiments import (
+    _b_powers,
+    _random_deep_factor,
+    _random_edge_images,
+    _rng,
+)
 from freefactor.orbit import (
     _cyclic_value_from_ends,
     _grid_row,
@@ -123,6 +128,16 @@ QUASIFLAT_SCHEMA_3_DIGESTS = [
     (6, "08cc987e297f99e306281064894aaa9400639e3a8a41cb5f117ca63bf4aad675"),
     (7, "f39d415690b73d8bb688e359753699c4ae9320dcb50a0138ce7a39730c733355"),
     (8, "ac4a4d29ad8b4458bfd38e156e658bb138ea394acb374a64bd6984d50ed57364"),
+]
+
+# sha256 of run_experiment(name, rank=rank, trials=trials, seed=1).to_json(),
+# schema_version 5, as (name, rank, trials, digest), recorded when the trial
+# loops still built a Word and a FreeFactorVertex for every factor.  Above
+# rank 26 format_word writes tokens, not letters, and no other pin reaches
+# those ranks.
+TOKEN_RANK_DIGESTS = [
+    ("basis-change", 28, 60, "80598eb9b66799d5d17a02ccc474f71a7ad1f44d8c395285e4dd11ba0fe80607"),
+    ("lipschitz", 30, 5, "8649a770ec54e0921644b0ff1aff416dae9cc42884535dfe1008cca98be5ccc4"),
 ]
 
 # sha256 of run_experiment("quasiflat", radius=r).to_json() for r = 1..8 at
@@ -768,11 +783,11 @@ class TestLipschitz:
 
         checked = []
 
-        def not_adjacent(fa, fb):
+        def not_adjacent(fa, fb, rank):
             checked.append((fa, fb))
             return False
 
-        monkeypatch.setattr(experiments, "af_adjacent", not_adjacent)
+        monkeypatch.setattr(experiments, "_adjacent", not_adjacent)
         with pytest.raises(InternalContradictionError):
             exp_lipschitz(rank, trials=3, seed=5)
         assert len(checked) == 1
@@ -786,14 +801,16 @@ class TestRandomEdgeImages:
         # follows is unchanged
         b = boundary_word(rank)
         basis = [Word((i,), rank) for i in range(1, rank + 1)]
+        b_powers = _b_powers(b)
         for i in range(500):
             rngs = [_rng(0, "lipschitz", i) for _ in range(3)]
-            images = _random_edge_images(rngs[0], rank, b)
+            letters = _random_edge_images(rngs[0], rank, b_powers)
+            assert all(type(u) is tuple for u in letters), i
+            images = tuple(Word(u, rank) for u in letters)  # each image checked
             chain = oracle_random_edge_chain(rngs[1], rank, b)
             assert images == tuple(apply_automorphism(chain, g) for g in basis), i
             assert images == oracle_random_edge_images(rngs[2], rank, b), i
             assert len({rng.getstate() for rng in rngs}) == 1, i
-            assert all(Word(u.letters, rank) == u for u in images)
 
     def test_fallback_is_the_basis(self):
         # every draw conjugates by a power of a 60-letter word, so all 40
@@ -804,7 +821,7 @@ class TestRandomEdgeImages:
 
         b = boundary_word(2) ** 15
         rng, oracle_rng, word_rng = Conjugating(1), Conjugating(1), Conjugating(1)
-        assert _random_edge_images(rng, 2, b) == (W("x"), W("y"))
+        assert _random_edge_images(rng, 2, _b_powers(b)) == ((1,), (2,))
         assert oracle_random_edge_chain(oracle_rng, 2, b) == ()
         assert oracle_random_edge_images(word_rng, 2, b) == (W("x"), W("y"))
         assert rng.getstate() == oracle_rng.getstate() == word_rng.getstate()
@@ -816,22 +833,30 @@ class TestRandomDeepFactor:
         # the same factor, and the stream left where the Word-level sampler
         # left it, so each basis-change trial is unchanged
         b = boundary_word(rank)
+        b_powers = _b_powers(b)
         for i in range(400):
             rng, oracle_rng = _rng(1, "basis-change", i), _rng(1, "basis-change", i)
-            factor = _random_deep_factor(rng, rank, b)
+            letters = _random_deep_factor(rng, rank, b_powers)
+            assert all(type(g) is tuple for g in letters), i
+            factor = FreeFactorVertex(tuple(Word(g, rank) for g in letters), rank)
             assert factor == oracle_random_deep_factor(oracle_rng, rank, b), i
             assert rng.getstate() == oracle_rng.getstate(), i
-            assert all(Word(g.letters, rank) == g for g in factor.generators)
 
-    def test_samples_through_random_free_factor(self, monkeypatch):
+    def test_samples_through_the_factor_letter_sampler(self, monkeypatch):
+        # the one letter sampler, once a trial, and no factor built by
+        # random_free_factor only to be unpacked
         calls = []
-        original = experiments.random_free_factor
+        original = experiments._random_factor_letters
 
         def spy(*args):
-            calls.append(args[:3])
+            calls.append(args[1:])
             return original(*args)
 
-        monkeypatch.setattr(experiments, "random_free_factor", spy)
+        def refuse(*args):
+            raise AssertionError("random_free_factor called")
+
+        monkeypatch.setattr(experiments, "_random_factor_letters", spy)
+        monkeypatch.setattr(experiments, "random_free_factor", refuse)
         exp_basis_change(3, trials=5, seed=1)
         assert len(calls) == 5
 
@@ -1676,6 +1701,14 @@ class TestReports:
     @pytest.mark.parametrize("radius,digest", QUASIFLAT_DIGESTS)
     def test_whole_quasiflat_report(self, radius, digest):
         assert sha256(run_experiment("quasiflat", radius=radius)) == digest
+
+    @pytest.mark.parametrize(
+        "name,rank,trials,digest",
+        [pytest.param(*pin, id=f"{pin[0]}-{pin[1]}") for pin in TOKEN_RANK_DIGESTS],
+    )
+    def test_same_bytes_above_rank_26(self, name, rank, trials, digest):
+        text = run_experiment(name, rank=rank, trials=trials, seed=1).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_unknown_experiment(self):
         from freefactor import DomainError

@@ -28,16 +28,14 @@ from freefactor import (
     random_free_factor,
     random_word,
 )
-from freefactor.experiments import (
-    _find_second_minimizing_basis,
-    _random_deep_factor,
-    _random_edge_images,
-)
+from freefactor.experiments import _find_second_minimizing_basis
 from freefactor.factors import (
     _BASIS_COMMUTATORS,
+    _adjacent,
     _cyclic_value,
     _factor_value,
     _in_cyclic,
+    _random_factor_letters,
 )
 from freefactor.words import GENERATOR_CHARS, _b_exponent, _peel
 from freefactor.whitehead import vertex_order
@@ -47,6 +45,8 @@ from freefactor import factors
 from conftest import (
     W,
     _peak_kb,
+    deep_factor,
+    edge_images,
     fresh_python,
     oracle_random_free_factor,
     psi_power,
@@ -154,8 +154,8 @@ def oracle_to_dot(graph) -> str:
     return "\n".join(lines)
 
 
-def oracle_fold(generators, rank=None):
-    """The fixpoint fold that fold replaced, kept as the reference.
+def oracle_fixpoint_fold(generators, rank=None):
+    """The fixpoint fold that oracle_fold replaced, kept as the reference.
 
     Repeatedly merges endpoints of equal-label edges sharing a source or a
     target, then trims non-basepoint degree-1 vertices and renumbers
@@ -261,6 +261,86 @@ def oracle_fold(generators, rank=None):
     return CoreGraph(rank, new_adj)
 
 
+def oracle_fold(generators, rank=None):
+    """The lay-then-merge fold that fold's read-then-merge replaced, kept
+    as the reference.
+
+    Lays every generator loop down letter by letter; an edge whose slot
+    is already taken by another vertex pushes that pair onto a merge
+    stack, and the merges then run as in fold.  Vertices are renumbered
+    canonically, as in fold.
+    """
+    gens = [g for g in generators if not g.is_identity()]
+    if rank is None:
+        if not generators:
+            raise DomainError("cannot infer rank from an empty generator list")
+        rank = generators[0].rank
+    if any(g.rank != rank for g in gens):
+        raise RankError("generators have mismatched ranks")
+
+    parent: list[int] = [0]
+    adj: list[dict[int, int]] = [{}]
+    merges: list[tuple[int, int]] = []
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for g in gens:
+        cur = 0
+        last = len(g.letters) - 1
+        for i, letter in enumerate(g.letters):
+            if i == last:
+                nxt = 0
+            else:
+                nxt = len(adj)
+                parent.append(nxt)
+                adj.append({})
+            other = adj[cur].setdefault(letter, nxt)
+            if other != nxt:
+                merges.append((other, nxt))
+            other = adj[nxt].setdefault(-letter, cur)
+            if other != cur:
+                merges.append((other, cur))
+            cur = nxt
+
+    while merges:
+        u, v = merges.pop()
+        u, v = find(u), find(v)
+        if u == v:
+            continue
+        if v == 0 or (u != 0 and len(adj[u]) < len(adj[v])):
+            u, v = v, u
+        parent[v] = u
+        keep = adj[u]
+        for letter, w in adj[v].items():
+            other = keep.setdefault(letter, w)
+            if other != w:
+                merges.append((other, w))
+        adj[v] = {}
+
+    letter_order = vertex_order(rank)
+    order = {0: 0}
+    queue = deque([0])
+    new_adj: dict[int, dict[int, int]] = {}
+    while queue:
+        cur = queue.popleft()
+        nbrs = new_adj[order[cur]] = {}
+        slots = adj[cur]
+        for letter in letter_order:
+            nxt = slots.get(letter)
+            if nxt is None:
+                continue
+            nxt = find(nxt)
+            if nxt not in order:
+                order[nxt] = len(order)
+                queue.append(nxt)
+            nbrs[letter] = order[nxt]
+    return CoreGraph(rank, new_adj)
+
+
 def adjacency_lists(graph):
     """The graph's adjacency with vertex and per-vertex letter order kept."""
     return [(u, list(nbrs.items())) for u, nbrs in graph._adj.items()]
@@ -302,7 +382,8 @@ class TestFoldOracle:
         for _ in range(count):
             gens = random_generators(rng, rank)
             graph = fold(gens, rank)
-            assert adjacency_lists(graph) == adjacency_lists(oracle_fold(gens, rank)), gens
+            expected = oracle_fixpoint_fold(gens, rank)
+            assert adjacency_lists(graph) == adjacency_lists(expected), gens
             assert_core(graph)
 
     def test_orbit_grid_generators(self):
@@ -314,14 +395,15 @@ class TestFoldOracle:
                 for k in range(-6, 7):
                     gen = (b**k) * w * (b**-k)
                     graph = fold([gen], 2)
-                    assert adjacency_lists(graph) == adjacency_lists(oracle_fold([gen], 2))
+                    expected = oracle_fixpoint_fold([gen], 2)
+                    assert adjacency_lists(graph) == adjacency_lists(expected)
                     assert_core(graph)
                 w = psi_power(psi, w, sign)
 
     def test_empty_and_identity(self):
         for gens in ([], [Word.identity(3)]):
             graph = fold(gens, 3)
-            assert graph._adj == oracle_fold(gens, 3)._adj == {0: {}}
+            assert graph._adj == oracle_fixpoint_fold(gens, 3)._adj == {0: {}}
 
     def test_long_conjugate_cascade(self):
         # |u| folds cascade from the basepoint; rescanning every edge after
@@ -333,6 +415,80 @@ class TestFoldOracle:
         assert (graph.num_vertices, graph.num_edges) == (len(u) + 1, len(u) + 1)
         assert graph.contains(u * W("xxx") * u.inverse())
         assert not graph.contains(u * W("y") * u.inverse())
+
+
+def read_then_merge_cases(rng, rank):
+    """A generator list for the read-then-merge fold: random_generators'
+    words, with repeated generators, inverses of earlier ones and the
+    identity mixed in, and at times the whole set conjugated by one word,
+    so that later generators read far along the edges earlier ones laid."""
+    gens = random_generators(rng, rank)
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.random()
+        if kind < 0.35:
+            gens.append(rng.choice(gens))
+        elif kind < 0.7:
+            gens.append(rng.choice(gens).inverse())
+        elif kind < 0.85:
+            gens.append(Word.identity(rank))
+        else:
+            gens.append(rng.choice(gens) * random_word(rng.randint(1, 3), rank, rng))
+    if rng.random() < 0.4:
+        u = random_word(rng.randint(1, 6), rank, rng)
+        gens = [g.conjugated_by(u) for g in gens]
+    rng.shuffle(gens)
+    return gens
+
+
+class TestReadThenMergeFold:
+    """fold reads each generator along the edges already laid before it
+    lays anything; oracle_fold, which lays every letter, is the reference,
+    and the two graphs must be identical, vertex and letter order too."""
+
+    @pytest.mark.parametrize("rank,count", [(2, 8000), (3, 7000), (4, 5000)])
+    def test_matches_lay_then_merge(self, rank, count):
+        rng = random.Random(4400 + rank)
+        kinds = {"repeat": 0, "inverse": 0, "identity": 0}
+        for _ in range(count):
+            gens = read_then_merge_cases(rng, rank)
+            graph = fold(gens, rank)
+            assert adjacency_lists(graph) == adjacency_lists(oracle_fold(gens, rank)), gens
+            assert_core(graph)
+            letters = [g.letters for g in gens]
+            kinds["repeat"] += len(set(letters)) < len(letters)
+            kinds["inverse"] += any(g.inverse().letters in letters for g in gens)
+            kinds["identity"] += () in letters
+        assert min(kinds.values()) >= count // 10, kinds
+
+    def test_sampled_factor_edges(self):
+        # the two-generator factors that lipschitz folds at rank 3, and the
+        # basis-change factors at ranks 3 and 4
+        for rank in (3, 4):
+            rng = random.Random(4500 + rank)
+            b = boundary_word(rank)
+            for _ in range(400):
+                gens = list(edge_images(rng, rank, b))
+                subgroups = [rng.sample(gens, 2), deep_factor(rng, rank, b).generators]
+                for sub in subgroups:
+                    assert adjacency_lists(fold(sub, rank)) == adjacency_lists(
+                        oracle_fold(sub, rank)
+                    ), sub
+
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            ["xyX"],  # the middle starts with the inverse of its last letter
+            ["x", "xx"],  # read whole: the stop is the basepoint
+            ["xy", "xyxy"],  # read whole, ending off the basepoint
+            ["xyX", "xyyX"],  # conjugates share a prefix and a suffix
+            ["xy", "YX"],  # a generator and its inverse
+            ["xyz", "zyx", "xzY"],
+        ],
+    )
+    def test_small_cases(self, texts):
+        gens = [W(t, 3) for t in texts]
+        assert adjacency_lists(fold(gens, 3)) == adjacency_lists(oracle_fold(gens, 3))
+        assert adjacency_lists(fold(gens, 3)) == adjacency_lists(oracle_fixpoint_fold(gens, 3))
 
 
 class TestContains:
@@ -533,7 +689,7 @@ class TestAdjacency:
         b = boundary_word(rank)
         adjacent = 0
         for _ in range(1000):
-            images = _random_edge_images(rng, rank, b)
+            images = edge_images(rng, rank, b)
             ti, tj = rng.sample(images, 2)
             small = FreeFactorVertex((ti,), rank)
             big = FreeFactorVertex((ti, tj), rank)
@@ -542,6 +698,11 @@ class TestAdjacency:
             for a, c in ((small, big), (big, small), (small, other), (square, small)):
                 expected = oracle_af_adjacent(a, c)
                 assert af_adjacent(a, c) == expected, (a.describe(), c.describe())
+                # a cyclic factor as the trial loops hold it: its letters
+                a_held, c_held = (
+                    f.generators[0].letters if len(f.generators) == 1 else f for f in (a, c)
+                )
+                assert _adjacent(a_held, c_held, rank) == expected, (a.describe(), c.describe())
                 adjacent += expected
         assert adjacent == 3 * 1000
 
@@ -575,7 +736,7 @@ class TestCyclicMembership:
                 graph = fold([g], rank)
                 for w in candidates:
                     expected = graph.contains(w)
-                    assert _in_cyclic(g, w) == expected, (g, w)
+                    assert _in_cyclic(g.letters, w.letters) == expected, (g, w)
                     members += expected
                     non_members += not expected
         assert members >= 7 * 4 * 600 and non_members >= 2 * 4 * 600
@@ -611,6 +772,19 @@ class TestRandomFreeFactor:
             assert factor == expected, seed
             assert rng.getstate() == oracle_rng.getstate(), seed
             assert all(Word(g.letters, rank) == g for g in factor.generators)
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_wraps_the_letter_sampler(self, rank):
+        # the letters, and the stream left where the one letter sampler,
+        # which experiments._random_deep_factor also calls, leaves it
+        for seed in range(200):
+            rng, letter_rng = random.Random(seed), random.Random(seed)
+            factor_rank, chain_length = 1 + seed % (rank - 1), seed % 6
+            factor = random_free_factor(rank, factor_rank, chain_length, rng)
+            letters = _random_factor_letters(letter_rng, rank, factor_rank, chain_length)
+            assert all(type(g) is tuple for g in letters)
+            assert tuple(g.letters for g in factor.generators) == letters, seed
+            assert rng.getstate() == letter_rng.getstate(), seed
 
     def test_negative_chain_length(self):
         # range(-2) is empty: this once returned an untransformed factor
@@ -734,7 +908,7 @@ def oracle_factor_invariant(a, b, sample_budget=150):
 def deep_factors(rank, count, seed):
     b = boundary_word(rank)
     rng = random.Random(seed)
-    return b, [_random_deep_factor(rng, rank, b) for _ in range(count)]
+    return b, [deep_factor(rng, rank, b) for _ in range(count)]
 
 
 class TestFactorInvariant:
@@ -847,7 +1021,7 @@ class TestExponentSpread:
         b = boundary_word(rank)
         rng = random.Random(rank * 13)
         for _ in range(150):
-            factor = _random_deep_factor(rng, rank, b)
+            factor = deep_factor(rng, rank, b)
             lo, hi = exponent_range(factor, b)
             assert hi - lo <= 1, factor.describe()
             for a in (random_element(factor, rng), random_element(factor, rng)):
@@ -1006,6 +1180,10 @@ def assert_values_match(factor, b):
     entry = value_outcome(lambda: _factor_value(factor, b, bl, binv))
     oracle = value_outcome(lambda: factor_invariant(factor, b).value)
     assert entry == oracle, (factor.describe(), format_word(b))
+    if len(factor.generators) == 1:
+        # a cyclic factor as the trial loops hold it: its letters
+        held = factor.generators[0].letters
+        assert value_outcome(lambda: _factor_value(held, b, bl, binv)) == oracle
     return entry
 
 
@@ -1032,12 +1210,12 @@ class TestFactorValue:
             b = boundary_word(rank)
             factors = []
             for _ in range(250):  # the lipschitz sampler's pairs
-                images = _random_edge_images(rng, rank, b)
+                images = edge_images(rng, rank, b)
                 ti, tj = images[:2] if rank == 2 else rng.sample(images, 2)
                 pairs = ((ti,), (tj,)) if rank == 2 else ((ti,), (ti, tj))
                 factors += [FreeFactorVertex(gens, rank) for gens in pairs]
             if rank <= 4:  # the basis-change sampler's factors
-                factors += [_random_deep_factor(rng, rank, b) for _ in range(250)]
+                factors += [deep_factor(rng, rank, b) for _ in range(250)]
             for factor, base in self.both_bases(rank, b, factors):
                 values.add(assert_values_match(factor, base))
                 cyclic += len(factor.generators) == 1

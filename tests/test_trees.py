@@ -18,11 +18,10 @@ from freefactor import (
     random_free_factor,
     random_word,
 )
-from freefactor.experiments import _random_deep_factor
 from freefactor.factors import _forced_stem
 from freefactor.words import _require_axis_word, boundary_word
 
-from conftest import W, random_cyclically_reduced, reduced_loops
+from conftest import W, deep_factor, random_cyclically_reduced, reduced_loops
 
 
 class TestProjection:
@@ -337,7 +336,7 @@ class TestSubtreeOverlap:
     def test_oracle_hull_within_exact(self, rank):
         b = boundary_word(rank)
         rng = random.Random(40 + rank)
-        subgroups = [_random_deep_factor(rng, rank, b).generators for _ in range(150)]
+        subgroups = [deep_factor(rng, rank, b).generators for _ in range(150)]
         subgroups += [
             [random_word(rng.randint(1, 8), rank, rng) for _ in range(rng.randint(1, 3))]
             for _ in range(150)
