@@ -21,7 +21,7 @@ from .farey import Slope, farey_distance
 from .report import SCHEMA_VERSION, json_pieces
 from .trees import geometric_index
 from .whitehead import Classification, classify, is_primitive, minimize_cyclic_length
-from .words import Word, b_reduced_decomposition, format_word, parse_word
+from .words import _format_letters, b_reduced_decomposition, format_word, parse_word
 
 
 def _emit(args, text: str, payload: dict) -> None:
@@ -46,7 +46,7 @@ def _cmd_classify(args) -> int:
     verdict = classify(w, cert)
     cut = None
     if cert.cut_vertex is not None:
-        cut = format_word(Word((cert.cut_vertex,), args.n))
+        cut = _format_letters((cert.cut_vertex,), args.n)
     label = {
         Classification.PRIMITIVE: "Primitive",
         Classification.SIMPLE_NON_PRIMITIVE: "SimpleNonPrimitive",

@@ -47,7 +47,6 @@ from .words import (
     _chain_table,
     _random_letters,
     _times,
-    _trusted_word,
     ad,
     apply_automorphism,
     b_index,
@@ -328,17 +327,15 @@ def exp_basis_change(
     written by ``words._format_letters``; only a factor with two or more
     generators becomes a ``FreeFactorVertex``, whose graph is searched.
     b and b_t are checked, b's powers are spelled, and b_t is spelled both
-    ways, once before the trial loop.
+    ways, once before the trial loop.  b_t is the image of b that
+    ``_find_second_minimizing_basis`` found at b's length.
     """
     b = _base_word(rank, b)
     b_powers = _b_powers(b)
-    basis_chain = _find_second_minimizing_basis(rank, b, seed)
+    basis_chain, b_t = _find_second_minimizing_basis(rank, b, seed)
     chain_inv = tuple(phi.inverse() for phi in reversed(basis_chain))
-    # the second basis's letter images: each word below is one reduction
+    # the second basis's letter images: each factor is one reduction
     table = _chain_table(chain_inv, rank)
-    b_t = _trusted_word(_apply_table(table, b.letters), rank)
-    if len(b_t) != len(b):
-        raise PreconditionError("chain does not preserve the minimal length of b")
     _check_filling_minimal(b_t)
     bl, binv = b_powers[1], b_powers[-1]
     bl_t, binv_t = b_t.letters, b_t.inverse().letters
@@ -411,8 +408,9 @@ def _random_deep_factor(
 
 def _find_second_minimizing_basis(
     rank: int, b: Word, seed
-) -> tuple[WhAutomorphism, ...]:
-    """A nontrivial chain whose inverse keeps b cyclically reduced at length |b|."""
+) -> tuple[tuple[WhAutomorphism, ...], Word]:
+    """A nontrivial chain whose inverse keeps b cyclically reduced at length
+    |b|, and b's image under that inverse."""
     rng = _rng(seed, "second-basis")
     perm_count = math.factorial(rank) << rank
 
@@ -435,7 +433,7 @@ def _find_second_minimizing_basis(
             continue
         if all(phi.is_identity_map() for phi in chain):
             continue
-        return chain
+        return chain, image
     raise PreconditionError("no nontrivial second minimizing basis found")
 
 

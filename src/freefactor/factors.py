@@ -46,7 +46,6 @@ from .whitehead import (
     _random_multiplier_move,
     classify,
     minimize_cyclic_length,
-    vertex_order,
 )
 from .words import (
     Word,
@@ -112,7 +111,7 @@ class CoreGraph:
             nbrs = self._adj[u]
             for letter in range(1, self.rank + 1):
                 if letter in nbrs:
-                    label = format_word(_trusted_word((letter,), self.rank))
+                    label = _format_letters((letter,), self.rank)
                     lines.append(f'  {u} -> {nbrs[letter]} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines)
@@ -148,7 +147,8 @@ def fold(generators, rank: int | None = None) -> CoreGraph:
     letter read along a laid edge lays no vertex, so the merges that
     laying it would have cost never happen: a generator that shares a
     prefix or a suffix with those before it folds with few merges or
-    none.  The renumbering is O(rank * V).
+    none.  The renumbering sorts each vertex's own slots, O(E log rank)
+    for E edges, so a small subgroup folds in small time at any rank.
     """
     gens = [g for g in generators if not g.is_identity()]
     if rank is None:
@@ -217,9 +217,8 @@ def fold(generators, rank: int | None = None) -> CoreGraph:
                 merges.append((other, w))
         adj[v] = {}
 
-    # Canonical renumbering: breadth-first from the basepoint, letter order;
-    # each vertex's edges are stored in that letter order too.
-    letter_order = vertex_order(rank)
+    # Canonical renumbering: breadth-first from the basepoint, each vertex's
+    # own slots in letter order; its edges are stored in that order too.
     order = {0: 0}
     queue = deque([0])
     new_adj: dict[int, dict[int, int]] = {}
@@ -227,16 +226,19 @@ def fold(generators, rank: int | None = None) -> CoreGraph:
         cur = queue.popleft()
         nbrs = new_adj[order[cur]] = {}
         slots = adj[cur]
-        for letter in letter_order:
-            nxt = slots.get(letter)
-            if nxt is None:
-                continue
-            nxt = find(nxt)
+        for letter in sorted(slots, key=_letter_key):
+            nxt = find(slots[letter])
             if nxt not in order:
                 order[nxt] = len(order)
                 queue.append(nxt)
             nbrs[letter] = order[nxt]
     return CoreGraph(rank, new_adj)
+
+
+def _letter_key(letter: int) -> int:
+    """The letter's place in the order x < X < y < Y < ...
+    (``whitehead.vertex_order``)."""
+    return 2 * letter - 1 if letter > 0 else -2 * letter
 
 
 # The cyclic rotations of [x, y] = xyXY and of [x, y]^-1 = yxYX: the
@@ -278,9 +280,7 @@ class FreeFactorVertex(_Frozen):
     _fields = ("generators", "rank_ambient")
 
     def __init__(self, generators, rank_ambient: int):
-        _set_generators(self, _as_tuple(generators, "generators"))
-        _set_rank_ambient(self, rank_ambient)
-        self.__post_init__()
+        _Frozen.__init__(self, _as_tuple(generators, "generators"), rank_ambient)
 
     def __post_init__(self):
         gens = self.generators
@@ -301,9 +301,7 @@ class FreeFactorVertex(_Frozen):
         return [format_word(g) for g in self.generators]
 
 
-# the slot descriptors' setters, past _Frozen's refusing __setattr__
-_set_generators = FreeFactorVertex.generators.__set__
-_set_rank_ambient = FreeFactorVertex.rank_ambient.__set__
+# the lazy slot's setter, past _Frozen's refusing __setattr__
 _set_graph = FreeFactorVertex._graph.__set__
 
 

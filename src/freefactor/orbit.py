@@ -25,6 +25,8 @@ from .words import (
     _Frozen,
     _apply_table,
     _b_exponent,
+    _format_letters,
+    _letter_table,
     _peel,
     _times,
     ad,
@@ -53,9 +55,9 @@ class BoundaryAutomorphism(_Frozen):
       {x, Y}, so no power cancels on a word over it (``_orbit_ends``).
 
     ``table`` and ``inverse_table``, the letter images of psi and of
-    psi^-1 laid out as ``WhAutomorphism.table`` (indexed by signed letter,
-    so -2 reads the image of Y), and ``homology`` are built from the
-    images once; equality, hashing, repr and pickling ignore them.
+    psi^-1 (``words._letter_table``, indexed by signed letter, so -2 reads
+    the image of Y), and ``homology`` are built from the images once;
+    equality, hashing, repr and pickling ignore them.
     """
 
     _fields = ("x_image", "y_image", "inverse_x_image", "inverse_y_image")
@@ -65,10 +67,8 @@ class BoundaryAutomorphism(_Frozen):
         inverse_images = (self.inverse_x_image, self.inverse_y_image)
         if not all(type(w) is Word and w.rank == 2 for w in images + inverse_images):
             raise DomainError("a boundary automorphism needs four words of rank 2")
-        # the images of x, y, Y, X at indices 1, 2, -2, -1
         table, inverse_table = (
-            ((), u.letters, v.letters, v.inverse().letters, u.inverse().letters)
-            for u, v in (images, inverse_images)
+            _letter_table((u.letters, v.letters)) for u, v in (images, inverse_images)
         )
         b = boundary_word(2).letters
         if _apply_table(table, b) != b:
@@ -84,7 +84,8 @@ class BoundaryAutomorphism(_Frozen):
         for gen, image in enumerate(images, 1):
             if _apply_table(inverse_table, image.letters) != (gen,):
                 raise InternalContradictionError(
-                    f"the inverse does not send {image} back to {Word((gen,), 2)}"
+                    f"the inverse does not send {image} back to "
+                    f"{_format_letters((gen,), 2)}"
                 )
         for images_of in (table, inverse_table):
             if not any(

@@ -70,6 +70,8 @@ from .words import (
     Word,
     _Frozen,
     _checked_int,
+    _format_letters,
+    _letter_table,
     apply_automorphism,
     cyclic_reduce,
     format_word,
@@ -142,9 +144,9 @@ class WhAutomorphism(_Frozen):
 
     ``rank`` is read as ``Word`` reads it: an int through
     ``operator.index``, and at least 2.  ``table`` is the image of every
-    letter, built once from the checked fields: 2*rank + 1 letter tuples
-    indexed by the letter itself (-i at index -i).  Equality, hashing,
-    repr and pickling ignore it.
+    letter, built once by ``words._letter_table`` from the generators'
+    images under the checked fields.  Equality, hashing, repr and
+    pickling ignore it.
     """
 
     _fields = ("kind", "rank", "multiplier", "zset", "images")
@@ -157,16 +159,11 @@ class WhAutomorphism(_Frozen):
         zset: frozenset[int] | None = None,
         images: tuple[int, ...] | None = None,
     ):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "rank", _checked_int(rank, "rank", 2, error=RankError))
-        object.__setattr__(self, "multiplier", multiplier)
-        object.__setattr__(self, "zset", zset)
-        object.__setattr__(self, "images", images)
-        self.__post_init__()
+        rank = _checked_int(rank, "rank", 2, error=RankError)
+        _Frozen.__init__(self, kind, rank, multiplier, zset, images)
 
     def __post_init__(self):
         rank = self.rank
-        table = [()] * (2 * rank + 1)
         if self.kind == "multiplier":
             a, z = self.multiplier, self.zset
             if a is None or z is None:
@@ -181,8 +178,10 @@ class WhAutomorphism(_Frozen):
                 raise RankError("Z contains a letter outside the alphabet")
             # the rule read with Z - {a} also fixes a and a^-1
             others = set(z) - {a}
-            for v in vertex_order(rank):
-                table[v] = (a,) * (-v in others) + (v,) + (-a,) * (v in others)
+            images = [
+                (a,) * (-v in others) + (v,) + (-a,) * (v in others)
+                for v in range(1, rank + 1)
+            ]
         elif self.kind == "permutation":
             imgs = self.images
             if imgs is None or len(imgs) != rank:
@@ -191,11 +190,10 @@ class WhAutomorphism(_Frozen):
                 raise DomainError(f"images must be integers, got {imgs!r}")
             if sorted(map(abs, imgs)) != list(range(1, rank + 1)):
                 raise DomainError("images are not a signed permutation")
-            for i, img in enumerate(imgs, 1):
-                table[i], table[-i] = (img,), (-img,)
+            images = [(img,) for img in imgs]
         else:
             raise DomainError(f"unknown automorphism kind {self.kind!r}")
-        object.__setattr__(self, "table", tuple(table))
+        object.__setattr__(self, "table", _letter_table(images))
 
     @classmethod
     def multiplier_move(cls, a: int, zset, rank: int) -> "WhAutomorphism":
@@ -224,9 +222,9 @@ class WhAutomorphism(_Frozen):
 
     def generator_images(self) -> dict[str, str]:
         """Images of the generators, in compact text (for certificates)."""
-        rank = self.rank
+        rank, table = self.rank, self.table
         return {
-            format_word(Word((i,), rank)): format_word(Word(self.table[i], rank))
+            _format_letters((i,), rank): _format_letters(table[i], rank)
             for i in range(1, rank + 1)
         }
 
@@ -344,28 +342,11 @@ class MinimizationCertificate(_Frozen):
     ``minimized``; ``length_trace`` is strictly decreasing and ends at the
     minimal value.  ``edges`` is the Whitehead graph of ``minimized``
     (``whitehead_graph``), kept from the descent step that found no
-    shorter move.
+    shorter move; equality, hashing and repr ignore it.
     """
 
-    # edges neither compares, hashes nor shows
     _fields = ("input", "minimized", "chain", "length_trace")
-
-    def __init__(
-        self,
-        input: Word,
-        minimized: Word,
-        chain: tuple[WhAutomorphism, ...],
-        length_trace: tuple[int, ...],
-        edges: dict[int, dict[int, int]],
-    ):
-        object.__setattr__(self, "input", input)
-        object.__setattr__(self, "minimized", minimized)
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "length_trace", length_trace)
-        object.__setattr__(self, "edges", edges)
-
-    def __reduce__(self):
-        return MinimizationCertificate, (*self._key(self), self.edges)
+    _hidden = ("edges",)
 
     def to_json_dict(self) -> dict:
         return {

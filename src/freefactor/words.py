@@ -104,22 +104,24 @@ class _Value:
 class _Frozen(_Value):
     """An immutable ``_Value``: hashed by its fields, refusing assignment
     and deletion with AttributeError, as a frozen dataclass.  Its
-    ``__init__`` takes the fields positionally, in ``_fields`` order,
-    writes them past ``__setattr__`` and then calls ``__post_init__``,
-    which checks nothing unless a subclass overrides it.  Copies and
-    pickles are rebuilt by ``__init__`` from ``_fields``, which are its
-    arguments unless the subclass overrides ``__reduce__``.
+    ``__init__`` takes the fields positionally, in ``_fields`` order, then
+    the attributes named in ``_hidden``, which equality, hashing and repr
+    ignore; it writes them past ``__setattr__`` and then calls
+    ``__post_init__``, which checks nothing unless a subclass overrides
+    it.  Copies and pickles are rebuilt by ``__init__`` from those values.
     """
 
     __slots__ = ()
+    _hidden: tuple[str, ...] = ()
 
     def __init__(self, *values):
-        if len(values) != len(self._fields):
+        names = self._fields + self._hidden
+        if len(values) != len(names):
             raise TypeError(
-                f"{self.__class__.__qualname__}() takes {len(self._fields)} "
-                f"arguments ({', '.join(self._fields)}), got {len(values)}"
+                f"{self.__class__.__qualname__}() takes {len(names)} "
+                f"arguments ({', '.join(names)}), got {len(values)}"
             )
-        for name, value in zip(self._fields, values):
+        for name, value in zip(names, values):
             object.__setattr__(self, name, value)
         self.__post_init__()
 
@@ -136,7 +138,8 @@ class _Frozen(_Value):
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return self.__class__, self._key(self)
+        names = self._fields + self._hidden
+        return self.__class__, tuple(getattr(self, name) for name in names)
 
 
 def _as_tuple(items, what: str) -> tuple:
@@ -436,9 +439,9 @@ def boundary_word(rank: int) -> Word:
 
 
 def _apply_table(table, letters: tuple[int, ...]) -> tuple[int, ...]:
-    """The image of a letter tuple under a checked letter-image table, laid
-    out as ``WhAutomorphism.table``: the images of its letters concatenated
-    and freely reduced once."""
+    """The image of a letter tuple under a checked letter-image table
+    (``_letter_table``): the images of its letters concatenated and freely
+    reduced once."""
     return free_reduce(itertools.chain.from_iterable(map(table.__getitem__, letters)))
 
 
@@ -462,10 +465,24 @@ def apply_automorphism(chain, w: Word) -> Word:
     return w
 
 
+def _letter_table(images) -> tuple[tuple[int, ...], ...]:
+    """The letter-image table of the endomorphism that sends generator i
+    to the reduced letter tuple ``images[i - 1]``: 2*rank + 1 letter
+    tuples indexed by the letter itself, so that negative indexing puts
+    the image of -i, the inverse of entry i, at index -i; entry 0 is
+    empty.  ``WhAutomorphism.table``, ``_chain_table`` and
+    ``orbit.BoundaryAutomorphism``'s tables are all built here."""
+    inverses = [
+        (-image[0],) if len(image) == 1 else tuple(map(neg, reversed(image)))
+        for image in reversed(images)
+    ]
+    return ((), *images, *inverses)
+
+
 def _chain_table(chain, rank: int) -> tuple[tuple[int, ...], ...]:
-    """The letter-image table, laid out as ``WhAutomorphism.table``, of
-    the composite of ``chain`` applied left to right: each letter's image
-    under ``apply_automorphism(chain, .)``.
+    """The letter-image table (``_letter_table``) of the composite of
+    ``chain`` applied left to right: each generator's image under
+    ``apply_automorphism(chain, .)``.
 
     An automorphism is a homomorphism, so the image of a word is the
     product of its letters' images, and reduced words are unique: for a
@@ -473,10 +490,11 @@ def _chain_table(chain, rank: int) -> tuple[tuple[int, ...], ...]:
     of ``apply_automorphism(chain, w)``, with one reduction in place of
     one per element of the chain.
     """
-    letters = (*range(1, rank + 1), *range(-rank, 0))
-    return (
-        (),
-        *(apply_automorphism(chain, _trusted_word((l,), rank)).letters for l in letters),
+    return _letter_table(
+        [
+            apply_automorphism(chain, _trusted_word((i,), rank)).letters
+            for i in range(1, rank + 1)
+        ]
     )
 
 

@@ -715,6 +715,18 @@ class TestBoundaryAutomorphism:
         assert psi.table == _chain_table((tau, sigma), 2)
         assert psi.inverse_table == _chain_table((sigma.inverse(), tau.inverse()), 2)
 
+    def test_tables_are_the_hand_laid_ones(self):
+        # the images of x, y, Y, X at indices 1, 2, -2, -1, as the tables
+        # were written out before the shared builder laid them
+        psi = build_boundary_pA()
+        assert psi.table == ((), (1, 2), (2, 1, 2), (-2, -1, -2), (-2, -1))
+        assert psi.inverse_table == ((), (1, 1, -2), (2, -1), (1, -2), (2, -1, -1))
+        for table, (u, v) in (
+            (psi.table, (psi.x_image, psi.y_image)),
+            (psi.inverse_table, (psi.inverse_x_image, psi.inverse_y_image)),
+        ):
+            assert table == ((), u.letters, v.letters, v.inverse().letters, u.inverse().letters)
+
     def test_inverse_round_trip(self):
         psi = build_boundary_pA()
         w = W("xYxxy")
@@ -910,7 +922,7 @@ class TestBasisChange:
         monkeypatch.setattr(
             experiments,
             "_find_second_minimizing_basis",
-            lambda rank, b, seed: (WhAutomorphism.identity(2),),
+            lambda rank, b, seed: ((WhAutomorphism.identity(2),), b),
         )
         report = exp_basis_change(2, trials=40, seed=1)
         assert report.summary["empirical_spread"] == 0

@@ -1,5 +1,6 @@
 import pickle
 import random
+import time
 from collections import deque
 
 import pytest
@@ -134,6 +135,20 @@ class TestFold:
             rank = rng.randint(2, 26)
             graph = random_free_factor(rank, rng.randint(1, rank - 1), 3, rng).graph
             assert graph.to_dot() == oracle_to_dot(graph)
+
+    @pytest.mark.parametrize("rank", [2, 26, 27, 30])
+    def test_dot_labels_are_word_text(self, rank):
+        # each label prints its letter as the one-letter Word prints
+        rng = random.Random(rank)
+        for _ in range(20):
+            graph = random_free_factor(rank, rng.randint(1, rank - 1), 3, rng).graph
+            lines = ["digraph core {", '  0 [shape=doublecircle];']
+            for u in sorted(graph._adj):
+                for letter, v in sorted(graph._adj[u].items()):
+                    if letter > 0:
+                        label = format_word(Word((letter,), rank))
+                        lines.append(f'  {u} -> {v} [label="{label}"];')
+            assert graph.to_dot() == "\n".join(lines + ["}"])
 
     def test_dot_labels_past_rank_26(self):
         text = fold([Word((27,), 30), Word((3, 30), 30)]).to_dot()
@@ -489,6 +504,18 @@ class TestReadThenMergeFold:
         gens = [W(t, 3) for t in texts]
         assert adjacency_lists(fold(gens, 3)) == adjacency_lists(oracle_fold(gens, 3))
         assert adjacency_lists(fold(gens, 3)) == adjacency_lists(oracle_fixpoint_fold(gens, 3))
+
+    def test_renumbering_reads_only_each_vertex_slots(self):
+        # the canonical renumbering walks each vertex's own slots in letter
+        # order, not the whole alphabet, so xyX folds to the same two-vertex
+        # graph at rank 10^6 as at rank 2, and as fast
+        small = fold([W("xyX")])
+        start = time.perf_counter()
+        big = fold([Word((1, 2, -1), 10**6)])
+        seconds = time.perf_counter() - start
+        assert big._adj == small._adj
+        assert adjacency_lists(big) == adjacency_lists(small)
+        assert seconds < 0.05
 
 
 class TestContains:
@@ -1195,9 +1222,9 @@ class TestFactorValue:
     def both_bases(rank, b, factors):
         """Each factor against b, and its image in a second minimizing
         basis (as basis-change builds it) against b's image there."""
-        chain = _find_second_minimizing_basis(rank, b, rank)
+        chain, b_t = _find_second_minimizing_basis(rank, b, rank)
         chain_inv = tuple(phi.inverse() for phi in reversed(chain))
-        b_t = apply_automorphism(chain_inv, b)
+        assert b_t == apply_automorphism(chain_inv, b) and len(b_t) == len(b)
         for factor in factors:
             yield factor, b
             gens = tuple(apply_automorphism(chain_inv, g) for g in factor.generators)

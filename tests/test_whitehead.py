@@ -22,6 +22,7 @@ from freefactor import (
     enumerate_whitehead_automorphisms,
     find_cut_vertex,
     fold,
+    format_word,
     is_primitive,
     minimize_cyclic_length,
     parse_word,
@@ -478,9 +479,11 @@ class TestEnumeration:
                 assert table == oracle_table(by_choice.choice(moves))
             assert by_move.random() == by_choice.random()
 
-    @pytest.mark.parametrize("rank", [2, 3, 4])
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
     def test_table_matches_oracle(self, rank):
-        perms = math.factorial(rank) << rank
+        # words._letter_table builds each table from the generators' images:
+        # every move's, and every signed permutation's up to rank 4
+        perms = math.factorial(rank) << rank if rank <= 4 else 0
         for phi in (
             *enumerate_whitehead_automorphisms(rank),
             *(_signed_permutation_at(rank, i) for i in range(perms)),
@@ -489,6 +492,24 @@ class TestEnumeration:
             # the table is derived: it neither compares, hashes nor shows
             assert "table" not in repr(phi)
             assert pickle.loads(pickle.dumps(phi)).table == phi.table
+
+
+@pytest.mark.parametrize("rank", [2, 26, 27, 30])
+def test_generator_images_are_word_text(rank):
+    # each generator and its image print as their Words print, compact up
+    # to rank 26 and tokens above
+    rng = random.Random(rank)
+    perms = math.factorial(rank) << rank
+    for _ in range(20):
+        for phi in (
+            _random_multiplier_move(rng, rank),
+            _signed_permutation_at(rank, rng.randrange(perms)),
+        ):
+            expected = {}
+            for i in range(1, rank + 1):
+                image = Word(oracle_letter_image(phi, i), rank)
+                expected[format_word(Word((i,), rank))] = format_word(image)
+            assert phi.generator_images() == expected
 
 
 def package_caches() -> dict:

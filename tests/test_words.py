@@ -24,7 +24,7 @@ from freefactor import (
     random_word,
 )
 from freefactor import words
-from freefactor.words import _apply_table, _chain_table
+from freefactor.words import _apply_table, _chain_table, _letter_table
 from freefactor.whitehead import (
     WhAutomorphism,
     _moves_per_multiplier,
@@ -530,10 +530,12 @@ class TestDerivedWordsMatchOracles:
         w = data.draw(word_of(rank, 24))
         assert_same(apply_automorphism(chain, w), oracle_apply(chain, w))
 
-    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5, 6, 7, 8])
     def test_composed_chain_table(self, rank):
         # one reduction through the composed table is the sequential
-        # application of the chain, move by move
+        # application of the chain, move by move; the table, built from
+        # the generators' images alone, holds every letter's image under
+        # the per-letter oracle
         rng = random.Random(rank)
         moves = 2 * rank * _moves_per_multiplier(rank)
         perms = math.factorial(rank) << rank
@@ -545,6 +547,7 @@ class TestDerivedWordsMatchOracles:
                 for _ in range(rng.randint(1, 4))
             )
             table = _chain_table(chain, rank)
+            assert len(table) == 2 * rank + 1 and table[0] == ()
             for letter in (*range(1, rank + 1), *range(-rank, 0)):
                 assert table[letter] == oracle_apply(chain, Word((letter,), rank)).letters
             for _ in range(10):
@@ -552,6 +555,19 @@ class TestDerivedWordsMatchOracles:
                 expected = oracle_apply(chain, w)
                 assert _apply_table(table, w.letters) == expected.letters
                 assert apply_automorphism(chain, w) == expected
+
+    @pytest.mark.parametrize("rank", [2, 5, 8])
+    def test_letter_table_inverts_each_image(self, rank):
+        # entry i is generator i's image and entry -i its inverse, whether
+        # the image has one letter or several
+        rng = random.Random(rank)
+        for _ in range(50):
+            images = [random_word(rng.randint(1, 6), rank, rng).letters for _ in range(rank)]
+            table = _letter_table(images)
+            assert len(table) == 2 * rank + 1 and table[0] == ()
+            for i, image in enumerate(images, 1):
+                assert table[i] == image
+                assert table[-i] == Word(image, rank).inverse().letters
 
     @given(conjugates())
     @settings(max_examples=100)
