@@ -21,7 +21,7 @@ from .farey import Slope, farey_distance
 from .report import SCHEMA_VERSION, json_pieces
 from .trees import geometric_index
 from .whitehead import Classification, classify, is_primitive, minimize_cyclic_length
-from .words import _format_letters, b_reduced_decomposition, format_word, parse_word
+from .words import Word, _format_letters, b_reduced_decomposition, format_word, parse_word
 
 
 def _emit(args, text: str, payload: dict) -> None:
@@ -104,13 +104,13 @@ def _cmd_index(args) -> int:
 def _cmd_factor_invariant(args) -> int:
     b = parse_word(args.b, args.n)
     gens = tuple(parse_word(g, args.n) for g in args.gen)
-    # <g> is a free factor iff g is primitive; a factor of two or more
-    # generators is not checked
-    nontrivial = [g for g in gens if not g.is_identity()]
-    if len(nontrivial) == 1 and not is_primitive(nontrivial[0]):
-        raise DomainError(f"generator {format_word(nontrivial[0])} is not primitive, "
-                          "so it generates no free factor")
     vertex = FreeFactorVertex(gens, args.n)
+    # <g> is a free factor iff g is primitive; a factor of two or more
+    # nontrivial generators is not checked
+    g = vertex._cyclic
+    if g is not None and not is_primitive(Word(g, args.n)):
+        raise DomainError(f"generator {_format_letters(g, args.n)} is not primitive, "
+                          "so it generates no free factor")
     inv = factor_invariant(vertex, b)
     if args.dot:
         with open(args.dot, "w") as fh:

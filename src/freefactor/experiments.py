@@ -21,12 +21,11 @@ from .errors import (
     RankError,
 )
 from .factors import (
-    _adjacent,
     _check_filling_minimal,
-    _describe,
     _factor_value,
     _random_factor_letters,
-    _trial_factor,
+    _trusted_factor,
+    af_adjacent,
     random_free_factor,
 )
 from .orbit import exp_quasiflat, exp_twist_stability
@@ -139,16 +138,16 @@ def exp_lipschitz(
     Rank >= 3 samples nested pairs theta(<x_i>) < theta(<x_i, x_j>); rank 2
     samples basis pairs theta(x), theta(y).  The bound is 1 for rank >= 3
     and 2 for rank 2.  Every sampled pair must pass ``af_adjacent``'s edge
-    test (``factors._adjacent``); one that does not raises
-    ``InternalContradictionError``.
+    test; one that does not raises ``InternalContradictionError``.
 
     The images are drawn as letter tuples (``_random_edge_images``), and
-    a cyclic factor stays its generator's letters: it is edge-tested by
-    the letter body of ``is_basis_pair`` or ``_in_cyclic``, valued by
-    ``_cyclic_value`` and written by ``words._format_letters``.  Only the
-    two-generator side of a nested pair becomes a ``FreeFactorVertex``,
-    whose one fold serves both its edge test and its value.  b is
-    checked, and its powers spelled, once before the trial loop.
+    each factor is a ``FreeFactorVertex`` on them, built by
+    ``factors._trusted_factor`` with no Word.  A cyclic factor is
+    edge-tested by the letter body of ``is_basis_pair`` or ``_in_cyclic``
+    and valued by ``_cyclic_value``, with no fold; the two-generator side
+    of a nested pair is folded once, for both its edge test and its
+    value.  b is checked, and its powers spelled, once before the trial
+    loop.
     """
     b = _base_word(rank, b)
     b_powers = _b_powers(b)
@@ -168,12 +167,14 @@ def exp_lipschitz(
         rng = _rng(seed, "lipschitz", i)
         images = _random_edge_images(rng, rank, b_powers)
         if rank == 2:
-            fa, fb = images
+            u, v = images
+            fb = _trusted_factor((v,), rank)
         else:
             i1, i2 = sorted(rng.sample(range(1, rank + 1), 2))
-            fa = images[i1 - 1]
-            fb = _trial_factor((fa, images[i2 - 1]), rank)
-        if not _adjacent(fa, fb, rank):
+            u = images[i1 - 1]
+            fb = _trusted_factor((u, images[i2 - 1]), rank)
+        fa = _trusted_factor((u,), rank)
+        if not af_adjacent(fa, fb):
             raise InternalContradictionError(
                 "the sampled factors are not adjacent in the free factor graph"
             )
@@ -185,8 +186,8 @@ def exp_lipschitz(
         report.violations += violation
         report.trials.append(
             {
-                "a": _describe(fa, rank),
-                "b_factor": _describe(fb, rank),
+                "a": "|".join(fa.describe()),
+                "b_factor": "|".join(fb.describe()),
                 "value_a": value_a,
                 "value_b": value_b,
                 "delta": delta,
@@ -322,10 +323,11 @@ def exp_basis_change(
     maximum over the first min(100, trials).
 
     Each factor is drawn as letter tuples (``_random_deep_factor``) and
-    mapped to the second basis by one letter table.  A cyclic factor
-    stays its generator's letters, valued by ``_cyclic_value`` and
-    written by ``words._format_letters``; only a factor with two or more
-    generators becomes a ``FreeFactorVertex``, whose graph is searched.
+    mapped to the second basis by one letter table; each side is a
+    ``FreeFactorVertex`` on its letters, built by
+    ``factors._trusted_factor`` with no Word.  A cyclic factor is valued
+    by ``_cyclic_value``; only a factor with two or more generators has
+    its graph searched.
     b and b_t are checked, b's powers are spelled, and b_t is spelled both
     ways, once before the trial loop.  b_t is the image of b that
     ``_find_second_minimizing_basis`` found at b's length.
@@ -356,9 +358,9 @@ def exp_basis_change(
     for i in range(trials):
         rng = _rng(seed, "basis-change", i)
         gens = _random_deep_factor(rng, rank, b_powers)
-        factor = _trial_factor(gens, rank)
+        factor = _trusted_factor(gens, rank)
         vs = _factor_value(factor, b, bl, binv)
-        factor_t = _trial_factor(tuple(_apply_table(table, g) for g in gens), rank)
+        factor_t = _trusted_factor(tuple(_apply_table(table, g) for g in gens), rank)
         vt = _factor_value(factor_t, b_t, bl_t, binv_t)
         diff = abs(vs - vt)
         running_max = max(running_max, diff)
@@ -366,7 +368,7 @@ def exp_basis_change(
             max_at_checkpoint = running_max
         report.trials.append(
             {
-                "factor": _describe(factor, rank),
+                "factor": "|".join(factor.describe()),
                 "value_standard": vs,
                 "value_second": vt,
                 "diff": diff,
@@ -394,8 +396,8 @@ def _random_deep_factor(
     The factor's rank and chain length are drawn here, and its letters
     come from ``factors._random_factor_letters``, the sampler that
     ``random_free_factor`` wraps, so the stream is consumed draw for draw
-    as when this called ``random_free_factor``; no Word or
-    ``FreeFactorVertex`` is built.
+    as when this called ``random_free_factor``.  No Word is built: the
+    caller makes the factor with ``factors._trusted_factor``.
     """
     gens = _random_factor_letters(
         rng, rank, rng.randint(1, rank - 1), rng.randint(0, 3)

@@ -8,20 +8,17 @@ edges - vertices + 1.
 
 Free factors are only ever *constructed*, as automorphic images of
 standard subsets of the basis, and a free factor is its generators: every
-quantity computed from one is read off them.  A cyclic factor, one with a
-single nontrivial generator, is never folded for its membership test or
-its invariant's value: both are closed forms in that generator
-(``_in_cyclic``, and ``_cyclic_value`` on letter tuples, which the
-experiments' trial loops read through ``_factor_value``), and a rank-2
-basis pair is decided by its commutator.  ``factor_invariant``, which also
-finds a witness, searches the folded core graph of every factor.  Deciding
-whether an arbitrary subgroup is a free factor is out of scope.
-
-The experiments' trial loops hold a cyclic factor as its generator's
-letter tuple and build a ``FreeFactorVertex`` only for a factor with two
-or more generators, whose graph they read (``_trial_factor``).  The
-private functions ``_contains``, ``_adjacent``, ``_factor_value`` and
-``_describe`` take a factor in either form.
+quantity computed from one is read off them.  A ``FreeFactorVertex`` holds
+its generators' letter tuples and decides once, when it is built, whether
+it is cyclic, with a single nontrivial generator.  A cyclic factor is
+never folded for its membership test or its invariant's value: both are
+closed forms in that generator (``_in_cyclic`` and ``_cyclic_value``,
+which the experiments' trial loops read through ``_factor_value``), and
+a rank-2 basis pair is decided by its commutator.  ``factor_invariant``,
+which also finds a witness, searches the folded core graph of every
+factor.  Deciding whether an arbitrary subgroup is a free factor is out
+of scope.  The trial loops build their vertices with ``_trusted_factor``,
+which builds no ``Word``.
 
 Folding mutates a private working graph and freezes it before returning;
 a factor keeps its own graph, so it is freed with the factor.  All public
@@ -59,7 +56,6 @@ from .words import (
     _random_stream,
     _times,
     _trusted_word,
-    format_word,
 )
 
 
@@ -107,12 +103,13 @@ class CoreGraph:
 
     def to_dot(self) -> str:
         lines = ["digraph core {", '  0 [shape=doublecircle];']
+        # each vertex stores its edges in letter order (``fold``), so its
+        # positive letters come in increasing order
         for u in sorted(self._adj):
-            nbrs = self._adj[u]
-            for letter in range(1, self.rank + 1):
-                if letter in nbrs:
+            for letter, v in self._adj[u].items():
+                if letter > 0:
                     label = _format_letters((letter,), self.rank)
-                    lines.append(f'  {u} -> {nbrs[letter]} [label="{label}"];')
+                    lines.append(f'  {u} -> {v} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines)
 
@@ -272,24 +269,42 @@ def _basis_pair(ul, vl) -> bool:
 
 
 class FreeFactorVertex(_Frozen):
-    """A vertex of the free factor graph: a proper, nontrivial free factor.
-    ``graph`` folds on its first read and keeps the graph in a slot, which
-    equality, hashing, repr and pickling ignore."""
+    """A vertex of the free factor graph: a proper, nontrivial free factor,
+    held as its generators' letter tuples (``generator_letters``) and the
+    ambient rank.
 
-    __slots__ = ("generators", "rank_ambient", "_graph")
+    Construction decides once whether the factor is cyclic: ``_cyclic`` is
+    the letters of its one nontrivial generator, or None for a factor with
+    none or with several.  Membership (``_contains``), the value
+    (``_factor_value``) and the edge test (``af_adjacent``) read a cyclic
+    factor's closed forms off it.  ``generators`` and ``describe`` build
+    Words and text on demand.  ``graph`` folds on its first read and keeps
+    the graph in a slot; equality, hashing, repr and pickling read the
+    generators and the rank only.
+    """
+
+    __slots__ = ("generator_letters", "rank_ambient", "_cyclic", "_graph")
     _fields = ("generators", "rank_ambient")
 
     def __init__(self, generators, rank_ambient: int):
-        _Frozen.__init__(self, _as_tuple(generators, "generators"), rank_ambient)
+        gens = _as_tuple(generators, "generators")
+        for g in gens:
+            if g.rank != rank_ambient:
+                raise RankError("generator rank does not match ambient rank")
+        _set_letter_tuples(self, tuple(g.letters for g in gens))
+        _set_rank_ambient(self, rank_ambient)
+        self.__post_init__()
 
     def __post_init__(self):
-        gens = self.generators
-        if not gens:
+        if not self.generator_letters:
             raise DomainError("a free factor needs at least one generator")
+        nontrivial = [g for g in self.generator_letters if g]
+        _set_cyclic(self, nontrivial[0] if len(nontrivial) == 1 else None)
+
+    @property
+    def generators(self) -> tuple[Word, ...]:
         rank = self.rank_ambient
-        for g in gens:
-            if g.rank != rank:
-                raise RankError("generator rank does not match ambient rank")
+        return tuple(_trusted_word(g, rank) for g in self.generator_letters)
 
     @property
     def graph(self) -> CoreGraph:
@@ -298,18 +313,31 @@ class FreeFactorVertex(_Frozen):
         return self._graph
 
     def describe(self) -> list[str]:
-        return [format_word(g) for g in self.generators]
+        return [_format_letters(g, self.rank_ambient) for g in self.generator_letters]
 
 
-# the lazy slot's setter, past _Frozen's refusing __setattr__
+# the slots' setters, past _Frozen's refusing __setattr__
+_set_letter_tuples = FreeFactorVertex.generator_letters.__set__
+_set_rank_ambient = FreeFactorVertex.rank_ambient.__set__
+_set_cyclic = FreeFactorVertex._cyclic.__set__
 _set_graph = FreeFactorVertex._graph.__set__
 
 
-def _cyclic_generator(a: FreeFactorVertex) -> Word | None:
-    """The one nontrivial generator of a cyclic factor; None for a factor
-    with none or with several."""
-    gens = [g for g in a.generators if not g.is_identity()]
-    return gens[0] if len(gens) == 1 else None
+def _trusted_factor(gens: tuple[tuple[int, ...], ...], rank: int) -> FreeFactorVertex:
+    """The FreeFactorVertex with generator letters ``gens``, built with no
+    Word and no check.
+
+    Only for the letters of a basis of a proper free factor, derived from
+    checked words of rank ``rank`` (``_random_factor_letters``, the trial
+    loops' images): each is a nonempty reduced tuple over that alphabet,
+    so the factor is cyclic iff it has one generator.
+    """
+    a = object.__new__(FreeFactorVertex)
+    _set_letter_tuples(a, gens)
+    _set_rank_ambient(a, rank)
+    # __post_init__'s decision, for generators that are all nontrivial
+    _set_cyclic(a, gens[0] if len(gens) == 1 else None)
+    return a
 
 
 def _in_cyclic(gl, wl) -> bool:
@@ -333,22 +361,12 @@ def _in_cyclic(gl, wl) -> bool:
     return not rest and core in (c * m, tuple(-l for l in reversed(c)) * m)
 
 
-def _generator_letters(a) -> tuple[tuple[int, ...], ...]:
-    """The letters of each generator of a factor given as the private
-    functions below take it (see the module docstring)."""
-    return (a,) if type(a) is tuple else tuple(g.letters for g in a.generators)
-
-
-def _contains(a, wl) -> bool:
+def _contains(a: FreeFactorVertex, wl) -> bool:
     """True iff the word with letters ``wl`` lies in the factor a: the
     closed form for a cyclic factor, a walk on the folded core graph for
     any other."""
-    if type(a) is not tuple:
-        g = _cyclic_generator(a)
-        if g is None:
-            return a.graph._reads_loop(wl)
-        a = g.letters
-    return _in_cyclic(a, wl)
+    g = a._cyclic
+    return a.graph._reads_loop(wl) if g is None else _in_cyclic(g, wl)
 
 
 def af_adjacent(a: FreeFactorVertex, b: FreeFactorVertex) -> bool:
@@ -359,21 +377,15 @@ def af_adjacent(a: FreeFactorVertex, b: FreeFactorVertex) -> bool:
     factor is read off its generator (``_in_cyclic``); only a factor with
     two or more nontrivial generators is folded, and the core graph it
     keeps is the one ``factor_invariant`` reads.  Rank 2: the cyclic
-    generators form a basis (``is_basis_pair``, no fold).
+    generators form a basis (``_basis_pair``, no fold).
     """
-    if a.rank_ambient != b.rank_ambient:
+    rank = a.rank_ambient
+    if rank != b.rank_ambient:
         raise RankError("factors live in different ambient ranks")
-    if a.rank_ambient == 2 and (len(a.generators) != 1 or len(b.generators) != 1):
-        raise DomainError("rank-2 factors must be cyclic")
-    return _adjacent(a, b, a.rank_ambient)
-
-
-def _adjacent(a, b, rank: int) -> bool:
-    """``af_adjacent`` past its checks, on two factors of rank ``rank``,
-    each a FreeFactorVertex or a cyclic factor's generator letters; at
-    rank 2 both are cyclic."""
-    gens_a, gens_b = _generator_letters(a), _generator_letters(b)
+    gens_a, gens_b = a.generator_letters, b.generator_letters
     if rank == 2:
+        if len(gens_a) != 1 or len(gens_b) != 1:
+            raise DomainError("rank-2 factors must be cyclic")
         return _basis_pair(gens_a[0], gens_b[0])
     a_in_b = all(_contains(b, w) for w in gens_a)
     b_in_a = all(_contains(a, w) for w in gens_b)
@@ -388,8 +400,7 @@ def random_free_factor(
     ``seed`` is a ``random.Random`` or a seed of one (``_random_stream``).
     The arguments are checked here, and the generators' letters come from
     ``_random_factor_letters``, the one factor sampler, which
-    ``experiments._random_deep_factor`` also calls; a Word is built for
-    each generator only to return the factor.
+    ``experiments._random_deep_factor`` also calls.
     """
     rank_ambient = _checked_int(rank_ambient, "ambient rank", 2, error=RankError)
     factor_rank = _checked_int(
@@ -399,9 +410,7 @@ def random_free_factor(
     gens = _random_factor_letters(
         _random_stream(seed), rank_ambient, factor_rank, chain_length
     )
-    return FreeFactorVertex(
-        tuple(_trusted_word(g, rank_ambient) for g in gens), rank_ambient
-    )
+    return _trusted_factor(gens, rank_ambient)
 
 
 def _random_factor_letters(
@@ -582,31 +591,15 @@ def _cyclic_value(gl, bl, binv) -> int:
     return _b_exponent(gl, i, bl, binv)[0]
 
 
-def _factor_value(a, b: Word, bl, binv) -> int:
-    """``factor_invariant(a, b).value`` for a factor a of b's rank, a
-    FreeFactorVertex or a cyclic factor's generator letters, and b past
-    ``_check_filling_minimal``, spelled ``bl`` (b^-1: ``binv``).  A cyclic
-    factor's value comes off ``_cyclic_value`` with no graph searched."""
-    if type(a) is not tuple:
-        g = _cyclic_generator(a)
-        if g is None:
-            return factor_invariant(a, b).value
-        a = g.letters
-    return _cyclic_value(a, bl, binv)
-
-
-def _trial_factor(gens, rank: int):
-    """The factor with generator letter tuples ``gens``, a basis of it of
-    rank ``rank``, as the private functions take it: the one generator's
-    letters for a cyclic factor, else a FreeFactorVertex."""
-    if len(gens) == 1:
-        return gens[0]
-    return FreeFactorVertex(tuple(_trusted_word(g, rank) for g in gens), rank)
-
-
-def _describe(a, rank: int) -> str:
-    """A factor's generators in ``format_word`` text, joined by "|"."""
-    return "|".join(_format_letters(g, rank) for g in _generator_letters(a))
+def _factor_value(a: FreeFactorVertex, b: Word, bl, binv) -> int:
+    """``factor_invariant(a, b).value`` for a factor a of b's rank and b
+    past ``_check_filling_minimal``, spelled ``bl`` (b^-1: ``binv``).  A
+    cyclic factor's value comes off ``_cyclic_value`` with no graph
+    searched."""
+    g = a._cyclic
+    if g is None:
+        return factor_invariant(a, b).value
+    return _cyclic_value(g, bl, binv)
 
 
 def _graph_invariant(graph: CoreGraph, b: Word) -> FactorInvariant:

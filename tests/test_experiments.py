@@ -795,11 +795,11 @@ class TestLipschitz:
 
         checked = []
 
-        def not_adjacent(fa, fb, rank):
+        def not_adjacent(fa, fb):
             checked.append((fa, fb))
             return False
 
-        monkeypatch.setattr(experiments, "_adjacent", not_adjacent)
+        monkeypatch.setattr(experiments, "af_adjacent", not_adjacent)
         with pytest.raises(InternalContradictionError):
             exp_lipschitz(rank, trials=3, seed=5)
         assert len(checked) == 1

@@ -32,11 +32,12 @@ from freefactor import (
 from freefactor.experiments import _find_second_minimizing_basis
 from freefactor.factors import (
     _BASIS_COMMUTATORS,
-    _adjacent,
+    _contains,
     _cyclic_value,
     _factor_value,
     _in_cyclic,
     _random_factor_letters,
+    _trusted_factor,
 )
 from freefactor.words import GENERATOR_CHARS, _b_exponent, _peel
 from freefactor.whitehead import vertex_order
@@ -149,6 +150,25 @@ class TestFold:
                         label = format_word(Word((letter,), rank))
                         lines.append(f'  {u} -> {v} [label="{label}"];')
             assert graph.to_dot() == "\n".join(lines + ["}"])
+            assert graph.to_dot() == oracle_rank_scan_to_dot(graph)
+
+    def test_dot_text_at_rank_one_million(self):
+        # to_dot reads each vertex's own edges, not the alphabet, so the
+        # graph of xyX prints its two edges at rank 10^6 as fast as at rank 2
+        graph = fold([Word((1, 2, -1), 10**6)])
+        start = time.perf_counter()
+        text = graph.to_dot()
+        seconds = time.perf_counter() - start
+        assert text == "\n".join(
+            [
+                "digraph core {",
+                "  0 [shape=doublecircle];",
+                '  0 -> 1 [label="x1"];',
+                '  1 -> 1 [label="x2"];',
+                "}",
+            ]
+        )
+        assert seconds < 0.05
 
     def test_dot_labels_past_rank_26(self):
         text = fold([Word((27,), 30), Word((3, 30), 30)]).to_dot()
@@ -165,6 +185,20 @@ def oracle_to_dot(graph) -> str:
             if letter in graph._adj[u]:
                 label = GENERATOR_CHARS[letter - 1]
                 lines.append(f'  {u} -> {graph._adj[u][letter]} [label="{label}"];')
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def oracle_rank_scan_to_dot(graph) -> str:
+    """The DOT text as it was written when each vertex scanned the letters
+    1..rank for its edges, O(rank) per vertex."""
+    lines = ["digraph core {", '  0 [shape=doublecircle];']
+    for u in sorted(graph._adj):
+        nbrs = graph._adj[u]
+        for letter in range(1, graph.rank + 1):
+            if letter in nbrs:
+                label = format_word(Word((letter,), graph.rank))
+                lines.append(f'  {u} -> {nbrs[letter]} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines)
 
@@ -667,6 +701,12 @@ def oracle_af_adjacent(a, b):
     return a_in_b != b_in_a
 
 
+def held(factor):
+    """The factor as the experiments' trial loops build it: a vertex on its
+    generators' letters, with no Word built (``_trusted_factor``)."""
+    return _trusted_factor(tuple(g.letters for g in factor.generators), factor.rank_ambient)
+
+
 def assert_adjacency(a, b, expected):
     assert af_adjacent(a, b) == oracle_af_adjacent(a, b) == expected, (
         a.describe(),
@@ -725,11 +765,10 @@ class TestAdjacency:
             for a, c in ((small, big), (big, small), (small, other), (square, small)):
                 expected = oracle_af_adjacent(a, c)
                 assert af_adjacent(a, c) == expected, (a.describe(), c.describe())
-                # a cyclic factor as the trial loops hold it: its letters
-                a_held, c_held = (
-                    f.generators[0].letters if len(f.generators) == 1 else f for f in (a, c)
-                )
-                assert _adjacent(a_held, c_held, rank) == expected, (a.describe(), c.describe())
+                # each factor as the trial loops hold it: a vertex on its
+                # letters, built with no Word
+                a_held, c_held = (held(f) for f in (a, c))
+                assert af_adjacent(a_held, c_held) == expected, (a.describe(), c.describe())
                 adjacent += expected
         assert adjacent == 3 * 1000
 
@@ -887,6 +926,68 @@ class TestFreeFactorVertex:
         done = fresh_python("-c", script)
         assert done.returncode == 0, done.stderr
         assert float(done.stdout) < 30, done.stdout
+
+
+class TestTrustedFactor:
+    """The trial loops' vertices, built on letter tuples with no Word and
+    no check (``_trusted_factor``), against the public constructor on the
+    same words."""
+
+    def test_cyclic_is_decided_at_construction(self):
+        x, y = W("x", 3), W("y", 3)
+        assert FreeFactorVertex((x,), 3)._cyclic == (1,)
+        assert FreeFactorVertex((x, Word.identity(3)), 3)._cyclic == (1,)
+        assert FreeFactorVertex((x, y), 3)._cyclic is None
+        assert FreeFactorVertex((Word.identity(3),), 3)._cyclic is None
+        assert _trusted_factor(((1,),), 3)._cyclic == (1,)
+        assert _trusted_factor(((1,), (2,)), 3)._cyclic is None
+
+    def test_matches_the_public_constructor(self):
+        # the lipschitz sampler's pairs and the basis-change sampler's
+        # factors, 3 x 250 x 3 = 2,250 factors at ranks 2-4
+        rng = random.Random(4602)
+        compared = cyclic = adjacent = 0
+        for rank in (2, 3, 4):
+            b = boundary_word(rank)
+            bl, binv = b.letters, b.inverse().letters
+            neighbour = FreeFactorVertex((Word((1,), rank),), rank)
+            for _ in range(250):
+                images = edge_images(rng, rank, b)
+                ti, tj = images[:2] if rank == 2 else rng.sample(images, 2)
+                small = (ti,)
+                big = (tj,) if rank == 2 else (ti, tj)
+                deep = deep_factor(rng, rank, b).generators
+                built = []
+                for gens in (small, big, deep):
+                    trusted = _trusted_factor(tuple(g.letters for g in gens), rank)
+                    public = FreeFactorVertex(gens, rank)
+                    self.assert_same(trusted, public, gens, neighbour, b, bl, binv)
+                    built.append((trusted, public))
+                    compared += 1
+                    cyclic += public._cyclic is not None
+                (small_t, small_p), (big_t, big_p) = built[:2]
+                assert af_adjacent(small_t, big_t) == af_adjacent(small_p, big_p) is True
+                adjacent += af_adjacent(neighbour, built[2][1])
+        assert compared == 2250 and 0 < cyclic < compared and adjacent > 0
+
+    @staticmethod
+    def assert_same(trusted, public, gens, neighbour, b, bl, binv):
+        words = [format_word(g) for g in gens]
+        assert trusted == public and hash(trusted) == hash(public), words
+        assert trusted.describe() == public.describe() == words
+        assert trusted.generators == public.generators == tuple(gens)
+        assert trusted._cyclic == public._cyclic, words
+        for vertex in (trusted, public):
+            copy = pickle.loads(pickle.dumps(vertex))
+            assert (copy, hash(copy), copy._cyclic) == (public, hash(public), public._cyclic)
+        assert all(_contains(trusted, g) for g in public.generator_letters), words
+        assert all(_contains(public, g) for g in trusted.generator_letters), words
+        edge = oracle_af_adjacent(public, neighbour)
+        assert af_adjacent(trusted, neighbour) == af_adjacent(public, neighbour) == edge
+        assert af_adjacent(neighbour, trusted) == edge, words
+        oracle = value_outcome(lambda: factor_invariant(public, b).value)
+        assert value_outcome(lambda: _factor_value(trusted, b, bl, binv)) == oracle, words
+        assert value_outcome(lambda: _factor_value(public, b, bl, binv)) == oracle, words
 
 
 def oracle_factor_invariant(a, b, sample_budget=150):
@@ -1207,10 +1308,8 @@ def assert_values_match(factor, b):
     entry = value_outcome(lambda: _factor_value(factor, b, bl, binv))
     oracle = value_outcome(lambda: factor_invariant(factor, b).value)
     assert entry == oracle, (factor.describe(), format_word(b))
-    if len(factor.generators) == 1:
-        # a cyclic factor as the trial loops hold it: its letters
-        held = factor.generators[0].letters
-        assert value_outcome(lambda: _factor_value(held, b, bl, binv)) == oracle
+    # the factor as the trial loops hold it: a vertex on its letters
+    assert value_outcome(lambda: _factor_value(held(factor), b, bl, binv)) == oracle
     return entry
 
 
