@@ -330,12 +330,13 @@ def exp_basis_change(
     its graph searched.
     b and b_t are checked, b's powers are spelled, and b_t is spelled both
     ways, once before the trial loop.  b_t is the image of b that
-    ``_find_second_minimizing_basis`` found at b's length.
+    ``_find_second_minimizing_basis`` found at b's length, under the
+    inverse chain that it hands back with the chain; that inverse also
+    gives the second basis's letter table.
     """
     b = _base_word(rank, b)
     b_powers = _b_powers(b)
-    basis_chain, b_t = _find_second_minimizing_basis(rank, b, seed)
-    chain_inv = tuple(phi.inverse() for phi in reversed(basis_chain))
+    basis_chain, chain_inv, b_t = _find_second_minimizing_basis(rank, b, seed)
     # the second basis's letter images: each factor is one reduction
     table = _chain_table(chain_inv, rank)
     _check_filling_minimal(b_t)
@@ -410,9 +411,10 @@ def _random_deep_factor(
 
 def _find_second_minimizing_basis(
     rank: int, b: Word, seed
-) -> tuple[tuple[WhAutomorphism, ...], Word]:
+) -> tuple[tuple[WhAutomorphism, ...], tuple[WhAutomorphism, ...], Word]:
     """A nontrivial chain whose inverse keeps b cyclically reduced at length
-    |b|, and b's image under that inverse."""
+    |b|, that inverse (the inverted moves in reverse order), and b's image
+    under it."""
     rng = _rng(seed, "second-basis")
     perm_count = math.factorial(rank) << rank
 
@@ -435,7 +437,7 @@ def _find_second_minimizing_basis(
             continue
         if all(phi.is_identity_map() for phi in chain):
             continue
-        return chain, image
+        return chain, chain_inv, image
     raise PreconditionError("no nontrivial second minimizing basis found")
 
 

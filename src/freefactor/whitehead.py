@@ -49,8 +49,10 @@ a random move is drawn by unranking one random index
 moves is ever built.
 
 Everything here is pure over immutable inputs.  A move builds its
-letter-image table once, and the unrankers keep the moves of ranks 2-5 in
-bounded caches.
+letter-image table once.  Only multiplier draws repeat often enough to
+pay for a cache: ``_multiplier_move_at`` keeps the moves of ranks 2-5 in
+a bounded one, and signed permutations and ``vertex_order`` are built on
+each call.
 """
 
 from __future__ import annotations
@@ -72,17 +74,13 @@ from .words import (
     _checked_int,
     _format_letters,
     _letter_table,
+    _peel,
     apply_automorphism,
     cyclic_reduce,
     format_word,
 )
 
 
-# ranks kept by each per-rank cache: all that the experiments and CI use fit
-_RANK_CACHE = 32
-
-
-@lru_cache(maxsize=_RANK_CACHE)
 def vertex_order(rank: int) -> tuple[int, ...]:
     """Fixed letter order x < x^-1 < y < y^-1 < ... used for tie-breaks."""
     return tuple(l for i in range(1, rank + 1) for l in (i, -i))
@@ -97,11 +95,25 @@ def whitehead_graph(w: Word) -> dict[int, dict[int, int]]:
     that the core misses is a key, and no key maps to a zero.  It is
     symmetric, so the edge count (the cyclic length) is half the sum of
     all multiplicities and the degree of a letter is the sum of its row.
+    The core is peeled off ``w``'s letters with no ``Word`` built, and the
+    distinct cyclic letter pairs are counted once each, so the work per
+    letter is one ``Counter`` step.
     """
-    core = cyclic_reduce(w).core
-    if core.is_identity():
+    ls = w.letters
+    i = _peel(ls)
+    ls = ls[i : len(ls) - i]
+    if not ls:
         raise IdentityWordError("the word reduces to the identity")
-    return _letter_graph(core)
+    graph: dict[int, dict[int, int]] = {}
+    # the cyclic subword uv gives the edge {u, v^-1}; a cyclically reduced
+    # core has no subword u u^-1, so the graph has no loop
+    for (u, v), count in Counter(zip(ls, ls[1:] + ls[:1])).items():
+        v = -v
+        row = graph.setdefault(u, {})
+        row[v] = row.get(v, 0) + count
+        row = graph.setdefault(v, {})
+        row[u] = row.get(u, 0) + count
+    return graph
 
 
 def find_cut_vertex(edges: dict[int, dict[int, int]], rank: int) -> int | None:
@@ -236,12 +248,12 @@ def _moves_per_multiplier(rank: int) -> int:
     return (1 << (2 * rank - 2)) - 1
 
 
-# Entries kept by each unranker's cache.  A rank's moves are cached only
-# where the cache holds every one of them, ranks 2-5 (at rank 5, 2,550
-# multiplier moves and 3,840 signed permutations; at rank 6, 12,276 and
-# 46,080), so repeated draws cost a lookup instead of building and
-# validating an automorphism and its table.  Above, each draw builds its
-# move, and the move and its rank-sized table die with their last holder.
+# Entries kept by the multiplier unranker's cache.  A rank's moves are
+# cached only where the cache holds every one of them, ranks 2-5 (2,550
+# moves at rank 5, 12,276 at rank 6), so a repeated draw costs a lookup
+# instead of building and validating an automorphism and its table.
+# Above, each draw builds its move, and the move and its rank-sized table
+# die with their last holder.
 _UNRANK_CACHE = 4096
 _CACHED_RANK = 5
 
@@ -299,7 +311,6 @@ def enumerate_whitehead_automorphisms(rank: int) -> tuple[WhAutomorphism, ...]:
     return tuple(_multiplier_move_at(rank, k) for k in range(count))
 
 
-@_cached_at_small_ranks
 def _signed_permutation_at(rank: int, index: int) -> WhAutomorphism:
     """The ``index``-th of the rank! * 2^rank signed generator permutations.
 
@@ -316,23 +327,6 @@ def _signed_permutation_at(rank: int, index: int) -> WhAutomorphism:
         image = remaining.pop(pick)
         images.append(-image if signs >> i & 1 else image)
     return WhAutomorphism.permutation_move(images, rank)
-
-
-def _letter_graph(core: Word) -> dict[int, dict[int, int]]:
-    """The Whitehead graph of a nontrivial cyclically reduced ``core``, as
-    ``whitehead_graph`` returns it.  The distinct cyclic letter pairs are
-    counted once each, so the work per letter is one ``Counter`` step."""
-    ls = core.letters
-    graph: dict[int, dict[int, int]] = {}
-    # the cyclic subword uv gives the edge {u, v^-1}; a cyclically reduced
-    # core has no subword u u^-1, so the graph has no loop
-    for (u, v), count in Counter(zip(ls, ls[1:] + ls[:1])).items():
-        v = -v
-        row = graph.setdefault(u, {})
-        row[v] = row.get(v, 0) + count
-        row = graph.setdefault(v, {})
-        row[u] = row.get(u, 0) + count
-    return graph
 
 
 class MinimizationCertificate(_Frozen):
@@ -452,7 +446,7 @@ def minimize_cyclic_length(w: Word) -> MinimizationCertificate:
     trace = [len(current)]
     chain: list[WhAutomorphism] = []
     while True:
-        edges = _letter_graph(current)
+        edges = whitehead_graph(current)
         length = len(current)
         best, best_side, a = length, None, None
         for x in sorted(x for x in edges if x > 0):

@@ -244,7 +244,7 @@ class TestClassifyWork:
         import freefactor.cli
         import freefactor.whitehead as wh
 
-        counts = {"minimize": 0, "graph": 0, "edges": 0}
+        counts = {"minimize": 0, "graph": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -261,13 +261,12 @@ class TestClassifyWork:
         monkeypatch.setattr(wh, "minimize_cyclic_length", minimize)
         monkeypatch.setattr(freefactor.cli, "minimize_cyclic_length", minimize)
         monkeypatch.setattr(wh, "whitehead_graph", counting("graph", wh.whitehead_graph))
-        monkeypatch.setattr(wh, "_letter_graph", counting("edges", wh._letter_graph))
         for word, verdict in (("xyXY", "Filling"), ("xxy", "Primitive"),
                               ("xxx", "SimpleNonPrimitive")):
-            counts.update(minimize=0, graph=0, edges=0)
+            counts.update(minimize=0, graph=0)
             code, out, _ = run(capsys, "classify", "--n", "2", word)
             assert code == 0 and out == verdict
-            assert counts == {"minimize": 1, "graph": 0, "edges": steps[word]}, word
+            assert counts == {"minimize": 1, "graph": steps[word]}, word
         assert steps["xxy"] > 1
 
 

@@ -922,7 +922,9 @@ class TestBasisChange:
         monkeypatch.setattr(
             experiments,
             "_find_second_minimizing_basis",
-            lambda rank, b, seed: ((WhAutomorphism.identity(2),), b),
+            lambda rank, b, seed: (
+                (WhAutomorphism.identity(2),), (WhAutomorphism.identity(2),), b
+            ),
         )
         report = exp_basis_change(2, trials=40, seed=1)
         assert report.summary["empirical_spread"] == 0

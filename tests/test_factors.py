@@ -1321,8 +1321,8 @@ class TestFactorValue:
     def both_bases(rank, b, factors):
         """Each factor against b, and its image in a second minimizing
         basis (as basis-change builds it) against b's image there."""
-        chain, b_t = _find_second_minimizing_basis(rank, b, rank)
-        chain_inv = tuple(phi.inverse() for phi in reversed(chain))
+        chain, chain_inv, b_t = _find_second_minimizing_basis(rank, b, rank)
+        assert chain_inv == tuple(phi.inverse() for phi in reversed(chain))
         assert b_t == apply_automorphism(chain_inv, b) and len(b_t) == len(b)
         for factor in factors:
             yield factor, b
