@@ -34,7 +34,8 @@ minimum cut's mask, hence numerically the smallest.  A flow stops early
 once its value reaches deg(a^-1) + best - |w|, since from there its move
 cannot beat the best one found so far.  One descent step costs O(|w|) to
 build the graph and one small max-flow per generator that the word uses,
-each of at most deg(a^-1) rounds; only the chosen move is applied.
+each of at most deg(a^-1) rounds; only the chosen move is applied, once,
+to the running image of the input word.
 
 The Whitehead graph has one representation: a map from each letter of
 the cyclic core to its neighbour letters, each with its edge
@@ -57,6 +58,7 @@ each call.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from enum import Enum
@@ -229,8 +231,7 @@ class WhAutomorphism(_Frozen):
                 inv[abs(img) - 1] = (i + 1) if img > 0 else -(i + 1)
             return WhAutomorphism.permutation_move(inv, self.rank)
         a = self.multiplier
-        z = frozenset(self.zset - {a}) | {-a}
-        return WhAutomorphism.multiplier_move(-a, z, self.rank)
+        return WhAutomorphism.multiplier_move(-a, self.zset - {a} | {-a}, self.rank)
 
     def generator_images(self) -> dict[str, str]:
         """Images of the generators, in compact text (for certificates)."""
@@ -248,14 +249,20 @@ def _moves_per_multiplier(rank: int) -> int:
     return (1 << (2 * rank - 2)) - 1
 
 
+def _move_count(rank: int) -> int:
+    """The number of multiplier moves of ``rank``, 2*rank * (2^(2*rank-2) - 1)."""
+    return 2 * rank * _moves_per_multiplier(rank)
+
+
 # Entries kept by the multiplier unranker's cache.  A rank's moves are
-# cached only where the cache holds every one of them, ranks 2-5 (2,550
-# moves at rank 5, 12,276 at rank 6), so a repeated draw costs a lookup
-# instead of building and validating an automorphism and its table.
-# Above, each draw builds its move, and the move and its rank-sized table
-# die with their last holder.
+# cached only where the cache holds every one of them: up to
+# ``_CACHED_RANK``, the last rank before the first whose moves overflow it
+# (2,550 moves at rank 5, 12,276 at rank 6).  So a repeated draw costs a
+# lookup instead of building and validating an automorphism and its
+# table.  Above, each draw builds its move, and the move and its
+# rank-sized table die with their last holder.
 _UNRANK_CACHE = 4096
-_CACHED_RANK = 5
+_CACHED_RANK = next(r for r in itertools.count(2) if _move_count(r + 1) > _UNRANK_CACHE)
 
 
 def _cached_at_small_ranks(unrank):
@@ -293,8 +300,7 @@ def _random_multiplier_move(rng, rank: int) -> WhAutomorphism:
     Consumes ``rng`` exactly as ``rng.choice`` over the full enumeration
     would, without building it.
     """
-    count = 2 * rank * _moves_per_multiplier(rank)
-    return _multiplier_move_at(rank, rng.randrange(count))
+    return _multiplier_move_at(rank, rng.randrange(_move_count(rank)))
 
 
 def enumerate_whitehead_automorphisms(rank: int) -> tuple[WhAutomorphism, ...]:
@@ -307,8 +313,7 @@ def enumerate_whitehead_automorphisms(rank: int) -> tuple[WhAutomorphism, ...]:
     the tuple.
     """
     rank = _checked_int(rank, "rank", 2, error=RankError)
-    count = 2 * rank * _moves_per_multiplier(rank)
-    return tuple(_multiplier_move_at(rank, k) for k in range(count))
+    return tuple(_multiplier_move_at(rank, k) for k in range(_move_count(rank)))
 
 
 def _signed_permutation_at(rank: int, index: int) -> WhAutomorphism:
@@ -333,10 +338,11 @@ class MinimizationCertificate(_Frozen):
     """Record of a greedy descent to minimal cyclic length.
 
     Applying ``chain`` to ``input`` and cyclically reducing yields
-    ``minimized``; ``length_trace`` is strictly decreasing and ends at the
-    minimal value.  ``edges`` is the Whitehead graph of ``minimized``
-    (``whitehead_graph``), kept from the descent step that found no
-    shorter move; equality, hashing and repr ignore it.
+    ``minimized``, by construction: the descent holds that very image
+    (``minimize_cyclic_length``).  ``length_trace`` is strictly decreasing
+    and ends at the minimal value.  ``edges`` is the Whitehead graph of
+    ``minimized`` (``whitehead_graph``), kept from the descent step that
+    found no shorter move; equality, hashing and repr ignore it.
     """
 
     _fields = ("input", "minimized", "chain", "length_trace")
@@ -439,15 +445,27 @@ def minimize_cyclic_length(w: Word) -> MinimizationCertificate:
     applied; an applied length that differs from its score raises
     ``InternalContradictionError``.  Signed permutations never change
     length and are not searched.
+
+    The word held is the running image of ``w`` itself: each accepted move
+    is applied once, to the whole word.  Its cyclic length is its length
+    less twice its longest conjugator's (``_peel``), and
+    ``whitehead_graph`` peels its core.  So ``minimized``, the core of the
+    last image, is by construction what replaying ``chain`` on ``w`` and
+    cyclically reducing gives: the replay applies the same moves to the
+    same word in the same order, and reduced words are unique.  The moves
+    are those that a descent on cyclic cores alone would choose.  By
+    induction, each step's core is conjugate to that descent's core, and
+    as both are cyclically reduced, it is a cyclic rotation of it.  A
+    rotation has the same cyclic length-2 subwords, hence the same
+    Whitehead graph, the same scores and the same chosen move.
     """
     if w.is_identity():
         raise IdentityWordError("cannot minimize the identity")
-    current = cyclic_reduce(w).core
-    trace = [len(current)]
-    chain: list[WhAutomorphism] = []
+    current, chain = w, []
+    trace = [len(w) - 2 * _peel(w.letters)]
     while True:
         edges = whitehead_graph(current)
-        length = len(current)
+        length = trace[-1]
         best, best_side, a = length, None, None
         for x in sorted(x for x in edges if x > 0):
             degree = sum(edges[-x].values())
@@ -461,17 +479,15 @@ def minimize_cyclic_length(w: Word) -> MinimizationCertificate:
             break
         # the side holds a^-1 and never a: Z is a and the side's other letters
         move = WhAutomorphism.multiplier_move(a, {a, *best_side} - {-a}, w.rank)
-        current = cyclic_reduce(move(current)).core
-        if len(current) != best:
+        current = move(current)
+        trace.append(len(current) - 2 * _peel(current.letters))
+        if trace[-1] != best:
             raise InternalContradictionError(
                 f"move {move.generator_images()} scored {best} "
-                f"but gave cyclic length {len(current)}"
+                f"but gave cyclic length {trace[-1]}"
             )
         chain.append(move)
-        trace.append(len(current))
-    # minimized is a cyclic permutation of current, so it has the same
-    # Whitehead graph
-    minimized = cyclic_reduce(apply_automorphism(chain, w)).core
+    minimized = cyclic_reduce(current).core
     return MinimizationCertificate(w, minimized, tuple(chain), tuple(trace), edges)
 
 

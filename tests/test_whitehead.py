@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -13,6 +14,7 @@ from freefactor import (
     Classification,
     DomainError,
     IdentityWordError,
+    InternalContradictionError,
     RankError,
     Word,
     WhAutomorphism,
@@ -30,6 +32,7 @@ from freefactor import (
     whitehead_graph,
 )
 from freefactor import whitehead
+from freefactor.cli import main
 from freefactor.orbit import build_boundary_pA
 from freefactor.words import boundary_word
 from freefactor.whitehead import (
@@ -671,6 +674,23 @@ class TestAutomorphismValidation:
             phi.table = ()
 
 
+def undercut_scores(monkeypatch):
+    """Make ``_min_cut`` report every minimum cut it finds as one less than
+    it is, so that each chosen move scores one below the length it gives."""
+    min_cut = whitehead._min_cut
+
+    def undercut(edges, source, sink, bound):
+        cut, side = min_cut(edges, source, sink, bound)
+        return (cut, side) if side is None else (cut - 1, side)
+
+    monkeypatch.setattr(whitehead, "_min_cut", undercut)
+
+
+# what the descent of xxy says under ``undercut_scores``: its first move,
+# y -> yx^-1, is checked against its score before any graph is built from it
+UNDERCUT_XXY = "move {'x': 'x', 'y': 'yX'} scored 1 but gave cyclic length 2"
+
+
 class TestMinimize:
     def test_primitive_pair(self):
         cert = minimize_cyclic_length(W("xy"))
@@ -706,6 +726,47 @@ class TestMinimize:
     def test_identity_rejected(self):
         with pytest.raises(IdentityWordError):
             minimize_cyclic_length(Word.identity(2))
+
+    def test_each_accepted_move_is_applied_once(self, monkeypatch, b2, b3):
+        # the descent holds the input's running image, so one call applies
+        # each move of its chain once and replays nothing at the end
+        run = load_benchmark_runner(monkeypatch)
+        words = [
+            parse_word(op["word"], op["rank"])
+            for seed in (1, 2, 3)
+            for op in run.make_ops("word-descent", seed)["ops"]
+        ]
+        # words that take no move: minimal ones, a conjugate of one, and a
+        # generator and its conjugate
+        still = [b2, b3, W("yxyXYY"), W("x"), W("yxY")]
+        calls = []
+        apply = whitehead.apply_automorphism
+
+        def counted(chain, w):
+            calls.append(chain)
+            return apply(chain, w)
+
+        monkeypatch.setattr(whitehead, "apply_automorphism", counted)
+        moves = []
+        for w in words + still:
+            calls.clear()
+            cert = minimize_cyclic_length(w)
+            assert len(calls) == len(cert.chain), w
+            moves.append(len(cert.chain))
+        assert sum(moves[: len(words)]) > 0
+        assert moves[len(words) :] == [0] * len(still)
+
+    def test_a_wrong_score_is_an_internal_contradiction(self, monkeypatch):
+        undercut_scores(monkeypatch)
+        with pytest.raises(InternalContradictionError, match=re.escape(UNDERCUT_XXY)):
+            minimize_cyclic_length(W("xxy"))
+
+    def test_a_wrong_score_exits_3_from_the_cli(self, monkeypatch, capsys):
+        undercut_scores(monkeypatch)
+        code = main(["classify", "--n", "2", "xxy"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.splitlines() == [f"internal error: {UNDERCUT_XXY}"]
 
     def test_orbit_invariance(self):
         # minimize(w) and minimize(phi(w)) reach the same length
@@ -983,6 +1044,17 @@ def _moved_short_words(rank, count, seed):
     return words
 
 
+def _conjugated_cores(rank, count, seed):
+    """u c u^-1 for random cyclic cores c and random words u of length at
+    most 8: every move of the descent maps the conjugator too."""
+    rng = random.Random(-seed)
+    words = []
+    for core in _random_cores(rank, count, seed, lengths=(2, 40)):
+        u = random_word(rng.randint(0, 8), rank, rng)
+        words.append(u * core * u.inverse())
+    return words
+
+
 def _random_multigraph(rng, n):
     """A symmetric zero-diagonal multiplicity matrix on ``n`` vertices with
     source ``n - 1`` and sink ``n - 2``: a heavy direct source-sink edge
@@ -1218,6 +1290,7 @@ class TestDenseOracle:
     def test_random_and_moved_words(self, rank):
         words = _random_cores(rank, 40, seed=800 + rank, lengths=(2, 40))
         words += _moved_short_words(rank, 40, seed=900 + rank)
+        words += _conjugated_cores(rank, 40, seed=1100 + rank)
         self.check(words, rank)
 
     @pytest.mark.parametrize("rank", [6, 7, 8, 16, 64])
