@@ -28,7 +28,7 @@ from .factors import (
     af_adjacent,
     random_free_factor,
 )
-from .orbit import exp_quasiflat, exp_twist_stability
+from .orbit import _grid_row, exp_quasiflat, exp_twist_stability
 from .report import ExperimentReport
 from .whitehead import (
     WhAutomorphism,
@@ -271,9 +271,23 @@ def exp_fzero_fiber(
     k_lo: int = -10,
     k_hi: int = 10,
 ) -> ExperimentReport:
-    """The map k -> exponent of b^k a b^-k: small zero fiber, injective off it."""
+    """The map k -> exponent of b^k a b^-k: small zero fiber, injective off it.
+
+    The exponents at k = k_lo..k_hi are one ``orbit._grid_row`` read of the
+    whole word a: each side is evaluated from k = 0 until the b-conjugation
+    step's premise holds, and every later value is one addition, so the
+    cost is linear in the window, with no conjugate built.  Its depth
+    (|a| + |b|) // |b| + 1 is the whole-word bound that ``_grid_row``
+    proves for an a that does not commute with b, and a primitive a never
+    commutes with the filling b: commuting elements are powers of one
+    root, a primitive a is no proper power, so b would be a power of a and
+    lie in the proper free factor <a>.  A side that still misses the
+    premise there raises InternalContradictionError.
+    """
     b = _base_word(rank, b)
     a = Word((1,), rank) if a is None else a
+    if a.rank != rank:
+        raise RankError(f"a = {a} has rank {a.rank}, not the experiment's rank {rank}")
     if not is_primitive(a):
         raise PreconditionError(f"a = {a} must be primitive")
     report = ExperimentReport(
@@ -286,11 +300,10 @@ def exp_fzero_fiber(
             "k_hi": k_hi,
         },
     )
-    zero_fiber = []
-    nonzero = []
-    for k in range(k_lo, k_hi + 1):
-        w = ad(b, a, k)
-        f = b_index(w, b)
+    depth = (len(a) + len(b)) // len(b) + 1
+    row = _grid_row(a.letters, (), k_lo, k_hi, b.letters, b.inverse().letters, depth)
+    zero_fiber, nonzero = [], []
+    for k, f in zip(range(k_lo, k_hi + 1), row):
         (zero_fiber if f == 0 else nonzero).append((k, f))
         report.trials.append({"k": k, "index": f})
     fiber_ok = len(zero_fiber) <= 3

@@ -6,7 +6,9 @@ fixing the boundary word b = xyXY, given by its generator images and
 certified when it is built.  The grid is a function of the psi and b it
 is given (``_grid_values``); only the two experiments build psi, each once
 per run, with ``build_boundary_pA``.  ``experiments.EXPERIMENTS`` is the
-one registry, and imports the two experiments from here.
+one registry, and imports the two experiments from here; zero-fiber
+imports ``_grid_row``, the one reader of a b-conjugation row, for its
+whole word.
 """
 
 from __future__ import annotations
@@ -123,8 +125,9 @@ def build_boundary_pA() -> BoundaryAutomorphism:
 # the two-parameter orbit grid
 
 
-# the |k| by which every grid row must meet a step premise (``_grid_row``);
-# every row of build_boundary_pA's psi does
+# the depth that the grid passes to ``_grid_row``: the |k| by which every
+# grid row must meet a step premise, which every row of build_boundary_pA's
+# psi does (zero-fiber passes its own, derived from the word's length)
 _DEPTH = 2
 
 
@@ -176,7 +179,7 @@ def _grid_values(
             i = repeat + (i - repeat) % (len(keys) - repeat)
         key = keys[i]
         if key not in rows:
-            rows[key] = _grid_row(*key, radius_k, bl, binv)
+            rows[key] = _grid_row(*key, -radius_k, radius_k, bl, binv, _DEPTH)
         return rows[key]
 
     return row_of, len(cycles[1][0])
@@ -213,10 +216,11 @@ def _orbit_ends(table, window: int) -> tuple[list[tuple], int]:
     return keys, keys.index(key)
 
 
-def _grid_row(head, tail, radius_k, bl, binv) -> tuple[int, ...]:
-    """The values at k = -radius_k..radius_k of the grid row whose
-    psi^r(x) = w has ends (head, tail).  Raise InternalContradictionError
-    if a side meets no step premise by |k| = _DEPTH < radius_k.
+def _grid_row(head, tail, k_lo, k_hi, bl, binv, depth) -> tuple[int, ...]:
+    """The values k -> b_index(b^k w b^-k, b) at k = k_lo..k_hi, for the
+    reduced w with ends (head, tail) (``_orbit_ends``; tail is empty when
+    head is all of w).  Raise InternalContradictionError if a side that
+    the window reaches past |k| = depth meets no step premise by depth.
 
     Step lemma.  Let g_k be the reduced form of b^k w b^-k, g_k = u c u^-1
     with u its longest conjugator (``_peel``), and value(k) its balanced
@@ -246,34 +250,46 @@ def _grid_row(head, tail, radius_k, bl, binv) -> tuple[int, ...]:
     value(k-1) = value(k) - 1.
 
     So k = 0 is evaluated on windows once, each side from there outwards
-    until the premise holds, and every later value is one addition.  The
-    two sides share the value and end letters at k = 0 and differ only in
-    the premise they test.  A side whose premise fails at every |k| <=
-    _DEPTH is whole only if radius_k <= _DEPTH (every value a window
-    evaluation), and raises otherwise.  The premise is read off the end
-    letters that the window evaluation returns, which are exact, so no
-    value is extrapolated without it.
+    until the premise holds, at most to the side's end of the window, and
+    every value past that is k plus the side's constant: the cost is
+    linear in the window however far it lies from 0.  The two sides share
+    the value and end letters at k = 0 and differ only in the premise they
+    test.  The premise is read off the end letters that the window
+    evaluation returns, which are exact, so no value is extrapolated
+    without it.  The depth comes from the caller: the grid passes
+    ``_DEPTH``; zero-fiber passes (|w| + |b|) // |b| + 1 for a whole word
+    w that does not commute with b, which suffices:
+
+    Depth for a whole word.  In the Cayley tree, |g_k| = d(b^-k, w b^-k)
+    = l(w) + 2 d(b^-k, A_w), with l(w) the cyclic length and A_w the axis
+    of w, and the premise at k says |g_(k+1)| = |g_k| + 2|b|.  b is
+    cyclically reduced, so its axis A_b runs through 1 and b^-k, and the
+    premise holds once b^-k lies past the projection P of A_w on A_b.  P
+    is a point within d(1, A_w) = (|w| - l(w)) / 2 of 1, or the overlap
+    of the two axes, which meets the point of A_w nearest 1 and, as w and
+    b do not commute, is shorter than l(w) + |b| (Culler and Morgan,
+    1987).  So P lies closer to 1 than |w| + |b|, and the premise holds at
+    every k with |k| |b| >= |w| + |b|; the mirror argument with b^-(k-1)
+    gives the b^-1 side.
     """
     at_zero = _cyclic_value_from_ends(head, tail, (), (), bl, binv)
-    row = {0: at_zero[0]}
-    for block, inverse, sign in ((bl, binv, 1), (binv, bl, -1)):
+    known, offsets = {0: at_zero[0]}, []
+    for block, inverse, sign, reach in ((binv, bl, -1, -k_lo), (bl, binv, 1, k_hi)):
         value, first, last = at_zero
         j = 0
-        while (first == -block[-1] or last == block[-1]) and j < radius_k:
+        while (first == -block[-1] or last == block[-1]) and j < reach:
             j += 1
-            if j > _DEPTH:
+            if j > depth:
                 raise InternalContradictionError(
-                    f"no b-conjugation step by |k| = {_DEPTH}: the grid row "
-                    "cannot be extended without more window evaluations"
+                    f"no b-conjugation step by |k| = {depth}: the row "
+                    "k -> b_index(b^k w b^-k) cannot be extended past its evaluated values"
                 )
             value, first, last = _cyclic_value_from_ends(
                 head, tail, block * j, inverse * j, bl, binv
             )
-            row[sign * j] = value
-        for j in range(j + 1, radius_k + 1):
-            value += sign
-            row[sign * j] = value
-    return tuple(row[k] for k in range(-radius_k, radius_k + 1))
+            known[sign * j] = value
+        offsets.append(value - sign * j)
+    return tuple(known.get(k, k + offsets[k > 0]) for k in range(k_lo, k_hi + 1))
 
 
 def _cyclic_value_from_ends(head, tail, bk, bk_inv, bl, binv) -> tuple[int, int, int]:
@@ -285,14 +301,17 @@ def _cyclic_value_from_ends(head, tail, bk, bk_inv, bl, binv) -> tuple[int, int,
     Raise InternalContradictionError rather than guess if the peel
     reaches a window edge (as it does when a junction eats a whole window:
     the b^k and b^-k left on the two sides peel off each other), or if the
-    conjugator is empty and the core may be a b-power (its first |b|
-    letters, repeated if it is shorter, unknown or b^+-1).
+    conjugator is empty and the core g may be a b-power: on windows, its
+    first |b| letters are unknown or b^+-1; for a whole word, the test is
+    exact, g^|b| = b^+-|g| letter for letter, which holds iff some power
+    of g is a power of b (``_cyclic_value``'s test, on the multiple
+    |b| |g| of the lcm), so the value is infinite.
     """
     left, right = _times(bk, head), _times(tail, bk_inv)
     g = left + right if tail else _times(left, right)
     i, m = _peel(g), len(bl)
     if tail and i >= min(len(left), len(right)) or not i and (
-        tail and len(left) < m or (g * m)[:m] in (bl, binv)
+        tail and (len(left) < m or g[:m] in (bl, binv)) or g * m in (bl * len(g), binv * len(g))
     ):
         raise InternalContradictionError(
             f"the {len(head)}-letter ends of a word cannot decide a grid value"

@@ -17,7 +17,9 @@ from freefactor import (
     RankError,
     Slope,
     Word,
+    ad,
     apply_automorphism,
+    b_index,
     boundary_word,
     farey_distance,
     parse_word,
@@ -240,6 +242,13 @@ def reduced_loops(graph, max_len):
                 target = graph.step(v, letter)
                 if target is not None and (not path or letter != -path[-1]):
                     stack.append((path + (letter,), target))
+
+
+def oracle_zero_fiber_row(a: Word, b: Word, k_lo: int, k_hi: int) -> list[int]:
+    """The materialising loop that zero-fiber's one ``orbit._grid_row``
+    read replaced: each conjugate b^k a b^-k built and its exponent read
+    by ``b_index``, O(K^2 |b|) letters over a window of K values."""
+    return [b_index(ad(b, a, k), b) for k in range(k_lo, k_hi + 1)]
 
 
 def random_cyclically_reduced(rng, rank, max_len):

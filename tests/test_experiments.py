@@ -62,6 +62,7 @@ from freefactor.whitehead import _random_multiplier_move, vertex_order
 from conftest import (
     W,
     oracle_quasiflat_pairs,
+    oracle_zero_fiber_row,
     oracle_random_free_factor,
     oracle_random_word,
     psi_power,
@@ -916,6 +917,99 @@ class TestZeroFiber:
         with pytest.raises(PreconditionError):
             exp_fzero_fiber(2, a=W("xx"))
 
+    def test_probe_of_another_rank_rejected(self):
+        with pytest.raises(RankError):
+            exp_fzero_fiber(2, a=Word((3,), 3), k_lo=5, k_hi=4)
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_matches_materialising_oracle(self, rank):
+        # 700 primitive probes per rank: x1's image under 0-6 random
+        # multiplier moves, conjugated by a random u of length 0-10, half the
+        # time prefixed by b^j with |j| <= 4; windows start in -15..10 and
+        # hold 0-25 values.  No probe raises, and every trial and summary is
+        # the materialised conjugates' (conftest.oracle_zero_fiber_row)
+        rng = random.Random(f"zero-fiber oracle {rank}")
+        b = boundary_word(rank)
+        empty = missing_zero = 0
+        for _ in range(700):
+            moves = [_random_multiplier_move(rng, rank) for _ in range(rng.randint(0, 6))]
+            u = random_word(rng.randint(0, 10), rank, rng)
+            if rng.random() < 0.5:
+                u = b ** rng.randint(-4, 4) * u
+            a = apply_automorphism(moves, Word((1,), rank)).conjugated_by(u)
+            k_lo = rng.randint(-15, 10)
+            k_hi = k_lo + rng.randint(0, 25) - 1
+            report = exp_fzero_fiber(rank, a=a, k_lo=k_lo, k_hi=k_hi)
+            expected = oracle_zero_fiber_row(a, b, k_lo, k_hi)
+            assert [t["index"] for t in report.trials] == expected, (a, k_lo, k_hi)
+            assert [t["k"] for t in report.trials] == list(range(k_lo, k_hi + 1))
+            fiber = [k for k, f in zip(range(k_lo, k_hi + 1), expected) if f == 0]
+            assert report.summary["zero_fiber"] == fiber
+            empty += k_lo > k_hi
+            missing_zero += k_lo <= k_hi and not k_lo <= 0 <= k_hi
+        assert empty > 10 and missing_zero > 100, (empty, missing_zero)
+
+    def test_conjugate_by_b_cubed(self, b2):
+        # the whole-word row of b^-3 x b^3 steps from |k| = 2 on, and its
+        # zero fiber is the standard one shifted by 3
+        a = ad(b2, W("x"), -3)
+        assert exp_fzero_fiber(2, a=a, k_lo=-1000, k_hi=1000).summary["zero_fiber"] == [2, 3]
+        report = exp_fzero_fiber(2, a=a, k_lo=-15, k_hi=35)
+        assert [t["index"] for t in report.trials] == oracle_zero_fiber_row(a, b2, -15, 35)
+
+    @pytest.mark.parametrize(
+        "text,rank", [("xxyyzzY", 3), ("xxyyzzzzYx", 3), ("xyXYzaZAy", 4), ("xxyyzzaabbA", 5)]
+    )
+    def test_primitive_core_that_starts_with_b(self, text, rank):
+        # a cyclically reduced primitive a that starts with the whole of b:
+        # its whole-word row is read exactly, not refused as a possible
+        # power of b, and so is the row of its conjugate by b^2
+        b, core = boundary_word(rank), W(text, rank)
+        assert core.is_cyclically_reduced() and core.letters[: len(b)] == b.letters
+        for a in (core, ad(b, core, 2)):
+            report = exp_fzero_fiber(rank, a=a, k_lo=-15, k_hi=15)
+            assert [t["index"] for t in report.trials] == oracle_zero_fiber_row(a, b, -15, 15)
+            assert report.violations == 0
+
+    def test_far_window_costs_its_width(self):
+        # the value at k = 10^6 is one addition past the last evaluated k
+        report = exp_fzero_fiber(2, k_lo=10**6, k_hi=10**6 + 10)
+        assert [t["index"] for t in report.trials] == list(range(10**6, 10**6 + 11))
+        assert report.violations == 0 and report.summary["zero_fiber"] == []
+
+    def test_builds_no_conjugate(self, monkeypatch):
+        # zero-fiber reads its row through orbit._grid_row: with ad and
+        # b_index out of reach, the golden report still comes out
+        def unreachable(*args):
+            raise AssertionError("zero-fiber built a conjugate")
+
+        monkeypatch.setattr(experiments, "ad", unreachable)
+        monkeypatch.setattr(experiments, "b_index", unreachable)
+        report = exp_fzero_fiber(2, k_lo=-3, k_hi=3)
+        assert schema_4_text(report) == (DATA / "zero_fiber_golden.json").read_text()
+
+    def test_unmet_premise_exits_3(self, monkeypatch, capsys, tmp_path, b2):
+        # end letters that break both step premises at every k: the row is
+        # not extended past the whole-word depth, and the run ends in one
+        # internal error line, with no report and no traceback
+        bl = b2.letters
+        value_from_ends = orbit._cyclic_value_from_ends
+
+        def unmet(*args):
+            return value_from_ends(*args)[0], -bl[-1], -bl[0]
+
+        monkeypatch.setattr(orbit, "_cyclic_value_from_ends", unmet)
+        out = tmp_path / "zero-fiber.json"
+        word = str(ad(b2, W("x"), -3))
+        argv = ["experiment", "zero-fiber", "--word", word, "--out", str(out)]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("internal error: "), lines
+        assert "no b-conjugation step by |k| = 7" in lines[0]
+        assert "Traceback" not in captured.err
+
 
 class TestBasisChange:
     def test_identity_chain_gives_zero(self, b2, monkeypatch):
@@ -1089,9 +1183,10 @@ class TestGridFromEnds:
 
     def test_step_on_arbitrary_words(self, b2):
         # rows of reduced words that start or end in b^+-1 blocks, or are
-        # conjugates, whole in the head window: each row raises (a power of
-        # b, or no step premise by |k| = 2) or equals the materialised
-        # invariants at every k
+        # conjugates, whole in the head window, read to the whole-word depth
+        # bound (|w| + |b|) // |b| + 1: a whole word is read exactly, so no
+        # row raises, neither for a core that starts with b nor for a missed
+        # step premise, and each equals the materialised invariants at every k
         rng = random.Random(5)
         bl, binv = b2.letters, b2.inverse().letters
         rows = 0
@@ -1108,10 +1203,7 @@ class TestGridFromEnds:
                 )
             except PreconditionError:
                 continue  # a power of b lies in the factor
-            try:
-                row = _grid_row(w.letters, (), 6, bl, binv)
-            except InternalContradictionError:
-                continue
+            row = _grid_row(w.letters, (), -6, 6, bl, binv, (len(w) + 4) // 4 + 1)
             assert row == expected, w
             rows += 1
         assert rows > 200
