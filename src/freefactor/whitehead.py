@@ -290,7 +290,8 @@ def _multiplier_move_at(rank: int, index: int) -> WhAutomorphism:
     a = verts[index // per]
     mask = index % per + 1
     others = [v for v in verts if abs(v) != abs(a)]
-    z = {a} | {others[i] for i in range(len(others)) if mask >> i & 1}
+    # bit i of the mask, read once, lowest first, selects others[i]
+    z = {a} | {v for v, bit in zip(others, reversed(f"{mask:b}")) if bit == "1"}
     return WhAutomorphism.multiplier_move(a, z, rank)
 
 
@@ -327,10 +328,12 @@ def _signed_permutation_at(rank: int, index: int) -> WhAutomorphism:
     perm_index, signs = divmod(index, 1 << rank)
     remaining = list(range(1, rank + 1))
     images = []
-    for i in range(rank - 1, -1, -1):
-        pick, perm_index = divmod(perm_index, math.factorial(i))
+    block = math.factorial(rank)  # divided down to i! at position i
+    for i, sign in zip(range(rank - 1, -1, -1), f"{signs:0{rank}b}"):
+        block //= i + 1
+        pick, perm_index = divmod(perm_index, block)
         image = remaining.pop(pick)
-        images.append(-image if signs >> i & 1 else image)
+        images.append(-image if sign == "1" else image)
     return WhAutomorphism.permutation_move(images, rank)
 
 

@@ -38,7 +38,6 @@ import itertools
 import operator
 import random
 import re
-from functools import lru_cache
 from operator import attrgetter, neg
 
 from .errors import (
@@ -517,28 +516,30 @@ def _checked_int(
     return value
 
 
-# (rank, previous letter) choice tuples kept: every pair at ranks 2-26 fits
-_CHOICE_TUPLES = 1024
-
-
-@lru_cache(maxsize=_CHOICE_TUPLES)
-def _letter_choices(rank: int, prev: int) -> tuple[int, ...]:
-    """The letters that may follow ``prev`` in a reduced word, in the order
-    x1..xr, X1..Xr: all 2*rank but prev^-1, and all 2*rank for prev = 0,
-    which stands for no letter yet."""
-    alphabet = (*range(1, rank + 1), *range(-1, -rank - 1, -1))
-    return tuple(l for l in alphabet if l != -prev)
-
-
 def _random_letters(length: int, rank: int, rng: random.Random) -> tuple[int, ...]:
     """The letters of ``random_word(length, rank, rng)``, for a checked
-    length and rank: one ``rng.choice`` per letter over its choice tuple."""
-    choice = rng.choice
+    length and rank.
+
+    Each letter is one ``rng.randrange(2*rank - (prev != 0))``, an index
+    into the letters that may follow the letter before, ``prev`` (none
+    before the first), in the order x1..xr, X1..Xr with prev^-1 left out,
+    read off by arithmetic.  ``rng.choice(seq)`` is
+    ``seq[rng._randbelow(len(seq))]`` and ``rng.randrange(n)`` is
+    ``rng._randbelow(n)``, so this draws the letter that ``choice`` over
+    those letters would and leaves the stream where it would, without
+    building a sequence of them.
+    """
+    randrange = rng.randrange
     letters = []
-    prev = 0
+    # letter k of x1..xr, X1..Xr is k + 1 for k < rank and rank - 1 - k
+    # above; the inverse of letter k is letter (k + rank) % (2*rank), and
+    # ``skip``, that index for prev, is past the end before the first
+    count = skip = 2 * rank
     for _ in range(length):
-        prev = choice(_letter_choices(rank, prev))
-        letters.append(prev)
+        k = randrange(count)
+        k += k >= skip
+        letters.append(k + 1 if k < rank else rank - 1 - k)
+        count, skip = 2 * rank - 1, (k + rank) % (2 * rank)
     return tuple(letters)
 
 
@@ -565,11 +566,13 @@ def random_word(length: int, rank: int, seed) -> Word:
     ``random.Random`` or a seed of one (``_random_stream``); fixed seeds
     reproduce.
 
-    Each letter is one ``rng.choice`` over its candidates in the order
-    x1..xr, X1..Xr without the inverse of the letter before, as the
-    sampler that rebuilt that list for every letter drew it.  The stream
-    is consumed call for call as then, and each draw picks the same
-    letter, so every seeded report that samples words is byte-identical.
+    Each letter is one ``rng.randrange`` index into its candidates, the
+    letters x1..xr, X1..Xr without the inverse of the letter before,
+    mapped to its letter by arithmetic (``_random_letters``).
+    ``randrange(n)`` and ``choice`` over n candidates both draw
+    ``_randbelow(n)``, so each letter is the one that ``rng.choice`` over
+    the candidate list would pick, and the stream is left where it would
+    leave it.  No candidate list is built or kept, at any rank.
     """
     length = _checked_int(length, "length", 0)
     rank = _checked_int(rank, "rank", 2, error=RankError)

@@ -407,6 +407,31 @@ def oracle_multiplier_moves(rank):
     return tuple(out)
 
 
+def oracle_multiplier_move_at(rank, index):
+    """The multiplier unranker that shifted the 2*rank-bit mask once per
+    letter to read its bit."""
+    per = (1 << (2 * rank - 2)) - 1
+    verts = vertex_order(rank)
+    a = verts[index // per]
+    mask = index % per + 1
+    others = [v for v in verts if abs(v) != abs(a)]
+    z = {a} | {others[i] for i in range(len(others)) if mask >> i & 1}
+    return WhAutomorphism.multiplier_move(a, z, rank)
+
+
+def oracle_signed_permutation_at(rank, index):
+    """The signed-permutation unranker that computed i! afresh, and shifted
+    the sign bits, at every position i."""
+    perm_index, signs = divmod(index, 1 << rank)
+    remaining = list(range(1, rank + 1))
+    images = []
+    for i in range(rank - 1, -1, -1):
+        pick, perm_index = divmod(perm_index, math.factorial(i))
+        image = remaining.pop(pick)
+        images.append(-image if signs >> i & 1 else image)
+    return WhAutomorphism.permutation_move(images, rank)
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("rank", [2, 3, 4])
     def test_closed_form_count(self, rank):
@@ -456,6 +481,18 @@ class TestEnumeration:
         perms = oracle_permutation_automorphisms(rank)
         assert len(perms) == math.factorial(rank) << rank
         assert tuple(_signed_permutation_at(rank, k) for k in range(len(perms))) == perms
+
+    @pytest.mark.parametrize("rank", [2, 5, 6, 7, 12, 26, 27, 64, 200])
+    def test_unrankers_match_their_oracles(self, rank):
+        # the first, the last and 50 random indices of each order, up to
+        # ranks whose enumerations no test can build
+        rng = random.Random(rank)
+        for unrank, oracle, count in (
+            (_multiplier_move_at, oracle_multiplier_move_at, whitehead._move_count(rank)),
+            (_signed_permutation_at, oracle_signed_permutation_at, math.factorial(rank) << rank),
+        ):
+            for index in (0, count - 1, *(rng.randrange(count) for _ in range(50))):
+                assert unrank(rank, index) == oracle(rank, index), index
 
     @pytest.mark.parametrize("rank", [2, 3, 4])
     def test_draws_consume_stream_like_choice(self, rank):

@@ -34,6 +34,7 @@ from freefactor.whitehead import (
 
 from conftest import (
     W,
+    fresh_python,
     oracle_b_reduced_decomposition,
     oracle_letter_image,
     oracle_random_word,
@@ -350,17 +351,39 @@ class TestRandomWord:
             random_word(-1, 2, 0)
 
 
-    @pytest.mark.parametrize("rank", [2, 3, 4, 5, 26, 27, 40])
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5, 26, 27, 40, 1000, 10_000])
     def test_matches_word_level_sampler(self, rank):
         # the same letters, and the stream left where the per-letter
-        # sampler left it, so every draw after it is unchanged
-        for seed in range(300):
+        # sampler left it, so every draw after it is unchanged; the oracle
+        # builds a 2*rank list per letter, so the high ranks take 8 seeds
+        for seed in range(300 if rank <= 40 else 8):
             rng, oracle_rng = random.Random(seed), random.Random(seed)
             length = seed % 13
             w = random_word(length, rank, rng)
             assert w == oracle_random_word(length, rank, oracle_rng), seed
             assert rng.getstate() == oracle_rng.getstate(), seed
             assert Word(w.letters, rank) == w
+
+    def test_huge_rank_under_an_address_limit(self):
+        # each letter is an index draw mapped by arithmetic, so no draw
+        # holds rank-sized memory: a child limited to 400 MB of address
+        # space draws 300 eight-letter words at rank 10^6, where a cache of
+        # one 2*rank-letter candidate tuple per previous letter ran out of
+        # memory
+        script = (
+            "import random, resource, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))\n"
+            "from freefactor import random_word\n"
+            "rng = random.Random(1)\n"
+            "start = time.perf_counter()\n"
+            "for _ in range(300):\n"
+            "    random_word(8, 10**6, rng)\n"
+            "print(time.perf_counter() - start)\n"
+        )
+        done = fresh_python("-c", script)
+        child = f"exit {done.returncode}, stdout {done.stdout!r}, stderr {done.stderr!r}"
+        assert done.returncode == 0, child
+        assert float(done.stdout) < 1, child
 
     @pytest.mark.parametrize("length,rank", [(2.5, 2), (3.0, 2), ("3", 2), (3, 2.5), (3, 3.0)])
     def test_non_integer_arguments(self, length, rank):
